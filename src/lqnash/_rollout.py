@@ -1,109 +1,47 @@
-"""Trajectory rollout kernels: numba-jitted loop with a pure-numpy fallback.
+"""Trajectory rollout kernel for the Monte Carlo check.
 
-The active backend is chosen by the ``LQNASH_BACKEND`` environment
-variable (``"numba"`` or ``"numpy"``); unset, numba is used when
-importable.  Both backends consume identical pre-drawn standard normals
-and agree to floating-point accumulation order differences (~1e-14
-relative).  See ``benchmarks/bench_rollout.py`` for a speed comparison.
+One numpy kernel, vectorised over trajectories and looping over stages
+and agents.  It consumes pre-drawn standard normals, so the sampled
+numbers depend only on the caller's streams, not on the kernel.
+
+``ENV_VAR`` and :func:`active_backend` remain for tools that record which
+kernel ran; the answer is always ``"numpy"``.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAVE_NUMBA = False
 
 ENV_VAR = "LQNASH_BACKEND"
 
-__all__ = ["ENV_VAR", "HAVE_NUMBA", "active_backend", "rollout"]
+__all__ = ["ENV_VAR", "active_backend", "rollout"]
 
 
-def active_backend(override: str | None = None) -> str:
-    """Resolve the backend name from an explicit override or the environment."""
-    choice = override if override is not None else os.environ.get(ENV_VAR, "").strip().lower()
-    if choice == "":
-        return "numba" if HAVE_NUMBA else "numpy"
-    if choice not in ("numba", "numpy"):
-        raise ValueError(f"unknown rollout backend {choice!r} (expected 'numba' or 'numpy')")
-    if choice == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    return choice
+def active_backend() -> str:
+    """Name of the rollout kernel in use."""
+    return "numpy"
 
 
-def _rollout_loop(A, B, Q, R, K, L, logdets, tau, x0s, xis, omegas, states, actions, costs):
-    # Q carries T+1 entries per agent; Q[i, T] is the terminal cost.
-    # Explicit scalar loops: dimensions are tiny, so avoiding temporaries and
-    # BLAS call overhead is what makes the jitted path fast.
+def rollout(A, B, Q, R, K, L, logdets, tau, x0s, xis, omegas):
+    """Run all trajectories; returns ``(states, actions, costs)``.
+
+    Inputs: stage matrices ``A (T,m,m)``, ``B (N,T,m,p)``, ``Q (N,T+1,m,m)``
+    (``Q[i, T]`` is the terminal cost), ``R (N,T,p,p)``; policy gains ``K
+    (N,T,p,m)`` and covariance Cholesky factors ``L (N,T,p,p)`` with
+    per-stage log-determinants ``logdets (N,T)``; sampled initial states
+    ``x0s (n,m)``, per-agent action normals ``xis (n,T,N,p)``, and realized
+    process noise ``omegas (n,T,m)``.
+    """
+    A, B, Q, R, K, L, logdets, x0s, xis, omegas = (
+        np.ascontiguousarray(arr) for arr in (A, B, Q, R, K, L, logdets, x0s, xis, omegas)
+    )
+    tau = float(tau)
     n_traj, m = x0s.shape
     T = A.shape[0]
     N = B.shape[0]
     p = K.shape[2]
-    x = np.empty(m)
-    xn = np.empty(m)
-    u = np.empty(p)
-    for r in range(n_traj):
-        for a in range(m):
-            x[a] = x0s[r, a]
-            states[r, 0, a] = x[a]
-        for t in range(T):
-            for a in range(m):
-                acc = omegas[r, t, a]
-                for b in range(m):
-                    acc += A[t, a, b] * x[b]
-                xn[a] = acc
-            for i in range(N):
-                for a in range(p):
-                    acc = 0.0
-                    for b in range(m):
-                        acc += K[i, t, a, b] * x[b]
-                    for b in range(p):
-                        acc += L[i, t, a, b] * xis[r, t, i, b]
-                    u[a] = acc
-                    actions[r, t, i, a] = acc
-                stage = -0.5 * tau * logdets[i, t]
-                for a in range(m):
-                    acc = 0.0
-                    for b in range(m):
-                        acc += Q[i, t, a, b] * x[b]
-                    stage += x[a] * acc
-                for a in range(p):
-                    acc = 0.0
-                    for b in range(p):
-                        acc += R[i, t, a, b] * u[b]
-                    xi = xis[r, t, i, a]
-                    stage += u[a] * acc + 0.5 * tau * (u[a] * u[a] - xi * xi)
-                costs[r, i] += stage
-                for a in range(m):
-                    acc = 0.0
-                    for b in range(p):
-                        acc += B[i, t, a, b] * u[b]
-                    xn[a] += acc
-            for a in range(m):
-                x[a] = xn[a]
-                states[r, t + 1, a] = xn[a]
-        for i in range(N):
-            terminal = 0.0
-            for a in range(m):
-                acc = 0.0
-                for b in range(m):
-                    acc += Q[i, T, a, b] * x[b]
-                terminal += x[a] * acc
-            costs[r, i] += terminal
-
-
-if HAVE_NUMBA:
-    _rollout_numba = njit(cache=True)(_rollout_loop)
-
-
-def _rollout_numpy(A, B, Q, R, K, L, logdets, tau, x0s, xis, omegas, states, actions, costs):
-    T = A.shape[0]
-    N = B.shape[0]
+    states = np.zeros((n_traj, T + 1, m))
+    actions = np.zeros((n_traj, T, N, p))
+    costs = np.zeros((n_traj, N))
     x = x0s.copy()
     states[:, 0] = x
     for t in range(T):
@@ -122,27 +60,4 @@ def _rollout_numpy(A, B, Q, R, K, L, logdets, tau, x0s, xis, omegas, states, act
         states[:, t + 1] = x
     for i in range(N):
         costs[:, i] += np.einsum("rj,jk,rk->r", x, Q[i, T], x)
-
-
-def rollout(A, B, Q, R, K, L, logdets, tau, x0s, xis, omegas, backend: str | None = None):
-    """Run all trajectories; returns ``(states, actions, costs)``.
-
-    Inputs: stage matrices ``A (T,m,m)``, ``B (N,T,m,p)``, ``Q (N,T+1,m,m)``,
-    ``R (N,T,p,p)``; policy gains ``K (N,T,p,m)`` and covariance Cholesky
-    factors ``L (N,T,p,p)`` with per-stage log-determinants ``logdets
-    (N,T)``; sampled initial states ``x0s (n,m)``, per-agent action normals
-    ``xis (n,T,N,p)``, and realized process noise ``omegas (n,T,m)``.
-    """
-    A, B, Q, R, K, L, logdets, x0s, xis, omegas = (
-        np.ascontiguousarray(arr) for arr in (A, B, Q, R, K, L, logdets, x0s, xis, omegas)
-    )
-    n_traj, m = x0s.shape
-    T = A.shape[0]
-    N = B.shape[0]
-    p = K.shape[2]
-    states = np.zeros((n_traj, T + 1, m))
-    actions = np.zeros((n_traj, T, N, p))
-    costs = np.zeros((n_traj, N))
-    kernel = _rollout_numba if active_backend(backend) == "numba" else _rollout_numpy
-    kernel(A, B, Q, R, K, L, logdets, float(tau), x0s, xis, omegas, states, actions, costs)
     return states, actions, costs

@@ -43,6 +43,10 @@ from .solver import (
 
 __all__ = ["main", "build_parser"]
 
+# Trajectories formatted per write in trajectories.csv.  Larger chunks
+# write no faster but raise peak memory with the text they hold.
+_TRAJ_CHUNK = 64
+
 
 def _read_spec(path: str) -> GameSpec:
     try:
@@ -82,7 +86,7 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    _write_text(path, json.dumps(doc, indent=2) + "\n")
+    _write_text(path, json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
 def _certificate_doc(spec: GameSpec, P: np.ndarray, q: np.ndarray) -> dict:
@@ -252,6 +256,31 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _write_trajectories(fh, states: np.ndarray, actions: np.ndarray) -> None:
+    """Write one CSV line per trajectory and stage, a chunk of trajectories
+    at a time.
+
+    Bytes match ``csv.writer``: it writes floats with ``repr`` (``%r``) and
+    the terminal row's missing actions as empty fields.  A chunk bounds the
+    memory held by its ``tolist()`` copies and joined text.
+    """
+    n_traj, T, n, p = actions.shape
+    m = states.shape[2]
+    width = n * p
+    line = "%d,%d," + ",".join(["%r"] * (m + width)) + "\n"
+    last = "%d,%d," + ",".join(["%r"] * m) + "," * width + "\n"
+    for lo in range(0, n_traj, _TRAJ_CHUNK):
+        hi = min(lo + _TRAJ_CHUNK, n_traj)
+        xs = states[lo:hi].tolist()
+        us = actions[lo:hi].reshape(hi - lo, T, width).tolist()
+        parts = []
+        for r, x, u in zip(range(lo, hi), xs, us):
+            for t in range(T):
+                parts.append(line % (r, t, *x[t], *u[t]))
+            parts.append(last % (r, T, *x[T]))
+        fh.write("".join(parts))
+
+
 def _cmd_simulate(args) -> int:
     spec = _read_spec(args.spec)
     out = _out_dir(args)
@@ -259,24 +288,14 @@ def _cmd_simulate(args) -> int:
     result = simulate(spec, joint, args.n_traj, args.seed)
     cert = value_certificate(spec, joint)
 
-    n, T = spec.num_agents, spec.horizon
-    m, p = spec.state_dim, spec.action_dim
+    n, m, p = spec.num_agents, spec.state_dim, spec.action_dim
     try:
         with open(out / "trajectories.csv", "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
             header = ["traj_id", "t"] + [f"x{k}" for k in range(m)]
             for i in range(n):
                 header += [f"u{i}_{k}" for k in range(p)]
-            writer.writerow(header)
-            for r in range(result.states.shape[0]):
-                for t in range(T + 1):
-                    row: list = [r, t] + [float(v) for v in result.states[r, t]]
-                    if t < T:
-                        for i in range(n):
-                            row += [float(v) for v in result.actions[r, t, i]]
-                    else:
-                        row += [""] * (n * p)
-                    writer.writerow(row)
+            fh.write(",".join(header) + "\n")
+            _write_trajectories(fh, result.states, result.actions)
         with open(out / "costs.csv", "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["agent", "empirical_mean", "std_error", "certificate_value"])

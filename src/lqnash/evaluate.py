@@ -169,15 +169,17 @@ def simulate(
     joint: JointPolicy,
     n_traj: int,
     seed: int,
-    backend: str | None = None,
 ) -> SimulationResult:
     """Seeded Monte Carlo rollouts of a joint policy.
 
-    Each trajectory draws from its own counter-based stream keyed by
+    Each trajectory draws from its own counter-based Philox stream keyed by
     ``(seed, trajectory index)``, so results are independent of execution
-    order and identical across runs.  Per trajectory the draw order is:
-    initial-state normals, then per stage each agent's action normals
-    (agent order) followed by the process-noise normals.  Realized costs
+    order and identical across runs.  One generator serves every
+    trajectory: re-keying it and restoring its fresh state gives exactly
+    the stream a new ``Philox(key=[seed, r])`` would.  Per trajectory the
+    draw order is: initial-state normals, then per stage each agent's
+    action normals (agent order) followed by the process-noise normals.
+    The draws feed one vectorised numpy rollout kernel.  Realized costs
     include the regularizer ``tau * log(pi/mu)`` evaluated at the sample.
     """
     if n_traj < 1:
@@ -196,9 +198,16 @@ def simulate(
 
     draws_per_traj = m + T * (n * p + m)
     normals = np.empty((n_traj, draws_per_traj))
+    bit_gen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    gen = np.random.Generator(bit_gen)
+    # Zero counter, empty buffer; restoring it after setting key word 1
+    # re-keys the stream without building a new generator.
+    fresh = bit_gen.state
+    key = fresh["state"]["key"]
     for r in range(n_traj):
-        bit_gen = np.random.Philox(key=np.array([seed, r], dtype=np.uint64))
-        normals[r] = np.random.Generator(bit_gen).standard_normal(draws_per_traj)
+        key[1] = r
+        bit_gen.state = fresh
+        gen.standard_normal(out=normals[r])
 
     z0 = normals[:, :m]
     rest = normals[:, m:].reshape(n_traj, T, n * p + m)
@@ -209,8 +218,7 @@ def simulate(
     omegas = zetas @ noise_factor.T
 
     states, actions, costs = rollout(
-        spec.A, spec.B, spec.Q, spec.R, gains, chol, logdets, spec.tau, x0s, xis, omegas,
-        backend=backend,
+        spec.A, spec.B, spec.Q, spec.R, gains, chol, logdets, spec.tau, x0s, xis, omegas
     )
     mean_costs = costs.mean(axis=0)
     if n_traj > 1:

@@ -255,7 +255,7 @@ def dump_game_spec(spec: GameSpec) -> str:
         "init_mean": spec.init_mean.tolist(),
         "init_cov": spec.init_cov.tolist(),
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def _symmetrized(x: np.ndarray, field: str) -> np.ndarray:
@@ -446,7 +446,7 @@ def dump_joint_policy(joint: JointPolicy) -> str:
         "gains": gains.tolist(),
         "covs": covs.tolist(),
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def load_joint_policy(text: str) -> JointPolicy:

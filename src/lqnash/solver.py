@@ -233,7 +233,9 @@ def po_solve(
     frozen later-stage policies, so they are fixed while a stage iterates.
 
     Non-convergence is visible in the returned trace (distances failing to
-    decrease) and in the contraction moduli.
+    decrease) and in the contraction moduli.  Raises :class:`SolverError`
+    naming the stage when its gains or the tail values it leaves are not
+    finite, so a diverged pass never yields a policy.
     """
     if inner_iters is None and stop_tol is None:
         raise ValueError("need inner_iters >= 1 or stop_tol > 0")
@@ -277,6 +279,8 @@ def po_solve(
             if stop_tol is not None and d < stop_tol:
                 break
         trace_by_stage[t] = tuple(distances)
+        if not np.isfinite(gains[:, t]).all():
+            raise SolverError(f"stage {t}: policy gains are not finite; the backward pass diverged")
 
         # Lyapunov step: fold the converged stage into each agent's tail value.
         closed = spec.A[t] + np.einsum("jmp,jpk->mk", spec.B[:, t], gains[:, t])
@@ -284,6 +288,10 @@ def po_solve(
             "ipm,ipq,iqn->imn", gains[:, t], 0.5 * spec.tau * eye + spec.R[:, t], gains[:, t]
         )
         tails = _sym(spec.Q[:, t] + own + np.einsum("lm,ilk,kn->imn", closed, tails, closed))
+        if not np.isfinite(tails).all():
+            raise SolverError(
+                f"stage {t}: tail value matrices are not finite; the backward pass diverged"
+            )
         gamma_p_seen = max(gamma_p_seen, float(np.sqrt((tails**2).sum(axis=(1, 2)).max())))
 
     gamma_b = _max_input_norm(spec)

@@ -1,10 +1,12 @@
 import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
 import lqnash as lq
+from lqnash import cli
 from lqnash.cli import main
 
 from conftest import SCALAR_GAME_TEXT
@@ -130,6 +132,54 @@ def test_byte_identical_reruns(scalar_spec_file, tmp_path):
         outs.append(out)
     for fname in ("policy.json", "trace.csv", "costs.csv", "trajectories.csv"):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+
+def _reference_trajectories_csv(result, spec) -> str:
+    """trajectories.csv as a row-by-row csv.writer writes it."""
+    n, T = spec.num_agents, spec.horizon
+    m, p = spec.state_dim, spec.action_dim
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    header = ["traj_id", "t"] + [f"x{k}" for k in range(m)]
+    for i in range(n):
+        header += [f"u{i}_{k}" for k in range(p)]
+    writer.writerow(header)
+    for r in range(result.states.shape[0]):
+        for t in range(T + 1):
+            row: list = [r, t] + [float(v) for v in result.states[r, t]]
+            if t < T:
+                for i in range(n):
+                    row += [float(v) for v in result.actions[r, t, i]]
+            else:
+                row += [""] * (n * p)
+            writer.writerow(row)
+    return buf.getvalue()
+
+
+def test_simulate_trajectories_match_csv_writer(tmp_path):
+    spec = lq.random_game(2, 3, 3, 2, seed=21, scale=0.3).with_tau(20.0)
+    spec_path = tmp_path / "game.json"
+    spec_path.write_text(lq.dump_game_spec(spec))
+    out = tmp_path / "run"
+    n_traj = 2 * cli._TRAJ_CHUNK + 7  # several chunks, the last one partial
+    assert run("solve-exact", "--spec", spec_path, "--out", out) == 0
+    assert run("simulate", "--spec", spec_path, "--out", out,
+               "--n-traj", n_traj, "--seed", 2**40 + 3) == 0
+    joint = lq.load_joint_policy((out / "policy.json").read_text())
+    expected = _reference_trajectories_csv(lq.simulate(spec, joint, n_traj, 2**40 + 3), spec)
+    assert (out / "trajectories.csv").read_bytes() == expected.encode()
+
+
+def test_po_divergence_exit_code(tmp_path, capsys):
+    gen = tmp_path / "gen"
+    assert run("randgen", "--out", gen, "--agents", 3, "--horizon", 400, "--state-dim", 4,
+               "--action-dim", 2, "--seed", 3, "--scale", 1.5) == 0
+    out = tmp_path / "po"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run("solve-po", "--spec", gen / "spec.json", "--out", out, "--inner-iters", 50)
+    assert code == 3
+    assert "stage" in capsys.readouterr().err
+    assert not (out / "policy.json").exists()
 
 
 def test_validation_error_exit_code(tmp_path, capsys):

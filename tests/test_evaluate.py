@@ -5,6 +5,8 @@ import numpy.testing as npt
 import pytest
 
 import lqnash as lq
+from lqnash import evaluate
+from lqnash._rollout import rollout
 
 from conftest import random_pd_policy, with_tau
 
@@ -207,6 +209,31 @@ class TestSimulate:
                     drift = drift + spec.B[i, t] @ result.actions[r, t, i]
                 npt.assert_allclose(result.states[r, t + 1], drift, atol=1e-13)
                 x = result.states[r, t + 1]
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_matches_fresh_generator_per_trajectory(self, seed):
+        # reference: a new Philox(key=[seed, r]) per trajectory, the same
+        # transforms, and the same kernel
+        spec = lq.random_game(2, 3, 3, 2, seed=60, scale=0.5)
+        joint = random_pd_policy(spec, np.random.default_rng(61))
+        n_traj = 150
+        n, T, m, p = spec.num_agents, spec.horizon, spec.state_dim, spec.action_dim
+        normals = np.empty((n_traj, m + T * (n * p + m)))
+        for r in range(n_traj):
+            bit_gen = np.random.Philox(key=np.array([seed, r], dtype=np.uint64))
+            normals[r] = np.random.Generator(bit_gen).standard_normal(normals.shape[1])
+        rest = normals[:, m:].reshape(n_traj, T, n * p + m)
+        x0s = spec.init_mean + normals[:, :m] @ evaluate._psd_factor(spec.init_cov).T
+        omegas = rest[:, :, n * p :] @ evaluate._psd_factor(spec.noise_cov).T
+        chol, logdets = evaluate._policy_cholesky(lq.stack_covs(joint))
+        states, actions, costs = rollout(
+            spec.A, spec.B, spec.Q, spec.R, lq.stack_gains(joint), chol, logdets, spec.tau,
+            x0s, rest[:, :, : n * p].reshape(n_traj, T, n, p), omegas,
+        )
+        result = lq.simulate(spec, joint, n_traj, seed)
+        npt.assert_array_equal(result.states, states)
+        npt.assert_array_equal(result.actions, actions)
+        npt.assert_array_equal(result.costs, costs)
 
     def test_bad_arguments(self, scalar_game):
         joint = scalar_rest_policy()
