@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from pathlib import Path
 
@@ -25,6 +24,7 @@ from .model import (
     GameSpec,
     GameSpecError,
     JointPolicy,
+    _dumps,
     dump_game_spec,
     dump_joint_policy,
     load_game_spec,
@@ -86,7 +86,7 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    _write_text(path, json.dumps(doc, indent=2, allow_nan=False) + "\n")
+    _write_text(path, _dumps(doc))
 
 
 def _certificate_doc(spec: GameSpec, P: np.ndarray, q: np.ndarray) -> dict:
@@ -100,8 +100,8 @@ def _certificate_doc(spec: GameSpec, P: np.ndarray, q: np.ndarray) -> dict:
             {
                 "expected_cost": expected,
                 "value_at_init_mean": value_at_mean,
-                "P": P[i].tolist(),
-                "q": q[i].tolist(),
+                "P": P[i],
+                "q": q[i],
             }
         )
     return {"agents": agents}
@@ -219,7 +219,7 @@ def _cmd_augment(args) -> int:
     _write_trace(out / "trace.csv", report)
     doc = _condition_doc(spec, report.condition)
     doc["delta_used"] = report.delta_used
-    doc["exploitability"] = [float(g) for g in report.nash_gaps]
+    doc["exploitability"] = report.nash_gaps
     _write_json(out / "condition.json", doc)
     print(f"augmentation succeeded with delta={report.delta_used:g}")
     for i, gap in enumerate(report.nash_gaps):
@@ -237,7 +237,7 @@ def _cmd_eval(args) -> int:
     P = np.stack([a.P for a in cert.agents])
     q = np.stack([a.q for a in cert.agents])
     doc = _certificate_doc(spec, P, q)
-    doc["exploitability"] = [float(g) for g in gaps]
+    doc["exploitability"] = gaps
     for i in range(spec.num_agents):
         print(
             f"  agent {i}: expected cost {cert.agents[i].expected_cost:.12g} "

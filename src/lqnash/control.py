@@ -98,6 +98,14 @@ def entropy_quadratic_minimizer(q: StageQuadratic) -> GaussianPolicyParams:
     return GaussianPolicyParams(mean, cov)
 
 
+def _is_pd(x: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(x)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _chol_logdet(cov: np.ndarray, what: str = "covariance") -> float:
     try:
         chol = np.linalg.cholesky(cov)
@@ -215,13 +223,13 @@ def best_response_full(
     for j in range(spec.num_agents):
         if j == agent:
             continue
-        for t in range(T):
-            try:
-                np.linalg.cholesky(covs[j, t])
-            except np.linalg.LinAlgError:
-                raise ValueError(
-                    f"opponent covariance not positive definite (agent {j}, stage {t})"
-                ) from None
+        try:
+            np.linalg.cholesky(covs[j])
+        except np.linalg.LinAlgError:
+            t = next(t for t in range(T) if not _is_pd(covs[j, t]))
+            raise ValueError(
+                f"opponent covariance not positive definite (agent {j}, stage {t})"
+            ) from None
 
     eye = np.eye(p)
     P = np.empty((T + 1, m, m))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rollout import rollout
-from .control import AgentValue, best_response_full
+from .control import AgentValue, _is_pd, best_response_full
 from .model import GameSpec, JointPolicy, check_policy_shape, stack_covs, stack_gains
 
 __all__ = [
@@ -61,18 +61,16 @@ class SimulationResult:
 
 def _policy_cholesky(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cholesky factors and log-determinants of every stage covariance."""
-    n, T, p, _ = covs.shape
-    chol = np.empty_like(covs)
-    logdets = np.empty((n, T))
-    for i in range(n):
-        for t in range(T):
-            try:
-                chol[i, t] = np.linalg.cholesky(covs[i, t])
-            except np.linalg.LinAlgError:
-                raise ValueError(
-                    f"policy covariance not positive definite (agent {i}, stage {t})"
-                ) from None
-            logdets[i, t] = 2.0 * float(np.sum(np.log(np.diag(chol[i, t]))))
+    try:
+        chol = np.linalg.cholesky(covs)
+    except np.linalg.LinAlgError:
+        i, t = next(
+            (i, t) for i, t in np.ndindex(covs.shape[:2]) if not _is_pd(covs[i, t])
+        )
+        raise ValueError(
+            f"policy covariance not positive definite (agent {i}, stage {t})"
+        ) from None
+    logdets = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
     return chol, logdets
 
 

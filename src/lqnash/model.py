@@ -10,6 +10,7 @@ file format, and a seeded random-instance generator.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from dataclasses import dataclass
 
@@ -239,6 +240,59 @@ def load_game_spec(text: str) -> GameSpec:
     return validate_game_spec(spec)
 
 
+# Stands in for each array while json lays out the rest of a document.
+# json writes it as the escape "\u0000", which no key of a document contains.
+_ARRAY_SLOT = "\0"
+_ARRAY_SLOT_TEXT = json.dumps(_ARRAY_SLOT)
+
+
+@functools.lru_cache(maxsize=128)
+def _array_template(shape: tuple[int, ...], level: int) -> str:
+    """``%`` template that lays out an array of ``shape`` as
+    ``json.dumps(indent=2)`` lays out the nested list at nesting ``level``,
+    with one ``%r`` slot per element in row-major order."""
+    if not shape:
+        return "%r"
+    if shape[0] == 0:
+        return "[]"
+    pad = "\n" + "  " * (level + 1)
+    inner = _array_template(shape[1:], level + 1)
+    return "[" + pad + ("," + pad).join([inner] * shape[0]) + "\n" + "  " * level + "]"
+
+
+def _dumps(doc) -> str:
+    """``json.dumps(doc, indent=2, allow_nan=False) + "\\n"`` for a document
+    whose leaves may also be float arrays.
+
+    json lays out the document with a placeholder string per array; each
+    array is then rendered from a cached template of its layout, filled
+    with the ``repr`` of its elements, which is what json writes for finite
+    floats.  A non-finite entry raises json's ``ValueError``.
+    """
+    arrays: list[tuple[np.ndarray, int]] = []
+
+    def with_slots(node, level: int):
+        if isinstance(node, np.ndarray):
+            arrays.append((node, level))
+            return _ARRAY_SLOT
+        if isinstance(node, dict):
+            return {key: with_slots(value, level + 1) for key, value in node.items()}
+        if isinstance(node, list):
+            return [with_slots(value, level + 1) for value in node]
+        return node
+
+    pieces = json.dumps(with_slots(doc, 0), indent=2, allow_nan=False).split(_ARRAY_SLOT_TEXT)
+    out = [pieces[0]]
+    for (arr, level), piece in zip(arrays, pieces[1:]):
+        finite = np.isfinite(arr)
+        if not finite.all():
+            bad = float(arr[~finite][0])
+            raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
+        out += [_array_template(arr.shape, level) % tuple(arr.ravel().tolist()), piece]
+    out.append("\n")
+    return "".join(out)
+
+
 def dump_game_spec(spec: GameSpec) -> str:
     """Serialize to the canonical JSON document (exact float round-trip)."""
     doc = {
@@ -247,15 +301,15 @@ def dump_game_spec(spec: GameSpec) -> str:
         "state_dim": spec.state_dim,
         "action_dim": spec.action_dim,
         "tau": float(spec.tau),
-        "A": spec.A.tolist(),
-        "B": spec.B.tolist(),
-        "Q": spec.Q.tolist(),
-        "R": spec.R.tolist(),
-        "noise_cov": spec.noise_cov.tolist(),
-        "init_mean": spec.init_mean.tolist(),
-        "init_cov": spec.init_cov.tolist(),
+        "A": spec.A,
+        "B": spec.B,
+        "Q": spec.Q,
+        "R": spec.R,
+        "noise_cov": spec.noise_cov,
+        "init_mean": spec.init_mean,
+        "init_cov": spec.init_cov,
     }
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    return _dumps(doc)
 
 
 def _symmetrized(x: np.ndarray, field: str) -> np.ndarray:
@@ -265,16 +319,15 @@ def _symmetrized(x: np.ndarray, field: str) -> np.ndarray:
     return 0.5 * (x + x.swapaxes(-1, -2))
 
 
-def _check_psd(x: np.ndarray, field: str) -> None:
-    lo = float(np.linalg.eigvalsh(x)[0])
-    if lo < -PSD_RTOL * (1.0 + float(np.linalg.norm(x))):
-        raise GameSpecError(field, f"not positive semidefinite (min eigenvalue {lo:.3e})")
+def _psd_failures(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest eigenvalue of each matrix in the stack ``x``, and where it
+    falls below the PSD tolerance ``-PSD_RTOL * (1 + ||x||_F)``."""
+    lo = np.linalg.eigvalsh(x)[..., 0]
+    return lo, lo < -PSD_RTOL * (1.0 + np.linalg.norm(x, axis=(-2, -1)))
 
 
-def _check_pd(x: np.ndarray, field: str) -> None:
-    lo = float(np.linalg.eigvalsh(x)[0])
-    if lo <= 0.0:
-        raise GameSpecError(field, f"not positive definite (min eigenvalue {lo:.3e})")
+def _not_psd(field: str, lo) -> GameSpecError:
+    return GameSpecError(field, f"not positive semidefinite (min eigenvalue {float(lo):.3e})")
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -322,13 +375,25 @@ def validate_game_spec(spec: GameSpec) -> GameSpec:
     R = _symmetrized(arrays["R"], "R")
     noise_cov = _symmetrized(arrays["noise_cov"], "noise_cov")
     init_cov = _symmetrized(arrays["init_cov"], "init_cov")
-    for i in range(n):
-        for t in range(horizon + 1):
-            _check_psd(Q[i, t], f"Q[{i}][{t}]")
-        for t in range(horizon):
-            _check_pd(R[i, t], f"R[{i}][{t}]")
-    _check_psd(noise_cov, "noise_cov")
-    _check_psd(init_cov, "init_cov")
+    # One eigvalsh per stack; the first failure is reported in the order
+    # agent by agent, Q over stages, then R over stages.
+    q_lo, q_bad = _psd_failures(Q)
+    r_lo = np.linalg.eigvalsh(R)[..., 0]
+    r_bad = r_lo <= 0.0
+    bad_agents = np.flatnonzero(q_bad.any(axis=1) | r_bad.any(axis=1))
+    if bad_agents.size:
+        i = int(bad_agents[0])
+        if q_bad[i].any():
+            t = int(np.argmax(q_bad[i]))
+            raise _not_psd(f"Q[{i}][{t}]", q_lo[i, t])
+        t = int(np.argmax(r_bad[i]))
+        raise GameSpecError(
+            f"R[{i}][{t}]", f"not positive definite (min eigenvalue {float(r_lo[i, t]):.3e})"
+        )
+    for field, x in (("noise_cov", noise_cov), ("init_cov", init_cov)):
+        lo, bad = _psd_failures(x)
+        if bad:
+            raise _not_psd(field, lo)
 
     return GameSpec(
         num_agents=n,
@@ -443,10 +508,10 @@ def dump_joint_policy(joint: JointPolicy) -> str:
         "horizon": joint.horizon,
         "state_dim": gains.shape[3],
         "action_dim": gains.shape[2],
-        "gains": gains.tolist(),
-        "covs": covs.tolist(),
+        "gains": gains,
+        "covs": covs,
     }
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    return _dumps(doc)
 
 
 def load_joint_policy(text: str) -> JointPolicy:

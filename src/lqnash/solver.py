@@ -96,9 +96,24 @@ def _sym(x: np.ndarray) -> np.ndarray:
     return 0.5 * (x + x.swapaxes(-1, -2))
 
 
+def _max_frobenius(x: np.ndarray) -> float:
+    """Largest Frobenius norm among the matrices stacked in ``x``.
+
+    When squaring an entry overflows, the norm is taken of ``x`` scaled by
+    its largest entry instead, so large finite matrices give a finite norm
+    and no warning; the result is unchanged whenever the squares are finite.
+    """
+    with np.errstate(over="ignore"):
+        norm = float(np.sqrt((x**2).sum(axis=(-2, -1)).max()))
+    if not np.isfinite(norm):
+        scale = float(np.abs(x).max())
+        norm = scale * float(np.sqrt(((x / scale) ** 2).sum(axis=(-2, -1)).max()))
+    return norm
+
+
 def _max_input_norm(spec: GameSpec) -> float:
     """Largest Frobenius norm of any agent's input matrix over all stages."""
-    return float(np.sqrt((spec.B**2).sum(axis=(2, 3)).max()))
+    return _max_frobenius(spec.B)
 
 
 def phi_matrix(spec: GameSpec, t: int, P_next: np.ndarray) -> np.ndarray:
@@ -129,7 +144,8 @@ def exact_ne(spec: GameSpec, cond_limit: float = COND_LIMIT) -> NESolution:
     when a stage system is numerically singular (condition estimate above
     ``cond_limit``), which signals a non-unique or ill-conditioned
     equilibrium; raising ``tau`` (see :func:`delta_augment_solve`) repairs
-    this.
+    this.  Also raises :class:`SolverError` naming the stage when its value
+    matrices or offsets overflow, so a diverged pass never yields a policy.
     """
     n, T = spec.num_agents, spec.horizon
     m, p = spec.state_dim, spec.action_dim
@@ -158,26 +174,32 @@ def exact_ne(spec: GameSpec, cond_limit: float = COND_LIMIT) -> NESolution:
             bracket = spec.R[i, t] + Bi.T @ tails[i] @ Bi
             covs[i, t] = _sym(np.linalg.solve(eye + (2.0 / spec.tau) * bracket, eye))
 
-        for i in range(n):
-            Bi = spec.B[i, t]
-            drift = spec.A[t].copy()
-            cross = 0.0
-            for j in range(n):
-                if j == i:
-                    continue
-                drift = drift + spec.B[j, t] @ gains[j, t]
-                cross += float(np.trace(covs[j, t] @ spec.B[j, t].T @ tails[i] @ spec.B[j, t]))
-            BPB = Bi.T @ tails[i] @ Bi
-            G = Bi.T @ tails[i] @ drift
-            H = 0.5 * spec.tau * eye + spec.R[i, t] + BPB
-            P[i, t] = _sym(spec.Q[i, t] + drift.T @ tails[i] @ drift - G.T @ np.linalg.solve(H, G))
-            _, logdet = np.linalg.slogdet(covs[i, t])
-            q[i, t] = (
-                float(np.trace(spec.noise_cov @ tails[i]))
-                + float(np.trace((spec.R[i, t] + BPB) @ covs[i, t]))
-                + 0.5 * spec.tau * (float(np.trace(covs[i, t])) - p - logdet)
-                + q[i, t + 1]
-                + cross
+        # Overflow here is reported below as a named divergence, not as a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(n):
+                Bi = spec.B[i, t]
+                drift = spec.A[t].copy()
+                cross = 0.0
+                for j in range(n):
+                    if j == i:
+                        continue
+                    drift = drift + spec.B[j, t] @ gains[j, t]
+                    cross += float(np.trace(covs[j, t] @ spec.B[j, t].T @ tails[i] @ spec.B[j, t]))
+                BPB = Bi.T @ tails[i] @ Bi
+                G = Bi.T @ tails[i] @ drift
+                H = 0.5 * spec.tau * eye + spec.R[i, t] + BPB
+                P[i, t] = _sym(spec.Q[i, t] + drift.T @ tails[i] @ drift - G.T @ np.linalg.solve(H, G))
+                _, logdet = np.linalg.slogdet(covs[i, t])
+                q[i, t] = (
+                    float(np.trace(spec.noise_cov @ tails[i]))
+                    + float(np.trace((spec.R[i, t] + BPB) @ covs[i, t]))
+                    + 0.5 * spec.tau * (float(np.trace(covs[i, t])) - p - logdet)
+                    + q[i, t + 1]
+                    + cross
+                )
+        if not (np.isfinite(P[:, t]).all() and np.isfinite(q[:, t]).all()):
+            raise SolverError(
+                f"stage {t}: value matrices are not finite; the backward pass diverged"
             )
 
     return NESolution(policy=joint_policy_from_arrays(gains, covs), riccati=P, offsets=q)
@@ -194,7 +216,7 @@ def contraction_modulus(spec: GameSpec, t: int, P_next: np.ndarray) -> float:
     del t  # the stage enters only through its tail values
     P_next = np.asarray(P_next, dtype=float)
     gamma_b = _max_input_norm(spec)
-    gamma_p = float(np.sqrt((P_next**2).sum(axis=(1, 2)).max()))
+    gamma_p = _max_frobenius(P_next)
     return (2.0 / spec.tau) * gamma_b**2 * gamma_p * (spec.num_agents - 1)
 
 
@@ -206,7 +228,7 @@ def check_assumption_tau(spec: GameSpec, sol: NESolution, margin: float = 0.0) -
     strict clearance ``tau > threshold * (1 + margin)``.
     """
     gamma_b = _max_input_norm(spec)
-    gamma_p = float(np.sqrt((sol.riccati**2).sum(axis=(2, 3)).max()))
+    gamma_p = _max_frobenius(sol.riccati)
     threshold = 2.0 * gamma_b**2 * gamma_p * (spec.num_agents - 1)
     return ConditionRecord(
         gamma_B=gamma_b,
@@ -251,7 +273,7 @@ def po_solve(
     gains = np.zeros((n, T, p, m))
     covs = np.zeros((n, T, p, p))
     tails = spec.Q[:, T].copy()  # (N, m, m) value matrices for the stage below
-    gamma_p_seen = float(np.sqrt((tails**2).sum(axis=(1, 2)).max()))
+    gamma_p_seen = _max_frobenius(tails)
     trace_by_stage: list[tuple[float, ...]] = [()] * T
     moduli = np.zeros(T)
 
@@ -292,7 +314,7 @@ def po_solve(
             raise SolverError(
                 f"stage {t}: tail value matrices are not finite; the backward pass diverged"
             )
-        gamma_p_seen = max(gamma_p_seen, float(np.sqrt((tails**2).sum(axis=(1, 2)).max())))
+        gamma_p_seen = max(gamma_p_seen, _max_frobenius(tails))
 
     gamma_b = _max_input_norm(spec)
     threshold = 2.0 * gamma_b**2 * gamma_p_seen * (n - 1)

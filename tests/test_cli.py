@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -180,6 +181,120 @@ def test_po_divergence_exit_code(tmp_path, capsys):
     assert code == 3
     assert "stage" in capsys.readouterr().err
     assert not (out / "policy.json").exists()
+
+
+def test_po_divergence_exit_code_with_warnings_as_errors(tmp_path, capsys):
+    gen = tmp_path / "gen"
+    assert run("randgen", "--out", gen, "--agents", 3, "--horizon", 400, "--state-dim", 4,
+               "--action-dim", 2, "--seed", 3, "--scale", 1.5) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run("solve-po", "--spec", gen / "spec.json", "--out", tmp_path / "po",
+                   "--inner-iters", 50)
+    assert code == 3
+    assert "stage 389:" in capsys.readouterr().err
+
+
+def test_exact_overflow_exit_code(tmp_path, capsys):
+    path = tmp_path / "overflow.json"
+    path.write_text(
+        '{"num_agents": 1, "horizon": 2, "state_dim": 1, "action_dim": 1, "tau": 1,'
+        ' "A": [[[1e100]], [[1e100]]], "B": 1, "Q": 1, "R": 1,'
+        ' "noise_cov": 0, "init_mean": 1, "init_cov": 0}'
+    )
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run("solve-exact", "--spec", path, "--out", out)
+    assert code == 3
+    assert "stage 0:" in capsys.readouterr().err
+    assert not (out / "policy.json").exists()
+    assert not (out / "certificate.json").exists()
+
+
+def _encoded(doc) -> bytes:
+    return (json.dumps(doc, indent=2, allow_nan=False) + "\n").encode()
+
+
+def _reference_spec(spec) -> bytes:
+    fields = ("A", "B", "Q", "R", "noise_cov", "init_mean", "init_cov")
+    return _encoded(
+        {"num_agents": spec.num_agents, "horizon": spec.horizon, "state_dim": spec.state_dim,
+         "action_dim": spec.action_dim, "tau": float(spec.tau),
+         **{f: getattr(spec, f).tolist() for f in fields}}
+    )
+
+
+def _reference_policy(joint) -> bytes:
+    gains, covs = lq.stack_gains(joint), lq.stack_covs(joint)
+    return _encoded(
+        {"num_agents": joint.num_agents, "horizon": joint.horizon, "state_dim": gains.shape[3],
+         "action_dim": gains.shape[2], "gains": gains.tolist(), "covs": covs.tolist()}
+    )
+
+
+def _reference_certificate(spec, P, q) -> dict:
+    agents = []
+    for i in range(spec.num_agents):
+        mean_term = spec.init_mean @ P[i, 0] @ spec.init_mean
+        agents.append({
+            "expected_cost": float(mean_term + np.trace(spec.init_cov @ P[i, 0]) + q[i, 0]),
+            "value_at_init_mean": float(mean_term + q[i, 0]),
+            "P": P[i].tolist(),
+            "q": q[i].tolist(),
+        })
+    return {"agents": agents}
+
+
+def _reference_condition(spec, record) -> dict:
+    return {"tau": float(spec.tau), "gamma_B": record.gamma_B, "gamma_P": record.gamma_P,
+            "threshold": record.threshold, "margin": record.margin, "satisfied": record.satisfied}
+
+
+def test_json_outputs_match_json_encoder(tmp_path):
+    """Every JSON file the CLI writes has the bytes of json.dumps(indent=2)
+    over the tolist()-ed results of the library calls behind it."""
+    gen = tmp_path / "gen"
+    assert run("randgen", "--out", gen, "--agents", 2, "--horizon", 3, "--state-dim", 2,
+               "--action-dim", 3, "--seed", 11, "--scale", 0.8) == 0
+    spec = lq.random_game(2, 3, 2, 3, seed=11, scale=0.8)
+    spec_path = gen / "spec.json"
+    assert spec_path.read_bytes() == _reference_spec(spec)
+
+    exact, po, chk, aug = (tmp_path / d for d in ("exact", "po", "chk", "aug"))
+    assert run("solve-exact", "--spec", spec_path, "--out", exact) == 0
+    sol = lq.exact_ne(spec)
+    assert (exact / "policy.json").read_bytes() == _reference_policy(sol.policy)
+    assert (exact / "certificate.json").read_bytes() == _encoded(
+        _reference_certificate(spec, sol.riccati, sol.offsets)
+    )
+
+    assert run("solve-po", "--spec", spec_path, "--out", po, "--inner-iters", 40) == 0
+    po_policy = lq.po_solve(spec, inner_iters=40).policy
+    assert (po / "policy.json").read_bytes() == _reference_policy(po_policy)
+
+    assert run("check", "--spec", spec_path, "--out", chk) == 0
+    record = lq.check_assumption_tau(spec, sol)
+    assert not record.satisfied
+    assert (chk / "condition.json").read_bytes() == _encoded(_reference_condition(spec, record))
+
+    assert run("augment", "--spec", spec_path, "--out", aug, "--delta-init", 0.1,
+               "--max-rounds", 30) == 0
+    report = lq.delta_augment_solve(spec, delta_init=0.1, max_rounds=30)
+    assert (aug / "policy.json").read_bytes() == _reference_policy(report.policy)
+    doc = _reference_condition(spec, report.condition)
+    doc["delta_used"] = report.delta_used
+    doc["exploitability"] = [float(g) for g in report.nash_gaps]
+    assert (aug / "condition.json").read_bytes() == _encoded(doc)
+
+    assert run("eval", "--spec", spec_path, "--out", po, "--compare", exact / "policy.json") == 0
+    cert = lq.value_certificate(spec, po_policy)
+    doc = _reference_certificate(
+        spec, np.stack([a.P for a in cert.agents]), np.stack([a.q for a in cert.agents])
+    )
+    doc["exploitability"] = [float(g) for g in lq.exploitability(spec, po_policy)]
+    doc["compare_distance"] = lq.policy_distance(po_policy, sol.policy)
+    assert (po / "certificate.json").read_bytes() == _encoded(doc)
 
 
 def test_validation_error_exit_code(tmp_path, capsys):

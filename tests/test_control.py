@@ -328,3 +328,18 @@ class TestBestResponseFull:
         )
         with pytest.raises(ValueError, match="positive definite"):
             lq.best_response_full(spec, joint, 0)
+
+    def test_non_pd_opponent_cov_names_first_agent_and_stage(self):
+        spec = lq.random_game(4, 10, 2, 2, seed=21, scale=0.5)
+        joint = random_pd_policy(spec, np.random.default_rng(22))
+        gains, covs = lq.stack_gains(joint), lq.stack_covs(joint)
+        covs[2, 7] = np.diag([1.0, -1.0])
+        covs[2, 9] = np.zeros((2, 2))
+        covs[3, 1] = -np.eye(2)
+        joint = lq.joint_policy_from_arrays(gains, covs)
+        with pytest.raises(ValueError) as err:
+            lq.best_response_full(spec, joint, 0)
+        assert str(err.value) == "opponent covariance not positive definite (agent 2, stage 7)"
+        # the responding agent's own covariances are not checked
+        with pytest.raises(ValueError, match=r"\(agent 3, stage 1\)"):
+            lq.best_response_full(spec, joint, 2)

@@ -62,6 +62,27 @@ class TestValueCertificate:
         with pytest.raises(ValueError, match="positive definite"):
             lq.value_certificate(scalar_game, joint)
 
+    @pytest.mark.parametrize(
+        "n,T,p", [(3, 10, 2), (20, 50, 2), (3, 400, 2), (2, 5, 5), (4, 6, 1), (2, 3, 9)]
+    )
+    def test_policy_cholesky_matches_per_matrix_loop(self, n, T, p):
+        g = np.random.default_rng(n * T + p).normal(size=(n, T, p, p))
+        covs = np.einsum("...ji,...jk->...ik", g, g) + 0.1 * np.eye(p)
+        chol, logdets = evaluate._policy_cholesky(covs)
+        for i in range(n):
+            for t in range(T):
+                factor = np.linalg.cholesky(covs[i, t])
+                npt.assert_array_equal(chol[i, t], factor)
+                assert logdets[i, t] == 2.0 * float(np.sum(np.log(np.diag(factor))))
+
+    def test_policy_cholesky_names_first_failure(self):
+        covs = np.broadcast_to(np.eye(2), (3, 5, 2, 2)).copy()
+        covs[1, 3] = np.diag([1.0, -1.0])
+        covs[2, 0] = np.zeros((2, 2))
+        with pytest.raises(ValueError) as err:
+            evaluate._policy_cholesky(covs)
+        assert str(err.value) == "policy covariance not positive definite (agent 1, stage 3)"
+
     def test_expected_cost_decomposition(self):
         spec = lq.random_game(2, 3, 2, 1, seed=23, scale=0.5)
         joint = random_pd_policy(spec, np.random.default_rng(24))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import numpy.testing as npt
 import pytest
 
 import lqnash as lq
+from lqnash import model
 
 from conftest import SCALAR_GAME_TEXT
 
@@ -170,3 +172,109 @@ def test_spec_arrays_read_only():
     spec = lq.random_game(2, 2, 2, 1, seed=0, scale=0.5)
     with pytest.raises(ValueError):
         spec.A[0, 0, 0] = 99.0
+
+
+def _tolisted(node):
+    if isinstance(node, np.ndarray):
+        return node.tolist()
+    if isinstance(node, dict):
+        return {key: _tolisted(value) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_tolisted(value) for value in node]
+    return node
+
+
+def _json_text(doc) -> str:
+    """The document as json wrote it with every array converted by tolist()."""
+    return json.dumps(_tolisted(doc), indent=2, allow_nan=False) + "\n"
+
+
+EDGE_FLOATS = [-0.0, 1e16, 1e-300, 5e-324, 0.1 + 0.2, -1.5e-7, 123456789.125]
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 1, 1), (2, 3, 2, 4), (3, 2, 3, 1)])
+def test_dumps_matches_json_encoder(dims):
+    n, T, m, p = dims  # N=1, T=1, m=p=1; p > m; p < m
+    spec = lq.random_game(n, T, m, p, seed=17, scale=0.7).with_tau(25.0)
+    sol = lq.exact_ne(spec)
+    gains, covs = lq.stack_gains(sol.policy), lq.stack_covs(sol.policy)
+    spec_doc = {
+        "num_agents": n, "horizon": T, "state_dim": m, "action_dim": p, "tau": spec.tau,
+        "A": spec.A, "B": spec.B, "Q": spec.Q, "R": spec.R,
+        "noise_cov": spec.noise_cov, "init_mean": spec.init_mean, "init_cov": spec.init_cov,
+    }
+    policy_doc = {
+        "num_agents": n, "horizon": T, "state_dim": m, "action_dim": p,
+        "gains": gains, "covs": covs,
+    }
+    certificate_doc = {
+        "agents": [
+            {"expected_cost": 1.0 / 3.0, "value_at_init_mean": -0.0,
+             "P": sol.riccati[i], "q": sol.offsets[i]}
+            for i in range(n)
+        ],
+        "exploitability": np.array(EDGE_FLOATS[:n]),
+        "compare_distance": 3e-11,
+    }
+    condition_doc = {
+        "tau": spec.tau, "gamma_B": 0.1 + 0.2, "gamma_P": 1e16, "threshold": 5e-324,
+        "margin": 0.0, "satisfied": True, "delta_used": 0.8, "exploitability": np.zeros(n),
+    }
+    assert lq.dump_game_spec(spec) == _json_text(spec_doc)
+    assert lq.dump_joint_policy(sol.policy) == _json_text(policy_doc)
+    for doc in (spec_doc, policy_doc, certificate_doc, condition_doc):
+        assert model._dumps(doc) == _json_text(doc)
+
+
+@pytest.mark.parametrize("shape", [(7,), (7, 1), (1, 7), (1, 1, 7, 1), (0,), (2, 0)])
+def test_dumps_edge_values_and_shapes(shape):
+    values = np.resize(np.array(EDGE_FLOATS), shape)
+    doc = {"a": values, "b": [{"c": values, "d": [values, 2.5]}], "e": np.array(-0.0)}
+    assert model._dumps(doc) == _json_text(doc)
+    assert model._dumps(values) == _json_text(values)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_dumps_rejects_non_finite_like_json(bad):
+    arr = np.array([[1.0, 2.0], [bad, 3.0]])
+    with pytest.raises(ValueError) as expected:
+        _json_text({"x": arr})
+    with pytest.raises(ValueError) as got:
+        model._dumps({"x": arr})
+    assert str(got.value) == str(expected.value)
+
+
+def test_first_definiteness_failure_named_r_before_later_agent():
+    spec = lq.random_game(2, 4, 2, 2, seed=4, scale=0.5)
+    Q, R = spec.Q.copy(), spec.R.copy()
+    R[0, 2] = np.diag([1.0, -2.0])
+    Q[1, 0] = -np.eye(2)
+    with pytest.raises(lq.GameSpecError) as err:
+        lq.validate_game_spec(dataclasses.replace(spec, Q=Q, R=R))
+    assert err.value.field == "R[0][2]"
+    assert str(err.value) == "R[0][2]: not positive definite (min eigenvalue -2.000e+00)"
+
+
+def test_first_definiteness_failure_named_q_before_r_of_same_agent():
+    spec = lq.random_game(2, 4, 2, 2, seed=4, scale=0.5)
+    Q, R = spec.Q.copy(), spec.R.copy()
+    Q[0, 3] = np.diag([-3.0, 1.0])
+    Q[0, 4] = -np.eye(2)
+    R[0, 1] = np.zeros((2, 2))
+    with pytest.raises(lq.GameSpecError) as err:
+        lq.validate_game_spec(dataclasses.replace(spec, Q=Q, R=R))
+    assert err.value.field == "Q[0][3]"
+    assert str(err.value) == "Q[0][3]: not positive semidefinite (min eigenvalue -3.000e+00)"
+
+
+def test_psd_tolerance_scales_with_norm():
+    spec = lq.random_game(1, 2, 2, 1, seed=4, scale=0.5)
+    Q = spec.Q.copy()
+    Q[0, 1] = np.diag([1e6, -1e-5])  # within PSD_RTOL * (1 + ||Q||_F) of PSD
+    again = lq.validate_game_spec(dataclasses.replace(spec, Q=Q))
+    npt.assert_array_equal(again.Q[0, 1], Q[0, 1])
+    Q[0, 1] = np.diag([1e6, -1e-3])
+    with pytest.raises(lq.GameSpecError, match=r"Q\[0\]\[1\]"):
+        lq.validate_game_spec(dataclasses.replace(spec, Q=Q))
+    with pytest.raises(lq.GameSpecError, match="init_cov: not positive semidefinite"):
+        lq.validate_game_spec(dataclasses.replace(spec, init_cov=-np.eye(2)))

@@ -135,6 +135,14 @@ class TestConditionChecks:
         spec4 = symmetric_two_agent_scalar(tau=4.0)
         assert lq.contraction_modulus(spec4, 0, np.ones((2, 1, 1))) == pytest.approx(0.5)
 
+    def test_norms_of_huge_tails_stay_finite(self):
+        # squaring 1e160 overflows; the norm itself is finite
+        spec = symmetric_two_agent_scalar(tau=2.0)
+        tails = np.array([[[3e160]], [[-4e160]]])
+        assert lq.contraction_modulus(spec, 0, tails) == pytest.approx(4e160, rel=1e-15)
+        sol = dataclasses.replace(lq.exact_ne(spec), riccati=np.full((2, 2, 2, 2), 1e160))
+        assert lq.check_assumption_tau(spec, sol).gamma_P == pytest.approx(2e160, rel=1e-15)
+
     def test_single_agent_modulus_zero(self, scalar_game):
         assert lq.contraction_modulus(scalar_game, 0, np.ones((1, 1, 1))) == 0.0
 
