@@ -1,12 +1,12 @@
 """Solvers and certification for finite-horizon entropy-regularized
 general-sum linear-quadratic games.
 
-Equilibria of these games are linear Gaussian stage policies; this
-package computes them exactly (coupled backward Riccati recursions with
-a stacked stage gain solve), iteratively (receding-horizon simultaneous
-best responses), certifies candidate policies (exact value certificates,
-per-agent Nash gaps, seeded Monte Carlo), and falls back to raising the
-regularization weight when it is too small for uniqueness.
+Equilibria of these games are linear Gaussian stage policies; this package
+computes them exactly (a stacked stage gain solve in a backward pass whose
+values are the certificate recursion), iteratively (receding-horizon
+simultaneous best responses), certifies candidate policies (exact value
+certificates, per-agent Nash gaps, seeded Monte Carlo), and falls back to
+raising the regularization weight when it is too small for uniqueness.
 """
 from .control import (
     AgentValue,

@@ -19,7 +19,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .evaluate import exploitability, policy_distance, simulate, value_certificate
+from .evaluate import (
+    ValueCertificate,
+    _certificate,
+    exploitability,
+    policy_distance,
+    simulate,
+    value_certificate,
+)
 from .model import (
     GameSpec,
     GameSpecError,
@@ -89,21 +96,12 @@ def _write_json(path: Path, doc: dict) -> None:
     _write_text(path, _dumps(doc))
 
 
-def _certificate_doc(spec: GameSpec, P: np.ndarray, q: np.ndarray) -> dict:
-    agents = []
-    for i in range(spec.num_agents):
-        expected = float(
-            spec.init_mean @ P[i, 0] @ spec.init_mean + np.trace(spec.init_cov @ P[i, 0]) + q[i, 0]
-        )
-        value_at_mean = float(spec.init_mean @ P[i, 0] @ spec.init_mean + q[i, 0])
-        agents.append(
-            {
-                "expected_cost": expected,
-                "value_at_init_mean": value_at_mean,
-                "P": P[i],
-                "q": q[i],
-            }
-        )
+def _certificate_doc(spec: GameSpec, cert: ValueCertificate) -> dict:
+    mu = spec.init_mean
+    agents = [
+        {"expected_cost": a.expected_cost, "value_at_init_mean": a.value_at(mu), "P": a.P, "q": a.q}
+        for a in cert.agents
+    ]
     return {"agents": agents}
 
 
@@ -149,16 +147,12 @@ def _cmd_solve_exact(args) -> int:
     out = _out_dir(args)
     sol = exact_ne(spec)
     _write_text(out / "policy.json", dump_joint_policy(sol.policy))
-    _write_json(out / "certificate.json", _certificate_doc(spec, sol.riccati, sol.offsets))
+    cert = _certificate(spec, sol.riccati, sol.offsets)
+    _write_json(out / "certificate.json", _certificate_doc(spec, cert))
     record = check_assumption_tau(spec, sol, args.margin)
     print("exact equilibrium solved")
-    for i in range(spec.num_agents):
-        cost = float(
-            spec.init_mean @ sol.riccati[i, 0] @ spec.init_mean
-            + np.trace(spec.init_cov @ sol.riccati[i, 0])
-            + sol.offsets[i, 0]
-        )
-        print(f"  agent {i}: expected cost {cost:.12g}")
+    for i, agent in enumerate(cert.agents):
+        print(f"  agent {i}: expected cost {agent.expected_cost:.12g}")
     print(
         f"uniqueness condition: tau={spec.tau:g} threshold={record.threshold:.6g} "
         f"satisfied={record.satisfied}"
@@ -234,9 +228,7 @@ def _cmd_eval(args) -> int:
     joint = _read_policy(args.out)
     cert = value_certificate(spec, joint)
     gaps = exploitability(spec, joint)
-    P = np.stack([a.P for a in cert.agents])
-    q = np.stack([a.q for a in cert.agents])
-    doc = _certificate_doc(spec, P, q)
+    doc = _certificate_doc(spec, cert)
     doc["exploitability"] = gaps
     for i in range(spec.num_agents):
         print(

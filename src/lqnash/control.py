@@ -1,13 +1,14 @@
-"""Single-agent building blocks for the regularized game solvers.
+"""Agent-batched stage primitives of the regularized game.
 
-Covers the closed-form Gaussian minimizer of an entropy-regularized
-quadratic stage cost, the Gaussian-vs-standard-normal KL helper, backward
-value recursions under frozen gains, and exact single-agent best
-responses against fixed opponents.
-
-All functions are pure; matrix inverses are realized as linear solves
-against symmetric PD systems, and propagated value matrices are
-re-symmetrized each stage to suppress drift over long horizons.
+Each stage formula is written here once and batched over a leading agent
+axis: the best-response system (``B^T P``, the bracket ``R + B^T P B``,
+cross couplings), its covariance and gain, the closed-loop Lyapunov value
+and offset steps, the expected cost, and the uniqueness threshold.  The
+exact solver, policy optimization, the value certificate and the best
+responses behind the Nash gap all call them.  Also here: the closed-form
+Gaussian minimizer of an entropy-regularized quadratic stage cost and the
+KL helper.  Propagated value matrices are re-symmetrized each stage to
+suppress drift over long horizons.
 """
 from __future__ import annotations
 
@@ -75,7 +76,110 @@ class AgentValue:
 
 
 def _sym(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (x + x.T)
+    return 0.5 * (x + x.swapaxes(-1, -2))
+
+
+def _trace(x: np.ndarray) -> np.ndarray:
+    return np.trace(x, axis1=-2, axis2=-1)
+
+
+def _max_frobenius(x: np.ndarray) -> float:
+    """Largest Frobenius norm among the matrices stacked in ``x``.
+
+    When squaring an entry overflows, the norm is taken of ``x`` scaled by
+    its largest entry instead, so large finite matrices give a finite norm
+    and no warning; the result is unchanged whenever the squares are finite.
+    """
+    with np.errstate(over="ignore"):
+        norm = float(np.sqrt((x**2).sum(axis=(-2, -1)).max()))
+    if not np.isfinite(norm):
+        scale = float(np.abs(x).max())
+        norm = scale * float(np.sqrt(((x / scale) ** 2).sum(axis=(-2, -1)).max()))
+    return norm
+
+
+def stage_system(spec: GameSpec, t: int, tails: np.ndarray, agents: np.ndarray):
+    """Stage-``t`` best-response system of ``agents`` with tail values ``P^i``:
+    the bracket ``R^i + B^i^T P^i B^i``, ``H = (tau/2) I + bracket``,
+    ``B^i^T P^i A`` and the couplings ``B^i^T P^i B^j`` (zero for ``j = i``)."""
+    rows = np.arange(len(agents))
+    B = spec.B[:, t]
+    BtP = np.einsum("imp,imn->ipn", B[agents], tails)
+    cross = np.einsum("ipm,jmq->ijpq", BtP, B)
+    bracket = spec.R[agents, t] + cross[rows, agents]
+    cross[rows, agents] = 0.0
+    H = 0.5 * spec.tau * np.eye(spec.action_dim) + bracket
+    return bracket, H, np.einsum("ipm,mn->ipn", BtP, spec.A[t]), cross
+
+
+def stage_covariance(bracket: np.ndarray, tau: float) -> np.ndarray:
+    """Optimal action covariance ``(I + 2 bracket / tau)^{-1}``, symmetric PD
+    with eigenvalues in ``(0, 1]`` for a PSD bracket."""
+    eye = np.eye(bracket.shape[-1])
+    return _sym(np.linalg.solve(eye + (2.0 / tau) * bracket, eye))
+
+
+def best_response_gains(H, BPA, cross, gains) -> np.ndarray:
+    """Best-response gains ``-H^{-1} (B^T P A + sum_{j != i} B^T P B^j K^j)``,
+    that is ``-((tau/2) I + bracket)^{-1} B^T P Adrift`` with the drift
+    ``Adrift = A + sum_{j != i} B^j K^j`` of the other agents' ``gains``."""
+    return -np.linalg.solve(H, BPA + np.einsum("ijpq,jqm->ipm", cross, gains))
+
+
+def closed_loop(A: np.ndarray, B: np.ndarray, gains: np.ndarray) -> np.ndarray:
+    """All-agent closed loop ``A + sum_j B^j K^j`` of one stage."""
+    return A + np.einsum("jmp,jpk->mk", B, gains)
+
+
+def stage_noise(spec: GameSpec, t: int, covs: np.ndarray) -> np.ndarray:
+    """Process noise plus every agent's action noise, ``W + sum_j B^j cov^j B^j^T``."""
+    B = spec.B[:, t]
+    return spec.noise_cov + np.einsum("jmp,jpq,jnq->mn", B, covs, B)
+
+
+def lyapunov_step(Q, R, tau: float, closed, gains, tails) -> np.ndarray:
+    """Value matrices under frozen gains one stage back, symmetrized:
+    ``P = Q + K^T ((tau/2) I + R) K + Acl^T P_next Acl``.  Leading (agent)
+    axes broadcast, so one closed loop ``Acl`` may serve every agent."""
+    own = np.einsum("...pm,...pq,...qn->...mn", gains, 0.5 * tau * np.eye(R.shape[-1]) + R, gains)
+    return _sym(Q + own + np.einsum("...lm,...lk,...kn->...mn", closed, tails, closed))
+
+
+def offset_step(R, tau, noise, covs, logdets, tails, q_next) -> np.ndarray:
+    """Value offsets one stage back, ``q = q_next + tr(cov ((tau/2) I + R))
+    - (tau/2)(p + log|cov|) + tr(W P_next)``, where the noise ``W`` holds
+    every agent's action noise pushed through its input matrix."""
+    p = R.shape[-1]
+    own = 0.5 * tau * np.eye(p) + R
+    return q_next + _trace(covs @ own) - 0.5 * tau * (p + logdets) + _trace(noise @ tails)
+
+
+def certificate_step(spec: GameSpec, t: int, gains, covs, logdets, tails, q_next):
+    """Every agent's value matrices and offsets at stage ``t`` under the
+    joint stage policy ``(gains, covs)``, from the tail values ``tails``."""
+    closed = closed_loop(spec.A[t], spec.B[:, t], gains)
+    P = lyapunov_step(spec.Q[:, t], spec.R[:, t], spec.tau, closed, gains, tails)
+    q = offset_step(spec.R[:, t], spec.tau, stage_noise(spec, t, covs), covs, logdets, tails, q_next)
+    return P, q
+
+
+def expected_costs(spec: GameSpec, P0: np.ndarray, q0: np.ndarray) -> np.ndarray:
+    """``mu^T P_0 mu + tr(Sigma_0 P_0) + q_0`` over the initial distribution."""
+    mu = spec.init_mean
+    mean_term = ((mu @ P0)[..., None, :] @ mu[:, None])[..., 0, 0]
+    return mean_term + _trace(spec.init_cov @ P0) + q0
+
+
+def uniqueness_threshold(spec: GameSpec, gamma_p: float) -> tuple[float, float]:
+    """``(gamma_B, 2 gamma_B^2 gamma_P (N - 1))`` with ``gamma_B`` the largest
+    input-matrix norm over all agents and stages.  Products of Python floats
+    overflow to ``inf`` without raising."""
+    gamma_b = _max_frobenius(spec.B)
+    return gamma_b, 2.0 * gamma_b * gamma_b * gamma_p * (spec.num_agents - 1)
+
+
+def _logdets(chol: np.ndarray) -> np.ndarray:
+    return 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
 
 
 def entropy_quadratic_minimizer(q: StageQuadratic) -> GaussianPolicyParams:
@@ -91,11 +195,8 @@ def entropy_quadratic_minimizer(q: StageQuadratic) -> GaussianPolicyParams:
     """
     M = np.asarray(q.M, dtype=float)
     b = np.asarray(q.b, dtype=float)
-    p = b.shape[0]
-    eye = np.eye(p)
-    mean = -np.linalg.solve(2.0 * M + q.tau * eye, b)
-    cov = _sym(np.linalg.solve(eye + (2.0 / q.tau) * M, eye))
-    return GaussianPolicyParams(mean, cov)
+    mean = -np.linalg.solve(2.0 * M + q.tau * np.eye(b.shape[0]), b)
+    return GaussianPolicyParams(mean, stage_covariance(M, q.tau))
 
 
 def _is_pd(x: np.ndarray) -> bool:
@@ -106,12 +207,15 @@ def _is_pd(x: np.ndarray) -> bool:
     return True
 
 
-def _chol_logdet(cov: np.ndarray, what: str = "covariance") -> float:
+def _cholesky(covs: np.ndarray, what: str, skip: int | None = None) -> np.ndarray:
+    """Cholesky factors of an ``(agent, stage)`` stack of covariances with
+    agent ``skip`` left out; a failure names the first matrix not PD."""
+    keep = np.arange(covs.shape[0]) != skip
     try:
-        chol = np.linalg.cholesky(cov)
+        return np.linalg.cholesky(covs[keep])
     except np.linalg.LinAlgError:
-        raise ValueError(f"{what} not positive definite") from None
-    return 2.0 * float(np.sum(np.log(np.diag(chol))))
+        i, t = next((i, t) for i, t in np.ndindex(covs.shape[:2]) if keep[i] and not _is_pd(covs[i, t]))
+        raise ValueError(f"{what} covariance not positive definite (agent {i}, stage {t})") from None
 
 
 def kl_gaussian_to_standard(g: GaussianPolicyParams) -> float:
@@ -123,8 +227,11 @@ def kl_gaussian_to_standard(g: GaussianPolicyParams) -> float:
     mean = np.asarray(g.mean, dtype=float)
     cov = np.asarray(g.cov, dtype=float)
     p = mean.shape[0]
-    logdet = _chol_logdet(cov)
-    return 0.5 * (float(mean @ mean) + float(np.trace(cov)) - p - logdet)
+    try:
+        chol = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        raise ValueError("covariance not positive definite") from None
+    return 0.5 * (float(mean @ mean) + float(np.trace(cov)) - p - float(_logdets(chol)))
 
 
 def stage_objective(q: StageQuadratic, g: GaussianPolicyParams) -> float:
@@ -153,21 +260,15 @@ def lyapunov_backward(
     where ``Acl_s = A_s + sum_j B^j_s K^j_s`` is the closed loop over all
     agents.  Policy covariances do not enter.
     """
-    T, p = spec.horizon, spec.action_dim
+    T = spec.horizon
     gains = stack_gains(joint)
-    eye = np.eye(p)
     out = np.empty((T - from_t + 1, spec.state_dim, spec.state_dim))
     out[-1] = spec.Q[agent, T]
     for s in range(T - 1, from_t - 1, -1):
-        tail = out[s + 1 - from_t]
-        closed = spec.A[s] + np.einsum("jmp,jpk->mk", spec.B[:, s], gains[:, s])
-        own = gains[agent, s]
-        ps = (
-            spec.Q[agent, s]
-            + own.T @ (0.5 * spec.tau * eye + spec.R[agent, s]) @ own
-            + closed.T @ tail @ closed
+        closed = closed_loop(spec.A[s], spec.B[:, s], gains[:, s])
+        out[s - from_t] = lyapunov_step(
+            spec.Q[agent, s], spec.R[agent, s], spec.tau, closed, gains[agent, s], out[s + 1 - from_t]
         )
-        out[s - from_t] = _sym(ps)
     return out
 
 
@@ -187,87 +288,54 @@ def best_response_stage(
     - ``cov' = (I + 2 (R + B^T P_next B)/tau)^{-1}``, symmetric PD with
       eigenvalues strictly inside ``(0, 1)`` whenever ``R`` is PD.
     """
-    p = spec.action_dim
-    eye = np.eye(p)
-    Bi = spec.B[agent, t]
-    drift = spec.A[t].copy()
-    for j in range(spec.num_agents):
-        if j != agent:
-            drift = drift + spec.B[j, t] @ np.asarray(gains_t[j], dtype=float)
-    BPB = Bi.T @ P_next @ Bi
-    bracket = spec.R[agent, t] + BPB
-    gain = -np.linalg.solve(0.5 * spec.tau * eye + bracket, Bi.T @ P_next @ drift)
-    cov = _sym(np.linalg.solve(eye + (2.0 / spec.tau) * bracket, eye))
-    return gain, cov
+    zero = np.zeros((spec.action_dim, spec.state_dim))
+    others = np.stack([zero if j == agent else np.asarray(g, dtype=float) for j, g in enumerate(gains_t)])
+    bracket, H, BPA, cross = stage_system(spec, t, np.asarray(P_next, dtype=float)[None], np.array([agent]))
+    return best_response_gains(H, BPA, cross, others)[0], stage_covariance(bracket, spec.tau)[0]
+
+
+def best_responses(spec: GameSpec, gains: np.ndarray, covs: np.ndarray, agents: np.ndarray):
+    """Exact best responses of ``agents`` to the stacked joint policy
+    ``(gains, covs)``, all in one backward pass.
+
+    Opponents' gains fold into the drift ``A_t + sum_{j != i} B^j K^j``; the
+    stage problem is the entropy-regularized quadratic minimizer, and the
+    values are the certificate of the joint policy with the responder's
+    stage policy replaced.  Returns the responders' gains, covariances,
+    value matrices and offsets, stacked over ``agents``."""
+    T, m, p = spec.horizon, spec.state_dim, spec.action_dim
+    k = len(agents)
+    Q, R = spec.Q[agents], spec.R[agents]
+    P = np.empty((k, T + 1, m, m))
+    q = np.zeros((k, T + 1))
+    P[:, T] = Q[:, T]
+    new_gains = np.empty((k, T, p, m))
+    new_covs = np.empty((k, T, p, p))
+    for t in range(T - 1, -1, -1):
+        tails = P[:, t + 1]
+        bracket, H, BPA, cross = stage_system(spec, t, tails, agents)
+        gain = best_response_gains(H, BPA, cross, gains[:, t])
+        cov = stage_covariance(bracket, spec.tau)
+        Bi = spec.B[agents, t]
+        closed = closed_loop(spec.A[t], spec.B[:, t], gains[:, t]) + Bi @ (gain - gains[agents, t])
+        noise = stage_noise(spec, t, covs[:, t]) + Bi @ (cov - covs[agents, t]) @ Bi.swapaxes(-1, -2)
+        P[:, t] = lyapunov_step(Q[:, t], R[:, t], spec.tau, closed, gain, tails)
+        logdets = _logdets(np.linalg.cholesky(cov))
+        q[:, t] = offset_step(R[:, t], spec.tau, noise, cov, logdets, tails, q[:, t + 1])
+        new_gains[:, t] = gain
+        new_covs[:, t] = cov
+    return new_gains, new_covs, P, q
 
 
 def best_response_full(
     spec: GameSpec, joint: JointPolicy, agent: int
 ) -> tuple[LinearGaussianPolicy, AgentValue]:
-    """Exactly optimal policy of one agent against frozen opponents.
-
-    Backward induction over stages: opponents' gains fold into the drift
-    ``Adrift_t = A_t + sum_{j != agent} B^j K^j`` and their action noise into
-    an effective process covariance ``W_t = noise_cov + sum_{j != agent}
-    B^j cov^j B^j^T``; the stage problem is the entropy-regularized
-    quadratic minimizer, giving a Riccati propagation for the quadratic
-    term and scalar offsets accumulating ``tr(W_t P_{t+1})``, the own-action
-    trace terms, and the entropy terms.
-
-    Returns the optimal policy and its exact value certificate.
-    """
+    """Exactly optimal policy of one agent against frozen opponents, and its
+    exact value certificate (see :func:`best_responses`)."""
     check_policy_shape(spec, joint)
-    T, m, p = spec.horizon, spec.state_dim, spec.action_dim
     gains = stack_gains(joint)
     covs = stack_covs(joint)
-    for j in range(spec.num_agents):
-        if j == agent:
-            continue
-        try:
-            np.linalg.cholesky(covs[j])
-        except np.linalg.LinAlgError:
-            t = next(t for t in range(T) if not _is_pd(covs[j, t]))
-            raise ValueError(
-                f"opponent covariance not positive definite (agent {j}, stage {t})"
-            ) from None
-
-    eye = np.eye(p)
-    P = np.empty((T + 1, m, m))
-    q = np.zeros(T + 1)
-    P[T] = spec.Q[agent, T]
-    new_gains = np.empty((T, p, m))
-    new_covs = np.empty((T, p, p))
-    for t in range(T - 1, -1, -1):
-        Bi = spec.B[agent, t]
-        drift = spec.A[t].copy()
-        extra = np.zeros((m, m))
-        for j in range(spec.num_agents):
-            if j == agent:
-                continue
-            Bj = spec.B[j, t]
-            drift = drift + Bj @ gains[j, t]
-            extra = extra + Bj @ covs[j, t] @ Bj.T
-        tail = P[t + 1]
-        BPB = Bi.T @ tail @ Bi
-        bracket = spec.R[agent, t] + BPB
-        H = 0.5 * spec.tau * eye + bracket
-        G = Bi.T @ tail @ drift
-        gain = -np.linalg.solve(H, G)
-        cov = _sym(np.linalg.solve(eye + (2.0 / spec.tau) * bracket, eye))
-        new_gains[t] = gain
-        new_covs[t] = cov
-
-        P[t] = _sym(spec.Q[agent, t] + drift.T @ tail @ drift + G.T @ gain)
-        logdet = _chol_logdet(cov)
-        q[t] = (
-            q[t + 1]
-            + float(np.trace((spec.noise_cov + extra) @ tail))
-            + float(np.trace(bracket @ cov))
-            + 0.5 * spec.tau * (float(np.trace(cov)) - p - logdet)
-        )
-
-    expected = float(
-        spec.init_mean @ P[0] @ spec.init_mean + np.trace(spec.init_cov @ P[0]) + q[0]
-    )
-    policy = LinearGaussianPolicy(new_gains, new_covs)
-    return policy, AgentValue(P=P, q=q, expected_cost=expected)
+    _cholesky(covs, "opponent", skip=agent)
+    new_gains, new_covs, P, q = best_responses(spec, gains, covs, np.array([agent]))
+    expected = float(expected_costs(spec, P[0, 0], q[0, 0]))
+    return LinearGaussianPolicy(new_gains[0], new_covs[0]), AgentValue(P=P[0], q=q[0], expected_cost=expected)

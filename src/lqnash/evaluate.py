@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rollout import rollout
-from .control import AgentValue, _is_pd, best_response_full
+from .control import AgentValue, _cholesky, _logdets, best_responses, certificate_step, expected_costs
 from .model import GameSpec, JointPolicy, check_policy_shape, stack_covs, stack_gains
 
 __all__ = [
@@ -61,17 +61,8 @@ class SimulationResult:
 
 def _policy_cholesky(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cholesky factors and log-determinants of every stage covariance."""
-    try:
-        chol = np.linalg.cholesky(covs)
-    except np.linalg.LinAlgError:
-        i, t = next(
-            (i, t) for i, t in np.ndindex(covs.shape[:2]) if not _is_pd(covs[i, t])
-        )
-        raise ValueError(
-            f"policy covariance not positive definite (agent {i}, stage {t})"
-        ) from None
-    logdets = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
-    return chol, logdets
+    chol = _cholesky(covs, "policy")
+    return chol, _logdets(chol)
 
 
 def value_certificate(spec: GameSpec, joint: JointPolicy) -> ValueCertificate:
@@ -89,54 +80,45 @@ def value_certificate(spec: GameSpec, joint: JointPolicy) -> ValueCertificate:
     """
     check_policy_shape(spec, joint)
     n, T = spec.num_agents, spec.horizon
-    p = spec.action_dim
     gains = stack_gains(joint)
     covs = stack_covs(joint)
     _, logdets = _policy_cholesky(covs)
-    eye = np.eye(p)
 
     P = np.empty((n, T + 1, spec.state_dim, spec.state_dim))
     q = np.zeros((n, T + 1))
     P[:, T] = spec.Q[:, T]
     for t in range(T - 1, -1, -1):
-        closed = spec.A[t] + np.einsum("jmp,jpk->mk", spec.B[:, t], gains[:, t])
-        noise = spec.noise_cov + np.einsum("jmp,jpq,jnq->mn", spec.B[:, t], covs[:, t], spec.B[:, t])
-        for i in range(n):
-            tail = P[i, t + 1]
-            own = gains[i, t].T @ (0.5 * spec.tau * eye + spec.R[i, t]) @ gains[i, t]
-            raw = spec.Q[i, t] + own + closed.T @ tail @ closed
-            P[i, t] = 0.5 * (raw + raw.T)
-            q[i, t] = (
-                q[i, t + 1]
-                + float(np.trace(covs[i, t] @ (0.5 * spec.tau * eye + spec.R[i, t])))
-                - 0.5 * spec.tau * (p + logdets[i, t])
-                + float(np.trace(noise @ tail))
-            )
-
-    agents = []
-    for i in range(n):
-        expected = float(
-            spec.init_mean @ P[i, 0] @ spec.init_mean
-            + np.trace(spec.init_cov @ P[i, 0])
-            + q[i, 0]
+        P[:, t], q[:, t] = certificate_step(
+            spec, t, gains[:, t], covs[:, t], logdets[:, t], P[:, t + 1], q[:, t + 1]
         )
-        agents.append(AgentValue(P=P[i].copy(), q=q[i].copy(), expected_cost=expected))
-    return ValueCertificate(agents=tuple(agents))
+
+    return _certificate(spec, P, q)
+
+
+def _certificate(spec: GameSpec, P: np.ndarray, q: np.ndarray) -> ValueCertificate:
+    """Certificate of the stacked value matrices ``P`` and offsets ``q``."""
+    costs = expected_costs(spec, P[:, 0], q[:, 0])
+    return ValueCertificate(
+        agents=tuple(
+            AgentValue(P=P[i].copy(), q=q[i].copy(), expected_cost=float(cost))
+            for i, cost in enumerate(costs)
+        )
+    )
 
 
 def exploitability(spec: GameSpec, joint: JointPolicy) -> np.ndarray:
     """Per-agent Nash gap of a joint policy at the initial distribution.
 
     ``gap_i = J_i(joint) - J_i(best response of i, others unchanged)``,
-    both from exact certificates.  Nonnegative up to round-off (~1e-9
-    floor); identically zero at an exact equilibrium.
+    both from exact certificates; all agents' best responses run in one
+    batched backward pass.  Nonnegative up to round-off (~1e-9 floor);
+    identically zero at an exact equilibrium.
     """
     base = value_certificate(spec, joint)
-    gaps = np.empty(spec.num_agents)
-    for i in range(spec.num_agents):
-        _, br_value = best_response_full(spec, joint, i)
-        gaps[i] = base.agents[i].expected_cost - br_value.expected_cost
-    return gaps
+    _, _, P, q = best_responses(
+        spec, stack_gains(joint), stack_covs(joint), np.arange(spec.num_agents)
+    )
+    return base.expected_costs - expected_costs(spec, P[:, 0], q[:, 0])
 
 
 def policy_distance(a: JointPolicy, b: JointPolicy, t: int | None = None) -> float:

@@ -18,6 +18,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .control import (
+    _logdets,
+    _max_frobenius,
+    best_response_gains,
+    certificate_step,
+    closed_loop,
+    lyapunov_step,
+    stage_covariance,
+    stage_system,
+    uniqueness_threshold,
+)
 from .evaluate import exploitability
 from .model import GameSpec, JointPolicy, joint_policy_from_arrays
 
@@ -92,28 +103,17 @@ class SolveReport:
     nash_gaps: np.ndarray | None = None
 
 
-def _sym(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (x + x.swapaxes(-1, -2))
+def _finite(t: int, what: str, *arrays: np.ndarray) -> None:
+    """Raise :class:`SolverError` naming stage ``t`` unless every entry is finite."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise SolverError(f"stage {t}: {what} are not finite; the backward pass diverged")
 
 
-def _max_frobenius(x: np.ndarray) -> float:
-    """Largest Frobenius norm among the matrices stacked in ``x``.
-
-    When squaring an entry overflows, the norm is taken of ``x`` scaled by
-    its largest entry instead, so large finite matrices give a finite norm
-    and no warning; the result is unchanged whenever the squares are finite.
-    """
-    with np.errstate(over="ignore"):
-        norm = float(np.sqrt((x**2).sum(axis=(-2, -1)).max()))
-    if not np.isfinite(norm):
-        scale = float(np.abs(x).max())
-        norm = scale * float(np.sqrt(((x / scale) ** 2).sum(axis=(-2, -1)).max()))
-    return norm
-
-
-def _max_input_norm(spec: GameSpec) -> float:
-    """Largest Frobenius norm of any agent's input matrix over all stages."""
-    return _max_frobenius(spec.B)
+def _phi(H: np.ndarray, cross: np.ndarray) -> np.ndarray:
+    n, p = H.shape[0], H.shape[-1]
+    blocks = cross.copy()
+    blocks[np.arange(n), np.arange(n)] = H
+    return blocks.swapaxes(1, 2).reshape(n * p, n * p)
 
 
 def phi_matrix(spec: GameSpec, t: int, P_next: np.ndarray) -> np.ndarray:
@@ -124,83 +124,57 @@ def phi_matrix(spec: GameSpec, t: int, P_next: np.ndarray) -> np.ndarray:
     ``(i, j)`` for ``j != i`` is ``B^i^T P^i B^j``.  Strict diagonal
     dominance of this matrix is what the adequacy check certifies.
     """
-    n, p = spec.num_agents, spec.action_dim
     P_next = np.asarray(P_next, dtype=float)
-    blocks = np.empty((n, p, n, p))
-    for i in range(n):
-        BtP = spec.B[i, t].T @ P_next[i]
-        for j in range(n):
-            blocks[i, :, j, :] = BtP @ spec.B[j, t]
-        blocks[i, :, i, :] += 0.5 * spec.tau * np.eye(p) + spec.R[i, t]
-    return blocks.reshape(n * p, n * p)
+    _, H, _, cross = stage_system(spec, t, P_next, np.arange(spec.num_agents))
+    return _phi(H, cross)
 
 
 def exact_ne(spec: GameSpec, cond_limit: float = COND_LIMIT) -> NESolution:
     """Equilibrium via the backward stacked-gain linear system.
 
     At each stage the gains of all agents solve one linear system built
-    from the current tail value matrices; covariances and the value
-    recursions then follow in closed form.  Raises :class:`SolverError`
-    when a stage system is numerically singular (condition estimate above
-    ``cond_limit``), which signals a non-unique or ill-conditioned
-    equilibrium; raising ``tau`` (see :func:`delta_augment_solve`) repairs
-    this.  Also raises :class:`SolverError` naming the stage when its value
-    matrices or offsets overflow, so a diverged pass never yields a policy.
+    from the current tail value matrices; covariances follow in closed
+    form, and the values are the certificate step at the solved stage, so
+    ``riccati``/``offsets`` equal ``value_certificate(spec, sol.policy)``.
+    Raises :class:`SolverError` when a stage system is numerically singular
+    (condition estimate above ``cond_limit``), which signals a non-unique
+    or ill-conditioned equilibrium; raising ``tau`` (see
+    :func:`delta_augment_solve`) repairs this.  Also raises
+    :class:`SolverError` naming the stage when its stage matrices or
+    values overflow, so a diverged pass never yields a policy.
     """
     n, T = spec.num_agents, spec.horizon
     m, p = spec.state_dim, spec.action_dim
-    eye = np.eye(p)
+    agents = np.arange(n)
     P = np.empty((n, T + 1, m, m))
     q = np.zeros((n, T + 1))
     P[:, T] = spec.Q[:, T]
     gains = np.empty((n, T, p, m))
     covs = np.empty((n, T, p, p))
 
-    for t in range(T - 1, -1, -1):
-        tails = P[:, t + 1]
-        phi = phi_matrix(spec, t, tails)
-        cond = float(np.linalg.cond(phi))
-        if not np.isfinite(cond) or cond > cond_limit:
-            raise SolverError(
-                f"stage {t}: coupling matrix condition {cond:.3e} exceeds {cond_limit:.1e}; "
-                "non-unique or ill-conditioned equilibrium, consider tau augmentation"
-            )
-        rhs = np.concatenate([spec.B[i, t].T @ tails[i] @ spec.A[t] for i in range(n)], axis=0)
-        stacked = np.linalg.solve(phi, -rhs)
-        gains[:, t] = stacked.reshape(n, p, m)
-
-        for i in range(n):
-            Bi = spec.B[i, t]
-            bracket = spec.R[i, t] + Bi.T @ tails[i] @ Bi
-            covs[i, t] = _sym(np.linalg.solve(eye + (2.0 / spec.tau) * bracket, eye))
-
-        # Overflow here is reported below as a named divergence, not as a warning.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(n):
-                Bi = spec.B[i, t]
-                drift = spec.A[t].copy()
-                cross = 0.0
-                for j in range(n):
-                    if j == i:
-                        continue
-                    drift = drift + spec.B[j, t] @ gains[j, t]
-                    cross += float(np.trace(covs[j, t] @ spec.B[j, t].T @ tails[i] @ spec.B[j, t]))
-                BPB = Bi.T @ tails[i] @ Bi
-                G = Bi.T @ tails[i] @ drift
-                H = 0.5 * spec.tau * eye + spec.R[i, t] + BPB
-                P[i, t] = _sym(spec.Q[i, t] + drift.T @ tails[i] @ drift - G.T @ np.linalg.solve(H, G))
-                _, logdet = np.linalg.slogdet(covs[i, t])
-                q[i, t] = (
-                    float(np.trace(spec.noise_cov @ tails[i]))
-                    + float(np.trace((spec.R[i, t] + BPB) @ covs[i, t]))
-                    + 0.5 * spec.tau * (float(np.trace(covs[i, t])) - p - logdet)
-                    + q[i, t + 1]
-                    + cross
+    # Overflow is reported as a named divergence, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(T - 1, -1, -1):
+            tails = P[:, t + 1]
+            bracket, H, BPA, cross = stage_system(spec, t, tails, agents)
+            phi = _phi(H, cross)
+            _finite(t, "stage matrices", phi, BPA)
+            # Beyond the float range, round-off in the closed loop A + sum B K,
+            # weighted by the tail values, exceeds any value the stage can certify.
+            _finite(t, "open-loop values", spec.A[t].T @ tails @ spec.A[t])
+            cond = float(np.linalg.cond(phi))
+            if not np.isfinite(cond) or cond > cond_limit:
+                raise SolverError(
+                    f"stage {t}: coupling matrix condition {cond:.3e} exceeds {cond_limit:.1e}; "
+                    "non-unique or ill-conditioned equilibrium, consider tau augmentation"
                 )
-        if not (np.isfinite(P[:, t]).all() and np.isfinite(q[:, t]).all()):
-            raise SolverError(
-                f"stage {t}: value matrices are not finite; the backward pass diverged"
+            gains[:, t] = np.linalg.solve(phi, -BPA.reshape(n * p, m)).reshape(n, p, m)
+            covs[:, t] = stage_covariance(bracket, spec.tau)
+            logdets = _logdets(np.linalg.cholesky(covs[:, t]))
+            P[:, t], q[:, t] = certificate_step(
+                spec, t, gains[:, t], covs[:, t], logdets, tails, q[:, t + 1]
             )
+            _finite(t, "value matrices", P[:, t], q[:, t])
 
     return NESolution(policy=joint_policy_from_arrays(gains, covs), riccati=P, offsets=q)
 
@@ -214,10 +188,19 @@ def contraction_modulus(spec: GameSpec, t: int, P_next: np.ndarray) -> float:
     loop converges linearly at (at worst) this rate.
     """
     del t  # the stage enters only through its tail values
-    P_next = np.asarray(P_next, dtype=float)
-    gamma_b = _max_input_norm(spec)
-    gamma_p = _max_frobenius(P_next)
-    return (2.0 / spec.tau) * gamma_b**2 * gamma_p * (spec.num_agents - 1)
+    _, threshold = uniqueness_threshold(spec, _max_frobenius(np.asarray(P_next, dtype=float)))
+    return threshold / spec.tau
+
+
+def _condition(spec: GameSpec, gamma_p: float, margin: float) -> ConditionRecord:
+    gamma_b, threshold = uniqueness_threshold(spec, gamma_p)
+    return ConditionRecord(
+        gamma_B=gamma_b,
+        gamma_P=gamma_p,
+        threshold=threshold,
+        margin=float(margin),
+        satisfied=bool(spec.tau > threshold * (1.0 + margin)),
+    )
 
 
 def check_assumption_tau(spec: GameSpec, sol: NESolution, margin: float = 0.0) -> ConditionRecord:
@@ -227,16 +210,7 @@ def check_assumption_tau(spec: GameSpec, sol: NESolution, margin: float = 0.0) -
     check is a-posteriori: solve first, then verify.  ``margin`` demands
     strict clearance ``tau > threshold * (1 + margin)``.
     """
-    gamma_b = _max_input_norm(spec)
-    gamma_p = _max_frobenius(sol.riccati)
-    threshold = 2.0 * gamma_b**2 * gamma_p * (spec.num_agents - 1)
-    return ConditionRecord(
-        gamma_B=gamma_b,
-        gamma_P=gamma_p,
-        threshold=threshold,
-        margin=float(margin),
-        satisfied=bool(spec.tau > threshold * (1.0 + margin)),
-    )
+    return _condition(spec, _max_frobenius(sol.riccati), margin)
 
 
 def po_solve(
@@ -256,8 +230,8 @@ def po_solve(
 
     Non-convergence is visible in the returned trace (distances failing to
     decrease) and in the contraction moduli.  Raises :class:`SolverError`
-    naming the stage when its gains or the tail values it leaves are not
-    finite, so a diverged pass never yields a policy.
+    naming the stage when its stage matrices, its gains or the tail values
+    it leaves are not finite, so a diverged pass never yields a policy.
     """
     if inner_iters is None and stop_tol is None:
         raise ValueError("need inner_iters >= 1 or stop_tol > 0")
@@ -269,7 +243,7 @@ def po_solve(
 
     n, T = spec.num_agents, spec.horizon
     m, p = spec.state_dim, spec.action_dim
-    eye = np.eye(p)
+    agents = np.arange(n)
     gains = np.zeros((n, T, p, m))
     covs = np.zeros((n, T, p, p))
     tails = spec.Q[:, T].copy()  # (N, m, m) value matrices for the stage below
@@ -277,59 +251,40 @@ def po_solve(
     trace_by_stage: list[tuple[float, ...]] = [()] * T
     moduli = np.zeros(T)
 
-    for t in range(T - 1, -1, -1):
-        moduli[t] = contraction_modulus(spec, t, tails)
-        BtP = np.einsum("imp,imn->ipn", spec.B[:, t], tails)  # (N, p, m)
-        bracket = spec.R[:, t] + np.einsum("ipm,imq->ipq", BtP, spec.B[:, t])
-        H = 0.5 * spec.tau * eye + bracket
-        BPA = np.einsum("ipm,mn->ipn", BtP, spec.A[t])
-        cross = np.einsum("ipm,jmq->ijpq", BtP, spec.B[:, t])
-        cross[np.arange(n), np.arange(n)] = 0.0
-        sigma_new = _sym(np.linalg.solve(eye + (2.0 / spec.tau) * bracket, np.broadcast_to(eye, (n, p, p)).copy()))
+    # Overflow is reported as a named divergence, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(T - 1, -1, -1):
+            moduli[t] = contraction_modulus(spec, t, tails)
+            bracket, H, BPA, cross = stage_system(spec, t, tails, agents)
+            _finite(t, "stage matrices", H, BPA, cross)
+            sigma_new = stage_covariance(bracket, spec.tau)
 
-        distances: list[float] = []
-        for _ in range(L):
-            rhs = BPA + np.einsum("ijpq,jqm->ipm", cross, gains[:, t])
-            new_gains = -np.linalg.solve(H, rhs)
-            d = float(
-                np.sqrt(((new_gains - gains[:, t]) ** 2).sum(axis=(1, 2))).sum()
-                + np.sqrt(((sigma_new - covs[:, t]) ** 2).sum(axis=(1, 2))).sum()
-            )
-            gains[:, t] = new_gains
-            covs[:, t] = sigma_new
-            distances.append(d)
-            if stop_tol is not None and d < stop_tol:
-                break
-        trace_by_stage[t] = tuple(distances)
-        if not np.isfinite(gains[:, t]).all():
-            raise SolverError(f"stage {t}: policy gains are not finite; the backward pass diverged")
+            distances: list[float] = []
+            for _ in range(L):
+                new_gains = best_response_gains(H, BPA, cross, gains[:, t])
+                d = float(
+                    np.sqrt(((new_gains - gains[:, t]) ** 2).sum(axis=(1, 2))).sum()
+                    + np.sqrt(((sigma_new - covs[:, t]) ** 2).sum(axis=(1, 2))).sum()
+                )
+                gains[:, t] = new_gains
+                covs[:, t] = sigma_new
+                distances.append(d)
+                if stop_tol is not None and d < stop_tol:
+                    break
+            trace_by_stage[t] = tuple(distances)
+            _finite(t, "policy gains", gains[:, t])
 
-        # Lyapunov step: fold the converged stage into each agent's tail value.
-        closed = spec.A[t] + np.einsum("jmp,jpk->mk", spec.B[:, t], gains[:, t])
-        own = np.einsum(
-            "ipm,ipq,iqn->imn", gains[:, t], 0.5 * spec.tau * eye + spec.R[:, t], gains[:, t]
-        )
-        tails = _sym(spec.Q[:, t] + own + np.einsum("lm,ilk,kn->imn", closed, tails, closed))
-        if not np.isfinite(tails).all():
-            raise SolverError(
-                f"stage {t}: tail value matrices are not finite; the backward pass diverged"
-            )
-        gamma_p_seen = max(gamma_p_seen, _max_frobenius(tails))
+            # Lyapunov step: fold the converged stage into each agent's tail value.
+            closed = closed_loop(spec.A[t], spec.B[:, t], gains[:, t])
+            tails = lyapunov_step(spec.Q[:, t], spec.R[:, t], spec.tau, closed, gains[:, t], tails)
+            _finite(t, "tail value matrices", tails)
+            gamma_p_seen = max(gamma_p_seen, _max_frobenius(tails))
 
-    gamma_b = _max_input_norm(spec)
-    threshold = 2.0 * gamma_b**2 * gamma_p_seen * (n - 1)
-    condition = ConditionRecord(
-        gamma_B=gamma_b,
-        gamma_P=gamma_p_seen,
-        threshold=threshold,
-        margin=0.0,
-        satisfied=bool(spec.tau > threshold),
-    )
     return SolveReport(
         policy=joint_policy_from_arrays(gains, covs),
         trace=tuple(trace_by_stage),
         contraction_moduli=tuple(float(r) for r in moduli),
-        condition=condition,
+        condition=_condition(spec, gamma_p_seen, 0.0),
     )
 
 

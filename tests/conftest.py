@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import lqnash as lq
+
+# Derandomized and without an example database: every run draws the same
+# examples, so tier-1 stays deterministic.
+settings.register_profile("lqnash", derandomize=True, database=None, deadline=None, max_examples=50)
+settings.load_profile("lqnash")
 
 SCALAR_GAME_TEXT = (
     '{"num_agents": 1, "horizon": 1, "state_dim": 1, "action_dim": 1, "tau": 2,'

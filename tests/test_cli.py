@@ -212,6 +212,25 @@ def test_exact_overflow_exit_code(tmp_path, capsys):
     assert not (out / "certificate.json").exists()
 
 
+@pytest.mark.parametrize("command", ["solve-po", "check", "solve-exact", "augment"])
+def test_input_norm_overflow_exit_code(tmp_path, capsys, command):
+    # gamma_B**2 and B^T P B overflow; every command names the failing stage
+    path = tmp_path / "huge_input.json"
+    path.write_text(
+        '{"num_agents": 2, "horizon": 1, "state_dim": 1, "action_dim": 1, "tau": 1,'
+        ' "A": 1, "B": [1e160, 1], "Q": [[1, 1], [1, 1]], "R": [1, 1],'
+        ' "noise_cov": 1, "init_mean": 1, "init_cov": 1}'
+    )
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(command, "--spec", path, "--out", out)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error (solver):") and "stage 0: stage matrices are not finite" in err
+    assert not (out / "policy.json").exists()
+
+
 def _encoded(doc) -> bytes:
     return (json.dumps(doc, indent=2, allow_nan=False) + "\n").encode()
 

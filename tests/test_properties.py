@@ -1,0 +1,92 @@
+"""Property tests: the independent routes to the same numbers check each
+other on generated games.
+
+Games cover one agent, one stage, more action than state dimensions, and
+singular noise and initial covariances.  The Hypothesis profile in
+``conftest.py`` is derandomized, so every run draws the same examples.
+"""
+import dataclasses
+
+import numpy as np
+from hypothesis import assume, given, strategies as st
+
+import lqnash as lq
+
+from conftest import random_pd_policy
+
+# Gaps are differences of costs computed by two exact recursions; these are
+# round-off floors, not statistical tolerances.
+GAP_FLOOR = -1e-9
+NE_GAP = 1e-8
+
+
+@st.composite
+def games(draw):
+    n = draw(st.integers(1, 3))
+    T = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 3))
+    p = draw(st.integers(1, 4))
+    spec = lq.random_game(n, T, m, p, seed=draw(st.integers(0, 2**32 - 1)),
+                          scale=draw(st.sampled_from([0.2, 0.5, 0.8])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def covariance(full):
+        kind = draw(st.sampled_from(["full", "zero", "rank one"]))
+        if kind == "zero":
+            return np.zeros((m, m))
+        if kind == "rank one":
+            v = rng.uniform(-1.0, 1.0, (1, m))
+            return v.T @ v
+        return full
+
+    spec = dataclasses.replace(
+        spec,
+        noise_cov=covariance(spec.noise_cov),
+        init_cov=covariance(spec.init_cov),
+        tau=draw(st.sampled_from([0.5, 2.0, 20.0])),
+    )
+    return lq.validate_game_spec(spec)
+
+
+@given(games())
+def test_exact_and_po_agree_when_tau_condition_holds(spec):
+    sol = lq.exact_ne(spec)
+    record = lq.check_assumption_tau(spec, sol)
+    if not record.satisfied:
+        spec = spec.with_tau(10.0 * record.threshold)
+        sol = lq.exact_ne(spec)
+    assume(lq.check_assumption_tau(spec, sol).satisfied)
+    report = lq.po_solve(spec)
+    assert lq.policy_distance(report.policy, sol.policy) <= 1e-8
+
+
+@given(games(), st.integers(0, 2**32 - 1))
+def test_gaps_nonnegative_and_zero_at_equilibrium(spec, seed):
+    sol = lq.exact_ne(spec)
+    assert np.all(np.abs(lq.exploitability(spec, sol.policy)) <= NE_GAP)
+    joint = random_pd_policy(spec, np.random.default_rng(seed))
+    assert np.all(lq.exploitability(spec, joint) >= GAP_FLOOR)
+
+
+@given(games(), st.integers(0, 2**32 - 1))
+def test_best_response_never_raises_cost(spec, seed):
+    joint = random_pd_policy(spec, np.random.default_rng(seed))
+    base = lq.value_certificate(spec, joint).expected_costs
+    for i in range(spec.num_agents):
+        _, value = lq.best_response_full(spec, joint, i)
+        assert value.expected_cost <= base[i] + 1e-12 * (1.0 + abs(base[i]))
+
+
+@given(games(), st.integers(0, 2**32 - 1))
+def test_json_round_trips_bit_for_bit(spec, seed):
+    text = lq.dump_game_spec(spec)
+    loaded = lq.load_game_spec(text)
+    assert lq.specs_equal(loaded, spec)
+    assert lq.dump_game_spec(loaded) == text
+
+    joint = random_pd_policy(spec, np.random.default_rng(seed))
+    text = lq.dump_joint_policy(joint)
+    loaded = lq.load_joint_policy(text)
+    assert np.array_equal(lq.stack_gains(loaded), lq.stack_gains(joint))
+    assert np.array_equal(lq.stack_covs(loaded), lq.stack_covs(joint))
+    assert lq.dump_joint_policy(loaded) == text

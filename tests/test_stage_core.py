@@ -1,0 +1,156 @@
+"""The agent-batched stage core against per-agent reference loops.
+
+The reference loops below are the per-agent implementations the batched
+code replaced, kept here verbatim (up to names) as oracles.
+"""
+import numpy as np
+import numpy.testing as npt
+import pytest
+
+import lqnash as lq
+
+from conftest import random_pd_policy
+
+SIZES = [(1, 1, 1, 1), (2, 3, 2, 4), (3, 10, 4, 2), (20, 5, 3, 2)]
+
+
+def _sym(x):
+    return 0.5 * (x + x.T)
+
+
+def reference_certificate(spec, joint):
+    """Per-agent value recursion with the matrix-product value step."""
+    n, T, p = spec.num_agents, spec.horizon, spec.action_dim
+    gains, covs = lq.stack_gains(joint), lq.stack_covs(joint)
+    eye = np.eye(p)
+    P = np.empty((n, T + 1, spec.state_dim, spec.state_dim))
+    q = np.zeros((n, T + 1))
+    P[:, T] = spec.Q[:, T]
+    for t in range(T - 1, -1, -1):
+        closed = spec.A[t] + np.einsum("jmp,jpk->mk", spec.B[:, t], gains[:, t])
+        noise = spec.noise_cov + np.einsum("jmp,jpq,jnq->mn", spec.B[:, t], covs[:, t], spec.B[:, t])
+        for i in range(n):
+            tail = P[i, t + 1]
+            own = gains[i, t].T @ (0.5 * spec.tau * eye + spec.R[i, t]) @ gains[i, t]
+            raw = spec.Q[i, t] + own + closed.T @ tail @ closed
+            P[i, t] = 0.5 * (raw + raw.T)
+            logdet = 2.0 * float(np.sum(np.log(np.diag(np.linalg.cholesky(covs[i, t])))))
+            q[i, t] = (
+                q[i, t + 1]
+                + float(np.trace(covs[i, t] @ (0.5 * spec.tau * eye + spec.R[i, t])))
+                - 0.5 * spec.tau * (p + logdet)
+                + float(np.trace(noise @ tail))
+            )
+    return P, q
+
+
+def reference_lyapunov_einsum(spec, joint, agent, from_t=0):
+    """One agent's value matrices with the policy-optimization value step,
+    whose einsum arithmetic the batched step keeps bit for bit."""
+    T = spec.horizon
+    gains = lq.stack_gains(joint)
+    eye = np.eye(spec.action_dim)
+    out = np.empty((T - from_t + 1, spec.state_dim, spec.state_dim))
+    out[-1] = spec.Q[agent, T]
+    for s in range(T - 1, from_t - 1, -1):
+        closed = spec.A[s] + np.einsum("jmp,jpk->mk", spec.B[:, s], gains[:, s])
+        own = np.einsum("pm,pq,qn->mn", gains[agent, s], 0.5 * spec.tau * eye + spec.R[agent, s], gains[agent, s])
+        raw = spec.Q[agent, s] + own + np.einsum("lm,lk,kn->mn", closed, out[s + 1 - from_t], closed)
+        out[s - from_t] = _sym(raw)
+    return out
+
+
+def reference_best_response_cost(spec, joint, agent):
+    """Expected cost of one agent's exact best response: serial backward
+    induction with per-opponent loops and the completed-square value step."""
+    T, m, p = spec.horizon, spec.state_dim, spec.action_dim
+    gains, covs = lq.stack_gains(joint), lq.stack_covs(joint)
+    eye = np.eye(p)
+    P = np.empty((T + 1, m, m))
+    q = np.zeros(T + 1)
+    P[T] = spec.Q[agent, T]
+    for t in range(T - 1, -1, -1):
+        Bi = spec.B[agent, t]
+        drift = spec.A[t].copy()
+        extra = np.zeros((m, m))
+        for j in range(spec.num_agents):
+            if j == agent:
+                continue
+            Bj = spec.B[j, t]
+            drift = drift + Bj @ gains[j, t]
+            extra = extra + Bj @ covs[j, t] @ Bj.T
+        tail = P[t + 1]
+        bracket = spec.R[agent, t] + Bi.T @ tail @ Bi
+        G = Bi.T @ tail @ drift
+        gain = -np.linalg.solve(0.5 * spec.tau * eye + bracket, G)
+        cov = _sym(np.linalg.solve(eye + (2.0 / spec.tau) * bracket, eye))
+        P[t] = _sym(spec.Q[agent, t] + drift.T @ tail @ drift + G.T @ gain)
+        logdet = 2.0 * float(np.sum(np.log(np.diag(np.linalg.cholesky(cov)))))
+        q[t] = (
+            q[t + 1]
+            + float(np.trace((spec.noise_cov + extra) @ tail))
+            + float(np.trace(bracket @ cov))
+            + 0.5 * spec.tau * (float(np.trace(cov)) - p - logdet)
+        )
+    mu = spec.init_mean
+    return float(mu @ P[0] @ mu + np.trace(spec.init_cov @ P[0]) + q[0])
+
+
+def perturbed_equilibrium(spec, seed):
+    """The exact equilibrium with every gain and covariance perturbed."""
+    sol = lq.exact_ne(spec)
+    rng = np.random.default_rng(seed)
+    gains = lq.stack_gains(sol.policy) + rng.normal(0.0, 0.2, (spec.num_agents, spec.horizon, spec.action_dim, spec.state_dim))
+    g = rng.normal(0.0, 0.2, (spec.num_agents, spec.horizon, spec.action_dim, spec.action_dim))
+    covs = lq.stack_covs(sol.policy) + np.einsum("...ji,...jk->...ik", g, g)
+    return lq.joint_policy_from_arrays(gains, covs)
+
+
+@pytest.mark.parametrize("dims", SIZES)
+def test_exact_values_are_the_certificate(dims):
+    spec = lq.random_game(*dims, seed=sum(dims), scale=0.5).with_tau(10.0)
+    sol = lq.exact_ne(spec)
+    cert = lq.value_certificate(spec, sol.policy)
+    npt.assert_array_equal(sol.riccati, np.stack([a.P for a in cert.agents]))
+    npt.assert_array_equal(sol.offsets, np.stack([a.q for a in cert.agents]))
+
+
+@pytest.mark.parametrize("dims", SIZES)
+def test_certificate_matches_reference_loops(dims):
+    spec = lq.random_game(*dims, seed=sum(dims) + 1, scale=0.5)
+    joint = random_pd_policy(spec, np.random.default_rng(sum(dims)))
+    cert = lq.value_certificate(spec, joint)
+    P = np.stack([a.P for a in cert.agents])
+    q = np.stack([a.q for a in cert.agents])
+    for i in range(spec.num_agents):
+        npt.assert_array_equal(P[i], reference_lyapunov_einsum(spec, joint, i))
+        npt.assert_array_equal(lq.lyapunov_backward(spec, joint, i), P[i])
+        npt.assert_array_equal(lq.lyapunov_backward(spec, joint, i, from_t=spec.horizon // 2),
+                               reference_lyapunov_einsum(spec, joint, i, from_t=spec.horizon // 2))
+    ref_P, ref_q = reference_certificate(spec, joint)
+    npt.assert_allclose(P, ref_P, rtol=1e-13, atol=1e-13 * np.abs(ref_P).max())
+    npt.assert_allclose(q, ref_q, rtol=1e-13, atol=1e-13 * np.abs(ref_q).max())
+
+
+@pytest.mark.parametrize("dims", SIZES)
+def test_batched_gaps_match_serial_best_responses(dims):
+    spec = lq.random_game(*dims, seed=sum(dims) + 2, scale=0.5).with_tau(5.0)
+    for seed in (0, 1):
+        joint = perturbed_equilibrium(spec, seed)
+        base = lq.value_certificate(spec, joint).expected_costs
+        serial = np.array([reference_best_response_cost(spec, joint, i) for i in range(spec.num_agents)])
+        gaps = lq.exploitability(spec, joint)
+        assert np.all(gaps > 1e-5)
+        # A gap is a difference of two costs, so its round-off scales with them.
+        npt.assert_allclose(gaps, base - serial, rtol=1e-12, atol=1e-12 * np.abs(base).max())
+
+
+@pytest.mark.parametrize("dims", SIZES)
+def test_best_response_full_is_one_row_of_the_batch(dims):
+    spec = lq.random_game(*dims, seed=sum(dims) + 3, scale=0.5)
+    joint = perturbed_equilibrium(spec, 2)
+    gaps = lq.exploitability(spec, joint)
+    base = lq.value_certificate(spec, joint).expected_costs
+    for i in range(spec.num_agents):
+        _, value = lq.best_response_full(spec, joint, i)
+        npt.assert_allclose(value.expected_cost, base[i] - gaps[i], rtol=1e-13)
