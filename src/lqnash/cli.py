@@ -22,7 +22,7 @@ import numpy as np
 from .evaluate import (
     ValueCertificate,
     _certificate,
-    exploitability,
+    _nash_gaps,
     policy_distance,
     simulate,
     value_certificate,
@@ -227,7 +227,7 @@ def _cmd_eval(args) -> int:
     out = _out_dir(args)
     joint = _read_policy(args.out)
     cert = value_certificate(spec, joint)
-    gaps = exploitability(spec, joint)
+    gaps = _nash_gaps(spec, joint, cert.expected_costs)
     doc = _certificate_doc(spec, cert)
     doc["exploitability"] = gaps
     for i in range(spec.num_agents):

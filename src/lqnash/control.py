@@ -5,10 +5,13 @@ axis: the best-response system (``B^T P``, the bracket ``R + B^T P B``,
 cross couplings), its covariance and gain, the closed-loop Lyapunov value
 and offset steps, the expected cost, and the uniqueness threshold.  The
 exact solver, policy optimization, the value certificate and the best
-responses behind the Nash gap all call them.  Also here: the closed-form
-Gaussian minimizer of an entropy-regularized quadratic stage cost and the
-KL helper.  Propagated value matrices are re-symmetrized each stage to
-suppress drift over long horizons.
+responses behind the Nash gap all call them.  Every contraction is a
+stacked matrix product: agent stacks multiply as batches of matrices, and
+a sum over agents is one product of side-by-side blocks, such as
+``[B^1 ... B^N] [K^1; ...; K^N]`` for the closed loop.  Also here: the
+closed-form Gaussian minimizer of an entropy-regularized quadratic stage
+cost and the KL helper.  Propagated value matrices are re-symmetrized each
+stage to suppress drift over long horizons.
 """
 from __future__ import annotations
 
@@ -98,18 +101,26 @@ def _max_frobenius(x: np.ndarray) -> float:
     return norm
 
 
+def _side_by_side(B: np.ndarray) -> np.ndarray:
+    """The ``(N, m, p)`` stack ``B^j`` as one ``(m, N p)`` matrix ``[B^1 ... B^N]``."""
+    return B.swapaxes(0, 1).reshape(B.shape[1], -1)
+
+
 def stage_system(spec: GameSpec, t: int, tails: np.ndarray, agents: np.ndarray):
     """Stage-``t`` best-response system of ``agents`` with tail values ``P^i``:
     the bracket ``R^i + B^i^T P^i B^i``, ``H = (tau/2) I + bracket``,
-    ``B^i^T P^i A`` and the couplings ``B^i^T P^i B^j`` (zero for ``j = i``)."""
-    rows = np.arange(len(agents))
+    ``B^i^T P^i A`` and the couplings ``B^i^T P^i B^j`` (zero for ``j = i``),
+    the latter stacked as ``(k, N, p, p)`` over ``k`` agents and all ``N``."""
+    k, rows = len(agents), np.arange(len(agents))
+    n, m, p = spec.num_agents, spec.state_dim, spec.action_dim
     B = spec.B[:, t]
-    BtP = np.einsum("imp,imn->ipn", B[agents], tails)
-    cross = np.einsum("ipm,jmq->ijpq", BtP, B)
+    BtP = B[agents].swapaxes(-1, -2) @ tails
+    # One (k p, m) @ (m, N p) product; rows (i, p), columns (j, q).
+    cross = (BtP.reshape(k * p, m) @ _side_by_side(B)).reshape(k, p, n, p).swapaxes(1, 2)
     bracket = spec.R[agents, t] + cross[rows, agents]
     cross[rows, agents] = 0.0
-    H = 0.5 * spec.tau * np.eye(spec.action_dim) + bracket
-    return bracket, H, np.einsum("ipm,mn->ipn", BtP, spec.A[t]), cross
+    H = 0.5 * spec.tau * np.eye(p) + bracket
+    return bracket, H, BtP @ spec.A[t], cross
 
 
 def stage_covariance(bracket: np.ndarray, tau: float) -> np.ndarray:
@@ -123,26 +134,30 @@ def best_response_gains(H, BPA, cross, gains) -> np.ndarray:
     """Best-response gains ``-H^{-1} (B^T P A + sum_{j != i} B^T P B^j K^j)``,
     that is ``-((tau/2) I + bracket)^{-1} B^T P Adrift`` with the drift
     ``Adrift = A + sum_{j != i} B^j K^j`` of the other agents' ``gains``."""
-    return -np.linalg.solve(H, BPA + np.einsum("ijpq,jqm->ipm", cross, gains))
+    k, n, p, _ = cross.shape
+    m = gains.shape[-1]
+    # One (k p, N p) @ (N p, m) product over every opponent at once.
+    coupling = cross.swapaxes(1, 2).reshape(k * p, n * p) @ gains.reshape(n * p, m)
+    return -np.linalg.solve(H, BPA + coupling.reshape(k, p, m))
 
 
 def closed_loop(A: np.ndarray, B: np.ndarray, gains: np.ndarray) -> np.ndarray:
     """All-agent closed loop ``A + sum_j B^j K^j`` of one stage."""
-    return A + np.einsum("jmp,jpk->mk", B, gains)
+    return A + _side_by_side(B) @ gains.reshape(-1, gains.shape[-1])
 
 
 def stage_noise(spec: GameSpec, t: int, covs: np.ndarray) -> np.ndarray:
     """Process noise plus every agent's action noise, ``W + sum_j B^j cov^j B^j^T``."""
     B = spec.B[:, t]
-    return spec.noise_cov + np.einsum("jmp,jpq,jnq->mn", B, covs, B)
+    return spec.noise_cov + _side_by_side(B @ covs) @ B.swapaxes(-1, -2).reshape(-1, spec.state_dim)
 
 
 def lyapunov_step(Q, R, tau: float, closed, gains, tails) -> np.ndarray:
     """Value matrices under frozen gains one stage back, symmetrized:
     ``P = Q + K^T ((tau/2) I + R) K + Acl^T P_next Acl``.  Leading (agent)
     axes broadcast, so one closed loop ``Acl`` may serve every agent."""
-    own = np.einsum("...pm,...pq,...qn->...mn", gains, 0.5 * tau * np.eye(R.shape[-1]) + R, gains)
-    return _sym(Q + own + np.einsum("...lm,...lk,...kn->...mn", closed, tails, closed))
+    own = gains.swapaxes(-1, -2) @ (0.5 * tau * np.eye(R.shape[-1]) + R) @ gains
+    return _sym(Q + own + closed.swapaxes(-1, -2) @ tails @ closed)
 
 
 def offset_step(R, tau, noise, covs, logdets, tails, q_next) -> np.ndarray:

@@ -114,11 +114,16 @@ def exploitability(spec: GameSpec, joint: JointPolicy) -> np.ndarray:
     batched backward pass.  Nonnegative up to round-off (~1e-9 floor);
     identically zero at an exact equilibrium.
     """
-    base = value_certificate(spec, joint)
+    return _nash_gaps(spec, joint, value_certificate(spec, joint).expected_costs)
+
+
+def _nash_gaps(spec: GameSpec, joint: JointPolicy, base_costs: np.ndarray) -> np.ndarray:
+    """Nash gaps of a joint policy whose certified expected costs are
+    ``base_costs``: each agent's cost less that of its best response."""
     _, _, P, q = best_responses(
         spec, stack_gains(joint), stack_covs(joint), np.arange(spec.num_agents)
     )
-    return base.expected_costs - expected_costs(spec, P[:, 0], q[:, 0])
+    return base_costs - expected_costs(spec, P[:, 0], q[:, 0])
 
 
 def policy_distance(a: JointPolicy, b: JointPolicy, t: int | None = None) -> float:

@@ -14,6 +14,7 @@ when that check fails.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,6 +110,20 @@ def _finite(t: int, what: str, *arrays: np.ndarray) -> None:
         raise SolverError(f"stage {t}: {what} are not finite; the backward pass diverged")
 
 
+@contextmanager
+def _stage(t: int):
+    """One stage of a backward pass.  Overflow is left to the :func:`_finite`
+    checks rather than warned about, and a singular solve or factorization
+    anywhere in the stage raises :class:`SolverError` naming stage ``t``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            yield
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(
+                f"stage {t}: singular stage matrix ({exc}); the backward pass diverged"
+            ) from None
+
+
 def _phi(H: np.ndarray, cross: np.ndarray) -> np.ndarray:
     n, p = H.shape[0], H.shape[-1]
     blocks = cross.copy()
@@ -141,7 +156,8 @@ def exact_ne(spec: GameSpec, cond_limit: float = COND_LIMIT) -> NESolution:
     or ill-conditioned equilibrium; raising ``tau`` (see
     :func:`delta_augment_solve`) repairs this.  Also raises
     :class:`SolverError` naming the stage when its stage matrices or
-    values overflow, so a diverged pass never yields a policy.
+    values overflow or one of its solves or factorizations is singular, so
+    a diverged pass never yields a policy.
     """
     n, T = spec.num_agents, spec.horizon
     m, p = spec.state_dim, spec.action_dim
@@ -152,9 +168,8 @@ def exact_ne(spec: GameSpec, cond_limit: float = COND_LIMIT) -> NESolution:
     gains = np.empty((n, T, p, m))
     covs = np.empty((n, T, p, p))
 
-    # Overflow is reported as a named divergence, not as a warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(T - 1, -1, -1):
+    for t in range(T - 1, -1, -1):
+        with _stage(t):
             tails = P[:, t + 1]
             bracket, H, BPA, cross = stage_system(spec, t, tails, agents)
             phi = _phi(H, cross)
@@ -231,7 +246,8 @@ def po_solve(
     Non-convergence is visible in the returned trace (distances failing to
     decrease) and in the contraction moduli.  Raises :class:`SolverError`
     naming the stage when its stage matrices, its gains or the tail values
-    it leaves are not finite, so a diverged pass never yields a policy.
+    it leaves are not finite, or when one of its solves is singular, so a
+    diverged pass never yields a policy.
     """
     if inner_iters is None and stop_tol is None:
         raise ValueError("need inner_iters >= 1 or stop_tol > 0")
@@ -251,9 +267,8 @@ def po_solve(
     trace_by_stage: list[tuple[float, ...]] = [()] * T
     moduli = np.zeros(T)
 
-    # Overflow is reported as a named divergence, not as a warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(T - 1, -1, -1):
+    for t in range(T - 1, -1, -1):
+        with _stage(t):
             moduli[t] = contraction_modulus(spec, t, tails)
             bracket, H, BPA, cross = stage_system(spec, t, tails, agents)
             _finite(t, "stage matrices", H, BPA, cross)

@@ -10,7 +10,7 @@ import lqnash as lq
 from lqnash import cli
 from lqnash.cli import main
 
-from conftest import SCALAR_GAME_TEXT
+from conftest import SCALAR_GAME_TEXT, random_pd_policy
 
 
 @pytest.fixture
@@ -192,7 +192,8 @@ def test_po_divergence_exit_code_with_warnings_as_errors(tmp_path, capsys):
         code = run("solve-po", "--spec", gen / "spec.json", "--out", tmp_path / "po",
                    "--inner-iters", 50)
     assert code == 3
-    assert "stage 389:" in capsys.readouterr().err
+    # The stage is set by last-bit rounding of the stage products; exit 3 is the contract.
+    assert "stage 395:" in capsys.readouterr().err
 
 
 def test_exact_overflow_exit_code(tmp_path, capsys):
@@ -314,6 +315,36 @@ def test_json_outputs_match_json_encoder(tmp_path):
     doc["exploitability"] = [float(g) for g in lq.exploitability(spec, po_policy)]
     doc["compare_distance"] = lq.policy_distance(po_policy, sol.policy)
     assert (po / "certificate.json").read_bytes() == _encoded(doc)
+
+
+def test_eval_certificate_computed_once(tmp_path, monkeypatch):
+    """eval writes the bytes of value_certificate plus exploitability, but
+    computes the certificate once."""
+    spec = lq.random_game(3, 4, 3, 2, seed=17, scale=0.5).with_tau(5.0)
+    spec_path = tmp_path / "game.json"
+    spec_path.write_text(lq.dump_game_spec(spec))
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "policy.json").write_text(lq.dump_joint_policy(random_pd_policy(spec, np.random.default_rng(17))))
+    joint = lq.load_joint_policy((out / "policy.json").read_text())
+    cert = lq.value_certificate(spec, joint)
+    doc = _reference_certificate(
+        spec, np.stack([a.P for a in cert.agents]), np.stack([a.q for a in cert.agents])
+    )
+    doc["exploitability"] = [float(g) for g in lq.exploitability(spec, joint)]
+    assert max(doc["exploitability"]) > 1e-6  # not an equilibrium
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return lq.value_certificate(*args)
+
+    monkeypatch.setattr(cli, "value_certificate", counted)
+    monkeypatch.setattr(lq.evaluate, "value_certificate", counted)
+    assert run("eval", "--spec", spec_path, "--out", out) == 0
+    assert len(calls) == 1
+    assert (out / "certificate.json").read_bytes() == _encoded(doc)
 
 
 def test_validation_error_exit_code(tmp_path, capsys):

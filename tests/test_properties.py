@@ -2,10 +2,13 @@
 other on generated games.
 
 Games cover one agent, one stage, more action than state dimensions, and
-singular noise and initial covariances.  The Hypothesis profile in
-``conftest.py`` is derandomized, so every run draws the same examples.
+singular noise and initial covariances; a separate strategy draws long
+horizons and unstable ``A``, on which the solvers may diverge.  The
+Hypothesis profile in ``conftest.py`` is derandomized, so every run draws
+the same examples.
 """
 import dataclasses
+import warnings
 
 import numpy as np
 from hypothesis import assume, given, strategies as st
@@ -90,3 +93,35 @@ def test_json_round_trips_bit_for_bit(spec, seed):
     assert np.array_equal(lq.stack_gains(loaded), lq.stack_gains(joint))
     assert np.array_equal(lq.stack_covs(loaded), lq.stack_covs(joint))
     assert lq.dump_joint_policy(loaded) == text
+
+
+@st.composite
+def long_unstable_games(draw):
+    """Horizons up to 60 and ``A``/``B`` entries up to 1.5 in magnitude, so
+    ``A`` is often unstable and the backward passes may diverge."""
+    spec = lq.random_game(draw(st.integers(1, 3)), draw(st.integers(1, 60)), draw(st.integers(1, 4)),
+                          draw(st.integers(1, 3)), seed=draw(st.integers(0, 2**32 - 1)),
+                          scale=draw(st.sampled_from([0.3, 0.8, 1.2, 1.5])))
+    return spec.with_tau(draw(st.sampled_from([0.01, 0.1, 1.0, 10.0])))
+
+
+def _all_finite(*arrays):
+    return all(np.isfinite(a).all() for a in arrays)
+
+
+@given(long_unstable_games())
+def test_solvers_return_finite_or_name_the_divergence(spec):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            sol = lq.exact_ne(spec)
+        except lq.SolverError as exc:
+            assert str(exc).startswith("stage ")
+        else:
+            assert _all_finite(lq.stack_gains(sol.policy), lq.stack_covs(sol.policy), sol.riccati, sol.offsets)
+        try:
+            report = lq.po_solve(spec, inner_iters=5)
+        except lq.SolverError as exc:
+            assert str(exc).startswith("stage ")
+        else:
+            assert _all_finite(lq.stack_gains(report.policy), lq.stack_covs(report.policy))

@@ -275,3 +275,28 @@ class TestDeltaAugment:
             lq.delta_augment_solve(spec, delta_init=0.1, growth=1.0)
         with pytest.raises(ValueError):
             lq.delta_augment_solve(spec, delta_init=0.1, max_rounds=0)
+
+
+SOLVERS = {"exact_ne": lq.exact_ne, "po_solve": lambda spec: lq.po_solve(spec, inner_iters=3)}
+
+
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+@pytest.mark.parametrize("stage", [0, 3, 5])
+def test_singular_stage_is_named_whatever_the_rounding(monkeypatch, solver, stage):
+    """A LinAlgError anywhere in stage t becomes a SolverError naming t.
+    The fault is injected, so the stage does not depend on round-off."""
+    spec = lq.random_game(2, 6, 3, 2, seed=5, scale=0.5)
+    real = lq.solver.stage_covariance
+    seen = []
+
+    def covariance(bracket, tau):
+        # Both solvers take one stage covariance per stage, last stage first.
+        seen.append(spec.horizon - 1 - len(seen))
+        if seen[-1] == stage:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real(bracket, tau)
+
+    monkeypatch.setattr(lq.solver, "stage_covariance", covariance)
+    with pytest.raises(lq.SolverError, match=f"^stage {stage}: singular"):
+        SOLVERS[solver](spec)
+    assert seen == list(range(spec.horizon - 1, stage - 1, -1))

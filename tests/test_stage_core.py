@@ -1,13 +1,15 @@
 """The agent-batched stage core against per-agent reference loops.
 
-The reference loops below are the per-agent implementations the batched
-code replaced, kept here verbatim (up to names) as oracles.
+The reference loops below are per-agent implementations of the batched
+code, kept here as oracles; each stage primitive is also checked against
+its einsum definition, written out in its test.
 """
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 import lqnash as lq
+from lqnash import control
 
 from conftest import random_pd_policy
 
@@ -44,18 +46,20 @@ def reference_certificate(spec, joint):
     return P, q
 
 
-def reference_lyapunov_einsum(spec, joint, agent, from_t=0):
-    """One agent's value matrices with the policy-optimization value step,
-    whose einsum arithmetic the batched step keeps bit for bit."""
+def reference_lyapunov(spec, joint, agent, from_t=0):
+    """One agent's value matrices, one matrix product at a time, with the
+    closed loop as ``[B^1 ... B^N] [K^1; ...; K^N]``; the batched value step
+    matches it bit for bit."""
     T = spec.horizon
     gains = lq.stack_gains(joint)
     eye = np.eye(spec.action_dim)
     out = np.empty((T - from_t + 1, spec.state_dim, spec.state_dim))
     out[-1] = spec.Q[agent, T]
     for s in range(T - 1, from_t - 1, -1):
-        closed = spec.A[s] + np.einsum("jmp,jpk->mk", spec.B[:, s], gains[:, s])
-        own = np.einsum("pm,pq,qn->mn", gains[agent, s], 0.5 * spec.tau * eye + spec.R[agent, s], gains[agent, s])
-        raw = spec.Q[agent, s] + own + np.einsum("lm,lk,kn->mn", closed, out[s + 1 - from_t], closed)
+        closed = spec.A[s] + np.hstack(spec.B[:, s]) @ np.vstack(gains[:, s])
+        gain = gains[agent, s]
+        own = gain.T @ (0.5 * spec.tau * eye + spec.R[agent, s]) @ gain
+        raw = spec.Q[agent, s] + own + closed.T @ out[s + 1 - from_t] @ closed
         out[s - from_t] = _sym(raw)
     return out
 
@@ -123,10 +127,10 @@ def test_certificate_matches_reference_loops(dims):
     P = np.stack([a.P for a in cert.agents])
     q = np.stack([a.q for a in cert.agents])
     for i in range(spec.num_agents):
-        npt.assert_array_equal(P[i], reference_lyapunov_einsum(spec, joint, i))
+        npt.assert_array_equal(P[i], reference_lyapunov(spec, joint, i))
         npt.assert_array_equal(lq.lyapunov_backward(spec, joint, i), P[i])
         npt.assert_array_equal(lq.lyapunov_backward(spec, joint, i, from_t=spec.horizon // 2),
-                               reference_lyapunov_einsum(spec, joint, i, from_t=spec.horizon // 2))
+                               reference_lyapunov(spec, joint, i, from_t=spec.horizon // 2))
     ref_P, ref_q = reference_certificate(spec, joint)
     npt.assert_allclose(P, ref_P, rtol=1e-13, atol=1e-13 * np.abs(ref_P).max())
     npt.assert_allclose(q, ref_q, rtol=1e-13, atol=1e-13 * np.abs(ref_q).max())
@@ -154,3 +158,73 @@ def test_best_response_full_is_one_row_of_the_batch(dims):
     for i in range(spec.num_agents):
         _, value = lq.best_response_full(spec, joint, i)
         npt.assert_allclose(value.expected_cost, base[i] - gaps[i], rtol=1e-13)
+
+
+def assert_close(actual, desired):
+    """Equal to 1e-13 relative, or to 1e-13 of the largest entry where
+    cancellation leaves an entry far below the others."""
+    npt.assert_allclose(actual, desired, rtol=1e-13, atol=1e-13 * np.abs(desired).max())
+
+
+def stage_case(dims):
+    """A game, a stage, a random policy and random PSD tail values for
+    every agent, plus an agent subset (every other agent, in reverse)."""
+    spec = lq.random_game(*dims, seed=sum(dims) + 4, scale=0.5)
+    rng = np.random.default_rng(sum(dims) + 4)
+    joint = random_pd_policy(spec, rng)
+    g = rng.normal(0.0, 1.0, (spec.num_agents, spec.state_dim, spec.state_dim))
+    tails = g @ g.swapaxes(-1, -2)
+    agents = np.arange(spec.num_agents - 1, -1, -2)
+    return spec, spec.horizon - 1, joint, tails, agents
+
+
+@pytest.mark.parametrize("dims", SIZES)
+def test_stage_system_matches_einsum(dims):
+    spec, t, _, tails, agents = stage_case(dims)
+    rows = np.arange(len(agents))
+    B = spec.B[:, t]
+    BtP = np.einsum("imp,imn->ipn", B[agents], tails[agents])
+    cross = np.einsum("ipm,jmq->ijpq", BtP, B)
+    bracket = spec.R[agents, t] + np.einsum("ipm,imq->ipq", BtP, B[agents])
+    cross[rows, agents] = 0.0
+    H = 0.5 * spec.tau * np.eye(spec.action_dim) + bracket
+    BPA = np.einsum("ipm,mn->ipn", BtP, spec.A[t])
+    for actual, desired in zip(control.stage_system(spec, t, tails[agents], agents), (bracket, H, BPA, cross)):
+        assert actual.shape == desired.shape
+        assert_close(actual, desired)
+
+
+@pytest.mark.parametrize("dims", SIZES)
+def test_best_response_gains_match_einsum(dims):
+    spec, t, joint, tails, agents = stage_case(dims)
+    gains = lq.stack_gains(joint)[:, t]
+    _, H, BPA, cross = control.stage_system(spec, t, tails[agents], agents)
+    desired = -np.linalg.solve(H, BPA + np.einsum("ijpq,jqm->ipm", cross, gains))
+    assert_close(control.best_response_gains(H, BPA, cross, gains), desired)
+    assert_close(control.best_response_gains(H, BPA, np.ascontiguousarray(cross), gains), desired)
+
+
+@pytest.mark.parametrize("dims", SIZES)
+def test_closed_loop_and_noise_match_einsum(dims):
+    spec, t, joint, _, _ = stage_case(dims)
+    gains, covs = lq.stack_gains(joint)[:, t], lq.stack_covs(joint)[:, t]
+    B = spec.B[:, t]
+    assert_close(control.closed_loop(spec.A[t], B, gains), spec.A[t] + np.einsum("jmp,jpk->mk", B, gains))
+    assert_close(control.stage_noise(spec, t, covs),
+                 spec.noise_cov + np.einsum("jmp,jpq,jnq->mn", B, covs, B))
+
+
+@pytest.mark.parametrize("dims", SIZES)
+def test_lyapunov_step_matches_einsum(dims):
+    spec, t, joint, tails, agents = stage_case(dims)
+    gains = lq.stack_gains(joint)[agents, t]
+    Q, R = spec.Q[agents, t], spec.R[agents, t]
+    own = 0.5 * spec.tau * np.eye(spec.action_dim) + R
+    rng = np.random.default_rng(sum(dims))
+    shared = rng.normal(0.0, 1.0, (spec.state_dim, spec.state_dim))
+    per_agent = rng.normal(0.0, 1.0, (len(agents), spec.state_dim, spec.state_dim))
+    for closed in (shared, per_agent):
+        raw = (Q + np.einsum("...pm,...pq,...qn->...mn", gains, own, gains)
+               + np.einsum("...lm,...lk,...kn->...mn", closed, tails[agents], closed))
+        desired = 0.5 * (raw + raw.swapaxes(-1, -2))
+        assert_close(control.lyapunov_step(Q, R, spec.tau, closed, gains, tails[agents]), desired)
