@@ -1,17 +1,17 @@
-"""Agent-batched stage primitives of the regularized game.
+"""Stage primitives of the regularized game, batched over agents and time.
 
 Each stage formula is written here once and batched over a leading agent
-axis: the best-response system (``B^T P``, the bracket ``R + B^T P B``,
-cross couplings), its covariance and gain, the closed-loop Lyapunov value
-and offset steps, the expected cost, and the uniqueness threshold.  The
-exact solver, policy optimization, the value certificate and the best
-responses behind the Nash gap all call them.  Every contraction is a
-stacked matrix product: agent stacks multiply as batches of matrices, and
-a sum over agents is one product of side-by-side blocks, such as
+axis: the joint gain system (``B^T P``, the bracket ``R + B^T P B``, cross
+couplings), its covariance and gain, the closed loop, the stage noise, the
+own-cost, value and offset steps, the expected cost and the uniqueness
+threshold, for the solvers, the value certificate and the best responses
+behind the Nash gap.  A backward pass keeps in its stage loop only the work
+that needs the tail ``P_{t+1}``; the rest is stacked over all stages, and
+the offsets are one reverse cumulative sum.  Every contraction is a stacked
+matrix product; a sum over agents is one product of blocks, such as
 ``[B^1 ... B^N] [K^1; ...; K^N]`` for the closed loop.  Also here: the
-closed-form Gaussian minimizer of an entropy-regularized quadratic stage
-cost and the KL helper.  Propagated value matrices are re-symmetrized each
-stage to suppress drift over long horizons.
+Gaussian minimizer of an entropy-regularized quadratic stage cost, the KL
+helper, and symmetrization of propagated values against drift.
 """
 from __future__ import annotations
 
@@ -102,8 +102,33 @@ def _max_frobenius(x: np.ndarray) -> float:
 
 
 def _side_by_side(B: np.ndarray) -> np.ndarray:
-    """The ``(N, m, p)`` stack ``B^j`` as one ``(m, N p)`` matrix ``[B^1 ... B^N]``."""
-    return B.swapaxes(0, 1).reshape(B.shape[1], -1)
+    """The ``(N, ..., m, p)`` stack ``B^j`` as ``(..., m, N p)`` blocks ``[B^1 ... B^N]``."""
+    return B.transpose(*range(1, B.ndim - 1), 0, -1).reshape(*B.shape[1:-1], B.shape[0] * B.shape[-1])
+
+
+def _stacked(x: np.ndarray) -> np.ndarray:
+    """The ``(N, ..., p, m)`` stack ``x^j`` as ``(..., N p, m)`` blocks ``[x^1; ...; x^N]``."""
+    return x.transpose(*range(1, x.ndim - 2), 0, -2, -1).reshape(*x.shape[1:-2], -1, x.shape[-1])
+
+
+def own_weight(tau: float, R: np.ndarray) -> np.ndarray:
+    """Weight ``(tau/2) I + R`` of an agent's own action in its stage cost."""
+    return 0.5 * tau * np.eye(R.shape[-1]) + R
+
+
+def stage_blocks(spec: GameSpec, t=slice(None)):
+    """Tail-free parts at stage(s) ``t``: ``B^T``, ``[B^1 ... B^N]``, ``(tau/2) I + R``, block diagonal."""
+    n, p = spec.num_agents, spec.action_dim
+    B, weight = spec.B[:, t], own_weight(spec.tau, spec.R[:, t])
+    reg = np.zeros(weight.shape[1:-2] + (n, p, n, p))
+    reg[..., np.arange(n), :, np.arange(n), :] = weight
+    return B.swapaxes(-1, -2), _side_by_side(B), weight, reg.reshape(weight.shape[1:-2] + (n * p, n * p))
+
+
+def joint_products(Bt: np.ndarray, side: np.ndarray, A: np.ndarray, tails: np.ndarray):
+    """Tail products ``[B^i^T P^i B^j]_{ij}`` ``(N p, N p)`` and ``[B^i^T P^i A]_i`` ``(N p, m)``."""
+    flat = (Bt @ tails).reshape(-1, A.shape[-1])
+    return flat @ side, flat @ A
 
 
 def stage_system(spec: GameSpec, t: int, tails: np.ndarray, agents: np.ndarray):
@@ -112,15 +137,15 @@ def stage_system(spec: GameSpec, t: int, tails: np.ndarray, agents: np.ndarray):
     ``B^i^T P^i A`` and the couplings ``B^i^T P^i B^j`` (zero for ``j = i``),
     the latter stacked as ``(k, N, p, p)`` over ``k`` agents and all ``N``."""
     k, rows = len(agents), np.arange(len(agents))
-    n, m, p = spec.num_agents, spec.state_dim, spec.action_dim
+    n, p = spec.num_agents, spec.action_dim
     B = spec.B[:, t]
-    BtP = B[agents].swapaxes(-1, -2) @ tails
-    # One (k p, m) @ (m, N p) product; rows (i, p), columns (j, q).
-    cross = (BtP.reshape(k * p, m) @ _side_by_side(B)).reshape(k, p, n, p).swapaxes(1, 2)
+    products, BPA = joint_products(B[agents].swapaxes(-1, -2), _side_by_side(B), spec.A[t], tails)
+    # Rows (i, p), columns (j, q) of the products.
+    cross = products.reshape(k, p, n, p).swapaxes(1, 2)
     bracket = spec.R[agents, t] + cross[rows, agents]
     cross[rows, agents] = 0.0
     H = 0.5 * spec.tau * np.eye(p) + bracket
-    return bracket, H, BtP @ spec.A[t], cross
+    return bracket, H, BPA.reshape(k, p, -1), cross
 
 
 def stage_covariance(bracket: np.ndarray, tau: float) -> np.ndarray:
@@ -142,40 +167,56 @@ def best_response_gains(H, BPA, cross, gains) -> np.ndarray:
 
 
 def closed_loop(A: np.ndarray, B: np.ndarray, gains: np.ndarray) -> np.ndarray:
-    """All-agent closed loop ``A + sum_j B^j K^j`` of one stage."""
-    return A + _side_by_side(B) @ gains.reshape(-1, gains.shape[-1])
+    """All-agent closed loop ``A + sum_j B^j K^j`` of one stage, or of a stack of stages."""
+    return A + _side_by_side(B) @ _stacked(gains)
 
 
-def stage_noise(spec: GameSpec, t: int, covs: np.ndarray) -> np.ndarray:
-    """Process noise plus every agent's action noise, ``W + sum_j B^j cov^j B^j^T``."""
+def stage_noise(spec: GameSpec, t, covs: np.ndarray) -> np.ndarray:
+    """Process plus every agent's action noise ``W + sum_j B^j cov^j B^j^T`` at stage(s) ``t``."""
     B = spec.B[:, t]
-    return spec.noise_cov + _side_by_side(B @ covs) @ B.swapaxes(-1, -2).reshape(-1, spec.state_dim)
+    return spec.noise_cov + _side_by_side(B @ covs) @ _stacked(B.swapaxes(-1, -2))
+
+
+def own_cost(weight: np.ndarray, gains: np.ndarray) -> np.ndarray:
+    """Own-action term ``K^T ((tau/2) I + R) K`` of the value step."""
+    return gains.swapaxes(-1, -2) @ weight @ gains
+
+
+def value_step(Qown: np.ndarray, closed: np.ndarray, tails: np.ndarray) -> np.ndarray:
+    """Value matrices one stage back, symmetrized: ``P = Qown + Acl^T P_next Acl``; agents broadcast."""
+    return _sym(Qown + closed.swapaxes(-1, -2) @ tails @ closed)
 
 
 def lyapunov_step(Q, R, tau: float, closed, gains, tails) -> np.ndarray:
-    """Value matrices under frozen gains one stage back, symmetrized:
-    ``P = Q + K^T ((tau/2) I + R) K + Acl^T P_next Acl``.  Leading (agent)
-    axes broadcast, so one closed loop ``Acl`` may serve every agent."""
-    own = gains.swapaxes(-1, -2) @ (0.5 * tau * np.eye(R.shape[-1]) + R) @ gains
-    return _sym(Q + own + closed.swapaxes(-1, -2) @ tails @ closed)
+    """Value matrices one stage back: ``P = Q + K^T ((tau/2) I + R) K + Acl^T P_next Acl``."""
+    return value_step(Q + own_cost(own_weight(tau, R), gains), closed, tails)
 
 
-def offset_step(R, tau, noise, covs, logdets, tails, q_next) -> np.ndarray:
-    """Value offsets one stage back, ``q = q_next + tr(cov ((tau/2) I + R))
-    - (tau/2)(p + log|cov|) + tr(W P_next)``, where the noise ``W`` holds
-    every agent's action noise pushed through its input matrix."""
-    p = R.shape[-1]
-    own = 0.5 * tau * np.eye(p) + R
-    return q_next + _trace(covs @ own) - 0.5 * tau * (p + logdets) + _trace(noise @ tails)
+def lyapunov_values(spec: GameSpec, gains: np.ndarray) -> np.ndarray:
+    """Every agent's value matrices ``(N, T+1, m, m)`` under frozen joint gains;
+    only ``Acl_t^T P_{t+1} Acl_t`` runs stage by stage (see :func:`lyapunov_step`)."""
+    T = spec.horizon
+    closed = closed_loop(spec.A, spec.B, gains)
+    P = spec.Q.copy()
+    P[:, :T] += own_cost(own_weight(spec.tau, spec.R), gains)
+    for t in range(T - 1, -1, -1):
+        P[:, t] = value_step(P[:, t], closed[t], P[:, t + 1])
+    return P
 
 
-def certificate_step(spec: GameSpec, t: int, gains, covs, logdets, tails, q_next):
-    """Every agent's value matrices and offsets at stage ``t`` under the
-    joint stage policy ``(gains, covs)``, from the tail values ``tails``."""
-    closed = closed_loop(spec.A[t], spec.B[:, t], gains)
-    P = lyapunov_step(spec.Q[:, t], spec.R[:, t], spec.tau, closed, gains, tails)
-    q = offset_step(spec.R[:, t], spec.tau, stage_noise(spec, t, covs), covs, logdets, tails, q_next)
-    return P, q
+def offset_terms(tau: float, weight, covs, logdets, noise, tails) -> np.ndarray:
+    """Offset terms ``tr(cov ((tau/2) I + R)) - (tau/2)(p + log|cov|) + tr(W P_next)``, ``W`` the noise."""
+    p = covs.shape[-1]
+    return _trace(covs @ weight) - 0.5 * tau * (p + logdets) + _trace(noise @ tails)
+
+
+def value_offsets(tau: float, weight, covs, logdets, noise, P) -> np.ndarray:
+    """Offsets ``q_t = q_{t+1} + term_t``, ``q_T = 0``, of the values ``P`` stacked
+    ``(..., T+1, m, m)``: all :func:`offset_terms` at once, then a reverse cumsum."""
+    terms = offset_terms(tau, weight, covs, logdets, noise, P[..., 1:, :, :])
+    q = np.zeros(P.shape[:-2])
+    q[..., :-1] = np.cumsum(terms[..., ::-1], axis=-1)[..., ::-1]
+    return q
 
 
 def expected_costs(spec: GameSpec, P0: np.ndarray, q0: np.ndarray) -> np.ndarray:
@@ -185,11 +226,10 @@ def expected_costs(spec: GameSpec, P0: np.ndarray, q0: np.ndarray) -> np.ndarray
     return mean_term + _trace(spec.init_cov @ P0) + q0
 
 
-def uniqueness_threshold(spec: GameSpec, gamma_p: float) -> tuple[float, float]:
-    """``(gamma_B, 2 gamma_B^2 gamma_P (N - 1))`` with ``gamma_B`` the largest
-    input-matrix norm over all agents and stages.  Products of Python floats
-    overflow to ``inf`` without raising."""
-    gamma_b = _max_frobenius(spec.B)
+def uniqueness_threshold(spec: GameSpec, gamma_p: float, gamma_b: float | None = None) -> tuple[float, float]:
+    """``(gamma_B, 2 gamma_B^2 gamma_P (N - 1))``, ``gamma_B`` the largest input-matrix norm over
+    all agents and stages unless given.  Python float products overflow to ``inf`` without raising."""
+    gamma_b = _max_frobenius(spec.B) if gamma_b is None else gamma_b
     return gamma_b, 2.0 * gamma_b * gamma_b * gamma_p * (spec.num_agents - 1)
 
 
@@ -275,16 +315,7 @@ def lyapunov_backward(
     where ``Acl_s = A_s + sum_j B^j_s K^j_s`` is the closed loop over all
     agents.  Policy covariances do not enter.
     """
-    T = spec.horizon
-    gains = stack_gains(joint)
-    out = np.empty((T - from_t + 1, spec.state_dim, spec.state_dim))
-    out[-1] = spec.Q[agent, T]
-    for s in range(T - 1, from_t - 1, -1):
-        closed = closed_loop(spec.A[s], spec.B[:, s], gains[:, s])
-        out[s - from_t] = lyapunov_step(
-            spec.Q[agent, s], spec.R[agent, s], spec.tau, closed, gains[agent, s], out[s + 1 - from_t]
-        )
-    return out
+    return lyapunov_values(spec, stack_gains(joint))[agent, from_t:]
 
 
 def best_response_stage(
@@ -318,28 +349,22 @@ def best_responses(spec: GameSpec, gains: np.ndarray, covs: np.ndarray, agents: 
     values are the certificate of the joint policy with the responder's
     stage policy replaced.  Returns the responders' gains, covariances,
     value matrices and offsets, stacked over ``agents``."""
-    T, m, p = spec.horizon, spec.state_dim, spec.action_dim
-    k = len(agents)
-    Q, R = spec.Q[agents], spec.R[agents]
-    P = np.empty((k, T + 1, m, m))
-    q = np.zeros((k, T + 1))
-    P[:, T] = Q[:, T]
-    new_gains = np.empty((k, T, p, m))
-    new_covs = np.empty((k, T, p, p))
+    T = spec.horizon
+    Q, B = spec.Q[agents], spec.B[agents]
+    Bt, weight = B.swapaxes(-1, -2), own_weight(spec.tau, spec.R[agents])
+    # The opponents' drift: the joint closed loop less the responder's own term.
+    drift = closed_loop(spec.A, spec.B, gains) - B @ gains[agents]
+    P, new_gains, products = Q.copy(), np.empty_like(gains[agents]), np.empty_like(covs[agents])
     for t in range(T - 1, -1, -1):
         tails = P[:, t + 1]
-        bracket, H, BPA, cross = stage_system(spec, t, tails, agents)
-        gain = best_response_gains(H, BPA, cross, gains[:, t])
-        cov = stage_covariance(bracket, spec.tau)
-        Bi = spec.B[agents, t]
-        closed = closed_loop(spec.A[t], spec.B[:, t], gains[:, t]) + Bi @ (gain - gains[agents, t])
-        noise = stage_noise(spec, t, covs[:, t]) + Bi @ (cov - covs[agents, t]) @ Bi.swapaxes(-1, -2)
-        P[:, t] = lyapunov_step(Q[:, t], R[:, t], spec.tau, closed, gain, tails)
-        logdets = _logdets(np.linalg.cholesky(cov))
-        q[:, t] = offset_step(R[:, t], spec.tau, noise, cov, logdets, tails, q[:, t + 1])
-        new_gains[:, t] = gain
-        new_covs[:, t] = cov
-    return new_gains, new_covs, P, q
+        BtP = Bt[:, t] @ tails
+        products[:, t] = BtP @ B[:, t]
+        gain = new_gains[:, t] = -np.linalg.solve(weight[:, t] + products[:, t], BtP @ drift[:, t])
+        P[:, t] = value_step(Q[:, t] + own_cost(weight[:, t], gain), drift[:, t] + B[:, t] @ gain, tails)
+    new_covs = stage_covariance(spec.R[agents] + products, spec.tau)
+    noise = stage_noise(spec, slice(None), covs) + B @ (new_covs - covs[agents]) @ Bt
+    logdets = _logdets(np.linalg.cholesky(new_covs))
+    return new_gains, new_covs, P, value_offsets(spec.tau, weight, new_covs, logdets, noise, P)
 
 
 def best_response_full(

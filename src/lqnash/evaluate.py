@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rollout import rollout
-from .control import AgentValue, _cholesky, _logdets, best_responses, certificate_step, expected_costs
+from .control import (AgentValue, _cholesky, _logdets, best_responses, expected_costs, lyapunov_values,
+                      own_weight, stage_noise, value_offsets)
 from .model import GameSpec, JointPolicy, check_policy_shape, stack_covs, stack_gains
 
 __all__ = [
@@ -79,19 +80,12 @@ def value_certificate(spec: GameSpec, joint: JointPolicy) -> ValueCertificate:
     action noise pushed through its input matrix.
     """
     check_policy_shape(spec, joint)
-    n, T = spec.num_agents, spec.horizon
     gains = stack_gains(joint)
     covs = stack_covs(joint)
     _, logdets = _policy_cholesky(covs)
-
-    P = np.empty((n, T + 1, spec.state_dim, spec.state_dim))
-    q = np.zeros((n, T + 1))
-    P[:, T] = spec.Q[:, T]
-    for t in range(T - 1, -1, -1):
-        P[:, t], q[:, t] = certificate_step(
-            spec, t, gains[:, t], covs[:, t], logdets[:, t], P[:, t + 1], q[:, t + 1]
-        )
-
+    P = lyapunov_values(spec, gains)
+    noise = stage_noise(spec, slice(None), covs)
+    q = value_offsets(spec.tau, own_weight(spec.tau, spec.R), covs, logdets, noise, P)
     return _certificate(spec, P, q)
 
 

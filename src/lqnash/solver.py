@@ -1,11 +1,12 @@
 """Nash equilibrium solvers and diagnostics.
 
-Two routes to the same equilibrium: an exact backward pass that solves a
-stacked linear system for all agents' gains at each stage, and an
-iterative receding-horizon scheme that converges the last stage first
-and sweeps backward, applying all agents' best responses simultaneously
-within each stage.  Both exploit the fact that with entropy-regularized
-costs every equilibrium policy is linear Gaussian.
+Two routes to the same equilibrium, both on the joint gain system
+``Phi_t G = -B^T P A`` of each stage: an exact backward pass that solves it
+for all agents' gains at once, and an iterative receding-horizon scheme
+that converges the last stage first and sweeps backward, applying all
+agents' best responses simultaneously within each stage.  The latter is
+block-Jacobi on the same system.  Both exploit the fact that with
+entropy-regularized costs every equilibrium policy is linear Gaussian.
 
 Also here: the stage coupling matrix of the joint gain system, the
 contraction modulus of the simultaneous best-response map, the
@@ -19,17 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import (
-    _logdets,
-    _max_frobenius,
-    best_response_gains,
-    certificate_step,
-    closed_loop,
-    lyapunov_step,
-    stage_covariance,
-    stage_system,
-    uniqueness_threshold,
-)
+from .control import (_logdets, _max_frobenius, joint_products, offset_terms, own_cost, stage_blocks,
+                      stage_covariance, stage_noise, uniqueness_threshold, value_offsets, value_step)
 from .evaluate import exploitability
 from .model import GameSpec, JointPolicy, joint_policy_from_arrays
 
@@ -124,13 +116,6 @@ def _stage(t: int):
             ) from None
 
 
-def _phi(H: np.ndarray, cross: np.ndarray) -> np.ndarray:
-    n, p = H.shape[0], H.shape[-1]
-    blocks = cross.copy()
-    blocks[np.arange(n), np.arange(n)] = H
-    return blocks.swapaxes(1, 2).reshape(n * p, n * p)
-
-
 def phi_matrix(spec: GameSpec, t: int, P_next: np.ndarray) -> np.ndarray:
     """Stage coupling matrix of the stacked gain equations.
 
@@ -139,59 +124,83 @@ def phi_matrix(spec: GameSpec, t: int, P_next: np.ndarray) -> np.ndarray:
     ``(i, j)`` for ``j != i`` is ``B^i^T P^i B^j``.  Strict diagonal
     dominance of this matrix is what the adequacy check certifies.
     """
-    P_next = np.asarray(P_next, dtype=float)
-    _, H, _, cross = stage_system(spec, t, P_next, np.arange(spec.num_agents))
-    return _phi(H, cross)
+    Bt, side, _, reg = stage_blocks(spec, t)
+    products, _ = joint_products(Bt, side, spec.A[t], np.asarray(P_next, dtype=float))
+    return products + reg
 
 
 def exact_ne(spec: GameSpec, cond_limit: float = COND_LIMIT) -> NESolution:
     """Equilibrium via the backward stacked-gain linear system.
 
-    At each stage the gains of all agents solve one linear system built
-    from the current tail value matrices; covariances follow in closed
-    form, and the values are the certificate step at the solved stage, so
-    ``riccati``/``offsets`` equal ``value_certificate(spec, sol.policy)``.
-    Raises :class:`SolverError` when a stage system is numerically singular
-    (condition estimate above ``cond_limit``), which signals a non-unique
-    or ill-conditioned equilibrium; raising ``tau`` (see
-    :func:`delta_augment_solve`) repairs this.  Also raises
-    :class:`SolverError` naming the stage when its stage matrices or
-    values overflow or one of its solves or factorizations is singular, so
-    a diverged pass never yields a policy.
+    At each stage the gains of all agents solve ``Phi_t G = -B^T P A`` (see
+    :func:`phi_matrix`); covariances follow in closed form, and the values
+    are the certificate's, so ``riccati``/``offsets`` equal
+    ``value_certificate(spec, sol.policy)``.  Raises :class:`SolverError`
+    when a stage system is numerically singular (condition estimate above
+    ``cond_limit``), which signals a non-unique or ill-conditioned
+    equilibrium; raising ``tau`` (see :func:`delta_augment_solve`) repairs
+    this.  Also raises :class:`SolverError` naming the stage when its stage
+    matrices or values overflow or one of its solves or factorizations is
+    singular, so a diverged pass never yields a policy.  The checks run
+    stacked after the stage loop; the error is that of the first failing
+    check of a stage-by-stage pass.
     """
     n, T = spec.num_agents, spec.horizon
     m, p = spec.state_dim, spec.action_dim
-    agents = np.arange(n)
-    P = np.empty((n, T + 1, m, m))
-    q = np.zeros((n, T + 1))
-    P[:, T] = spec.Q[:, T]
-    gains = np.empty((n, T, p, m))
-    covs = np.empty((n, T, p, p))
-
-    for t in range(T - 1, -1, -1):
-        with _stage(t):
+    Bt, side, weight, reg = stage_blocks(spec)
+    P = spec.Q.copy()
+    phis, BPA, G = np.zeros((T, n * p, n * p)), np.zeros((T, n * p, m)), np.zeros((T, n * p, m))
+    failure = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Only the gain solve and the value step need the tail values.
+        for t in range(T - 1, -1, -1):
             tails = P[:, t + 1]
-            bracket, H, BPA, cross = stage_system(spec, t, tails, agents)
-            phi = _phi(H, cross)
-            _finite(t, "stage matrices", phi, BPA)
-            # Beyond the float range, round-off in the closed loop A + sum B K,
-            # weighted by the tail values, exceeds any value the stage can certify.
-            _finite(t, "open-loop values", spec.A[t].T @ tails @ spec.A[t])
-            cond = float(np.linalg.cond(phi))
-            if not np.isfinite(cond) or cond > cond_limit:
-                raise SolverError(
-                    f"stage {t}: coupling matrix condition {cond:.3e} exceeds {cond_limit:.1e}; "
-                    "non-unique or ill-conditioned equilibrium, consider tau augmentation"
-                )
-            gains[:, t] = np.linalg.solve(phi, -BPA.reshape(n * p, m)).reshape(n, p, m)
-            covs[:, t] = stage_covariance(bracket, spec.tau)
-            logdets = _logdets(np.linalg.cholesky(covs[:, t]))
-            P[:, t], q[:, t] = certificate_step(
-                spec, t, gains[:, t], covs[:, t], logdets, tails, q[:, t + 1]
-            )
-            _finite(t, "value matrices", P[:, t], q[:, t])
-
-    return NESolution(policy=joint_policy_from_arrays(gains, covs), riccati=P, offsets=q)
+            phis[t], BPA[t] = joint_products(Bt[:, t], side[t], spec.A[t], tails)
+            try:
+                G[t] = np.linalg.solve(phis[t] + reg[t], -BPA[t])
+                Qown = spec.Q[:, t] + own_cost(weight[:, t], G[t].reshape(n, p, m))
+                P[:, t] = value_step(Qown, spec.A[t] + side[t] @ G[t], tails)
+            except np.linalg.LinAlgError as exc:
+                failure = (t, exc)
+                break
+        first, agents = (0 if failure is None else failure[0]), np.arange(n)
+        brackets = spec.R + phis.reshape(T, n, p, n, p)[:, agents, :, agents]
+        phis += reg
+        # Beyond the float range, round-off in the closed loop A + sum B K,
+        # weighted by the tail values, exceeds any value the stage can certify.
+        open_loop = spec.A.swapaxes(-1, -2) @ P[:, 1:] @ spec.A
+        if failure is None:
+            try:
+                covs = stage_covariance(brackets, spec.tau)
+                logdets = _logdets(np.linalg.cholesky(covs))
+                q = value_offsets(spec.tau, weight, covs, logdets, stage_noise(spec, slice(None), covs), P)
+                if all(np.isfinite(a).all() for a in (phis, BPA, open_loop, P, q)):
+                    cond = np.linalg.cond(phis)
+                    if not (~np.isfinite(cond) | (cond > cond_limit)).any():
+                        policy = joint_policy_from_arrays(G.reshape(T, n, p, m).swapaxes(0, 1), covs)
+                        return NESolution(policy=policy, riccati=P, offsets=q)
+            except np.linalg.LinAlgError:
+                pass
+        # A check failed: find the stage, checking stage by stage, backward.
+        q_t = np.zeros(n)
+        for t in range(T - 1, first - 1, -1):
+            with _stage(t):
+                _finite(t, "stage matrices", phis[t], BPA[t])
+                _finite(t, "open-loop values", open_loop[:, t])
+                cond = float(np.linalg.cond(phis[t]))
+                if not np.isfinite(cond) or cond > cond_limit:
+                    raise SolverError(
+                        f"stage {t}: coupling matrix condition {cond:.3e} exceeds {cond_limit:.1e}; "
+                        "non-unique or ill-conditioned equilibrium, consider tau augmentation"
+                    )
+                if failure is not None and t == first:
+                    raise failure[1]
+                cov = stage_covariance(brackets[:, t], spec.tau)
+                logdets = _logdets(np.linalg.cholesky(cov))
+                noise = stage_noise(spec, t, cov)
+                q_t = q_t + offset_terms(spec.tau, weight[:, t], cov, logdets, noise, P[:, t + 1])
+                _finite(t, "value matrices", P[:, t], q_t)
+    raise SolverError("a stacked stage check failed that no single stage reproduces")
 
 
 def contraction_modulus(spec: GameSpec, t: int, P_next: np.ndarray) -> float:
@@ -259,44 +268,56 @@ def po_solve(
 
     n, T = spec.num_agents, spec.horizon
     m, p = spec.state_dim, spec.action_dim
-    agents = np.arange(n)
-    gains = np.zeros((n, T, p, m))
+    Bt, side, weight, _ = stage_blocks(spec)
+    agents, half = np.arange(n), 0.5 * spec.tau * np.eye(p)
+    gains = np.zeros((T, n * p, m))
     covs = np.zeros((n, T, p, p))
     tails = spec.Q[:, T].copy()  # (N, m, m) value matrices for the stage below
-    gamma_p_seen = _max_frobenius(tails)
+    gamma_b = _max_frobenius(spec.B)
+    gamma_p = gamma_p_seen = _max_frobenius(tails)
     trace_by_stage: list[tuple[float, ...]] = [()] * T
     moduli = np.zeros(T)
 
     for t in range(T - 1, -1, -1):
         with _stage(t):
-            moduli[t] = contraction_modulus(spec, t, tails)
-            bracket, H, BPA, cross = stage_system(spec, t, tails, agents)
-            _finite(t, "stage matrices", H, BPA, cross)
-            sigma_new = stage_covariance(bracket, spec.tau)
+            moduli[t] = uniqueness_threshold(spec, gamma_p, gamma_b)[1] / spec.tau
+            products, BPA = joint_products(Bt[:, t], side[t], spec.A[t], tails)
+            blocks = products.reshape(n, p, n, p)
+            bracket = spec.R[:, t] + blocks[agents, :, agents]
+            H = half + bracket
+            _finite(t, "stage matrices", products, H, BPA)
+            # Block-Jacobi on Phi_t G = -B^T P A, factored once: G <- c + M G, with
+            # c = -D^{-1} B^T P A, M = -D^{-1} E, D = blockdiag(H), E the cross couplings.
+            blocks[agents, :, agents] = 0.0  # leaves E in the products
+            rhs = np.concatenate((BPA.reshape(n, p, m), products.reshape(n, p, n * p)), axis=-1)
+            factored = -np.linalg.solve(H, rhs)
+            c, M = factored[..., :m].reshape(n * p, m), factored[..., m:].reshape(n * p, n * p)
+            covs[:, t] = stage_covariance(bracket, spec.tau)
+            # The covariance is fixed within a stage: it moves only on the first iteration.
+            cov_distance = np.sqrt((covs[:, t] ** 2).sum(axis=(1, 2))).sum()
 
+            G = gains[t]
             distances: list[float] = []
             for _ in range(L):
-                new_gains = best_response_gains(H, BPA, cross, gains[:, t])
-                d = float(
-                    np.sqrt(((new_gains - gains[:, t]) ** 2).sum(axis=(1, 2))).sum()
-                    + np.sqrt(((sigma_new - covs[:, t]) ** 2).sum(axis=(1, 2))).sum()
-                )
-                gains[:, t] = new_gains
-                covs[:, t] = sigma_new
+                new = c + M @ G
+                d = float(np.sqrt(((new - G) ** 2).reshape(n, -1).sum(axis=1)).sum() + cov_distance)
+                G, cov_distance = new, 0.0
                 distances.append(d)
                 if stop_tol is not None and d < stop_tol:
                     break
+            gains[t] = G
             trace_by_stage[t] = tuple(distances)
-            _finite(t, "policy gains", gains[:, t])
+            _finite(t, "policy gains", G)
 
             # Lyapunov step: fold the converged stage into each agent's tail value.
-            closed = closed_loop(spec.A[t], spec.B[:, t], gains[:, t])
-            tails = lyapunov_step(spec.Q[:, t], spec.R[:, t], spec.tau, closed, gains[:, t], tails)
+            Qown = spec.Q[:, t] + own_cost(weight[:, t], G.reshape(n, p, m))
+            tails = value_step(Qown, spec.A[t] + side[t] @ G, tails)
             _finite(t, "tail value matrices", tails)
-            gamma_p_seen = max(gamma_p_seen, _max_frobenius(tails))
+            gamma_p = _max_frobenius(tails)
+            gamma_p_seen = max(gamma_p_seen, gamma_p)
 
     return SolveReport(
-        policy=joint_policy_from_arrays(gains, covs),
+        policy=joint_policy_from_arrays(gains.reshape(T, n, p, m).swapaxes(0, 1), covs),
         trace=tuple(trace_by_stage),
         contraction_moduli=tuple(float(r) for r in moduli),
         condition=_condition(spec, gamma_p_seen, 0.0),

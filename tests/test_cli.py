@@ -193,7 +193,7 @@ def test_po_divergence_exit_code_with_warnings_as_errors(tmp_path, capsys):
                    "--inner-iters", 50)
     assert code == 3
     # The stage is set by last-bit rounding of the stage products; exit 3 is the contract.
-    assert "stage 395:" in capsys.readouterr().err
+    assert "stage 397:" in capsys.readouterr().err
 
 
 def test_exact_overflow_exit_code(tmp_path, capsys):

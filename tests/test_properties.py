@@ -11,11 +11,13 @@ import dataclasses
 import warnings
 
 import numpy as np
+import numpy.testing as npt
 from hypothesis import assume, given, strategies as st
 
 import lqnash as lq
 
 from conftest import random_pd_policy
+from test_stage_core import reference_best_response_cost
 
 # Gaps are differences of costs computed by two exact recursions; these are
 # round-off floors, not statistical tolerances.
@@ -69,6 +71,23 @@ def test_gaps_nonnegative_and_zero_at_equilibrium(spec, seed):
     assert np.all(np.abs(lq.exploitability(spec, sol.policy)) <= NE_GAP)
     joint = random_pd_policy(spec, np.random.default_rng(seed))
     assert np.all(lq.exploitability(spec, joint) >= GAP_FLOOR)
+
+
+@given(games())
+def test_exact_values_are_the_certificate(spec):
+    sol = lq.exact_ne(spec)
+    cert = lq.value_certificate(spec, sol.policy)
+    assert np.array_equal(sol.riccati, np.stack([a.P for a in cert.agents]))
+    assert np.array_equal(sol.offsets, np.stack([a.q for a in cert.agents]))
+
+
+@given(games(), st.integers(0, 2**32 - 1))
+def test_batched_gaps_match_serial_best_responses(spec, seed):
+    joint = random_pd_policy(spec, np.random.default_rng(seed))
+    base = lq.value_certificate(spec, joint).expected_costs
+    serial = np.array([reference_best_response_cost(spec, joint, i) for i in range(spec.num_agents)])
+    # A gap is a difference of two costs, so its round-off scales with them.
+    npt.assert_allclose(lq.exploitability(spec, joint), base - serial, rtol=1e-12, atol=1e-12 * np.abs(base).max())
 
 
 @given(games(), st.integers(0, 2**32 - 1))

@@ -286,17 +286,63 @@ def test_singular_stage_is_named_whatever_the_rounding(monkeypatch, solver, stag
     """A LinAlgError anywhere in stage t becomes a SolverError naming t.
     The fault is injected, so the stage does not depend on round-off."""
     spec = lq.random_game(2, 6, 3, 2, seed=5, scale=0.5)
-    real = lq.solver.stage_covariance
+    real = lq.solver.value_step
     seen = []
 
-    def covariance(bracket, tau):
-        # Both solvers take one stage covariance per stage, last stage first.
+    def value_step(Qown, closed, tails):
+        # Both solvers take one value step per stage, last stage first.
         seen.append(spec.horizon - 1 - len(seen))
         if seen[-1] == stage:
             raise np.linalg.LinAlgError("Singular matrix")
-        return real(bracket, tau)
+        return real(Qown, closed, tails)
 
-    monkeypatch.setattr(lq.solver, "stage_covariance", covariance)
+    monkeypatch.setattr(lq.solver, "value_step", value_step)
     with pytest.raises(lq.SolverError, match=f"^stage {stage}: singular"):
         SOLVERS[solver](spec)
     assert seen == list(range(spec.horizon - 1, stage - 1, -1))
+
+
+def condition_case():
+    """A game whose stage conditions vary with the stage, a limit that about
+    half of the stages exceed, and the largest failing stage, found with a
+    stage-by-stage ``phi_matrix`` + ``np.linalg.cond`` loop."""
+    spec = lq.random_game(2, 12, 3, 2, seed=2, scale=0.8).with_tau(0.5)
+    tails = lq.exact_ne(spec).riccati[:, 1:]
+    conds = np.array([np.linalg.cond(lq.phi_matrix(spec, t, tails[:, t])) for t in range(spec.horizon)])
+    ordered = np.sort(conds)
+    limit = 0.5 * (ordered[spec.horizon // 2] + ordered[spec.horizon // 2 + 1])
+    failing = np.flatnonzero(conds > limit)
+    return spec, limit, failing
+
+
+def test_condition_failure_names_the_largest_failing_stage():
+    spec, limit, failing = condition_case()
+    # Several stages fail, and neither the last nor the first failing stage is stage T - 1.
+    assert len(failing) >= 3 and failing[-1] < spec.horizon - 1
+    with pytest.raises(lq.SolverError, match=f"^stage {failing[-1]}: coupling matrix condition"):
+        lq.exact_ne(spec, cond_limit=limit)
+
+
+@pytest.mark.parametrize("fault", ["singular", "non-finite"])
+def test_condition_failure_wins_over_an_earlier_stage_fault(monkeypatch, fault):
+    """The backward pass meets the later stage first, so its condition
+    failure is named, not the fault injected at an earlier stage."""
+    spec, limit, failing = condition_case()
+    stage = failing[-1] - 1
+    real = lq.solver.value_step
+    seen = []
+
+    def value_step(Qown, closed, tails):
+        seen.append(spec.horizon - 1 - len(seen))
+        if seen[-1] == stage and fault == "singular":
+            raise np.linalg.LinAlgError("Singular matrix")
+        value = real(Qown, closed, tails)
+        return np.full_like(value, np.nan) if seen[-1] == stage else value
+
+    monkeypatch.setattr(lq.solver, "value_step", value_step)
+    message = "singular stage matrix" if fault == "singular" else "value matrices are not finite"
+    with pytest.raises(lq.SolverError, match=f"^stage {stage}: {message}"):
+        lq.exact_ne(spec)
+    seen.clear()
+    with pytest.raises(lq.SolverError, match=f"^stage {failing[-1]}: coupling matrix condition"):
+        lq.exact_ne(spec, cond_limit=limit)
