@@ -2,7 +2,10 @@
 
 One numpy kernel, vectorised over trajectories and looping over stages
 and agents.  It consumes pre-drawn standard normals, so the sampled
-numbers depend only on the caller's streams, not on the kernel.
+numbers depend only on the caller's streams, not on the kernel.  The
+draws are read stage-major, so each stage and agent touches contiguous
+rows, and every quadratic form is one matrix product plus a row-wise
+dot; both keep the per-stage work in BLAS and in short contiguous loops.
 
 ``ENV_VAR`` and :func:`active_backend` remain for tools that record which
 kernel ran; the answer is always ``"numpy"``.
@@ -29,35 +32,47 @@ def rollout(A, B, Q, R, K, L, logdets, tau, x0s, xis, omegas):
     (N,T,p,m)`` and covariance Cholesky factors ``L (N,T,p,p)`` with
     per-stage log-determinants ``logdets (N,T)``; sampled initial states
     ``x0s (n,m)``, per-agent action normals ``xis (n,T,N,p)``, and realized
-    process noise ``omegas (n,T,m)``.
+    process noise ``omegas (n,T,m)``.  Outputs are C-contiguous ``states
+    (n,T+1,m)``, ``actions (n,T,N,p)`` and ``costs (n,N)``.
+
+    Inside, the draws are read stage-major, ``xis`` as ``(T,N,n,p)`` and
+    ``omegas`` as ``(T,n,m)``, so every ``[t]`` and ``[t, i]`` slice is
+    contiguous.  Draws already laid out that way (transposed views of
+    stage-major arrays, as :func:`lqnash.evaluate.simulate` passes) are
+    not copied; any other layout is copied once.  Each quadratic form is
+    ``x'Qx = sum_j (x @ Q)_j x_j``.
     """
-    A, B, Q, R, K, L, logdets, x0s, xis, omegas = (
-        np.ascontiguousarray(arr) for arr in (A, B, Q, R, K, L, logdets, x0s, xis, omegas)
+    A, B, Q, R, K, L, logdets, x0s = (
+        np.ascontiguousarray(arr) for arr in (A, B, Q, R, K, L, logdets, x0s)
     )
+    xis = np.ascontiguousarray(np.transpose(xis, (1, 2, 0, 3)))
+    omegas = np.ascontiguousarray(np.swapaxes(omegas, 0, 1))
     tau = float(tau)
     n_traj, m = x0s.shape
     T = A.shape[0]
     N = B.shape[0]
     p = K.shape[2]
-    states = np.zeros((n_traj, T + 1, m))
-    actions = np.zeros((n_traj, T, N, p))
+    states = np.empty((n_traj, T + 1, m))
+    actions = np.empty((n_traj, T, N, p))
     costs = np.zeros((n_traj, N))
     x = x0s.copy()
     states[:, 0] = x
     for t in range(T):
-        xnext = x @ A[t].T + omegas[:, t]
+        xnext = x @ A[t].T
+        xnext += omegas[t]
         for i in range(N):
-            xi = xis[:, t, i]
-            u = x @ K[i, t].T + xi @ L[i, t].T
+            xi = xis[t, i]
+            u = x @ K[i, t].T
+            u += xi @ L[i, t].T
             actions[:, t, i] = u
             costs[:, i] += (
-                np.einsum("rj,jk,rk->r", x, Q[i, t], x)
-                + np.einsum("rj,jk,rk->r", u, R[i, t], u)
+                np.einsum("rj,rj->r", x @ Q[i, t], x)
+                + np.einsum("rj,rj->r", u @ R[i, t], u)
                 + 0.5 * tau * (np.einsum("rj,rj->r", u, u) - np.einsum("rj,rj->r", xi, xi) - logdets[i, t])
             )
-            xnext = xnext + u @ B[i, t].T
+            xnext += u @ B[i, t].T
         x = xnext
         states[:, t + 1] = x
     for i in range(N):
-        costs[:, i] += np.einsum("rj,jk,rk->r", x, Q[i, T], x)
+        costs[:, i] += np.einsum("rj,rj->r", x @ Q[i, T], x)
     return states, actions, costs

@@ -234,27 +234,61 @@ class TestSimulate:
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_matches_fresh_generator_per_trajectory(self, seed):
         # reference: a new Philox(key=[seed, r]) per trajectory, the same
-        # transforms, and the same kernel
+        # transforms, and the same kernel fed trajectory-major draws; the
+        # largest count spans two sampling chunks
         spec = lq.random_game(2, 3, 3, 2, seed=60, scale=0.5)
         joint = random_pd_policy(spec, np.random.default_rng(61))
-        n_traj = 150
         n, T, m, p = spec.num_agents, spec.horizon, spec.state_dim, spec.action_dim
-        normals = np.empty((n_traj, m + T * (n * p + m)))
-        for r in range(n_traj):
-            bit_gen = np.random.Philox(key=np.array([seed, r], dtype=np.uint64))
-            normals[r] = np.random.Generator(bit_gen).standard_normal(normals.shape[1])
-        rest = normals[:, m:].reshape(n_traj, T, n * p + m)
-        x0s = spec.init_mean + normals[:, :m] @ evaluate._psd_factor(spec.init_cov).T
-        omegas = rest[:, :, n * p :] @ evaluate._psd_factor(spec.noise_cov).T
         chol, logdets = evaluate._policy_cholesky(lq.stack_covs(joint))
-        states, actions, costs = rollout(
-            spec.A, spec.B, spec.Q, spec.R, lq.stack_gains(joint), chol, logdets, spec.tau,
-            x0s, rest[:, :, : n * p].reshape(n_traj, T, n, p), omegas,
-        )
-        result = lq.simulate(spec, joint, n_traj, seed)
-        npt.assert_array_equal(result.states, states)
-        npt.assert_array_equal(result.actions, actions)
-        npt.assert_array_equal(result.costs, costs)
+        for n_traj in (150, 1, evaluate._DRAW_CHUNK + 37):
+            normals = np.empty((n_traj, m + T * (n * p + m)))
+            for r in range(n_traj):
+                bit_gen = np.random.Philox(key=np.array([seed, r], dtype=np.uint64))
+                normals[r] = np.random.Generator(bit_gen).standard_normal(normals.shape[1])
+            rest = normals[:, m:].reshape(n_traj, T, n * p + m)
+            x0s = spec.init_mean + normals[:, :m] @ evaluate._psd_factor(spec.init_cov).T
+            omegas = rest[:, :, n * p :] @ evaluate._psd_factor(spec.noise_cov).T
+            states, actions, costs = rollout(
+                spec.A, spec.B, spec.Q, spec.R, lq.stack_gains(joint), chol, logdets, spec.tau,
+                x0s, rest[:, :, : n * p].reshape(n_traj, T, n, p), omegas,
+            )
+            result = lq.simulate(spec, joint, n_traj, seed)
+            npt.assert_array_equal(result.states, states)
+            npt.assert_array_equal(result.actions, actions)
+            npt.assert_array_equal(result.costs, costs)
+
+    def test_outputs_c_contiguous_with_documented_shapes(self):
+        # the kernel reads its draws stage-major; none of that layout may
+        # leak into the arrays handed back
+        spec = lq.random_game(2, 3, 3, 2, seed=62, scale=0.5)
+        joint = random_pd_policy(spec, np.random.default_rng(63))
+        for n_traj in (1, 40):
+            result = lq.simulate(spec, joint, n_traj, seed=9)
+            expected = {
+                "states": (n_traj, 4, 3),
+                "actions": (n_traj, 3, 2, 2),
+                "costs": (n_traj, 2),
+                "mean_costs": (2,),
+                "std_errors": (2,),
+            }
+            for name, shape in expected.items():
+                arr = getattr(result, name)
+                assert arr.shape == shape, name
+                assert arr.flags.c_contiguous, name
+
+    @pytest.mark.parametrize("name", ["n_traj", "seed"])
+    @pytest.mark.parametrize("value", [True, 1.7, 3.0, "3"])
+    def test_non_integer_counts_rejected(self, scalar_game, name, value):
+        args = {"n_traj": 5, "seed": 1, name: value}
+        with pytest.raises(ValueError, match=name):
+            lq.simulate(scalar_game, scalar_rest_policy(), **args)
+
+    def test_numpy_integer_counts_accepted(self, scalar_game):
+        joint = scalar_rest_policy()
+        plain = lq.simulate(scalar_game, joint, 20, seed=2**64 - 1)
+        for n_traj, seed in ((np.int64(20), np.uint64(2**64 - 1)), (np.uint8(20), 2**64 - 1)):
+            result = lq.simulate(scalar_game, joint, n_traj, seed)
+            npt.assert_array_equal(result.costs, plain.costs)
 
     def test_bad_arguments(self, scalar_game):
         joint = scalar_rest_policy()
@@ -263,3 +297,81 @@ class TestSimulate:
         bad = lq.joint_policy_from_arrays(np.zeros((1, 1, 1, 1)), np.full((1, 1, 1, 1), -1.0))
         with pytest.raises(ValueError, match="positive definite"):
             lq.simulate(scalar_game, bad, 10, seed=0)
+
+
+def _grid(x):
+    """Round to multiples of 1/8.  Sums and products of a few such numbers
+    are exact in binary floating point, so states and actions built from
+    them cannot depend on the order or fusing of the arithmetic."""
+    return np.round(np.asarray(x) * 8.0) / 8.0
+
+
+def _reference_rollout(A, B, Q, R, K, L, logdets, tau, x0s, xis, omegas):
+    """Per-trajectory scalar loops: ``x' = A x + omega + sum_i B^i u^i`` with
+    ``u^i = K^i x + L^i xi^i``, and per stage the cost ``x'Q x + u'R u +
+    tau/2 (u'u - xi'xi - logdet)``, plus the terminal ``x'Q_T x``."""
+    n_traj, m = x0s.shape
+    T, N, p = A.shape[0], B.shape[0], K.shape[2]
+
+    def apply(M, v):
+        return [sum(M[a][b] * v[b] for b in range(len(v))) for a in range(len(M))]
+
+    def quad(M, v):
+        return sum(v[a] * M[a][b] * v[b] for a in range(len(v)) for b in range(len(v)))
+
+    A, B, Q, R, K, L = (arr.tolist() for arr in (A, B, Q, R, K, L))
+    states = np.zeros((n_traj, T + 1, m))
+    actions = np.zeros((n_traj, T, N, p))
+    costs = np.zeros((n_traj, N))
+    for r in range(n_traj):
+        x = x0s[r].tolist()
+        states[r, 0] = x
+        for t in range(T):
+            nxt = [a + w for a, w in zip(apply(A[t], x), omegas[r, t].tolist())]
+            for i in range(N):
+                xi = xis[r, t, i].tolist()
+                u = [a + b for a, b in zip(apply(K[i][t], x), apply(L[i][t], xi))]
+                actions[r, t, i] = u
+                costs[r, i] += (
+                    quad(Q[i][t], x)
+                    + quad(R[i][t], u)
+                    + 0.5 * tau * (sum(v * v for v in u) - sum(v * v for v in xi) - logdets[i, t])
+                )
+                nxt = [a + b for a, b in zip(nxt, apply(B[i][t], u))]
+            x = nxt
+            states[r, t + 1] = x
+        for i in range(N):
+            costs[r, i] += quad(Q[i][T], x)
+    return states, actions, costs
+
+
+class TestRolloutKernel:
+    @pytest.mark.parametrize("N, T, m, p", [(1, 3, 2, 2), (2, 1, 3, 2), (2, 3, 1, 3), (3, 2, 2, 4)])
+    def test_matches_scalar_reference(self, N, T, m, p):
+        # Dynamics, gains, factors and draws on a 1/8 grid make every state
+        # and action exact, so they must agree bit for bit; Q, R and the
+        # log-determinants stay general, so costs agree to round-off.  The
+        # noise is rank one, as from a singular noise covariance.
+        spec = lq.random_game(N, T, m, p, seed=70 + N + T, scale=0.5)
+        rng = np.random.default_rng(71)
+        n_traj = 12
+        A, B = _grid(spec.A), _grid(spec.B)
+        K = _grid(rng.normal(0.0, 0.4, (N, T, p, m)))
+        L = np.tril(_grid(rng.normal(0.0, 0.4, (N, T, p, p))), -1) + np.eye(p) * _grid(
+            rng.uniform(0.5, 1.5, (N, T, p, 1))
+        )
+        logdets = 2.0 * np.log(np.diagonal(L, axis1=2, axis2=3)).sum(axis=2)
+        x0s = _grid(rng.normal(0.0, 1.0, (n_traj, m)))
+        xis = _grid(rng.normal(0.0, 1.0, (n_traj, T, N, p)))
+        omegas = _grid(rng.normal(0.0, 1.0, (n_traj, T, 1))) * _grid(rng.normal(0.0, 1.0, m))
+        args = (A, B, spec.Q, spec.R, K, L, logdets, spec.tau, x0s)
+        ref_states, ref_actions, ref_costs = _reference_rollout(*args, xis, omegas)
+        stage_major = (
+            np.ascontiguousarray(xis.transpose(1, 2, 0, 3)).transpose(2, 0, 1, 3),
+            np.ascontiguousarray(omegas.transpose(1, 0, 2)).transpose(1, 0, 2),
+        )
+        for draws in ((xis, omegas), stage_major):
+            states, actions, costs = rollout(*args, *draws)
+            npt.assert_array_equal(states, ref_states)
+            npt.assert_array_equal(actions, ref_actions)
+            npt.assert_allclose(costs, ref_costs, rtol=1e-12, atol=0)
