@@ -3,9 +3,10 @@
 One numpy kernel, vectorised over trajectories and looping over stages
 and agents.  It consumes pre-drawn standard normals, so the sampled
 numbers depend only on the caller's streams, not on the kernel.  The
-draws are read stage-major, so each stage and agent touches contiguous
-rows, and every quadratic form is one matrix product plus a row-wise
-dot; both keep the per-stage work in BLAS and in short contiguous loops.
+draws come in one layout, stage-major, so each stage and agent touches
+contiguous rows, and every quadratic form is one matrix product plus a
+row-wise dot; both keep the per-stage work in BLAS and in short
+contiguous loops.
 
 ``ENV_VAR`` and :func:`active_backend` remain for tools that record which
 kernel ran; the answer is always ``"numpy"``.
@@ -31,22 +32,18 @@ def rollout(A, B, Q, R, K, L, logdets, tau, x0s, xis, omegas):
     (``Q[i, T]`` is the terminal cost), ``R (N,T,p,p)``; policy gains ``K
     (N,T,p,m)`` and covariance Cholesky factors ``L (N,T,p,p)`` with
     per-stage log-determinants ``logdets (N,T)``; sampled initial states
-    ``x0s (n,m)``, per-agent action normals ``xis (n,T,N,p)``, and realized
-    process noise ``omegas (n,T,m)``.  Outputs are C-contiguous ``states
-    (n,T+1,m)``, ``actions (n,T,N,p)`` and ``costs (n,N)``.
+    ``x0s (n,m)``, and the stage-major draws: per-agent action normals
+    ``xis (T,N,n,p)`` and realized process noise ``omegas (T,n,m)``.
+    Outputs are C-contiguous ``states (n,T+1,m)``, ``actions (n,T,N,p)``
+    and ``costs (n,N)``.
 
-    Inside, the draws are read stage-major, ``xis`` as ``(T,N,n,p)`` and
-    ``omegas`` as ``(T,n,m)``, so every ``[t]`` and ``[t, i]`` slice is
-    contiguous.  Draws already laid out that way (transposed views of
-    stage-major arrays, as :func:`lqnash.evaluate.simulate` passes) are
-    not copied; any other layout is copied once.  Each quadratic form is
+    Every ``[t]`` and ``[t, i]`` slice of contiguous draws is contiguous;
+    non-contiguous inputs are copied once.  Each quadratic form is
     ``x'Qx = sum_j (x @ Q)_j x_j``.
     """
-    A, B, Q, R, K, L, logdets, x0s = (
-        np.ascontiguousarray(arr) for arr in (A, B, Q, R, K, L, logdets, x0s)
+    A, B, Q, R, K, L, logdets, x0s, xis, omegas = (
+        np.ascontiguousarray(arr) for arr in (A, B, Q, R, K, L, logdets, x0s, xis, omegas)
     )
-    xis = np.ascontiguousarray(np.transpose(xis, (1, 2, 0, 3)))
-    omegas = np.ascontiguousarray(np.swapaxes(omegas, 0, 1))
     tau = float(tau)
     n_traj, m = x0s.shape
     T = A.shape[0]

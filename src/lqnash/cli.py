@@ -146,10 +146,10 @@ def _cmd_solve_exact(args) -> int:
     spec = _read_spec(args.spec)
     out = _out_dir(args)
     sol = exact_ne(spec)
+    record = check_assumption_tau(spec, sol, args.margin)
     _write_text(out / "policy.json", dump_joint_policy(sol.policy))
     cert = _certificate(spec, sol.riccati, sol.offsets)
     _write_json(out / "certificate.json", _certificate_doc(spec, cert))
-    record = check_assumption_tau(spec, sol, args.margin)
     print("exact equilibrium solved")
     for i, agent in enumerate(cert.agents):
         print(f"  agent {i}: expected cost {agent.expected_cost:.12g}")

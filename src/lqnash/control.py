@@ -1,17 +1,20 @@
 """Stage primitives of the regularized game, batched over agents and time.
 
 Each stage formula is written here once and batched over a leading agent
-axis: the joint gain system (``B^T P``, the bracket ``R + B^T P B``, cross
-couplings), its covariance and gain, the closed loop, the stage noise, the
-own-cost, value and offset steps, the expected cost and the uniqueness
-threshold, for the solvers, the value certificate and the best responses
-behind the Nash gap.  A backward pass keeps in its stage loop only the work
-that needs the tail ``P_{t+1}``; the rest is stacked over all stages, and
-the offsets are one reverse cumulative sum.  Every contraction is a stacked
-matrix product; a sum over agents is one product of blocks, such as
-``[B^1 ... B^N] [K^1; ...; K^N]`` for the closed loop.  Also here: the
-Gaussian minimizer of an entropy-regularized quadratic stage cost, the KL
-helper, and symmetrization of propagated values against drift.
+axis: the joint gain system of the solvers (its tail-free blocks from
+:func:`stage_blocks`, its tail products ``B^i^T P^i B^j`` and
+``B^i^T P^i A`` from :func:`joint_products`), the one responder step of a
+best response (:func:`_respond`, for the Nash gap and
+:func:`best_response_stage` alike), the stage covariance, the closed loop,
+the stage noise, the own-cost, value and offset steps, the expected cost
+and the uniqueness threshold.  A backward pass keeps in its stage loop
+only the work that needs the tail ``P_{t+1}``; the rest is stacked over
+all stages, and the offsets are one reverse cumulative sum.  Every
+contraction is a stacked matrix product; a sum over agents is one product
+of blocks, such as ``[B^1 ... B^N] [K^1; ...; K^N]`` for the closed loop.
+Also here: the Gaussian minimizer of an entropy-regularized quadratic
+stage cost, the KL helper, and symmetrization of propagated values
+against drift.
 """
 from __future__ import annotations
 
@@ -131,23 +134,6 @@ def joint_products(Bt: np.ndarray, side: np.ndarray, A: np.ndarray, tails: np.nd
     return flat @ side, flat @ A
 
 
-def stage_system(spec: GameSpec, t: int, tails: np.ndarray, agents: np.ndarray):
-    """Stage-``t`` best-response system of ``agents`` with tail values ``P^i``:
-    the bracket ``R^i + B^i^T P^i B^i``, ``H = (tau/2) I + bracket``,
-    ``B^i^T P^i A`` and the couplings ``B^i^T P^i B^j`` (zero for ``j = i``),
-    the latter stacked as ``(k, N, p, p)`` over ``k`` agents and all ``N``."""
-    k, rows = len(agents), np.arange(len(agents))
-    n, p = spec.num_agents, spec.action_dim
-    B = spec.B[:, t]
-    products, BPA = joint_products(B[agents].swapaxes(-1, -2), _side_by_side(B), spec.A[t], tails)
-    # Rows (i, p), columns (j, q) of the products.
-    cross = products.reshape(k, p, n, p).swapaxes(1, 2)
-    bracket = spec.R[agents, t] + cross[rows, agents]
-    cross[rows, agents] = 0.0
-    H = 0.5 * spec.tau * np.eye(p) + bracket
-    return bracket, H, BPA.reshape(k, p, -1), cross
-
-
 def stage_covariance(bracket: np.ndarray, tau: float) -> np.ndarray:
     """Optimal action covariance ``(I + 2 bracket / tau)^{-1}``, symmetric PD
     with eigenvalues in ``(0, 1]`` for a PSD bracket."""
@@ -155,15 +141,12 @@ def stage_covariance(bracket: np.ndarray, tau: float) -> np.ndarray:
     return _sym(np.linalg.solve(eye + (2.0 / tau) * bracket, eye))
 
 
-def best_response_gains(H, BPA, cross, gains) -> np.ndarray:
-    """Best-response gains ``-H^{-1} (B^T P A + sum_{j != i} B^T P B^j K^j)``,
-    that is ``-((tau/2) I + bracket)^{-1} B^T P Adrift`` with the drift
-    ``Adrift = A + sum_{j != i} B^j K^j`` of the other agents' ``gains``."""
-    k, n, p, _ = cross.shape
-    m = gains.shape[-1]
-    # One (k p, N p) @ (N p, m) product over every opponent at once.
-    coupling = cross.swapaxes(1, 2).reshape(k * p, n * p) @ gains.reshape(n * p, m)
-    return -np.linalg.solve(H, BPA + coupling.reshape(k, p, m))
+def _respond(Bt: np.ndarray, B: np.ndarray, weight: np.ndarray, tails: np.ndarray, drift: np.ndarray):
+    """Responder step: ``B^T P B`` and the gain ``-((tau/2) I + R + B^T P B)^{-1} B^T P drift``
+    of agents with tail values ``P`` against the opponents' ``drift``."""
+    BtP = Bt @ tails
+    products = BtP @ B
+    return products, -np.linalg.solve(weight + products, BtP @ drift)
 
 
 def closed_loop(A: np.ndarray, B: np.ndarray, gains: np.ndarray) -> np.ndarray:
@@ -187,14 +170,9 @@ def value_step(Qown: np.ndarray, closed: np.ndarray, tails: np.ndarray) -> np.nd
     return _sym(Qown + closed.swapaxes(-1, -2) @ tails @ closed)
 
 
-def lyapunov_step(Q, R, tau: float, closed, gains, tails) -> np.ndarray:
-    """Value matrices one stage back: ``P = Q + K^T ((tau/2) I + R) K + Acl^T P_next Acl``."""
-    return value_step(Q + own_cost(own_weight(tau, R), gains), closed, tails)
-
-
 def lyapunov_values(spec: GameSpec, gains: np.ndarray) -> np.ndarray:
     """Every agent's value matrices ``(N, T+1, m, m)`` under frozen joint gains;
-    only ``Acl_t^T P_{t+1} Acl_t`` runs stage by stage (see :func:`lyapunov_step`)."""
+    only ``Acl_t^T P_{t+1} Acl_t`` runs stage by stage (see :func:`value_step`)."""
     T = spec.horizon
     closed = closed_loop(spec.A, spec.B, gains)
     P = spec.Q.copy()
@@ -336,8 +314,10 @@ def best_response_stage(
     """
     zero = np.zeros((spec.action_dim, spec.state_dim))
     others = np.stack([zero if j == agent else np.asarray(g, dtype=float) for j, g in enumerate(gains_t)])
-    bracket, H, BPA, cross = stage_system(spec, t, np.asarray(P_next, dtype=float)[None], np.array([agent]))
-    return best_response_gains(H, BPA, cross, others)[0], stage_covariance(bracket, spec.tau)[0]
+    B, R = spec.B[agent, t], spec.R[agent, t]
+    drift = closed_loop(spec.A[t], spec.B[:, t], others)
+    products, gain = _respond(B.T, B, own_weight(spec.tau, R), np.asarray(P_next, dtype=float), drift)
+    return gain, stage_covariance(R + products, spec.tau)
 
 
 def best_responses(spec: GameSpec, gains: np.ndarray, covs: np.ndarray, agents: np.ndarray):
@@ -357,9 +337,8 @@ def best_responses(spec: GameSpec, gains: np.ndarray, covs: np.ndarray, agents: 
     P, new_gains, products = Q.copy(), np.empty_like(gains[agents]), np.empty_like(covs[agents])
     for t in range(T - 1, -1, -1):
         tails = P[:, t + 1]
-        BtP = Bt[:, t] @ tails
-        products[:, t] = BtP @ B[:, t]
-        gain = new_gains[:, t] = -np.linalg.solve(weight[:, t] + products[:, t], BtP @ drift[:, t])
+        products[:, t], gain = _respond(Bt[:, t], B[:, t], weight[:, t], tails, drift[:, t])
+        new_gains[:, t] = gain
         P[:, t] = value_step(Q[:, t] + own_cost(weight[:, t], gain), drift[:, t] + B[:, t] @ gain, tails)
     new_covs = stage_covariance(spec.R[agents] + products, spec.tau)
     noise = stage_noise(spec, slice(None), covs) + B @ (new_covs - covs[agents]) @ Bt

@@ -168,9 +168,8 @@ def simulate(
     process-noise normals.
 
     The draws reach the rollout kernel stage-major, action normals as
-    ``(T, N, n_traj, p)`` and realized noise as ``(T, n_traj, m)``
-    (transposed views in the kernel's documented shapes).  They are
-    sampled ``_DRAW_CHUNK`` trajectories at a time into one buffer, which
+    ``(T, N, n_traj, p)`` and realized noise as ``(T, n_traj, m)``.  They
+    are sampled ``_DRAW_CHUNK`` trajectories at a time into one buffer, which
     is freed before the kernel allocates its outputs.  Realized
     costs include the regularizer ``tau * log(pi/mu)`` evaluated at the
     sample.  ``n_traj`` and ``seed`` must be Python or numpy integers,
@@ -225,8 +224,7 @@ def simulate(
     del buffer, normals, rest
 
     states, actions, costs = rollout(
-        spec.A, spec.B, spec.Q, spec.R, gains, chol, logdets, spec.tau,
-        x0s, xis.transpose(2, 0, 1, 3), omegas.transpose(1, 0, 2),
+        spec.A, spec.B, spec.Q, spec.R, gains, chol, logdets, spec.tau, x0s, xis, omegas
     )
     mean_costs = costs.mean(axis=0)
     if n_traj > 1:

@@ -199,18 +199,24 @@ def _reject_constant(name: str):
     raise GameSpecError("", f"non-finite constant {name!r} not permitted")
 
 
-def load_game_spec(text: str) -> GameSpec:
-    """Parse and validate a JSON game document.
-
-    Raises :class:`GameSpecError` naming the offending field on malformed
-    documents, dimension mismatches, PSD/PD violations, or nonpositive tau.
-    """
+def _load_object(text: str) -> dict:
+    """The JSON object of a document; finite numbers only."""
     try:
         doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise GameSpecError("", f"malformed JSON document: {exc}") from None
     if not isinstance(doc, dict):
         raise GameSpecError("", "top level must be a JSON object")
+    return doc
+
+
+def load_game_spec(text: str) -> GameSpec:
+    """Parse and validate a JSON game document.
+
+    Raises :class:`GameSpecError` naming the offending field on malformed
+    documents, dimension mismatches, PSD/PD violations, or nonpositive tau.
+    """
+    doc = _load_object(text)
     missing = [k for k in _TOP_KEYS if k not in doc]
     if missing:
         raise GameSpecError(missing[0], "missing required key")
@@ -516,10 +522,7 @@ def dump_joint_policy(joint: JointPolicy) -> str:
 
 def load_joint_policy(text: str) -> JointPolicy:
     """Parse a policy document produced by :func:`dump_joint_policy`."""
-    try:
-        doc = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
-        raise GameSpecError("", f"malformed JSON document: {exc}") from None
+    doc = _load_object(text)
     for key in ("num_agents", "horizon", "state_dim", "action_dim", "gains", "covs"):
         if key not in doc:
             raise GameSpecError(key, "missing required key")
@@ -533,6 +536,7 @@ def load_joint_policy(text: str) -> JointPolicy:
         raise GameSpecError("gains", f"dimension mismatch: expected {(n, T, p, m)}, got {gains.shape}")
     if covs.shape != (n, T, p, p):
         raise GameSpecError("covs", f"dimension mismatch: expected {(n, T, p, p)}, got {covs.shape}")
-    if not (np.all(np.isfinite(gains)) and np.all(np.isfinite(covs))):
-        raise GameSpecError("gains", "contains non-finite entries")
+    for field, arr in (("gains", gains), ("covs", covs)):
+        if not np.isfinite(arr).all():
+            raise GameSpecError(field, "contains non-finite entries")
     return joint_policy_from_arrays(gains, covs)

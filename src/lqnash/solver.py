@@ -15,6 +15,7 @@ when that check fails.
 """
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -227,13 +228,21 @@ def _condition(spec: GameSpec, gamma_p: float, margin: float) -> ConditionRecord
     )
 
 
+def _check_margin(margin: float) -> None:
+    """A negative margin would pass a tau below the threshold, and NaN never compares."""
+    if not (math.isfinite(margin) and margin >= 0):
+        raise ValueError(f"margin must be finite and nonnegative, got {margin!r}")
+
+
 def check_assumption_tau(spec: GameSpec, sol: NESolution, margin: float = 0.0) -> ConditionRecord:
     """Check that the regularization weight exceeds the uniqueness threshold.
 
     The threshold depends on the solution's own value matrices, so the
     check is a-posteriori: solve first, then verify.  ``margin`` demands
-    strict clearance ``tau > threshold * (1 + margin)``.
+    strict clearance ``tau > threshold * (1 + margin)``; it must be finite
+    and nonnegative (``ValueError`` otherwise).
     """
+    _check_margin(margin)
     return _condition(spec, _max_frobenius(sol.riccati), margin)
 
 
@@ -338,6 +347,7 @@ def delta_augment_solve(
     Tries ``delta = delta_init * growth**k`` for ``k = 0, 1, ...`` until the
     game with weight ``tau + delta`` passes the adequacy check (verified on
     its exact solution), then runs :func:`po_solve` on that augmented game.
+    A round whose ``tau + delta`` overflows raises :class:`SolverError`.
     The returned policy is an approximate equilibrium of the *original*
     game whose per-agent exploitability (reported in ``nash_gaps``) shrinks
     with ``delta``.
@@ -348,12 +358,21 @@ def delta_augment_solve(
         raise ValueError("growth must exceed 1")
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
+    _check_margin(margin)
 
     delta = None
     condition = None
     last_failure = "no rounds attempted"
     for k in range(max_rounds):
-        candidate = delta_init * growth**k
+        try:
+            candidate = delta_init * growth**k
+            finite = math.isfinite(spec.tau + candidate)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise SolverError(
+                f"augmentation round {k}: tau + {delta_init:g} * {growth:g}**{k} overflows ({last_failure})"
+            )
         augmented = spec.with_tau(spec.tau + candidate)
         try:
             sol = exact_ne(augmented)

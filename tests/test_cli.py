@@ -83,17 +83,53 @@ def test_check_writes_condition(scalar_spec_file, tmp_path):
     assert doc["threshold"] == 0.0
 
 
+def _violating_spec_file(tmp_path, tau=1.0):
+    spec = lq.random_game(2, 2, 2, 1, seed=11, scale=0.8).with_tau(tau)  # threshold > 1
+    path = tmp_path / "game.json"
+    path.write_text(lq.dump_game_spec(spec))
+    return path
+
+
 def test_augment_outputs(tmp_path):
-    spec = lq.random_game(2, 2, 2, 1, seed=11, scale=0.8)  # violates the condition at tau=1
-    spec_path = tmp_path / "game.json"
-    spec_path.write_text(lq.dump_game_spec(spec))
     out = tmp_path / "aug"
-    assert run("augment", "--spec", spec_path, "--out", out, "--delta-init", 0.1,
+    assert run("augment", "--spec", _violating_spec_file(tmp_path), "--out", out, "--delta-init", 0.1,
                "--max-rounds", 30) == 0
     doc = json.loads((out / "condition.json").read_text())
     assert doc["delta_used"] > 0
     assert len(doc["exploitability"]) == 2
     assert (out / "policy.json").exists() and (out / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["check", "augment", "solve-exact"])
+@pytest.mark.parametrize("margin", ["-1", "nan"])
+def test_bad_margin_exit_code(tmp_path, capsys, command, margin):
+    # At tau 0.01, margin -1 would have passed the check at any threshold.
+    out = tmp_path / "o"
+    assert run(command, "--spec", _violating_spec_file(tmp_path, tau=0.01), "--out", out, "--margin", margin) == 2
+    assert "margin" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_augment_overflow_exit_code(tmp_path, capsys):
+    assert run("augment", "--spec", _violating_spec_file(tmp_path), "--out", tmp_path / "o",
+               "--delta-init", "1e-300", "--growth", "1e200", "--max-rounds", 3) == 3
+    assert "round 2" in capsys.readouterr().err
+
+
+INF_COV_POLICY = ('{"num_agents": 1, "horizon": 1, "state_dim": 1, "action_dim": 1,'
+                  ' "gains": [[[[0]]]], "covs": [[[[1e999]]]]}')
+
+
+@pytest.mark.parametrize("command", ["eval", "simulate"])
+@pytest.mark.parametrize("text, message", [("5", "top level"), ("null", "top level"),
+                                           (INF_COV_POLICY, "covs: contains non-finite")],
+                         ids=["int", "null", "inf-cov"])
+def test_bad_policy_file_exit_code(scalar_spec_file, tmp_path, capsys, command, text, message):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "policy.json").write_text(text)
+    assert run(command, "--spec", scalar_spec_file, "--out", out) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_eval_gaps_near_zero_at_equilibrium(scalar_spec_file, tmp_path):

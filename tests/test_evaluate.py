@@ -234,8 +234,8 @@ class TestSimulate:
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_matches_fresh_generator_per_trajectory(self, seed):
         # reference: a new Philox(key=[seed, r]) per trajectory, the same
-        # transforms, and the same kernel fed trajectory-major draws; the
-        # largest count spans two sampling chunks
+        # transforms, and the same kernel fed stage-major views of the
+        # trajectory-major draws; the largest count spans two sampling chunks
         spec = lq.random_game(2, 3, 3, 2, seed=60, scale=0.5)
         joint = random_pd_policy(spec, np.random.default_rng(61))
         n, T, m, p = spec.num_agents, spec.horizon, spec.state_dim, spec.action_dim
@@ -248,9 +248,10 @@ class TestSimulate:
             rest = normals[:, m:].reshape(n_traj, T, n * p + m)
             x0s = spec.init_mean + normals[:, :m] @ evaluate._psd_factor(spec.init_cov).T
             omegas = rest[:, :, n * p :] @ evaluate._psd_factor(spec.noise_cov).T
+            xis = rest[:, :, : n * p].reshape(n_traj, T, n, p)
             states, actions, costs = rollout(
                 spec.A, spec.B, spec.Q, spec.R, lq.stack_gains(joint), chol, logdets, spec.tau,
-                x0s, rest[:, :, : n * p].reshape(n_traj, T, n, p), omegas,
+                x0s, xis.transpose(1, 2, 0, 3), omegas.transpose(1, 0, 2),
             )
             result = lq.simulate(spec, joint, n_traj, seed)
             npt.assert_array_equal(result.states, states)
@@ -366,11 +367,9 @@ class TestRolloutKernel:
         omegas = _grid(rng.normal(0.0, 1.0, (n_traj, T, 1))) * _grid(rng.normal(0.0, 1.0, m))
         args = (A, B, spec.Q, spec.R, K, L, logdets, spec.tau, x0s)
         ref_states, ref_actions, ref_costs = _reference_rollout(*args, xis, omegas)
-        stage_major = (
-            np.ascontiguousarray(xis.transpose(1, 2, 0, 3)).transpose(2, 0, 1, 3),
-            np.ascontiguousarray(omegas.transpose(1, 0, 2)).transpose(1, 0, 2),
-        )
-        for draws in ((xis, omegas), stage_major):
+        # The kernel's stage-major draws, as strided views and contiguous.
+        views = (xis.transpose(1, 2, 0, 3), omegas.transpose(1, 0, 2))
+        for draws in (views, tuple(np.ascontiguousarray(v) for v in views)):
             states, actions, costs = rollout(*args, *draws)
             npt.assert_array_equal(states, ref_states)
             npt.assert_array_equal(actions, ref_actions)

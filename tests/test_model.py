@@ -168,6 +168,20 @@ def test_policy_round_trip():
     npt.assert_array_equal(lq.stack_covs(joint), lq.stack_covs(again))
 
 
+@pytest.mark.parametrize("text", ["5", "null", "[]"])
+def test_policy_top_level_must_be_an_object(text):
+    with pytest.raises(lq.GameSpecError, match="top level must be a JSON object"):
+        lq.load_joint_policy(text)
+
+
+@pytest.mark.parametrize("gains, covs, field", [("1e999", "1", "gains"), ("0", "1e999", "covs")])
+def test_policy_non_finite_entry_names_its_field(gains, covs, field):
+    text = ('{"num_agents": 1, "horizon": 1, "state_dim": 1, "action_dim": 1,'
+            f' "gains": [[[[{gains}]]]], "covs": [[[[{covs}]]]]}}')
+    with pytest.raises(lq.GameSpecError, match=f"^{field}: contains non-finite"):
+        lq.load_joint_policy(text)
+
+
 def test_spec_arrays_read_only():
     spec = lq.random_game(2, 2, 2, 1, seed=0, scale=0.5)
     with pytest.raises(ValueError):

@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 import numpy.testing as npt
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 import lqnash as lq
 
@@ -97,6 +97,22 @@ def test_best_response_never_raises_cost(spec, seed):
     for i in range(spec.num_agents):
         _, value = lq.best_response_full(spec, joint, i)
         assert value.expected_cost <= base[i] + 1e-12 * (1.0 + abs(base[i]))
+
+
+@given(games(), st.integers(0, 2**32 - 1))
+@example(lq.random_game(1, 1, 1, 3, seed=7, scale=0.5), 0)
+@example(lq.random_game(3, 1, 2, 4, seed=8, scale=0.8).with_tau(0.5), 1)
+def test_stage_best_response_reproduces_full_response(spec, seed):
+    # Fed the tail of the full response's own values, the single-stage
+    # response is that response's stage policy.
+    joint = random_pd_policy(spec, np.random.default_rng(seed))
+    gains = lq.stack_gains(joint)
+    for i in range(spec.num_agents):
+        policy, value = lq.best_response_full(spec, joint, i)
+        for t in range(spec.horizon):
+            gain, cov = lq.best_response_stage(spec, i, gains[:, t], value.P[t + 1], t)
+            for actual, desired in ((gain, policy.gains[t]), (cov, policy.covs[t])):
+                npt.assert_allclose(actual, desired, rtol=1e-12, atol=1e-12 * np.abs(desired).max())
 
 
 @given(games(), st.integers(0, 2**32 - 1))

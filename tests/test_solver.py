@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 import lqnash as lq
+from lqnash import solver
 
 from conftest import stage_fixed_point_residual, with_tau
 
@@ -174,6 +175,13 @@ class TestConditionChecks:
         assert lq.check_assumption_tau(just_above, sol, margin=0.0).satisfied
         assert not lq.check_assumption_tau(just_above, sol, margin=0.1).satisfied
 
+    @pytest.mark.parametrize("margin", [-1.0, -1e-300, float("nan"), float("inf")])
+    def test_margin_must_be_finite_and_nonnegative(self, margin):
+        # A negative margin would pass a tau far below the threshold.
+        spec = symmetric_two_agent_scalar(tau=0.01)
+        with pytest.raises(ValueError, match="margin"):
+            lq.check_assumption_tau(spec, lq.exact_ne(spec), margin)
+
 
 class TestPoSolve:
     def test_single_agent_exact_after_one_iteration(self, scalar_game):
@@ -275,6 +283,26 @@ class TestDeltaAugment:
             lq.delta_augment_solve(spec, delta_init=0.1, growth=1.0)
         with pytest.raises(ValueError):
             lq.delta_augment_solve(spec, delta_init=0.1, max_rounds=0)
+
+    @pytest.mark.parametrize("margin", [-1.0, float("nan")])
+    def test_bad_margin_rejected_before_any_solve(self, monkeypatch, margin):
+        monkeypatch.setattr(solver, "exact_ne", lambda spec: pytest.fail("solved"))
+        spec = lq.random_game(2, 2, 2, 1, seed=11, scale=0.8)
+        with pytest.raises(ValueError, match="margin"):
+            lq.delta_augment_solve(spec, delta_init=1e-3, margin=margin)
+
+    def test_overflowing_delta_names_the_round(self):
+        spec = lq.random_game(2, 2, 2, 1, seed=11, scale=0.8)
+        with pytest.raises(lq.SolverError, match="round 2: .* overflows"):
+            lq.delta_augment_solve(spec, delta_init=1e-300, growth=1e200, max_rounds=3)
+        with pytest.raises(lq.SolverError, match="round 1: .* overflows"):
+            lq.delta_augment_solve(spec, delta_init=1e-6, growth=float("inf"), max_rounds=3)
+
+    def test_delta_keeps_its_bits_when_the_power_is_large(self):
+        # 1e150**2 is near the float limit, the product is about 1.0
+        spec = lq.random_game(2, 2, 2, 1, seed=11, scale=0.8)
+        report = lq.delta_augment_solve(spec, delta_init=1e-300, growth=1e150, max_rounds=3)
+        assert report.delta_used == 1e-300 * 1e150**2
 
 
 SOLVERS = {"exact_ne": lq.exact_ne, "po_solve": lambda spec: lq.po_solve(spec, inner_iters=3)}

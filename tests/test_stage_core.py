@@ -180,28 +180,45 @@ def stage_case(dims):
 
 @pytest.mark.parametrize("dims", SIZES)
 def test_stage_system_matches_einsum(dims):
+    # The solvers' joint stage system: its tail products, for every agent
+    # and for a subset, and the coupling matrix Phi they build.
     spec, t, _, tails, agents = stage_case(dims)
-    rows = np.arange(len(agents))
+    n, p = spec.num_agents, spec.action_dim
     B = spec.B[:, t]
-    BtP = np.einsum("imp,imn->ipn", B[agents], tails[agents])
-    cross = np.einsum("ipm,jmq->ijpq", BtP, B)
-    bracket = spec.R[agents, t] + np.einsum("ipm,imq->ipq", BtP, B[agents])
-    cross[rows, agents] = 0.0
-    H = 0.5 * spec.tau * np.eye(spec.action_dim) + bracket
-    BPA = np.einsum("ipm,mn->ipn", BtP, spec.A[t])
-    for actual, desired in zip(control.stage_system(spec, t, tails[agents], agents), (bracket, H, BPA, cross)):
-        assert actual.shape == desired.shape
-        assert_close(actual, desired)
+    Bt, side, _, _ = control.stage_blocks(spec, t)
+    for rows in (np.arange(n), agents):
+        BtP = np.einsum("imp,imn->ipn", B[rows], tails[rows])
+        products = np.einsum("ipm,jmq->ipjq", BtP, B).reshape(len(rows) * p, n * p)
+        BPA = np.einsum("ipm,mn->ipn", BtP, spec.A[t]).reshape(len(rows) * p, -1)
+        for actual, desired in zip(control.joint_products(Bt[rows], side, spec.A[t], tails[rows]), (products, BPA)):
+            assert actual.shape == desired.shape
+            assert_close(actual, desired)
+    # Block (i, j) of Phi is B^i^T P^i B^j, plus (tau/2) I + R^i on the diagonal.
+    phi = np.einsum("imp,imn,jnq->ipjq", B, tails, B)
+    for i in range(n):
+        phi[i, :, i] += 0.5 * spec.tau * np.eye(p) + spec.R[i, t]
+    assert_close(lq.phi_matrix(spec, t, tails), phi.reshape(n * p, n * p))
 
 
 @pytest.mark.parametrize("dims", SIZES)
 def test_best_response_gains_match_einsum(dims):
-    spec, t, joint, tails, agents = stage_case(dims)
+    # -H^{-1} (B^T P A + sum_{j != i} B^i^T P^i B^j K^j) with H = (tau/2) I + R + B^T P B:
+    # the opponents' gains enter through the couplings, not through a drift.
+    spec, t, joint, tails, _ = stage_case(dims)
+    n, p = spec.num_agents, spec.action_dim
     gains = lq.stack_gains(joint)[:, t]
-    _, H, BPA, cross = control.stage_system(spec, t, tails[agents], agents)
-    desired = -np.linalg.solve(H, BPA + np.einsum("ijpq,jqm->ipm", cross, gains))
-    assert_close(control.best_response_gains(H, BPA, cross, gains), desired)
-    assert_close(control.best_response_gains(H, BPA, np.ascontiguousarray(cross), gains), desired)
+    B, eye = spec.B[:, t], np.eye(p)
+    for i in range(n):
+        bracket = spec.R[i, t] + np.einsum("mp,mn,nq->pq", B[i], tails[i], B[i])
+        cross = np.einsum("mp,mn,jnq,jqk->pk", B[i], tails[i], np.delete(B, i, 0), np.delete(gains, i, 0))
+        BPA = np.einsum("mp,mn,nk->pk", B[i], tails[i], spec.A[t])
+        desired = -np.linalg.solve(0.5 * spec.tau * eye + bracket, BPA + cross)
+        cov = np.linalg.inv(eye + (2.0 / spec.tau) * bracket)
+        # The own entry of gains_t is ignored, whether a gain or None.
+        for gains_t in (gains, [None if j == i else gains[j] for j in range(n)]):
+            gain, actual_cov = control.best_response_stage(spec, i, gains_t, tails[i], t)
+            assert_close(gain, desired)
+            assert_close(actual_cov, cov)
 
 
 @pytest.mark.parametrize("dims", SIZES)
@@ -216,6 +233,8 @@ def test_closed_loop_and_noise_match_einsum(dims):
 
 @pytest.mark.parametrize("dims", SIZES)
 def test_lyapunov_step_matches_einsum(dims):
+    # One step of the value recursion under frozen gains, as the value step
+    # plus the own-cost term, with a shared and a per-agent closed loop.
     spec, t, joint, tails, agents = stage_case(dims)
     gains = lq.stack_gains(joint)[agents, t]
     Q, R = spec.Q[agents, t], spec.R[agents, t]
@@ -227,4 +246,5 @@ def test_lyapunov_step_matches_einsum(dims):
         raw = (Q + np.einsum("...pm,...pq,...qn->...mn", gains, own, gains)
                + np.einsum("...lm,...lk,...kn->...mn", closed, tails[agents], closed))
         desired = 0.5 * (raw + raw.swapaxes(-1, -2))
-        assert_close(control.lyapunov_step(Q, R, spec.tau, closed, gains, tails[agents]), desired)
+        Qown = Q + control.own_cost(control.own_weight(spec.tau, R), gains)
+        assert_close(control.value_step(Qown, closed, tails[agents]), desired)
