@@ -123,12 +123,15 @@ def _nash_gaps(spec: GameSpec, joint: JointPolicy, base_costs: np.ndarray) -> np
 def policy_distance(a: JointPolicy, b: JointPolicy, t: int | None = None) -> float:
     """Policy-space metric: per stage, sum over agents of the Frobenius
     norms of the gain and covariance differences; summed over stages
-    unless a single stage ``t`` is selected."""
+    unless a single stage ``t`` is selected: a Python or numpy integer in
+    ``[0, T)``, not ``bool``."""
     ga, ca = stack_gains(a), stack_covs(a)
     gb, cb = stack_gains(b), stack_covs(b)
     if ga.shape != gb.shape or ca.shape != cb.shape:
         raise ValueError(f"policy shape mismatch: {ga.shape} vs {gb.shape}")
     if t is not None:
+        if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or not 0 <= t < ga.shape[1]:
+            raise ValueError(f"t must be an integer stage in [0, {ga.shape[1]}), got {t!r}")
         ga, gb, ca, cb = ga[:, [t]], gb[:, [t]], ca[:, [t]], cb[:, [t]]
     per_agent_stage = np.sqrt(((ga - gb) ** 2).sum(axis=(2, 3))) + np.sqrt(
         ((ca - cb) ** 2).sum(axis=(2, 3))
@@ -143,10 +146,10 @@ def _psd_factor(x: np.ndarray) -> np.ndarray:
     return v * np.sqrt(np.clip(w, 0.0, None))
 
 
-# Trajectories sampled per pass of one reused buffer (0.85 MB at 104 draws
-# per trajectory).  The raw normals of a whole run never exist at
-# once; each trajectory's stream is its own, so the chunk size cannot
-# change a sampled number.
+# Trajectories sampled and rolled out per pass of one set of reused buffers
+# (0.85 MB of normals at 104 draws per trajectory).  No draw array of a whole run
+# ever exists; each trajectory's stream is its own, so the chunk size
+# cannot change a sampled number.
 _DRAW_CHUNK = 1024
 
 
@@ -167,13 +170,13 @@ def simulate(
     per stage each agent's action normals (agent order) followed by the
     process-noise normals.
 
-    The draws reach the rollout kernel stage-major, action normals as
-    ``(T, N, n_traj, p)`` and realized noise as ``(T, n_traj, m)``.  They
-    are sampled ``_DRAW_CHUNK`` trajectories at a time into one buffer, which
-    is freed before the kernel allocates its outputs.  Realized
-    costs include the regularizer ``tau * log(pi/mu)`` evaluated at the
-    sample.  ``n_traj`` and ``seed`` must be Python or numpy integers,
-    not ``bool``.
+    Trajectories are sampled and rolled out ``_DRAW_CHUNK`` at a time: each
+    chunk's normals and its stage-major draws (action normals ``(T, N,
+    chunk, p)``, realized noise ``(T, chunk, m)``) fill the same reused
+    buffers, and the kernel writes the chunk's rows of the run's states,
+    actions and costs.  Realized costs include the regularizer ``tau *
+    log(pi/mu)`` evaluated at the sample.  ``n_traj`` and ``seed`` must be
+    Python or numpy integers, not ``bool``.
     """
     for name, value in (("n_traj", n_traj), ("seed", seed)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -203,29 +206,41 @@ def simulate(
     fresh["buffer"] = fresh["buffer"].tolist()
     key = fresh["state"]["key"]
 
-    x0s = np.empty((n_traj, m))
-    xis = np.empty((T, n, n_traj, p))
-    omegas = np.empty((T, n_traj, m))
-    buffer = np.empty((min(n_traj, _DRAW_CHUNK), m + T * (n * p + m)))
-    for lo in range(0, n_traj, _DRAW_CHUNK):
-        normals = buffer[: min(_DRAW_CHUNK, n_traj - lo)]
+    # numpy hands a one-row product to gemv, which rounds differently from
+    # the gemm that serves two rows or more.  So every pass covers at least
+    # two trajectories: a lone last one is rolled out again beside its
+    # predecessor, and a single-trajectory run beside trajectory 1.
+    rows = max(n_traj, 2)
+    states = np.empty((rows, T + 1, m))
+    actions = np.empty((rows, T, n, p))
+    costs = np.empty((rows, n))
+    # One set of chunk buffers, reused: the normals, and the stage-major
+    # draws handed to the kernel (views of them for a shorter last chunk).
+    width = max(min(rows, _DRAW_CHUNK), 2)
+    buffer = np.empty((width, m + T * (n * p + m)))
+    xi_buf = np.empty((T, n, width, p))
+    omega_buf = np.empty((T, width, m))
+    for start in range(0, rows, _DRAW_CHUNK):
+        hi = max(min(start + _DRAW_CHUNK, rows), 2)
+        lo = min(start, hi - 2)
+        c = hi - lo
+        normals = buffer[:c]
         for r, row in enumerate(normals, lo):
             key[1] = r
             bit_gen.state = fresh
             gen.standard_normal(out=row)
-        hi = lo + len(normals)
-        rest = normals[:, m:].reshape(hi - lo, T, n * p + m)
-        x0s[lo:hi] = spec.init_mean + normals[:, :m] @ init_factor.T
-        xis[:, :, lo:hi] = rest[:, :, : n * p].reshape(hi - lo, T, n, p).transpose(1, 2, 0, 3)
+        rest = normals[:, m:].reshape(c, T, n * p + m)
+        x0s = spec.init_mean + normals[:, :m] @ init_factor.T
+        xis, omegas = xi_buf[:, :, :c], omega_buf[:, :c]
+        xis[...] = rest[:, :, : n * p].reshape(c, T, n, p).transpose(1, 2, 0, 3)
         # The same per-trajectory products as a plain ``zetas @ F^T``,
         # written straight into stage-major memory: one product per stage
         # can round differently (it did at T == 1).
-        np.matmul(rest[:, :, n * p :], noise_factor.T, out=omegas[:, lo:hi].transpose(1, 0, 2))
-    del buffer, normals, rest
+        np.matmul(rest[:, :, n * p :], noise_factor.T, out=omegas.transpose(1, 0, 2))
+        rollout(spec.A, spec.B, spec.Q, spec.R, gains, chol, logdets, spec.tau,
+                x0s, xis, omegas, states[lo:hi], actions[lo:hi], costs[lo:hi])
+    states, actions, costs = states[:n_traj], actions[:n_traj], costs[:n_traj]
 
-    states, actions, costs = rollout(
-        spec.A, spec.B, spec.Q, spec.R, gains, chol, logdets, spec.tau, x0s, xis, omegas
-    )
     mean_costs = costs.mean(axis=0)
     if n_traj > 1:
         std_errors = costs.std(axis=0, ddof=1) / np.sqrt(n_traj)

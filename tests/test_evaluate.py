@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -142,6 +143,21 @@ class TestPolicyDistance:
         total = sum(lq.policy_distance(a, b, t=t) for t in range(3))
         assert total == pytest.approx(lq.policy_distance(a, b), rel=1e-12)
 
+    def test_numpy_integer_stage_accepted(self):
+        spec = lq.random_game(2, 3, 2, 1, seed=31, scale=0.5)
+        rng = np.random.default_rng(32)
+        a = random_pd_policy(spec, rng)
+        b = random_pd_policy(spec, rng)
+        for t in (np.int64(2), np.uint8(2)):
+            assert lq.policy_distance(a, b, t=t) == lq.policy_distance(a, b, t=2)
+
+    @pytest.mark.parametrize("t", [-1, 3, 2**64, True, False, 1.0, "1", np.float64(2.0)])
+    def test_bad_stage_rejected(self, t):
+        spec = lq.random_game(2, 3, 2, 1, seed=31, scale=0.5)
+        joint = random_pd_policy(spec, np.random.default_rng(32))
+        with pytest.raises(ValueError, match="t must be an integer stage in \\[0, 3\\)"):
+            lq.policy_distance(joint, joint, t=t)
+
     def test_shape_mismatch(self):
         a = lq.joint_policy_from_arrays(np.zeros((1, 1, 1, 1)), np.ones((1, 1, 1, 1)))
         b = lq.joint_policy_from_arrays(np.zeros((1, 2, 1, 1)), np.ones((1, 2, 1, 1)))
@@ -232,31 +248,57 @@ class TestSimulate:
                 x = result.states[r, t + 1]
 
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
-    def test_matches_fresh_generator_per_trajectory(self, seed):
+    def test_matches_fresh_generator_per_trajectory(self, seed, monkeypatch):
         # reference: a new Philox(key=[seed, r]) per trajectory, the same
-        # transforms, and the same kernel fed stage-major views of the
-        # trajectory-major draws; the largest count spans two sampling chunks
+        # transforms, and one whole-run kernel call fed stage-major views of
+        # the trajectory-major draws.  Every shorter run is a prefix of it.
+        # The largest count spans two sampling chunks; chunks of 1 and 7
+        # cut every run into many kernel calls, with partial last chunks and
+        # lone trajectories (which numpy would send to gemv).
         spec = lq.random_game(2, 3, 3, 2, seed=60, scale=0.5)
         joint = random_pd_policy(spec, np.random.default_rng(61))
         n, T, m, p = spec.num_agents, spec.horizon, spec.state_dim, spec.action_dim
         chol, logdets = evaluate._policy_cholesky(lq.stack_covs(joint))
-        for n_traj in (150, 1, evaluate._DRAW_CHUNK + 37):
-            normals = np.empty((n_traj, m + T * (n * p + m)))
-            for r in range(n_traj):
-                bit_gen = np.random.Philox(key=np.array([seed, r], dtype=np.uint64))
-                normals[r] = np.random.Generator(bit_gen).standard_normal(normals.shape[1])
-            rest = normals[:, m:].reshape(n_traj, T, n * p + m)
-            x0s = spec.init_mean + normals[:, :m] @ evaluate._psd_factor(spec.init_cov).T
-            omegas = rest[:, :, n * p :] @ evaluate._psd_factor(spec.noise_cov).T
-            xis = rest[:, :, : n * p].reshape(n_traj, T, n, p)
-            states, actions, costs = rollout(
-                spec.A, spec.B, spec.Q, spec.R, lq.stack_gains(joint), chol, logdets, spec.tau,
-                x0s, xis.transpose(1, 2, 0, 3), omegas.transpose(1, 0, 2),
-            )
-            result = lq.simulate(spec, joint, n_traj, seed)
-            npt.assert_array_equal(result.states, states)
-            npt.assert_array_equal(result.actions, actions)
-            npt.assert_array_equal(result.costs, costs)
+        default = evaluate._DRAW_CHUNK
+        total = default + 37
+        normals = np.empty((total, m + T * (n * p + m)))
+        for r in range(total):
+            bit_gen = np.random.Philox(key=np.array([seed, r], dtype=np.uint64))
+            normals[r] = np.random.Generator(bit_gen).standard_normal(normals.shape[1])
+        rest = normals[:, m:].reshape(total, T, n * p + m)
+        x0s = spec.init_mean + normals[:, :m] @ evaluate._psd_factor(spec.init_cov).T
+        omegas = rest[:, :, n * p :] @ evaluate._psd_factor(spec.noise_cov).T
+        xis = rest[:, :, : n * p].reshape(total, T, n, p)
+        states, actions, costs = _whole_run(
+            spec.A, spec.B, spec.Q, spec.R, lq.stack_gains(joint), chol, logdets, spec.tau,
+            x0s, xis.transpose(1, 2, 0, 3), omegas.transpose(1, 0, 2),
+        )
+        for chunk in (default, 1, 7):
+            monkeypatch.setattr(evaluate, "_DRAW_CHUNK", chunk)
+            for n_traj in (150, 1, 15, total):
+                result = lq.simulate(spec, joint, n_traj, seed)
+                npt.assert_array_equal(result.states, states[:n_traj])
+                npt.assert_array_equal(result.actions, actions[:n_traj])
+                npt.assert_array_equal(result.costs, costs[:n_traj])
+
+    def test_working_memory_bounded_by_chunk(self):
+        # Beyond its own outputs, simulate holds one chunk's draws and the
+        # kernel's per-stage temporaries, whatever the trajectory count;
+        # whole-run draw arrays would add 19 MB here.
+        spec = lq.random_game(3, 10, 4, 2, seed=64, scale=0.5)
+        joint = random_pd_policy(spec, np.random.default_rng(65))
+        n_traj = 20_000
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = lq.simulate(spec, joint, n_traj, seed=11)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        outputs = sum(
+            getattr(result, f.name).nbytes for f in dataclasses.fields(lq.SimulationResult)
+        )
+        assert peak <= outputs + 6 * 2**20
 
     def test_outputs_c_contiguous_with_documented_shapes(self):
         # the kernel reads its draws stage-major; none of that layout may
@@ -307,6 +349,14 @@ def _grid(x):
     return np.round(np.asarray(x) * 8.0) / 8.0
 
 
+def _whole_run(A, B, Q, R, K, L, logdets, tau, x0s, xis, omegas):
+    """One kernel call over all trajectories, into fresh outputs."""
+    n_traj, m = x0s.shape
+    T, N, p = A.shape[0], B.shape[0], K.shape[2]
+    outputs = np.empty((n_traj, T + 1, m)), np.empty((n_traj, T, N, p)), np.empty((n_traj, N))
+    return rollout(A, B, Q, R, K, L, logdets, tau, x0s, xis, omegas, *outputs)
+
+
 def _reference_rollout(A, B, Q, R, K, L, logdets, tau, x0s, xis, omegas):
     """Per-trajectory scalar loops: ``x' = A x + omega + sum_i B^i u^i`` with
     ``u^i = K^i x + L^i xi^i``, and per stage the cost ``x'Q x + u'R u +
@@ -346,7 +396,51 @@ def _reference_rollout(A, B, Q, R, K, L, logdets, tau, x0s, xis, omegas):
     return states, actions, costs
 
 
+def _per_agent_rollout(A, B, Q, R, K, L, logdets, tau, x0s, xis, omegas):
+    """The kernel's arithmetic with one product per agent: the same BLAS
+    and row-dot calls the stacked kernel makes agent by agent."""
+    n_traj, m = x0s.shape
+    T, N, p = A.shape[0], B.shape[0], K.shape[2]
+    states = np.empty((n_traj, T + 1, m))
+    actions = np.empty((n_traj, T, N, p))
+    costs = np.zeros((n_traj, N))
+    x = states[:, 0] = x0s
+    for t in range(T):
+        xnext = x @ A[t].T
+        xnext += omegas[t]
+        for i in range(N):
+            xi = xis[t, i]
+            u = x @ K[i, t].T
+            u += xi @ L[i, t].T
+            actions[:, t, i] = u
+            costs[:, i] += (
+                np.einsum("rj,rj->r", x @ Q[i, t], x)
+                + np.einsum("rj,rj->r", u @ R[i, t], u)
+                + 0.5 * tau * (np.einsum("rj,rj->r", u, u) - np.einsum("rj,rj->r", xi, xi) - logdets[i, t])
+            )
+            xnext += u @ B[i, t].T
+        x = states[:, t + 1] = xnext
+    for i in range(N):
+        costs[:, i] += np.einsum("rj,rj->r", x @ Q[i, T], x)
+    return states, actions, costs
+
+
 class TestRolloutKernel:
+    @pytest.mark.parametrize("N, T, m, p", [(1, 3, 2, 2), (3, 10, 4, 2), (4, 2, 3, 6), (20, 3, 10, 2)])
+    def test_stacked_agents_match_per_agent_loop(self, N, T, m, p):
+        # Stacking the agents must not change a bit: general draws, gains
+        # and costs, compared exactly with per-agent products.
+        spec = lq.random_game(N, T, m, p, seed=80 + N, scale=0.5)
+        rng = np.random.default_rng(81)
+        n_traj = 300
+        K = rng.normal(0.0, 0.4, (N, T, p, m))
+        L = np.tril(rng.normal(0.0, 0.4, (N, T, p, p)))
+        logdets = rng.normal(0.0, 1.0, (N, T))
+        args = (spec.A, spec.B, spec.Q, spec.R, K, L, logdets, spec.tau, rng.normal(0.0, 1.0, (n_traj, m)),
+                rng.normal(0.0, 1.0, (T, N, n_traj, p)), rng.normal(0.0, 1.0, (T, n_traj, m)))
+        for got, want in zip(_whole_run(*args), _per_agent_rollout(*args)):
+            npt.assert_array_equal(got, want)
+
     @pytest.mark.parametrize("N, T, m, p", [(1, 3, 2, 2), (2, 1, 3, 2), (2, 3, 1, 3), (3, 2, 2, 4)])
     def test_matches_scalar_reference(self, N, T, m, p):
         # Dynamics, gains, factors and draws on a 1/8 grid make every state
@@ -370,7 +464,7 @@ class TestRolloutKernel:
         # The kernel's stage-major draws, as strided views and contiguous.
         views = (xis.transpose(1, 2, 0, 3), omegas.transpose(1, 0, 2))
         for draws in (views, tuple(np.ascontiguousarray(v) for v in views)):
-            states, actions, costs = rollout(*args, *draws)
+            states, actions, costs = _whole_run(*args, *draws)
             npt.assert_array_equal(states, ref_states)
             npt.assert_array_equal(actions, ref_actions)
             npt.assert_allclose(costs, ref_costs, rtol=1e-12, atol=0)
