@@ -256,14 +256,36 @@ _ARRAY_SLOT_TEXT = json.dumps(_ARRAY_SLOT)
 def _array_template(shape: tuple[int, ...], level: int) -> str:
     """``%`` template that lays out an array of ``shape`` as
     ``json.dumps(indent=2)`` lays out the nested list at nesting ``level``,
-    with one ``%r`` slot per element in row-major order."""
+    with one ``%s`` slot per element in row-major order."""
     if not shape:
-        return "%r"
+        return "%s"
     if shape[0] == 0:
         return "[]"
     pad = "\n" + "  " * (level + 1)
     inner = _array_template(shape[1:], level + 1)
     return "[" + pad + ("," + pad).join([inner] * shape[0]) + "\n" + "  " * level + "]"
+
+
+def _slot_values(arr: np.ndarray) -> tuple:
+    """The values for the slots of ``arr``'s template, in row-major order.
+
+    ``str`` of a float is its ``repr``.  A stack of square matrices that
+    equals its transpose bit for bit (so ``0.0`` opposite ``-0.0`` does not
+    count) has only its upper triangles formatted; each lower entry reuses
+    the text of its mirror image.
+    """
+    m = arr.shape[-1] if arr.ndim >= 2 else 0
+    if m > 1 and arr.shape[-2] == m and arr.size and arr.dtype == np.float64:
+        bits = arr.view(np.uint64)
+        if np.array_equal(bits, bits.swapaxes(-1, -2)):
+            iu0, iu1 = np.triu_indices(m)
+            mirror = np.empty((m, m), dtype=np.intp)
+            mirror[iu0, iu1] = mirror[iu1, iu0] = np.arange(iu0.size)
+            upper = arr[..., iu0, iu1].ravel()
+            texts = np.array(list(map(repr, upper.tolist())), dtype=object)
+            index = np.arange(0, upper.size, iu0.size)[:, None] + mirror.ravel()
+            return tuple(texts[index.ravel()].tolist())
+    return tuple(arr.ravel().tolist())
 
 
 def _dumps(doc) -> str:
@@ -294,7 +316,7 @@ def _dumps(doc) -> str:
         if not finite.all():
             bad = float(arr[~finite][0])
             raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
-        out += [_array_template(arr.shape, level) % tuple(arr.ravel().tolist()), piece]
+        out += [_array_template(arr.shape, level) % _slot_values(arr), piece]
     out.append("\n")
     return "".join(out)
 
@@ -433,8 +455,9 @@ def random_game(
     """
     if min(num_agents, horizon, state_dim, action_dim) < 1:
         raise GameSpecError("dims", "all dimensions must be >= 1")
-    if not scale > 0:
-        raise GameSpecError("scale", "must be positive")
+    # uniform(-scale, scale) needs the width 2*scale as a finite float
+    if not (scale > 0 and np.isfinite(2.0 * scale)):
+        raise GameSpecError("scale", f"must be positive with 2*scale finite, got {scale!r}")
     rng = np.random.default_rng(seed)
     n, T, m, p = num_agents, horizon, state_dim, action_dim
 
@@ -521,7 +544,11 @@ def dump_joint_policy(joint: JointPolicy) -> str:
 
 
 def load_joint_policy(text: str) -> JointPolicy:
-    """Parse a policy document produced by :func:`dump_joint_policy`."""
+    """Parse a policy document produced by :func:`dump_joint_policy`.
+
+    ``covs`` must be symmetric; round-off asymmetries are repaired as for
+    the game's symmetric fields.
+    """
     doc = _load_object(text)
     for key in ("num_agents", "horizon", "state_dim", "action_dim", "gains", "covs"):
         if key not in doc:
@@ -539,4 +566,4 @@ def load_joint_policy(text: str) -> JointPolicy:
     for field, arr in (("gains", gains), ("covs", covs)):
         if not np.isfinite(arr).all():
             raise GameSpecError(field, "contains non-finite entries")
-    return joint_policy_from_arrays(gains, covs)
+    return joint_policy_from_arrays(gains, _symmetrized(covs, "covs"))

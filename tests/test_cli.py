@@ -42,6 +42,16 @@ def test_randgen_tau_override(tmp_path):
     assert spec.tau == 3.5
 
 
+@pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf", "1e308"])
+def test_randgen_bad_scale_exit_code(tmp_path, capsys, scale):
+    # inf and 1e308 used to escape as an OverflowError from Generator.uniform.
+    out = tmp_path / "gen"
+    assert run("randgen", "--out", out, "--agents", 1, "--horizon", 1, "--state-dim", 1,
+               "--action-dim", 1, "--seed", 0, "--scale", scale) == 2
+    assert "error (validation): scale" in capsys.readouterr().err
+    assert not (out / "spec.json").exists()
+
+
 def test_solve_exact_scalar_outputs(scalar_spec_file, tmp_path, capsys):
     out = tmp_path / "run"
     assert run("solve-exact", "--spec", scalar_spec_file, "--out", out) == 0
@@ -118,12 +128,17 @@ def test_augment_overflow_exit_code(tmp_path, capsys):
 
 INF_COV_POLICY = ('{"num_agents": 1, "horizon": 1, "state_dim": 1, "action_dim": 1,'
                   ' "gains": [[[[0]]]], "covs": [[[[1e999]]]]}')
+# The certificate reads the whole covariance, sampling and the
+# log-determinants only its lower triangle: two different policies.
+ASYMMETRIC_COV_POLICY = ('{"num_agents": 1, "horizon": 1, "state_dim": 1, "action_dim": 2,'
+                         ' "gains": [[[[0], [0]]]], "covs": [[[[1, 0.3], [0, 1]]]]}')
 
 
 @pytest.mark.parametrize("command", ["eval", "simulate"])
 @pytest.mark.parametrize("text, message", [("5", "top level"), ("null", "top level"),
-                                           (INF_COV_POLICY, "covs: contains non-finite")],
-                         ids=["int", "null", "inf-cov"])
+                                           (INF_COV_POLICY, "covs: contains non-finite"),
+                                           (ASYMMETRIC_COV_POLICY, "error (validation): covs: not symmetric")],
+                         ids=["int", "null", "inf-cov", "asymmetric-cov"])
 def test_bad_policy_file_exit_code(scalar_spec_file, tmp_path, capsys, command, text, message):
     out = tmp_path / "run"
     out.mkdir()

@@ -240,12 +240,32 @@ def test_dumps_matches_json_encoder(dims):
         assert model._dumps(doc) == _json_text(doc)
 
 
-@pytest.mark.parametrize("shape", [(7,), (7, 1), (1, 7), (1, 1, 7, 1), (0,), (2, 0)])
+def _square_variants(values: np.ndarray) -> list[np.ndarray]:
+    """For a stack of square matrices with ``m > 1``: the stack made
+    symmetric bit for bit, the same with ``0.0`` opposite ``-0.0``, and the
+    same with one entry of the last block one ulp off its mirror image."""
+    m = values.shape[-1]
+    if values.ndim < 2 or values.shape[-2] != m or m < 2 or values.size == 0:
+        return []
+    sym = values.copy()
+    lower = np.tril_indices(m, -1)
+    sym[..., lower[0], lower[1]] = sym[..., lower[1], lower[0]]
+    signed = sym.copy()
+    signed[..., 0, 1], signed[..., 1, 0] = 0.0, -0.0
+    ulp = sym.copy()
+    last = ulp.reshape(-1, m, m)[-1]
+    last[1, 0] = np.nextafter(last[1, 0], np.inf)
+    return [sym, signed, ulp]
+
+
+@pytest.mark.parametrize("shape", [(7,), (7, 1), (1, 7), (1, 1, 7, 1), (0,), (2, 0),
+                                   (4, 3, 3), (2, 2), (2, 1, 4, 4), (0, 3, 3), (1, 1), (3, 1, 1)])
 def test_dumps_edge_values_and_shapes(shape):
     values = np.resize(np.array(EDGE_FLOATS), shape)
-    doc = {"a": values, "b": [{"c": values, "d": [values, 2.5]}], "e": np.array(-0.0)}
-    assert model._dumps(doc) == _json_text(doc)
-    assert model._dumps(values) == _json_text(values)
+    for arr in [values, *_square_variants(values)]:
+        doc = {"a": arr, "b": [{"c": arr, "d": [arr, 2.5]}], "e": np.array(-0.0)}
+        assert model._dumps(doc) == _json_text(doc)
+        assert model._dumps(arr) == _json_text(arr)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
