@@ -117,13 +117,15 @@ def _condition_doc(spec: GameSpec, record: ConditionRecord) -> dict:
 
 
 def _write_trace(path: Path, report: SolveReport) -> None:
+    """One CSV line per stage and inner iteration, a stage per write; the
+    bytes of ``csv.writer``, which writes floats with ``repr``.  Each
+    stage's modulus is formatted once."""
     try:
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["t", "l", "distance", "contraction_modulus"])
-            for t, stage_trace in enumerate(report.trace):
-                for l, dist in enumerate(stage_trace, start=1):
-                    writer.writerow([t, l, float(dist), float(report.contraction_moduli[t])])
+            fh.write("t,l,distance,contraction_modulus\n")
+            for t, (stage_trace, modulus) in enumerate(zip(report.trace, report.contraction_moduli)):
+                tail = f",{float(modulus)!r}\n"
+                fh.write("".join([f"{t},{l},{float(dist)!r}{tail}" for l, dist in enumerate(stage_trace, start=1)]))
     except OSError as exc:
         raise _IOFailure(f"cannot write {path}: {exc}") from None
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -341,17 +342,39 @@ def dump_game_spec(spec: GameSpec) -> str:
 
 
 def _symmetrized(x: np.ndarray, field: str) -> np.ndarray:
-    skew = np.linalg.norm(x - x.swapaxes(-1, -2))
-    if skew > SYMMETRY_RTOL * (1.0 + np.linalg.norm(x)):
-        raise GameSpecError(field, f"not symmetric (skew norm {skew:.3e})")
-    return 0.5 * (x + x.swapaxes(-1, -2))
+    """``(X + X^T)/2`` after a skew check; called with overflow warnings off.
+    When the squares of ``X`` overflow, the check measures ``X`` in units of
+    its largest entry, and a sum ``X + X^T`` past the float range is rejected."""
+    norm = np.linalg.norm(x)
+    if math.isfinite(norm):
+        skew = np.linalg.norm(x - x.swapaxes(-1, -2))
+        if skew > SYMMETRY_RTOL * (1.0 + norm):
+            raise GameSpecError(field, f"not symmetric (skew norm {skew:.3e})")
+        return 0.5 * (x + x.swapaxes(-1, -2))
+    scale = float(np.abs(x).max())
+    unit = x / scale
+    skew = float(np.linalg.norm(unit - unit.swapaxes(-1, -2)))
+    if skew > SYMMETRY_RTOL * (1.0 / scale + float(np.linalg.norm(unit))):
+        raise GameSpecError(field, f"not symmetric (skew norm {scale * skew:.3e})")
+    sym = 0.5 * (x + x.swapaxes(-1, -2))
+    if not np.isfinite(sym).all():
+        raise GameSpecError(field, "entries too large: X + X^T overflows")
+    return sym
 
 
 def _psd_failures(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lowest eigenvalue of each matrix in the stack ``x``, and where it
-    falls below the PSD tolerance ``-PSD_RTOL * (1 + ||x||_F)``."""
+    falls below the PSD tolerance ``-PSD_RTOL * (1 + ||x||_F)``; called with
+    overflow warnings off.  A matrix whose squares overflow is compared in
+    units of its largest entry."""
     lo = np.linalg.eigvalsh(x)[..., 0]
-    return lo, lo < -PSD_RTOL * (1.0 + np.linalg.norm(x, axis=(-2, -1)))
+    norm = np.linalg.norm(x, axis=(-2, -1))
+    finite = np.isfinite(norm)
+    if finite.all():
+        return lo, lo < -PSD_RTOL * (1.0 + norm)
+    scale = np.where(finite, 1.0, np.abs(x).max(axis=(-2, -1)))
+    unit = np.linalg.norm(x / scale[..., None, None], axis=(-2, -1))
+    return lo, lo / scale < -PSD_RTOL * (1.0 / scale + unit)
 
 
 def _not_psd(field: str, lo) -> GameSpecError:
@@ -399,29 +422,30 @@ def validate_game_spec(spec: GameSpec) -> GameSpec:
             raise GameSpecError(field, "contains non-finite entries")
         arrays[field] = arr
 
-    Q = _symmetrized(arrays["Q"], "Q")
-    R = _symmetrized(arrays["R"], "R")
-    noise_cov = _symmetrized(arrays["noise_cov"], "noise_cov")
-    init_cov = _symmetrized(arrays["init_cov"], "init_cov")
-    # One eigvalsh per stack; the first failure is reported in the order
-    # agent by agent, Q over stages, then R over stages.
-    q_lo, q_bad = _psd_failures(Q)
-    r_lo = np.linalg.eigvalsh(R)[..., 0]
-    r_bad = r_lo <= 0.0
-    bad_agents = np.flatnonzero(q_bad.any(axis=1) | r_bad.any(axis=1))
-    if bad_agents.size:
-        i = int(bad_agents[0])
-        if q_bad[i].any():
-            t = int(np.argmax(q_bad[i]))
-            raise _not_psd(f"Q[{i}][{t}]", q_lo[i, t])
-        t = int(np.argmax(r_bad[i]))
-        raise GameSpecError(
-            f"R[{i}][{t}]", f"not positive definite (min eigenvalue {float(r_lo[i, t]):.3e})"
-        )
-    for field, x in (("noise_cov", noise_cov), ("init_cov", init_cov)):
-        lo, bad = _psd_failures(x)
-        if bad:
-            raise _not_psd(field, lo)
+    with np.errstate(over="ignore"):
+        Q = _symmetrized(arrays["Q"], "Q")
+        R = _symmetrized(arrays["R"], "R")
+        noise_cov = _symmetrized(arrays["noise_cov"], "noise_cov")
+        init_cov = _symmetrized(arrays["init_cov"], "init_cov")
+        # One eigvalsh per stack; the first failure is reported in the order
+        # agent by agent, Q over stages, then R over stages.
+        q_lo, q_bad = _psd_failures(Q)
+        r_lo = np.linalg.eigvalsh(R)[..., 0]
+        r_bad = r_lo <= 0.0
+        bad_agents = np.flatnonzero(q_bad.any(axis=1) | r_bad.any(axis=1))
+        if bad_agents.size:
+            i = int(bad_agents[0])
+            if q_bad[i].any():
+                t = int(np.argmax(q_bad[i]))
+                raise _not_psd(f"Q[{i}][{t}]", q_lo[i, t])
+            t = int(np.argmax(r_bad[i]))
+            raise GameSpecError(
+                f"R[{i}][{t}]", f"not positive definite (min eigenvalue {float(r_lo[i, t]):.3e})"
+            )
+        for field, x in (("noise_cov", noise_cov), ("init_cov", init_cov)):
+            lo, bad = _psd_failures(x)
+            if bad:
+                raise _not_psd(field, lo)
 
     return GameSpec(
         num_agents=n,
@@ -566,4 +590,6 @@ def load_joint_policy(text: str) -> JointPolicy:
     for field, arr in (("gains", gains), ("covs", covs)):
         if not np.isfinite(arr).all():
             raise GameSpecError(field, "contains non-finite entries")
-    return joint_policy_from_arrays(gains, _symmetrized(covs, "covs"))
+    with np.errstate(over="ignore"):
+        covs = _symmetrized(covs, "covs")
+    return joint_policy_from_arrays(gains, covs)

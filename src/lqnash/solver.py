@@ -43,6 +43,8 @@ __all__ = [
 COND_LIMIT = 1e12
 # Inner-iteration cap when only a distance tolerance is given.
 MAX_INNER_ITERS = 500
+# Stages between the early-stop checks of an augmentation round's backward pass.
+_CHECK_EVERY = 16
 
 
 class SolverError(RuntimeError):
@@ -99,8 +101,13 @@ class SolveReport:
 
 def _finite(t: int, what: str, *arrays: np.ndarray) -> None:
     """Raise :class:`SolverError` naming stage ``t`` unless every entry is finite."""
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise SolverError(f"stage {t}: {what} are not finite; the backward pass diverged")
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise SolverError(f"stage {t}: {what} are not finite; the backward pass diverged")
+
+
+def _singular(t: int, exc: np.linalg.LinAlgError) -> SolverError:
+    return SolverError(f"stage {t}: singular stage matrix ({exc}); the backward pass diverged")
 
 
 @contextmanager
@@ -112,9 +119,7 @@ def _stage(t: int):
         try:
             yield
         except np.linalg.LinAlgError as exc:
-            raise SolverError(
-                f"stage {t}: singular stage matrix ({exc}); the backward pass diverged"
-            ) from None
+            raise _singular(t, exc) from None
 
 
 def phi_matrix(spec: GameSpec, t: int, P_next: np.ndarray) -> np.ndarray:
@@ -146,12 +151,24 @@ def exact_ne(spec: GameSpec, cond_limit: float = COND_LIMIT) -> NESolution:
     stacked after the stage loop; the error is that of the first failing
     check of a stage-by-stage pass.
     """
+    return _exact_backward(spec, cond_limit)
+
+
+def _exact_backward(
+    spec: GameSpec, cond_limit: float = COND_LIMIT, margin: float | None = None
+) -> NESolution | None:
+    """The backward pass of :func:`exact_ne`.  With a ``margin`` it returns
+    ``None`` as soon as the values solved so far fail the adequacy check at
+    that margin: their largest norm bounds ``gamma_P`` from below, and the
+    threshold grows with ``gamma_P``, so the full pass would fail it too."""
     n, T = spec.num_agents, spec.horizon
     m, p = spec.state_dim, spec.action_dim
     Bt, side, weight, reg = stage_blocks(spec)
     P = spec.Q.copy()
     phis, BPA, G = np.zeros((T, n * p, n * p)), np.zeros((T, n * p, m)), np.zeros((T, n * p, m))
     failure = None
+    gamma_b = None if margin is None else _max_frobenius(spec.B)
+    squares, unchecked = 0.0, T + 1  # largest squared norm among P[:, unchecked:]
     with np.errstate(over="ignore", invalid="ignore"):
         # Only the gain solve and the value step need the tail values.
         for t in range(T - 1, -1, -1):
@@ -164,6 +181,15 @@ def exact_ne(spec: GameSpec, cond_limit: float = COND_LIMIT) -> NESolution:
             except np.linalg.LinAlgError as exc:
                 failure = (t, exc)
                 break
+            if gamma_b is not None and t % _CHECK_EVERY == 0:
+                # The squared norms as _max_frobenius sums them; past the float
+                # range its scaled fallback takes over, so stop checking.
+                new = (P[:, t:unchecked] ** 2).sum(axis=(-2, -1)).max()
+                squares, unchecked = max(squares, new), t
+                if not np.isfinite(new):
+                    gamma_b = None
+                elif not _condition(spec, float(np.sqrt(squares)), margin, gamma_b).satisfied:
+                    return None
         first, agents = (0 if failure is None else failure[0]), np.arange(n)
         brackets = spec.R + phis.reshape(T, n, p, n, p)[:, agents, :, agents]
         phis += reg
@@ -217,8 +243,8 @@ def contraction_modulus(spec: GameSpec, t: int, P_next: np.ndarray) -> float:
     return threshold / spec.tau
 
 
-def _condition(spec: GameSpec, gamma_p: float, margin: float) -> ConditionRecord:
-    gamma_b, threshold = uniqueness_threshold(spec, gamma_p)
+def _condition(spec: GameSpec, gamma_p: float, margin: float, gamma_b: float | None = None) -> ConditionRecord:
+    gamma_b, threshold = uniqueness_threshold(spec, gamma_p, gamma_b)
     return ConditionRecord(
         gamma_B=gamma_b,
         gamma_P=gamma_p,
@@ -278,59 +304,101 @@ def po_solve(
     n, T = spec.num_agents, spec.horizon
     m, p = spec.state_dim, spec.action_dim
     Bt, side, weight, _ = stage_blocks(spec)
-    agents, half = np.arange(n), 0.5 * spec.tau * np.eye(p)
+    half = 0.5 * spec.tau * np.eye(p)
+    # Flat positions of the diagonal blocks (i, :, i, :) of a stage's (N p, N p) products.
+    diagonal = np.arange((n * p) ** 2).reshape(n, p, n, p)[np.arange(n), :, np.arange(n)]
     gains = np.zeros((T, n * p, m))
-    covs = np.zeros((n, T, p, p))
-    tails = spec.Q[:, T].copy()  # (N, m, m) value matrices for the stage below
-    gamma_b = _max_frobenius(spec.B)
-    gamma_p = gamma_p_seen = _max_frobenius(tails)
-    trace_by_stage: list[tuple[float, ...]] = [()] * T
-    moduli = np.zeros(T)
+    brackets = np.zeros((T, n, p, p))
+    values = np.empty((T + 1, n, m, m))  # values[t + 1] are the tail values of stage t
+    values[T] = spec.Q[:, T]
+    first = np.zeros(T)  # the gain part of each stage's first inner distance
+    trace_by_stage: list = [None] * T
+    ready = T  # a stage-by-stage pass has solved the covariances of stages ready..T-1
 
-    for t in range(T - 1, -1, -1):
-        with _stage(t):
-            moduli[t] = uniqueness_threshold(spec, gamma_p, gamma_b)[1] / spec.tau
-            products, BPA = joint_products(Bt[:, t], side[t], spec.A[t], tails)
-            blocks = products.reshape(n, p, n, p)
-            bracket = spec.R[:, t] + blocks[agents, :, agents]
-            H = half + bracket
-            _finite(t, "stage matrices", products, H, BPA)
-            # Block-Jacobi on Phi_t G = -B^T P A, factored once: G <- c + M G, with
-            # c = -D^{-1} B^T P A, M = -D^{-1} E, D = blockdiag(H), E the cross couplings.
-            blocks[agents, :, agents] = 0.0  # leaves E in the products
-            rhs = np.concatenate((BPA.reshape(n, p, m), products.reshape(n, p, n * p)), axis=-1)
-            factored = -np.linalg.solve(H, rhs)
-            c, M = factored[..., :m].reshape(n * p, m), factored[..., m:].reshape(n * p, n * p)
-            covs[:, t] = stage_covariance(bracket, spec.tau)
-            # The covariance is fixed within a stage: it moves only on the first iteration.
-            cov_distance = np.sqrt((covs[:, t] ** 2).sum(axis=(1, 2))).sum()
+    try:  # what _stage(t) does per stage, with one errstate for the whole loop
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in range(T - 1, -1, -1):
+                tails = values[t + 1]
+                products, BPA = joint_products(Bt[:, t], side[t], spec.A[t], tails)
+                flat = products.reshape(-1)
+                bracket = brackets[t] = spec.R[:, t] + flat[diagonal]
+                H = half + bracket
+                _finite(t, "stage matrices", products, H, BPA)
+                # Block-Jacobi on Phi_t G = -B^T P A, factored once: G <- c + M G, with
+                # c = -D^{-1} B^T P A, M = -D^{-1} E, D = blockdiag(H), E the cross couplings.
+                flat[diagonal] = 0.0  # leaves E in the products
+                rhs = np.concatenate((BPA.reshape(n, p, m), products.reshape(n, p, n * p)), axis=-1)
+                factored = -np.linalg.solve(H, rhs)
+                c, M = factored[..., :m].reshape(n * p, m), factored[..., m:].reshape(n * p, n * p)
+                ready = t
 
-            G = gains[t]
-            distances: list[float] = []
-            for _ in range(L):
-                new = c + M @ G
-                d = float(np.sqrt(((new - G) ** 2).reshape(n, -1).sum(axis=1)).sum() + cov_distance)
-                G, cov_distance = new, 0.0
-                distances.append(d)
-                if stop_tol is not None and d < stop_tol:
-                    break
-            gains[t] = G
-            trace_by_stage[t] = tuple(distances)
-            _finite(t, "policy gains", G)
+                G = gains[t]
+                distances: list[float] = []
+                for _ in range(L):
+                    new = c + M @ G
+                    diff = new - G
+                    d = np.add.reduce(np.sqrt(np.add.reduce((diff * diff).reshape(n, -1), axis=1)))
+                    if not distances:
+                        # The covariance moves only on the first iteration, which adds its
+                        # norm (after the loop); it can decide the stop test only here.
+                        first[t] = d
+                        if stop_tol is not None and d < stop_tol:
+                            d = d + _cov_distance(stage_covariance(bracket, spec.tau))
+                    G = new
+                    distances.append(float(d))
+                    if stop_tol is not None and d < stop_tol:
+                        break
+                gains[t] = G
+                trace_by_stage[t] = distances
+                _finite(t, "policy gains", G)
 
-            # Lyapunov step: fold the converged stage into each agent's tail value.
-            Qown = spec.Q[:, t] + own_cost(weight[:, t], G.reshape(n, p, m))
-            tails = value_step(Qown, spec.A[t] + side[t] @ G, tails)
-            _finite(t, "tail value matrices", tails)
-            gamma_p = _max_frobenius(tails)
-            gamma_p_seen = max(gamma_p_seen, gamma_p)
+                # Lyapunov step: fold the converged stage into each agent's tail value.
+                Qown = spec.Q[:, t] + own_cost(weight[:, t], G.reshape(n, p, m))
+                values[t] = value_step(Qown, spec.A[t] + side[t] @ G, tails)
+                _finite(t, "tail value matrices", values[t])
+    except (SolverError, np.linalg.LinAlgError) as exc:
+        _stage_covariances(brackets, spec.tau, ready)  # a later stage's failing covariance comes first
+        if isinstance(exc, SolverError):
+            raise
+        raise _singular(t, exc) from None
 
+    # The covariances, first distances, value norms and moduli, stacked over the stages.
+    covs = _stage_covariances(brackets, spec.tau, 0)
+    with np.errstate(over="ignore"):
+        for distances, d in zip(trace_by_stage, (first + _cov_distance(covs)).tolist()):
+            distances[0] = d
+        norms = np.sqrt((values**2).sum(axis=(-2, -1)).max(axis=1))
+        for t in np.flatnonzero(~np.isfinite(norms)):
+            norms[t] = _max_frobenius(values[t])
+        moduli = uniqueness_threshold(spec, norms[1:])[1] / spec.tau
     return SolveReport(
-        policy=joint_policy_from_arrays(gains.reshape(T, n, p, m).swapaxes(0, 1), covs),
-        trace=tuple(trace_by_stage),
-        contraction_moduli=tuple(float(r) for r in moduli),
-        condition=_condition(spec, gamma_p_seen, 0.0),
+        policy=joint_policy_from_arrays(gains.reshape(T, n, p, m).swapaxes(0, 1), covs.swapaxes(0, 1)),
+        trace=tuple(map(tuple, trace_by_stage)),
+        contraction_moduli=tuple(moduli.tolist()),
+        condition=_condition(spec, float(norms.max()), 0.0),
     )
+
+
+def _cov_distance(covs: np.ndarray) -> np.ndarray:
+    """Sum over agents of the covariances' Frobenius norms, per stage of an
+    ``(..., N, p, p)`` stack; each stage's agents are summed over one row."""
+    return np.add.reduce(np.sqrt((covs * covs).sum(axis=(-2, -1))), axis=-1)
+
+
+def _stage_covariances(brackets: np.ndarray, tau: float, lo: int) -> np.ndarray:
+    """Covariances of stages ``lo..T-1`` from their ``(T, N, p, p)`` brackets,
+    stacked; a singular solve raises :class:`SolverError` naming the last
+    stage with one, as a stage-by-stage pass would."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return stage_covariance(brackets[lo:], tau)
+        except np.linalg.LinAlgError:
+            pass
+    covs = np.zeros_like(brackets[lo:])
+    for t in range(len(brackets) - 1, lo - 1, -1):
+        with _stage(t):
+            covs[t - lo] = stage_covariance(brackets[t], tau)
+    return covs
 
 
 def delta_augment_solve(
@@ -347,6 +415,9 @@ def delta_augment_solve(
     Tries ``delta = delta_init * growth**k`` for ``k = 0, 1, ...`` until the
     game with weight ``tau + delta`` passes the adequacy check (verified on
     its exact solution), then runs :func:`po_solve` on that augmented game.
+    A round's backward pass stops as soon as the values it has solved rule
+    the check out, so ``delta`` and every output are those of full passes;
+    a failure's text comes from one full pass of the last failed round.
     A round whose ``tau + delta`` overflows raises :class:`SolverError`.
     The returned policy is an approximate equilibrium of the *original*
     game whose per-agent exploitability (reported in ``nash_gaps``) shrinks
@@ -360,9 +431,7 @@ def delta_augment_solve(
         raise ValueError("max_rounds must be >= 1")
     _check_margin(margin)
 
-    delta = None
-    condition = None
-    last_failure = "no rounds attempted"
+    delta = condition = failed = None  # failed: the delta of the last failed round
     for k in range(max_rounds):
         try:
             candidate = delta_init * growth**k
@@ -371,28 +440,38 @@ def delta_augment_solve(
             finite = False
         if not finite:
             raise SolverError(
-                f"augmentation round {k}: tau + {delta_init:g} * {growth:g}**{k} overflows ({last_failure})"
+                f"augmentation round {k}: tau + {delta_init:g} * {growth:g}**{k} overflows "
+                f"({_round_failure(spec, failed, margin)})"
             )
         augmented = spec.with_tau(spec.tau + candidate)
         try:
-            sol = exact_ne(augmented)
-        except SolverError as exc:
-            last_failure = f"delta={candidate:g}: {exc}"
-            continue
-        record = check_assumption_tau(augmented, sol, margin)
-        if record.satisfied:
-            delta = candidate
-            condition = record
-            break
-        gap = record.threshold * (1.0 + margin) - augmented.tau
-        last_failure = f"delta={candidate:g}: threshold gap {gap:.6g} remains"
+            sol = _exact_backward(augmented, margin=margin)
+        except SolverError:
+            sol = None
+        if sol is not None:
+            record = check_assumption_tau(augmented, sol, margin)
+            if record.satisfied:
+                delta, condition = candidate, record
+                break
+        failed = candidate
     if delta is None:
-        raise SolverError(
-            f"augmentation failed after {max_rounds} rounds ({last_failure})"
-        )
+        raise SolverError(f"augmentation failed after {max_rounds} rounds ({_round_failure(spec, failed, margin)})")
 
-    report = po_solve(spec.with_tau(spec.tau + delta), inner_iters=inner_iters, stop_tol=stop_tol)
+    report = po_solve(augmented, inner_iters=inner_iters, stop_tol=stop_tol)  # the accepted round's game
     report.condition = condition
     report.delta_used = float(delta)
     report.nash_gaps = exploitability(spec, report.policy)
     return report
+
+
+def _round_failure(spec: GameSpec, delta: float | None, margin: float) -> str:
+    """Why the augmentation round with ``delta`` failed, from one full backward pass of it."""
+    if delta is None:
+        return "no rounds attempted"
+    augmented = spec.with_tau(spec.tau + delta)
+    try:
+        sol = _exact_backward(augmented)
+    except SolverError as exc:
+        return f"delta={delta:g}: {exc}"
+    gap = check_assumption_tau(augmented, sol, margin).threshold * (1.0 + margin) - augmented.tau
+    return f"delta={delta:g}: threshold gap {gap:.6g} remains"

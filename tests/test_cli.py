@@ -85,6 +85,37 @@ def test_trace_schema(scalar_spec_file, tmp_path):
     assert float(rows[1][2]) > 0
 
 
+def reference_trace(report) -> bytes:
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["t", "l", "distance", "contraction_modulus"])
+    for t, stage_trace in enumerate(report.trace):
+        for l, dist in enumerate(stage_trace, start=1):
+            writer.writerow([t, l, float(dist), float(report.contraction_moduli[t])])
+    return buf.getvalue().encode()
+
+
+def test_trace_bytes_match_csv_writer(tmp_path):
+    spec = lq.random_game(3, 20, 4, 2, seed=3, scale=0.3).with_tau(1.85)
+    reports = [
+        lq.po_solve(spec),
+        lq.po_solve(spec, inner_iters=3, stop_tol=None),
+        # Zeros, huge and tiny values, inf and nan as the file may hold them.
+        lq.SolveReport(policy=None, trace=((0.0, 1e-300, 5e-324), (1.5e300,), (float("nan"), float("inf"))),
+                       contraction_moduli=(0.0, float("inf"), 1 / 3)),
+    ]
+    for report in reports:
+        cli._write_trace(tmp_path / "trace.csv", report)
+        assert (tmp_path / "trace.csv").read_bytes() == reference_trace(report)
+
+
+def test_trace_write_error_exit_code(scalar_spec_file, tmp_path, capsys):
+    out = tmp_path / "po"
+    (out / "trace.csv").mkdir(parents=True)  # a directory where the file should go
+    assert run("solve-po", "--spec", scalar_spec_file, "--out", out) == 4
+    assert "error (io): cannot write" in capsys.readouterr().err
+
+
 def test_check_writes_condition(scalar_spec_file, tmp_path):
     out = tmp_path / "chk"
     assert run("check", "--spec", scalar_spec_file, "--out", out) == 0
@@ -439,3 +470,51 @@ def test_eval_policy_spec_mismatch(scalar_spec_file, tmp_path, capsys):
     (out / "policy.json").write_text(lq.dump_joint_policy(lq.exact_ne(other).policy))
     assert run("eval", "--spec", scalar_spec_file, "--out", out) == 2
     assert "does not match" in capsys.readouterr().err
+
+
+def _spec_with(tmp_path, **fields):
+    doc = json.loads(SCALAR_GAME_TEXT)
+    doc.update({"state_dim": 2, "A": [[1, 0], [0, 1]], "B": [[1], [0]], "Q": [[1, 0], [0, 1]],
+                "noise_cov": [[1, 0], [0, 1]], "init_mean": [0, 0], "init_cov": [[1, 0], [0, 1]]})
+    doc.update(fields)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("field, value, message", [
+    # The Frobenius norm of Q overflows; its min eigenvalue is -1e300.
+    ("Q", [[1e300, 0], [0, -1e300]], "Q[0][0]: not positive semidefinite"),
+    ("Q", [[0, 1.5e308], [-1.5e308, 0]], "Q: not symmetric"),
+    # (X + X^T)/2 would overflow to inf.
+    ("Q", [[1.5e308, 0], [0, 1]], "Q: entries too large"),
+    ("R", [[1.5e308]], "R: entries too large"),
+    ("noise_cov", [[1.5e308, 0], [0, 1]], "noise_cov: entries too large"),
+    ("init_cov", [[1, 0], [0, 1.5e308]], "init_cov: entries too large"),
+])
+def test_huge_symmetric_fields_rejected_by_name(tmp_path, capsys, field, value, message):
+    path = _spec_with(tmp_path, **{field: value})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run("check", "--spec", path, "--out", tmp_path / "o")
+    assert code == 2
+    assert f"error (validation): {message}" in capsys.readouterr().err
+
+
+def test_huge_symmetric_field_within_range_loads(tmp_path):
+    path = _spec_with(tmp_path, Q=[[1e200, 0], [0, 1e200]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = lq.load_game_spec(path.read_text())
+    assert spec.Q[0, 0, 0, 0] == 1e200
+
+
+@pytest.mark.parametrize("scale", ["1e150", "1e154", "1e200"])
+def test_randgen_huge_scale_is_valid_or_a_validation_error(tmp_path, capsys, scale):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run("randgen", "--out", tmp_path / "gen", "--agents", 2, "--horizon", 3, "--state-dim", 2,
+                   "--action-dim", 1, "--seed", 0, "--scale", scale)
+    assert code in (0, 2)
+    if code == 2:
+        assert "error (validation):" in capsys.readouterr().err

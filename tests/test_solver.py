@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lqnash as lq
 from lqnash import solver
@@ -287,6 +288,7 @@ class TestDeltaAugment:
     @pytest.mark.parametrize("margin", [-1.0, float("nan")])
     def test_bad_margin_rejected_before_any_solve(self, monkeypatch, margin):
         monkeypatch.setattr(solver, "exact_ne", lambda spec: pytest.fail("solved"))
+        monkeypatch.setattr(solver, "_exact_backward", lambda *args, **kwargs: pytest.fail("solved"))
         spec = lq.random_game(2, 2, 2, 1, seed=11, scale=0.8)
         with pytest.raises(ValueError, match="margin"):
             lq.delta_augment_solve(spec, delta_init=1e-3, margin=margin)
@@ -374,3 +376,192 @@ def test_condition_failure_wins_over_an_earlier_stage_fault(monkeypatch, fault):
     seen.clear()
     with pytest.raises(lq.SolverError, match=f"^stage {failing[-1]}: coupling matrix condition"):
         lq.exact_ne(spec, cond_limit=limit)
+
+
+def reference_augment_rounds(spec, delta_init, growth, max_rounds, margin):
+    """The augmentation round loop with one full ``exact_ne`` per round:
+    the accepted delta and its record, or the error after the last round."""
+    last_failure = "no rounds attempted"
+    for k in range(max_rounds):
+        candidate = delta_init * growth**k
+        augmented = spec.with_tau(spec.tau + candidate)
+        try:
+            sol = lq.exact_ne(augmented)
+        except lq.SolverError as exc:
+            last_failure = f"delta={candidate:g}: {exc}"
+            continue
+        record = lq.check_assumption_tau(augmented, sol, margin)
+        if record.satisfied:
+            return candidate, record
+        gap = record.threshold * (1.0 + margin) - augmented.tau
+        last_failure = f"delta={candidate:g}: threshold gap {gap:.6g} remains"
+    raise lq.SolverError(f"augmentation failed after {max_rounds} rounds ({last_failure})")
+
+
+def bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+@given(
+    n=st.integers(1, 3),
+    T=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    where=st.sampled_from([0.5, 1.0, 2.0]),
+    margin=st.sampled_from([0.0, 0.5]),
+    growth=st.sampled_from([1.5, 16.0]),
+)
+@settings(max_examples=40)
+def test_early_stopped_rounds_match_full_rounds(n, T, seed, where, margin, growth):
+    """Tau below, at and above the threshold: the accepted delta, its record,
+    the policy and the Nash gaps are those of full rounds, and when every
+    round fails the error text is too."""
+    spec = lq.random_game(n, T, 3, 2, seed=seed, scale=0.8)
+    threshold = lq.check_assumption_tau(spec, lq.exact_ne(spec)).threshold
+    spec = spec.with_tau(threshold * where if threshold > 0 else 1.0)
+    kwargs = dict(delta_init=0.05 * max(threshold, 1.0), growth=growth, max_rounds=4, margin=margin)
+    try:
+        delta, record = reference_augment_rounds(spec, **kwargs)
+    except lq.SolverError as exc:
+        with pytest.raises(lq.SolverError) as err:
+            lq.delta_augment_solve(spec, **kwargs)
+        assert str(err.value) == str(exc)
+        return
+    report = lq.delta_augment_solve(spec, **kwargs)
+    assert report.delta_used == delta and report.condition == record
+    reference = lq.po_solve(spec.with_tau(spec.tau + delta))
+    assert bits(lq.stack_gains(report.policy)) == bits(lq.stack_gains(reference.policy))
+    assert bits(lq.stack_covs(report.policy)) == bits(lq.stack_covs(reference.policy))
+    assert bits(report.nash_gaps) == bits(lq.exploitability(spec, reference.policy))
+
+
+def test_failing_round_stops_early_and_passing_round_runs_in_full(monkeypatch):
+    """The failing first round of the ``long`` benchmark game is decided within
+    a few dozen of its 400 stages; a passing round is ``exact_ne``'s pass."""
+    spec = lq.random_game(3, 400, 4, 2, seed=1234, scale=0.3)
+    real, steps = lq.solver.value_step, []
+    monkeypatch.setattr(lq.solver, "value_step", lambda *args: steps.append(0) or real(*args))
+    assert solver._exact_backward(spec.with_tau(1.05), margin=0.0) is None
+    assert 0 < len(steps) <= 100
+    passing = spec.with_tau(1.8)
+    sol, full = solver._exact_backward(passing, margin=0.0), lq.exact_ne(passing)
+    assert lq.check_assumption_tau(passing, full).satisfied
+    assert bits(sol.riccati) == bits(full.riccati) and bits(sol.offsets) == bits(full.offsets)
+    assert bits(lq.stack_gains(sol.policy)) == bits(lq.stack_gains(full.policy))
+
+
+def reference_po(spec, inner_iters=None, stop_tol=1e-10):
+    """``po_solve`` with the covariance, its norm, the modulus and the value
+    norm computed inside the stage loop, one stage at a time.  Also returns
+    each stage's bracket ``R + B^T P B``."""
+    from lqnash.control import _max_frobenius, joint_products, own_cost, stage_blocks, uniqueness_threshold
+
+    L = solver.MAX_INNER_ITERS if inner_iters is None else inner_iters
+    n, T = spec.num_agents, spec.horizon
+    m, p = spec.state_dim, spec.action_dim
+    Bt, side, weight, _ = stage_blocks(spec)
+    agents, half = np.arange(n), 0.5 * spec.tau * np.eye(p)
+    gains, covs, brackets = np.zeros((T, n * p, m)), np.zeros((n, T, p, p)), np.zeros((T, n, p, p))
+    tails = spec.Q[:, T].copy()
+    gamma_b = _max_frobenius(spec.B)
+    gamma_p = gamma_p_seen = _max_frobenius(tails)
+    trace_by_stage, moduli = [()] * T, np.zeros(T)
+    for t in range(T - 1, -1, -1):
+        with solver._stage(t):
+            moduli[t] = uniqueness_threshold(spec, gamma_p, gamma_b)[1] / spec.tau
+            products, BPA = joint_products(Bt[:, t], side[t], spec.A[t], tails)
+            blocks = products.reshape(n, p, n, p)
+            bracket = brackets[t] = spec.R[:, t] + blocks[agents, :, agents]
+            H = half + bracket
+            solver._finite(t, "stage matrices", products, H, BPA)
+            blocks[agents, :, agents] = 0.0
+            rhs = np.concatenate((BPA.reshape(n, p, m), products.reshape(n, p, n * p)), axis=-1)
+            factored = -np.linalg.solve(H, rhs)
+            c, M = factored[..., :m].reshape(n * p, m), factored[..., m:].reshape(n * p, n * p)
+            covs[:, t] = solver.stage_covariance(bracket, spec.tau)
+            cov_distance = np.sqrt((covs[:, t] ** 2).sum(axis=(1, 2))).sum()
+            G, distances = gains[t], []
+            for _ in range(L):
+                new = c + M @ G
+                d = float(np.sqrt(((new - G) ** 2).reshape(n, -1).sum(axis=1)).sum() + cov_distance)
+                G, cov_distance = new, 0.0
+                distances.append(d)
+                if stop_tol is not None and d < stop_tol:
+                    break
+            gains[t] = G
+            trace_by_stage[t] = tuple(distances)
+            solver._finite(t, "policy gains", G)
+            Qown = spec.Q[:, t] + own_cost(weight[:, t], G.reshape(n, p, m))
+            tails = solver.value_step(Qown, spec.A[t] + side[t] @ G, tails)
+            solver._finite(t, "tail value matrices", tails)
+            gamma_p = _max_frobenius(tails)
+            gamma_p_seen = max(gamma_p_seen, gamma_p)
+    gains = gains.reshape(T, n, p, m).swapaxes(0, 1)
+    record = solver._condition(spec, gamma_p_seen, 0.0)
+    return gains, covs, tuple(trace_by_stage), tuple(float(r) for r in moduli), record, brackets
+
+
+def assert_po_matches_reference(spec, **kwargs):
+    gains, covs, trace, moduli, record, _ = reference_po(spec, **kwargs)
+    report = lq.po_solve(spec, **kwargs)
+    assert bits(lq.stack_gains(report.policy)) == bits(gains)
+    assert bits(lq.stack_covs(report.policy)) == bits(covs)
+    assert bits(np.concatenate(report.trace)) == bits(np.concatenate(trace))
+    assert [len(st) for st in report.trace] == [len(st) for st in trace]
+    assert bits(np.array(report.contraction_moduli)) == bits(np.array(moduli))
+    assert report.condition == record
+    return report
+
+
+@pytest.mark.parametrize("dims, tau", [((3, 400, 4, 2), 1.85), ((20, 50, 10, 2), 100.0), ((1, 5, 2, 1), 1.0)])
+def test_po_solve_matches_stage_loop_reference(dims, tau):
+    spec = lq.random_game(*dims, seed=7, scale=0.3).with_tau(tau)
+    assert_po_matches_reference(spec)
+    assert_po_matches_reference(spec, inner_iters=3, stop_tol=None)
+
+
+@pytest.mark.parametrize("n", [2, 20])
+@pytest.mark.parametrize("tau, length", [(1.0, 2), (1e-13, 1)])
+def test_po_covariance_decides_the_first_stop_test_when_gains_do_not_move(n, tau, length):
+    """With ``A = 0`` the gains stay zero, so the first distance is the
+    covariance norm alone: above ``stop_tol`` at tau 1, below it at 1e-13.
+    Over 20 agents the norms' sum rounds by its order of summation."""
+    base = lq.random_game(n, 4, 3, 2, seed=3, scale=0.5)
+    spec = lq.validate_game_spec(dataclasses.replace(base, A=np.zeros_like(base.A), tau=tau))
+    report = assert_po_matches_reference(spec)
+    covs = lq.stack_covs(report.policy)
+    for t, stage_trace in enumerate(report.trace):
+        assert len(stage_trace) == length
+        assert stage_trace[0] == np.sqrt((covs[:, t] ** 2).sum(axis=(1, 2))).sum()
+    if length == 1:
+        assert 0 < report.trace[0][0] < 1e-10  # below stop_tol
+
+
+@pytest.mark.parametrize("earlier_fault", [False, True])
+def test_singular_covariance_named_before_an_earlier_stage_fault(monkeypatch, earlier_fault):
+    """A stage-by-stage pass meets stage 4's covariance solve before any
+    fault of stage 2, though the covariances are now solved after the loop."""
+    spec = lq.random_game(2, 6, 3, 2, seed=5, scale=0.5)
+    marker = reference_po(spec, inner_iters=3)[-1][4]
+    real_covariance, real_step = lq.solver.stage_covariance, lq.solver.value_step
+
+    def stage_covariance(bracket, tau):
+        if any(np.array_equal(b, marker) for b in bracket.reshape(-1, *marker.shape)):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real_covariance(bracket, tau)
+
+    steps = []
+
+    def value_step(Qown, closed, tails):
+        steps.append(0)
+        if earlier_fault and len(steps) == 4:  # the value step of stage 2
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real_step(Qown, closed, tails)
+
+    monkeypatch.setattr(lq.solver, "stage_covariance", stage_covariance)
+    monkeypatch.setattr(lq.solver, "value_step", value_step)
+    with pytest.raises(lq.SolverError, match="^stage 4: singular stage matrix") as expected:
+        reference_po(spec, inner_iters=3)
+    steps.clear()
+    with pytest.raises(lq.SolverError) as err:
+        lq.po_solve(spec, inner_iters=3)
+    assert str(err.value) == str(expected.value)
