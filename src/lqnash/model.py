@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +33,8 @@ __all__ = [
     "dump_joint_policy",
 ]
 
-# File round-trips introduce tiny asymmetries; accept and repair them.
+# File round-trips introduce tiny asymmetries; accept and repair them.  Both
+# tolerances are relative to the largest entry of the matrix checked.
 SYMMETRY_RTOL = 1e-9
 PSD_RTOL = 1e-10
 
@@ -93,8 +93,9 @@ class GameSpec:
     init_cov: np.ndarray
 
     def with_tau(self, tau: float) -> "GameSpec":
-        """Copy of this instance with a different regularization weight."""
-        return validate_game_spec(dataclasses.replace(self, tau=float(tau)))
+        """Copy of this instance with a different regularization weight; only
+        the weight is checked, and the (read-only) arrays are shared."""
+        return dataclasses.replace(self, tau=_checked_tau(float(tau)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,20 +343,15 @@ def dump_game_spec(spec: GameSpec) -> str:
 
 
 def _symmetrized(x: np.ndarray, field: str) -> np.ndarray:
-    """``(X + X^T)/2`` after a skew check; called with overflow warnings off.
-    When the squares of ``X`` overflow, the check measures ``X`` in units of
-    its largest entry, and a sum ``X + X^T`` past the float range is rejected."""
-    norm = np.linalg.norm(x)
-    if math.isfinite(norm):
-        skew = np.linalg.norm(x - x.swapaxes(-1, -2))
-        if skew > SYMMETRY_RTOL * (1.0 + norm):
-            raise GameSpecError(field, f"not symmetric (skew norm {skew:.3e})")
-        return 0.5 * (x + x.swapaxes(-1, -2))
-    scale = float(np.abs(x).max())
-    unit = x / scale
-    skew = float(np.linalg.norm(unit - unit.swapaxes(-1, -2)))
-    if skew > SYMMETRY_RTOL * (1.0 / scale + float(np.linalg.norm(unit))):
-        raise GameSpecError(field, f"not symmetric (skew norm {scale * skew:.3e})")
+    """``(X + X^T)/2`` after a skew check of each matrix in units of its
+    largest entry; called with overflow warnings off.  A sum ``X + X^T``
+    past the float range is rejected."""
+    scale = np.abs(x).max(axis=(-2, -1), keepdims=True)
+    unit = x / np.where(scale > 0, scale, 1.0)
+    skew = np.linalg.norm(unit - unit.swapaxes(-1, -2), axis=(-2, -1))
+    if (skew > SYMMETRY_RTOL).any():
+        worst = np.argmax(skew)
+        raise GameSpecError(field, f"not symmetric (skew norm {skew.flat[worst] * scale.flat[worst]:.3e})")
     sym = 0.5 * (x + x.swapaxes(-1, -2))
     if not np.isfinite(sym).all():
         raise GameSpecError(field, "entries too large: X + X^T overflows")
@@ -364,21 +360,21 @@ def _symmetrized(x: np.ndarray, field: str) -> np.ndarray:
 
 def _psd_failures(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lowest eigenvalue of each matrix in the stack ``x``, and where it
-    falls below the PSD tolerance ``-PSD_RTOL * (1 + ||x||_F)``; called with
-    overflow warnings off.  A matrix whose squares overflow is compared in
-    units of its largest entry."""
+    falls below ``-PSD_RTOL`` times the matrix's largest entry."""
     lo = np.linalg.eigvalsh(x)[..., 0]
-    norm = np.linalg.norm(x, axis=(-2, -1))
-    finite = np.isfinite(norm)
-    if finite.all():
-        return lo, lo < -PSD_RTOL * (1.0 + norm)
-    scale = np.where(finite, 1.0, np.abs(x).max(axis=(-2, -1)))
-    unit = np.linalg.norm(x / scale[..., None, None], axis=(-2, -1))
-    return lo, lo / scale < -PSD_RTOL * (1.0 / scale + unit)
+    return lo, lo < -PSD_RTOL * np.abs(x).max(axis=(-2, -1))
 
 
 def _not_psd(field: str, lo) -> GameSpecError:
     return GameSpecError(field, f"not positive semidefinite (min eigenvalue {float(lo):.3e})")
+
+
+def _checked_tau(tau) -> float:
+    if not (isinstance(tau, (int, float, np.floating)) and np.isfinite(tau)):
+        raise GameSpecError("tau", "must be a finite real")
+    if tau <= 0:
+        raise GameSpecError("tau", f"must be positive, got {tau}")
+    return float(tau)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -399,10 +395,7 @@ def validate_game_spec(spec: GameSpec) -> GameSpec:
         value = getattr(spec, key)
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
             raise GameSpecError(key, "must be a positive integer")
-    if not (isinstance(spec.tau, (int, float, np.floating)) and np.isfinite(spec.tau)):
-        raise GameSpecError("tau", "must be a finite real")
-    if spec.tau <= 0:
-        raise GameSpecError("tau", f"must be positive, got {spec.tau}")
+    tau = _checked_tau(spec.tau)
 
     shapes = {
         "A": (spec.A, (horizon, m, m)),
@@ -452,7 +445,7 @@ def validate_game_spec(spec: GameSpec) -> GameSpec:
         horizon=horizon,
         state_dim=m,
         action_dim=p,
-        tau=float(spec.tau),
+        tau=tau,
         A=_frozen(arrays["A"]),
         B=_frozen(arrays["B"]),
         Q=_frozen(Q),

@@ -7,6 +7,9 @@ that converges the last stage first and sweeps backward, applying all
 agents' best responses simultaneously within each stage.  The latter is
 block-Jacobi on the same system.  Both exploit the fact that with
 entropy-regularized costs every equilibrium policy is linear Gaussian.
+They share one backward stage loop, differing only in its gain step, and
+its checks, stacked after the loop; one stage-by-stage replay names a
+failure in the same words for both.
 
 Also here: the stage coupling matrix of the joint gain system, the
 contraction modulus of the simultaneous best-response map, the
@@ -106,20 +109,21 @@ def _finite(t: int, what: str, *arrays: np.ndarray) -> None:
             raise SolverError(f"stage {t}: {what} are not finite; the backward pass diverged")
 
 
-def _singular(t: int, exc: np.linalg.LinAlgError) -> SolverError:
-    return SolverError(f"stage {t}: singular stage matrix ({exc}); the backward pass diverged")
-
-
 @contextmanager
 def _stage(t: int):
-    """One stage of a backward pass.  Overflow is left to the :func:`_finite`
-    checks rather than warned about, and a singular solve or factorization
-    anywhere in the stage raises :class:`SolverError` naming stage ``t``."""
+    """One stage of a stage-by-stage check.  Overflow is left to the
+    :func:`_finite` checks rather than warned about, and a singular solve or
+    factorization anywhere in the stage raises :class:`SolverError` naming ``t``."""
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             yield
         except np.linalg.LinAlgError as exc:
-            raise _singular(t, exc) from None
+            raise SolverError(f"stage {t}: singular stage matrix ({exc}); the backward pass diverged") from None
+
+
+def _diagonal(n: int, p: int) -> np.ndarray:
+    """Flat positions ``(N, p, p)`` of the diagonal blocks ``(i, :, i, :)`` of an ``(N p, N p)`` matrix."""
+    return np.arange((n * p) ** 2).reshape(n, p, n, p)[np.arange(n), :, np.arange(n)]
 
 
 def phi_matrix(spec: GameSpec, t: int, P_next: np.ndarray) -> np.ndarray:
@@ -146,36 +150,50 @@ def exact_ne(spec: GameSpec, cond_limit: float = COND_LIMIT) -> NESolution:
     ``cond_limit``), which signals a non-unique or ill-conditioned
     equilibrium; raising ``tau`` (see :func:`delta_augment_solve`) repairs
     this.  Also raises :class:`SolverError` naming the stage when its stage
-    matrices or values overflow or one of its solves or factorizations is
-    singular, so a diverged pass never yields a policy.  The checks run
-    stacked after the stage loop; the error is that of the first failing
-    check of a stage-by-stage pass.
+    matrices, open-loop values or values overflow or one of its solves or
+    factorizations is singular, so a diverged pass never yields a policy.
+    The checks run stacked after the stage loop; the error is that of the
+    first failing check of a stage-by-stage pass.
     """
     return _exact_backward(spec, cond_limit)
 
 
-def _exact_backward(
-    spec: GameSpec, cond_limit: float = COND_LIMIT, margin: float | None = None
-) -> NESolution | None:
-    """The backward pass of :func:`exact_ne`.  With a ``margin`` it returns
-    ``None`` as soon as the values solved so far fail the adequacy check at
-    that margin: their largest norm bounds ``gamma_P`` from below, and the
-    threshold grows with ``gamma_P``, so the full pass would fail it too."""
+def _exact_backward(spec: GameSpec, cond_limit: float = COND_LIMIT, margin: float | None = None) -> NESolution | None:
+    """:func:`exact_ne`, or with a ``margin`` an augmentation round that
+    returns ``None`` once its values rule the check out (see :func:`_backward`)."""
+    blocks = stage_blocks(spec)
+    reg = blocks[3]
+    run = _backward(spec, blocks, lambda t, products, BPA: np.linalg.solve(products + reg[t], -BPA), margin)
+    if run is None:
+        return None
+    policy, _, q = _check_pass(spec, blocks, run, cond_limit)
+    return NESolution(policy=policy, riccati=run[3], offsets=q)
+
+
+def _backward(spec: GameSpec, blocks, gain_step, margin: float | None = None):
+    """The backward stage loop of both solvers: per stage, the joint products,
+    the gains ``gain_step(t, products, BPA)``, the own cost and the value step.
+    Returns the stacked products ``(T, N p, N p)``, ``B^T P A``, gains
+    ``(T, N p, m)``, values ``(N, T+1, m, m)`` and the ``(stage, LinAlgError)``
+    that stopped the loop, or ``None``, unchecked.  With a ``margin`` it
+    returns ``None`` as soon as the values solved so far fail the adequacy
+    check at that margin: their largest norm bounds ``gamma_P`` from below,
+    and the threshold grows with ``gamma_P``, so the full pass fails it too.
+    """
     n, T = spec.num_agents, spec.horizon
     m, p = spec.state_dim, spec.action_dim
-    Bt, side, weight, reg = stage_blocks(spec)
+    Bt, side, weight, _ = blocks
     P = spec.Q.copy()
     phis, BPA, G = np.zeros((T, n * p, n * p)), np.zeros((T, n * p, m)), np.zeros((T, n * p, m))
     failure = None
     gamma_b = None if margin is None else _max_frobenius(spec.B)
     squares, unchecked = 0.0, T + 1  # largest squared norm among P[:, unchecked:]
     with np.errstate(over="ignore", invalid="ignore"):
-        # Only the gain solve and the value step need the tail values.
         for t in range(T - 1, -1, -1):
             tails = P[:, t + 1]
             phis[t], BPA[t] = joint_products(Bt[:, t], side[t], spec.A[t], tails)
             try:
-                G[t] = np.linalg.solve(phis[t] + reg[t], -BPA[t])
+                G[t] = gain_step(t, phis[t], BPA[t])
                 Qown = spec.Q[:, t] + own_cost(weight[:, t], G[t].reshape(n, p, m))
                 P[:, t] = value_step(Qown, spec.A[t] + side[t] @ G[t], tails)
             except np.linalg.LinAlgError as exc:
@@ -190,43 +208,66 @@ def _exact_backward(
                     gamma_b = None
                 elif not _condition(spec, float(np.sqrt(squares)), margin, gamma_b).satisfied:
                     return None
-        first, agents = (0 if failure is None else failure[0]), np.arange(n)
-        brackets = spec.R + phis.reshape(T, n, p, n, p)[:, agents, :, agents]
-        phis += reg
+    return phis, BPA, G, P, failure
+
+
+def _check_pass(spec: GameSpec, blocks, run, cond_limit: float | None = None):
+    """Check a pass ``run`` of :func:`_backward`, stacked over its stages;
+    return its policy, its stage covariances ``(T, N, p, p)`` and, for
+    :func:`exact_ne` (given a ``cond_limit``), its offsets ``(N, T+1)``.
+    Both solvers need every solve to succeed and finite stage matrices and
+    values; :func:`exact_ne` also needs finite open-loop values and offsets
+    and every ``cond(Phi_t)`` within ``cond_limit``.  On a failure, a replay
+    raises the error of the first check that a stage-by-stage pass fails."""
+    phis, BPA, gains, P, failure = run
+    n, T = spec.num_agents, spec.horizon
+    m, p = spec.state_dim, spec.action_dim
+    weight, reg = blocks[2:]
+    brackets = phis.reshape(T, -1).take(_diagonal(n, p), axis=1)  # C-ordered, stage-major
+    brackets += spec.R.swapaxes(0, 1)
+    systems, exact = phis + reg, cond_limit is not None
+    with np.errstate(over="ignore", invalid="ignore"):
         # Beyond the float range, round-off in the closed loop A + sum B K,
         # weighted by the tail values, exceeds any value the stage can certify.
-        open_loop = spec.A.swapaxes(-1, -2) @ P[:, 1:] @ spec.A
+        open_loop = spec.A.swapaxes(-1, -2) @ P[:, 1:] @ spec.A if exact else None
         if failure is None:
             try:
-                covs = stage_covariance(brackets, spec.tau)
-                logdets = _logdets(np.linalg.cholesky(covs))
-                q = value_offsets(spec.tau, weight, covs, logdets, stage_noise(spec, slice(None), covs), P)
-                if all(np.isfinite(a).all() for a in (phis, BPA, open_loop, P, q)):
-                    cond = np.linalg.cond(phis)
-                    if not (~np.isfinite(cond) | (cond > cond_limit)).any():
-                        policy = joint_policy_from_arrays(G.reshape(T, n, p, m).swapaxes(0, 1), covs)
-                        return NESolution(policy=policy, riccati=P, offsets=q)
+                covs, q, checked = stage_covariance(brackets, spec.tau), None, [systems, BPA, P]
+                if exact:
+                    agent_covs = covs.swapaxes(0, 1)
+                    logdets = _logdets(np.linalg.cholesky(agent_covs))
+                    noise = stage_noise(spec, slice(None), agent_covs)
+                    q = value_offsets(spec.tau, weight, agent_covs, logdets, noise, P)
+                    checked += [open_loop, q]
+                ok = all(np.isfinite(a).all() for a in checked)
+                if ok and exact:
+                    cond = np.linalg.cond(systems)
+                    ok = bool((np.isfinite(cond) & (cond <= cond_limit)).all())
+                if ok:
+                    gains = gains.reshape(T, n, p, m).swapaxes(0, 1)
+                    return joint_policy_from_arrays(gains, covs.swapaxes(0, 1)), covs, q
             except np.linalg.LinAlgError:
                 pass
-        # A check failed: find the stage, checking stage by stage, backward.
-        q_t = np.zeros(n)
-        for t in range(T - 1, first - 1, -1):
-            with _stage(t):
-                _finite(t, "stage matrices", phis[t], BPA[t])
+    first, q_t = (0 if failure is None else failure[0]), np.zeros(n)
+    for t in range(T - 1, first - 1, -1):
+        with _stage(t):
+            _finite(t, "stage matrices", systems[t], BPA[t])
+            if exact:
                 _finite(t, "open-loop values", open_loop[:, t])
-                cond = float(np.linalg.cond(phis[t]))
-                if not np.isfinite(cond) or cond > cond_limit:
+                cond = float(np.linalg.cond(systems[t]))
+                if not (np.isfinite(cond) and cond <= cond_limit):
                     raise SolverError(
                         f"stage {t}: coupling matrix condition {cond:.3e} exceeds {cond_limit:.1e}; "
                         "non-unique or ill-conditioned equilibrium, consider tau augmentation"
                     )
-                if failure is not None and t == first:
-                    raise failure[1]
-                cov = stage_covariance(brackets[:, t], spec.tau)
+            if failure is not None and t == first:
+                raise failure[1]
+            cov = stage_covariance(brackets[t], spec.tau)
+            if exact:
                 logdets = _logdets(np.linalg.cholesky(cov))
                 noise = stage_noise(spec, t, cov)
                 q_t = q_t + offset_terms(spec.tau, weight[:, t], cov, logdets, noise, P[:, t + 1])
-                _finite(t, "value matrices", P[:, t], q_t)
+            _finite(t, "value matrices", P[:, t], q_t)
     raise SolverError("a stacked stage check failed that no single stage reproduces")
 
 
@@ -288,10 +329,10 @@ def po_solve(
     frozen later-stage policies, so they are fixed while a stage iterates.
 
     Non-convergence is visible in the returned trace (distances failing to
-    decrease) and in the contraction moduli.  Raises :class:`SolverError`
-    naming the stage when its stage matrices, its gains or the tail values
-    it leaves are not finite, or when one of its solves is singular, so a
-    diverged pass never yields a policy.
+    decrease) and in the contraction moduli.  The stage loop and its checks
+    are :func:`exact_ne`'s less the condition, open-loop and offset checks:
+    :class:`SolverError` names the stage whose stage matrices or values are
+    not finite or one of whose solves is singular.
     """
     if inner_iters is None and stop_tol is None:
         raise ValueError("need inner_iters >= 1 or stop_tol > 0")
@@ -303,76 +344,50 @@ def po_solve(
 
     n, T = spec.num_agents, spec.horizon
     m, p = spec.state_dim, spec.action_dim
-    Bt, side, weight, _ = stage_blocks(spec)
-    half = 0.5 * spec.tau * np.eye(p)
-    # Flat positions of the diagonal blocks (i, :, i, :) of a stage's (N p, N p) products.
-    diagonal = np.arange((n * p) ** 2).reshape(n, p, n, p)[np.arange(n), :, np.arange(n)]
-    gains = np.zeros((T, n * p, m))
-    brackets = np.zeros((T, n, p, p))
-    values = np.empty((T + 1, n, m, m))  # values[t + 1] are the tail values of stage t
-    values[T] = spec.Q[:, T]
+    agents, diagonal, half = np.arange(n), _diagonal(n, p), 0.5 * spec.tau * np.eye(p)
     first = np.zeros(T)  # the gain part of each stage's first inner distance
     trace_by_stage: list = [None] * T
-    ready = T  # a stage-by-stage pass has solved the covariances of stages ready..T-1
 
-    try:  # what _stage(t) does per stage, with one errstate for the whole loop
-        with np.errstate(over="ignore", invalid="ignore"):
-            for t in range(T - 1, -1, -1):
-                tails = values[t + 1]
-                products, BPA = joint_products(Bt[:, t], side[t], spec.A[t], tails)
-                flat = products.reshape(-1)
-                bracket = brackets[t] = spec.R[:, t] + flat[diagonal]
-                H = half + bracket
-                _finite(t, "stage matrices", products, H, BPA)
-                # Block-Jacobi on Phi_t G = -B^T P A, factored once: G <- c + M G, with
-                # c = -D^{-1} B^T P A, M = -D^{-1} E, D = blockdiag(H), E the cross couplings.
-                flat[diagonal] = 0.0  # leaves E in the products
-                rhs = np.concatenate((BPA.reshape(n, p, m), products.reshape(n, p, n * p)), axis=-1)
-                factored = -np.linalg.solve(H, rhs)
-                c, M = factored[..., :m].reshape(n * p, m), factored[..., m:].reshape(n * p, n * p)
-                ready = t
+    def gain_step(t, products, BPA):
+        bracket = spec.R[:, t] + products.reshape(-1)[diagonal]
+        # Block-Jacobi on Phi_t G = -B^T P A, factored once: G <- c + M G, with c = -D^{-1} B^T P A,
+        # M = -D^{-1} E, D the own blocks (tau/2) I + bracket, E the cross couplings.
+        rhs = np.concatenate((BPA.reshape(n, p, m), products.reshape(n, p, n * p)), axis=-1)
+        rhs[..., m:].reshape(n, p, n, p)[agents, :, agents] = 0.0  # leaves E
+        factored = -np.linalg.solve(half + bracket, rhs)
+        c, M = factored[..., :m].reshape(n * p, m), factored[..., m:].reshape(n * p, n * p)
+        G, distances = np.zeros((n * p, m)), []
+        for _ in range(L):
+            new = c + M @ G
+            diff = new - G
+            d = np.add.reduce(np.sqrt(np.add.reduce((diff * diff).reshape(n, -1), axis=1)))
+            if not distances:
+                # The covariance moves only on the first iteration, which adds its
+                # norm (after the loop); it can decide the stop test only here.
+                first[t] = d
+                if stop_tol is not None and d < stop_tol:
+                    d = d + _cov_distance(stage_covariance(bracket, spec.tau))
+            G = new
+            distances.append(float(d))
+            if stop_tol is not None and d < stop_tol or math.isnan(d):  # NaN gains stay NaN
+                break
+        trace_by_stage[t] = distances
+        return G
 
-                G = gains[t]
-                distances: list[float] = []
-                for _ in range(L):
-                    new = c + M @ G
-                    diff = new - G
-                    d = np.add.reduce(np.sqrt(np.add.reduce((diff * diff).reshape(n, -1), axis=1)))
-                    if not distances:
-                        # The covariance moves only on the first iteration, which adds its
-                        # norm (after the loop); it can decide the stop test only here.
-                        first[t] = d
-                        if stop_tol is not None and d < stop_tol:
-                            d = d + _cov_distance(stage_covariance(bracket, spec.tau))
-                    G = new
-                    distances.append(float(d))
-                    if stop_tol is not None and d < stop_tol:
-                        break
-                gains[t] = G
-                trace_by_stage[t] = distances
-                _finite(t, "policy gains", G)
-
-                # Lyapunov step: fold the converged stage into each agent's tail value.
-                Qown = spec.Q[:, t] + own_cost(weight[:, t], G.reshape(n, p, m))
-                values[t] = value_step(Qown, spec.A[t] + side[t] @ G, tails)
-                _finite(t, "tail value matrices", values[t])
-    except (SolverError, np.linalg.LinAlgError) as exc:
-        _stage_covariances(brackets, spec.tau, ready)  # a later stage's failing covariance comes first
-        if isinstance(exc, SolverError):
-            raise
-        raise _singular(t, exc) from None
-
-    # The covariances, first distances, value norms and moduli, stacked over the stages.
-    covs = _stage_covariances(brackets, spec.tau, 0)
+    blocks = stage_blocks(spec)
+    run = _backward(spec, blocks, gain_step)
+    policy, covs, _ = _check_pass(spec, blocks, run)
+    values = run[3]  # the policy's value matrices
+    # The first distances, value norms and moduli, stacked over the stages.
     with np.errstate(over="ignore"):
         for distances, d in zip(trace_by_stage, (first + _cov_distance(covs)).tolist()):
             distances[0] = d
-        norms = np.sqrt((values**2).sum(axis=(-2, -1)).max(axis=1))
+        norms = np.sqrt((values**2).sum(axis=(-2, -1)).max(axis=0))
         for t in np.flatnonzero(~np.isfinite(norms)):
-            norms[t] = _max_frobenius(values[t])
+            norms[t] = _max_frobenius(values[:, t])
         moduli = uniqueness_threshold(spec, norms[1:])[1] / spec.tau
     return SolveReport(
-        policy=joint_policy_from_arrays(gains.reshape(T, n, p, m).swapaxes(0, 1), covs.swapaxes(0, 1)),
+        policy=policy,
         trace=tuple(map(tuple, trace_by_stage)),
         contraction_moduli=tuple(moduli.tolist()),
         condition=_condition(spec, float(norms.max()), 0.0),
@@ -383,22 +398,6 @@ def _cov_distance(covs: np.ndarray) -> np.ndarray:
     """Sum over agents of the covariances' Frobenius norms, per stage of an
     ``(..., N, p, p)`` stack; each stage's agents are summed over one row."""
     return np.add.reduce(np.sqrt((covs * covs).sum(axis=(-2, -1))), axis=-1)
-
-
-def _stage_covariances(brackets: np.ndarray, tau: float, lo: int) -> np.ndarray:
-    """Covariances of stages ``lo..T-1`` from their ``(T, N, p, p)`` brackets,
-    stacked; a singular solve raises :class:`SolverError` naming the last
-    stage with one, as a stage-by-stage pass would."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            return stage_covariance(brackets[lo:], tau)
-        except np.linalg.LinAlgError:
-            pass
-    covs = np.zeros_like(brackets[lo:])
-    for t in range(len(brackets) - 1, lo - 1, -1):
-        with _stage(t):
-            covs[t - lo] = stage_covariance(brackets[t], tau)
-    return covs
 
 
 def delta_augment_solve(

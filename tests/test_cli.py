@@ -509,6 +509,14 @@ def test_huge_symmetric_field_within_range_loads(tmp_path):
     assert spec.Q[0, 0, 0, 0] == 1e200
 
 
+def test_tiny_asymmetric_field_rejected(tmp_path, capsys):
+    # Far from symmetric at its own scale; repaired, it would be indefinite
+    # (min eigenvalue -5e-13), though both defects are below 1e-9 in absolute terms.
+    path = _spec_with(tmp_path, Q=[[1e-20, 1e-12], [0, 1e-20]])
+    assert run("check", "--spec", path, "--out", tmp_path / "o") == 2
+    assert "error (validation): Q: not symmetric" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("scale", ["1e150", "1e154", "1e200"])
 def test_randgen_huge_scale_is_valid_or_a_validation_error(tmp_path, capsys, scale):
     with warnings.catch_warnings():

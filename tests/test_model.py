@@ -304,7 +304,7 @@ def test_first_definiteness_failure_named_q_before_r_of_same_agent():
 def test_psd_tolerance_scales_with_norm():
     spec = lq.random_game(1, 2, 2, 1, seed=4, scale=0.5)
     Q = spec.Q.copy()
-    Q[0, 1] = np.diag([1e6, -1e-5])  # within PSD_RTOL * (1 + ||Q||_F) of PSD
+    Q[0, 1] = np.diag([1e6, -1e-5])  # within PSD_RTOL times its largest entry of PSD
     again = lq.validate_game_spec(dataclasses.replace(spec, Q=Q))
     npt.assert_array_equal(again.Q[0, 1], Q[0, 1])
     Q[0, 1] = np.diag([1e6, -1e-3])
@@ -312,3 +312,59 @@ def test_psd_tolerance_scales_with_norm():
         lq.validate_game_spec(dataclasses.replace(spec, Q=Q))
     with pytest.raises(lq.GameSpecError, match="init_cov: not positive semidefinite"):
         lq.validate_game_spec(dataclasses.replace(spec, init_cov=-np.eye(2)))
+
+
+def _validation_variants():
+    """A validated game and variants of it that the tolerances, relative to
+    each matrix's largest entry, accept (small skew, slightly negative
+    eigenvalue) or reject."""
+    spec = lq.random_game(2, 3, 3, 2, seed=9, scale=0.6)
+    Q = spec.Q.copy()
+    Q[0, 1, 0, 2] += 1e-11 * np.abs(Q[0, 1]).max()
+    skewed = Q.copy()
+    skewed[0, 1, 0, 2] += 1e-8 * np.abs(Q[0, 1]).max()
+    tiny = spec.Q.copy()
+    tiny[0, 0, :2, :2] = [[1e-20, 1e-12], [0, 1e-20]]
+    tiny[0, 0, 2:, :], tiny[0, 0, :, 2:] = 0.0, 0.0
+    return {
+        "valid": (spec, None),
+        "small skew": (dataclasses.replace(spec, Q=Q), None),
+        "slightly indefinite": (dataclasses.replace(spec, noise_cov=np.diag([1.0, 0.5, -1e-11])), None),
+        "skewed": (dataclasses.replace(spec, Q=skewed), "Q"),
+        "indefinite": (dataclasses.replace(spec, init_cov=np.diag([1.0, 0.5, -1e-9])), "init_cov"),
+        "tiny skewed": (dataclasses.replace(spec, Q=tiny), "Q"),
+    }
+
+
+@pytest.mark.parametrize("k", [-400, -60, -8, 0, 8, 60, 400])
+def test_validation_is_invariant_to_power_of_two_scaling(k):
+    """Scaling Q, R, noise_cov and init_cov by 2**k keeps every decision,
+    and an accepted game's arrays are the unscaled ones scaled, bit for bit."""
+    fields = ("Q", "R", "noise_cov", "init_cov")
+    for name, (spec, field) in _validation_variants().items():
+        scaled = dataclasses.replace(spec, **{f: np.ldexp(getattr(spec, f), k) for f in fields})
+        if field is not None:
+            with pytest.raises(lq.GameSpecError) as err:
+                lq.validate_game_spec(scaled)
+            assert err.value.field == field, name
+            continue
+        expected, got = lq.validate_game_spec(spec), lq.validate_game_spec(scaled)
+        for f in fields:
+            assert np.ldexp(getattr(expected, f), k).tobytes() == getattr(got, f).tobytes(), (name, f)
+
+
+def test_with_tau_checks_only_tau_and_shares_arrays():
+    spec = lq.random_game(2, 3, 3, 2, seed=1, scale=0.6)
+    other = spec.with_tau(2.5)
+    assert other.tau == 2.5
+    for f in dataclasses.fields(spec):
+        if f.name != "tau":
+            assert getattr(other, f.name) is getattr(spec, f.name)
+    for tau, message in [(0, "tau: must be positive, got 0.0"), (-1, "tau: must be positive, got -1.0"),
+                         (float("nan"), "tau: must be a finite real"), (float("inf"), "tau: must be a finite real")]:
+        with pytest.raises(lq.GameSpecError) as err:
+            spec.with_tau(tau)
+        assert str(err.value) == message
+        with pytest.raises(lq.GameSpecError) as full:
+            lq.validate_game_spec(dataclasses.replace(spec, tau=float(tau)))
+        assert str(full.value) == message

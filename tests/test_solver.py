@@ -310,26 +310,55 @@ class TestDeltaAugment:
 SOLVERS = {"exact_ne": lq.exact_ne, "po_solve": lambda spec: lq.po_solve(spec, inner_iters=3)}
 
 
-@pytest.mark.parametrize("solver", sorted(SOLVERS))
-@pytest.mark.parametrize("stage", [0, 3, 5])
-def test_singular_stage_is_named_whatever_the_rounding(monkeypatch, solver, stage):
-    """A LinAlgError anywhere in stage t becomes a SolverError naming t.
-    The fault is injected, so the stage does not depend on round-off."""
-    spec = lq.random_game(2, 6, 3, 2, seed=5, scale=0.5)
-    real = lq.solver.value_step
-    seen = []
+def inject_stage_fault(monkeypatch, spec, stage, fault):
+    """Make the value step of ``stage`` raise a LinAlgError (``"singular"``)
+    or return NaN (``"non-finite"``); returns the stages stepped so far.
+    Both solvers take one value step per stage, last stage first."""
+    real, seen = lq.solver.value_step, []
 
     def value_step(Qown, closed, tails):
-        # Both solvers take one value step per stage, last stage first.
         seen.append(spec.horizon - 1 - len(seen))
-        if seen[-1] == stage:
+        if seen[-1] == stage and fault == "singular":
             raise np.linalg.LinAlgError("Singular matrix")
-        return real(Qown, closed, tails)
+        value = real(Qown, closed, tails)
+        return np.full_like(value, np.nan) if seen[-1] == stage else value
 
     monkeypatch.setattr(lq.solver, "value_step", value_step)
-    with pytest.raises(lq.SolverError, match=f"^stage {stage}: singular"):
+    return seen
+
+
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+@pytest.mark.parametrize("stage, fault", [pytest.param(s, f, id=str(s) if f == "singular" else f"{s}-{f}")
+                                          for f in ("singular", "non-finite") for s in (0, 3, 5)])
+def test_singular_stage_is_named_whatever_the_rounding(monkeypatch, solver, stage, fault):
+    """A LinAlgError anywhere in stage t, or values of stage t that are not
+    finite, become a SolverError naming t, in the same words for both
+    solvers.  The fault is injected, so the stage does not depend on round-off."""
+    spec = lq.random_game(2, 6, 3, 2, seed=5, scale=0.5)
+    seen = inject_stage_fault(monkeypatch, spec, stage, fault)
+    message = "singular" if fault == "singular" else "value matrices are not finite"
+    with pytest.raises(lq.SolverError, match=f"^stage {stage}: {message}"):
         SOLVERS[solver](spec)
-    assert seen == list(range(spec.horizon - 1, stage - 1, -1))
+    if fault == "singular":
+        assert seen == list(range(spec.horizon - 1, stage - 1, -1))
+
+
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_stage_matrices_named_before_a_singular_solve_of_their_stage(monkeypatch, solver):
+    """Stage 3's products overflow and its value step is singular: a
+    stage-by-stage pass checks the stage matrices first."""
+    spec = lq.random_game(2, 6, 3, 2, seed=5, scale=0.5)
+    real, calls = lq.solver.joint_products, []
+
+    def joint_products(*args):
+        calls.append(0)
+        products, BPA = real(*args)
+        return (np.full_like(products, np.inf) if len(calls) == 3 else products), BPA
+
+    monkeypatch.setattr(lq.solver, "joint_products", joint_products)
+    inject_stage_fault(monkeypatch, spec, 3, "singular")
+    with pytest.raises(lq.SolverError, match="^stage 3: stage matrices are not finite"):
+        SOLVERS[solver](spec)
 
 
 def condition_case():
@@ -359,17 +388,7 @@ def test_condition_failure_wins_over_an_earlier_stage_fault(monkeypatch, fault):
     failure is named, not the fault injected at an earlier stage."""
     spec, limit, failing = condition_case()
     stage = failing[-1] - 1
-    real = lq.solver.value_step
-    seen = []
-
-    def value_step(Qown, closed, tails):
-        seen.append(spec.horizon - 1 - len(seen))
-        if seen[-1] == stage and fault == "singular":
-            raise np.linalg.LinAlgError("Singular matrix")
-        value = real(Qown, closed, tails)
-        return np.full_like(value, np.nan) if seen[-1] == stage else value
-
-    monkeypatch.setattr(lq.solver, "value_step", value_step)
+    seen = inject_stage_fault(monkeypatch, spec, stage, fault)
     message = "singular stage matrix" if fault == "singular" else "value matrices are not finite"
     with pytest.raises(lq.SolverError, match=f"^stage {stage}: {message}"):
         lq.exact_ne(spec)
