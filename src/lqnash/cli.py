@@ -153,8 +153,8 @@ def _cmd_solve_exact(args) -> int:
     cert = _certificate(spec, sol.riccati, sol.offsets)
     _write_json(out / "certificate.json", _certificate_doc(spec, cert))
     print("exact equilibrium solved")
-    for i, agent in enumerate(cert.agents):
-        print(f"  agent {i}: expected cost {agent.expected_cost:.12g}")
+    for i, cost in enumerate(cert.expected_costs.tolist()):
+        print(f"  agent {i}: expected cost {cost:.12g}")
     print(
         f"uniqueness condition: tau={spec.tau:g} threshold={record.threshold:.6g} "
         f"satisfied={record.satisfied}"
@@ -232,11 +232,8 @@ def _cmd_eval(args) -> int:
     gaps = _nash_gaps(spec, joint, cert.expected_costs)
     doc = _certificate_doc(spec, cert)
     doc["exploitability"] = gaps
-    for i in range(spec.num_agents):
-        print(
-            f"  agent {i}: expected cost {cert.agents[i].expected_cost:.12g} "
-            f"nash gap {float(gaps[i]):.6e}"
-        )
+    for i, (cost, gap) in enumerate(zip(cert.expected_costs.tolist(), gaps.tolist())):
+        print(f"  agent {i}: expected cost {cost:.12g} nash gap {gap:.6e}")
     if args.compare is not None:
         try:
             other = load_joint_policy(Path(args.compare).read_text())
@@ -299,7 +296,7 @@ def _cmd_simulate(args) -> int:
                         i,
                         float(result.mean_costs[i]),
                         float(result.std_errors[i]),
-                        float(cert.agents[i].expected_cost),
+                        float(cert.expected_costs[i]),
                     ]
                 )
     except OSError as exc:
@@ -308,7 +305,7 @@ def _cmd_simulate(args) -> int:
     for i in range(n):
         print(
             f"  agent {i}: empirical {float(result.mean_costs[i]):.6g} "
-            f"+/- {float(result.std_errors[i]):.3g} (certificate {cert.agents[i].expected_cost:.6g})"
+            f"+/- {float(result.std_errors[i]):.3g} (certificate {float(cert.expected_costs[i]):.6g})"
         )
     print(f"wrote {out / 'trajectories.csv'}, {out / 'costs.csv'}")
     return 0

@@ -22,14 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    GameSpec,
-    JointPolicy,
-    LinearGaussianPolicy,
-    check_policy_shape,
-    stack_covs,
-    stack_gains,
-)
+from .model import GameSpec, JointPolicy, LinearGaussianPolicy, check_policy_shape
 
 __all__ = [
     "GaussianPolicyParams",
@@ -293,7 +286,7 @@ def lyapunov_backward(
     where ``Acl_s = A_s + sum_j B^j_s K^j_s`` is the closed loop over all
     agents.  Policy covariances do not enter.
     """
-    return lyapunov_values(spec, stack_gains(joint))[agent, from_t:]
+    return lyapunov_values(spec, joint.gains)[agent, from_t:]
 
 
 def best_response_stage(
@@ -352,9 +345,7 @@ def best_response_full(
     """Exactly optimal policy of one agent against frozen opponents, and its
     exact value certificate (see :func:`best_responses`)."""
     check_policy_shape(spec, joint)
-    gains = stack_gains(joint)
-    covs = stack_covs(joint)
-    _cholesky(covs, "opponent", skip=agent)
-    new_gains, new_covs, P, q = best_responses(spec, gains, covs, np.array([agent]))
+    _cholesky(joint.covs, "opponent", skip=agent)
+    new_gains, new_covs, P, q = best_responses(spec, joint.gains, joint.covs, np.array([agent]))
     expected = float(expected_costs(spec, P[0, 0], q[0, 0]))
     return LinearGaussianPolicy(new_gains[0], new_covs[0]), AgentValue(P=P[0], q=q[0], expected_cost=expected)

@@ -16,7 +16,7 @@ import numpy as np
 from ._rollout import rollout
 from .control import (AgentValue, _cholesky, _logdets, best_responses, expected_costs, lyapunov_values,
                       own_weight, stage_noise, value_offsets)
-from .model import GameSpec, JointPolicy, check_policy_shape, stack_covs, stack_gains
+from .model import GameSpec, JointPolicy, check_policy_shape
 
 __all__ = [
     "ValueCertificate",
@@ -30,14 +30,23 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class ValueCertificate:
-    """Per-agent exact quadratic value data under one joint policy."""
+    """Exact quadratic value data of every agent under one joint policy,
+    stacked over agents.
 
-    agents: tuple[AgentValue, ...]
+    ``P``: ``(N, T+1, m, m)`` value matrices, ``P[:, T]`` the terminal state
+    costs; ``q``: ``(N, T+1)`` offsets, ``q[:, T] = 0``; ``expected_costs``:
+    ``(N,)``, each agent's cost under the game's initial distribution.
+    ``agents`` holds each agent's :class:`AgentValue` as views of ``P`` and
+    ``q``, not copies.
+    """
+
+    P: np.ndarray
+    q: np.ndarray
+    expected_costs: np.ndarray
 
     @property
-    def expected_costs(self) -> np.ndarray:
-        """Expected cost of each agent under the game's initial distribution."""
-        return np.array([a.expected_cost for a in self.agents])
+    def agents(self) -> tuple[AgentValue, ...]:
+        return tuple(map(AgentValue, self.P, self.q, self.expected_costs.tolist()))
 
     def values_at(self, x: np.ndarray) -> np.ndarray:
         """Per-agent cost from the deterministic start ``x``."""
@@ -80,24 +89,16 @@ def value_certificate(spec: GameSpec, joint: JointPolicy) -> ValueCertificate:
     action noise pushed through its input matrix.
     """
     check_policy_shape(spec, joint)
-    gains = stack_gains(joint)
-    covs = stack_covs(joint)
-    _, logdets = _policy_cholesky(covs)
-    P = lyapunov_values(spec, gains)
-    noise = stage_noise(spec, slice(None), covs)
-    q = value_offsets(spec.tau, own_weight(spec.tau, spec.R), covs, logdets, noise, P)
+    _, logdets = _policy_cholesky(joint.covs)
+    P = lyapunov_values(spec, joint.gains)
+    noise = stage_noise(spec, slice(None), joint.covs)
+    q = value_offsets(spec.tau, own_weight(spec.tau, spec.R), joint.covs, logdets, noise, P)
     return _certificate(spec, P, q)
 
 
 def _certificate(spec: GameSpec, P: np.ndarray, q: np.ndarray) -> ValueCertificate:
-    """Certificate of the stacked value matrices ``P`` and offsets ``q``."""
-    costs = expected_costs(spec, P[:, 0], q[:, 0])
-    return ValueCertificate(
-        agents=tuple(
-            AgentValue(P=P[i].copy(), q=q[i].copy(), expected_cost=float(cost))
-            for i, cost in enumerate(costs)
-        )
-    )
+    """Certificate of the stacked value matrices ``P`` and offsets ``q``, not copied."""
+    return ValueCertificate(P, q, expected_costs(spec, P[:, 0], q[:, 0]))
 
 
 def exploitability(spec: GameSpec, joint: JointPolicy) -> np.ndarray:
@@ -114,9 +115,7 @@ def exploitability(spec: GameSpec, joint: JointPolicy) -> np.ndarray:
 def _nash_gaps(spec: GameSpec, joint: JointPolicy, base_costs: np.ndarray) -> np.ndarray:
     """Nash gaps of a joint policy whose certified expected costs are
     ``base_costs``: each agent's cost less that of its best response."""
-    _, _, P, q = best_responses(
-        spec, stack_gains(joint), stack_covs(joint), np.arange(spec.num_agents)
-    )
+    _, _, P, q = best_responses(spec, joint.gains, joint.covs, np.arange(spec.num_agents))
     return base_costs - expected_costs(spec, P[:, 0], q[:, 0])
 
 
@@ -125,9 +124,8 @@ def policy_distance(a: JointPolicy, b: JointPolicy, t: int | None = None) -> flo
     norms of the gain and covariance differences; summed over stages
     unless a single stage ``t`` is selected: a Python or numpy integer in
     ``[0, T)``, not ``bool``."""
-    ga, ca = stack_gains(a), stack_covs(a)
-    gb, cb = stack_gains(b), stack_covs(b)
-    if ga.shape != gb.shape or ca.shape != cb.shape:
+    ga, ca, gb, cb = a.gains, a.covs, b.gains, b.covs
+    if ga.shape != gb.shape:
         raise ValueError(f"policy shape mismatch: {ga.shape} vs {gb.shape}")
     if t is not None:
         if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or not 0 <= t < ga.shape[1]:
@@ -189,9 +187,7 @@ def simulate(
         raise ValueError("seed must fit in 64 bits")
     n, T = spec.num_agents, spec.horizon
     m, p = spec.state_dim, spec.action_dim
-    gains = stack_gains(joint)
-    covs = stack_covs(joint)
-    chol, logdets = _policy_cholesky(covs)
+    chol, logdets = _policy_cholesky(joint.covs)
 
     init_factor = _psd_factor(spec.init_cov)
     noise_factor = _psd_factor(spec.noise_cov)
@@ -237,7 +233,7 @@ def simulate(
         # written straight into stage-major memory: one product per stage
         # can round differently (it did at T == 1).
         np.matmul(rest[:, :, n * p :], noise_factor.T, out=omegas.transpose(1, 0, 2))
-        rollout(spec.A, spec.B, spec.Q, spec.R, gains, chol, logdets, spec.tau,
+        rollout(spec.A, spec.B, spec.Q, spec.R, joint.gains, chol, logdets, spec.tau,
                 x0s, xis, omegas, states[lo:hi], actions[lo:hi], costs[lo:hi])
     states, actions, costs = states[:n_traj], actions[:n_traj], costs[:n_traj]
 

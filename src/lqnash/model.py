@@ -113,17 +113,38 @@ class LinearGaussianPolicy:
 
 @dataclass(frozen=True, eq=False)
 class JointPolicy:
-    """One :class:`LinearGaussianPolicy` per agent, over the same horizon."""
+    """Every agent's :class:`LinearGaussianPolicy`, stacked over agents.
 
-    policies: tuple[LinearGaussianPolicy, ...]
+    ``gains``: ``(N, T, p, m)``; ``covs``: ``(N, T, p, p)``.  The constructor
+    copies both into C-contiguous, read-only arrays and raises ``ValueError``
+    naming both shapes unless they agree.  ``policies`` holds each agent's
+    policy as views of these arrays, not copies.
+    """
+
+    gains: np.ndarray
+    covs: np.ndarray
+
+    def __post_init__(self):
+        gains, covs = (_frozen(np.array(a, dtype=float, order="C")) for a in (self.gains, self.covs))
+        if gains.ndim != 4 or covs.shape != gains.shape[:3] + gains.shape[2:3]:
+            raise ValueError(
+                f"inconsistent policy arrays: gains {gains.shape} vs covs {covs.shape}, "
+                "expected (N, T, p, m) and (N, T, p, p)"
+            )
+        object.__setattr__(self, "gains", gains)
+        object.__setattr__(self, "covs", covs)
+
+    @property
+    def policies(self) -> tuple[LinearGaussianPolicy, ...]:
+        return tuple(map(LinearGaussianPolicy, self.gains, self.covs))
 
     @property
     def num_agents(self) -> int:
-        return len(self.policies)
+        return self.gains.shape[0]
 
     @property
     def horizon(self) -> int:
-        return self.policies[0].gains.shape[0]
+        return self.gains.shape[1]
 
 
 def _as_float_array(value, field: str) -> np.ndarray:
@@ -516,46 +537,41 @@ def specs_equal(a: GameSpec, b: GameSpec) -> bool:
 
 
 def joint_policy_from_arrays(gains: np.ndarray, covs: np.ndarray) -> JointPolicy:
-    """Build a :class:`JointPolicy` from stacked ``(N, T, p, m)``/``(N, T, p, p)`` arrays."""
-    gains = np.asarray(gains, dtype=float)
-    covs = np.asarray(covs, dtype=float)
-    if gains.ndim != 4 or covs.ndim != 4 or gains.shape[:2] != covs.shape[:2]:
-        raise ValueError(f"inconsistent policy arrays: {gains.shape} vs {covs.shape}")
-    return JointPolicy(
-        tuple(LinearGaussianPolicy(gains[i].copy(), covs[i].copy()) for i in range(gains.shape[0]))
-    )
+    """Build a :class:`JointPolicy` from stacked ``(N, T, p, m)`` gains and
+    ``(N, T, p, p)`` covariances, copying each stack once."""
+    return JointPolicy(gains, covs)
 
 
 def stack_gains(joint: JointPolicy) -> np.ndarray:
-    return np.stack([pol.gains for pol in joint.policies])
+    """A new, writable copy of the ``(N, T, p, m)`` gains."""
+    return joint.gains.copy()
 
 
 def stack_covs(joint: JointPolicy) -> np.ndarray:
-    return np.stack([pol.covs for pol in joint.policies])
+    """A new, writable copy of the ``(N, T, p, p)`` covariances."""
+    return joint.covs.copy()
 
 
 def check_policy_shape(spec: GameSpec, joint: JointPolicy) -> None:
     """Reject joint policies whose agent count, horizon, or dims differ from the game's."""
     expected = (spec.num_agents, spec.horizon, spec.action_dim, spec.state_dim)
-    got = stack_gains(joint).shape
-    if got != expected:
+    got = joint.gains.shape
+    if (got, joint.covs.shape) != (expected, expected[:3] + expected[2:3]):
         raise ValueError(
-            f"policy does not match game: gains shaped {got}, expected "
-            f"(agents, horizon, action_dim, state_dim) = {expected}"
+            f"policy does not match game: gains shaped {got}, covs shaped {joint.covs.shape}, expected "
+            f"(agents, horizon, action_dim, state_dim) = {expected} and (agents, horizon, action_dim, action_dim)"
         )
 
 
 def dump_joint_policy(joint: JointPolicy) -> str:
     """Serialize a joint policy to JSON (same conventions as the game file)."""
-    gains = stack_gains(joint)
-    covs = stack_covs(joint)
     doc = {
         "num_agents": joint.num_agents,
         "horizon": joint.horizon,
-        "state_dim": gains.shape[3],
-        "action_dim": gains.shape[2],
-        "gains": gains,
-        "covs": covs,
+        "state_dim": joint.gains.shape[3],
+        "action_dim": joint.gains.shape[2],
+        "gains": joint.gains,
+        "covs": joint.covs,
     }
     return _dumps(doc)
 

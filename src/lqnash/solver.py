@@ -46,7 +46,7 @@ __all__ = [
 COND_LIMIT = 1e12
 # Inner-iteration cap when only a distance tolerance is given.
 MAX_INNER_ITERS = 500
-# Stages between the early-stop checks of an augmentation round's backward pass.
+# Stages between the early-stop checks of a backward pass.
 _CHECK_EVERY = 16
 
 
@@ -174,11 +174,13 @@ def _backward(spec: GameSpec, blocks, gain_step, margin: float | None = None):
     """The backward stage loop of both solvers: per stage, the joint products,
     the gains ``gain_step(t, products, BPA)``, the own cost and the value step.
     Returns the stacked products ``(T, N p, N p)``, ``B^T P A``, gains
-    ``(T, N p, m)``, values ``(N, T+1, m, m)`` and the ``(stage, LinAlgError)``
-    that stopped the loop, or ``None``, unchecked.  With a ``margin`` it
-    returns ``None`` as soon as the values solved so far fail the adequacy
-    check at that margin: their largest norm bounds ``gamma_P`` from below,
-    and the threshold grows with ``gamma_P``, so the full pass fails it too.
+    ``(T, N p, m)``, values ``(N, T+1, m, m)`` and, if the loop stopped
+    early, ``(stage, LinAlgError or None)``, else ``None``, unchecked.  Every
+    ``_CHECK_EVERY`` stages the loop stops once a value solved since the last
+    check is not finite.  With a ``margin`` it returns ``None`` as soon as
+    the values solved so far fail the adequacy check at that margin: their
+    largest norm bounds ``gamma_P`` from below, and the threshold grows with
+    ``gamma_P``, so the full pass fails it too.
     """
     n, T = spec.num_agents, spec.horizon
     m, p = spec.state_dim, spec.action_dim
@@ -199,12 +201,17 @@ def _backward(spec: GameSpec, blocks, gain_step, margin: float | None = None):
             except np.linalg.LinAlgError as exc:
                 failure = (t, exc)
                 break
-            if gamma_b is not None and t % _CHECK_EVERY == 0:
+            if t % _CHECK_EVERY:
+                continue
+            fresh, unchecked = P[:, t:unchecked], t
+            if not np.isfinite(fresh).all():
+                failure = (t, None)
+                break
+            if gamma_b is not None:
                 # The squared norms as _max_frobenius sums them; past the float
                 # range its scaled fallback takes over, so stop checking.
-                new = (P[:, t:unchecked] ** 2).sum(axis=(-2, -1)).max()
-                squares, unchecked = max(squares, new), t
-                if not np.isfinite(new):
+                squares = max(squares, (fresh**2).sum(axis=(-2, -1)).max())
+                if not np.isfinite(squares):
                     gamma_b = None
                 elif not _condition(spec, float(np.sqrt(squares)), margin, gamma_b).satisfied:
                     return None
@@ -248,7 +255,7 @@ def _check_pass(spec: GameSpec, blocks, run, cond_limit: float | None = None):
                     return joint_policy_from_arrays(gains, covs.swapaxes(0, 1)), covs, q
             except np.linalg.LinAlgError:
                 pass
-    first, q_t = (0 if failure is None else failure[0]), np.zeros(n)
+    (first, error), q_t = failure or (0, None), np.zeros(n)
     for t in range(T - 1, first - 1, -1):
         with _stage(t):
             _finite(t, "stage matrices", systems[t], BPA[t])
@@ -260,8 +267,8 @@ def _check_pass(spec: GameSpec, blocks, run, cond_limit: float | None = None):
                         f"stage {t}: coupling matrix condition {cond:.3e} exceeds {cond_limit:.1e}; "
                         "non-unique or ill-conditioned equilibrium, consider tau augmentation"
                     )
-            if failure is not None and t == first:
-                raise failure[1]
+            if error is not None and t == first:
+                raise error
             cov = stage_covariance(brackets[t], spec.tau)
             if exact:
                 logdets = _logdets(np.linalg.cholesky(cov))

@@ -391,9 +391,7 @@ def test_json_outputs_match_json_encoder(tmp_path):
 
     assert run("eval", "--spec", spec_path, "--out", po, "--compare", exact / "policy.json") == 0
     cert = lq.value_certificate(spec, po_policy)
-    doc = _reference_certificate(
-        spec, np.stack([a.P for a in cert.agents]), np.stack([a.q for a in cert.agents])
-    )
+    doc = _reference_certificate(spec, cert.P, cert.q)
     doc["exploitability"] = [float(g) for g in lq.exploitability(spec, po_policy)]
     doc["compare_distance"] = lq.policy_distance(po_policy, sol.policy)
     assert (po / "certificate.json").read_bytes() == _encoded(doc)
@@ -410,9 +408,7 @@ def test_eval_certificate_computed_once(tmp_path, monkeypatch):
     (out / "policy.json").write_text(lq.dump_joint_policy(random_pd_policy(spec, np.random.default_rng(17))))
     joint = lq.load_joint_policy((out / "policy.json").read_text())
     cert = lq.value_certificate(spec, joint)
-    doc = _reference_certificate(
-        spec, np.stack([a.P for a in cert.agents]), np.stack([a.q for a in cert.agents])
-    )
+    doc = _reference_certificate(spec, cert.P, cert.q)
     doc["exploitability"] = [float(g) for g in lq.exploitability(spec, joint)]
     assert max(doc["exploitability"]) > 1e-6  # not an equilibrium
 

@@ -34,6 +34,15 @@ class TestValueCertificate:
             npt.assert_allclose(cert.agents[i].P, sol.riccati[i], atol=1e-10)
             npt.assert_allclose(cert.agents[i].q, sol.offsets[i], atol=1e-10)
 
+    def test_stacked_arrays_with_per_agent_views(self):
+        spec = lq.random_game(3, 4, 3, 2, seed=21, scale=0.5)
+        cert = lq.value_certificate(spec, random_pd_policy(spec, np.random.default_rng(5)))
+        assert cert.P.shape == (3, 5, 3, 3) and cert.q.shape == (3, 5) and cert.expected_costs.shape == (3,)
+        for i, agent in enumerate(cert.agents):
+            assert np.shares_memory(agent.P, cert.P) and np.shares_memory(agent.q, cert.q)
+            npt.assert_array_equal(agent.P, cert.P[i])
+            assert agent.expected_cost == cert.expected_costs[i]
+
     def test_entropy_terms_only(self):
         # no inputs, no noise, zero start: only own-action traces and entropy remain
         rng = np.random.default_rng(22)

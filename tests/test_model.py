@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -166,6 +167,42 @@ def test_policy_round_trip():
     again = lq.load_joint_policy(lq.dump_joint_policy(joint))
     npt.assert_array_equal(lq.stack_gains(joint), lq.stack_gains(again))
     npt.assert_array_equal(lq.stack_covs(joint), lq.stack_covs(again))
+
+
+def test_joint_policy_holds_read_only_c_contiguous_copies():
+    rng = np.random.default_rng(4)
+    gains = rng.normal(size=(3, 2, 4, 2)).swapaxes(0, 1)  # (2, 3, 4, 2), not C-contiguous
+    covs = np.broadcast_to(np.eye(4), (2, 3, 4, 4))
+    joint = lq.joint_policy_from_arrays(gains, covs)
+    for arr, source in ((joint.gains, gains), (joint.covs, covs)):
+        assert arr.flags.c_contiguous and not arr.flags.writeable
+        assert not np.shares_memory(arr, source)
+        npt.assert_array_equal(arr, source)
+    assert (joint.num_agents, joint.horizon) == (2, 3)
+    for i, policy in enumerate(joint.policies):
+        assert np.shares_memory(policy.gains, joint.gains) and np.shares_memory(policy.covs, joint.covs)
+        npt.assert_array_equal(policy.gains, gains[i])
+    stacked = lq.stack_gains(joint)
+    stacked[0, 0, 0, 0] = 99.0  # a new, writable array
+    assert joint.gains[0, 0, 0, 0] == gains[0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("cov_shape", [(2, 3, 3, 3), (2, 3, 2, 3)])
+def test_mis_shaped_policy_covariances_rejected(cov_shape):
+    """Covariances must be ``(N, T, p, p)`` for gains ``(N, T, p, m)``; the
+    error names both shapes."""
+    spec = lq.random_game(2, 3, 2, 2, seed=1, scale=0.5)
+    gains = lq.exact_ne(spec).policy.gains
+    shapes = f"gains {gains.shape} vs covs {cov_shape}"
+    with pytest.raises(ValueError, match=re.escape(shapes)):
+        lq.joint_policy_from_arrays(gains, np.ones(cov_shape))
+
+
+def test_policy_shape_check_names_both_arrays():
+    spec = lq.random_game(2, 3, 2, 2, seed=1, scale=0.5)
+    joint = lq.joint_policy_from_arrays(np.zeros((2, 3, 3, 2)), np.broadcast_to(np.eye(3), (2, 3, 3, 3)))
+    with pytest.raises(ValueError, match=re.escape("gains shaped (2, 3, 3, 2), covs shaped (2, 3, 3, 3)")):
+        lq.value_certificate(spec, joint)
 
 
 @pytest.mark.parametrize("text", ["5", "null", "[]"])

@@ -77,8 +77,8 @@ def test_gaps_nonnegative_and_zero_at_equilibrium(spec, seed):
 def test_exact_values_are_the_certificate(spec):
     sol = lq.exact_ne(spec)
     cert = lq.value_certificate(spec, sol.policy)
-    assert np.array_equal(sol.riccati, np.stack([a.P for a in cert.agents]))
-    assert np.array_equal(sol.offsets, np.stack([a.q for a in cert.agents]))
+    assert np.array_equal(sol.riccati, cert.P)
+    assert np.array_equal(sol.offsets, cert.q)
 
 
 @given(games(), st.integers(0, 2**32 - 1))
@@ -128,6 +128,36 @@ def test_json_round_trips_bit_for_bit(spec, seed):
     assert np.array_equal(lq.stack_gains(loaded), lq.stack_gains(joint))
     assert np.array_equal(lq.stack_covs(loaded), lq.stack_covs(joint))
     assert lq.dump_joint_policy(loaded) == text
+
+
+def _assert_permuted(actual, original, order, scale=None):
+    """``actual`` is ``original`` with its agents in ``order``, within 1e-12
+    of ``scale`` (by default, the largest entry of ``original``)."""
+    scale = np.abs(original).max() if scale is None else scale
+    npt.assert_allclose(actual, original[order], rtol=0, atol=1e-12 * scale)
+
+
+@given(games(), st.integers(0, 2**32 - 1))
+def test_permuting_the_agents_permutes_every_result(spec, seed):
+    sol = lq.exact_ne(spec)
+    record = lq.check_assumption_tau(spec, sol)
+    if not record.satisfied:
+        spec = spec.with_tau(10.0 * record.threshold)
+        sol = lq.exact_ne(spec)
+    assume(lq.check_assumption_tau(spec, sol).satisfied)
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(spec.num_agents)
+    permuted = lq.validate_game_spec(dataclasses.replace(spec, B=spec.B[order], Q=spec.Q[order], R=spec.R[order]))
+    for solve in (lq.exact_ne, lq.po_solve):
+        policy, moved = solve(spec).policy, solve(permuted).policy
+        _assert_permuted(moved.gains, policy.gains, order)
+        _assert_permuted(moved.covs, policy.covs, order)
+    joint = random_pd_policy(spec, rng)
+    moved = lq.joint_policy_from_arrays(joint.gains[order], joint.covs[order])
+    costs = lq.value_certificate(spec, joint).expected_costs
+    _assert_permuted(lq.value_certificate(permuted, moved).expected_costs, costs, order)
+    _assert_permuted(lq.exploitability(permuted, moved), lq.exploitability(spec, joint), order,
+                     scale=np.abs(costs).max())
 
 
 @st.composite

@@ -361,6 +361,34 @@ def test_stage_matrices_named_before_a_singular_solve_of_their_stage(monkeypatch
         SOLVERS[solver](spec)
 
 
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_non_finite_values_stop_the_pass_at_the_next_check(monkeypatch, solver):
+    """Values of stage 30 of 40 that are not finite end the backward pass at
+    the next check, stage 16, not after all 40 stages; the error still names
+    stage 30."""
+    spec = lq.random_game(2, 40, 3, 2, seed=5, scale=0.5)
+    seen = inject_stage_fault(monkeypatch, spec, 30, "non-finite")
+    with pytest.raises(lq.SolverError, match="^stage 30: value matrices are not finite"):
+        SOLVERS[solver](spec)
+    assert seen == list(range(39, 15, -1))
+
+
+def test_diverged_po_pass_stops_within_a_check_interval(monkeypatch):
+    """The divergence repro: default PO values are not finite from stage 398
+    down, so the pass stops after 16 of its 400 stage steps.  With 50 inner
+    iterations, a singular solve of stage 397 stops it first."""
+    spec = lq.random_game(3, 400, 4, 2, seed=3, scale=1.5)
+    real, steps = lq.solver.joint_products, []
+    monkeypatch.setattr(lq.solver, "joint_products", lambda *args: steps.append(0) or real(*args))
+    with pytest.raises(lq.SolverError, match="^stage 398: value matrices are not finite"):
+        lq.po_solve(spec)
+    assert len(steps) == 16
+    steps.clear()
+    with pytest.raises(lq.SolverError, match="^stage 397: singular stage matrix"):
+        lq.po_solve(spec, inner_iters=50)
+    assert len(steps) == 3
+
+
 def condition_case():
     """A game whose stage conditions vary with the stage, a limit that about
     half of the stages exceed, and the largest failing stage, found with a

@@ -115,8 +115,8 @@ def test_exact_values_are_the_certificate(dims):
     spec = lq.random_game(*dims, seed=sum(dims), scale=0.5).with_tau(10.0)
     sol = lq.exact_ne(spec)
     cert = lq.value_certificate(spec, sol.policy)
-    npt.assert_array_equal(sol.riccati, np.stack([a.P for a in cert.agents]))
-    npt.assert_array_equal(sol.offsets, np.stack([a.q for a in cert.agents]))
+    npt.assert_array_equal(sol.riccati, cert.P)
+    npt.assert_array_equal(sol.offsets, cert.q)
 
 
 @pytest.mark.parametrize("dims", SIZES)
@@ -124,8 +124,7 @@ def test_certificate_matches_reference_loops(dims):
     spec = lq.random_game(*dims, seed=sum(dims) + 1, scale=0.5)
     joint = random_pd_policy(spec, np.random.default_rng(sum(dims)))
     cert = lq.value_certificate(spec, joint)
-    P = np.stack([a.P for a in cert.agents])
-    q = np.stack([a.q for a in cert.agents])
+    P, q = cert.P, cert.q
     for i in range(spec.num_agents):
         npt.assert_array_equal(P[i], reference_lyapunov(spec, joint, i))
         npt.assert_array_equal(lq.lyapunov_backward(spec, joint, i), P[i])
