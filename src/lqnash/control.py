@@ -82,19 +82,27 @@ def _trace(x: np.ndarray) -> np.ndarray:
     return np.trace(x, axis1=-2, axis2=-1)
 
 
-def _max_frobenius(x: np.ndarray) -> float:
-    """Largest Frobenius norm among the matrices stacked in ``x``.
+def _frobenius(x: np.ndarray) -> np.ndarray:
+    """Frobenius norms ``x.shape[:-2]`` of the matrices stacked in ``x``.
 
-    When squaring an entry overflows, the norm is taken of ``x`` scaled by
-    its largest entry instead, so large finite matrices give a finite norm
-    and no warning; the result is unchanged whenever the squares are finite.
+    A matrix whose squares overflow is scaled by its largest entry first, so
+    a finite matrix has a finite norm (up to the float range) and no
+    warning; every other norm is the plain root of its sum of squares.
     """
     with np.errstate(over="ignore"):
-        norm = float(np.sqrt((x**2).sum(axis=(-2, -1)).max()))
-    if not np.isfinite(norm):
-        scale = float(np.abs(x).max())
-        norm = scale * float(np.sqrt(((x / scale) ** 2).sum(axis=(-2, -1)).max()))
-    return norm
+        norms = np.sqrt((x * x).sum(axis=(-2, -1)), out=np.empty(x.shape[:-2]))  # an array, even of one matrix
+        big = np.isinf(norms)
+        if big.any():
+            big &= np.isfinite(x).all(axis=(-2, -1))  # an infinite entry has an infinite norm
+            y = x[big]
+            scale = np.abs(y).max(axis=(-2, -1), keepdims=True)
+            norms[big] = scale[..., 0, 0] * np.sqrt(((y / scale) ** 2).sum(axis=(-2, -1)))
+    return norms
+
+
+def _max_frobenius(x: np.ndarray) -> float:
+    """Largest Frobenius norm among the matrices stacked in ``x`` (see :func:`_frobenius`)."""
+    return float(_frobenius(x).max())
 
 
 def _side_by_side(B: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rollout import rollout
-from .control import (AgentValue, _cholesky, _logdets, best_responses, expected_costs, lyapunov_values,
+from .control import (AgentValue, _cholesky, _frobenius, _logdets, best_responses, expected_costs, lyapunov_values,
                       own_weight, stage_noise, value_offsets)
 from .model import GameSpec, JointPolicy, check_policy_shape
 
@@ -131,10 +131,7 @@ def policy_distance(a: JointPolicy, b: JointPolicy, t: int | None = None) -> flo
         if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or not 0 <= t < ga.shape[1]:
             raise ValueError(f"t must be an integer stage in [0, {ga.shape[1]}), got {t!r}")
         ga, gb, ca, cb = ga[:, [t]], gb[:, [t]], ca[:, [t]], cb[:, [t]]
-    per_agent_stage = np.sqrt(((ga - gb) ** 2).sum(axis=(2, 3))) + np.sqrt(
-        ((ca - cb) ** 2).sum(axis=(2, 3))
-    )
-    return float(per_agent_stage.sum())
+    return float((_frobenius(ga - gb) + _frobenius(ca - cb)).sum())
 
 
 def _psd_factor(x: np.ndarray) -> np.ndarray:

@@ -8,7 +8,8 @@ agents' best responses simultaneously within each stage.  The latter is
 block-Jacobi on the same system.  Both exploit the fact that with
 entropy-regularized costs every equilibrium policy is linear Gaussian.
 They share one backward stage loop, differing only in its gain step, and
-its checks, stacked after the loop; one stage-by-stage replay names a
+one set of checks, stacked after the loop, of which only the condition of
+``Phi_t`` is the exact pass's alone; one stage-by-stage replay names a
 failure in the same words for both.
 
 Also here: the stage coupling matrix of the joint gain system, the
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import (_logdets, _max_frobenius, joint_products, offset_terms, own_cost, stage_blocks,
+from .control import (_frobenius, _logdets, _max_frobenius, joint_products, offset_terms, own_cost, stage_blocks,
                       stage_covariance, stage_noise, uniqueness_threshold, value_offsets, value_step)
 from .evaluate import exploitability
 from .model import GameSpec, JointPolicy, joint_policy_from_arrays
@@ -150,10 +151,11 @@ def exact_ne(spec: GameSpec, cond_limit: float = COND_LIMIT) -> NESolution:
     ``cond_limit``), which signals a non-unique or ill-conditioned
     equilibrium; raising ``tau`` (see :func:`delta_augment_solve`) repairs
     this.  Also raises :class:`SolverError` naming the stage when its stage
-    matrices, open-loop values or values overflow or one of its solves or
-    factorizations is singular, so a diverged pass never yields a policy.
-    The checks run stacked after the stage loop; the error is that of the
-    first failing check of a stage-by-stage pass.
+    matrices, open-loop values, values or offsets overflow or one of its
+    solves or factorizations is singular, so a diverged pass never yields
+    a policy; these checks are :func:`po_solve`'s too.  The checks run
+    stacked after the stage loop; the error is that of the first failing
+    check of a stage-by-stage pass.
     """
     return _exact_backward(spec, cond_limit)
 
@@ -175,7 +177,8 @@ def _backward(spec: GameSpec, blocks, gain_step, margin: float | None = None):
     the gains ``gain_step(t, products, BPA)``, the own cost and the value step.
     Returns the stacked products ``(T, N p, N p)``, ``B^T P A``, gains
     ``(T, N p, m)``, values ``(N, T+1, m, m)`` and, if the loop stopped
-    early, ``(stage, LinAlgError or None)``, else ``None``, unchecked.  Every
+    early, ``(stage, LinAlgError, SolverError or None)``, else ``None``,
+    unchecked.  A gain step may raise either error to fail its stage.  Every
     ``_CHECK_EVERY`` stages the loop stops once a value solved since the last
     check is not finite.  With a ``margin`` it returns ``None`` as soon as
     the values solved so far fail the adequacy check at that margin: their
@@ -189,7 +192,7 @@ def _backward(spec: GameSpec, blocks, gain_step, margin: float | None = None):
     phis, BPA, G = np.zeros((T, n * p, n * p)), np.zeros((T, n * p, m)), np.zeros((T, n * p, m))
     failure = None
     gamma_b = None if margin is None else _max_frobenius(spec.B)
-    squares, unchecked = 0.0, T + 1  # largest squared norm among P[:, unchecked:]
+    gamma_p, unchecked = 0.0, T + 1  # largest norm among P[:, unchecked:]
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(T - 1, -1, -1):
             tails = P[:, t + 1]
@@ -198,7 +201,7 @@ def _backward(spec: GameSpec, blocks, gain_step, margin: float | None = None):
                 G[t] = gain_step(t, phis[t], BPA[t])
                 Qown = spec.Q[:, t] + own_cost(weight[:, t], G[t].reshape(n, p, m))
                 P[:, t] = value_step(Qown, spec.A[t] + side[t] @ G[t], tails)
-            except np.linalg.LinAlgError as exc:
+            except (np.linalg.LinAlgError, SolverError) as exc:
                 failure = (t, exc)
                 break
             if t % _CHECK_EVERY:
@@ -207,60 +210,55 @@ def _backward(spec: GameSpec, blocks, gain_step, margin: float | None = None):
             if not np.isfinite(fresh).all():
                 failure = (t, None)
                 break
-            if gamma_b is not None:
-                # The squared norms as _max_frobenius sums them; past the float
-                # range its scaled fallback takes over, so stop checking.
-                squares = max(squares, (fresh**2).sum(axis=(-2, -1)).max())
-                if not np.isfinite(squares):
-                    gamma_b = None
-                elif not _condition(spec, float(np.sqrt(squares)), margin, gamma_b).satisfied:
+            if margin is not None:
+                gamma_p = max(gamma_p, _max_frobenius(fresh))
+                if not _condition(spec, gamma_p, margin, gamma_b).satisfied:
                     return None
     return phis, BPA, G, P, failure
 
 
 def _check_pass(spec: GameSpec, blocks, run, cond_limit: float | None = None):
     """Check a pass ``run`` of :func:`_backward`, stacked over its stages;
-    return its policy, its stage covariances ``(T, N, p, p)`` and, for
-    :func:`exact_ne` (given a ``cond_limit``), its offsets ``(N, T+1)``.
-    Both solvers need every solve to succeed and finite stage matrices and
-    values; :func:`exact_ne` also needs finite open-loop values and offsets
-    and every ``cond(Phi_t)`` within ``cond_limit``.  On a failure, a replay
-    raises the error of the first check that a stage-by-stage pass fails."""
+    return its policy, its stage covariances ``(T, N, p, p)`` and its offsets
+    ``(N, T+1)``.  Both solvers need every solve and Cholesky factor to be
+    nonsingular and finite stage matrices, open-loop values, values and
+    offsets; :func:`exact_ne`, the solver that solves ``Phi_t`` (given a
+    ``cond_limit``), also needs every ``cond(Phi_t)`` within it.  On a
+    failure, a replay raises the error of the first check that a
+    stage-by-stage pass fails."""
     phis, BPA, gains, P, failure = run
     n, T = spec.num_agents, spec.horizon
     m, p = spec.state_dim, spec.action_dim
     weight, reg = blocks[2:]
     brackets = phis.reshape(T, -1).take(_diagonal(n, p), axis=1)  # C-ordered, stage-major
     brackets += spec.R.swapaxes(0, 1)
-    systems, exact = phis + reg, cond_limit is not None
+    systems = phis + reg
     with np.errstate(over="ignore", invalid="ignore"):
         # Beyond the float range, round-off in the closed loop A + sum B K,
         # weighted by the tail values, exceeds any value the stage can certify.
-        open_loop = spec.A.swapaxes(-1, -2) @ P[:, 1:] @ spec.A if exact else None
+        open_loop = spec.A.swapaxes(-1, -2) @ P[:, 1:] @ spec.A
         if failure is None:
             try:
-                covs, q, checked = stage_covariance(brackets, spec.tau), None, [systems, BPA, P]
-                if exact:
-                    agent_covs = covs.swapaxes(0, 1)
-                    logdets = _logdets(np.linalg.cholesky(agent_covs))
-                    noise = stage_noise(spec, slice(None), agent_covs)
-                    q = value_offsets(spec.tau, weight, agent_covs, logdets, noise, P)
-                    checked += [open_loop, q]
-                ok = all(np.isfinite(a).all() for a in checked)
-                if ok and exact:
+                covs = stage_covariance(brackets, spec.tau)
+                agent_covs = covs.swapaxes(0, 1)
+                logdets = _logdets(np.linalg.cholesky(agent_covs))
+                noise = stage_noise(spec, slice(None), agent_covs)
+                q = value_offsets(spec.tau, weight, agent_covs, logdets, noise, P)
+                ok = all(np.isfinite(a).all() for a in (systems, BPA, P, open_loop, q))
+                if ok and cond_limit is not None:
                     cond = np.linalg.cond(systems)
                     ok = bool((np.isfinite(cond) & (cond <= cond_limit)).all())
                 if ok:
                     gains = gains.reshape(T, n, p, m).swapaxes(0, 1)
-                    return joint_policy_from_arrays(gains, covs.swapaxes(0, 1)), covs, q
+                    return joint_policy_from_arrays(gains, agent_covs), covs, q
             except np.linalg.LinAlgError:
                 pass
     (first, error), q_t = failure or (0, None), np.zeros(n)
     for t in range(T - 1, first - 1, -1):
         with _stage(t):
             _finite(t, "stage matrices", systems[t], BPA[t])
-            if exact:
-                _finite(t, "open-loop values", open_loop[:, t])
+            _finite(t, "open-loop values", open_loop[:, t])
+            if cond_limit is not None:
                 cond = float(np.linalg.cond(systems[t]))
                 if not (np.isfinite(cond) and cond <= cond_limit):
                     raise SolverError(
@@ -270,10 +268,8 @@ def _check_pass(spec: GameSpec, blocks, run, cond_limit: float | None = None):
             if error is not None and t == first:
                 raise error
             cov = stage_covariance(brackets[t], spec.tau)
-            if exact:
-                logdets = _logdets(np.linalg.cholesky(cov))
-                noise = stage_noise(spec, t, cov)
-                q_t = q_t + offset_terms(spec.tau, weight[:, t], cov, logdets, noise, P[:, t + 1])
+            logdets = _logdets(np.linalg.cholesky(cov))
+            q_t = q_t + offset_terms(spec.tau, weight[:, t], cov, logdets, stage_noise(spec, t, cov), P[:, t + 1])
             _finite(t, "value matrices", P[:, t], q_t)
     raise SolverError("a stacked stage check failed that no single stage reproduces")
 
@@ -336,10 +332,13 @@ def po_solve(
     frozen later-stage policies, so they are fixed while a stage iterates.
 
     Non-convergence is visible in the returned trace (distances failing to
-    decrease) and in the contraction moduli.  The stage loop and its checks
-    are :func:`exact_ne`'s less the condition, open-loop and offset checks:
-    :class:`SolverError` names the stage whose stage matrices or values are
-    not finite or one of whose solves is singular.
+    decrease) and in the contraction moduli.  A stage whose stop test is
+    unmet and whose last gain distance exceeds its first diverged.  The
+    stage loop and every check but the condition of ``Phi_t``, which PO
+    never solves, are :func:`exact_ne`'s: :class:`SolverError` names the
+    stage that diverged, whose stage matrices, open-loop values, values or
+    offsets are not finite, or one of whose solves or factorizations is
+    singular.
     """
     if inner_iters is None and stop_tol is None:
         raise ValueError("need inner_iters >= 1 or stop_tol > 0")
@@ -367,31 +366,32 @@ def po_solve(
         for _ in range(L):
             new = c + M @ G
             diff = new - G
-            d = np.add.reduce(np.sqrt(np.add.reduce((diff * diff).reshape(n, -1), axis=1)))
+            d = gain = np.add.reduce(np.sqrt(np.add.reduce((diff * diff).reshape(n, -1), axis=1)))
             if not distances:
                 # The covariance moves only on the first iteration, which adds its
                 # norm (after the loop); it can decide the stop test only here.
                 first[t] = d
                 if stop_tol is not None and d < stop_tol:
-                    d = d + _cov_distance(stage_covariance(bracket, spec.tau))
+                    d = d + _frobenius(stage_covariance(bracket, spec.tau)).sum()
             G = new
             distances.append(float(d))
             if stop_tol is not None and d < stop_tol or math.isnan(d):  # NaN gains stay NaN
                 break
+        else:  # the stop test was never met
+            if gain > first[t]:
+                raise SolverError(f"stage {t}: inner iteration diverged, gain distance {first[t]:.3e} "
+                                  f"to {gain:.3e} in {len(distances)} iterations")
         trace_by_stage[t] = distances
         return G
 
     blocks = stage_blocks(spec)
     run = _backward(spec, blocks, gain_step)
     policy, covs, _ = _check_pass(spec, blocks, run)
-    values = run[3]  # the policy's value matrices
     # The first distances, value norms and moduli, stacked over the stages.
+    for distances, d in zip(trace_by_stage, (first + np.add.reduce(_frobenius(covs), axis=-1)).tolist()):
+        distances[0] = d
+    norms = _frobenius(run[3]).max(axis=0)  # over the policy's value matrices
     with np.errstate(over="ignore"):
-        for distances, d in zip(trace_by_stage, (first + _cov_distance(covs)).tolist()):
-            distances[0] = d
-        norms = np.sqrt((values**2).sum(axis=(-2, -1)).max(axis=0))
-        for t in np.flatnonzero(~np.isfinite(norms)):
-            norms[t] = _max_frobenius(values[:, t])
         moduli = uniqueness_threshold(spec, norms[1:])[1] / spec.tau
     return SolveReport(
         policy=policy,
@@ -399,12 +399,6 @@ def po_solve(
         contraction_moduli=tuple(moduli.tolist()),
         condition=_condition(spec, float(norms.max()), 0.0),
     )
-
-
-def _cov_distance(covs: np.ndarray) -> np.ndarray:
-    """Sum over agents of the covariances' Frobenius norms, per stage of an
-    ``(..., N, p, p)`` stack; each stage's agents are summed over one row."""
-    return np.add.reduce(np.sqrt((covs * covs).sum(axis=(-2, -1))), axis=-1)
 
 
 def delta_augment_solve(
@@ -429,8 +423,8 @@ def delta_augment_solve(
     game whose per-agent exploitability (reported in ``nash_gaps``) shrinks
     with ``delta``.
     """
-    if not delta_init > 0:
-        raise ValueError("delta_init must be positive")
+    if not (math.isfinite(delta_init) and delta_init > 0):
+        raise ValueError(f"delta_init must be finite and positive, got {delta_init!r}")
     if not growth > 1:
         raise ValueError("growth must exceed 1")
     if max_rounds < 1:

@@ -75,6 +75,19 @@ def test_solve_po_then_compare(scalar_spec_file, tmp_path, capsys):
     assert "policy distance" in capsys.readouterr().out
 
 
+def test_compare_against_a_huge_policy(scalar_spec_file, tmp_path):
+    # The gains differ by about 1e200, whose square overflows; the distance does not.
+    out = tmp_path / "exact"
+    assert run("solve-exact", "--spec", scalar_spec_file, "--out", out) == 0
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"num_agents": 1, "horizon": 1, "state_dim": 1, "action_dim": 1,'
+                    ' "gains": [[[[1e200]]]], "covs": [[[[0.5]]]]}')
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("eval", "--spec", scalar_spec_file, "--out", out, "--compare", huge) == 0
+    assert json.loads((out / "certificate.json").read_text())["compare_distance"] == 1e200
+
+
 def test_trace_schema(scalar_spec_file, tmp_path):
     out = tmp_path / "po"
     assert run("solve-po", "--spec", scalar_spec_file, "--out", out, "--inner-iters", 5) == 0
@@ -148,6 +161,14 @@ def test_bad_margin_exit_code(tmp_path, capsys, command, margin):
     out = tmp_path / "o"
     assert run(command, "--spec", _violating_spec_file(tmp_path, tau=0.01), "--out", out, "--margin", margin) == 2
     assert "margin" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("delta_init", ["0", "nan", "inf"])
+def test_bad_delta_init_exit_code(tmp_path, capsys, delta_init):
+    out = tmp_path / "o"
+    assert run("augment", "--spec", _violating_spec_file(tmp_path), "--out", out, "--delta-init", delta_init) == 2
+    assert "error (validation): delta_init" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
 
 
@@ -274,11 +295,13 @@ def test_po_divergence_exit_code_with_warnings_as_errors(tmp_path, capsys):
         code = run("solve-po", "--spec", gen / "spec.json", "--out", tmp_path / "po",
                    "--inner-iters", 50)
     assert code == 3
-    # The stage is set by last-bit rounding of the stage products; exit 3 is the contract.
-    assert "stage 397:" in capsys.readouterr().err
+    assert "stage 399: inner iteration diverged" in capsys.readouterr().err
+    assert not (tmp_path / "po" / "policy.json").exists()
 
 
-def test_exact_overflow_exit_code(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["solve-exact", "solve-po"])
+def test_exact_overflow_exit_code(tmp_path, capsys, command):
+    # Both solvers check the open-loop values; PO used to certify a cost of 1.5e200.
     path = tmp_path / "overflow.json"
     path.write_text(
         '{"num_agents": 1, "horizon": 2, "state_dim": 1, "action_dim": 1, "tau": 1,'
@@ -288,7 +311,7 @@ def test_exact_overflow_exit_code(tmp_path, capsys):
     out = tmp_path / "o"
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        code = run("solve-exact", "--spec", path, "--out", out)
+        code = run(command, "--spec", path, "--out", out)
     assert code == 3
     assert "stage 0:" in capsys.readouterr().err
     assert not (out / "policy.json").exists()

@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -132,6 +133,15 @@ class TestPolicyDistance:
         a = lq.joint_policy_from_arrays(np.zeros((1, 1, 2, 2)), np.eye(2)[None, None])
         b = lq.joint_policy_from_arrays(np.eye(2)[None, None], np.eye(2)[None, None])
         assert lq.policy_distance(a, b) == pytest.approx(np.sqrt(2.0), rel=1e-15)
+
+    def test_huge_difference_without_overflow(self):
+        covs = np.full((2, 3, 1, 1), 0.5)
+        a = lq.joint_policy_from_arrays(np.zeros((2, 3, 1, 2)), covs)
+        gains = np.zeros((2, 3, 1, 2))
+        gains[1, 2, 0, 1] = -1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lq.policy_distance(a, lq.joint_policy_from_arrays(gains, covs)) == 1e200
 
     def test_metric_properties(self):
         spec = lq.random_game(2, 3, 2, 2, seed=29, scale=0.5)

@@ -184,9 +184,13 @@ def test_solvers_return_finite_or_name_the_divergence(spec):
             assert str(exc).startswith("stage ")
         else:
             assert _all_finite(lq.stack_gains(sol.policy), lq.stack_covs(sol.policy), sol.riccati, sol.offsets)
+            cert = lq.value_certificate(spec, sol.policy)
+            assert _all_finite(cert.P, cert.q, cert.expected_costs)
         try:
             report = lq.po_solve(spec, inner_iters=5)
         except lq.SolverError as exc:
             assert str(exc).startswith("stage ")
         else:
             assert _all_finite(lq.stack_gains(report.policy), lq.stack_covs(report.policy))
+            cert = lq.value_certificate(spec, report.policy)
+            assert _all_finite(cert.P, cert.q, cert.expected_costs)

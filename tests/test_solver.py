@@ -145,6 +145,10 @@ class TestConditionChecks:
         sol = dataclasses.replace(lq.exact_ne(spec), riccati=np.full((2, 2, 2, 2), 1e160))
         assert lq.check_assumption_tau(spec, sol).gamma_P == pytest.approx(2e160, rel=1e-15)
 
+    def test_norm_of_one_huge_tail_matrix(self):
+        spec = symmetric_two_agent_scalar(tau=2.0)
+        assert lq.contraction_modulus(spec, 0, np.array([[-4e160]])) == pytest.approx(4e160, rel=1e-15)
+
     def test_single_agent_modulus_zero(self, scalar_game):
         assert lq.contraction_modulus(scalar_game, 0, np.ones((1, 1, 1))) == 0.0
 
@@ -278,8 +282,9 @@ class TestDeltaAugment:
 
     def test_bad_arguments(self):
         spec = lq.random_game(1, 1, 1, 1, seed=0, scale=1.0)
-        with pytest.raises(ValueError):
-            lq.delta_augment_solve(spec, delta_init=0.0)
+        for delta_init in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="delta_init"):
+                lq.delta_augment_solve(spec, delta_init=delta_init)
         with pytest.raises(ValueError):
             lq.delta_augment_solve(spec, delta_init=0.1, growth=1.0)
         with pytest.raises(ValueError):
@@ -374,19 +379,35 @@ def test_non_finite_values_stop_the_pass_at_the_next_check(monkeypatch, solver):
 
 
 def test_diverged_po_pass_stops_within_a_check_interval(monkeypatch):
-    """The divergence repro: default PO values are not finite from stage 398
-    down, so the pass stops after 16 of its 400 stage steps.  With 50 inner
-    iterations, a singular solve of stage 397 stops it first."""
+    """The divergence repro: the inner iteration of stage 399, the first
+    stage stepped, grows from its first gain distance, so the pass stops
+    after one of its 400 stage steps, with or without an inner-iteration cap."""
     spec = lq.random_game(3, 400, 4, 2, seed=3, scale=1.5)
     real, steps = lq.solver.joint_products, []
     monkeypatch.setattr(lq.solver, "joint_products", lambda *args: steps.append(0) or real(*args))
-    with pytest.raises(lq.SolverError, match="^stage 398: value matrices are not finite"):
+    with pytest.raises(lq.SolverError, match="^stage 399: inner iteration diverged"):
         lq.po_solve(spec)
-    assert len(steps) == 16
+    assert len(steps) == 1
     steps.clear()
-    with pytest.raises(lq.SolverError, match="^stage 397: singular stage matrix"):
+    with pytest.raises(lq.SolverError, match="^stage 399: inner iteration diverged"):
         lq.po_solve(spec, inner_iters=50)
-    assert len(steps) == 3
+    assert len(steps) == 1
+
+
+@pytest.mark.parametrize("T, seed", [(1, 2), (2, 0), (2, 4), (2, 5)])
+def test_finite_po_divergence_is_named(T, seed):
+    """In each game the inner iteration of stage 0 grows from about 4 to
+    1e36 or more yet stays finite; PO names the stage instead of returning."""
+    with pytest.raises(lq.SolverError, match="^stage 0: inner iteration diverged"):
+        lq.po_solve(lq.random_game(3, T, 4, 2, seed=seed, scale=1.5))
+
+
+def test_slow_po_convergence_is_not_divergence():
+    """The horizon-1 seed-1 game needs all 500 inner iterations and ends at
+    2e-5 of a first distance of 3: unmet stop test, yet no divergence."""
+    report = lq.po_solve(lq.random_game(3, 1, 4, 2, seed=1, scale=1.5))
+    (stage,) = report.trace
+    assert len(stage) == solver.MAX_INNER_ITERS and stage[-1] < 1e-4 < stage[0]
 
 
 def condition_case():
