@@ -7,13 +7,16 @@ Subcommands: ``solve-exact``, ``solve-po``, ``check``, ``augment``,
 summary goes to stdout.  ``eval`` and ``simulate`` consume the
 ``policy.json`` a solver wrote into the same ``--out`` directory.
 
-Exit codes: 0 success, 2 load/validation error, 3 solver error, 4 I/O
-error.  All outputs are pure functions of the spec bytes, flags, and seed.
+Every file is read by ``_read`` and written by ``_write``, which writes
+``\n`` line ends on every platform.  ``main`` reads the spec and creates
+``--out`` before a command runs, and maps each error to its exit code:
+0 success, 2 load/validation error, 3 solver error, 4 I/O error, naming
+the file that could not be read or written.  All outputs are pure
+functions of the spec bytes, flags, and seed.
 """
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
@@ -29,8 +32,6 @@ from .evaluate import (
 )
 from .model import (
     GameSpec,
-    GameSpecError,
-    JointPolicy,
     _dumps,
     dump_game_spec,
     dump_joint_policy,
@@ -55,45 +56,37 @@ __all__ = ["main", "build_parser"]
 _TRAJ_CHUNK = 64
 
 
-def _read_spec(path: str) -> GameSpec:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise _IOFailure(f"cannot read spec file {path}: {exc}") from None
-    return load_game_spec(text)
-
-
-def _read_policy(out_dir: str) -> JointPolicy:
-    path = Path(out_dir) / "policy.json"
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise _IOFailure(f"cannot read policy file {path}: {exc}") from None
-    return load_joint_policy(text)
-
-
 class _IOFailure(OSError):
     pass
 
 
-def _out_dir(args) -> Path:
-    path = Path(args.out)
+def _read(path, what: str) -> str:
     try:
-        path.mkdir(parents=True, exist_ok=True)
+        return Path(path).read_text()
     except OSError as exc:
-        raise _IOFailure(f"cannot create output directory {path}: {exc}") from None
-    return path
+        raise _IOFailure(f"cannot read {what} {path}: {exc}") from None
 
 
-def _write_text(path: Path, text: str) -> None:
+def _out_dir(path: str) -> Path:
+    out = Path(path)
     try:
-        path.write_text(text)
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _IOFailure(f"cannot create output directory {out}: {exc}") from None
+    return out
+
+
+def _write(path: Path, content) -> None:
+    """Write ``content`` to ``path``: text, or a function that writes into
+    the open file.  Line ends are written as given, ``\n`` on every platform."""
+    try:
+        with open(path, "w", newline="") as fh:
+            if callable(content):
+                content(fh)
+            else:
+                fh.write(content)
     except OSError as exc:
         raise _IOFailure(f"cannot write {path}: {exc}") from None
-
-
-def _write_json(path: Path, doc: dict) -> None:
-    _write_text(path, _dumps(doc))
 
 
 def _certificate_doc(spec: GameSpec, cert: ValueCertificate) -> dict:
@@ -120,22 +113,21 @@ def _write_trace(path: Path, report: SolveReport) -> None:
     """One CSV line per stage and inner iteration, a stage per write; the
     bytes of ``csv.writer``, which writes floats with ``repr``.  Each
     stage's modulus is formatted once."""
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write("t,l,distance,contraction_modulus\n")
-            for t, (stage_trace, modulus) in enumerate(zip(report.trace, report.contraction_moduli)):
-                tail = f",{float(modulus)!r}\n"
-                fh.write("".join([f"{t},{l},{float(dist)!r}{tail}" for l, dist in enumerate(stage_trace, start=1)]))
-    except OSError as exc:
-        raise _IOFailure(f"cannot write {path}: {exc}") from None
+
+    def stages(fh) -> None:
+        fh.write("t,l,distance,contraction_modulus\n")
+        for t, (stage_trace, modulus) in enumerate(zip(report.trace, report.contraction_moduli)):
+            tail = f",{float(modulus)!r}\n"
+            fh.write("".join([f"{t},{l},{float(dist)!r}{tail}" for l, dist in enumerate(stage_trace, start=1)]))
+
+    _write(path, stages)
 
 
-def _cmd_randgen(args) -> int:
-    out = _out_dir(args)
+def _cmd_randgen(args, _, out: Path) -> int:
     spec = random_game(args.agents, args.horizon, args.state_dim, args.action_dim, args.seed, args.scale)
     if args.tau is not None:
         spec = spec.with_tau(args.tau)
-    _write_text(out / "spec.json", dump_game_spec(spec))
+    _write(out / "spec.json", dump_game_spec(spec))
     print(
         f"generated spec: agents={spec.num_agents} horizon={spec.horizon} "
         f"state_dim={spec.state_dim} action_dim={spec.action_dim} tau={spec.tau}"
@@ -144,14 +136,12 @@ def _cmd_randgen(args) -> int:
     return 0
 
 
-def _cmd_solve_exact(args) -> int:
-    spec = _read_spec(args.spec)
-    out = _out_dir(args)
+def _cmd_solve_exact(args, spec: GameSpec, out: Path) -> int:
     sol = exact_ne(spec)
     record = check_assumption_tau(spec, sol, args.margin)
-    _write_text(out / "policy.json", dump_joint_policy(sol.policy))
+    _write(out / "policy.json", dump_joint_policy(sol.policy))
     cert = _certificate(spec, sol.riccati, sol.offsets)
-    _write_json(out / "certificate.json", _certificate_doc(spec, cert))
+    _write(out / "certificate.json", _dumps(_certificate_doc(spec, cert)))
     print("exact equilibrium solved")
     for i, cost in enumerate(cert.expected_costs.tolist()):
         print(f"  agent {i}: expected cost {cost:.12g}")
@@ -163,11 +153,9 @@ def _cmd_solve_exact(args) -> int:
     return 0
 
 
-def _cmd_solve_po(args) -> int:
-    spec = _read_spec(args.spec)
-    out = _out_dir(args)
+def _cmd_solve_po(args, spec: GameSpec, out: Path) -> int:
     report = po_solve(spec, inner_iters=args.inner_iters, stop_tol=args.stop_tol)
-    _write_text(out / "policy.json", dump_joint_policy(report.policy))
+    _write(out / "policy.json", dump_joint_policy(report.policy))
     _write_trace(out / "trace.csv", report)
     print("policy optimization finished")
     for t, stage_trace in enumerate(report.trace):
@@ -185,12 +173,10 @@ def _cmd_solve_po(args) -> int:
     return 0
 
 
-def _cmd_check(args) -> int:
-    spec = _read_spec(args.spec)
-    out = _out_dir(args)
+def _cmd_check(args, spec: GameSpec, out: Path) -> int:
     sol = exact_ne(spec)
     record = check_assumption_tau(spec, sol, args.margin)
-    _write_json(out / "condition.json", _condition_doc(spec, record))
+    _write(out / "condition.json", _dumps(_condition_doc(spec, record)))
     print(
         f"tau={spec.tau:g} gamma_B={record.gamma_B:.6g} gamma_P={record.gamma_P:.6g} "
         f"threshold={record.threshold:.6g} margin={record.margin:g} satisfied={record.satisfied}"
@@ -199,9 +185,7 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _cmd_augment(args) -> int:
-    spec = _read_spec(args.spec)
-    out = _out_dir(args)
+def _cmd_augment(args, spec: GameSpec, out: Path) -> int:
     report = delta_augment_solve(
         spec,
         delta_init=args.delta_init,
@@ -211,12 +195,12 @@ def _cmd_augment(args) -> int:
         stop_tol=args.stop_tol,
         margin=args.margin,
     )
-    _write_text(out / "policy.json", dump_joint_policy(report.policy))
+    _write(out / "policy.json", dump_joint_policy(report.policy))
     _write_trace(out / "trace.csv", report)
     doc = _condition_doc(spec, report.condition)
     doc["delta_used"] = report.delta_used
     doc["exploitability"] = report.nash_gaps
-    _write_json(out / "condition.json", doc)
+    _write(out / "condition.json", _dumps(doc))
     print(f"augmentation succeeded with delta={report.delta_used:g}")
     for i, gap in enumerate(report.nash_gaps):
         print(f"  agent {i}: original-game exploitability {float(gap):.6e}")
@@ -224,10 +208,8 @@ def _cmd_augment(args) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
-    spec = _read_spec(args.spec)
-    out = _out_dir(args)
-    joint = _read_policy(args.out)
+def _cmd_eval(args, spec: GameSpec, out: Path) -> int:
+    joint = load_joint_policy(_read(out / "policy.json", "policy file"))
     cert = value_certificate(spec, joint)
     gaps = _nash_gaps(spec, joint, cert.expected_costs)
     doc = _certificate_doc(spec, cert)
@@ -235,21 +217,17 @@ def _cmd_eval(args) -> int:
     for i, (cost, gap) in enumerate(zip(cert.expected_costs.tolist(), gaps.tolist())):
         print(f"  agent {i}: expected cost {cost:.12g} nash gap {gap:.6e}")
     if args.compare is not None:
-        try:
-            other = load_joint_policy(Path(args.compare).read_text())
-        except OSError as exc:
-            raise _IOFailure(f"cannot read comparison policy {args.compare}: {exc}") from None
-        distance = policy_distance(joint, other)
+        distance = policy_distance(joint, load_joint_policy(_read(args.compare, "comparison policy")))
         doc["compare_distance"] = distance
         print(f"policy distance to {args.compare}: {distance:.6e}")
-    _write_json(out / "certificate.json", doc)
+    _write(out / "certificate.json", _dumps(doc))
     print(f"wrote {out / 'certificate.json'}")
     return 0
 
 
 def _write_trajectories(fh, states: np.ndarray, actions: np.ndarray) -> None:
-    """Write one CSV line per trajectory and stage, a chunk of trajectories
-    at a time.
+    """Write the header and one CSV line per trajectory and stage, a chunk
+    of trajectories at a time.
 
     Bytes match ``csv.writer``: it writes floats with ``repr`` (``%r``) and
     the terminal row's missing actions as empty fields.  A chunk bounds the
@@ -258,6 +236,8 @@ def _write_trajectories(fh, states: np.ndarray, actions: np.ndarray) -> None:
     n_traj, T, n, p = actions.shape
     m = states.shape[2]
     width = n * p
+    header = ["traj_id", "t"] + [f"x{k}" for k in range(m)] + [f"u{i}_{k}" for i in range(n) for k in range(p)]
+    fh.write(",".join(header) + "\n")
     line = "%d,%d," + ",".join(["%r"] * (m + width)) + "\n"
     last = "%d,%d," + ",".join(["%r"] * m) + "," * width + "\n"
     for lo in range(0, n_traj, _TRAJ_CHUNK):
@@ -272,41 +252,18 @@ def _write_trajectories(fh, states: np.ndarray, actions: np.ndarray) -> None:
         fh.write("".join(parts))
 
 
-def _cmd_simulate(args) -> int:
-    spec = _read_spec(args.spec)
-    out = _out_dir(args)
-    joint = _read_policy(args.out)
+def _cmd_simulate(args, spec: GameSpec, out: Path) -> int:
+    joint = load_joint_policy(_read(out / "policy.json", "policy file"))
     result = simulate(spec, joint, args.n_traj, args.seed)
     cert = value_certificate(spec, joint)
-
-    n, m, p = spec.num_agents, spec.state_dim, spec.action_dim
-    try:
-        with open(out / "trajectories.csv", "w", newline="") as fh:
-            header = ["traj_id", "t"] + [f"x{k}" for k in range(m)]
-            for i in range(n):
-                header += [f"u{i}_{k}" for k in range(p)]
-            fh.write(",".join(header) + "\n")
-            _write_trajectories(fh, result.states, result.actions)
-        with open(out / "costs.csv", "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["agent", "empirical_mean", "std_error", "certificate_value"])
-            for i in range(n):
-                writer.writerow(
-                    [
-                        i,
-                        float(result.mean_costs[i]),
-                        float(result.std_errors[i]),
-                        float(cert.expected_costs[i]),
-                    ]
-                )
-    except OSError as exc:
-        raise _IOFailure(f"cannot write simulation outputs: {exc}") from None
-
-    for i in range(n):
-        print(
-            f"  agent {i}: empirical {float(result.mean_costs[i]):.6g} "
-            f"+/- {float(result.std_errors[i]):.3g} (certificate {float(cert.expected_costs[i]):.6g})"
-        )
+    _write(out / "trajectories.csv", lambda fh: _write_trajectories(fh, result.states, result.actions))
+    # The bytes of csv.writer, which writes floats with repr.
+    rows = list(enumerate(zip(result.mean_costs.tolist(), result.std_errors.tolist(),
+                              cert.expected_costs.tolist())))
+    _write(out / "costs.csv", "agent,empirical_mean,std_error,certificate_value\n"
+           + "".join([f"{i},{mean!r},{se!r},{value!r}\n" for i, (mean, se, value) in rows]))
+    for i, (mean, se, value) in rows:
+        print(f"  agent {i}: empirical {mean:.6g} +/- {se:.3g} (certificate {value:.6g})")
     print(f"wrote {out / 'trajectories.csv'}, {out / 'costs.csv'}")
     return 0
 
@@ -377,17 +334,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except GameSpecError as exc:
-        print(f"error (validation): {exc}", file=sys.stderr)
-        return 2
+        spec = load_game_spec(_read(args.spec, "spec file")) if "spec" in args else None  # randgen has none
+        return args.func(args, spec, _out_dir(args.out))
     except SolverError as exc:
         print(f"error (solver): {exc}", file=sys.stderr)
         return 3
     except _IOFailure as exc:
         print(f"error (io): {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
+    except ValueError as exc:  # GameSpecError included
         print(f"error (validation): {exc}", file=sys.stderr)
         return 2
 

@@ -38,11 +38,9 @@ __all__ = [
 SYMMETRY_RTOL = 1e-9
 PSD_RTOL = 1e-10
 
-_TOP_KEYS = (
-    "num_agents",
-    "horizon",
-    "state_dim",
-    "action_dim",
+# The header of both documents: four positive integers, in this order.
+_DIMS = ("num_agents", "horizon", "state_dim", "action_dim")
+_TOP_KEYS = _DIMS + (
     "tau",
     "A",
     "B",
@@ -209,28 +207,29 @@ def _vector(value, dim: int, field: str) -> np.ndarray:
     raise GameSpecError(field, f"dimension mismatch: expected shape ({dim},), got {arr.shape}")
 
 
-def _positive_int(doc: dict, key: str) -> int:
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise GameSpecError(key, "must be an integer")
-    if value < 1:
-        raise GameSpecError(key, "must be a positive integer")
-    return value
-
-
 def _reject_constant(name: str):
     raise GameSpecError("", f"non-finite constant {name!r} not permitted")
 
 
-def _load_object(text: str) -> dict:
-    """The JSON object of a document; finite numbers only."""
+def _load_header(text: str, keys: tuple[str, ...]) -> tuple[dict, list[int]]:
+    """The JSON object of a document, finite numbers only, which must hold
+    every one of ``keys``, and its four positive dimensions ``_DIMS``."""
     try:
         doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise GameSpecError("", f"malformed JSON document: {exc}") from None
     if not isinstance(doc, dict):
         raise GameSpecError("", "top level must be a JSON object")
-    return doc
+    missing = [k for k in keys if k not in doc]
+    if missing:
+        raise GameSpecError(missing[0], "missing required key")
+    dims = [doc[key] for key in _DIMS]
+    for key, value in zip(_DIMS, dims):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise GameSpecError(key, "must be an integer")
+        if value < 1:
+            raise GameSpecError(key, "must be a positive integer")
+    return doc, dims
 
 
 def load_game_spec(text: str) -> GameSpec:
@@ -239,15 +238,7 @@ def load_game_spec(text: str) -> GameSpec:
     Raises :class:`GameSpecError` naming the offending field on malformed
     documents, dimension mismatches, PSD/PD violations, or nonpositive tau.
     """
-    doc = _load_object(text)
-    missing = [k for k in _TOP_KEYS if k not in doc]
-    if missing:
-        raise GameSpecError(missing[0], "missing required key")
-
-    n = _positive_int(doc, "num_agents")
-    horizon = _positive_int(doc, "horizon")
-    m = _positive_int(doc, "state_dim")
-    p = _positive_int(doc, "action_dim")
+    doc, (n, horizon, m, p) = _load_header(text, _TOP_KEYS)
     tau = doc["tau"]
     if isinstance(tau, bool) or not isinstance(tau, (int, float)):
         raise GameSpecError("tau", "must be a real number")
@@ -412,7 +403,7 @@ def validate_game_spec(spec: GameSpec) -> GameSpec:
     """
     n, horizon = spec.num_agents, spec.horizon
     m, p = spec.state_dim, spec.action_dim
-    for key in ("num_agents", "horizon", "state_dim", "action_dim"):
+    for key in _DIMS:
         value = getattr(spec, key)
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
             raise GameSpecError(key, "must be a positive integer")
@@ -582,14 +573,7 @@ def load_joint_policy(text: str) -> JointPolicy:
     ``covs`` must be symmetric; round-off asymmetries are repaired as for
     the game's symmetric fields.
     """
-    doc = _load_object(text)
-    for key in ("num_agents", "horizon", "state_dim", "action_dim", "gains", "covs"):
-        if key not in doc:
-            raise GameSpecError(key, "missing required key")
-    n = _positive_int(doc, "num_agents")
-    T = _positive_int(doc, "horizon")
-    m = _positive_int(doc, "state_dim")
-    p = _positive_int(doc, "action_dim")
+    doc, (n, T, m, p) = _load_header(text, _DIMS + ("gains", "covs"))
     gains = _as_float_array(doc["gains"], "gains")
     covs = _as_float_array(doc["covs"], "covs")
     if gains.shape != (n, T, p, m):

@@ -332,8 +332,10 @@ def po_solve(
     frozen later-stage policies, so they are fixed while a stage iterates.
 
     Non-convergence is visible in the returned trace (distances failing to
-    decrease) and in the contraction moduli.  A stage whose stop test is
-    unmet and whose last gain distance exceeds its first diverged.  The
+    decrease) and in the contraction moduli.  A stage diverged if its stop
+    test is unmet, its last gain distance exceeds its first, and its
+    iteration matrix ``-D^{-1} E`` has spectral radius >= 1 or is not
+    finite; growth under a smaller radius is transient.  The
     stage loop and every check but the condition of ``Phi_t``, which PO
     never solves, are :func:`exact_ne`'s: :class:`SolverError` names the
     stage that diverged, whose stage matrices, open-loop values, values or
@@ -378,7 +380,9 @@ def po_solve(
             if stop_tol is not None and d < stop_tol or math.isnan(d):  # NaN gains stay NaN
                 break
         else:  # the stop test was never met
-            if gain > first[t]:
+            # Growth diverges only if M has an eigenvalue of modulus >= 1; below
+            # that, a non-normal M can grow transiently and still converge.
+            if gain > first[t] and not (np.isfinite(M).all() and np.abs(np.linalg.eigvals(M)).max() < 1.0):
                 raise SolverError(f"stage {t}: inner iteration diverged, gain distance {first[t]:.3e} "
                                   f"to {gain:.3e} in {len(distances)} iterations")
         trace_by_stage[t] = distances

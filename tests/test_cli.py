@@ -122,11 +122,43 @@ def test_trace_bytes_match_csv_writer(tmp_path):
         assert (tmp_path / "trace.csv").read_bytes() == reference_trace(report)
 
 
-def test_trace_write_error_exit_code(scalar_spec_file, tmp_path, capsys):
-    out = tmp_path / "po"
-    (out / "trace.csv").mkdir(parents=True)  # a directory where the file should go
-    assert run("solve-po", "--spec", scalar_spec_file, "--out", out) == 4
-    assert "error (io): cannot write" in capsys.readouterr().err
+# Every file each command writes, in the order it writes them.
+WRITES = [("randgen", "spec.json"), ("solve-exact", "policy.json"), ("solve-exact", "certificate.json"),
+          ("solve-po", "policy.json"), ("solve-po", "trace.csv"), ("check", "condition.json"),
+          ("augment", "policy.json"), ("augment", "trace.csv"), ("augment", "condition.json"),
+          ("eval", "certificate.json"), ("simulate", "trajectories.csv"), ("simulate", "costs.csv")]
+COMMAND_ARGS = {"randgen": ["--agents", 1, "--horizon", 1, "--state-dim", 1, "--action-dim", 1],
+                "augment": ["--delta-init", 0.1], "simulate": ["--n-traj", 3]}
+
+
+@pytest.mark.parametrize("command, file", WRITES, ids=[f"{c}-{f}" for c, f in WRITES])
+def test_trace_write_error_exit_code(scalar_spec_file, tmp_path, capsys, command, file):
+    out = tmp_path / "run"
+    if command in ("eval", "simulate"):  # they read the policy a solver wrote into --out
+        assert run("solve-exact", "--spec", scalar_spec_file, "--out", out) == 0
+        (out / file).unlink(missing_ok=True)
+    (out / file).mkdir(parents=True)  # a directory where the file should go
+    spec = [] if command == "randgen" else ["--spec", scalar_spec_file]
+    assert run(command, *spec, "--out", out, *COMMAND_ARGS.get(command, [])) == 4
+    assert f"error (io): cannot write {out / file}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, missing, message", [
+    ("solve-exact", "spec", "cannot read spec file"),
+    ("eval", "policy", "cannot read policy file"),
+    ("simulate", "policy", "cannot read policy file"),
+    ("eval", "compare", "cannot read comparison policy"),
+], ids=["spec", "eval-policy", "simulate-policy", "compare"])
+def test_read_error_exit_code(scalar_spec_file, tmp_path, capsys, command, missing, message):
+    out = tmp_path / "run"
+    if missing == "compare":
+        assert run("solve-exact", "--spec", scalar_spec_file, "--out", out) == 0
+        capsys.readouterr()
+    absent = {"spec": tmp_path / "absent.json", "policy": out / "policy.json", "compare": tmp_path / "absent.json"}
+    spec = absent["spec"] if missing == "spec" else scalar_spec_file
+    extra = ["--compare", absent["compare"]] if missing == "compare" else []
+    assert run(command, "--spec", spec, "--out", out, *extra) == 4
+    assert f"error (io): {message} {absent[missing]}: " in capsys.readouterr().err
 
 
 def test_check_writes_condition(scalar_spec_file, tmp_path):
@@ -224,6 +256,30 @@ def test_simulate_outputs(scalar_spec_file, tmp_path):
     assert rows[0] == ["traj_id", "t", "x0", "u0_0"]
     assert len(rows) == 1 + 500 * 2  # header + (T+1) rows per trajectory
     assert rows[2][3] == ""  # no action at the terminal stage
+
+
+def _reference_costs_csv(result, cert) -> bytes:
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["agent", "empirical_mean", "std_error", "certificate_value"])
+    for i in range(len(result.mean_costs)):
+        writer.writerow([i, float(result.mean_costs[i]), float(result.std_errors[i]), float(cert.expected_costs[i])])
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("n_traj", [1, 37])
+def test_costs_bytes_match_csv_writer(tmp_path, n_traj):
+    spec = lq.random_game(3, 4, 2, 2, seed=5, scale=0.4).with_tau(10.0)
+    spec_path = tmp_path / "game.json"
+    spec_path.write_text(lq.dump_game_spec(spec))
+    out = tmp_path / "run"
+    assert run("solve-exact", "--spec", spec_path, "--out", out) == 0
+    assert run("simulate", "--spec", spec_path, "--out", out, "--n-traj", n_traj, "--seed", 8) == 0
+    joint = lq.load_joint_policy((out / "policy.json").read_text())
+    result = lq.simulate(spec, joint, n_traj, 8)
+    if n_traj == 1:
+        assert result.std_errors.tolist() == [0.0] * 3
+    assert (out / "costs.csv").read_bytes() == _reference_costs_csv(result, lq.value_certificate(spec, joint))
 
 
 def test_byte_identical_reruns(scalar_spec_file, tmp_path):

@@ -410,6 +410,17 @@ def test_slow_po_convergence_is_not_divergence():
     assert len(stage) == solver.MAX_INNER_ITERS and stage[-1] < 1e-4 < stage[0]
 
 
+def test_transient_po_growth_is_not_divergence():
+    """In the horizon-1 seed-4 game at tau 1 the gain distance grows from
+    2.971 to 2.982 over five capped iterations, but the iteration matrix
+    has spectral radius 0.991: a transient, so PO returns."""
+    spec = lq.random_game(3, 1, 3, 2, seed=4, scale=1.5).with_tau(1.0)
+    (stage,) = lq.po_solve(spec, inner_iters=5, stop_tol=None).trace
+    assert len(stage) == 5 and stage[-1] > 2.97
+    (stage,) = lq.po_solve(spec).trace
+    assert stage[-1] < 0.05
+
+
 def condition_case():
     """A game whose stage conditions vary with the stage, a limit that about
     half of the stages exceed, and the largest failing stage, found with a
