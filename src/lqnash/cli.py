@@ -13,15 +13,30 @@ Every file is read by ``_read`` and written by ``_write``, which writes
 0 success, 2 load/validation error, 3 solver error, 4 I/O error, naming
 the file that could not be read or written.  All outputs are pure
 functions of the spec bytes, flags, and seed.
+
+``simulate`` formats ``trajectories.csv`` on two cores when at least two
+CPUs are usable and the second half of the trajectories holds at least
+``_WORKER_MIN_VALUES`` floats.  A worker interpreter (``python -I -S
+_csvrows.py``, which imports no numpy) formats the second half while this
+process formats the first, and the bytes are those of one process.  The
+worker reads its rows from, and writes its text to, unnamed temporary
+files in ``--out``; it peaks at about 12 MB and adds a little CPU time.
+If it cannot start or fails, this process formats its rows too; if this
+process fails, the worker is killed and reaped.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
+from . import _csvrows
 from .evaluate import (
     ValueCertificate,
     _certificate,
@@ -54,6 +69,12 @@ __all__ = ["main", "build_parser"]
 # Trajectories formatted per write in trajectories.csv.  Larger chunks
 # write no faster but raise peak memory with the text they hold.
 _TRAJ_CHUNK = 64
+# Floats a worker must format before one is started.  On a 2-vCPU VM
+# (Python 3.11) a ``python -I -S`` worker took a median 13 ms to start and
+# ``repr`` about 1 us per float, so this share repays the start-up at least
+# twice.  There, with 104 floats per trajectory, the split broke even at a
+# worker share of 13k floats and saved 19 ms at 27k and 22 ms at 40k.
+_WORKER_MIN_VALUES = 30_000
 
 
 class _IOFailure(OSError):
@@ -225,38 +246,98 @@ def _cmd_eval(args, spec: GameSpec, out: Path) -> int:
     return 0
 
 
-def _write_trajectories(fh, states: np.ndarray, actions: np.ndarray) -> None:
-    """Write the header and one CSV line per trajectory and stage, a chunk
-    of trajectories at a time.
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    Bytes match ``csv.writer``: it writes floats with ``repr`` (``%r``) and
-    the terminal row's missing actions as empty fields.  A chunk bounds the
-    memory held by its ``tolist()`` copies and joined text.
+
+def _split(n_traj: int, values: int) -> int:
+    """Trajectories the parent formats itself, of ``n_traj`` with ``values``
+    floats each: the first half, in whole chunks, when a worker is worth
+    starting for the rest; otherwise all of them."""
+    split = n_traj // 2 // _TRAJ_CHUNK * _TRAJ_CHUNK
+    if _usable_cpus() < 2 or not sys.executable or (n_traj - split) * values < _WORKER_MIN_VALUES:
+        return n_traj
+    return split
+
+
+@contextlib.contextmanager
+def _worker(states: np.ndarray, actions: np.ndarray, lo: int, out: Path):
+    """Format trajectories ``lo:`` in a worker interpreter that runs
+    ``_csvrows.py``.  Yields the process and the unnamed file in ``out`` it
+    writes to, or None if no worker is needed or it cannot start.  On exit a
+    worker still running is killed, and the worker is reaped."""
+    n_traj, T, n, p = actions.shape
+    if lo == n_traj:
+        yield None
+        return
+    import subprocess
+
+    argv = [sys.executable, "-I", "-S", _csvrows.__file__,
+            *map(str, (lo, n_traj - lo, T, states.shape[2], n * p, _TRAJ_CHUNK))]
+    with contextlib.ExitStack() as stack:
+        try:
+            text = stack.enter_context(tempfile.TemporaryFile(dir=out))
+            with tempfile.TemporaryFile(dir=out) as rows:
+                for a in range(lo, n_traj, _TRAJ_CHUNK):
+                    rows.write(states[a:a + _TRAJ_CHUNK].data)
+                    rows.write(actions[a:a + _TRAJ_CHUNK].data)
+                rows.seek(0)
+                proc = subprocess.Popen(argv, stdin=rows, stdout=text, stderr=subprocess.DEVNULL)
+        except OSError:
+            proc = None
+        if proc is None:
+            yield None
+            return
+        try:
+            yield proc, text
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+
+
+def _write_rows(fh, states: np.ndarray, actions: np.ndarray, lo: int, hi: int) -> None:
+    """Write the lines of trajectories ``lo:hi``, a chunk of trajectories at
+    a time; a chunk bounds the memory held by its ``tolist()`` copies and
+    joined text."""
+    T, m = states.shape[1] - 1, states.shape[2]
+    width = actions.shape[2] * actions.shape[3]
+    for a in range(lo, hi, _TRAJ_CHUNK):
+        b = min(a + _TRAJ_CHUNK, hi)
+        fh.write(_csvrows.format_rows(a, states[a:b].ravel().tolist(), actions[a:b].ravel().tolist(),
+                                      T, m, width))
+
+
+def _write_trajectories(fh, states: np.ndarray, actions: np.ndarray, out: Path) -> None:
+    """Write the header and one CSV line per trajectory and stage.
+
+    When ``_split`` says so, a worker interpreter formats the second half
+    of the trajectories while this process formats the first, and its text
+    is appended in blocks.  If the worker fails, this process formats its
+    rows too; the bytes are the same either way.
     """
     n_traj, T, n, p = actions.shape
     m = states.shape[2]
-    width = n * p
     header = ["traj_id", "t"] + [f"x{k}" for k in range(m)] + [f"u{i}_{k}" for i in range(n) for k in range(p)]
     fh.write(",".join(header) + "\n")
-    line = "%d,%d," + ",".join(["%r"] * (m + width)) + "\n"
-    last = "%d,%d," + ",".join(["%r"] * m) + "," * width + "\n"
-    for lo in range(0, n_traj, _TRAJ_CHUNK):
-        hi = min(lo + _TRAJ_CHUNK, n_traj)
-        xs = states[lo:hi].tolist()
-        us = actions[lo:hi].reshape(hi - lo, T, width).tolist()
-        parts = []
-        for r, x, u in zip(range(lo, hi), xs, us):
-            for t in range(T):
-                parts.append(line % (r, t, *x[t], *u[t]))
-            parts.append(last % (r, T, *x[T]))
-        fh.write("".join(parts))
+    split = _split(n_traj, (T + 1) * m + T * n * p)
+    with _worker(states, actions, split, out) as worker:
+        _write_rows(fh, states, actions, 0, split)
+        if worker is not None and worker[0].wait() == 0:
+            fh.flush()
+            worker[1].seek(0)
+            shutil.copyfileobj(worker[1], fh.buffer)
+            return
+    _write_rows(fh, states, actions, split, n_traj)
 
 
 def _cmd_simulate(args, spec: GameSpec, out: Path) -> int:
     joint = load_joint_policy(_read(out / "policy.json", "policy file"))
     result = simulate(spec, joint, args.n_traj, args.seed)
     cert = value_certificate(spec, joint)
-    _write(out / "trajectories.csv", lambda fh: _write_trajectories(fh, result.states, result.actions))
+    _write(out / "trajectories.csv", lambda fh: _write_trajectories(fh, result.states, result.actions, out))
     # The bytes of csv.writer, which writes floats with repr.
     rows = list(enumerate(zip(result.mean_costs.tolist(), result.std_errors.tolist(),
                               cert.expected_costs.tolist())))

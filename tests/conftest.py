@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -8,6 +10,20 @@ import lqnash as lq
 # examples, so tier-1 stays deterministic.
 settings.register_profile("lqnash", derandomize=True, database=None, deadline=None, max_examples=50)
 settings.load_profile("lqnash")
+
+# When a property fails, Hypothesis's pytest plugin imports its patch
+# writer, which imports libcst where it is installed.  That import warns
+# ("mypy_extensions.TypedDict is deprecated"), and pyproject.toml makes the
+# warning an error, so pytest would stop with INTERNALERROR instead of
+# reporting the failure.  Importing the writer once here, with only that
+# import's DeprecationWarning ignored, keeps a failing property an ordinary
+# failure.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # no libcst: the plugin writes no patch
+        pass
 
 SCALAR_GAME_TEXT = (
     '{"num_agents": 1, "horizon": 1, "state_dim": 1, "action_dim": 1, "tau": 2,'

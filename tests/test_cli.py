@@ -1,13 +1,20 @@
+import contextlib
 import csv
+import errno
+import gc
 import io
 import json
+import os
+import signal
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
 import lqnash as lq
-from lqnash import cli
+from lqnash import _csvrows, cli
 from lqnash.cli import main
 
 from conftest import SCALAR_GAME_TEXT, random_pd_policy
@@ -328,6 +335,197 @@ def test_simulate_trajectories_match_csv_writer(tmp_path):
     joint = lq.load_joint_policy((out / "policy.json").read_text())
     expected = _reference_trajectories_csv(lq.simulate(spec, joint, n_traj, 2**40 + 3), spec)
     assert (out / "trajectories.csv").read_bytes() == expected.encode()
+
+
+@pytest.fixture
+def traj_game(tmp_path):
+    """A small game, its spec file, and an --out directory holding its exact policy."""
+    spec = lq.random_game(2, 3, 3, 2, seed=21, scale=0.3).with_tau(20.0)
+    spec_path = tmp_path / "game.json"
+    spec_path.write_text(lq.dump_game_spec(spec))
+    out = tmp_path / "run"
+    assert run("solve-exact", "--spec", spec_path, "--out", out) == 0
+    return spec, spec_path, out
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Every worker process started, with two CPUs usable and any share of
+    trajectories large enough to start one."""
+    started = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "_WORKER_MIN_VALUES", 1)
+    return started
+
+
+def _simulate(traj_game, n_traj, seed=5):
+    """Run simulate into the game's --out; the expected trajectories.csv bytes."""
+    spec, spec_path, out = traj_game
+    assert run("simulate", "--spec", spec_path, "--out", out, "--n-traj", n_traj, "--seed", seed) == 0
+    joint = lq.load_joint_policy((out / "policy.json").read_text())
+    return _reference_trajectories_csv(lq.simulate(spec, joint, n_traj, seed), spec).encode()
+
+
+def _serial_bytes(traj_game, n_traj, monkeypatch, seed=5):
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_usable_cpus", lambda: 1)
+        _simulate(traj_game, n_traj, seed)
+    return (traj_game[2] / "trajectories.csv").read_bytes()
+
+
+def _assert_nothing_left(out, started, files=("certificate.json", "costs.csv", "policy.json", "trajectories.csv")):
+    """No worker process is running or unreaped, and ``out`` holds no temporary file."""
+    for proc in started:
+        assert proc.returncode is not None
+        with pytest.raises(ChildProcessError):
+            os.waitpid(proc.pid, os.WNOHANG)
+    assert sorted(p.name for p in out.iterdir()) == list(files)
+
+
+@contextlib.contextmanager
+def _no_resource_warning():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        yield
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+@pytest.mark.parametrize("n_traj", [1, 3 * cli._TRAJ_CHUNK - 1, 3 * cli._TRAJ_CHUNK, 3 * cli._TRAJ_CHUNK + 1])
+def test_split_trajectories_match_serial(traj_game, workers, monkeypatch, n_traj):
+    expected = _simulate(traj_game, n_traj)
+    assert [proc.returncode for proc in workers] == [0]
+    split = (traj_game[2] / "trajectories.csv").read_bytes()
+    assert split == expected
+    assert _serial_bytes(traj_game, n_traj, monkeypatch) == expected
+    assert len(workers) == 1  # the serial run started none
+    _assert_nothing_left(traj_game[2], workers)
+
+
+def test_split_at_every_chunk_boundary(traj_game, workers, monkeypatch):
+    monkeypatch.setattr(cli, "_TRAJ_CHUNK", 4)
+    n_traj = 14
+    serial = _serial_bytes(traj_game, n_traj, monkeypatch)
+    for split in range(0, n_traj, 4):
+        monkeypatch.setattr(cli, "_split", lambda n, values: split)
+        assert _simulate(traj_game, n_traj) == serial
+        assert (traj_game[2] / "trajectories.csv").read_bytes() == serial
+    assert [proc.returncode for proc in workers] == [0] * 4
+    _assert_nothing_left(traj_game[2], workers)
+
+
+def test_worker_rule(monkeypatch):
+    """A worker takes the rows after the first half, in whole chunks, only with
+    two usable CPUs, an interpreter to start and a share worth its start-up."""
+    assert 1 <= cli._usable_cpus() <= (os.cpu_count() or 1)
+    chunk = cli._TRAJ_CHUNK
+    n_traj, values = 2 * chunk + 1, cli._WORKER_MIN_VALUES
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    assert cli._split(n_traj, values) == chunk
+    assert cli._split(n_traj, 1) == n_traj  # too small a share
+    with monkeypatch.context() as m:
+        m.setattr(sys, "executable", "")
+        assert cli._split(n_traj, values) == n_traj
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    assert cli._split(n_traj, values) == n_traj
+
+
+def _fake_python(tmp_path, action):
+    """An executable that writes some text to stdout, then runs ``action``."""
+    path = tmp_path / "fake-python"
+    path.write_text(f"#!{sys.executable}\nimport os, signal, sys, time\n"
+                    f"sys.stdout.buffer.write(b'0,0,partial'); sys.stdout.flush()\n{action}\n")
+    path.chmod(0o755)
+    return str(path)
+
+
+@pytest.mark.skipif(os.name != "posix", reason="the fake worker is a script run through its #! line")
+@pytest.mark.parametrize("action, code", [("sys.exit(3)", 3), ("os.kill(os.getpid(), signal.SIGKILL)", -9)],
+                         ids=["exits-nonzero", "killed-mid-write"])
+def test_failed_worker_gives_serial_bytes(traj_game, workers, monkeypatch, tmp_path, action, code):
+    n_traj = 2 * cli._TRAJ_CHUNK + 7
+    serial = _serial_bytes(traj_game, n_traj, monkeypatch)
+    monkeypatch.setattr(sys, "executable", _fake_python(tmp_path, action))
+    with _no_resource_warning():
+        assert _simulate(traj_game, n_traj) == serial
+    assert (traj_game[2] / "trajectories.csv").read_bytes() == serial
+    assert [proc.returncode for proc in workers] == [code]
+    _assert_nothing_left(traj_game[2], workers)
+
+
+def test_worker_that_cannot_start_gives_serial_bytes(traj_game, workers, monkeypatch, tmp_path):
+    n_traj = 2 * cli._TRAJ_CHUNK + 7
+    serial = _serial_bytes(traj_game, n_traj, monkeypatch)
+    monkeypatch.setattr(sys, "executable", str(tmp_path / "no-such-python"))
+    with _no_resource_warning():
+        assert _simulate(traj_game, n_traj) == serial
+    assert (traj_game[2] / "trajectories.csv").read_bytes() == serial
+    assert workers == []
+    _assert_nothing_left(traj_game[2], workers)
+
+
+@pytest.mark.skipif(os.name != "posix", reason="the fake worker is a script run through its #! line")
+@pytest.mark.parametrize("error", [OSError(errno.ENOSPC, "No space left on device"), KeyboardInterrupt()],
+                         ids=["oserror", "interrupt"])
+def test_parent_write_error_kills_worker(traj_game, workers, monkeypatch, tmp_path, capsys, error):
+    monkeypatch.setattr(cli, "_TRAJ_CHUNK", 4)
+    # A worker that would outlive the test unless it is killed.
+    monkeypatch.setattr(sys, "executable", _fake_python(tmp_path, "time.sleep(60)"))
+    real_open = open
+
+    def failing_open(*args, **kwargs):
+        fh = real_open(*args, **kwargs)
+        writes = 0
+        write = fh.write
+
+        def write_twice(text):  # the header, then the first chunk
+            nonlocal writes
+            writes += 1
+            if writes > 2:
+                raise error
+            return write(text)
+
+        fh.write = write_twice
+        return fh
+
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    _, spec_path, out = traj_game
+    argv = ["simulate", "--spec", spec_path, "--out", out, "--n-traj", 32]
+    with _no_resource_warning():
+        if isinstance(error, OSError):
+            assert run(*argv) == 4
+            assert f"error (io): cannot write {out / 'trajectories.csv'}: " in capsys.readouterr().err
+        else:
+            with pytest.raises(KeyboardInterrupt):
+                run(*argv)
+    assert [proc.returncode for proc in workers] == [-signal.SIGKILL]
+    _assert_nothing_left(out, workers, ("certificate.json", "policy.json", "trajectories.csv"))
+
+
+def test_worker_script_rejects_short_input():
+    """The worker, run as the CLI runs it, exits nonzero when its input ends early."""
+    # One trajectory of T=1, m=3, width=3: six state values, then three action values.
+    floats = np.arange(9, dtype=np.float64).tobytes()
+    argv = [sys.executable, "-I", "-S", _csvrows.__file__, "0", "1", "1", "3", "3", "64"]
+    done = subprocess.run(argv, input=floats[:-8], capture_output=True, timeout=60)
+    assert done.returncode != 0 and b"EOFError" in done.stderr
+    done = subprocess.run(argv, input=floats, capture_output=True, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout == b"0,0,0.0,1.0,2.0,6.0,7.0,8.0\n0,1,3.0,4.0,5.0,,,\n"
+
+
+def test_import_loads_no_subprocess():
+    src = os.path.dirname(os.path.dirname(lq.__file__))
+    code = f"import sys; sys.path.insert(0, {src!r}); import lqnash.cli; print('subprocess' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout == "False\n"
 
 
 def test_po_divergence_exit_code(tmp_path, capsys):
