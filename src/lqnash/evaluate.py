@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rollout import rollout
+from ._rollout import _rows, rollout
 from .control import (AgentValue, _cholesky, _frobenius, _logdets, best_responses, expected_costs, lyapunov_values,
                       own_weight, stage_noise, value_offsets)
 from .model import GameSpec, JointPolicy, check_policy_shape
@@ -142,8 +142,9 @@ def _psd_factor(x: np.ndarray) -> np.ndarray:
 
 
 # Trajectories sampled and rolled out per pass of one set of reused buffers
-# (0.85 MB of normals at 104 draws per trajectory).  No draw array of a whole run
-# ever exists; each trajectory's stream is its own, so the chunk size
+# (0.85 MB of normals at 104 draws per trajectory, plus about 0.85 MB of the
+# kernel's stage-major state and action buffers).  No draw array of a whole
+# run ever exists; each trajectory's stream is its own, so the chunk size
 # cannot change a sampled number.
 _DRAW_CHUNK = 1024
 
@@ -225,7 +226,8 @@ def simulate(
         rest = normals[:, m:].reshape(c, T, n * p + m)
         x0s = spec.init_mean + normals[:, :m] @ init_factor.T
         xis, omegas = xi_buf[:, :, :c], omega_buf[:, :c]
-        xis[...] = rest[:, :, : n * p].reshape(c, T, n, p).transpose(1, 2, 0, 3)
+        # Each agent's p action normals move as one item, not p strided doubles.
+        _rows(xis)[...] = _rows(rest[:, :, : n * p].reshape(c, T, n, p)).transpose(1, 2, 0)
         # The same per-trajectory products as a plain ``zetas @ F^T``,
         # written straight into stage-major memory: one product per stage
         # can round differently (it did at T == 1).

@@ -332,15 +332,15 @@ def po_solve(
     frozen later-stage policies, so they are fixed while a stage iterates.
 
     Non-convergence is visible in the returned trace (distances failing to
-    decrease) and in the contraction moduli.  A stage diverged if its stop
-    test is unmet, its last gain distance exceeds its first, and its
-    iteration matrix ``-D^{-1} E`` has spectral radius >= 1 or is not
-    finite; growth under a smaller radius is transient.  The
-    stage loop and every check but the condition of ``Phi_t``, which PO
-    never solves, are :func:`exact_ne`'s: :class:`SolverError` names the
-    stage that diverged, whose stage matrices, open-loop values, values or
-    offsets are not finite, or one of whose solves or factorizations is
-    singular.
+    decrease) and in the contraction moduli.  The first time a stage's gain
+    distance exceeds its first, its iteration matrix ``-D^{-1} E`` is
+    checked once: if it has spectral radius >= 1 or is not finite, the
+    stage diverged and stops at that iteration; growth under a smaller
+    radius is transient.  The stage loop and every check but the
+    condition of ``Phi_t``, which PO never solves, are
+    :func:`exact_ne`'s: :class:`SolverError` names the stage that
+    diverged, whose stage matrices, open-loop values, values or offsets
+    are not finite, or one of whose solves or factorizations is singular.
     """
     if inner_iters is None and stop_tol is None:
         raise ValueError("need inner_iters >= 1 or stop_tol > 0")
@@ -364,7 +364,7 @@ def po_solve(
         rhs[..., m:].reshape(n, p, n, p)[agents, :, agents] = 0.0  # leaves E
         factored = -np.linalg.solve(half + bracket, rhs)
         c, M = factored[..., :m].reshape(n * p, m), factored[..., m:].reshape(n * p, n * p)
-        G, distances = np.zeros((n * p, m)), []
+        G, distances, grew = np.zeros((n * p, m)), [], False
         for _ in range(L):
             new = c + M @ G
             diff = new - G
@@ -375,16 +375,17 @@ def po_solve(
                 first[t] = d
                 if stop_tol is not None and d < stop_tol:
                     d = d + _frobenius(stage_covariance(bracket, spec.tau)).sum()
+            elif gain > first[t] and not grew:
+                # Growth diverges only if M has an eigenvalue of modulus >= 1; below
+                # that, a non-normal M can grow transiently and still converge.
+                grew = True
+                if not (np.isfinite(M).all() and np.abs(np.linalg.eigvals(M)).max() < 1.0):
+                    raise SolverError(f"stage {t}: inner iteration diverged, gain distance {first[t]:.3e} "
+                                      f"to {gain:.3e} in {len(distances) + 1} iterations")
             G = new
             distances.append(float(d))
             if stop_tol is not None and d < stop_tol or math.isnan(d):  # NaN gains stay NaN
                 break
-        else:  # the stop test was never met
-            # Growth diverges only if M has an eigenvalue of modulus >= 1; below
-            # that, a non-normal M can grow transiently and still converge.
-            if gain > first[t] and not (np.isfinite(M).all() and np.abs(np.linalg.eigvals(M)).max() < 1.0):
-                raise SolverError(f"stage {t}: inner iteration diverged, gain distance {first[t]:.3e} "
-                                  f"to {gain:.3e} in {len(distances)} iterations")
         trace_by_stage[t] = distances
         return G
 

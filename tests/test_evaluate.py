@@ -266,15 +266,19 @@ class TestSimulate:
                 npt.assert_allclose(result.states[r, t + 1], drift, atol=1e-13)
                 x = result.states[r, t + 1]
 
-    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
-    def test_matches_fresh_generator_per_trajectory(self, seed, monkeypatch):
+    @pytest.mark.parametrize("seed, p", [
+        pytest.param(seed, p, id=str(seed) if p == 2 else f"{seed}-p{p}")  # p = 2 keeps its plain ids
+        for seed in (0, 2**64 - 1) for p in (2, 1, 3)
+    ])
+    def test_matches_fresh_generator_per_trajectory(self, seed, p, monkeypatch):
         # reference: a new Philox(key=[seed, r]) per trajectory, the same
         # transforms, and one whole-run kernel call fed stage-major views of
         # the trajectory-major draws.  Every shorter run is a prefix of it.
         # The largest count spans two sampling chunks; chunks of 1 and 7
         # cut every run into many kernel calls, with partial last chunks and
-        # lone trajectories (which numpy would send to gemv).
-        spec = lq.random_game(2, 3, 3, 2, seed=60, scale=0.5)
+        # lone trajectories (which numpy would send to gemv).  simulate
+        # moves each agent's p action normals as one item, so p varies.
+        spec = lq.random_game(2, 3, 3, p, seed=60, scale=0.5)
         joint = random_pd_policy(spec, np.random.default_rng(61))
         n, T, m, p = spec.num_agents, spec.horizon, spec.state_dim, spec.action_dim
         chol, logdets = evaluate._policy_cholesky(lq.stack_covs(joint))
@@ -376,6 +380,18 @@ def _whole_run(A, B, Q, R, K, L, logdets, tau, x0s, xis, omegas):
     return rollout(A, B, Q, R, K, L, logdets, tau, x0s, xis, omegas, *outputs)
 
 
+def _kernel_args(N, T, m, p, n_traj, seed):
+    """Kernel arguments of a random game with general gains, factors,
+    log-determinants and draws, the draws contiguous and stage-major."""
+    spec = lq.random_game(N, T, m, p, seed=seed, scale=0.5)
+    rng = np.random.default_rng(81)
+    K = rng.normal(0.0, 0.4, (N, T, p, m))
+    L = np.tril(rng.normal(0.0, 0.4, (N, T, p, p)))
+    logdets = rng.normal(0.0, 1.0, (N, T))
+    return (spec.A, spec.B, spec.Q, spec.R, K, L, logdets, spec.tau, rng.normal(0.0, 1.0, (n_traj, m)),
+            rng.normal(0.0, 1.0, (T, N, n_traj, p)), rng.normal(0.0, 1.0, (T, n_traj, m)))
+
+
 def _reference_rollout(A, B, Q, R, K, L, logdets, tau, x0s, xis, omegas):
     """Per-trajectory scalar loops: ``x' = A x + omega + sum_i B^i u^i`` with
     ``u^i = K^i x + L^i xi^i``, and per stage the cost ``x'Q x + u'R u +
@@ -445,20 +461,37 @@ def _per_agent_rollout(A, B, Q, R, K, L, logdets, tau, x0s, xis, omegas):
 
 
 class TestRolloutKernel:
-    @pytest.mark.parametrize("N, T, m, p", [(1, 3, 2, 2), (3, 10, 4, 2), (4, 2, 3, 6), (20, 3, 10, 2)])
+    @pytest.mark.parametrize("N, T, m, p", [(1, 3, 2, 2), (3, 10, 4, 2), (4, 2, 3, 6), (20, 3, 10, 2),
+                                            (2, 4, 1, 1), (2, 3, 5, 3)])
     def test_stacked_agents_match_per_agent_loop(self, N, T, m, p):
         # Stacking the agents must not change a bit: general draws, gains
-        # and costs, compared exactly with per-agent products.
-        spec = lq.random_game(N, T, m, p, seed=80 + N, scale=0.5)
-        rng = np.random.default_rng(81)
-        n_traj = 300
-        K = rng.normal(0.0, 0.4, (N, T, p, m))
-        L = np.tril(rng.normal(0.0, 0.4, (N, T, p, p)))
-        logdets = rng.normal(0.0, 1.0, (N, T))
-        args = (spec.A, spec.B, spec.Q, spec.R, K, L, logdets, spec.tau, rng.normal(0.0, 1.0, (n_traj, m)),
-                rng.normal(0.0, 1.0, (T, N, n_traj, p)), rng.normal(0.0, 1.0, (T, n_traj, m)))
+        # and costs, compared exactly with per-agent products.  The shapes
+        # give state and action rows of 8 to 80 bytes, odd p included.
+        args = _kernel_args(N, T, m, p, n_traj=300, seed=80 + N)
         for got, want in zip(_whole_run(*args), _per_agent_rollout(*args)):
             npt.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("N, T, m, p", [(3, 10, 4, 2), (2, 3, 5, 3), (2, 4, 1, 1)])
+    def test_writes_only_its_rows(self, N, T, m, p):
+        # simulate hands the kernel rows [lo:hi] of whole-run outputs and,
+        # for a short last chunk, draws that are views of wider buffers.
+        # Rows outside [lo:hi] keep their bytes; rows inside are the
+        # whole-run kernel's, bit for bit.
+        n_traj, lo, width = 37, 5, 50
+        hi = lo + n_traj
+        args = _kernel_args(N, T, m, p, n_traj, seed=90)
+        xi_buf, omega_buf = np.full((T, N, width, p), np.nan), np.full((T, width, m), np.nan)
+        xi_buf[:, :, :n_traj], omega_buf[:, :n_traj] = args[9], args[10]
+        xis, omegas = xi_buf[:, :, :n_traj], omega_buf[:, :n_traj]
+        assert not (xis.flags.c_contiguous or omegas.flags.c_contiguous)
+        outputs = (np.full((hi + 4, T + 1, m), np.nan), np.full((hi + 4, T, N, p), np.nan),
+                   np.full((hi + 4, N), np.nan))
+        before = [out.copy() for out in outputs]
+        rollout(*args[:9], xis, omegas, *(out[lo:hi] for out in outputs))
+        for out, old, want in zip(outputs, before, _whole_run(*args)):
+            npt.assert_array_equal(out[lo:hi], want)
+            for rows in (slice(None, lo), slice(hi, None)):
+                assert out[rows].tobytes() == old[rows].tobytes()
 
     @pytest.mark.parametrize("N, T, m, p", [(1, 3, 2, 2), (2, 1, 3, 2), (2, 3, 1, 3), (3, 2, 2, 4)])
     def test_matches_scalar_reference(self, N, T, m, p):

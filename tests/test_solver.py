@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -394,10 +395,24 @@ def test_diverged_po_pass_stops_within_a_check_interval(monkeypatch):
     assert len(steps) == 1
 
 
+def test_diverging_po_stage_stops_at_its_first_growth():
+    """Stage 399 of the divergence repro first grows past its first gain
+    distance at iteration 3, and its iteration matrix has spectral radius
+    >= 1; PO names it there, not after all of its inner iterations."""
+    spec = lq.random_game(3, 400, 4, 2, seed=3, scale=1.5)
+    with pytest.raises(lq.SolverError, match="^stage 399: inner iteration diverged") as info:
+        lq.po_solve(spec)
+    found = re.fullmatch(r".*gain distance (\S+) to (\S+) in (\d+) iterations", str(info.value))
+    first, grown, iterations = float(found[1]), float(found[2]), int(found[3])
+    assert first < grown < 2 * first
+    assert iterations < solver.MAX_INNER_ITERS
+
+
 @pytest.mark.parametrize("T, seed", [(1, 2), (2, 0), (2, 4), (2, 5)])
 def test_finite_po_divergence_is_named(T, seed):
-    """In each game the inner iteration of stage 0 grows from about 4 to
-    1e36 or more yet stays finite; PO names the stage instead of returning."""
+    """In each game the inner iteration of stage 0 grows under an iteration
+    matrix of spectral radius >= 1, and would reach 1e36 or more in 500
+    iterations yet stay finite; PO names the stage instead of returning."""
     with pytest.raises(lq.SolverError, match="^stage 0: inner iteration diverged"):
         lq.po_solve(lq.random_game(3, T, 4, 2, seed=seed, scale=1.5))
 
