@@ -13,10 +13,8 @@ from .control import (
     GaussianPolicyParams,
     StageQuadratic,
     best_response_full,
-    best_response_stage,
     entropy_quadratic_minimizer,
     kl_gaussian_to_standard,
-    lyapunov_backward,
     stage_objective,
 )
 from .evaluate import (
@@ -34,13 +32,9 @@ from .model import (
     LinearGaussianPolicy,
     dump_game_spec,
     dump_joint_policy,
-    joint_policy_from_arrays,
     load_game_spec,
     load_joint_policy,
     random_game,
-    specs_equal,
-    stack_covs,
-    stack_gains,
     validate_game_spec,
 )
 from .solver import (
@@ -49,14 +43,12 @@ from .solver import (
     SolveReport,
     SolverError,
     check_assumption_tau,
-    contraction_modulus,
     delta_augment_solve,
     exact_ne,
-    phi_matrix,
     po_solve,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "__version__",
@@ -74,28 +66,20 @@ __all__ = [
     "StageQuadratic",
     "ValueCertificate",
     "best_response_full",
-    "best_response_stage",
     "check_assumption_tau",
-    "contraction_modulus",
     "delta_augment_solve",
     "dump_game_spec",
     "dump_joint_policy",
     "entropy_quadratic_minimizer",
     "exact_ne",
     "exploitability",
-    "joint_policy_from_arrays",
     "kl_gaussian_to_standard",
     "load_game_spec",
     "load_joint_policy",
-    "lyapunov_backward",
-    "phi_matrix",
     "po_solve",
     "policy_distance",
     "random_game",
     "simulate",
-    "specs_equal",
-    "stack_covs",
-    "stack_gains",
     "stage_objective",
     "validate_game_spec",
     "value_certificate",

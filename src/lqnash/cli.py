@@ -7,12 +7,14 @@ Subcommands: ``solve-exact``, ``solve-po``, ``check``, ``augment``,
 summary goes to stdout.  ``eval`` and ``simulate`` consume the
 ``policy.json`` a solver wrote into the same ``--out`` directory.
 
-Every file is read by ``_read`` and written by ``_write``, which writes
-``\n`` line ends on every platform.  ``main`` reads the spec and creates
-``--out`` before a command runs, and maps each error to its exit code:
-0 success, 2 load/validation error, 3 solver error, 4 I/O error, naming
-the file that could not be read or written.  All outputs are pure
-functions of the spec bytes, flags, and seed.
+Every file is read by ``_read`` and written by ``_Files.write``, which
+writes ``\n`` line ends on every platform.  A command's files are staged
+beside their targets and moved into place only once it succeeds, so a
+command that fails changes no file in ``--out``.  ``main`` reads the spec
+and creates ``--out`` before a command runs, and maps each error to its
+exit code: 0 success, 2 load/validation error, 3 solver error, 4 I/O
+error, naming the file that could not be read or written.  All outputs
+are pure functions of the spec bytes, flags, and seed.
 
 ``simulate`` formats ``trajectories.csv`` on two cores when at least two
 CPUs are usable and the second half of the trajectories holds at least
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import os
 import shutil
 import sys
@@ -97,17 +100,45 @@ def _out_dir(path: str) -> Path:
     return out
 
 
-def _write(path: Path, content) -> None:
-    """Write ``content`` to ``path``: text, or a function that writes into
-    the open file.  Line ends are written as given, ``\n`` on every platform."""
-    try:
-        with open(path, "w", newline="") as fh:
-            if callable(content):
-                content(fh)
-            else:
-                fh.write(content)
-    except OSError as exc:
-        raise _IOFailure(f"cannot write {path}: {exc}") from None
+def _check_target(path: Path) -> None:
+    """Fail as opening a directory ``path`` for writing fails."""
+    if path.is_dir():
+        exc = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        raise _IOFailure(f"cannot write {path}: {exc}")
+
+
+class _Files:
+    """The files one command writes.  Each is written to a staged sibling
+    in ``--out``, and :meth:`commit` moves them all into place, in write
+    order, so a command that fails changes no file in ``--out``."""
+
+    def __init__(self) -> None:
+        self.staged: list[tuple[Path, Path]] = []
+
+    def write(self, path: Path, content) -> None:
+        """Stage ``content`` for ``path``: text, or a function that writes into
+        the open file.  Line ends are written as given, ``\n`` on every platform."""
+        _check_target(path)
+        staged = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        self.staged.append((staged, path))
+        try:
+            with open(staged, "w", newline="") as fh:
+                if callable(content):
+                    content(fh)
+                else:
+                    fh.write(content)
+        except OSError as exc:
+            raise _IOFailure(f"cannot write {path}: {exc}") from None
+
+    def commit(self) -> None:
+        """Move every staged file into place once no target is a directory."""
+        for _, path in self.staged:
+            _check_target(path)
+        for staged, path in self.staged:
+            try:
+                os.replace(staged, path)
+            except OSError as exc:
+                raise _IOFailure(f"cannot write {path}: {exc}") from None
 
 
 def _certificate_doc(spec: GameSpec, cert: ValueCertificate) -> dict:
@@ -130,7 +161,7 @@ def _condition_doc(spec: GameSpec, record: ConditionRecord) -> dict:
     }
 
 
-def _write_trace(path: Path, report: SolveReport) -> None:
+def _write_trace(write, path: Path, report: SolveReport) -> None:
     """One CSV line per stage and inner iteration, a stage per write; the
     bytes of ``csv.writer``, which writes floats with ``repr``.  Each
     stage's modulus is formatted once."""
@@ -141,14 +172,14 @@ def _write_trace(path: Path, report: SolveReport) -> None:
             tail = f",{float(modulus)!r}\n"
             fh.write("".join([f"{t},{l},{float(dist)!r}{tail}" for l, dist in enumerate(stage_trace, start=1)]))
 
-    _write(path, stages)
+    write(path, stages)
 
 
-def _cmd_randgen(args, _, out: Path) -> int:
+def _cmd_randgen(args, _, out: Path, write) -> int:
     spec = random_game(args.agents, args.horizon, args.state_dim, args.action_dim, args.seed, args.scale)
     if args.tau is not None:
         spec = spec.with_tau(args.tau)
-    _write(out / "spec.json", dump_game_spec(spec))
+    write(out / "spec.json", dump_game_spec(spec))
     print(
         f"generated spec: agents={spec.num_agents} horizon={spec.horizon} "
         f"state_dim={spec.state_dim} action_dim={spec.action_dim} tau={spec.tau}"
@@ -157,12 +188,12 @@ def _cmd_randgen(args, _, out: Path) -> int:
     return 0
 
 
-def _cmd_solve_exact(args, spec: GameSpec, out: Path) -> int:
+def _cmd_solve_exact(args, spec: GameSpec, out: Path, write) -> int:
     sol = exact_ne(spec)
     record = check_assumption_tau(spec, sol, args.margin)
-    _write(out / "policy.json", dump_joint_policy(sol.policy))
+    write(out / "policy.json", dump_joint_policy(sol.policy))
     cert = _certificate(spec, sol.riccati, sol.offsets)
-    _write(out / "certificate.json", _dumps(_certificate_doc(spec, cert)))
+    write(out / "certificate.json", _dumps(_certificate_doc(spec, cert)))
     print("exact equilibrium solved")
     for i, cost in enumerate(cert.expected_costs.tolist()):
         print(f"  agent {i}: expected cost {cost:.12g}")
@@ -174,10 +205,10 @@ def _cmd_solve_exact(args, spec: GameSpec, out: Path) -> int:
     return 0
 
 
-def _cmd_solve_po(args, spec: GameSpec, out: Path) -> int:
+def _cmd_solve_po(args, spec: GameSpec, out: Path, write) -> int:
     report = po_solve(spec, inner_iters=args.inner_iters, stop_tol=args.stop_tol)
-    _write(out / "policy.json", dump_joint_policy(report.policy))
-    _write_trace(out / "trace.csv", report)
+    write(out / "policy.json", dump_joint_policy(report.policy))
+    _write_trace(write, out / "trace.csv", report)
     print("policy optimization finished")
     for t, stage_trace in enumerate(report.trace):
         last = stage_trace[-1] if stage_trace else float("nan")
@@ -194,10 +225,10 @@ def _cmd_solve_po(args, spec: GameSpec, out: Path) -> int:
     return 0
 
 
-def _cmd_check(args, spec: GameSpec, out: Path) -> int:
+def _cmd_check(args, spec: GameSpec, out: Path, write) -> int:
     sol = exact_ne(spec)
     record = check_assumption_tau(spec, sol, args.margin)
-    _write(out / "condition.json", _dumps(_condition_doc(spec, record)))
+    write(out / "condition.json", _dumps(_condition_doc(spec, record)))
     print(
         f"tau={spec.tau:g} gamma_B={record.gamma_B:.6g} gamma_P={record.gamma_P:.6g} "
         f"threshold={record.threshold:.6g} margin={record.margin:g} satisfied={record.satisfied}"
@@ -206,7 +237,7 @@ def _cmd_check(args, spec: GameSpec, out: Path) -> int:
     return 0
 
 
-def _cmd_augment(args, spec: GameSpec, out: Path) -> int:
+def _cmd_augment(args, spec: GameSpec, out: Path, write) -> int:
     report = delta_augment_solve(
         spec,
         delta_init=args.delta_init,
@@ -216,12 +247,12 @@ def _cmd_augment(args, spec: GameSpec, out: Path) -> int:
         stop_tol=args.stop_tol,
         margin=args.margin,
     )
-    _write(out / "policy.json", dump_joint_policy(report.policy))
-    _write_trace(out / "trace.csv", report)
+    write(out / "policy.json", dump_joint_policy(report.policy))
+    _write_trace(write, out / "trace.csv", report)
     doc = _condition_doc(spec, report.condition)
     doc["delta_used"] = report.delta_used
     doc["exploitability"] = report.nash_gaps
-    _write(out / "condition.json", _dumps(doc))
+    write(out / "condition.json", _dumps(doc))
     print(f"augmentation succeeded with delta={report.delta_used:g}")
     for i, gap in enumerate(report.nash_gaps):
         print(f"  agent {i}: original-game exploitability {float(gap):.6e}")
@@ -229,7 +260,7 @@ def _cmd_augment(args, spec: GameSpec, out: Path) -> int:
     return 0
 
 
-def _cmd_eval(args, spec: GameSpec, out: Path) -> int:
+def _cmd_eval(args, spec: GameSpec, out: Path, write) -> int:
     joint = load_joint_policy(_read(out / "policy.json", "policy file"))
     cert = value_certificate(spec, joint)
     gaps = _nash_gaps(spec, joint, cert.expected_costs)
@@ -241,7 +272,7 @@ def _cmd_eval(args, spec: GameSpec, out: Path) -> int:
         distance = policy_distance(joint, load_joint_policy(_read(args.compare, "comparison policy")))
         doc["compare_distance"] = distance
         print(f"policy distance to {args.compare}: {distance:.6e}")
-    _write(out / "certificate.json", _dumps(doc))
+    write(out / "certificate.json", _dumps(doc))
     print(f"wrote {out / 'certificate.json'}")
     return 0
 
@@ -333,15 +364,15 @@ def _write_trajectories(fh, states: np.ndarray, actions: np.ndarray, out: Path) 
     _write_rows(fh, states, actions, split, n_traj)
 
 
-def _cmd_simulate(args, spec: GameSpec, out: Path) -> int:
+def _cmd_simulate(args, spec: GameSpec, out: Path, write) -> int:
     joint = load_joint_policy(_read(out / "policy.json", "policy file"))
     result = simulate(spec, joint, args.n_traj, args.seed)
     cert = value_certificate(spec, joint)
-    _write(out / "trajectories.csv", lambda fh: _write_trajectories(fh, result.states, result.actions, out))
+    write(out / "trajectories.csv", lambda fh: _write_trajectories(fh, result.states, result.actions, out))
     # The bytes of csv.writer, which writes floats with repr.
     rows = list(enumerate(zip(result.mean_costs.tolist(), result.std_errors.tolist(),
                               cert.expected_costs.tolist())))
-    _write(out / "costs.csv", "agent,empirical_mean,std_error,certificate_value\n"
+    write(out / "costs.csv", "agent,empirical_mean,std_error,certificate_value\n"
            + "".join([f"{i},{mean!r},{se!r},{value!r}\n" for i, (mean, se, value) in rows]))
     for i, (mean, se, value) in rows:
         print(f"  agent {i}: empirical {mean:.6g} +/- {se:.3g} (certificate {value:.6g})")
@@ -414,9 +445,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    files = _Files()
     try:
         spec = load_game_spec(_read(args.spec, "spec file")) if "spec" in args else None  # randgen has none
-        return args.func(args, spec, _out_dir(args.out))
+        code = args.func(args, spec, _out_dir(args.out), files.write)
+        files.commit()
+        return code
     except SolverError as exc:
         print(f"error (solver): {exc}", file=sys.stderr)
         return 3
@@ -426,6 +460,9 @@ def main(argv=None) -> int:
     except ValueError as exc:  # GameSpecError included
         print(f"error (validation): {exc}", file=sys.stderr)
         return 2
+    finally:
+        for staged, _ in files.staged:  # those not moved into place
+            staged.unlink(missing_ok=True)
 
 
 if __name__ == "__main__":

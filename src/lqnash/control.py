@@ -4,17 +4,17 @@ Each stage formula is written here once and batched over a leading agent
 axis: the joint gain system of the solvers (its tail-free blocks from
 :func:`stage_blocks`, its tail products ``B^i^T P^i B^j`` and
 ``B^i^T P^i A`` from :func:`joint_products`), the one responder step of a
-best response (:func:`_respond`, for the Nash gap and
-:func:`best_response_stage` alike), the stage covariance, the closed loop,
+best response (:func:`_respond`), the stage covariance, the closed loop,
 the stage noise, the own-cost, value and offset steps, the expected cost
 and the uniqueness threshold.  A backward pass keeps in its stage loop
 only the work that needs the tail ``P_{t+1}``; the rest is stacked over
 all stages, and the offsets are one reverse cumulative sum.  Every
 contraction is a stacked matrix product; a sum over agents is one product
 of blocks, such as ``[B^1 ... B^N] [K^1; ...; K^N]`` for the closed loop.
-Also here: the Gaussian minimizer of an entropy-regularized quadratic
-stage cost, the KL helper, and symmetrization of propagated values
-against drift.
+
+Public here: the Gaussian minimizer of an entropy-regularized quadratic
+stage cost with its KL and objective helpers, and :func:`best_response_full`,
+one agent's exact best response, the deviation that defines its Nash gap.
 """
 from __future__ import annotations
 
@@ -31,8 +31,6 @@ __all__ = [
     "entropy_quadratic_minimizer",
     "kl_gaussian_to_standard",
     "stage_objective",
-    "lyapunov_backward",
-    "best_response_stage",
     "best_response_full",
 ]
 
@@ -279,46 +277,6 @@ def stage_objective(q: StageQuadratic, g: GaussianPolicyParams) -> float:
         )
     quad = float(np.trace(M @ g.cov)) + float(mean @ M @ mean) + float(b @ mean)
     return quad + q.tau * kl_gaussian_to_standard(g)
-
-
-def lyapunov_backward(
-    spec: GameSpec, joint: JointPolicy, agent: int, from_t: int = 0
-) -> np.ndarray:
-    """Backward value matrices of one agent under frozen joint gains.
-
-    Returns ``P`` of shape ``(T - from_t + 1, m, m)`` with ``P[-1]`` the
-    terminal state cost and, for each earlier stage ``s``,
-
-    ``P_s = Q^i_s + K^i_s^T ((tau/2) I + R^i_s) K^i_s + Acl_s^T P_{s+1} Acl_s``
-
-    where ``Acl_s = A_s + sum_j B^j_s K^j_s`` is the closed loop over all
-    agents.  Policy covariances do not enter.
-    """
-    return lyapunov_values(spec, joint.gains)[agent, from_t:]
-
-
-def best_response_stage(
-    spec: GameSpec,
-    agent: int,
-    gains_t,
-    P_next: np.ndarray,
-    t: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One agent's optimal stage gain/covariance given a tail value matrix.
-
-    ``gains_t`` holds every agent's current gain at stage ``t`` (the own
-    entry is ignored).  With ``Adrift = A_t + sum_{j != agent} B^j_t K^j_t``:
-
-    - ``K' = -((tau/2) I + R + B^T P_next B)^{-1} B^T P_next Adrift``
-    - ``cov' = (I + 2 (R + B^T P_next B)/tau)^{-1}``, symmetric PD with
-      eigenvalues strictly inside ``(0, 1)`` whenever ``R`` is PD.
-    """
-    zero = np.zeros((spec.action_dim, spec.state_dim))
-    others = np.stack([zero if j == agent else np.asarray(g, dtype=float) for j, g in enumerate(gains_t)])
-    B, R = spec.B[agent, t], spec.R[agent, t]
-    drift = closed_loop(spec.A[t], spec.B[:, t], others)
-    products, gain = _respond(B.T, B, own_weight(spec.tau, R), np.asarray(P_next, dtype=float), drift)
-    return gain, stage_covariance(R + products, spec.tau)
 
 
 def best_responses(spec: GameSpec, gains: np.ndarray, covs: np.ndarray, agents: np.ndarray):

@@ -16,7 +16,7 @@ import numpy as np
 from ._rollout import _rows, rollout
 from .control import (AgentValue, _cholesky, _frobenius, _logdets, best_responses, expected_costs, lyapunov_values,
                       own_weight, stage_noise, value_offsets)
-from .model import GameSpec, JointPolicy, check_policy_shape
+from .model import GameSpec, JointPolicy, _integer, check_policy_shape
 
 __all__ = [
     "ValueCertificate",
@@ -47,10 +47,6 @@ class ValueCertificate:
     @property
     def agents(self) -> tuple[AgentValue, ...]:
         return tuple(map(AgentValue, self.P, self.q, self.expected_costs.tolist()))
-
-    def values_at(self, x: np.ndarray) -> np.ndarray:
-        """Per-agent cost from the deterministic start ``x``."""
-        return np.array([a.value_at(x) for a in self.agents])
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,10 +170,7 @@ def simulate(
     log(pi/mu)`` evaluated at the sample.  ``n_traj`` and ``seed`` must be
     Python or numpy integers, not ``bool``.
     """
-    for name, value in (("n_traj", n_traj), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    n_traj, seed = int(n_traj), int(seed)
+    n_traj, seed = _integer("n_traj", n_traj), _integer("seed", seed)
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
     check_policy_shape(spec, joint)

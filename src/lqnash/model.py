@@ -25,10 +25,6 @@ __all__ = [
     "dump_game_spec",
     "validate_game_spec",
     "random_game",
-    "specs_equal",
-    "joint_policy_from_arrays",
-    "stack_gains",
-    "stack_covs",
     "load_joint_policy",
     "dump_joint_policy",
 ]
@@ -98,12 +94,8 @@ class GameSpec:
 
 @dataclass(frozen=True, eq=False)
 class LinearGaussianPolicy:
-    """Per-stage linear Gaussian policy ``u ~ N(gains[t] @ x, covs[t])``.
-
-    ``gains``: ``(T, p, m)``; ``covs``: ``(T, p, p)``.  Covariances must be
-    symmetric PD whenever the policy is sampled or evaluated; all-zero
-    covariances are tolerated only as solver-internal iterates.
-    """
+    """One agent's linear Gaussian stage policies ``u ~ N(gains[t] @ x, covs[t])``, ``gains``
+    ``(T, p, m)`` and ``covs`` ``(T, p, p)``, as :func:`~lqnash.control.best_response_full` returns them."""
 
     gains: np.ndarray
     covs: np.ndarray
@@ -111,12 +103,12 @@ class LinearGaussianPolicy:
 
 @dataclass(frozen=True, eq=False)
 class JointPolicy:
-    """Every agent's :class:`LinearGaussianPolicy`, stacked over agents.
+    """Every agent's linear Gaussian stage policies, stacked over agents.
 
-    ``gains``: ``(N, T, p, m)``; ``covs``: ``(N, T, p, p)``.  The constructor
-    copies both into C-contiguous, read-only arrays and raises ``ValueError``
-    naming both shapes unless they agree.  ``policies`` holds each agent's
-    policy as views of these arrays, not copies.
+    ``gains``: ``(N, T, p, m)``; ``covs``: ``(N, T, p, p)``; agent ``i``'s
+    policy is ``gains[i]``, ``covs[i]``.  The constructor copies both into
+    C-contiguous, read-only arrays and raises ``ValueError`` naming both
+    shapes unless they agree.
     """
 
     gains: np.ndarray
@@ -131,10 +123,6 @@ class JointPolicy:
             )
         object.__setattr__(self, "gains", gains)
         object.__setattr__(self, "covs", covs)
-
-    @property
-    def policies(self) -> tuple[LinearGaussianPolicy, ...]:
-        return tuple(map(LinearGaussianPolicy, self.gains, self.covs))
 
     @property
     def num_agents(self) -> int:
@@ -511,36 +499,11 @@ def random_game(
     return validate_game_spec(spec)
 
 
-def specs_equal(a: GameSpec, b: GameSpec) -> bool:
-    """Exact field-wise equality (used for round-trip checks)."""
-    if (a.num_agents, a.horizon, a.state_dim, a.action_dim, a.tau) != (
-        b.num_agents,
-        b.horizon,
-        b.state_dim,
-        b.action_dim,
-        b.tau,
-    ):
-        return False
-    return all(
-        np.array_equal(getattr(a, f), getattr(b, f))
-        for f in ("A", "B", "Q", "R", "noise_cov", "init_mean", "init_cov")
-    )
-
-
-def joint_policy_from_arrays(gains: np.ndarray, covs: np.ndarray) -> JointPolicy:
-    """Build a :class:`JointPolicy` from stacked ``(N, T, p, m)`` gains and
-    ``(N, T, p, p)`` covariances, copying each stack once."""
-    return JointPolicy(gains, covs)
-
-
-def stack_gains(joint: JointPolicy) -> np.ndarray:
-    """A new, writable copy of the ``(N, T, p, m)`` gains."""
-    return joint.gains.copy()
-
-
-def stack_covs(joint: JointPolicy) -> np.ndarray:
-    """A new, writable copy of the ``(N, T, p, p)`` covariances."""
-    return joint.covs.copy()
+def _integer(name: str, value) -> int:
+    """``value``, a Python or numpy integer but not ``bool``, as an ``int``; else ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def check_policy_shape(spec: GameSpec, joint: JointPolicy) -> None:
@@ -585,4 +548,4 @@ def load_joint_policy(text: str) -> JointPolicy:
             raise GameSpecError(field, "contains non-finite entries")
     with np.errstate(over="ignore"):
         covs = _symmetrized(covs, "covs")
-    return joint_policy_from_arrays(gains, covs)
+    return JointPolicy(gains, covs)

@@ -12,10 +12,8 @@ one set of checks, stacked after the loop, of which only the condition of
 ``Phi_t`` is the exact pass's alone; one stage-by-stage replay names a
 failure in the same words for both.
 
-Also here: the stage coupling matrix of the joint gain system, the
-contraction modulus of the simultaneous best-response map, the
-regularization-adequacy check, and the tau-augmentation fallback used
-when that check fails.
+Also here: the regularization-adequacy check, and the tau-augmentation
+fallback used when that check fails.
 """
 from __future__ import annotations
 
@@ -28,16 +26,14 @@ import numpy as np
 from .control import (_frobenius, _logdets, _max_frobenius, joint_products, offset_terms, own_cost, stage_blocks,
                       stage_covariance, stage_noise, uniqueness_threshold, value_offsets, value_step)
 from .evaluate import exploitability
-from .model import GameSpec, JointPolicy, joint_policy_from_arrays
+from .model import GameSpec, JointPolicy, _integer
 
 __all__ = [
     "SolverError",
     "NESolution",
     "ConditionRecord",
     "SolveReport",
-    "phi_matrix",
     "exact_ne",
-    "contraction_modulus",
     "check_assumption_tau",
     "po_solve",
     "delta_augment_solve",
@@ -127,24 +123,12 @@ def _diagonal(n: int, p: int) -> np.ndarray:
     return np.arange((n * p) ** 2).reshape(n, p, n, p)[np.arange(n), :, np.arange(n)]
 
 
-def phi_matrix(spec: GameSpec, t: int, P_next: np.ndarray) -> np.ndarray:
-    """Stage coupling matrix of the stacked gain equations.
-
-    ``P_next`` holds each agent's tail value matrix, shape ``(N, m, m)``.
-    Block ``(i, i)`` is ``(tau/2) I + R^i_t + B^i^T P^i B^i``; block
-    ``(i, j)`` for ``j != i`` is ``B^i^T P^i B^j``.  Strict diagonal
-    dominance of this matrix is what the adequacy check certifies.
-    """
-    Bt, side, _, reg = stage_blocks(spec, t)
-    products, _ = joint_products(Bt, side, spec.A[t], np.asarray(P_next, dtype=float))
-    return products + reg
-
-
 def exact_ne(spec: GameSpec, cond_limit: float = COND_LIMIT) -> NESolution:
     """Equilibrium via the backward stacked-gain linear system.
 
-    At each stage the gains of all agents solve ``Phi_t G = -B^T P A`` (see
-    :func:`phi_matrix`); covariances follow in closed form, and the values
+    At each stage the gains of all agents solve ``Phi_t G = -B^T P A``:
+    block ``(i, j)`` of ``Phi_t`` is ``B^i^T P^i B^j``, plus ``(tau/2) I + R^i``
+    on the diagonal.  Covariances follow in closed form, and the values
     are the certificate's, so ``riccati``/``offsets`` equal
     ``value_certificate(spec, sol.policy)``.  Raises :class:`SolverError`
     when a stage system is numerically singular (condition estimate above
@@ -250,7 +234,7 @@ def _check_pass(spec: GameSpec, blocks, run, cond_limit: float | None = None):
                     ok = bool((np.isfinite(cond) & (cond <= cond_limit)).all())
                 if ok:
                     gains = gains.reshape(T, n, p, m).swapaxes(0, 1)
-                    return joint_policy_from_arrays(gains, agent_covs), covs, q
+                    return JointPolicy(gains, agent_covs), covs, q
             except np.linalg.LinAlgError:
                 pass
     (first, error), q_t = failure or (0, None), np.zeros(n)
@@ -272,19 +256,6 @@ def _check_pass(spec: GameSpec, blocks, run, cond_limit: float | None = None):
             q_t = q_t + offset_terms(spec.tau, weight[:, t], cov, logdets, stage_noise(spec, t, cov), P[:, t + 1])
             _finite(t, "value matrices", P[:, t], q_t)
     raise SolverError("a stacked stage check failed that no single stage reproduces")
-
-
-def contraction_modulus(spec: GameSpec, t: int, P_next: np.ndarray) -> float:
-    """Lipschitz bound of the simultaneous best-response map at stage ``t``.
-
-    ``(2/tau) * gamma_B**2 * gamma_P_t * (N-1)`` with ``gamma_B`` the
-    largest input-matrix norm over all agents and stages and ``gamma_P_t``
-    the largest tail value norm among agents.  Below one, the stage inner
-    loop converges linearly at (at worst) this rate.
-    """
-    del t  # the stage enters only through its tail values
-    _, threshold = uniqueness_threshold(spec, _max_frobenius(np.asarray(P_next, dtype=float)))
-    return threshold / spec.tau
 
 
 def _condition(spec: GameSpec, gamma_p: float, margin: float, gamma_b: float | None = None) -> ConditionRecord:
@@ -330,6 +301,7 @@ def po_solve(
     ``inner_iters`` times or until the stage policy moves less than
     ``stop_tol`` in the policy metric.  Tail value matrices come from the
     frozen later-stage policies, so they are fixed while a stage iterates.
+    ``inner_iters`` must be a Python or numpy integer, not ``bool``.
 
     Non-convergence is visible in the returned trace (distances failing to
     decrease) and in the contraction moduli.  The first time a stage's gain
@@ -344,7 +316,7 @@ def po_solve(
     """
     if inner_iters is None and stop_tol is None:
         raise ValueError("need inner_iters >= 1 or stop_tol > 0")
-    if inner_iters is not None and inner_iters < 1:
+    if inner_iters is not None and _integer("inner_iters", inner_iters) < 1:
         raise ValueError("inner_iters must be >= 1")
     if stop_tol is not None and not stop_tol > 0:
         raise ValueError("stop_tol must be positive")
@@ -424,6 +396,7 @@ def delta_augment_solve(
     the check out, so ``delta`` and every output are those of full passes;
     a failure's text comes from one full pass of the last failed round.
     A round whose ``tau + delta`` overflows raises :class:`SolverError`.
+    ``max_rounds`` must be a Python or numpy integer, not ``bool``.
     The returned policy is an approximate equilibrium of the *original*
     game whose per-agent exploitability (reported in ``nash_gaps``) shrinks
     with ``delta``.
@@ -432,7 +405,7 @@ def delta_augment_solve(
         raise ValueError(f"delta_init must be finite and positive, got {delta_init!r}")
     if not growth > 1:
         raise ValueError("growth must exceed 1")
-    if max_rounds < 1:
+    if _integer("max_rounds", max_rounds) < 1:
         raise ValueError("max_rounds must be >= 1")
     _check_margin(margin)
 

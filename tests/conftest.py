@@ -5,6 +5,7 @@ import pytest
 from hypothesis import settings
 
 import lqnash as lq
+from lqnash import control
 
 # Derandomized and without an example database: every run draws the same
 # examples, so tier-1 stays deterministic.
@@ -45,21 +46,27 @@ def random_pd_policy(spec: lq.GameSpec, rng: np.random.Generator, gain_scale: fl
     gains = rng.normal(0.0, gain_scale, (n, T, p, m))
     g = rng.normal(0.0, 0.4, (n, T, p, p))
     covs = np.einsum("...ji,...jk->...ik", g, g) + 0.3 * np.eye(p)
-    return lq.joint_policy_from_arrays(gains, covs)
+    return lq.JointPolicy(gains, covs)
 
 
 def with_tau(spec: lq.GameSpec, tau: float) -> lq.GameSpec:
     return spec.with_tau(tau)
 
 
+def stage_response(spec: lq.GameSpec, gains_t: np.ndarray, tails: np.ndarray, t: int, agents=slice(None)):
+    """Best-response gains and covariances at stage ``t`` of ``agents``, with
+    tail values ``tails``, to the joint stage gains ``gains_t`` (whose own
+    entries the drift leaves out): the responder step of the Nash gap."""
+    B, (Bt, _, weight, _) = spec.B[agents, t], control.stage_blocks(spec, t)
+    drift = control.closed_loop(spec.A[t], spec.B[:, t], gains_t) - B @ gains_t[agents]
+    products, gains = control._respond(Bt[agents], B, weight[agents], tails, drift)
+    return gains, control.stage_covariance(spec.R[agents, t] + products, spec.tau)
+
+
 def stage_fixed_point_residual(spec: lq.GameSpec, joint: lq.JointPolicy, t: int) -> float:
     """Policy-metric distance between stage ``t`` of ``joint`` and its own
     simultaneous best response (tail values from the policy's later stages)."""
-    gains = lq.stack_gains(joint)
-    covs = lq.stack_covs(joint)
-    total = 0.0
-    for i in range(spec.num_agents):
-        tail = lq.lyapunov_backward(spec, joint, i, from_t=t + 1)[0]
-        gain, cov = lq.best_response_stage(spec, i, gains[:, t], tail, t)
-        total += np.linalg.norm(gain - gains[i, t]) + np.linalg.norm(cov - covs[i, t])
-    return total
+    tails = control.lyapunov_values(spec, joint.gains)[:, t + 1]
+    gains, covs = stage_response(spec, joint.gains[:, t], tails, t)
+    return float(np.linalg.norm(gains - joint.gains[:, t], axis=(1, 2)).sum()
+                 + np.linalg.norm(covs - joint.covs[:, t], axis=(1, 2)).sum())

@@ -192,9 +192,9 @@ def test_criterion_5_exploitability(suite_instances):
     rng = np.random.default_rng(777)
     for spec, sol in instances:
         worst_ne_gap = max(worst_ne_gap, float(np.abs(lq.exploitability(spec, sol.policy)).max()))
-        gains = lq.stack_gains(sol.policy)
-        perturbed = lq.joint_policy_from_arrays(
-            gains + 0.1 * rng.normal(size=gains.shape), lq.stack_covs(sol.policy)
+        gains = sol.policy.gains
+        perturbed = lq.JointPolicy(
+            gains + 0.1 * rng.normal(size=gains.shape), sol.policy.covs
         )
         if float(lq.exploitability(spec, perturbed).max()) >= 1e-4:
             exploitable += 1

@@ -38,7 +38,7 @@ def test_randgen_round_trip(tmp_path):
     spec = lq.load_game_spec((out / "spec.json").read_text())
     assert spec.num_agents == 2 and spec.horizon == 3
     direct = lq.random_game(2, 3, 2, 1, seed=9, scale=0.5)
-    assert lq.specs_equal(spec, direct)
+    assert lq.dump_game_spec(spec) == lq.dump_game_spec(direct)
 
 
 def test_randgen_tau_override(tmp_path):
@@ -125,7 +125,9 @@ def test_trace_bytes_match_csv_writer(tmp_path):
                        contraction_moduli=(0.0, float("inf"), 1 / 3)),
     ]
     for report in reports:
-        cli._write_trace(tmp_path / "trace.csv", report)
+        files = cli._Files()
+        cli._write_trace(files.write, tmp_path / "trace.csv", report)
+        files.commit()
         assert (tmp_path / "trace.csv").read_bytes() == reference_trace(report)
 
 
@@ -140,14 +142,20 @@ COMMAND_ARGS = {"randgen": ["--agents", 1, "--horizon", 1, "--state-dim", 1, "--
 
 @pytest.mark.parametrize("command, file", WRITES, ids=[f"{c}-{f}" for c, f in WRITES])
 def test_trace_write_error_exit_code(scalar_spec_file, tmp_path, capsys, command, file):
+    """A command that cannot write one of its files changes no file in ``--out``."""
     out = tmp_path / "run"
     if command in ("eval", "simulate"):  # they read the policy a solver wrote into --out
         assert run("solve-exact", "--spec", scalar_spec_file, "--out", out) == 0
         (out / file).unlink(missing_ok=True)
     (out / file).mkdir(parents=True)  # a directory where the file should go
+    for _, name in WRITES:  # a sentinel in place of every other output
+        if not (out / name).exists():
+            (out / name).write_text(f"sentinel {name}\n")
+    before = {path.name: path.read_bytes() for path in out.iterdir() if path.is_file()}
     spec = [] if command == "randgen" else ["--spec", scalar_spec_file]
     assert run(command, *spec, "--out", out, *COMMAND_ARGS.get(command, [])) == 4
     assert f"error (io): cannot write {out / file}: " in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in out.iterdir() if path.is_file()} == before
 
 
 @pytest.mark.parametrize("command, missing, message", [
@@ -506,7 +514,7 @@ def test_parent_write_error_kills_worker(traj_game, workers, monkeypatch, tmp_pa
             with pytest.raises(KeyboardInterrupt):
                 run(*argv)
     assert [proc.returncode for proc in workers] == [-signal.SIGKILL]
-    _assert_nothing_left(out, workers, ("certificate.json", "policy.json", "trajectories.csv"))
+    _assert_nothing_left(out, workers, ("certificate.json", "policy.json"))  # no part of trajectories.csv
 
 
 def test_worker_script_rejects_short_input():
@@ -605,7 +613,7 @@ def _reference_spec(spec) -> bytes:
 
 
 def _reference_policy(joint) -> bytes:
-    gains, covs = lq.stack_gains(joint), lq.stack_covs(joint)
+    gains, covs = joint.gains, joint.covs
     return _encoded(
         {"num_agents": joint.num_agents, "horizon": joint.horizon, "state_dim": gains.shape[3],
          "action_dim": gains.shape[2], "gains": gains.tolist(), "covs": covs.tolist()}

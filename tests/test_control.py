@@ -5,8 +5,9 @@ import numpy.testing as npt
 import pytest
 
 import lqnash as lq
+from lqnash import control
 
-from conftest import random_pd_policy
+from conftest import random_pd_policy, stage_response
 
 
 def grid_minimizer_1d(M, b, tau, mean_range=(-3, 3), var_range=(1e-3, 3), points=2001):
@@ -151,15 +152,13 @@ class TestLyapunovBackward:
             ' "A": 1, "B": 1, "Q": 1, "R": 1,'
             ' "noise_cov": 0, "init_mean": 0, "init_cov": 0}'
         )
-        joint = lq.joint_policy_from_arrays(np.zeros((1, 2, 1, 1)), np.ones((1, 2, 1, 1)))
-        P = lq.lyapunov_backward(spec, joint, agent=0)
+        P = control.lyapunov_values(spec, np.zeros((1, 2, 1, 1)))[0]
         npt.assert_allclose(P[:, 0, 0], [3.0, 2.0, 1.0], rtol=1e-15)
 
     def test_zero_opponent_gains_match_single_agent(self):
         one = lq.random_game(1, 3, 2, 1, seed=5, scale=0.6)
         rng = np.random.default_rng(6)
         own_gains = rng.normal(0, 0.3, (3, 1, 2))
-        own_covs = np.broadcast_to(np.eye(1), (3, 1, 1)).copy()
         # two-agent copy whose second agent has zero gains
         two = dataclasses.replace(
             one,
@@ -169,45 +168,27 @@ class TestLyapunovBackward:
             R=np.concatenate([one.R, one.R]),
         )
         two = lq.validate_game_spec(two)
-        joint1 = lq.joint_policy_from_arrays(own_gains[None], own_covs[None])
-        joint2 = lq.joint_policy_from_arrays(
-            np.stack([own_gains, np.zeros_like(own_gains)]),
-            np.stack([own_covs, own_covs]),
-        )
         npt.assert_array_equal(
-            lq.lyapunov_backward(one, joint1, 0), lq.lyapunov_backward(two, joint2, 0)
+            control.lyapunov_values(one, own_gains[None])[0],
+            control.lyapunov_values(two, np.stack([own_gains, np.zeros_like(own_gains)]))[0],
         )
 
     def test_ne_gains_reproduce_riccati(self):
         spec = lq.random_game(2, 4, 2, 1, seed=7, scale=0.5)
         sol = lq.exact_ne(spec)
-        for i in range(2):
-            P = lq.lyapunov_backward(spec, sol.policy, i)
-            npt.assert_allclose(P, sol.riccati[i], atol=1e-10)
+        npt.assert_allclose(control.lyapunov_values(spec, sol.policy.gains), sol.riccati, atol=1e-10)
 
     def test_symmetric_psd_outputs(self):
         spec = lq.random_game(3, 4, 3, 2, seed=8, scale=0.5)
         rng = np.random.default_rng(9)
-        joint = lq.joint_policy_from_arrays(
-            rng.normal(0, 0.4, (3, 4, 2, 3)), np.broadcast_to(np.eye(2), (3, 4, 2, 2)).copy()
-        )
-        for i in range(3):
-            P = lq.lyapunov_backward(spec, joint, i)
-            npt.assert_allclose(P, P.swapaxes(1, 2), atol=1e-12)
-            for s in range(P.shape[0]):
-                assert np.linalg.eigvalsh(P[s])[0] >= -1e-10
-
-    def test_from_t_truncation(self):
-        spec = lq.random_game(2, 5, 2, 1, seed=10, scale=0.5)
-        joint = lq.exact_ne(spec).policy
-        full = lq.lyapunov_backward(spec, joint, 0, from_t=0)
-        part = lq.lyapunov_backward(spec, joint, 0, from_t=3)
-        npt.assert_array_equal(full[3:], part)
+        P = control.lyapunov_values(spec, rng.normal(0, 0.4, (3, 4, 2, 3)))
+        npt.assert_allclose(P, P.swapaxes(-1, -2), atol=1e-12)
+        assert np.linalg.eigvalsh(P)[..., 0].min() >= -1e-10
 
 
 class TestBestResponseStage:
     def test_scalar_hand_value(self, scalar_game):
-        gain, cov = lq.best_response_stage(scalar_game, 0, [np.zeros((1, 1))], np.eye(1), 0)
+        gain, cov = stage_response(scalar_game, np.zeros((1, 1, 1)), np.eye(1), 0, agents=0)
         npt.assert_allclose(gain, [[-1 / 3]], rtol=1e-15)
         npt.assert_allclose(cov, [[1 / 3]], rtol=1e-15)
         # cross-check against the stage minimizer with M = R + B'PB, b = 2 B'PA x at x=1
@@ -220,7 +201,7 @@ class TestBestResponseStage:
         spec = lq.random_game(2, 2, 2, 2, seed=11, scale=0.7)
         rng = np.random.default_rng(12)
         others = rng.normal(0, 1, (2, 2, 2))
-        gain, cov = lq.best_response_stage(spec, 0, others, np.zeros((2, 2)), 1)
+        gain, cov = stage_response(spec, others, np.zeros((2, 2)), 1, agents=0)
         npt.assert_array_equal(gain, np.zeros((2, 2)))
         expected = np.linalg.inv(np.eye(2) + 2 * spec.R[0, 1] / spec.tau)
         npt.assert_allclose(cov, expected, atol=1e-14)
@@ -236,7 +217,7 @@ class TestBestResponseStage:
             R=np.concatenate([spec.R, spec.R]),
         )
         two = lq.validate_game_spec(two)
-        gain, _ = lq.best_response_stage(two, 0, [None, np.array([[-1.0]])], np.eye(1), 0)
+        gain, _ = stage_response(two, np.array([[[0.0]], [[-1.0]]]), np.eye(1), 0, agents=0)
         npt.assert_allclose(gain, [[0.0]], atol=1e-15)
 
     def test_cov_strictly_inside_unit_ball(self):
@@ -245,7 +226,7 @@ class TestBestResponseStage:
         g0 = rng.normal(0, 1, (2, 2))
         P_next = g0.T @ g0
         gains_t = rng.normal(0, 0.5, (3, 2, 2))
-        _, cov = lq.best_response_stage(spec, 1, gains_t, P_next, 2)
+        _, cov = stage_response(spec, gains_t, P_next, 2, agents=1)
         eig = np.linalg.eigvalsh(cov)
         assert eig[0] > 0
         assert eig[-1] < 1.0
@@ -254,14 +235,14 @@ class TestBestResponseStage:
 class TestBestResponseFull:
     def test_single_agent_matches_stagewise_riccati(self):
         spec = lq.random_game(1, 4, 2, 2, seed=15, scale=0.6)
-        joint = lq.joint_policy_from_arrays(
+        joint = lq.JointPolicy(
             np.zeros((1, 4, 2, 2)), np.broadcast_to(np.eye(2), (1, 4, 2, 2)).copy()
         )
         policy, value = lq.best_response_full(spec, joint, 0)
-        # oracle: best_response_stage driven backward with its own Riccati tail
+        # oracle: the single-stage response driven backward with its own Riccati tail
         P = spec.Q[0, 4]
         for t in range(3, -1, -1):
-            gain, cov = lq.best_response_stage(spec, 0, [None], P, t)
+            gain, cov = stage_response(spec, joint.gains[:, t], P, t, agents=0)
             npt.assert_allclose(policy.gains[t], gain, atol=1e-12)
             npt.assert_allclose(policy.covs[t], cov, atol=1e-12)
             closed = spec.A[t] + spec.B[0, t] @ gain
@@ -279,7 +260,7 @@ class TestBestResponseFull:
         spec = lq.validate_game_spec(
             dataclasses.replace(base, B=np.repeat(base.B[:, :1], 3, axis=1))
         )
-        joint = lq.joint_policy_from_arrays(
+        joint = lq.JointPolicy(
             np.zeros((2, 3, 1, 2)), np.broadcast_to(np.eye(1), (2, 3, 1, 1)).copy()
         )
         policy, value = lq.best_response_full(spec, joint, 0)
@@ -295,7 +276,7 @@ class TestBestResponseFull:
                 noise_cov=0.5 * (merged + merged.T),
             )
         )
-        solo_joint = lq.joint_policy_from_arrays(
+        solo_joint = lq.JointPolicy(
             np.zeros((1, 3, 1, 2)), np.broadcast_to(np.eye(1), (1, 3, 1, 1)).copy()
         )
         solo_policy, solo_value = lq.best_response_full(solo, solo_joint, 0)
@@ -307,8 +288,8 @@ class TestBestResponseFull:
         sol = lq.exact_ne(spec)
         for i in range(3):
             policy, value = lq.best_response_full(spec, sol.policy, i)
-            npt.assert_allclose(policy.gains, sol.policy.policies[i].gains, atol=1e-9)
-            npt.assert_allclose(policy.covs, sol.policy.policies[i].covs, atol=1e-9)
+            npt.assert_allclose(policy.gains, sol.policy.gains[i], atol=1e-9)
+            npt.assert_allclose(policy.covs, sol.policy.covs[i], atol=1e-9)
             npt.assert_allclose(value.P, sol.riccati[i], atol=1e-9)
             npt.assert_allclose(value.q, sol.offsets[i], atol=1e-9)
 
@@ -323,7 +304,7 @@ class TestBestResponseFull:
 
     def test_non_pd_opponent_cov_rejected(self):
         spec = lq.random_game(2, 2, 2, 1, seed=20, scale=0.5)
-        joint = lq.joint_policy_from_arrays(
+        joint = lq.JointPolicy(
             np.zeros((2, 2, 1, 2)), np.zeros((2, 2, 1, 1))
         )
         with pytest.raises(ValueError, match="positive definite"):
@@ -332,11 +313,11 @@ class TestBestResponseFull:
     def test_non_pd_opponent_cov_names_first_agent_and_stage(self):
         spec = lq.random_game(4, 10, 2, 2, seed=21, scale=0.5)
         joint = random_pd_policy(spec, np.random.default_rng(22))
-        gains, covs = lq.stack_gains(joint), lq.stack_covs(joint)
+        gains, covs = joint.gains, joint.covs.copy()
         covs[2, 7] = np.diag([1.0, -1.0])
         covs[2, 9] = np.zeros((2, 2))
         covs[3, 1] = -np.eye(2)
-        joint = lq.joint_policy_from_arrays(gains, covs)
+        joint = lq.JointPolicy(gains, covs)
         with pytest.raises(ValueError) as err:
             lq.best_response_full(spec, joint, 0)
         assert str(err.value) == "opponent covariance not positive definite (agent 2, stage 7)"

@@ -15,7 +15,7 @@ from conftest import random_pd_policy, with_tau
 
 def scalar_rest_policy():
     """K = 0, action variance 1 for the 1-D single-agent game."""
-    return lq.joint_policy_from_arrays(np.zeros((1, 1, 1, 1)), np.ones((1, 1, 1, 1)))
+    return lq.JointPolicy(np.zeros((1, 1, 1, 1)), np.ones((1, 1, 1, 1)))
 
 
 class TestValueCertificate:
@@ -57,7 +57,7 @@ class TestValueCertificate:
                 init_cov=np.zeros((2, 2)),
             )
         )
-        joint = lq.joint_policy_from_arrays(
+        joint = lq.JointPolicy(
             np.zeros((2, 3, 2, 2)), np.broadcast_to(np.eye(2), (2, 3, 2, 2)).copy()
         )
         cert = lq.value_certificate(spec, joint)
@@ -69,7 +69,7 @@ class TestValueCertificate:
             assert cert.agents[i].expected_cost == pytest.approx(expected, rel=1e-12)
 
     def test_non_pd_policy_cov_rejected(self, scalar_game):
-        joint = lq.joint_policy_from_arrays(np.zeros((1, 1, 1, 1)), np.zeros((1, 1, 1, 1)))
+        joint = lq.JointPolicy(np.zeros((1, 1, 1, 1)), np.zeros((1, 1, 1, 1)))
         with pytest.raises(ValueError, match="positive definite"):
             lq.value_certificate(scalar_game, joint)
 
@@ -130,18 +130,18 @@ class TestPolicyDistance:
         assert lq.policy_distance(joint, joint) == 0.0
 
     def test_identity_gain_offset(self):
-        a = lq.joint_policy_from_arrays(np.zeros((1, 1, 2, 2)), np.eye(2)[None, None])
-        b = lq.joint_policy_from_arrays(np.eye(2)[None, None], np.eye(2)[None, None])
+        a = lq.JointPolicy(np.zeros((1, 1, 2, 2)), np.eye(2)[None, None])
+        b = lq.JointPolicy(np.eye(2)[None, None], np.eye(2)[None, None])
         assert lq.policy_distance(a, b) == pytest.approx(np.sqrt(2.0), rel=1e-15)
 
     def test_huge_difference_without_overflow(self):
         covs = np.full((2, 3, 1, 1), 0.5)
-        a = lq.joint_policy_from_arrays(np.zeros((2, 3, 1, 2)), covs)
+        a = lq.JointPolicy(np.zeros((2, 3, 1, 2)), covs)
         gains = np.zeros((2, 3, 1, 2))
         gains[1, 2, 0, 1] = -1e200
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert lq.policy_distance(a, lq.joint_policy_from_arrays(gains, covs)) == 1e200
+            assert lq.policy_distance(a, lq.JointPolicy(gains, covs)) == 1e200
 
     def test_metric_properties(self):
         spec = lq.random_game(2, 3, 2, 2, seed=29, scale=0.5)
@@ -178,8 +178,8 @@ class TestPolicyDistance:
             lq.policy_distance(joint, joint, t=t)
 
     def test_shape_mismatch(self):
-        a = lq.joint_policy_from_arrays(np.zeros((1, 1, 1, 1)), np.ones((1, 1, 1, 1)))
-        b = lq.joint_policy_from_arrays(np.zeros((1, 2, 1, 1)), np.ones((1, 2, 1, 1)))
+        a = lq.JointPolicy(np.zeros((1, 1, 1, 1)), np.ones((1, 1, 1, 1)))
+        b = lq.JointPolicy(np.zeros((1, 2, 1, 1)), np.ones((1, 2, 1, 1)))
         with pytest.raises(ValueError, match="mismatch"):
             lq.policy_distance(a, b)
 
@@ -202,7 +202,7 @@ class TestSimulate:
         npt.assert_array_equal(small.costs, large.costs[:100])
 
     def test_near_deterministic_policy_matches_certificate(self, scalar_game):
-        joint = lq.joint_policy_from_arrays(
+        joint = lq.JointPolicy(
             np.full((1, 1, 1, 1), -1 / 3), np.full((1, 1, 1, 1), 1e-12)
         )
         cert = lq.value_certificate(scalar_game, joint)
@@ -234,7 +234,7 @@ class TestSimulate:
         )
         spec = lq.load_game_spec(text)
         K, cov = 0.4, 0.6
-        joint = lq.joint_policy_from_arrays(
+        joint = lq.JointPolicy(
             np.full((1, 3, 1, 1), K), np.full((1, 3, 1, 1), cov)
         )
         second_moment = spec.init_cov[0, 0] + spec.init_mean[0] ** 2
@@ -281,7 +281,7 @@ class TestSimulate:
         spec = lq.random_game(2, 3, 3, p, seed=60, scale=0.5)
         joint = random_pd_policy(spec, np.random.default_rng(61))
         n, T, m, p = spec.num_agents, spec.horizon, spec.state_dim, spec.action_dim
-        chol, logdets = evaluate._policy_cholesky(lq.stack_covs(joint))
+        chol, logdets = evaluate._policy_cholesky(joint.covs)
         default = evaluate._DRAW_CHUNK
         total = default + 37
         normals = np.empty((total, m + T * (n * p + m)))
@@ -293,7 +293,7 @@ class TestSimulate:
         omegas = rest[:, :, n * p :] @ evaluate._psd_factor(spec.noise_cov).T
         xis = rest[:, :, : n * p].reshape(total, T, n, p)
         states, actions, costs = _whole_run(
-            spec.A, spec.B, spec.Q, spec.R, lq.stack_gains(joint), chol, logdets, spec.tau,
+            spec.A, spec.B, spec.Q, spec.R, joint.gains, chol, logdets, spec.tau,
             x0s, xis.transpose(1, 2, 0, 3), omegas.transpose(1, 0, 2),
         )
         for chunk in (default, 1, 7):
@@ -360,7 +360,7 @@ class TestSimulate:
         joint = scalar_rest_policy()
         with pytest.raises(ValueError, match="n_traj"):
             lq.simulate(scalar_game, joint, 0, seed=0)
-        bad = lq.joint_policy_from_arrays(np.zeros((1, 1, 1, 1)), np.full((1, 1, 1, 1), -1.0))
+        bad = lq.JointPolicy(np.zeros((1, 1, 1, 1)), np.full((1, 1, 1, 1), -1.0))
         with pytest.raises(ValueError, match="positive definite"):
             lq.simulate(scalar_game, bad, 10, seed=0)
 

@@ -100,20 +100,20 @@ def test_broadcast_shorthand():
 def test_round_trip_exact():
     spec = lq.random_game(3, 4, 3, 2, seed=123, scale=0.7)
     again = lq.load_game_spec(lq.dump_game_spec(spec))
-    assert lq.specs_equal(spec, again)
+    assert lq.dump_game_spec(spec) == lq.dump_game_spec(again)
 
 
 def test_random_game_deterministic():
     a = lq.random_game(2, 3, 2, 1, seed=7, scale=0.5)
     b = lq.random_game(2, 3, 2, 1, seed=7, scale=0.5)
-    assert lq.specs_equal(a, b)
+    assert lq.dump_game_spec(a) == lq.dump_game_spec(b)
     c = lq.random_game(2, 3, 2, 1, seed=8, scale=0.5)
-    assert not lq.specs_equal(a, c)
+    assert lq.dump_game_spec(a) != lq.dump_game_spec(c)
 
 
 def test_random_game_self_validates():
     spec = lq.random_game(1, 1, 1, 1, seed=0, scale=1.0)
-    assert lq.specs_equal(spec, lq.load_game_spec(lq.dump_game_spec(spec)))
+    assert lq.dump_game_spec(spec) == lq.dump_game_spec(lq.load_game_spec(lq.dump_game_spec(spec)))
 
 
 def test_random_game_r_eigenvalues():
@@ -126,7 +126,7 @@ def test_random_game_r_eigenvalues():
 def test_validation_idempotent():
     spec = lq.random_game(2, 3, 3, 2, seed=1, scale=0.6)
     again = lq.validate_game_spec(spec)
-    assert lq.specs_equal(spec, again)
+    assert lq.dump_game_spec(spec) == lq.dump_game_spec(again)
 
 
 def test_asymmetric_q_rejected():
@@ -163,28 +163,22 @@ def test_policy_round_trip():
     gains = rng.normal(size=(2, 3, 2, 3))
     g = rng.normal(size=(2, 3, 2, 2))
     covs = np.einsum("...ji,...jk->...ik", g, g) + np.eye(2)
-    joint = lq.joint_policy_from_arrays(gains, covs)
+    joint = lq.JointPolicy(gains, covs)
     again = lq.load_joint_policy(lq.dump_joint_policy(joint))
-    npt.assert_array_equal(lq.stack_gains(joint), lq.stack_gains(again))
-    npt.assert_array_equal(lq.stack_covs(joint), lq.stack_covs(again))
+    npt.assert_array_equal(joint.gains, again.gains)
+    npt.assert_array_equal(joint.covs, again.covs)
 
 
 def test_joint_policy_holds_read_only_c_contiguous_copies():
     rng = np.random.default_rng(4)
     gains = rng.normal(size=(3, 2, 4, 2)).swapaxes(0, 1)  # (2, 3, 4, 2), not C-contiguous
     covs = np.broadcast_to(np.eye(4), (2, 3, 4, 4))
-    joint = lq.joint_policy_from_arrays(gains, covs)
+    joint = lq.JointPolicy(gains, covs)
     for arr, source in ((joint.gains, gains), (joint.covs, covs)):
         assert arr.flags.c_contiguous and not arr.flags.writeable
         assert not np.shares_memory(arr, source)
         npt.assert_array_equal(arr, source)
     assert (joint.num_agents, joint.horizon) == (2, 3)
-    for i, policy in enumerate(joint.policies):
-        assert np.shares_memory(policy.gains, joint.gains) and np.shares_memory(policy.covs, joint.covs)
-        npt.assert_array_equal(policy.gains, gains[i])
-    stacked = lq.stack_gains(joint)
-    stacked[0, 0, 0, 0] = 99.0  # a new, writable array
-    assert joint.gains[0, 0, 0, 0] == gains[0, 0, 0, 0]
 
 
 @pytest.mark.parametrize("cov_shape", [(2, 3, 3, 3), (2, 3, 2, 3)])
@@ -195,12 +189,12 @@ def test_mis_shaped_policy_covariances_rejected(cov_shape):
     gains = lq.exact_ne(spec).policy.gains
     shapes = f"gains {gains.shape} vs covs {cov_shape}"
     with pytest.raises(ValueError, match=re.escape(shapes)):
-        lq.joint_policy_from_arrays(gains, np.ones(cov_shape))
+        lq.JointPolicy(gains, np.ones(cov_shape))
 
 
 def test_policy_shape_check_names_both_arrays():
     spec = lq.random_game(2, 3, 2, 2, seed=1, scale=0.5)
-    joint = lq.joint_policy_from_arrays(np.zeros((2, 3, 3, 2)), np.broadcast_to(np.eye(3), (2, 3, 3, 3)))
+    joint = lq.JointPolicy(np.zeros((2, 3, 3, 2)), np.broadcast_to(np.eye(3), (2, 3, 3, 3)))
     with pytest.raises(ValueError, match=re.escape("gains shaped (2, 3, 3, 2), covs shaped (2, 3, 3, 3)")):
         lq.value_certificate(spec, joint)
 
@@ -248,7 +242,7 @@ def test_dumps_matches_json_encoder(dims):
     n, T, m, p = dims  # N=1, T=1, m=p=1; p > m; p < m
     spec = lq.random_game(n, T, m, p, seed=17, scale=0.7).with_tau(25.0)
     sol = lq.exact_ne(spec)
-    gains, covs = lq.stack_gains(sol.policy), lq.stack_covs(sol.policy)
+    gains, covs = sol.policy.gains, sol.policy.covs
     spec_doc = {
         "num_agents": n, "horizon": T, "state_dim": m, "action_dim": p, "tau": spec.tau,
         "A": spec.A, "B": spec.B, "Q": spec.Q, "R": spec.R,

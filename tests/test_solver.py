@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lqnash as lq
-from lqnash import solver
+from lqnash import control, solver
 
 from conftest import stage_fixed_point_residual, with_tau
 
@@ -21,23 +21,34 @@ def symmetric_two_agent_scalar(tau=4.0):
     )
 
 
+def coupling_matrix(spec, t, tails):
+    """``Phi_t`` of the joint gain system, from its tail-free blocks and tail products."""
+    Bt, side, _, reg = control.stage_blocks(spec, t)
+    return control.joint_products(Bt, side, spec.A[t], tails)[0] + reg
+
+
+def modulus(spec, tails):
+    """The paper's contraction modulus of a stage with tail values ``tails``."""
+    return control.uniqueness_threshold(spec, control._max_frobenius(tails))[1] / spec.tau
+
+
 class TestPhiMatrix:
     def test_two_agent_scalar_blocks(self):
         spec = symmetric_two_agent_scalar(tau=2.0)
-        phi = lq.phi_matrix(spec, 0, np.ones((2, 1, 1)))
+        phi = coupling_matrix(spec, 0, np.ones((2, 1, 1)))
         npt.assert_allclose(phi, [[3.0, 1.0], [1.0, 3.0]], rtol=1e-15)
 
     def test_single_agent_single_block(self):
         spec = lq.random_game(1, 2, 2, 2, seed=0, scale=0.5)
         g = np.random.default_rng(1).normal(size=(2, 2))
         P = np.stack([g.T @ g])
-        phi = lq.phi_matrix(spec, 1, P)
+        phi = coupling_matrix(spec, 1, P)
         expected = 0.5 * spec.tau * np.eye(2) + spec.R[0, 1] + spec.B[0, 1].T @ P[0] @ spec.B[0, 1]
         npt.assert_allclose(phi, expected, atol=1e-14)
 
     def test_zero_tails_block_diagonal(self):
         spec = lq.random_game(3, 2, 2, 2, seed=2, scale=0.5)
-        phi = lq.phi_matrix(spec, 0, np.zeros((3, 2, 2)))
+        phi = coupling_matrix(spec, 0, np.zeros((3, 2, 2)))
         for i in range(3):
             for j in range(3):
                 block = phi[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
@@ -58,7 +69,7 @@ class TestPhiMatrix:
                 np.linalg.norm(spec.B[i, s]) for i in range(3) for s in range(spec.horizon)
             )
             assert spec.tau > 2 * gamma_b**2 * gamma_pt * (3 - 1)
-            phi = lq.phi_matrix(spec, t, sol.riccati[:, t + 1])
+            phi = coupling_matrix(spec, t, sol.riccati[:, t + 1])
             for i in range(3):
                 diag = phi[p * i : p * i + p, p * i : p * i + p]
                 off = sum(
@@ -72,8 +83,8 @@ class TestPhiMatrix:
 class TestExactNE:
     def test_scalar_hand_example(self, scalar_game):
         sol = lq.exact_ne(scalar_game)
-        npt.assert_allclose(sol.policy.policies[0].gains[0], [[-1 / 3]], rtol=1e-14)
-        npt.assert_allclose(sol.policy.policies[0].covs[0], [[1 / 3]], rtol=1e-14)
+        npt.assert_allclose(sol.policy.gains[0, 0], [[-1 / 3]], rtol=1e-14)
+        npt.assert_allclose(sol.policy.covs[0, 0], [[1 / 3]], rtol=1e-14)
         npt.assert_allclose(sol.riccati[0, :, 0, 0], [5 / 3, 1.0], rtol=1e-14)
         npt.assert_allclose(sol.offsets[0], [np.log(3.0), 0.0], rtol=1e-14)
 
@@ -81,12 +92,12 @@ class TestExactNE:
         base = lq.random_game(2, 3, 2, 1, seed=4, scale=0.5)
         spec = lq.validate_game_spec(dataclasses.replace(base, B=np.zeros_like(base.B)))
         sol = lq.exact_ne(spec)
-        npt.assert_array_equal(lq.stack_gains(sol.policy), np.zeros((2, 3, 1, 2)))
+        npt.assert_array_equal(sol.policy.gains, np.zeros((2, 3, 1, 2)))
         for i in range(2):
             P = spec.Q[i, 3]
             for t in range(2, -1, -1):
                 npt.assert_allclose(
-                    sol.policy.policies[i].covs[t],
+                    sol.policy.covs[i, t],
                     np.linalg.inv(np.eye(1) + 2 * spec.R[i, t] / spec.tau),
                     atol=1e-14,
                 )
@@ -96,10 +107,8 @@ class TestExactNE:
     def test_symmetric_agents_equal(self):
         spec = symmetric_two_agent_scalar()
         sol = lq.exact_ne(spec)
-        npt.assert_allclose(
-            sol.policy.policies[0].gains, sol.policy.policies[1].gains, atol=1e-14
-        )
-        npt.assert_array_equal(sol.policy.policies[0].covs, sol.policy.policies[1].covs)
+        npt.assert_allclose(sol.policy.gains[0], sol.policy.gains[1], atol=1e-14)
+        npt.assert_array_equal(sol.policy.covs[0], sol.policy.covs[1])
 
     def test_terminal_values(self):
         spec = lq.random_game(2, 3, 2, 1, seed=5, scale=0.5)
@@ -134,24 +143,24 @@ class TestExactNE:
 class TestConditionChecks:
     def test_contraction_modulus_formula(self):
         spec = symmetric_two_agent_scalar(tau=2.0)
-        assert lq.contraction_modulus(spec, 0, np.ones((2, 1, 1))) == pytest.approx(1.0)
+        assert modulus(spec, np.ones((2, 1, 1))) == pytest.approx(1.0)
         spec4 = symmetric_two_agent_scalar(tau=4.0)
-        assert lq.contraction_modulus(spec4, 0, np.ones((2, 1, 1))) == pytest.approx(0.5)
+        assert modulus(spec4, np.ones((2, 1, 1))) == pytest.approx(0.5)
 
     def test_norms_of_huge_tails_stay_finite(self):
         # squaring 1e160 overflows; the norm itself is finite
         spec = symmetric_two_agent_scalar(tau=2.0)
         tails = np.array([[[3e160]], [[-4e160]]])
-        assert lq.contraction_modulus(spec, 0, tails) == pytest.approx(4e160, rel=1e-15)
+        assert modulus(spec, tails) == pytest.approx(4e160, rel=1e-15)
         sol = dataclasses.replace(lq.exact_ne(spec), riccati=np.full((2, 2, 2, 2), 1e160))
         assert lq.check_assumption_tau(spec, sol).gamma_P == pytest.approx(2e160, rel=1e-15)
 
     def test_norm_of_one_huge_tail_matrix(self):
         spec = symmetric_two_agent_scalar(tau=2.0)
-        assert lq.contraction_modulus(spec, 0, np.array([[-4e160]])) == pytest.approx(4e160, rel=1e-15)
+        assert modulus(spec, np.array([[-4e160]])) == pytest.approx(4e160, rel=1e-15)
 
     def test_single_agent_modulus_zero(self, scalar_game):
-        assert lq.contraction_modulus(scalar_game, 0, np.ones((1, 1, 1))) == 0.0
+        assert modulus(scalar_game, np.ones((1, 1, 1))) == 0.0
 
     def test_single_agent_always_satisfied(self, scalar_game):
         sol = lq.exact_ne(scalar_game)
@@ -235,6 +244,10 @@ class TestPoSolve:
             lq.po_solve(spec, inner_iters=0, stop_tol=None)
         with pytest.raises(ValueError):
             lq.po_solve(spec, inner_iters=5, stop_tol=0.0)
+        for inner_iters in (2.5, True, np.float64(3.0)):
+            with pytest.raises(ValueError, match="inner_iters must be an integer"):
+                lq.po_solve(spec, inner_iters=inner_iters, stop_tol=None)
+        assert len(lq.po_solve(spec, inner_iters=np.int64(3), stop_tol=None).trace[0]) == 3
 
     def test_tail_values_match_lyapunov(self):
         spec = lq.random_game(2, 4, 2, 1, seed=13, scale=0.5)
@@ -242,10 +255,7 @@ class TestPoSolve:
         spec = with_tau(spec, 10.0 * lq.check_assumption_tau(spec, sol).threshold)
         report = lq.po_solve(spec, inner_iters=100, stop_tol=1e-12)
         assert report.condition is not None
-        check = max(
-            np.linalg.norm(lq.lyapunov_backward(spec, report.policy, i), axis=(1, 2)).max()
-            for i in range(2)
-        )
+        check = np.linalg.norm(control.lyapunov_values(spec, report.policy.gains), axis=(-2, -1)).max()
         assert report.condition.gamma_P == pytest.approx(check, rel=1e-9)
 
 
@@ -290,6 +300,9 @@ class TestDeltaAugment:
             lq.delta_augment_solve(spec, delta_init=0.1, growth=1.0)
         with pytest.raises(ValueError):
             lq.delta_augment_solve(spec, delta_init=0.1, max_rounds=0)
+        for max_rounds in (2.5, True, np.float64(3.0)):
+            with pytest.raises(ValueError, match="max_rounds must be an integer"):
+                lq.delta_augment_solve(spec, delta_init=0.1, max_rounds=max_rounds)
 
     @pytest.mark.parametrize("margin", [-1.0, float("nan")])
     def test_bad_margin_rejected_before_any_solve(self, monkeypatch, margin):
@@ -439,10 +452,10 @@ def test_transient_po_growth_is_not_divergence():
 def condition_case():
     """A game whose stage conditions vary with the stage, a limit that about
     half of the stages exceed, and the largest failing stage, found with a
-    stage-by-stage ``phi_matrix`` + ``np.linalg.cond`` loop."""
+    stage-by-stage ``coupling_matrix`` + ``np.linalg.cond`` loop."""
     spec = lq.random_game(2, 12, 3, 2, seed=2, scale=0.8).with_tau(0.5)
     tails = lq.exact_ne(spec).riccati[:, 1:]
-    conds = np.array([np.linalg.cond(lq.phi_matrix(spec, t, tails[:, t])) for t in range(spec.horizon)])
+    conds = np.array([np.linalg.cond(coupling_matrix(spec, t, tails[:, t])) for t in range(spec.horizon)])
     ordered = np.sort(conds)
     limit = 0.5 * (ordered[spec.horizon // 2] + ordered[spec.horizon // 2 + 1])
     failing = np.flatnonzero(conds > limit)
@@ -523,8 +536,8 @@ def test_early_stopped_rounds_match_full_rounds(n, T, seed, where, margin, growt
     report = lq.delta_augment_solve(spec, **kwargs)
     assert report.delta_used == delta and report.condition == record
     reference = lq.po_solve(spec.with_tau(spec.tau + delta))
-    assert bits(lq.stack_gains(report.policy)) == bits(lq.stack_gains(reference.policy))
-    assert bits(lq.stack_covs(report.policy)) == bits(lq.stack_covs(reference.policy))
+    assert bits(report.policy.gains) == bits(reference.policy.gains)
+    assert bits(report.policy.covs) == bits(reference.policy.covs)
     assert bits(report.nash_gaps) == bits(lq.exploitability(spec, reference.policy))
 
 
@@ -540,7 +553,7 @@ def test_failing_round_stops_early_and_passing_round_runs_in_full(monkeypatch):
     sol, full = solver._exact_backward(passing, margin=0.0), lq.exact_ne(passing)
     assert lq.check_assumption_tau(passing, full).satisfied
     assert bits(sol.riccati) == bits(full.riccati) and bits(sol.offsets) == bits(full.offsets)
-    assert bits(lq.stack_gains(sol.policy)) == bits(lq.stack_gains(full.policy))
+    assert bits(sol.policy.gains) == bits(full.policy.gains)
 
 
 def reference_po(spec, inner_iters=None, stop_tol=1e-10):
@@ -597,8 +610,8 @@ def reference_po(spec, inner_iters=None, stop_tol=1e-10):
 def assert_po_matches_reference(spec, **kwargs):
     gains, covs, trace, moduli, record, _ = reference_po(spec, **kwargs)
     report = lq.po_solve(spec, **kwargs)
-    assert bits(lq.stack_gains(report.policy)) == bits(gains)
-    assert bits(lq.stack_covs(report.policy)) == bits(covs)
+    assert bits(report.policy.gains) == bits(gains)
+    assert bits(report.policy.covs) == bits(covs)
     assert bits(np.concatenate(report.trace)) == bits(np.concatenate(trace))
     assert [len(st) for st in report.trace] == [len(st) for st in trace]
     assert bits(np.array(report.contraction_moduli)) == bits(np.array(moduli))
@@ -622,7 +635,7 @@ def test_po_covariance_decides_the_first_stop_test_when_gains_do_not_move(n, tau
     base = lq.random_game(n, 4, 3, 2, seed=3, scale=0.5)
     spec = lq.validate_game_spec(dataclasses.replace(base, A=np.zeros_like(base.A), tau=tau))
     report = assert_po_matches_reference(spec)
-    covs = lq.stack_covs(report.policy)
+    covs = report.policy.covs
     for t, stage_trace in enumerate(report.trace):
         assert len(stage_trace) == length
         assert stage_trace[0] == np.sqrt((covs[:, t] ** 2).sum(axis=(1, 2))).sum()

@@ -11,7 +11,7 @@ import pytest
 import lqnash as lq
 from lqnash import control
 
-from conftest import random_pd_policy
+from conftest import random_pd_policy, stage_response
 
 SIZES = [(1, 1, 1, 1), (2, 3, 2, 4), (3, 10, 4, 2), (20, 5, 3, 2)]
 
@@ -23,7 +23,7 @@ def _sym(x):
 def reference_certificate(spec, joint):
     """Per-agent value recursion with the matrix-product value step."""
     n, T, p = spec.num_agents, spec.horizon, spec.action_dim
-    gains, covs = lq.stack_gains(joint), lq.stack_covs(joint)
+    gains, covs = joint.gains, joint.covs
     eye = np.eye(p)
     P = np.empty((n, T + 1, spec.state_dim, spec.state_dim))
     q = np.zeros((n, T + 1))
@@ -51,7 +51,7 @@ def reference_lyapunov(spec, joint, agent, from_t=0):
     closed loop as ``[B^1 ... B^N] [K^1; ...; K^N]``; the batched value step
     matches it bit for bit."""
     T = spec.horizon
-    gains = lq.stack_gains(joint)
+    gains = joint.gains
     eye = np.eye(spec.action_dim)
     out = np.empty((T - from_t + 1, spec.state_dim, spec.state_dim))
     out[-1] = spec.Q[agent, T]
@@ -68,7 +68,7 @@ def reference_best_response_cost(spec, joint, agent):
     """Expected cost of one agent's exact best response: serial backward
     induction with per-opponent loops and the completed-square value step."""
     T, m, p = spec.horizon, spec.state_dim, spec.action_dim
-    gains, covs = lq.stack_gains(joint), lq.stack_covs(joint)
+    gains, covs = joint.gains, joint.covs
     eye = np.eye(p)
     P = np.empty((T + 1, m, m))
     q = np.zeros(T + 1)
@@ -104,10 +104,10 @@ def perturbed_equilibrium(spec, seed):
     """The exact equilibrium with every gain and covariance perturbed."""
     sol = lq.exact_ne(spec)
     rng = np.random.default_rng(seed)
-    gains = lq.stack_gains(sol.policy) + rng.normal(0.0, 0.2, (spec.num_agents, spec.horizon, spec.action_dim, spec.state_dim))
+    gains = sol.policy.gains + rng.normal(0.0, 0.2, (spec.num_agents, spec.horizon, spec.action_dim, spec.state_dim))
     g = rng.normal(0.0, 0.2, (spec.num_agents, spec.horizon, spec.action_dim, spec.action_dim))
-    covs = lq.stack_covs(sol.policy) + np.einsum("...ji,...jk->...ik", g, g)
-    return lq.joint_policy_from_arrays(gains, covs)
+    covs = sol.policy.covs + np.einsum("...ji,...jk->...ik", g, g)
+    return lq.JointPolicy(gains, covs)
 
 
 @pytest.mark.parametrize("dims", SIZES)
@@ -127,8 +127,7 @@ def test_certificate_matches_reference_loops(dims):
     P, q = cert.P, cert.q
     for i in range(spec.num_agents):
         npt.assert_array_equal(P[i], reference_lyapunov(spec, joint, i))
-        npt.assert_array_equal(lq.lyapunov_backward(spec, joint, i), P[i])
-        npt.assert_array_equal(lq.lyapunov_backward(spec, joint, i, from_t=spec.horizon // 2),
+        npt.assert_array_equal(control.lyapunov_values(spec, joint.gains)[i, spec.horizon // 2:],
                                reference_lyapunov(spec, joint, i, from_t=spec.horizon // 2))
     ref_P, ref_q = reference_certificate(spec, joint)
     npt.assert_allclose(P, ref_P, rtol=1e-13, atol=1e-13 * np.abs(ref_P).max())
@@ -184,7 +183,7 @@ def test_stage_system_matches_einsum(dims):
     spec, t, _, tails, agents = stage_case(dims)
     n, p = spec.num_agents, spec.action_dim
     B = spec.B[:, t]
-    Bt, side, _, _ = control.stage_blocks(spec, t)
+    Bt, side, _, reg = control.stage_blocks(spec, t)
     for rows in (np.arange(n), agents):
         BtP = np.einsum("imp,imn->ipn", B[rows], tails[rows])
         products = np.einsum("ipm,jmq->ipjq", BtP, B).reshape(len(rows) * p, n * p)
@@ -196,7 +195,7 @@ def test_stage_system_matches_einsum(dims):
     phi = np.einsum("imp,imn,jnq->ipjq", B, tails, B)
     for i in range(n):
         phi[i, :, i] += 0.5 * spec.tau * np.eye(p) + spec.R[i, t]
-    assert_close(lq.phi_matrix(spec, t, tails), phi.reshape(n * p, n * p))
+    assert_close(control.joint_products(Bt, side, spec.A[t], tails)[0] + reg, phi.reshape(n * p, n * p))
 
 
 @pytest.mark.parametrize("dims", SIZES)
@@ -205,25 +204,23 @@ def test_best_response_gains_match_einsum(dims):
     # the opponents' gains enter through the couplings, not through a drift.
     spec, t, joint, tails, _ = stage_case(dims)
     n, p = spec.num_agents, spec.action_dim
-    gains = lq.stack_gains(joint)[:, t]
+    gains = joint.gains[:, t]
     B, eye = spec.B[:, t], np.eye(p)
+    actual_gains, actual_covs = stage_response(spec, gains, tails, t)
     for i in range(n):
         bracket = spec.R[i, t] + np.einsum("mp,mn,nq->pq", B[i], tails[i], B[i])
         cross = np.einsum("mp,mn,jnq,jqk->pk", B[i], tails[i], np.delete(B, i, 0), np.delete(gains, i, 0))
         BPA = np.einsum("mp,mn,nk->pk", B[i], tails[i], spec.A[t])
         desired = -np.linalg.solve(0.5 * spec.tau * eye + bracket, BPA + cross)
         cov = np.linalg.inv(eye + (2.0 / spec.tau) * bracket)
-        # The own entry of gains_t is ignored, whether a gain or None.
-        for gains_t in (gains, [None if j == i else gains[j] for j in range(n)]):
-            gain, actual_cov = control.best_response_stage(spec, i, gains_t, tails[i], t)
-            assert_close(gain, desired)
-            assert_close(actual_cov, cov)
+        assert_close(actual_gains[i], desired)
+        assert_close(actual_covs[i], cov)
 
 
 @pytest.mark.parametrize("dims", SIZES)
 def test_closed_loop_and_noise_match_einsum(dims):
     spec, t, joint, _, _ = stage_case(dims)
-    gains, covs = lq.stack_gains(joint)[:, t], lq.stack_covs(joint)[:, t]
+    gains, covs = joint.gains[:, t], joint.covs[:, t]
     B = spec.B[:, t]
     assert_close(control.closed_loop(spec.A[t], B, gains), spec.A[t] + np.einsum("jmp,jpk->mk", B, gains))
     assert_close(control.stage_noise(spec, t, covs),
@@ -235,7 +232,7 @@ def test_lyapunov_step_matches_einsum(dims):
     # One step of the value recursion under frozen gains, as the value step
     # plus the own-cost term, with a shared and a per-agent closed loop.
     spec, t, joint, tails, agents = stage_case(dims)
-    gains = lq.stack_gains(joint)[agents, t]
+    gains = joint.gains[agents, t]
     Q, R = spec.Q[agents, t], spec.R[agents, t]
     own = 0.5 * spec.tau * np.eye(spec.action_dim) + R
     rng = np.random.default_rng(sum(dims))
