@@ -5,13 +5,16 @@ A game couples ``num_agents`` players through shared linear dynamics
 Each agent pays quadratic state/action costs plus a KL penalty of its
 stage policy against a standard-normal prior, weighted by ``tau``.
 This module owns the instance container, its validation, the JSON
-file format, and a seeded random-instance generator.
+file format, and a seeded random-instance generator.  One table,
+``_shapes``, lists the seven array fields in document order with their
+shapes; loading, validation, dumping and generation all read it.
 """
 from __future__ import annotations
 
 import dataclasses
 import functools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,16 +39,26 @@ PSD_RTOL = 1e-10
 
 # The header of both documents: four positive integers, in this order.
 _DIMS = ("num_agents", "horizon", "state_dim", "action_dim")
-_TOP_KEYS = _DIMS + (
-    "tau",
-    "A",
-    "B",
-    "Q",
-    "R",
-    "noise_cov",
-    "init_mean",
-    "init_cov",
-)
+
+
+def _shapes(n: int, T: int, m: int, p: int) -> dict[str, tuple[int, ...]]:
+    """Each array field of a game, in document order, and its shape.  A
+    4-D shape holds one 3-D stack per agent; a 3-D shape stacks matrices
+    over stages."""
+    return {
+        "A": (T, m, m),
+        "B": (n, T, m, p),
+        "Q": (n, T + 1, m, m),
+        "R": (n, T, p, p),
+        "noise_cov": (m, m),
+        "init_mean": (m,),
+        "init_cov": (m, m),
+    }
+
+
+_TOP_KEYS = _DIMS + ("tau",) + tuple(_shapes(1, 1, 1, 1))
+# The fields that must be symmetric, in document order; random_game draws them as Gram matrices.
+_SYMMETRIC = ("Q", "R", "noise_cov", "init_cov")
 
 
 class GameSpecError(ValueError):
@@ -140,66 +153,69 @@ def _as_float_array(value, field: str) -> np.ndarray:
         raise GameSpecError(field, "not a (rectangular) numeric array") from None
 
 
-def _time_matrices(value, steps: int, rows: int, cols: int, field: str) -> np.ndarray:
-    """Coerce a field into a ``(steps, rows, cols)`` stack.
+def _coerced(value, shape: tuple[int, ...], field: str) -> np.ndarray:
+    """``value`` as a float array of ``shape``, or a read-only broadcast to it.
 
-    Accepted shorthands: a single matrix (broadcast over time); for 1x1
-    matrices, a bare scalar (broadcast) or a flat list of ``steps`` scalars.
+    A 3-D ``shape`` stacks matrices over stages, and one matrix broadcasts
+    over them.  Where the matrix or vector has a single entry, a bare scalar
+    broadcasts too, and a stack also takes a flat list of one scalar per stage.
     """
     arr = _as_float_array(value, field)
-    if arr.ndim == 0 and rows == 1 and cols == 1:
-        return np.full((steps, 1, 1), float(arr))
-    if arr.ndim == 1 and rows == 1 and cols == 1 and arr.shape[0] == steps:
-        return arr.reshape(steps, 1, 1).copy()
-    if arr.ndim == 2 and arr.shape == (rows, cols):
-        return np.repeat(arr[None], steps, axis=0)
-    if arr.ndim == 3 and arr.shape == (steps, rows, cols):
-        return arr.copy()
-    raise GameSpecError(
-        field,
-        f"dimension mismatch: expected {steps} matrices of shape "
-        f"({rows}, {cols}) or one matrix to broadcast, got data of shape {arr.shape}",
-    )
+    stacked, single = len(shape) == 3, math.prod(shape[-2:]) == 1
+    if stacked and single and arr.shape == shape[:1]:
+        return arr.reshape(shape)
+    if arr.shape == shape or stacked and arr.shape == shape[1:] or single and arr.ndim == 0:
+        return np.broadcast_to(arr, shape)
+    if stacked:
+        raise GameSpecError(
+            field,
+            f"dimension mismatch: expected {shape[0]} matrices of shape {shape[1:]} "
+            f"or one matrix to broadcast, got data of shape {arr.shape}",
+        )
+    raise GameSpecError(field, f"dimension mismatch: expected shape {shape}, got {arr.shape}")
 
 
-def _agent_time_matrices(value, n: int, steps: int, rows: int, cols: int, field: str) -> np.ndarray:
+def _per_agent(value, shape: tuple[int, ...], field: str) -> np.ndarray:
+    """:func:`_coerced` for each of a list of ``shape[0]`` agents; a
+    single-agent document may omit the agent nesting."""
+    n = shape[0]
     if isinstance(value, list) and len(value) == n:
         try:
-            return np.stack(
-                [_time_matrices(v, steps, rows, cols, f"{field}[{i}]") for i, v in enumerate(value)]
-            )
+            return np.stack([_coerced(v, shape[1:], f"{field}[{i}]") for i, v in enumerate(value)])
         except GameSpecError:
             if n != 1:
                 raise
     if n == 1:
-        # single-agent documents may omit the agent nesting
-        return _time_matrices(value, steps, rows, cols, field)[None]
+        return _coerced(value, shape[1:], field)[None]
     raise GameSpecError(field, f"expected a list of {n} per-agent entries")
 
 
-def _single_matrix(value, dim: int, field: str) -> np.ndarray:
+def _checked_array(value, shape: tuple[int, ...], field: str) -> np.ndarray:
+    """``value`` as a float array of exactly ``shape`` with finite entries."""
     arr = _as_float_array(value, field)
-    if arr.ndim == 0 and dim == 1:
-        return arr.reshape(1, 1).copy()
-    if arr.ndim == 2 and arr.shape == (dim, dim):
-        return arr.copy()
-    raise GameSpecError(field, f"dimension mismatch: expected shape ({dim}, {dim}), got {arr.shape}")
+    if arr.shape != shape:
+        raise GameSpecError(field, f"dimension mismatch: expected shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise GameSpecError(field, "contains non-finite entries")
+    return arr
 
 
-def _vector(value, dim: int, field: str) -> np.ndarray:
-    arr = _as_float_array(value, field)
-    if arr.ndim == 0 and dim == 1:
-        return arr.reshape(1).copy()
-    if arr.ndim == 1 and arr.shape == (dim,):
-        return arr.copy()
-    raise GameSpecError(field, f"dimension mismatch: expected shape ({dim},), got {arr.shape}")
+def _checked_dims(values) -> tuple[int, ...]:
+    """The dimensions ``_DIMS`` as ints; each must be a positive Python or
+    numpy integer, not ``bool``.  The first bad one is named."""
+    for key, value in zip(_DIMS, values):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise GameSpecError(key, "must be an integer")
+        if value < 1:
+            raise GameSpecError(key, "must be a positive integer")
+    return tuple(map(int, values))
 
 
 def _reject_constant(name: str):
     raise GameSpecError("", f"non-finite constant {name!r} not permitted")
 
 
-def _load_header(text: str, keys: tuple[str, ...]) -> tuple[dict, list[int]]:
+def _load_header(text: str, keys: tuple[str, ...]) -> tuple[dict, tuple[int, ...]]:
     """The JSON object of a document, finite numbers only, which must hold
     every one of ``keys``, and its four positive dimensions ``_DIMS``."""
     try:
@@ -211,13 +227,7 @@ def _load_header(text: str, keys: tuple[str, ...]) -> tuple[dict, list[int]]:
     missing = [k for k in keys if k not in doc]
     if missing:
         raise GameSpecError(missing[0], "missing required key")
-    dims = [doc[key] for key in _DIMS]
-    for key, value in zip(_DIMS, dims):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise GameSpecError(key, "must be an integer")
-        if value < 1:
-            raise GameSpecError(key, "must be a positive integer")
-    return doc, dims
+    return doc, _checked_dims([doc[key] for key in _DIMS])
 
 
 def load_game_spec(text: str) -> GameSpec:
@@ -231,20 +241,11 @@ def load_game_spec(text: str) -> GameSpec:
     if isinstance(tau, bool) or not isinstance(tau, (int, float)):
         raise GameSpecError("tau", "must be a real number")
 
-    spec = GameSpec(
-        num_agents=n,
-        horizon=horizon,
-        state_dim=m,
-        action_dim=p,
-        tau=float(tau),
-        A=_time_matrices(doc["A"], horizon, m, m, "A"),
-        B=_agent_time_matrices(doc["B"], n, horizon, m, p, "B"),
-        Q=_agent_time_matrices(doc["Q"], n, horizon + 1, m, m, "Q"),
-        R=_agent_time_matrices(doc["R"], n, horizon, p, p, "R"),
-        noise_cov=_single_matrix(doc["noise_cov"], m, "noise_cov"),
-        init_mean=_vector(doc["init_mean"], m, "init_mean"),
-        init_cov=_single_matrix(doc["init_cov"], m, "init_cov"),
-    )
+    arrays = {
+        field: (_per_agent if len(shape) == 4 else _coerced)(doc[field], shape, field)
+        for field, shape in _shapes(n, horizon, m, p).items()
+    }
+    spec = GameSpec(num_agents=n, horizon=horizon, state_dim=m, action_dim=p, tau=float(tau), **arrays)
     return validate_game_spec(spec)
 
 
@@ -325,20 +326,8 @@ def _dumps(doc) -> str:
 
 def dump_game_spec(spec: GameSpec) -> str:
     """Serialize to the canonical JSON document (exact float round-trip)."""
-    doc = {
-        "num_agents": spec.num_agents,
-        "horizon": spec.horizon,
-        "state_dim": spec.state_dim,
-        "action_dim": spec.action_dim,
-        "tau": float(spec.tau),
-        "A": spec.A,
-        "B": spec.B,
-        "Q": spec.Q,
-        "R": spec.R,
-        "noise_cov": spec.noise_cov,
-        "init_mean": spec.init_mean,
-        "init_cov": spec.init_cov,
-    }
+    doc = {field.name: getattr(spec, field.name) for field in dataclasses.fields(spec)}
+    doc["tau"] = float(spec.tau)
     return _dumps(doc)
 
 
@@ -389,41 +378,20 @@ def validate_game_spec(spec: GameSpec) -> GameSpec:
     Symmetrization is ``(X + X^T)/2`` after a skew-tolerance check, so
     validating an already-validated instance is a no-op.
     """
-    n, horizon = spec.num_agents, spec.horizon
-    m, p = spec.state_dim, spec.action_dim
-    for key in _DIMS:
-        value = getattr(spec, key)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-            raise GameSpecError(key, "must be a positive integer")
+    n, horizon, m, p = _checked_dims([getattr(spec, key) for key in _DIMS])
     tau = _checked_tau(spec.tau)
-
-    shapes = {
-        "A": (spec.A, (horizon, m, m)),
-        "B": (spec.B, (n, horizon, m, p)),
-        "Q": (spec.Q, (n, horizon + 1, m, m)),
-        "R": (spec.R, (n, horizon, p, p)),
-        "noise_cov": (spec.noise_cov, (m, m)),
-        "init_mean": (spec.init_mean, (m,)),
-        "init_cov": (spec.init_cov, (m, m)),
+    arrays = {
+        field: _checked_array(getattr(spec, field), shape, field)
+        for field, shape in _shapes(n, horizon, m, p).items()
     }
-    arrays = {}
-    for field, (arr, shape) in shapes.items():
-        arr = _as_float_array(arr, field)
-        if arr.shape != shape:
-            raise GameSpecError(field, f"dimension mismatch: expected shape {shape}, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise GameSpecError(field, "contains non-finite entries")
-        arrays[field] = arr
 
     with np.errstate(over="ignore"):
-        Q = _symmetrized(arrays["Q"], "Q")
-        R = _symmetrized(arrays["R"], "R")
-        noise_cov = _symmetrized(arrays["noise_cov"], "noise_cov")
-        init_cov = _symmetrized(arrays["init_cov"], "init_cov")
+        for field in _SYMMETRIC:
+            arrays[field] = _symmetrized(arrays[field], field)
         # One eigvalsh per stack; the first failure is reported in the order
         # agent by agent, Q over stages, then R over stages.
-        q_lo, q_bad = _psd_failures(Q)
-        r_lo = np.linalg.eigvalsh(R)[..., 0]
+        q_lo, q_bad = _psd_failures(arrays["Q"])
+        r_lo = np.linalg.eigvalsh(arrays["R"])[..., 0]
         r_bad = r_lo <= 0.0
         bad_agents = np.flatnonzero(q_bad.any(axis=1) | r_bad.any(axis=1))
         if bad_agents.size:
@@ -435,25 +403,13 @@ def validate_game_spec(spec: GameSpec) -> GameSpec:
             raise GameSpecError(
                 f"R[{i}][{t}]", f"not positive definite (min eigenvalue {float(r_lo[i, t]):.3e})"
             )
-        for field, x in (("noise_cov", noise_cov), ("init_cov", init_cov)):
-            lo, bad = _psd_failures(x)
+        for field in ("noise_cov", "init_cov"):
+            lo, bad = _psd_failures(arrays[field])
             if bad:
                 raise _not_psd(field, lo)
 
-    return GameSpec(
-        num_agents=n,
-        horizon=horizon,
-        state_dim=m,
-        action_dim=p,
-        tau=tau,
-        A=_frozen(arrays["A"]),
-        B=_frozen(arrays["B"]),
-        Q=_frozen(Q),
-        R=_frozen(R),
-        noise_cov=_frozen(noise_cov),
-        init_mean=_frozen(arrays["init_mean"]),
-        init_cov=_frozen(init_cov),
-    )
+    frozen = {field: _frozen(arr) for field, arr in arrays.items()}
+    return GameSpec(num_agents=n, horizon=horizon, state_dim=m, action_dim=p, tau=tau, **frozen)
 
 
 def random_game(
@@ -470,32 +426,17 @@ def random_game(
     covariances are Gram matrices ``G^T G`` (PSD), ``R`` is ``G^T G + I``
     (PD).  ``tau`` is initialized to 1; adjust via :meth:`GameSpec.with_tau`.
     """
-    if min(num_agents, horizon, state_dim, action_dim) < 1:
-        raise GameSpecError("dims", "all dimensions must be >= 1")
+    n, T, m, p = _checked_dims((num_agents, horizon, state_dim, action_dim))
     # uniform(-scale, scale) needs the width 2*scale as a finite float
     if not (scale > 0 and np.isfinite(2.0 * scale)):
         raise GameSpecError("scale", f"must be positive with 2*scale finite, got {scale!r}")
     rng = np.random.default_rng(seed)
-    n, T, m, p = num_agents, horizon, state_dim, action_dim
-
-    def gram(*shape):
+    arrays = {}
+    for field, shape in _shapes(n, T, m, p).items():
         g = rng.uniform(-scale, scale, shape)
-        return np.einsum("...ji,...jk->...ik", g, g)
-
-    spec = GameSpec(
-        num_agents=n,
-        horizon=T,
-        state_dim=m,
-        action_dim=p,
-        tau=1.0,
-        A=rng.uniform(-scale, scale, (T, m, m)),
-        B=rng.uniform(-scale, scale, (n, T, m, p)),
-        Q=gram(n, T + 1, m, m),
-        R=gram(n, T, p, p) + np.eye(p),
-        noise_cov=gram(m, m),
-        init_mean=rng.uniform(-scale, scale, m),
-        init_cov=gram(m, m),
-    )
+        arrays[field] = np.einsum("...ji,...jk->...ik", g, g) if field in _SYMMETRIC else g
+    arrays["R"] = arrays["R"] + np.eye(p)
+    spec = GameSpec(num_agents=n, horizon=T, state_dim=m, action_dim=p, tau=1.0, **arrays)
     return validate_game_spec(spec)
 
 
@@ -537,15 +478,8 @@ def load_joint_policy(text: str) -> JointPolicy:
     the game's symmetric fields.
     """
     doc, (n, T, m, p) = _load_header(text, _DIMS + ("gains", "covs"))
-    gains = _as_float_array(doc["gains"], "gains")
-    covs = _as_float_array(doc["covs"], "covs")
-    if gains.shape != (n, T, p, m):
-        raise GameSpecError("gains", f"dimension mismatch: expected {(n, T, p, m)}, got {gains.shape}")
-    if covs.shape != (n, T, p, p):
-        raise GameSpecError("covs", f"dimension mismatch: expected {(n, T, p, p)}, got {covs.shape}")
-    for field, arr in (("gains", gains), ("covs", covs)):
-        if not np.isfinite(arr).all():
-            raise GameSpecError(field, "contains non-finite entries")
+    gains = _checked_array(doc["gains"], (n, T, p, m), "gains")
+    covs = _checked_array(doc["covs"], (n, T, p, p), "covs")
     with np.errstate(over="ignore"):
         covs = _symmetrized(covs, "covs")
     return JointPolicy(gains, covs)

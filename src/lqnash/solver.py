@@ -287,6 +287,18 @@ def check_assumption_tau(spec: GameSpec, sol: NESolution, margin: float = 0.0) -
     return _condition(spec, _max_frobenius(sol.riccati), margin)
 
 
+def _inner_limit(inner_iters: int | None, stop_tol: float | None) -> int:
+    """The cap on :func:`po_solve`'s inner iterations; ``ValueError`` unless
+    its stopping arguments are valid."""
+    if inner_iters is None and stop_tol is None:
+        raise ValueError("need inner_iters >= 1 or stop_tol > 0")
+    if inner_iters is not None and _integer("inner_iters", inner_iters) < 1:
+        raise ValueError("inner_iters must be >= 1")
+    if stop_tol is not None and not stop_tol > 0:
+        raise ValueError("stop_tol must be positive")
+    return MAX_INNER_ITERS if inner_iters is None else int(inner_iters)
+
+
 def po_solve(
     spec: GameSpec,
     inner_iters: int | None = None,
@@ -314,13 +326,7 @@ def po_solve(
     diverged, whose stage matrices, open-loop values, values or offsets
     are not finite, or one of whose solves or factorizations is singular.
     """
-    if inner_iters is None and stop_tol is None:
-        raise ValueError("need inner_iters >= 1 or stop_tol > 0")
-    if inner_iters is not None and _integer("inner_iters", inner_iters) < 1:
-        raise ValueError("inner_iters must be >= 1")
-    if stop_tol is not None and not stop_tol > 0:
-        raise ValueError("stop_tol must be positive")
-    L = MAX_INNER_ITERS if inner_iters is None else int(inner_iters)
+    L = _inner_limit(inner_iters, stop_tol)
 
     n, T = spec.num_agents, spec.horizon
     m, p = spec.state_dim, spec.action_dim
@@ -396,10 +402,11 @@ def delta_augment_solve(
     the check out, so ``delta`` and every output are those of full passes;
     a failure's text comes from one full pass of the last failed round.
     A round whose ``tau + delta`` overflows raises :class:`SolverError`.
-    ``max_rounds`` must be a Python or numpy integer, not ``bool``.
-    The returned policy is an approximate equilibrium of the *original*
-    game whose per-agent exploitability (reported in ``nash_gaps``) shrinks
-    with ``delta``.
+    ``max_rounds`` must be a Python or numpy integer, not ``bool``;
+    ``inner_iters`` and ``stop_tol`` are checked as :func:`po_solve` checks
+    them, before the first round.  The returned policy is an approximate
+    equilibrium of the *original* game whose per-agent exploitability
+    (reported in ``nash_gaps``) shrinks with ``delta``.
     """
     if not (math.isfinite(delta_init) and delta_init > 0):
         raise ValueError(f"delta_init must be finite and positive, got {delta_init!r}")
@@ -408,6 +415,7 @@ def delta_augment_solve(
     if _integer("max_rounds", max_rounds) < 1:
         raise ValueError("max_rounds must be >= 1")
     _check_margin(margin)
+    _inner_limit(inner_iters, stop_tol)
 
     delta = condition = failed = None  # failed: the delta of the last failed round
     for k in range(max_rounds):

@@ -219,6 +219,16 @@ def test_bad_delta_init_exit_code(tmp_path, capsys, delta_init):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("option, value", [("--stop-tol", "nan"), ("--inner-iters", "0")])
+def test_bad_po_argument_of_augment_exit_code(tmp_path, capsys, option, value):
+    # Every round of this game fails, so a late check would exit 3.
+    out = tmp_path / "o"
+    assert run("augment", "--spec", _violating_spec_file(tmp_path), "--out", out, "--delta-init", "1e-6",
+               "--growth", "1.5", "--max-rounds", 2, option, value) == 2
+    assert "error (validation): " + option[2:].replace("-", "_") in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_augment_overflow_exit_code(tmp_path, capsys):
     assert run("augment", "--spec", _violating_spec_file(tmp_path), "--out", tmp_path / "o",
                "--delta-init", "1e-300", "--growth", "1e200", "--max-rounds", 3) == 3

@@ -83,6 +83,27 @@ def test_missing_key_named():
         lq.load_game_spec(json.dumps(doc))
 
 
+POLICY_TEXT = ('{"num_agents": 1, "horizon": 1, "state_dim": 1, "action_dim": 1,'
+               ' "gains": [[[[0]]]], "covs": [[[[1]]]]}')
+DOCUMENTS = {"game": (lq.load_game_spec, SCALAR_GAME_TEXT), "policy": (lq.load_joint_policy, POLICY_TEXT)}
+BAD_DIMENSIONS = [(True, "must be an integer"), (1.5, "must be an integer"),
+                  (0, "must be a positive integer"), (-1, "must be a positive integer")]
+
+
+@pytest.mark.parametrize("kind, key, value, message", [
+    *((kind, key, value, message) for kind in DOCUMENTS for key in model._DIMS for value, message in BAD_DIMENSIONS),
+    *(("game", "tau", value, "must be a real number") for value in (True, "1", None)),
+])
+def test_header_rejections(kind, key, value, message):
+    load, text = DOCUMENTS[kind]
+    doc = json.loads(text)
+    doc[key] = value
+    with pytest.raises(lq.GameSpecError) as err:
+        load(json.dumps(doc))
+    assert err.value.field == key
+    assert str(err.value) == f"{key}: {message}"
+
+
 def test_broadcast_shorthand():
     doc = json.loads(SCALAR_GAME_TEXT)
     doc["horizon"] = 4
@@ -109,6 +130,26 @@ def test_random_game_deterministic():
     assert lq.dump_game_spec(a) == lq.dump_game_spec(b)
     c = lq.random_game(2, 3, 2, 1, seed=8, scale=0.5)
     assert lq.dump_game_spec(a) != lq.dump_game_spec(c)
+
+
+def test_numpy_integer_dimensions_become_ints():
+    spec = lq.random_game(np.int64(2), 3, np.int32(2), 1, seed=0)
+    assert [type(getattr(spec, key)) for key in model._DIMS] == [int] * 4
+    assert lq.dump_game_spec(spec) == lq.dump_game_spec(lq.random_game(2, 3, 2, 1, seed=0))
+    again = lq.validate_game_spec(dataclasses.replace(spec, horizon=np.int64(3)))
+    assert type(again.horizon) is int
+
+
+@pytest.mark.parametrize("dims, key, message", [
+    ((2.0, 3, 2, 1), "num_agents", "must be an integer"),
+    ((2, 3, 2, True), "action_dim", "must be an integer"),
+    ((2, 0, 2, 1), "horizon", "must be a positive integer"),
+])
+def test_random_game_names_a_bad_dimension(dims, key, message):
+    with pytest.raises(lq.GameSpecError) as err:
+        lq.random_game(*dims, seed=0)
+    assert err.value.field == key
+    assert str(err.value) == f"{key}: {message}"
 
 
 def test_random_game_self_validates():

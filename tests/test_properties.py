@@ -8,6 +8,7 @@ Hypothesis profile in ``conftest.py`` is derandomized, so every run draws
 the same examples.
 """
 import dataclasses
+import json
 import warnings
 
 import numpy as np
@@ -126,6 +127,56 @@ def test_json_round_trips_bit_for_bit(spec, seed):
     assert np.array_equal(loaded.gains, joint.gains)
     assert np.array_equal(loaded.covs, joint.covs)
     assert lq.dump_joint_policy(loaded) == text
+
+
+@st.composite
+def shorthand_documents(draw):
+    """A random game document with each field, and each agent's entry of
+    ``B``, ``Q`` and ``R``, written in a random accepted form; and the
+    canonical document of the game it stands for."""
+    n, T, m, p = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    spec = lq.random_game(n, T, m, p, seed=draw(st.integers(0, 2**32 - 1)))
+
+    def written(arr, stacked):
+        """``arr`` in a drawn form, and the array that form stands for."""
+        forms = ["full"] + ["one matrix"] * stacked
+        if (arr[0] if stacked else arr).size == 1:
+            forms += ["scalar"] + ["one scalar per stage"] * stacked
+        form = draw(st.sampled_from(forms))
+        if form == "one matrix":
+            return arr[0].tolist(), np.broadcast_to(arr[0], arr.shape)
+        if form == "scalar":
+            return arr.flat[0], np.full(arr.shape, arr.flat[0])
+        return (arr.ravel() if form == "one scalar per stage" else arr).tolist(), arr
+
+    doc, expanded = {"num_agents": n, "horizon": T, "state_dim": m, "action_dim": p, "tau": spec.tau}, {}
+    for field in ("A", "B", "Q", "R", "noise_cov", "init_mean", "init_cov"):
+        arr = getattr(spec, field)
+        if field in ("B", "Q", "R"):
+            entries, arrays = zip(*(written(a, stacked=True) for a in arr))
+            doc[field] = entries[0] if n == 1 and draw(st.booleans()) else list(entries)
+            expanded[field] = np.stack(arrays)
+        else:
+            doc[field], expanded[field] = written(arr, stacked=field == "A")
+    return json.dumps(doc), lq.dump_game_spec(lq.validate_game_spec(dataclasses.replace(spec, **expanded)))
+
+
+# One agent without the agent nesting.  Read as a list of one agent,
+# "Q": [[3]] gives that agent the entry [3], one scalar for three stages,
+# which fails; the loader must read it again as one 1x1 matrix.
+ONE_AGENT_TEXT = ('{"num_agents": 1, "horizon": 2, "state_dim": 1, "action_dim": 1, "tau": 2, "A": [[1]],'
+                  ' "B": [0.5, 1], "Q": [[3]], "R": 1, "noise_cov": 0, "init_mean": 1, "init_cov": [[0]]}')
+ONE_AGENT_SPEC = lq.GameSpec(1, 2, 1, 1, 2.0, A=np.ones((2, 1, 1)), B=np.array([0.5, 1.0]).reshape(1, 2, 1, 1),
+                             Q=np.full((1, 3, 1, 1), 3.0), R=np.ones((1, 2, 1, 1)), noise_cov=np.zeros((1, 1)),
+                             init_mean=np.ones(1), init_cov=np.zeros((1, 1)))
+
+
+@given(shorthand_documents())
+@example((ONE_AGENT_TEXT, lq.dump_game_spec(ONE_AGENT_SPEC)))
+def test_shorthand_forms_load_as_the_expanded_document(documents):
+    text, expanded = documents
+    assert lq.dump_game_spec(lq.load_game_spec(text)) == expanded
+    assert lq.dump_game_spec(lq.load_game_spec(expanded)) == expanded
 
 
 def _assert_permuted(actual, original, order, scale=None):

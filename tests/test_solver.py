@@ -303,6 +303,15 @@ class TestDeltaAugment:
         for max_rounds in (2.5, True, np.float64(3.0)):
             with pytest.raises(ValueError, match="max_rounds must be an integer"):
                 lq.delta_augment_solve(spec, delta_init=0.1, max_rounds=max_rounds)
+        # po_solve's arguments are checked before the first round, so a game
+        # whose rounds all fail still reports them, not the failed rounds.
+        failing = lq.random_game(2, 2, 2, 1, seed=11, scale=0.8)
+        for kwargs, match in [({"inner_iters": 2.5}, "inner_iters must be an integer"),
+                              ({"inner_iters": 0}, "inner_iters must be >= 1"),
+                              ({"stop_tol": float("nan")}, "stop_tol must be positive"),
+                              ({"inner_iters": None, "stop_tol": None}, "need inner_iters")]:
+            with pytest.raises(ValueError, match=match):
+                lq.delta_augment_solve(failing, delta_init=1e-6, growth=1.5, max_rounds=2, **kwargs)
 
     @pytest.mark.parametrize("margin", [-1.0, float("nan")])
     def test_bad_margin_rejected_before_any_solve(self, monkeypatch, margin):
