@@ -5,12 +5,13 @@ axis: the joint gain system of the solvers (its tail-free blocks from
 :func:`stage_blocks`, its tail products ``B^i^T P^i B^j`` and
 ``B^i^T P^i A`` from :func:`joint_products`), the one responder step of a
 best response (:func:`_respond`), the stage covariance, the closed loop,
-the stage noise, the own-cost, value and offset steps, the expected cost
-and the uniqueness threshold.  A backward pass keeps in its stage loop
-only the work that needs the tail ``P_{t+1}``; the rest is stacked over
-all stages, and the offsets are one reverse cumulative sum.  Every
-contraction is a stacked matrix product; a sum over agents is one product
-of blocks, such as ``[B^1 ... B^N] [K^1; ...; K^N]`` for the closed loop.
+the stage noise, the own-cost and value steps, the offsets, the expected
+cost and the uniqueness threshold.  A backward pass keeps in its stage
+loop only the work that needs the tail ``P_{t+1}``; the rest is stacked
+over all stages, and the offsets are every stage's term at once, then one
+reverse cumulative sum.  Every contraction is a stacked matrix product; a
+sum over agents is one product of blocks, such as ``[B^1 ... B^N] [K^1;
+...; K^N]`` for the closed loop.
 
 Public here: the Gaussian minimizer of an entropy-regularized quadratic
 stage cost with its KL and objective helpers, and :func:`best_response_full`,
@@ -181,16 +182,11 @@ def lyapunov_values(spec: GameSpec, gains: np.ndarray) -> np.ndarray:
     return P
 
 
-def offset_terms(tau: float, weight, covs, logdets, noise, tails) -> np.ndarray:
-    """Offset terms ``tr(cov ((tau/2) I + R)) - (tau/2)(p + log|cov|) + tr(W P_next)``, ``W`` the noise."""
-    p = covs.shape[-1]
-    return _trace(covs @ weight) - 0.5 * tau * (p + logdets) + _trace(noise @ tails)
-
-
 def value_offsets(tau: float, weight, covs, logdets, noise, P) -> np.ndarray:
-    """Offsets ``q_t = q_{t+1} + term_t``, ``q_T = 0``, of the values ``P`` stacked
-    ``(..., T+1, m, m)``: all :func:`offset_terms` at once, then a reverse cumsum."""
-    terms = offset_terms(tau, weight, covs, logdets, noise, P[..., 1:, :, :])
+    """Offsets ``q_t = q_{t+1} + tr(cov ((tau/2) I + R)) - (tau/2)(p + log|cov|) + tr(W P_{t+1})``,
+    ``q_T = 0``, ``W`` the noise, of the values ``P`` stacked ``(..., T+1, m, m)``:
+    every stage's term at once, then a reverse cumsum."""
+    terms = _trace(covs @ weight) - 0.5 * tau * (covs.shape[-1] + logdets) + _trace(noise @ P[..., 1:, :, :])
     q = np.zeros(P.shape[:-2])
     q[..., :-1] = np.cumsum(terms[..., ::-1], axis=-1)[..., ::-1]
     return q

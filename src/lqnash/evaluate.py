@@ -71,6 +71,7 @@ def _policy_cholesky(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return chol, _logdets(chol)
 
 
+@np.errstate(all="ignore")  # overflow is reported below, by agent and stage
 def value_certificate(spec: GameSpec, joint: JointPolicy) -> ValueCertificate:
     """Exact per-agent cost of a joint policy via backward recursions.
 
@@ -83,13 +84,23 @@ def value_certificate(spec: GameSpec, joint: JointPolicy) -> ValueCertificate:
     entropy terms, and ``tr(W_t P_{t+1})`` with ``W_t = noise_cov +
     sum_j B^j cov^j B^j^T`` collecting process noise plus every agent's
     action noise pushed through its input matrix.
+
+    Raises ``ValueError`` naming the first agent, and its last stage, whose
+    values, offsets or expected cost are not finite.
     """
     check_policy_shape(spec, joint)
     _, logdets = _policy_cholesky(joint.covs)
     P = lyapunov_values(spec, joint.gains)
     noise = stage_noise(spec, slice(None), joint.covs)
     q = value_offsets(spec.tau, own_weight(spec.tau, spec.R), joint.covs, logdets, noise, P)
-    return _certificate(spec, P, q)
+    cert = _certificate(spec, P, q)
+    bad = ~(np.isfinite(P).all(axis=(-2, -1)) & np.isfinite(q))
+    bad[:, 0] |= ~np.isfinite(cert.expected_costs)
+    if bad.any():
+        i = int(bad.any(axis=1).argmax())
+        t = spec.horizon - int(bad[i, ::-1].argmax())
+        raise ValueError(f"agent {i}: certified values are not finite at stage {t}; the policy's costs overflow")
+    return cert
 
 
 def _certificate(spec: GameSpec, P: np.ndarray, q: np.ndarray) -> ValueCertificate:
@@ -145,6 +156,7 @@ def _psd_factor(x: np.ndarray) -> np.ndarray:
 _DRAW_CHUNK = 1024
 
 
+@np.errstate(all="ignore")  # overflow is reported below, by agent
 def simulate(
     spec: GameSpec,
     joint: JointPolicy,
@@ -168,7 +180,8 @@ def simulate(
     buffers, and the kernel writes the chunk's rows of the run's states,
     actions and costs.  Realized costs include the regularizer ``tau *
     log(pi/mu)`` evaluated at the sample.  ``n_traj`` and ``seed`` must be
-    Python or numpy integers, not ``bool``.
+    Python or numpy integers, not ``bool``.  Raises ``ValueError`` naming
+    the first agent whose costs, mean or standard error are not finite.
     """
     n_traj, seed = _integer("n_traj", n_traj), _integer("seed", seed)
     if n_traj < 1:
@@ -234,6 +247,11 @@ def simulate(
         std_errors = costs.std(axis=0, ddof=1) / np.sqrt(n_traj)
     else:
         std_errors = np.zeros(n)
+    # A state or action past the float range makes every cost of its
+    # trajectory inf or NaN (inf * 0 is NaN), so the costs cover them.
+    bad = ~(np.isfinite(costs).all(axis=0) & np.isfinite(mean_costs) & np.isfinite(std_errors))
+    if bad.any():
+        raise ValueError(f"agent {int(bad.argmax())}: simulated costs are not finite; the rollouts overflow")
     return SimulationResult(
         states=states,
         actions=actions,

@@ -8,9 +8,9 @@ agents' best responses simultaneously within each stage.  The latter is
 block-Jacobi on the same system.  Both exploit the fact that with
 entropy-regularized costs every equilibrium policy is linear Gaussian.
 They share one backward stage loop, differing only in its gain step, and
-one set of checks, stacked after the loop, of which only the condition of
-``Phi_t`` is the exact pass's alone; one stage-by-stage replay names a
-failure in the same words for both.
+one check function, of which only the condition of ``Phi_t`` is the exact
+pass's alone.  It runs once over all stages after the loop and, only to
+name a failure, stage by stage, in the same words for both.
 
 Also here: the regularization-adequacy check, and the tau-augmentation
 fallback used when that check fails.
@@ -18,12 +18,11 @@ fallback used when that check fails.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .control import (_frobenius, _logdets, _max_frobenius, joint_products, offset_terms, own_cost, stage_blocks,
+from .control import (_frobenius, _logdets, _max_frobenius, joint_products, own_cost, stage_blocks,
                       stage_covariance, stage_noise, uniqueness_threshold, value_offsets, value_step)
 from .evaluate import exploitability
 from .model import GameSpec, JointPolicy, _integer
@@ -99,25 +98,6 @@ class SolveReport:
     nash_gaps: np.ndarray | None = None
 
 
-def _finite(t: int, what: str, *arrays: np.ndarray) -> None:
-    """Raise :class:`SolverError` naming stage ``t`` unless every entry is finite."""
-    for a in arrays:
-        if not np.isfinite(a).all():
-            raise SolverError(f"stage {t}: {what} are not finite; the backward pass diverged")
-
-
-@contextmanager
-def _stage(t: int):
-    """One stage of a stage-by-stage check.  Overflow is left to the
-    :func:`_finite` checks rather than warned about, and a singular solve or
-    factorization anywhere in the stage raises :class:`SolverError` naming ``t``."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            yield
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"stage {t}: singular stage matrix ({exc}); the backward pass diverged") from None
-
-
 def _diagonal(n: int, p: int) -> np.ndarray:
     """Flat positions ``(N, p, p)`` of the diagonal blocks ``(i, :, i, :)`` of an ``(N p, N p)`` matrix."""
     return np.arange((n * p) ** 2).reshape(n, p, n, p)[np.arange(n), :, np.arange(n)]
@@ -137,9 +117,8 @@ def exact_ne(spec: GameSpec, cond_limit: float = COND_LIMIT) -> NESolution:
     this.  Also raises :class:`SolverError` naming the stage when its stage
     matrices, open-loop values, values or offsets overflow or one of its
     solves or factorizations is singular, so a diverged pass never yields
-    a policy; these checks are :func:`po_solve`'s too.  The checks run
-    stacked after the stage loop; the error is that of the first failing
-    check of a stage-by-stage pass.
+    a policy; these checks are :func:`po_solve`'s too, and the error is
+    that of the first check a stage-by-stage pass fails.
     """
     return _exact_backward(spec, cond_limit)
 
@@ -202,60 +181,70 @@ def _backward(spec: GameSpec, blocks, gain_step, margin: float | None = None):
 
 
 def _check_pass(spec: GameSpec, blocks, run, cond_limit: float | None = None):
-    """Check a pass ``run`` of :func:`_backward`, stacked over its stages;
-    return its policy, its stage covariances ``(T, N, p, p)`` and its offsets
-    ``(N, T+1)``.  Both solvers need every solve and Cholesky factor to be
-    nonsingular and finite stage matrices, open-loop values, values and
-    offsets; :func:`exact_ne`, the solver that solves ``Phi_t`` (given a
-    ``cond_limit``), also needs every ``cond(Phi_t)`` within it.  On a
-    failure, a replay raises the error of the first check that a
-    stage-by-stage pass fails."""
-    phis, BPA, gains, P, failure = run
+    """Check a pass ``run`` of :func:`_backward` with :func:`_stage_checks` over
+    all stages and, only if that fails or the loop stopped early, stage by
+    stage from ``T-1`` down, to raise the first failure with its stage.
+    Returns the policy, stage covariances ``(T, N, p, p)`` and offsets ``(N, T+1)``."""
+    gains, failure = run[2], run[4]
     n, T = spec.num_agents, spec.horizon
-    m, p = spec.state_dim, spec.action_dim
+    checked = None if failure else _stage_checks(spec, blocks, run, 0, T, cond_limit)
+    if isinstance(checked, tuple):
+        covs, q = checked
+        gains = gains.reshape(T, n, spec.action_dim, spec.state_dim).swapaxes(0, 1)
+        return JointPolicy(gains, covs.swapaxes(0, 1)), covs, q
+    # Stage by stage, the checks do the stacked arithmetic matrix by matrix; a
+    # stacked failure that no later stage reproduces is charged to stage 0.
+    first, error = failure or (0, SolverError(checked))
+    q = np.zeros((n, 1))
+    for t in range(T - 1, first - 1, -1):
+        checked = _stage_checks(spec, blocks, run, t, t + 1, cond_limit, error if t == first else None, q)
+        if isinstance(checked, str):
+            raise SolverError(f"stage {t}: {checked}")
+        q = checked[1][:, :1]
+
+
+def _stage_checks(spec: GameSpec, blocks, run, lo: int, hi: int, cond_limit=None, error=None, q_next=0.0):
+    """The checks of stages ``lo:hi`` of a pass ``run``, in the order a stage
+    meets them: finite stage matrices and ``B^T P A``; finite open-loop values;
+    ``cond(Phi_t)`` within a ``cond_limit`` (only :func:`exact_ne` solves
+    ``Phi_t``); the loop's own ``error``; a nonsingular covariance solve and
+    Cholesky factor; finite values and offsets, ``q_next`` ``(N, 1)`` those of
+    stage ``hi``.  Returns the first failure's text, else the covariances
+    ``(hi-lo, N, p, p)`` and offsets ``(N, hi-lo+1)`` of the stages."""
+    phis, BPA, _, P, _ = run
+    n, p = spec.num_agents, spec.action_dim
     weight, reg = blocks[2:]
-    brackets = phis.reshape(T, -1).take(_diagonal(n, p), axis=1)  # C-ordered, stage-major
-    brackets += spec.R.swapaxes(0, 1)
-    systems = phis + reg
+    A, diverged = spec.A[lo:hi], "are not finite; the backward pass diverged"
     with np.errstate(over="ignore", invalid="ignore"):
+        systems = phis[lo:hi] + reg[lo:hi]
+        if not (np.isfinite(systems).all() and np.isfinite(BPA[lo:hi]).all()):
+            return f"stage matrices {diverged}"
         # Beyond the float range, round-off in the closed loop A + sum B K,
         # weighted by the tail values, exceeds any value the stage can certify.
-        open_loop = spec.A.swapaxes(-1, -2) @ P[:, 1:] @ spec.A
-        if failure is None:
-            try:
-                covs = stage_covariance(brackets, spec.tau)
-                agent_covs = covs.swapaxes(0, 1)
-                logdets = _logdets(np.linalg.cholesky(agent_covs))
-                noise = stage_noise(spec, slice(None), agent_covs)
-                q = value_offsets(spec.tau, weight, agent_covs, logdets, noise, P)
-                ok = all(np.isfinite(a).all() for a in (systems, BPA, P, open_loop, q))
-                if ok and cond_limit is not None:
-                    cond = np.linalg.cond(systems)
-                    ok = bool((np.isfinite(cond) & (cond <= cond_limit)).all())
-                if ok:
-                    gains = gains.reshape(T, n, p, m).swapaxes(0, 1)
-                    return JointPolicy(gains, agent_covs), covs, q
-            except np.linalg.LinAlgError:
-                pass
-    (first, error), q_t = failure or (0, None), np.zeros(n)
-    for t in range(T - 1, first - 1, -1):
-        with _stage(t):
-            _finite(t, "stage matrices", systems[t], BPA[t])
-            _finite(t, "open-loop values", open_loop[:, t])
+        if not np.isfinite(A.swapaxes(-1, -2) @ P[:, lo + 1 : hi + 1] @ A).all():
+            return f"open-loop values {diverged}"
+        try:
             if cond_limit is not None:
-                cond = float(np.linalg.cond(systems[t]))
-                if not (np.isfinite(cond) and cond <= cond_limit):
-                    raise SolverError(
-                        f"stage {t}: coupling matrix condition {cond:.3e} exceeds {cond_limit:.1e}; "
-                        "non-unique or ill-conditioned equilibrium, consider tau augmentation"
-                    )
-            if error is not None and t == first:
+                cond = np.linalg.cond(systems)
+                bad = ~(np.isfinite(cond) & (cond <= cond_limit))
+                if bad.any():
+                    return (f"coupling matrix condition {cond[bad][-1]:.3e} exceeds {cond_limit:.1e}; "
+                            "non-unique or ill-conditioned equilibrium, consider tau augmentation")
+            if error is not None:
                 raise error
-            cov = stage_covariance(brackets[t], spec.tau)
-            logdets = _logdets(np.linalg.cholesky(cov))
-            q_t = q_t + offset_terms(spec.tau, weight[:, t], cov, logdets, stage_noise(spec, t, cov), P[:, t + 1])
-            _finite(t, "value matrices", P[:, t], q_t)
-    raise SolverError("a stacked stage check failed that no single stage reproduces")
+            brackets = phis[lo:hi].reshape(hi - lo, -1).take(_diagonal(n, p), axis=1)  # C-ordered, stage-major
+            covs = stage_covariance(brackets + spec.R[:, lo:hi].swapaxes(0, 1), spec.tau)
+            agent_covs = covs.swapaxes(0, 1)
+            logdets = _logdets(np.linalg.cholesky(agent_covs))
+        except np.linalg.LinAlgError as exc:
+            return f"singular stage matrix ({exc}); the backward pass diverged"
+        except SolverError as exc:
+            return str(exc)
+        noise = stage_noise(spec, slice(lo, hi), agent_covs)
+        q = value_offsets(spec.tau, weight[:, lo:hi], agent_covs, logdets, noise, P[:, lo : hi + 1]) + q_next
+        if not (np.isfinite(P[:, lo:hi]).all() and np.isfinite(q).all()):
+            return f"value matrices {diverged}"
+    return covs, q
 
 
 def _condition(spec: GameSpec, gamma_p: float, margin: float, gamma_b: float | None = None) -> ConditionRecord:
@@ -358,7 +347,7 @@ def po_solve(
                 # that, a non-normal M can grow transiently and still converge.
                 grew = True
                 if not (np.isfinite(M).all() and np.abs(np.linalg.eigvals(M)).max() < 1.0):
-                    raise SolverError(f"stage {t}: inner iteration diverged, gain distance {first[t]:.3e} "
+                    raise SolverError(f"inner iteration diverged, gain distance {first[t]:.3e} "
                                       f"to {gain:.3e} in {len(distances) + 1} iterations")
             G = new
             distances.append(float(d))

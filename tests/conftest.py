@@ -49,6 +49,17 @@ def random_pd_policy(spec: lq.GameSpec, rng: np.random.Generator, gain_scale: fl
     return lq.JointPolicy(gains, covs)
 
 
+def overflowing_policies():
+    """A small game, and its equilibrium with the gains scaled by 1e200
+    (its certificate overflows) and with one covariance set to 1e300 (its
+    certificate is finite, but sampled costs overflow)."""
+    spec = lq.random_game(2, 3, 2, 1, seed=1)
+    policy = lq.exact_ne(spec).policy
+    covs = policy.covs.copy()
+    covs[0, 0] = 1e300
+    return spec, {"gains": lq.JointPolicy(policy.gains * 1e200, policy.covs), "cov": lq.JointPolicy(policy.gains, covs)}
+
+
 def with_tau(spec: lq.GameSpec, tau: float) -> lq.GameSpec:
     return spec.with_tau(tau)
 

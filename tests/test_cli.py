@@ -17,7 +17,7 @@ import lqnash as lq
 from lqnash import _csvrows, cli
 from lqnash.cli import main
 
-from conftest import SCALAR_GAME_TEXT, random_pd_policy
+from conftest import SCALAR_GAME_TEXT, overflowing_policies, random_pd_policy
 
 
 @pytest.fixture
@@ -396,6 +396,23 @@ def _serial_bytes(traj_game, n_traj, monkeypatch, seed=5):
         m.setattr(cli, "_usable_cpus", lambda: 1)
         _simulate(traj_game, n_traj, seed)
     return (traj_game[2] / "trajectories.csv").read_bytes()
+
+
+@pytest.mark.parametrize("kind, command, code", [("gains", "eval", 2), ("gains", "simulate", 2),
+                                                ("cov", "eval", 0), ("cov", "simulate", 2)])
+def test_overflowing_policy_exit_code(tmp_path, capsys, kind, command, code):
+    """An overflowing certificate or sample exits 2, without a numpy warning,
+    and writes no file; a finite certificate of a huge covariance is written."""
+    spec, policies = overflowing_policies()
+    (tmp_path / "spec.json").write_text(lq.dump_game_spec(spec))
+    (tmp_path / "policy.json").write_text(lq.dump_joint_policy(policies[kind]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(command, "--spec", tmp_path / "spec.json", "--out", tmp_path) == code
+    written = {"certificate.json"} if code == 0 else set()
+    assert {p.name for p in tmp_path.iterdir()} == {"spec.json", "policy.json"} | written
+    if code:
+        assert "error (validation): agent 0: " in capsys.readouterr().err
 
 
 def _assert_nothing_left(out, started, files=("certificate.json", "costs.csv", "policy.json", "trajectories.csv")):

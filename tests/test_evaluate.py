@@ -10,7 +10,7 @@ import lqnash as lq
 from lqnash import evaluate
 from lqnash._rollout import rollout
 
-from conftest import random_pd_policy, with_tau
+from conftest import overflowing_policies, random_pd_policy, with_tau
 
 
 def scalar_rest_policy():
@@ -520,3 +520,21 @@ class TestRolloutKernel:
             npt.assert_array_equal(states, ref_states)
             npt.assert_array_equal(actions, ref_actions)
             npt.assert_allclose(costs, ref_costs, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("kind", ["gains", "cov"])
+def test_overflowing_policy_is_a_named_error(kind):
+    """A certificate or a sample past the float range is a ValueError that
+    names the agent (and the stage), with no numpy warning on the way."""
+    spec, policies = overflowing_policies()
+    policy = policies[kind]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if kind == "gains":
+            for certify in (lq.value_certificate, lq.exploitability):
+                with pytest.raises(ValueError, match="^agent 0: certified values are not finite at stage 2;"):
+                    certify(spec, policy)
+        else:
+            assert np.isfinite(lq.value_certificate(spec, policy).expected_costs).all()
+        with pytest.raises(ValueError, match="^agent 0: simulated costs are not finite;"):
+            lq.simulate(spec, policy, 20, 0)

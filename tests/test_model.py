@@ -104,6 +104,48 @@ def test_header_rejections(kind, key, value, message):
     assert str(err.value) == f"{key}: {message}"
 
 
+BIG = 10**400  # an integer literal past the float range
+# Each document with one entry that is not a JSON number, in a field of the
+# right shape; numpy would read most of them as numbers.
+BAD_ENTRIES = {
+    "string": ("game", {"A": ["1"]}, "A"),
+    "padded-string": ("game", {"Q": [1, " 1e0 "]}, "Q"),
+    "scalar-string": ("game", {"init_mean": "0.5"}, "init_mean"),
+    "bool": ("game", {"B": [True]}, "B"),
+    "scalar-bool": ("game", {"noise_cov": False}, "noise_cov"),
+    "bool-among-floats": ("game", {"Q": [1.0, True]}, "Q"),
+    "bool-among-ints": ("game", {"Q": [1, False]}, "Q"),
+    "null": ("game", {"A": [None]}, "A"),
+    "scalar-null": ("game", {"init_cov": None}, "init_cov"),
+    "big-integer": ("game", {"R": [BIG]}, "R"),
+    "big-tau": ("game", {"tau": BIG}, "tau"),
+    "policy-string": ("policy", {"gains": [[[["0"]]]]}, "gains"),
+    "policy-bool": ("policy", {"covs": [[[[True]]]]}, "covs"),
+    "policy-bool-among-floats": ("policy", {"state_dim": 2, "gains": [[[[0.5, True]]]]}, "gains"),
+    "policy-null": ("policy", {"gains": [[[[None]]]]}, "gains"),
+    "policy-big-integer": ("policy", {"covs": [[[[BIG]]]]}, "covs"),
+}
+
+
+@pytest.mark.parametrize("kind, updates, field", BAD_ENTRIES.values(), ids=BAD_ENTRIES)
+def test_entries_must_be_json_numbers(kind, updates, field):
+    load, text = DOCUMENTS[kind]
+    doc = json.loads(text)
+    doc.update(updates)
+    with pytest.raises(lq.GameSpecError) as err:
+        load(json.dumps(doc))
+    assert err.value.field == field
+    message = "must be a finite real" if field == "tau" else "not a (rectangular) numeric array"
+    assert str(err.value) == f"{field}: {message}"
+
+
+def test_integers_beyond_64_bits_are_numbers():
+    doc = json.loads(SCALAR_GAME_TEXT)
+    doc["A"], doc["tau"] = [2**64], 2**70
+    spec = lq.load_game_spec(json.dumps(doc))
+    assert spec.A[0, 0, 0] == 2.0**64 and spec.tau == 2.0**70
+
+
 def test_broadcast_shorthand():
     doc = json.loads(SCALAR_GAME_TEXT)
     doc["horizon"] = 4

@@ -8,6 +8,7 @@ Hypothesis profile in ``conftest.py`` is derandomized, so every run draws
 the same examples.
 """
 import dataclasses
+import functools
 import json
 import warnings
 
@@ -243,3 +244,59 @@ def test_solvers_return_finite_or_name_the_divergence(spec):
             assert _all_finite(report.policy.gains, report.policy.covs)
             cert = lq.value_certificate(spec, report.policy)
             assert _all_finite(cert.P, cert.q, cert.expected_costs)
+
+
+@st.composite
+def small_games(draw):
+    """Short horizons and ``A``/``B`` entries up to 1.5, so PO may diverge,
+    but values stay far inside the float range even when scaled by 2**400."""
+    spec = lq.random_game(draw(st.integers(1, 3)), draw(st.integers(1, 5)), draw(st.integers(1, 3)),
+                          draw(st.integers(1, 3)), seed=draw(st.integers(0, 2**32 - 1)),
+                          scale=draw(st.sampled_from([0.3, 0.8, 1.5])))
+    return spec.with_tau(draw(st.sampled_from([0.1, 1.0, 10.0])))
+
+
+def _solved(solve, spec):
+    """The result of ``solve(spec)``, or the text of its ``SolverError``."""
+    try:
+        return solve(spec)
+    except lq.SolverError as exc:
+        return str(exc)
+
+
+def _costs_and_gaps(spec, policy):
+    return lq.value_certificate(spec, policy).expected_costs, lq.exploitability(spec, policy)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
+@given(small_games())
+def test_scaling_costs_and_tau_by_a_power_of_two_scales_every_value(spec):
+    """Multiplying ``Q``, ``R`` and ``tau`` by ``2**k`` scales every value,
+    offset, cost and Nash gap by exactly ``2**k`` and leaves the policies,
+    PO's traces, the check's verdict and every solver error as they are:
+    every operation of the solvers is exact under a power-of-two scale."""
+    solvers = (lq.exact_ne, functools.partial(lq.exact_ne, cond_limit=2.0), lq.po_solve)
+    results = [_solved(solve, spec) for solve in solvers]
+    policies = [r.policy for r in results if not isinstance(r, str)]
+    for k in (-400, -60, -8, 8, 60, 400):
+        f = 2.0**k
+        scaled = lq.validate_game_spec(dataclasses.replace(spec, Q=spec.Q * f, R=spec.R * f, tau=spec.tau * f))
+        for result, result_k in zip(results, [_solved(solve, scaled) for solve in solvers]):
+            if isinstance(result, str):
+                assert result_k == result
+                continue
+            assert _bits(result_k.policy.gains) == _bits(result.policy.gains)
+            assert _bits(result_k.policy.covs) == _bits(result.policy.covs)
+            if isinstance(result, lq.SolveReport):
+                assert result_k.trace == result.trace
+                continue
+            assert _bits(result_k.riccati) == _bits(result.riccati * f)
+            assert _bits(result_k.offsets) == _bits(result.offsets * f)
+            satisfied = lq.check_assumption_tau(spec, result).satisfied
+            assert lq.check_assumption_tau(scaled, result_k).satisfied == satisfied
+        for policy in policies:
+            for value, value_k in zip(_costs_and_gaps(spec, policy), _costs_and_gaps(scaled, policy)):
+                assert _bits(value_k) == _bits(value * f)

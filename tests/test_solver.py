@@ -1,5 +1,6 @@
 import dataclasses
 import re
+from contextlib import contextmanager
 
 import numpy as np
 import numpy.testing as npt
@@ -565,6 +566,25 @@ def test_failing_round_stops_early_and_passing_round_runs_in_full(monkeypatch):
     assert bits(sol.policy.gains) == bits(full.policy.gains)
 
 
+def _finite(t: int, what: str, *arrays: np.ndarray) -> None:
+    """Raise :class:`SolverError` naming stage ``t`` unless every entry is finite."""
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise lq.SolverError(f"stage {t}: {what} are not finite; the backward pass diverged")
+
+
+@contextmanager
+def _stage(t: int):
+    """One stage of a stage-by-stage check.  Overflow is left to the
+    :func:`_finite` checks rather than warned about, and a singular solve or
+    factorization anywhere in the stage raises :class:`SolverError` naming ``t``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            yield
+        except np.linalg.LinAlgError as exc:
+            raise lq.SolverError(f"stage {t}: singular stage matrix ({exc}); the backward pass diverged") from None
+
+
 def reference_po(spec, inner_iters=None, stop_tol=1e-10):
     """``po_solve`` with the covariance, its norm, the modulus and the value
     norm computed inside the stage loop, one stage at a time.  Also returns
@@ -582,13 +602,13 @@ def reference_po(spec, inner_iters=None, stop_tol=1e-10):
     gamma_p = gamma_p_seen = _max_frobenius(tails)
     trace_by_stage, moduli = [()] * T, np.zeros(T)
     for t in range(T - 1, -1, -1):
-        with solver._stage(t):
+        with _stage(t):
             moduli[t] = uniqueness_threshold(spec, gamma_p, gamma_b)[1] / spec.tau
             products, BPA = joint_products(Bt[:, t], side[t], spec.A[t], tails)
             blocks = products.reshape(n, p, n, p)
             bracket = brackets[t] = spec.R[:, t] + blocks[agents, :, agents]
             H = half + bracket
-            solver._finite(t, "stage matrices", products, H, BPA)
+            _finite(t, "stage matrices", products, H, BPA)
             blocks[agents, :, agents] = 0.0
             rhs = np.concatenate((BPA.reshape(n, p, m), products.reshape(n, p, n * p)), axis=-1)
             factored = -np.linalg.solve(H, rhs)
@@ -605,10 +625,10 @@ def reference_po(spec, inner_iters=None, stop_tol=1e-10):
                     break
             gains[t] = G
             trace_by_stage[t] = tuple(distances)
-            solver._finite(t, "policy gains", G)
+            _finite(t, "policy gains", G)
             Qown = spec.Q[:, t] + own_cost(weight[:, t], G.reshape(n, p, m))
             tails = solver.value_step(Qown, spec.A[t] + side[t] @ G, tails)
-            solver._finite(t, "tail value matrices", tails)
+            _finite(t, "tail value matrices", tails)
             gamma_p = _max_frobenius(tails)
             gamma_p_seen = max(gamma_p_seen, gamma_p)
     gains = gains.reshape(T, n, p, m).swapaxes(0, 1)
