@@ -1,0 +1,417 @@
+"""Text layout of the CLI's large output files, in a module that imports no numpy.
+
+Every array of a JSON document is laid out here as ``json.dumps(indent=2)``
+lays out the nested list, and every line of ``trajectories.csv`` as
+``csv.writer`` writes it; floats are written with ``repr``, as both do.
+
+The CLI lays out text in its own process, and with two usable CPUs it may
+also start one worker interpreter per command (:func:`start`) that runs this
+module with ``python -I -S``, so without numpy; run as a script,
+``python -I -S _text.py``, the module is a worker as well.
+
+While the CLI formats the head of a large file, the worker formats its
+tail.  Both call :func:`render`, so the bytes are the same whichever
+process formats them.  A job (:func:`job`) is a line with two sizes, the
+job's items in ``marshal`` format, and the raw float64 values the items
+take in order.  The worker reads a whole job from its stdin before it
+formats anything, so the CLI never waits on a full pipe while it formats
+its own part.  It writes the job's text in UTF-8, as it goes, to an unnamed
+file that the CLI passes it as a descriptor, then the text's byte length as
+a line to stdout.  It exits 0 at the end of its input, nonzero on a short
+or malformed job.  It imports only builtin and small modules, so it is
+ready in 10-14 ms.
+"""
+import marshal
+import operator
+import sys
+
+# Slots of the largest template kept: one lays out as many entries of an
+# array's leading axis as fit, and a larger entry is laid out along its own
+# leading axis.  This bounds every template.
+_MAX_BLOCK = 1024
+# Floats a worker must format for a job to repay sending them, reading
+# its text back and decoding it.
+MIN_SHARE = 4096
+# The share of a document's work that this process keeps, the head; it
+# also sends the tail's floats and decodes and joins the worker's text.
+_HEAD_SHARE = 0.5
+
+# Templates and mirror getters kept for reuse.
+_KEPT = 32
+# The worker's command line after the interpreter: it imports this module
+# from its directory, so its cached bytecode is used.
+_BOOT = "import sys; sys.path.insert(0, sys.argv[1]); import _text; _text.main()"
+
+_replies = None  # the unnamed file the worker writes its text to
+_worker = None  # this process's worker, a subprocess.Popen, while one runs
+
+
+def _layout(shape: tuple, level: int) -> str:
+    """``%`` template of an array of ``shape`` at nesting ``level``, as
+    ``json.dumps(indent=2)`` lays out the nested list: one ``%s`` slot per
+    entry, in row-major order."""
+    if not shape:
+        return "%s"
+    if shape[0] == 0:
+        return "[]"
+    pad = "\n" + "  " * (level + 1)
+    inner = _layout(shape[1:], level + 1)
+    return "[" + pad + ("," + pad).join([inner] * shape[0]) + "\n" + "  " * level + "]"
+
+
+def _kept(build):
+    """``build`` that keeps its last ``_KEPT`` results.  A bounded cache
+    without ``functools``, whose import would slow the worker's start."""
+    kept = {}
+
+    def get(*key):
+        if key not in kept:
+            if len(kept) >= _KEPT:
+                del kept[next(iter(kept))]  # the oldest
+            kept[key] = build(*key)
+        return kept[key]
+
+    get.kept = kept
+    return get
+
+
+def _group(shape: tuple, level: int, count: int) -> str:
+    """``%`` template of ``count`` consecutive entries of ``shape`` at
+    nesting ``level``, with the separators between them."""
+    return (",\n" + "  " * level).join([_layout(shape, level)] * count)
+
+
+def _gather(count: int, m: int):
+    """Getter of the row-major entries of ``count`` symmetric ``m x m``
+    matrices from a list of their upper triangles, row by row."""
+    upper = {(i, j): k for k, (i, j) in enumerate((i, j) for i in range(m) for j in range(i, m))}
+    one = [upper[min(i, j), max(i, j)] for i in range(m) for j in range(m)]
+    return operator.itemgetter(*[c * len(upper) + k for c in range(count) for k in one])
+
+
+_template, _mirror = _kept(_group), _kept(_gather)
+
+
+def entries(shape, mirror: bool) -> int:
+    """Entries of an array that :func:`array` can lay out apart: those of
+    its leading axis, or one for a scalar or a single mirrored matrix."""
+    return 1 if not shape or mirror and len(shape) == 2 else shape[0]
+
+
+def values_per_entry(shape, mirror: bool) -> int:
+    """Floats that :func:`array` takes for each of :func:`entries`: an
+    entry's size, or with ``mirror`` the upper triangles of its matrices."""
+    size = 1
+    for d in shape:
+        size *= d
+    if mirror:
+        m = shape[-1]
+        size = size // (m * m) * (m * (m + 1) // 2)
+    n = entries(shape, mirror)
+    return size // n if n else 0
+
+
+def array(shape, level: int, mirror: bool, lo: int, hi: int, values: list) -> str:
+    """Text of entries ``lo:hi`` of an array of ``shape`` at nesting
+    ``level``: for ``lo == 0`` the opening bracket, else the separator before
+    entry ``lo``; then the entries; for the last entry the closing bracket.
+    So the texts of entries ``0:k`` and ``k:n`` join to the array's text.
+
+    ``values`` holds the entries' floats in row-major order.  With
+    ``mirror`` the array is a stack of symmetric square matrices, and
+    ``values`` holds only each matrix's upper triangle, row by row; each
+    lower entry reuses the text of its mirror image.
+    """
+    shape = tuple(shape)
+    if not shape:
+        return repr(values[0])
+    if shape[0] == 0:
+        return "[]"
+    if mirror and len(shape) == 2:  # the layout of a matrix past the bound is not kept
+        layout, gather = (_template, _mirror) if shape[0] * shape[1] <= _MAX_BLOCK else (_group, _gather)
+        return layout(shape, level, 1) % gather(1, shape[0])(list(map(repr, values)))
+    pad = "\n" + "  " * (level + 1)
+    block, size, per = shape[1:], values_per_entry(shape, False), values_per_entry(shape, mirror)
+    if not block:
+        body = ("," + pad).join(map(repr, values))
+    elif size > _MAX_BLOCK:
+        body = ("," + pad).join([array(block, level + 1, mirror, 0, entries(block, mirror), values[i:i + per])
+                                 for i in range(0, (hi - lo) * per, per)])
+    else:  # one template for as many entries as the bound allows
+        step = max(1, _MAX_BLOCK // size) if size else hi - lo
+        parts = []
+        for a in range(0, hi - lo, step):
+            count = min(step, hi - lo - a)
+            template, span = _template(block, level + 1, count), values[a * per:(a + count) * per]
+            if mirror:
+                m = shape[-1]
+                parts.append(template % _mirror(count * size // (m * m), m)(list(map(repr, span))))
+            else:
+                parts.append(template % tuple(span))
+        body = ("," + pad).join(parts)
+    head = "[" + pad if lo == 0 else "," + pad
+    tail = "\n" + "  " * level + "]" if hi == shape[0] else ""
+    return head + body + tail
+
+
+def rows(first: int, xs: list, us: list, T: int, m: int, width: int) -> str:
+    """Lines of the trajectories from ``first`` on: ``xs`` holds their
+    states, ``(T+1)*m`` floats each, and ``us`` their actions, ``T*width``
+    floats each.
+
+    Bytes match ``csv.writer``: it writes floats with ``repr`` (``%r``) and
+    the terminal row's missing actions as empty fields.
+    """
+    line = "%d,%d," + ",".join(["%r"] * (m + width)) + "\n"
+    last = "%d,%d," + ",".join(["%r"] * m) + "," * width + "\n"
+    parts = []
+    i = j = 0
+    for r in range(first, first + len(xs) // ((T + 1) * m)):
+        for t in range(T):
+            parts.append(line % (r, t, *xs[i:i + m], *us[j:j + width]))
+            i += m
+            j += width
+        parts.append(last % (r, T, *xs[i:i + m]))
+        i += m
+    return "".join(parts)
+
+
+def render(items: list, take):
+    """The text of each item in turn; ``take(count)`` gives the next
+    ``count`` floats the items take, as a list.
+
+    An item is a text piece, or a list: ``["array", shape, level, mirror,
+    lo, hi]`` (see :func:`array`), or ``["rows", first, count, T, m, width,
+    chunk]``, trajectories ``first`` to ``first+count-1`` of
+    ``trajectories.csv``, whose floats come ``chunk`` trajectories at a
+    time: their states, then their actions (see :func:`rows`).
+    """
+    for item in items:
+        if isinstance(item, str):
+            yield item
+        elif item[0] == "array":
+            _, shape, level, mirror, lo, hi = item
+            yield array(shape, level, mirror, lo, hi, take((hi - lo) * values_per_entry(shape, mirror)))
+        else:
+            _, first, count, T, m, width, chunk = item
+            for lo in range(first, first + count, chunk):
+                k = min(chunk, first + count - lo)
+                xs = take(k * (T + 1) * m)
+                yield rows(lo, xs, take(k * T * width), T, m, width)
+
+
+def start(executable: str, directory: str) -> None:
+    """Start this process's worker, ``executable -I -S`` running this
+    module, unless one runs, with an unnamed file in ``directory`` for its
+    text.  It stays without a worker if none can start."""
+    global _replies, _worker
+    import os
+    import subprocess
+    import tempfile
+
+    if _worker is not None or os.name != "posix":  # the file is passed as a descriptor
+        return
+    try:
+        replies = tempfile.TemporaryFile(dir=directory, buffering=0)
+    except OSError:
+        return
+    here = os.path.dirname(os.path.abspath(__file__))
+    argv = [executable, "-I", "-S", "-c", _BOOT, here, str(replies.fileno())]
+    try:
+        _worker = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                   stderr=subprocess.DEVNULL, pass_fds=(replies.fileno(),))
+    except OSError:
+        replies.close()
+        return
+    _replies = replies
+    try:
+        import fcntl
+
+        # A pipe of 1 MB (Linux; the default is 64 kB): a job that fits is
+        # sent without waiting for a worker that is still starting.
+        fcntl.fcntl(_worker.stdin.fileno(), fcntl.F_SETPIPE_SZ, 1 << 20)
+    except (AttributeError, OSError):
+        pass
+
+
+def stop(wait: bool = False) -> None:
+    """End this process's worker, if one runs, and reap it.  With ``wait``
+    close its input and wait for it to exit, as an idle worker does at
+    once; otherwise, or if that is interrupted, kill it."""
+    global _replies, _worker
+    proc, _worker = _worker, None
+    if proc is None:
+        return
+    try:
+        if wait:
+            _close(proc.stdin)
+            proc.wait()
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        for file in (proc.stdin, proc.stdout, _replies):
+            _close(file)
+        _replies = None
+
+
+def _close(file) -> None:
+    try:
+        file.close()
+    except OSError:  # unsent bytes of a job to a worker that is gone
+        pass
+
+
+def job(items: list, count: int) -> bytes:
+    """The head of a job: a line with the byte size of the marshalled
+    ``items`` and the number of floats that follow them, then the items."""
+    head = marshal.dumps(items, 4)
+    return b"%d %d\n" % (len(head), count) + head
+
+
+def submit(items: list, buffers: list) -> bool:
+    """Send the worker a job: ``items`` for :func:`render`, whose floats are
+    the float64 ``buffers`` in order.  False, with the worker stopped, if
+    none runs or it cannot take the job."""
+    if _worker is None:
+        return False
+    views = [memoryview(b).cast("B") for b in buffers]
+    try:
+        pipe = _worker.stdin
+        pipe.write(job(items, sum(v.nbytes for v in views) // 8))
+        for view in views:
+            pipe.write(view)
+        pipe.flush()
+    except OSError:
+        stop()
+        return False
+    return True
+
+
+def reply():
+    """The text of the job last sent to the worker, as bytes; None, with
+    the worker stopped, if it failed or exited."""
+    try:
+        line = _worker.stdout.readline()
+        size = int(line) if line.endswith(b"\n") else -1
+        _replies.seek(0)
+        text = _replies.readall() if size >= 0 else b""
+        if len(text) != size:
+            raise EOFError("the worker sent no reply")
+    except (OSError, ValueError, EOFError):
+        stop()
+        return None
+    return text
+
+
+def _items(pieces: list, arrays: list, start: tuple, end: tuple):
+    """The items of the document text from ``start`` to ``end``, and their
+    floats.  A position ``(k, j)`` lies before entry ``j`` of array ``k``
+    and after ``pieces[k]``; ``(len(arrays), 0)`` is the end."""
+    (k0, j0), (k1, j1) = start, end
+    items, values = [], []
+    for k in range(k0, min(k1 + 1, len(arrays))):
+        if k > k0:
+            items.append(pieces[k])
+        shape, level, mirror, flat = arrays[k]
+        n = entries(shape, mirror)
+        lo, hi = j0 if k == k0 else 0, j1 if k == k1 else n
+        if hi > lo or not n:  # an empty array is "[]"
+            per = values_per_entry(shape, mirror)
+            items.append(["array", list(shape), level, mirror, lo, hi])
+            values.append(flat[lo * per:hi * per])
+    if k1 == len(arrays) > k0:
+        items.append(pieces[-1])
+    return items, values
+
+
+def _cut(arrays: list):
+    """Where the worker's part of a document begins, ``(k, j)``: the entry
+    at which the head holds about ``_HEAD_SHARE`` of the work; None if the
+    tail would hold fewer than ``MIN_SHARE`` floats.  An entry's work is its
+    floats, and for a mirrored one an eighth of its slots besides: filling a
+    slot with a text took about an eighth of the time of a ``repr``."""
+    sizes = []
+    for shape, _, mirror, _ in arrays:
+        work = values_per_entry(shape, mirror)
+        if mirror:
+            work += values_per_entry(shape, False) // 8
+        sizes.append((entries(shape, mirror), work))
+    total = sum(n * work for n, work in sizes)
+    if total * (1 - _HEAD_SHARE) < MIN_SHARE:
+        return None
+    head = total * _HEAD_SHARE
+    for k, (n, work) in enumerate(sizes):
+        if n * work > head:
+            return k, min(n - 1, round(head / work))
+        head -= n * work
+    return None
+
+
+def document(pieces: list, arrays: list, split: bool = True) -> str:
+    """The text of a JSON document: ``pieces[0]``, then each array followed
+    by the next piece.  Each array is ``(shape, level, mirror, flat)``:
+    ``flat`` is a one-dimensional float sequence that can be sliced, has
+    ``tolist`` and exposes its buffer, such as a float64 numpy array, and
+    holds the floats :func:`array` takes for the whole array.
+
+    With ``split`` and a worker running, the worker formats the tail from
+    :func:`_cut` while this process formats the head; if the worker fails,
+    this process formats the tail as well.
+    """
+    end = (len(arrays), 0)
+    cut = _cut(arrays) if split and _worker is not None else None
+    if cut is None:
+        return pieces[0] + _render(*_items(pieces, arrays, (0, 0), end))
+    tail_items, tail_values = _items(pieces, arrays, cut, end)
+    sent = submit(tail_items, tail_values)
+    head = pieces[0] + _render(*_items(pieces, arrays, (0, 0), cut))
+    tail = reply() if sent else None
+    return head + (_render(tail_items, tail_values) if tail is None else tail.decode())
+
+
+def _render(items: list, values: list) -> str:
+    """:func:`render` of ``items`` joined; ``values`` holds the floats of
+    each array item as a sequence with ``tolist``."""
+    flats = iter(values)
+    return "".join(render(items, lambda count: next(flats).tolist()))
+
+
+def _serve(src, dst, out) -> None:
+    """Run the jobs read from ``src``: write each one's text to ``out``,
+    from its start, then its byte length as a line to ``dst``."""
+    for line in iter(src.readline, b""):
+        size, count = map(int, line.split())
+        items = marshal.loads(src.read(size))
+        data = src.read(8 * count)
+        if len(data) != 8 * count:
+            raise EOFError(f"expected {count} float64 values, read {len(data) // 8}")
+        floats, at = memoryview(data).cast("d"), 0
+
+        def take(count: int) -> list:
+            nonlocal at
+            at += count
+            return floats[at - count:at].tolist()
+
+        out.seek(0)
+        for text in render(items, take):
+            out.write(text.encode())
+        out.truncate()
+        dst.write(b"%d\n" % out.tell())
+        dst.flush()
+
+
+def main() -> None:
+    """The worker: serve the jobs on stdin, writing their text to the file
+    whose descriptor is the last argument, then exit at once at the end of
+    the input, since the interpreter's teardown would only delay the
+    command."""
+    import os
+
+    with open(int(sys.argv[-1]), "wb", closefd=False) as out:
+        _serve(sys.stdin.buffer, sys.stdout.buffer, out)
+    os._exit(0)
+
+
+if __name__ == "__main__":
+    main()

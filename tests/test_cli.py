@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import lqnash as lq
-from lqnash import _csvrows, cli
+from lqnash import _text, cli, model
 from lqnash.cli import main
 
 from conftest import SCALAR_GAME_TEXT, overflowing_policies, random_pd_policy
@@ -369,7 +369,7 @@ def traj_game(tmp_path):
 @pytest.fixture
 def workers(monkeypatch):
     """Every worker process started, with two CPUs usable and any share of
-    trajectories large enough to start one."""
+    trajectories or of a JSON document large enough to start one."""
     started = []
 
     class Recorded(subprocess.Popen):
@@ -380,6 +380,7 @@ def workers(monkeypatch):
     monkeypatch.setattr(subprocess, "Popen", Recorded)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(cli, "_WORKER_MIN_VALUES", 1)
+    monkeypatch.setattr(_text, "MIN_SHARE", 1)
     return started
 
 
@@ -544,16 +545,196 @@ def test_parent_write_error_kills_worker(traj_game, workers, monkeypatch, tmp_pa
     _assert_nothing_left(out, workers, ("certificate.json", "policy.json"))  # no part of trajectories.csv
 
 
-def test_worker_script_rejects_short_input():
+def test_worker_script_rejects_short_input(tmp_path):
     """The worker, run as the CLI runs it, exits nonzero when its input ends early."""
     # One trajectory of T=1, m=3, width=3: six state values, then three action values.
+    job = _text.job([["rows", 0, 1, 1, 3, 3, 64]], 9)
     floats = np.arange(9, dtype=np.float64).tobytes()
-    argv = [sys.executable, "-I", "-S", _csvrows.__file__, "0", "1", "1", "3", "3", "64"]
-    done = subprocess.run(argv, input=floats[:-8], capture_output=True, timeout=60)
-    assert done.returncode != 0 and b"EOFError" in done.stderr
-    done = subprocess.run(argv, input=floats, capture_output=True, timeout=60)
-    assert done.returncode == 0
-    assert done.stdout == b"0,0,0.0,1.0,2.0,6.0,7.0,8.0\n0,1,3.0,4.0,5.0,,,\n"
+    with open(tmp_path / "text", "w+b") as out:
+        argv = [sys.executable, "-I", "-S", _text.__file__, str(out.fileno())]
+        done = subprocess.run(argv, input=job + floats[:-8], capture_output=True, timeout=60, pass_fds=[out.fileno()])
+        assert done.returncode != 0 and b"EOFError" in done.stderr
+        done = subprocess.run(argv, input=job + floats + job + floats, capture_output=True, timeout=60,
+                              pass_fds=[out.fileno()])
+        text = b"0,0,0.0,1.0,2.0,6.0,7.0,8.0\n0,1,3.0,4.0,5.0,,,\n"
+        assert done.returncode == 0 and done.stdout == b"%d\n" % len(text) * 2
+        out.seek(0)
+        assert out.read() == text
+
+
+@pytest.fixture
+def replies(monkeypatch):
+    """The worker's replies to every job sent: its text, or None if it failed."""
+    got = []
+    real = _text.reply
+
+    def recorded():
+        got.append(real())
+        return got[-1]
+
+    monkeypatch.setattr(_text, "reply", recorded)
+    return got
+
+
+def _json_outputs(tmp_path, spec_path) -> dict:
+    """Every JSON file the CLI writes, from each command run on one game."""
+    outs = {name: tmp_path / name for name in ("gen", "exact", "po", "aug")}
+    dims = ["--agents", 2, "--horizon", 3, "--state-dim", 3, "--action-dim", 2]
+    assert run("randgen", "--out", outs["gen"], *dims, "--seed", 4, "--scale", 0.3) == 0
+    assert run("solve-exact", "--spec", spec_path, "--out", outs["exact"]) == 0
+    assert run("check", "--spec", spec_path, "--out", outs["exact"]) == 0
+    assert run("solve-po", "--spec", spec_path, "--out", outs["po"]) == 0
+    assert run("eval", "--spec", spec_path, "--out", outs["po"], "--compare", outs["exact"] / "policy.json") == 0
+    assert run("augment", "--spec", spec_path, "--out", outs["aug"], "--delta-init", 0.1) == 0
+    return {f"{out.name}/{path.name}": path.read_bytes() for out in outs.values() for path in out.glob("*.json")}
+
+
+def test_json_outputs_match_one_cpu(traj_game, workers, replies, monkeypatch, tmp_path):
+    """Every JSON file the CLI writes has the same bytes whether a worker
+    formats part of it or this process formats all of it."""
+    spec_path = traj_game[1]
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_usable_cpus", lambda: 1)
+        serial = _json_outputs(tmp_path / "serial", spec_path)
+    assert workers == [] and replies == []
+    split = _json_outputs(tmp_path / "split", spec_path)
+    assert split == serial
+    assert sorted(serial) == ["aug/condition.json", "aug/policy.json", "exact/certificate.json",
+                              "exact/condition.json", "exact/policy.json", "gen/spec.json",
+                              "po/certificate.json", "po/policy.json"]
+    # randgen, solve-exact, solve-po, eval and augment start one each; check writes no array.
+    assert [proc.returncode for proc in workers] == [0] * 5
+    assert len(replies) >= 6 and None not in replies
+
+
+def _documents(spec: lq.GameSpec) -> dict:
+    sol = lq.exact_ne(spec)
+    cert = lq.value_certificate(spec, sol.policy)
+    doc = cli._certificate_doc(spec, cert)
+    doc["exploitability"] = np.array([1e-17, -0.0])
+    return {"spec": lambda: lq.dump_game_spec(spec), "policy": lambda: lq.dump_joint_policy(sol.policy),
+            "certificate": lambda: model._dumps(doc)}
+
+
+@pytest.mark.parametrize("kind", ["spec", "policy", "certificate"])
+@pytest.mark.parametrize("max_block", [_text._MAX_BLOCK, 5], ids=["blocks", "small-blocks"])
+def test_every_split_point_matches_serial(monkeypatch, tmp_path, replies, kind, max_block):
+    """Wherever the worker's part begins, the bytes are those of one process:
+    at every array boundary, at every entry of a mirrored stack and of the
+    certificate's agent list, and at the first and the last entry."""
+    spec = lq.random_game(2, 3, 3, 2, seed=21, scale=0.3).with_tau(20.0)
+    text = _documents(spec)[kind]
+    serial = text()
+    laid_out = []
+    real_cut = _text._cut
+    monkeypatch.setattr(_text, "_cut", lambda arrays: laid_out.append(arrays) or real_cut(arrays))
+    monkeypatch.setattr(_text, "_MAX_BLOCK", max_block)
+    _text.start(sys.executable, tmp_path)
+    try:
+        assert text() == serial
+        points = [(k, j) for k, (shape, _, mirror, _) in enumerate(laid_out[0])
+                  for j in range(_text.entries(shape, mirror))]
+        assert any(laid_out[0][k][2] and j > 0 for k, j in points)  # inside a mirrored stack
+        for point in points:
+            monkeypatch.setattr(_text, "_cut", lambda arrays: point)
+            assert text() == serial, point
+    finally:
+        proc = _text._worker
+        _text.stop(wait=True)
+    assert proc.returncode == 0
+    assert len(replies) == len(points) and None not in replies
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(os.name != "posix", reason="the fake worker is a script run through its #! line")
+@pytest.mark.parametrize("failure", ["cannot-start", "exits-nonzero", "killed-mid-job"])
+def test_failed_json_worker_gives_serial_bytes(traj_game, workers, monkeypatch, tmp_path, failure):
+    _, spec_path, _ = traj_game
+    files = ("certificate.json", "policy.json")
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_usable_cpus", lambda: 1)
+        assert run("solve-exact", "--spec", spec_path, "--out", tmp_path / "serial") == 0
+    if failure == "cannot-start":
+        monkeypatch.setattr(sys, "executable", str(tmp_path / "no-such-python"))
+    elif failure == "exits-nonzero":
+        monkeypatch.setattr(sys, "executable", _fake_python(tmp_path, "sys.exit(3)"))
+    else:
+        real_submit = _text.submit
+
+        def submit_then_kill(items, buffers):
+            sent = real_submit(items, buffers)
+            _text._worker.kill()
+            return sent
+
+        monkeypatch.setattr(_text, "submit", submit_then_kill)
+    out = tmp_path / "split"
+    with _no_resource_warning():
+        assert run("solve-exact", "--spec", spec_path, "--out", out) == 0
+    for name in files:
+        assert (out / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+    codes = {"cannot-start": [], "exits-nonzero": [3], "killed-mid-job": [-signal.SIGKILL]}[failure]
+    assert [proc.returncode for proc in workers] == codes
+    _assert_nothing_left(out, workers, files)
+
+
+def _failing_command(traj_game, tmp_path, code):
+    """argv of a command that starts a worker, then fails with ``code``."""
+    _, spec_path, _ = traj_game
+    out = tmp_path / "out"
+    if code == 2:
+        return ["solve-exact", "--spec", spec_path, "--out", out, "--margin", -1]
+    if code == 3:  # the 400-stage divergence repro
+        gen = tmp_path / "gen"
+        assert run("randgen", "--out", gen, "--agents", 3, "--horizon", 400, "--state-dim", 4,
+                   "--action-dim", 2, "--seed", 3, "--scale", 1.5) == 0
+        return ["solve-po", "--spec", gen / "spec.json", "--out", out, "--inner-iters", 50]
+    (out / "certificate.json").mkdir(parents=True)  # written after policy.json, which the worker helps format
+    return ["solve-exact", "--spec", spec_path, "--out", out]
+
+
+@pytest.mark.parametrize("code", [2, 3, 4])
+def test_failed_command_leaves_no_worker(traj_game, workers, replies, tmp_path, capsys, code):
+    """A command that fails after its worker started kills and reaps it, and
+    leaves no temporary file in ``--out``."""
+    argv = _failing_command(traj_game, tmp_path, code)
+    del workers[:], replies[:]  # those of the repro's randgen
+    with _no_resource_warning(), np.errstate(over="ignore", invalid="ignore"):
+        assert run(*argv) == code
+    assert "error (" in capsys.readouterr().err
+    assert [proc.returncode for proc in workers] == [-signal.SIGKILL]
+    # Only exit 4 comes after the documents, policy.json and certificate.json, are formatted.
+    assert len(replies) == (2 if code == 4 else 0) and None not in replies
+    _assert_nothing_left(tmp_path / "out", workers, ("certificate.json",) if code == 4 else ())
+
+
+@pytest.mark.parametrize("existing", [True, False], ids=["replaced", "new"])
+@pytest.mark.parametrize("links", [True, False], ids=["hard-link", "copy"])
+def test_commit_restores_targets_when_a_move_fails(scalar_spec_file, tmp_path, monkeypatch, capsys, existing, links):
+    """A command whose second file cannot be moved into place leaves every
+    target as it was, and no staged or backup file."""
+    out = tmp_path / "run"
+    out.mkdir()
+    if existing:
+        (out / "policy.json").write_text("old policy\n")
+        (out / "certificate.json").write_text("old certificate\n")
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    real_replace, moves = os.replace, []
+
+    def replace(src, dst):
+        moves.append(dst)
+        if len(moves) == 2:
+            raise OSError(errno.EIO, "Input/output error")
+        return real_replace(src, dst)
+
+    def no_link(src, dst):
+        raise OSError(errno.EPERM, "Operation not permitted")
+
+    monkeypatch.setattr(os, "replace", replace)
+    if not links:
+        monkeypatch.setattr(os, "link", no_link)
+    assert run("solve-exact", "--spec", scalar_spec_file, "--out", out) == 4
+    assert f"error (io): cannot write {out / 'certificate.json'}: " in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
 def test_import_loads_no_subprocess():

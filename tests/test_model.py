@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 
 import numpy as np
@@ -7,7 +8,7 @@ import numpy.testing as npt
 import pytest
 
 import lqnash as lq
-from lqnash import model
+from lqnash import _text, model
 
 from conftest import SCALAR_GAME_TEXT
 
@@ -137,6 +138,36 @@ def test_entries_must_be_json_numbers(kind, updates, field):
     assert err.value.field == field
     message = "must be a finite real" if field == "tau" else "not a (rectangular) numeric array"
     assert str(err.value) == f"{field}: {message}"
+
+
+def _ragged(leaf, depth: int):
+    """``leaf`` nested ``depth`` lists deep, each level beside numbers and
+    lists of other depths."""
+    node = leaf
+    for level in range(depth):
+        node = [1.5, [2, [3.0]], node] if level % 2 else [node, 4, []]
+    return node
+
+
+@pytest.mark.parametrize("depth", range(6))
+def test_booleans_found_at_every_depth_of_ragged_lists(depth):
+    for leaf in (True, False):
+        assert model._has_bool(_ragged(leaf, depth))
+    assert not model._has_bool(_ragged(0.5, depth))
+    assert not model._has_bool(_ragged(1, depth))
+    doc = json.loads(SCALAR_GAME_TEXT)
+    doc["A"] = _ragged(True, depth)
+    with pytest.raises(lq.GameSpecError) as err:
+        lq.load_game_spec(json.dumps(doc))
+    assert str(err.value) == "A: not a (rectangular) numeric array"
+
+
+def test_ignored_keys_holding_booleans_still_load():
+    doc = json.loads(SCALAR_GAME_TEXT)
+    expected = lq.load_game_spec(json.dumps(doc))
+    doc.update({"comment": True, "meta": {"checked": [False, [True]]}})
+    spec = lq.load_game_spec(json.dumps(doc))
+    assert lq.dump_game_spec(spec) == lq.dump_game_spec(expected)
 
 
 def test_integers_beyond_64_bits_are_numbers():
@@ -380,6 +411,24 @@ def test_dumps_edge_values_and_shapes(shape):
         doc = {"a": arr, "b": [{"c": arr, "d": [arr, 2.5]}], "e": np.array(-0.0)}
         assert model._dumps(doc) == _json_text(doc)
         assert model._dumps(arr) == _json_text(arr)
+
+
+@pytest.mark.parametrize("shape", [(3, 7, 4, 4), (2, 5, 9), (40,), (3, 30), (6, 6)])
+def test_templates_stay_within_a_block(monkeypatch, shape):
+    """An entry of more than ``_MAX_BLOCK`` slots is laid out along its own
+    leading axis, and one template groups only the entries that fit, so no
+    kept template holds more slots; the text is json's."""
+    monkeypatch.setattr(_text, "_MAX_BLOCK", 20)
+    requested = []
+    real = _text._template
+    monkeypatch.setattr(_text, "_template",
+                        lambda shape, level, count: requested.append(math.prod(shape) * count) or real(shape, level, count))
+    values = np.resize(np.array(EDGE_FLOATS), shape)
+    for arr in [values, *_square_variants(values)]:
+        doc = {"a": arr, "b": [{"c": arr}]}
+        assert model._dumps(doc) == _json_text(doc)
+    assert max(requested, default=0) <= 20
+    assert len(real.kept) <= _text._KEPT
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
