@@ -9,17 +9,18 @@ also start one worker interpreter per command (:func:`start`) that runs this
 module with ``python -I -S``, so without numpy; run as a script,
 ``python -I -S _text.py``, the module is a worker as well.
 
-While the CLI formats the head of a large file, the worker formats its
-tail.  Both call :func:`render`, so the bytes are the same whichever
+Both file kinds take one path, :func:`document`: a document is text pieces
+between parts, JSON arrays or the rows of ``trajectories.csv``.  While the
+CLI formats the head of a large document, the worker formats its tail from
+:func:`_cut`.  Both call :func:`render`, so the bytes are the same whichever
 process formats them.  A job (:func:`job`) is a line with two sizes, the
-job's items in ``marshal`` format, and the raw float64 values the items
-take in order.  The worker reads a whole job from its stdin before it
-formats anything, so the CLI never waits on a full pipe while it formats
-its own part.  It writes the job's text in UTF-8, as it goes, to an unnamed
-file that the CLI passes it as a descriptor, then the text's byte length as
-a line to stdout.  It exits 0 at the end of its input, nonzero on a short
-or malformed job.  It imports only builtin and small modules, so it is
-ready in 10-14 ms.
+job's items in ``marshal`` format, and the raw float64 values the items take
+in order.  The worker reads a whole job from its stdin before it formats
+anything, so the CLI never waits on a full pipe while it formats its own
+part.  It keeps the job's text, encoded in UTF-8, until the job is done,
+then writes to its stdout the text's byte length as a line and the text.
+It exits 0 at the end of its input, nonzero on a short or malformed job.
+It imports only builtin and small modules, so it is ready in 10-14 ms.
 """
 import marshal
 import operator
@@ -38,11 +39,13 @@ _HEAD_SHARE = 0.5
 
 # Templates and mirror getters kept for reuse.
 _KEPT = 32
+# Trajectories formatted per piece of trajectories.csv.  Larger chunks
+# write no faster but raise peak memory with the text they hold.
+_TRAJ_CHUNK = 64
 # The worker's command line after the interpreter: it imports this module
 # from its directory, so its cached bytecode is used.
 _BOOT = "import sys; sys.path.insert(0, sys.argv[1]); import _text; _text.main()"
 
-_replies = None  # the unnamed file the worker writes its text to
 _worker = None  # this process's worker, a subprocess.Popen, while one runs
 
 
@@ -200,30 +203,20 @@ def render(items: list, take):
                 yield rows(lo, xs, take(k * T * width), T, m, width)
 
 
-def start(executable: str, directory: str) -> None:
+def start(executable: str) -> None:
     """Start this process's worker, ``executable -I -S`` running this
-    module, unless one runs, with an unnamed file in ``directory`` for its
-    text.  It stays without a worker if none can start."""
-    global _replies, _worker
+    module, unless one runs.  It stays without a worker if none can start."""
+    global _worker
     import os
     import subprocess
-    import tempfile
 
-    if _worker is not None or os.name != "posix":  # the file is passed as a descriptor
+    if _worker is not None or os.name != "posix":  # tested on POSIX systems only
         return
+    argv = [executable, "-I", "-S", "-c", _BOOT, os.path.dirname(os.path.abspath(__file__))]
     try:
-        replies = tempfile.TemporaryFile(dir=directory, buffering=0)
+        _worker = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
     except OSError:
         return
-    here = os.path.dirname(os.path.abspath(__file__))
-    argv = [executable, "-I", "-S", "-c", _BOOT, here, str(replies.fileno())]
-    try:
-        _worker = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                                   stderr=subprocess.DEVNULL, pass_fds=(replies.fileno(),))
-    except OSError:
-        replies.close()
-        return
-    _replies = replies
     try:
         import fcntl
 
@@ -238,7 +231,7 @@ def stop(wait: bool = False) -> None:
     """End this process's worker, if one runs, and reap it.  With ``wait``
     close its input and wait for it to exit, as an idle worker does at
     once; otherwise, or if that is interrupted, kill it."""
-    global _replies, _worker
+    global _worker
     proc, _worker = _worker, None
     if proc is None:
         return
@@ -250,9 +243,8 @@ def stop(wait: bool = False) -> None:
         if proc.poll() is None:
             proc.kill()
             proc.wait()
-        for file in (proc.stdin, proc.stdout, _replies):
+        for file in (proc.stdin, proc.stdout):
             _close(file)
-        _replies = None
 
 
 def _close(file) -> None:
@@ -292,51 +284,71 @@ def reply():
     """The text of the job last sent to the worker, as bytes; None, with
     the worker stopped, if it failed or exited."""
     try:
-        line = _worker.stdout.readline()
-        size = int(line) if line.endswith(b"\n") else -1
-        _replies.seek(0)
-        text = _replies.readall() if size >= 0 else b""
+        pipe = _worker.stdout
+        size = int(pipe.readline())
+        text = pipe.read(size)
         if len(text) != size:
-            raise EOFError("the worker sent no reply")
+            raise EOFError("the worker's reply ended early")
     except (OSError, ValueError, EOFError):
         stop()
         return None
     return text
 
 
-def _items(pieces: list, arrays: list, start: tuple, end: tuple):
+def _size(part) -> tuple:
+    """``(entries, work per entry)`` of a part of a document: the entries
+    :func:`_span` can lay out apart, and their floats.  A mirrored entry's
+    work also counts an eighth of its slots: filling a slot with a text took
+    about an eighth of the time of a ``repr``."""
+    if part[0] == "rows":
+        _, T, m, width, xs, _ = part
+        return len(xs) // ((T + 1) * m), (T + 1) * m + T * width
+    shape, _, mirror, _ = part
+    work = values_per_entry(shape, mirror)
+    if mirror:
+        work += values_per_entry(shape, False) // 8
+    return entries(shape, mirror), work
+
+
+def _span(part, lo: int, hi: int):
+    """The :func:`render` item of entries ``lo:hi`` of a part, and their
+    floats: flat sequences, in the order the item takes them."""
+    if part[0] == "rows":
+        _, T, m, width, xs, us = part
+        steps = [(a, min(a + _TRAJ_CHUNK, hi)) for a in range(lo, hi, _TRAJ_CHUNK)]
+        return (["rows", lo, hi - lo, T, m, width, _TRAJ_CHUNK],
+                [flat[a * per:b * per] for a, b in steps for flat, per in ((xs, (T + 1) * m), (us, T * width))])
+    shape, level, mirror, flat = part
+    per = values_per_entry(shape, mirror)
+    return ["array", list(shape), level, mirror, lo, hi], [flat[lo * per:hi * per]]
+
+
+def _items(pieces: list, parts: list, start: tuple, end: tuple):
     """The items of the document text from ``start`` to ``end``, and their
-    floats.  A position ``(k, j)`` lies before entry ``j`` of array ``k``
-    and after ``pieces[k]``; ``(len(arrays), 0)`` is the end."""
+    floats.  A position ``(k, j)`` lies before entry ``j`` of part ``k``
+    and after ``pieces[k]``; ``(len(parts), 0)`` is the end."""
     (k0, j0), (k1, j1) = start, end
     items, values = [], []
-    for k in range(k0, min(k1 + 1, len(arrays))):
+    for k in range(k0, min(k1 + 1, len(parts))):
         if k > k0:
             items.append(pieces[k])
-        shape, level, mirror, flat = arrays[k]
-        n = entries(shape, mirror)
+        n, _ = _size(parts[k])
         lo, hi = j0 if k == k0 else 0, j1 if k == k1 else n
         if hi > lo or not n:  # an empty array is "[]"
-            per = values_per_entry(shape, mirror)
-            items.append(["array", list(shape), level, mirror, lo, hi])
-            values.append(flat[lo * per:hi * per])
-    if k1 == len(arrays) > k0:
+            item, floats = _span(parts[k], lo, hi)
+            items.append(item)
+            values += floats
+    if k1 == len(parts) > k0:
         items.append(pieces[-1])
     return items, values
 
 
-def _cut(arrays: list):
+def _cut(parts: list):
     """Where the worker's part of a document begins, ``(k, j)``: the entry
-    at which the head holds about ``_HEAD_SHARE`` of the work; None if the
-    tail would hold fewer than ``MIN_SHARE`` floats.  An entry's work is its
-    floats, and for a mirrored one an eighth of its slots besides: filling a
-    slot with a text took about an eighth of the time of a ``repr``."""
-    sizes = []
-    for shape, _, mirror, _ in arrays:
-        work = values_per_entry(shape, mirror)
-        if mirror:
-            work += values_per_entry(shape, False) // 8
-        sizes.append((entries(shape, mirror), work))
+    at which the head holds about ``_HEAD_SHARE`` of the work (see
+    :func:`_size`); None if the tail would hold fewer than ``MIN_SHARE``
+    floats."""
+    sizes = [_size(part) for part in parts]
     total = sum(n * work for n, work in sizes)
     if total * (1 - _HEAD_SHARE) < MIN_SHARE:
         return None
@@ -348,38 +360,47 @@ def _cut(arrays: list):
     return None
 
 
-def document(pieces: list, arrays: list, split: bool = True) -> str:
-    """The text of a JSON document: ``pieces[0]``, then each array followed
-    by the next piece.  Each array is ``(shape, level, mirror, flat)``:
-    ``flat`` is a one-dimensional float sequence that can be sliced, has
-    ``tolist`` and exposes its buffer, such as a float64 numpy array, and
-    holds the floats :func:`array` takes for the whole array.
+def document(pieces: list, parts: list, split: bool = True):
+    """The text of a document, piece by piece: ``pieces[0]``, then each part
+    followed by the next piece.  A part is a JSON array ``(shape, level,
+    mirror, flat)``, whose ``flat`` holds the floats :func:`array` takes for
+    the whole array, or ``("rows", T, m, width, xs, us)``, the lines of
+    ``trajectories.csv`` whose floats :func:`rows` takes from ``xs`` and
+    ``us``, ``_TRAJ_CHUNK`` trajectories at a time.  Float sequences are
+    one-dimensional, can be sliced, have ``tolist`` and expose their buffer,
+    such as float64 numpy arrays.
 
-    With ``split`` and a worker running, the worker formats the tail from
-    :func:`_cut` while this process formats the head; if the worker fails,
-    this process formats the tail as well.
+    Pieces this process formats are ``str``.  With ``split`` and a worker
+    running, the worker formats the tail from :func:`_cut`, which comes as
+    one ``bytes`` piece of UTF-8 after the head; if the worker fails, this
+    process formats the tail as well.
     """
-    end = (len(arrays), 0)
-    cut = _cut(arrays) if split and _worker is not None else None
+    yield pieces[0]
+    end = (len(parts), 0)
+    cut = _cut(parts) if split and _worker is not None else None
     if cut is None:
-        return pieces[0] + _render(*_items(pieces, arrays, (0, 0), end))
-    tail_items, tail_values = _items(pieces, arrays, cut, end)
+        yield from _render(*_items(pieces, parts, (0, 0), end))
+        return
+    tail_items, tail_values = _items(pieces, parts, cut, end)
     sent = submit(tail_items, tail_values)
-    head = pieces[0] + _render(*_items(pieces, arrays, (0, 0), cut))
+    yield from _render(*_items(pieces, parts, (0, 0), cut))
     tail = reply() if sent else None
-    return head + (_render(tail_items, tail_values) if tail is None else tail.decode())
+    if tail is None:
+        yield from _render(tail_items, tail_values)
+    else:
+        yield tail
 
 
-def _render(items: list, values: list) -> str:
-    """:func:`render` of ``items`` joined; ``values`` holds the floats of
-    each array item as a sequence with ``tolist``."""
+def _render(items: list, values: list):
+    """:func:`render` of ``items``; ``values`` holds the floats of each
+    take in turn as a sequence with ``tolist``."""
     flats = iter(values)
-    return "".join(render(items, lambda count: next(flats).tolist()))
+    return render(items, lambda count: next(flats).tolist())
 
 
-def _serve(src, dst, out) -> None:
-    """Run the jobs read from ``src``: write each one's text to ``out``,
-    from its start, then its byte length as a line to ``dst``."""
+def _serve(src, dst) -> None:
+    """Run the jobs read from ``src``: write each one's text to ``dst``,
+    after its byte length as a line."""
     for line in iter(src.readline, b""):
         size, count = map(int, line.split())
         items = marshal.loads(src.read(size))
@@ -393,23 +414,19 @@ def _serve(src, dst, out) -> None:
             at += count
             return floats[at - count:at].tolist()
 
-        out.seek(0)
-        for text in render(items, take):
-            out.write(text.encode())
-        out.truncate()
-        dst.write(b"%d\n" % out.tell())
+        texts = [text.encode() for text in render(items, take)]
+        dst.write(b"%d\n" % sum(map(len, texts)))
+        dst.writelines(texts)
         dst.flush()
 
 
 def main() -> None:
-    """The worker: serve the jobs on stdin, writing their text to the file
-    whose descriptor is the last argument, then exit at once at the end of
-    the input, since the interpreter's teardown would only delay the
-    command."""
+    """The worker: serve the jobs on stdin, replying on stdout, then exit
+    at once at the end of the input, since the interpreter's teardown would
+    only delay the command."""
     import os
 
-    with open(int(sys.argv[-1]), "wb", closefd=False) as out:
-        _serve(sys.stdin.buffer, sys.stdout.buffer, out)
+    _serve(sys.stdin.buffer, sys.stdout.buffer)
     os._exit(0)
 
 

@@ -23,14 +23,14 @@ _text.py``, which imports no numpy) as soon as the dimensions show that a
 worker would format enough floats of the command's largest file: for
 ``randgen`` from its arguments, for the other commands right after the spec
 is parsed, so its start-up overlaps ``random_game``, the solvers or
-``simulate``.  Each large JSON document is split at an entry of one array:
-the worker formats the tail while this process formats the head, and
-``simulate`` hands it the second half of the ``trajectories.csv`` rows.
-Both processes lay out text through ``_text``, so the bytes are those of
-one process.  The worker reads its jobs from a pipe and writes their text to
-an unnamed temporary file in ``--out``.  If it cannot start or fails, this
-process formats its part too; when the command ends, the worker is reaped,
-and killed first if the command failed or was interrupted.
+``simulate``.  Every large file, a JSON document or ``trajectories.csv``,
+takes one path, ``_text.document``: it is split at an entry of one array or
+at one trajectory, and the worker formats the tail while this process
+formats the head.  Both processes lay out text through ``_text``, so the
+bytes are those of one process.  The worker reads its jobs from a pipe and
+replies on its stdout; it writes no file.  If it cannot start or fails,
+this process formats its part too; when the command ends, the worker is
+reaped, and killed first if the command failed or was interrupted.
 """
 from __future__ import annotations
 
@@ -76,9 +76,6 @@ from .solver import (
 
 __all__ = ["main", "build_parser"]
 
-# Trajectories formatted per write in trajectories.csv.  Larger chunks
-# write no faster but raise peak memory with the text they hold.
-_TRAJ_CHUNK = 64
 # Floats a worker must format before one is started.  On a 2-vCPU VM
 # (Python 3.11) a ``python -I -S`` worker took a median 13 ms to start and
 # ``repr`` about 1 us per float, so this share repays the start-up at least
@@ -326,31 +323,14 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _split(n_traj: int, values: int) -> int:
-    """Trajectories the parent formats itself, of ``n_traj`` with ``values``
-    floats each: the first half, in whole chunks, when a worker is worth
-    starting for the rest; otherwise all of them."""
-    split = n_traj // 2 // _TRAJ_CHUNK * _TRAJ_CHUNK
-    if _usable_cpus() < 2 or not sys.executable or (n_traj - split) * values < _WORKER_MIN_VALUES:
-        return n_traj
-    return split
-
-
-def _traj_values(spec: GameSpec) -> int:
-    """Floats of one trajectory in ``trajectories.csv``."""
-    return (spec.horizon + 1) * spec.state_dim + spec.horizon * spec.num_agents * spec.action_dim
-
-
 def _wants_worker(args, spec: GameSpec | None) -> bool:
     """Whether the command's largest output is worth a worker, judged from
     its arguments and the spec's dimensions alone.  ``randgen`` and
     ``simulate`` need a share of ``_WORKER_MIN_VALUES`` floats, since
-    ``random_game`` may end before a worker has started and the rows are
-    split in halves of whole chunks (see ``_split``).  The other commands
-    start one after parsing the spec, so the solvers hide its start-up, and
-    need a share of ``_text.MIN_SHARE`` floats of one document."""
-    if args.func is _cmd_simulate:
-        return args.n_traj > 0 and _split(args.n_traj, _traj_values(spec)) < args.n_traj
+    ``random_game`` or ``simulate`` may end before a worker has started.
+    The other commands start one after parsing the spec, so the solvers
+    hide its start-up, and need a share of ``_text.MIN_SHARE`` floats of
+    one document."""
     if _usable_cpus() < 2 or not sys.executable:
         return False
     if spec is None:
@@ -358,47 +338,28 @@ def _wants_worker(args, spec: GameSpec | None) -> bool:
         values = sum(map(math.prod, _shapes(*dims).values())) if min(dims) > 0 else 0
         return values // 2 >= _WORKER_MIN_VALUES
     n, T, m, p = spec.num_agents, spec.horizon, spec.state_dim, spec.action_dim
+    if args.func is _cmd_simulate:  # the floats of trajectories.csv
+        return args.n_traj * ((T + 1) * m + T * n * p) // 2 >= _WORKER_MIN_VALUES
     policy, certificate = n * T * p * (m + p), n * (T + 1) * (m * m + 1)
     values = {_cmd_solve_exact: max(policy, certificate), _cmd_solve_po: policy,
               _cmd_augment: policy, _cmd_eval: certificate}.get(args.func, 0)
     return values // 2 >= _text.MIN_SHARE
 
 
-def _write_rows(fh, states: np.ndarray, actions: np.ndarray, lo: int, hi: int) -> None:
-    """Write the lines of trajectories ``lo:hi``, a chunk of trajectories at
-    a time; a chunk bounds the memory held by its ``tolist()`` copies and
-    joined text."""
-    T, m = states.shape[1] - 1, states.shape[2]
-    width = actions.shape[2] * actions.shape[3]
-    for a in range(lo, hi, _TRAJ_CHUNK):
-        b = min(a + _TRAJ_CHUNK, hi)
-        fh.write(_text.rows(a, states[a:b].ravel().tolist(), actions[a:b].ravel().tolist(), T, m, width))
-
-
 def _write_trajectories(fh, states: np.ndarray, actions: np.ndarray) -> None:
-    """Write the header and one CSV line per trajectory and stage.
-
-    When ``_split`` says so and the command's worker runs, the worker
-    formats the second half of the trajectories while this process formats
-    the first, and its text is appended.  If the worker fails, this process
-    formats its rows too; the bytes are the same either way.
-    """
-    n_traj, T, n, p = actions.shape
+    """Write the header and one CSV line per trajectory and stage, a piece
+    of ``_text.document`` at a time: a chunk of trajectories this process
+    formats, or the worker's tail.  The bytes are the same either way."""
+    _, T, n, p = actions.shape
     m = states.shape[2]
     header = ["traj_id", "t"] + [f"x{k}" for k in range(m)] + [f"u{i}_{k}" for i in range(n) for k in range(p)]
-    fh.write(",".join(header) + "\n")
-    split = _split(n_traj, (T + 1) * m + T * n * p)
-    job = [["rows", split, n_traj - split, T, m, n * p, _TRAJ_CHUNK]]
-    blocks = [block for a in range(split, n_traj, _TRAJ_CHUNK)
-              for block in (states[a:a + _TRAJ_CHUNK], actions[a:a + _TRAJ_CHUNK])]
-    sent = split < n_traj and _text.submit(job, blocks)
-    _write_rows(fh, states, actions, 0, split)
-    text = _text.reply() if sent else None
-    if text is None:
-        _write_rows(fh, states, actions, split, n_traj)
-    else:
-        fh.flush()
-        fh.buffer.write(text)
+    rows = ("rows", T, m, n * p, states.ravel(), actions.ravel())
+    for piece in _text.document([",".join(header) + "\n", ""], [rows]):
+        if isinstance(piece, str):
+            fh.write(piece)
+        else:
+            fh.flush()
+            fh.buffer.write(piece)
 
 
 def _cmd_simulate(args, spec: GameSpec, out: Path, write) -> int:
@@ -487,7 +448,7 @@ def main(argv=None) -> int:
         spec = load_game_spec(_read(args.spec, "spec file")) if "spec" in args else None  # randgen has none
         out = _out_dir(args.out)
         if _wants_worker(args, spec):
-            _text.start(sys.executable, out)
+            _text.start(sys.executable)
         code = args.func(args, spec, out, files.write)
         files.commit()
         _text.stop(wait=True)

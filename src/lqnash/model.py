@@ -352,7 +352,8 @@ def _dumps(doc) -> str:
             raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
         laid_out.append((arr.shape, level, *_flat_values(arr)))
     # The worker reads float64 values; other arrays keep the text of their tolist().
-    return _text.document(pieces, laid_out, split=all(arr.dtype == np.float64 for arr, _ in arrays))
+    text = _text.document(pieces, laid_out, split=all(arr.dtype == np.float64 for arr, _ in arrays))
+    return "".join([piece if isinstance(piece, str) else piece.decode() for piece in text])
 
 
 def dump_game_spec(spec: GameSpec) -> str:

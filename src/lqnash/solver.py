@@ -399,8 +399,8 @@ def delta_augment_solve(
     """
     if not (math.isfinite(delta_init) and delta_init > 0):
         raise ValueError(f"delta_init must be finite and positive, got {delta_init!r}")
-    if not growth > 1:
-        raise ValueError("growth must exceed 1")
+    if not (math.isfinite(growth) and growth > 1):
+        raise ValueError(f"growth must be finite and exceed 1, got {growth!r}")
     if _integer("max_rounds", max_rounds) < 1:
         raise ValueError("max_rounds must be >= 1")
     _check_margin(margin)

@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,6 +220,14 @@ def test_bad_delta_init_exit_code(tmp_path, capsys, delta_init):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("growth", ["inf", "nan"])
+def test_bad_growth_exit_code(tmp_path, capsys, growth):
+    out = tmp_path / "o"
+    assert run("augment", "--spec", _violating_spec_file(tmp_path), "--out", out, "--growth", growth) == 2
+    assert "error (validation): growth must be finite" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("option, value", [("--stop-tol", "nan"), ("--inner-iters", "0")])
 def test_bad_po_argument_of_augment_exit_code(tmp_path, capsys, option, value):
     # Every round of this game fails, so a late check would exit 3.
@@ -346,7 +355,7 @@ def test_simulate_trajectories_match_csv_writer(tmp_path):
     spec_path = tmp_path / "game.json"
     spec_path.write_text(lq.dump_game_spec(spec))
     out = tmp_path / "run"
-    n_traj = 2 * cli._TRAJ_CHUNK + 7  # several chunks, the last one partial
+    n_traj = 2 * _text._TRAJ_CHUNK + 7  # several chunks, the last one partial
     assert run("solve-exact", "--spec", spec_path, "--out", out) == 0
     assert run("simulate", "--spec", spec_path, "--out", out,
                "--n-traj", n_traj, "--seed", 2**40 + 3) == 0
@@ -434,7 +443,7 @@ def _no_resource_warning():
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
-@pytest.mark.parametrize("n_traj", [1, 3 * cli._TRAJ_CHUNK - 1, 3 * cli._TRAJ_CHUNK, 3 * cli._TRAJ_CHUNK + 1])
+@pytest.mark.parametrize("n_traj", [1, 3 * _text._TRAJ_CHUNK - 1, 3 * _text._TRAJ_CHUNK, 3 * _text._TRAJ_CHUNK + 1])
 def test_split_trajectories_match_serial(traj_game, workers, monkeypatch, n_traj):
     expected = _simulate(traj_game, n_traj)
     assert [proc.returncode for proc in workers] == [0]
@@ -445,121 +454,68 @@ def test_split_trajectories_match_serial(traj_game, workers, monkeypatch, n_traj
     _assert_nothing_left(traj_game[2], workers)
 
 
-def test_split_at_every_chunk_boundary(traj_game, workers, monkeypatch):
-    monkeypatch.setattr(cli, "_TRAJ_CHUNK", 4)
-    n_traj = 14
-    serial = _serial_bytes(traj_game, n_traj, monkeypatch)
-    for split in range(0, n_traj, 4):
-        monkeypatch.setattr(cli, "_split", lambda n, values: split)
-        assert _simulate(traj_game, n_traj) == serial
-        assert (traj_game[2] / "trajectories.csv").read_bytes() == serial
-    assert [proc.returncode for proc in workers] == [0] * 4
-    _assert_nothing_left(traj_game[2], workers)
-
-
-def test_worker_rule(monkeypatch):
-    """A worker takes the rows after the first half, in whole chunks, only with
-    two usable CPUs, an interpreter to start and a share worth its start-up."""
+def test_worker_rule(traj_game, monkeypatch):
+    """simulate starts a worker only with two usable CPUs, an interpreter to
+    start and a share of ``_WORKER_MIN_VALUES`` floats, half of the file's."""
     assert 1 <= cli._usable_cpus() <= (os.cpu_count() or 1)
-    chunk = cli._TRAJ_CHUNK
-    n_traj, values = 2 * chunk + 1, cli._WORKER_MIN_VALUES
+    spec, spec_path, out = traj_game
+    per = (spec.horizon + 1) * spec.state_dim + spec.horizon * spec.num_agents * spec.action_dim
+    n_traj = -(-2 * cli._WORKER_MIN_VALUES // per)  # the fewest that repay a worker
+
+    def wants(n):
+        args = cli.build_parser().parse_args(["simulate", "--spec", str(spec_path), "--out", str(out), "--n-traj", str(n)])
+        return cli._wants_worker(args, spec)
+
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    assert cli._split(n_traj, values) == chunk
-    assert cli._split(n_traj, 1) == n_traj  # too small a share
+    assert wants(n_traj) and not wants(n_traj - 1)
     with monkeypatch.context() as m:
         m.setattr(sys, "executable", "")
-        assert cli._split(n_traj, values) == n_traj
+        assert not wants(n_traj)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
-    assert cli._split(n_traj, values) == n_traj
+    assert not wants(n_traj)
 
 
-def _fake_python(tmp_path, action):
-    """An executable that writes some text to stdout, then runs ``action``."""
+def test_small_simulate_splits_rows_or_starts_no_worker(tmp_path, monkeypatch, replies):
+    """100 trajectories of 400 floats start no worker, or one that formats
+    part of the rows while this process formats the rest."""
+    spec = lq.random_game(2, 66, 4, 1, seed=3, scale=0.3).with_tau(20.0)
+    assert (spec.horizon + 1) * spec.state_dim + spec.horizon * spec.num_agents * spec.action_dim == 400
+    spec_path, out = tmp_path / "game.json", tmp_path / "run"
+    spec_path.write_text(lq.dump_game_spec(spec))
+    assert run("solve-exact", "--spec", spec_path, "--out", out) == 0
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    del replies[:]
+    assert run("simulate", "--spec", spec_path, "--out", out, "--n-traj", 100) == 0
+    # A worker's text begins after this process's first trajectory.
+    assert all(text is not None and not text.startswith(b"0,") for text in replies)
+    xs, us = np.zeros(100 * 67 * 4), np.zeros(100 * 66 * 2)
+    assert _text._cut([("rows", 66, 4, 2, xs, us)]) == (0, 50)  # a worker would take the second half
+
+
+def _failing_python(tmp_path):
+    """An executable that reads one job, replies with part of a text, then exits 3."""
     path = tmp_path / "fake-python"
-    path.write_text(f"#!{sys.executable}\nimport os, signal, sys, time\n"
-                    f"sys.stdout.buffer.write(b'0,0,partial'); sys.stdout.flush()\n{action}\n")
+    path.write_text(f"#!{sys.executable}\nimport sys\n"
+                    "size, count = map(int, sys.stdin.buffer.readline().split())\n"
+                    "sys.stdin.buffer.read(size + 8 * count)\n"
+                    "sys.stdout.buffer.write(b'99\\n0,0,partial'); sys.stdout.flush(); sys.exit(3)\n")
     path.chmod(0o755)
     return str(path)
 
 
-@pytest.mark.skipif(os.name != "posix", reason="the fake worker is a script run through its #! line")
-@pytest.mark.parametrize("action, code", [("sys.exit(3)", 3), ("os.kill(os.getpid(), signal.SIGKILL)", -9)],
-                         ids=["exits-nonzero", "killed-mid-write"])
-def test_failed_worker_gives_serial_bytes(traj_game, workers, monkeypatch, tmp_path, action, code):
-    n_traj = 2 * cli._TRAJ_CHUNK + 7
-    serial = _serial_bytes(traj_game, n_traj, monkeypatch)
-    monkeypatch.setattr(sys, "executable", _fake_python(tmp_path, action))
-    with _no_resource_warning():
-        assert _simulate(traj_game, n_traj) == serial
-    assert (traj_game[2] / "trajectories.csv").read_bytes() == serial
-    assert [proc.returncode for proc in workers] == [code]
-    _assert_nothing_left(traj_game[2], workers)
-
-
-def test_worker_that_cannot_start_gives_serial_bytes(traj_game, workers, monkeypatch, tmp_path):
-    n_traj = 2 * cli._TRAJ_CHUNK + 7
-    serial = _serial_bytes(traj_game, n_traj, monkeypatch)
-    monkeypatch.setattr(sys, "executable", str(tmp_path / "no-such-python"))
-    with _no_resource_warning():
-        assert _simulate(traj_game, n_traj) == serial
-    assert (traj_game[2] / "trajectories.csv").read_bytes() == serial
-    assert workers == []
-    _assert_nothing_left(traj_game[2], workers)
-
-
-@pytest.mark.skipif(os.name != "posix", reason="the fake worker is a script run through its #! line")
-@pytest.mark.parametrize("error", [OSError(errno.ENOSPC, "No space left on device"), KeyboardInterrupt()],
-                         ids=["oserror", "interrupt"])
-def test_parent_write_error_kills_worker(traj_game, workers, monkeypatch, tmp_path, capsys, error):
-    monkeypatch.setattr(cli, "_TRAJ_CHUNK", 4)
-    # A worker that would outlive the test unless it is killed.
-    monkeypatch.setattr(sys, "executable", _fake_python(tmp_path, "time.sleep(60)"))
-    real_open = open
-
-    def failing_open(*args, **kwargs):
-        fh = real_open(*args, **kwargs)
-        writes = 0
-        write = fh.write
-
-        def write_twice(text):  # the header, then the first chunk
-            nonlocal writes
-            writes += 1
-            if writes > 2:
-                raise error
-            return write(text)
-
-        fh.write = write_twice
-        return fh
-
-    monkeypatch.setattr(cli, "open", failing_open, raising=False)
-    _, spec_path, out = traj_game
-    argv = ["simulate", "--spec", spec_path, "--out", out, "--n-traj", 32]
-    with _no_resource_warning():
-        if isinstance(error, OSError):
-            assert run(*argv) == 4
-            assert f"error (io): cannot write {out / 'trajectories.csv'}: " in capsys.readouterr().err
-        else:
-            with pytest.raises(KeyboardInterrupt):
-                run(*argv)
-    assert [proc.returncode for proc in workers] == [-signal.SIGKILL]
-    _assert_nothing_left(out, workers, ("certificate.json", "policy.json"))  # no part of trajectories.csv
-
-
-def test_worker_script_rejects_short_input(tmp_path):
-    """The worker, run as the CLI runs it, exits nonzero when its input ends early."""
+def test_worker_script_rejects_short_input():
+    """The worker, run as the CLI runs it, exits nonzero when its input ends
+    early, and replies to each job on its stdout: the text's byte length as
+    a line, then the text."""
     # One trajectory of T=1, m=3, width=3: six state values, then three action values.
     job = _text.job([["rows", 0, 1, 1, 3, 3, 64]], 9)
     floats = np.arange(9, dtype=np.float64).tobytes()
-    with open(tmp_path / "text", "w+b") as out:
-        argv = [sys.executable, "-I", "-S", _text.__file__, str(out.fileno())]
-        done = subprocess.run(argv, input=job + floats[:-8], capture_output=True, timeout=60, pass_fds=[out.fileno()])
-        assert done.returncode != 0 and b"EOFError" in done.stderr
-        done = subprocess.run(argv, input=job + floats + job + floats, capture_output=True, timeout=60,
-                              pass_fds=[out.fileno()])
-        text = b"0,0,0.0,1.0,2.0,6.0,7.0,8.0\n0,1,3.0,4.0,5.0,,,\n"
-        assert done.returncode == 0 and done.stdout == b"%d\n" % len(text) * 2
-        out.seek(0)
-        assert out.read() == text
+    argv = [sys.executable, "-I", "-S", _text.__file__]
+    done = subprocess.run(argv, input=job + floats[:-8], capture_output=True, timeout=60)
+    assert done.returncode != 0 and b"EOFError" in done.stderr
+    done = subprocess.run(argv, input=job + floats + job + floats, capture_output=True, timeout=60)
+    text = b"0,0,0.0,1.0,2.0,6.0,7.0,8.0\n0,1,3.0,4.0,5.0,,,\n"
+    assert done.returncode == 0 and done.stdout == (b"%d\n" % len(text) + text) * 2
 
 
 @pytest.fixture
@@ -607,58 +563,81 @@ def test_json_outputs_match_one_cpu(traj_game, workers, replies, monkeypatch, tm
     assert len(replies) >= 6 and None not in replies
 
 
+def _trajectories_csv(spec: lq.GameSpec, n_traj: int) -> str:
+    result = lq.simulate(spec, lq.exact_ne(spec).policy, n_traj, 5)
+    fh = io.TextIOWrapper(io.BytesIO(), newline="")
+    cli._write_trajectories(fh, result.states, result.actions)
+    fh.flush()
+    return fh.buffer.getvalue().decode()
+
+
 def _documents(spec: lq.GameSpec) -> dict:
     sol = lq.exact_ne(spec)
     cert = lq.value_certificate(spec, sol.policy)
     doc = cli._certificate_doc(spec, cert)
     doc["exploitability"] = np.array([1e-17, -0.0])
     return {"spec": lambda: lq.dump_game_spec(spec), "policy": lambda: lq.dump_joint_policy(sol.policy),
-            "certificate": lambda: model._dumps(doc)}
+            "certificate": lambda: model._dumps(doc), "trajectories": lambda: _trajectories_csv(spec, 14),
+            "one-trajectory": lambda: _trajectories_csv(spec, 1)}
 
 
-@pytest.mark.parametrize("kind", ["spec", "policy", "certificate"])
-@pytest.mark.parametrize("max_block", [_text._MAX_BLOCK, 5], ids=["blocks", "small-blocks"])
-def test_every_split_point_matches_serial(monkeypatch, tmp_path, replies, kind, max_block):
+@pytest.mark.parametrize("kind", ["spec", "policy", "certificate", "trajectories", "one-trajectory"])
+@pytest.mark.parametrize("blocks", [(_text._MAX_BLOCK, _text._TRAJ_CHUNK), (5, 4)], ids=["blocks", "small-blocks"])
+def test_every_split_point_matches_serial(monkeypatch, replies, kind, blocks):
     """Wherever the worker's part begins, the bytes are those of one process:
     at every array boundary, at every entry of a mirrored stack and of the
-    certificate's agent list, and at the first and the last entry."""
+    certificate's agent list, at the first and the last entry, and at every
+    trajectory of trajectories.csv."""
     spec = lq.random_game(2, 3, 3, 2, seed=21, scale=0.3).with_tau(20.0)
     text = _documents(spec)[kind]
     serial = text()
     laid_out = []
     real_cut = _text._cut
-    monkeypatch.setattr(_text, "_cut", lambda arrays: laid_out.append(arrays) or real_cut(arrays))
-    monkeypatch.setattr(_text, "_MAX_BLOCK", max_block)
-    _text.start(sys.executable, tmp_path)
+    monkeypatch.setattr(_text, "_cut", lambda parts: laid_out.append(parts) or real_cut(parts))
+    monkeypatch.setattr(_text, "_MAX_BLOCK", blocks[0])
+    monkeypatch.setattr(_text, "_TRAJ_CHUNK", blocks[1])
+    _text.start(sys.executable)
     try:
         assert text() == serial
-        points = [(k, j) for k, (shape, _, mirror, _) in enumerate(laid_out[0])
-                  for j in range(_text.entries(shape, mirror))]
-        assert any(laid_out[0][k][2] and j > 0 for k, j in points)  # inside a mirrored stack
+        points = [(k, j) for k, part in enumerate(laid_out[0]) for j in range(_text._size(part)[0])]
+        if "trajector" in kind:
+            assert points == [(0, j) for j in range(14 if kind == "trajectories" else 1)]
+        else:
+            assert any(laid_out[0][k][2] and j > 0 for k, j in points)  # inside a mirrored stack
         for point in points:
-            monkeypatch.setattr(_text, "_cut", lambda arrays: point)
+            monkeypatch.setattr(_text, "_cut", lambda parts: point)
             assert text() == serial, point
     finally:
         proc = _text._worker
         _text.stop(wait=True)
     assert proc.returncode == 0
     assert len(replies) == len(points) and None not in replies
-    assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.skipif(os.name != "posix", reason="the fake worker is a script run through its #! line")
-@pytest.mark.parametrize("failure", ["cannot-start", "exits-nonzero", "killed-mid-job"])
-def test_failed_json_worker_gives_serial_bytes(traj_game, workers, monkeypatch, tmp_path, failure):
-    _, spec_path, _ = traj_game
-    files = ("certificate.json", "policy.json")
-    with monkeypatch.context() as m:
-        m.setattr(cli, "_usable_cpus", lambda: 1)
-        assert run("solve-exact", "--spec", spec_path, "--out", tmp_path / "serial") == 0
+# Each way a worker's job can fail: the command's exit code (None for an
+# interrupt) and the worker's return code, or none if it never started.
+_FAILURES = {"cannot-start": (0, []), "exits-nonzero": (0, [3]), "killed-mid-job": (0, [-signal.SIGKILL]),
+             "write-oserror": (4, [-signal.SIGKILL]), "write-interrupt": (None, [-signal.SIGKILL]),
+             "exit-2": (2, [-signal.SIGKILL]), "exit-3": (3, [-signal.SIGKILL]), "exit-4": (4, [-signal.SIGKILL])}
+
+
+def _failing_run(traj_game, tmp_path, monkeypatch, kind, failure=None):
+    """argv of a command that writes ``kind``, the CSV or JSON outputs, into
+    a new --out directory, with ``failure`` set up; the directory."""
+    _, spec_path, game_out = traj_game
+    out = tmp_path / "out"
+    out.mkdir(parents=True)
+    if kind == "csv":
+        monkeypatch.setattr(_text, "_TRAJ_CHUNK", 4)
+        argv = ["simulate", "--spec", spec_path, "--out", out, "--n-traj", 32]
+        (out / "policy.json").write_bytes((game_out / "policy.json").read_bytes())
+    else:
+        argv = ["solve-exact", "--spec", spec_path, "--out", out]
     if failure == "cannot-start":
         monkeypatch.setattr(sys, "executable", str(tmp_path / "no-such-python"))
     elif failure == "exits-nonzero":
-        monkeypatch.setattr(sys, "executable", _fake_python(tmp_path, "sys.exit(3)"))
-    else:
+        monkeypatch.setattr(sys, "executable", _failing_python(tmp_path))
+    elif failure == "killed-mid-job":
         real_submit = _text.submit
 
         def submit_then_kill(items, buffers):
@@ -667,44 +646,83 @@ def test_failed_json_worker_gives_serial_bytes(traj_game, workers, monkeypatch, 
             return sent
 
         monkeypatch.setattr(_text, "submit", submit_then_kill)
-    out = tmp_path / "split"
-    with _no_resource_warning():
-        assert run("solve-exact", "--spec", spec_path, "--out", out) == 0
-    for name in files:
-        assert (out / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
-    codes = {"cannot-start": [], "exits-nonzero": [3], "killed-mid-job": [-signal.SIGKILL]}[failure]
-    assert [proc.returncode for proc in workers] == codes
-    _assert_nothing_left(out, workers, files)
+    elif failure in ("write-oserror", "write-interrupt"):
+        # trajectories.csv fails at its second chunk of rows, before the
+        # worker's reply is read; policy.json at its one write, after it.
+        target, writes = (".trajectories.csv.", 2) if kind == "csv" else (".policy.json.", 0)
+        error = OSError(errno.ENOSPC, "No space left on device") if failure == "write-oserror" else KeyboardInterrupt()
+        real_open = open
 
+        def failing_open(path, *args, **kwargs):
+            fh = real_open(path, *args, **kwargs)
+            if Path(path).name.startswith(target):
+                write, done = fh.write, []
 
-def _failing_command(traj_game, tmp_path, code):
-    """argv of a command that starts a worker, then fails with ``code``."""
-    _, spec_path, _ = traj_game
-    out = tmp_path / "out"
-    if code == 2:
-        return ["solve-exact", "--spec", spec_path, "--out", out, "--margin", -1]
-    if code == 3:  # the 400-stage divergence repro
+                def write_then_fail(text):
+                    if len(done) == writes:
+                        raise error
+                    done.append(text)
+                    return write(text)
+
+                fh.write = write_then_fail
+            return fh
+
+        monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    elif failure == "exit-2":
+        if kind == "csv":  # the sampled costs overflow
+            joint = lq.load_joint_policy((out / "policy.json").read_text())
+            (out / "policy.json").write_text(lq.dump_joint_policy(lq.JointPolicy(joint.gains * 1e200, joint.covs)))
+        else:
+            argv += ["--margin", -1]
+    elif failure == "exit-3":  # the 400-stage divergence repro
         gen = tmp_path / "gen"
-        assert run("randgen", "--out", gen, "--agents", 3, "--horizon", 400, "--state-dim", 4,
-                   "--action-dim", 2, "--seed", 3, "--scale", 1.5) == 0
-        return ["solve-po", "--spec", gen / "spec.json", "--out", out, "--inner-iters", 50]
-    (out / "certificate.json").mkdir(parents=True)  # written after policy.json, which the worker helps format
-    return ["solve-exact", "--spec", spec_path, "--out", out]
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_usable_cpus", lambda: 1)
+            assert run("randgen", "--out", gen, "--agents", 3, "--horizon", 400, "--state-dim", 4,
+                       "--action-dim", 2, "--seed", 3, "--scale", 1.5) == 0
+        argv = ["solve-po", "--spec", gen / "spec.json", "--out", out, "--inner-iters", 50]
+    elif failure == "exit-4":  # written after the file the worker helps format
+        (out / ("costs.csv" if kind == "csv" else "certificate.json")).mkdir()
+    return argv, out
 
 
-@pytest.mark.parametrize("code", [2, 3, 4])
-def test_failed_command_leaves_no_worker(traj_game, workers, replies, tmp_path, capsys, code):
-    """A command that fails after its worker started kills and reaps it, and
-    leaves no temporary file in ``--out``."""
-    argv = _failing_command(traj_game, tmp_path, code)
-    del workers[:], replies[:]  # those of the repro's randgen
+@pytest.mark.skipif(os.name != "posix", reason="the fake worker is a script run through its #! line")
+@pytest.mark.parametrize("kind, failure", [(kind, failure) for kind in ("csv", "json") for failure in _FAILURES
+                                           if (kind, failure) != ("csv", "exit-3")])  # simulate runs no solver
+def test_failed_worker_or_command(traj_game, workers, replies, monkeypatch, tmp_path, capsys, kind, failure):
+    """A worker that cannot start or fails leaves the bytes of one process;
+    a command that fails after its worker started, by an error of its own or
+    by a write of this process, kills and reaps it and writes no file.
+    Either way no worker process is left running or unreaped, and ``--out``
+    holds no temporary file."""
+    code, worker_codes = _FAILURES[failure]
+    argv, out = _failing_run(traj_game, tmp_path, monkeypatch, kind, failure)
+    before = sorted(p.name for p in out.iterdir())
     with _no_resource_warning(), np.errstate(over="ignore", invalid="ignore"):
-        assert run(*argv) == code
-    assert "error (" in capsys.readouterr().err
-    assert [proc.returncode for proc in workers] == [-signal.SIGKILL]
-    # Only exit 4 comes after the documents, policy.json and certificate.json, are formatted.
-    assert len(replies) == (2 if code == 4 else 0) and None not in replies
-    _assert_nothing_left(tmp_path / "out", workers, ("certificate.json",) if code == 4 else ())
+        if code is None:
+            with pytest.raises(KeyboardInterrupt):
+                run(*argv)
+        else:
+            assert run(*argv) == code
+    assert [proc.returncode for proc in workers] == worker_codes
+    if code == 0:
+        serial, serial_out = _failing_run(traj_game, tmp_path / "serial", monkeypatch, kind)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        assert run(*serial) == 0
+        names = sorted(p.name for p in serial_out.iterdir())
+        _assert_nothing_left(out, workers, names)
+        for name in names:
+            assert (out / name).read_bytes() == (serial_out / name).read_bytes(), name
+    else:
+        _assert_nothing_left(out, workers, before)
+        err = capsys.readouterr().err
+        assert code is None or ("error (io): cannot write" if code == 4 else "error (") in err
+    if failure in ("exits-nonzero", "killed-mid-job"):
+        assert replies == [None]  # this process formats the rest
+    elif failure in ("exit-2", "exit-3"):
+        assert replies == []  # the command fails before it formats a file
+    else:
+        assert None not in replies
 
 
 @pytest.mark.parametrize("existing", [True, False], ids=["replaced", "new"])
