@@ -4,10 +4,12 @@ Every array of a JSON document is laid out here as ``json.dumps(indent=2)``
 lays out the nested list, and every line of ``trajectories.csv`` as
 ``csv.writer`` writes it; floats are written with ``repr``, as both do.
 
-The CLI lays out text in its own process, and with two usable CPUs it may
-also start one worker interpreter per command (:func:`start`) that runs this
-module with ``python -I -S``, so without numpy; run as a script,
-``python -I -S _text.py``, the module is a worker as well.
+The CLI lays out text in its own process, and on a POSIX system with two
+usable CPUs it may also start one worker interpreter per command
+(:func:`start`) that runs this module with ``python -I -S``, so without
+numpy; run as a script, ``python -I -S _text.py``, the module is a worker
+as well.  When the command ends, the CLI kills and reaps the worker
+(:func:`stop`), whether it succeeded or not.
 
 Both file kinds take one path, :func:`document`: a document is text pieces
 between parts, JSON arrays or the rows of ``trajectories.csv``.  While the
@@ -19,7 +21,8 @@ in order.  The worker reads a whole job from its stdin before it formats
 anything, so the CLI never waits on a full pipe while it formats its own
 part.  It keeps the job's text, encoded in UTF-8, until the job is done,
 then writes to its stdout the text's byte length as a line and the text.
-It exits 0 at the end of its input, nonzero on a short or malformed job.
+It exits 0 at the end of its input, as when the CLI's process dies, and
+nonzero on a short or malformed job.
 It imports only builtin and small modules, so it is ready in 10-14 ms.
 """
 import marshal
@@ -203,16 +206,27 @@ def render(items: list, take):
                 yield rows(lo, xs, take(k * T * width), T, m, width)
 
 
-def start(executable: str) -> None:
-    """Start this process's worker, ``executable -I -S`` running this
-    module, unless one runs.  It stays without a worker if none can start."""
+def _usable_cpus() -> int:
+    import os
+
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def start() -> None:
+    """Start this process's worker, ``sys.executable -I -S`` running this
+    module, unless one runs or none can run here: it needs a POSIX system,
+    at least two usable CPUs and ``sys.executable``.  It stays without a
+    worker if none can start."""
     global _worker
     import os
     import subprocess
 
-    if _worker is not None or os.name != "posix":  # tested on POSIX systems only
+    # Tested on POSIX systems only.
+    if _worker is not None or os.name != "posix" or _usable_cpus() < 2 or not sys.executable:
         return
-    argv = [executable, "-I", "-S", "-c", _BOOT, os.path.dirname(os.path.abspath(__file__))]
+    argv = [sys.executable, "-I", "-S", "-c", _BOOT, os.path.dirname(os.path.abspath(__file__))]
     try:
         _worker = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
     except OSError:
@@ -227,31 +241,19 @@ def start(executable: str) -> None:
         pass
 
 
-def stop(wait: bool = False) -> None:
-    """End this process's worker, if one runs, and reap it.  With ``wait``
-    close its input and wait for it to exit, as an idle worker does at
-    once; otherwise, or if that is interrupted, kill it."""
+def stop() -> None:
+    """Kill this process's worker, if one runs, and reap it."""
     global _worker
     proc, _worker = _worker, None
     if proc is None:
         return
-    try:
-        if wait:
-            _close(proc.stdin)
-            proc.wait()
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
-        for file in (proc.stdin, proc.stdout):
-            _close(file)
-
-
-def _close(file) -> None:
-    try:
-        file.close()
-    except OSError:  # unsent bytes of a job to a worker that is gone
-        pass
+    proc.kill()
+    proc.wait()
+    for file in (proc.stdin, proc.stdout):
+        try:
+            file.close()
+        except OSError:  # unsent bytes of a job to a worker that is gone
+            pass
 
 
 def job(items: list, count: int) -> bytes:
@@ -360,24 +362,24 @@ def _cut(parts: list):
     return None
 
 
-def document(pieces: list, parts: list, split: bool = True):
+def document(pieces: list, parts: list):
     """The text of a document, piece by piece: ``pieces[0]``, then each part
     followed by the next piece.  A part is a JSON array ``(shape, level,
     mirror, flat)``, whose ``flat`` holds the floats :func:`array` takes for
     the whole array, or ``("rows", T, m, width, xs, us)``, the lines of
     ``trajectories.csv`` whose floats :func:`rows` takes from ``xs`` and
     ``us``, ``_TRAJ_CHUNK`` trajectories at a time.  Float sequences are
-    one-dimensional, can be sliced, have ``tolist`` and expose their buffer,
-    such as float64 numpy arrays.
+    one-dimensional float64 arrays, such as numpy's: they can be sliced,
+    have ``tolist`` and expose their buffer.
 
-    Pieces this process formats are ``str``.  With ``split`` and a worker
-    running, the worker formats the tail from :func:`_cut`, which comes as
+    Pieces this process formats are ``str``.  With a worker running, the
+    worker formats the tail from :func:`_cut`, which comes as
     one ``bytes`` piece of UTF-8 after the head; if the worker fails, this
     process formats the tail as well.
     """
     yield pieces[0]
     end = (len(parts), 0)
-    cut = _cut(parts) if split and _worker is not None else None
+    cut = _cut(parts) if _worker is not None else None
     if cut is None:
         yield from _render(*_items(pieces, parts, (0, 0), end))
         return

@@ -8,14 +8,17 @@ summary goes to stdout.  ``eval`` and ``simulate`` consume the
 ``policy.json`` a solver wrote into the same ``--out`` directory.
 
 Every file is read by ``_read`` and written by ``_Files.write``, which
-writes ``\n`` line ends on every platform.  A command's files are staged
-beside their targets and moved into place only once it succeeds, and a
-failed move restores the targets already moved, so a command that fails
-changes no file in ``--out``.  ``main`` reads the spec
-and creates ``--out`` before a command runs, and maps each error to its
-exit code: 0 success, 2 load/validation error, 3 solver error, 4 I/O
-error, naming the file that could not be read or written.  All outputs
-are pure functions of the spec bytes, flags, and seed.
+writes ``\n`` line ends on every platform.  A command only stages its
+files and prints its summary; ``main`` owns every other effect.  It reads
+the spec and creates ``--out`` before a command runs.  Once the command
+succeeds, it moves the staged files into place, and only then prints one
+``wrote`` line naming them in the order they were written.  A move that
+fails or is interrupted restores the targets already moved, so a command
+that fails, or is interrupted, changes no file in ``--out`` and prints no
+``wrote`` line.  ``main`` maps each error to its exit code: 0 success, 2
+load/validation error, 3 solver error, 4 I/O error, naming the file that
+could not be read or written.  All outputs are pure functions of the spec
+bytes, flags, and seed.
 
 Large files are formatted on two cores when at least two CPUs are usable.
 ``main`` starts one worker interpreter per command (``python -I -S
@@ -29,8 +32,8 @@ at one trajectory, and the worker formats the tail while this process
 formats the head.  Both processes lay out text through ``_text``, so the
 bytes are those of one process.  The worker reads its jobs from a pipe and
 replies on its stdout; it writes no file.  If it cannot start or fails,
-this process formats its part too; when the command ends, the worker is
-reaped, and killed first if the command failed or was interrupted.
+this process formats its part too.  When the command ends, however it
+ends, ``main`` kills and reaps the worker.
 """
 from __future__ import annotations
 
@@ -136,8 +139,9 @@ class _Files:
 
     def commit(self) -> None:
         """Move every staged file into place once no target is a directory.
-        If a move fails, the targets already moved get their old contents
-        back, or are removed if they had none."""
+        If a move fails or is interrupted, the targets already moved get
+        their old contents back, or are removed if they had none; a failed
+        move raises ``_IOFailure``, any other exception propagates as it is."""
         for _, path in self.staged:
             _check_target(path)
         moved: list[tuple[Path, Path | None]] = []
@@ -147,15 +151,17 @@ class _Files:
                 backup = _backup(path)
                 if backup is not None:
                     backups.append(backup)
+                moved.append((path, backup))  # first, so an interrupt just after the move undoes it too
                 os.replace(staged, path)
-                moved.append((path, backup))
-        except OSError as exc:
+        except BaseException as exc:
             for target, backup in reversed(moved):
                 with contextlib.suppress(OSError):
                     if backup is None:
                         target.unlink()
                     else:
                         os.replace(backup, target)
+            if not isinstance(exc, OSError):
+                raise
             raise _IOFailure(f"cannot write {path}: {exc}") from None
         finally:
             for backup in backups:
@@ -215,7 +221,7 @@ def _write_trace(write, path: Path, report: SolveReport) -> None:
     write(path, stages)
 
 
-def _cmd_randgen(args, _, out: Path, write) -> int:
+def _cmd_randgen(args, _, out: Path, write) -> None:
     spec = random_game(args.agents, args.horizon, args.state_dim, args.action_dim, args.seed, args.scale)
     if args.tau is not None:
         spec = spec.with_tau(args.tau)
@@ -224,11 +230,9 @@ def _cmd_randgen(args, _, out: Path, write) -> int:
         f"generated spec: agents={spec.num_agents} horizon={spec.horizon} "
         f"state_dim={spec.state_dim} action_dim={spec.action_dim} tau={spec.tau}"
     )
-    print(f"wrote {out / 'spec.json'}")
-    return 0
 
 
-def _cmd_solve_exact(args, spec: GameSpec, out: Path, write) -> int:
+def _cmd_solve_exact(args, spec: GameSpec, out: Path, write) -> None:
     sol = exact_ne(spec)
     record = check_assumption_tau(spec, sol, args.margin)
     write(out / "policy.json", dump_joint_policy(sol.policy))
@@ -241,11 +245,9 @@ def _cmd_solve_exact(args, spec: GameSpec, out: Path, write) -> int:
         f"uniqueness condition: tau={spec.tau:g} threshold={record.threshold:.6g} "
         f"satisfied={record.satisfied}"
     )
-    print(f"wrote {out / 'policy.json'}, {out / 'certificate.json'}")
-    return 0
 
 
-def _cmd_solve_po(args, spec: GameSpec, out: Path, write) -> int:
+def _cmd_solve_po(args, spec: GameSpec, out: Path, write) -> None:
     report = po_solve(spec, inner_iters=args.inner_iters, stop_tol=args.stop_tol)
     write(out / "policy.json", dump_joint_policy(report.policy))
     _write_trace(write, out / "trace.csv", report)
@@ -261,11 +263,9 @@ def _cmd_solve_po(args, spec: GameSpec, out: Path, write) -> int:
             f"uniqueness condition (a posteriori): threshold={report.condition.threshold:.6g} "
             f"satisfied={report.condition.satisfied}"
         )
-    print(f"wrote {out / 'policy.json'}, {out / 'trace.csv'}")
-    return 0
 
 
-def _cmd_check(args, spec: GameSpec, out: Path, write) -> int:
+def _cmd_check(args, spec: GameSpec, out: Path, write) -> None:
     sol = exact_ne(spec)
     record = check_assumption_tau(spec, sol, args.margin)
     write(out / "condition.json", _dumps(_condition_doc(spec, record)))
@@ -273,11 +273,9 @@ def _cmd_check(args, spec: GameSpec, out: Path, write) -> int:
         f"tau={spec.tau:g} gamma_B={record.gamma_B:.6g} gamma_P={record.gamma_P:.6g} "
         f"threshold={record.threshold:.6g} margin={record.margin:g} satisfied={record.satisfied}"
     )
-    print(f"wrote {out / 'condition.json'}")
-    return 0
 
 
-def _cmd_augment(args, spec: GameSpec, out: Path, write) -> int:
+def _cmd_augment(args, spec: GameSpec, out: Path, write) -> None:
     report = delta_augment_solve(
         spec,
         delta_init=args.delta_init,
@@ -296,11 +294,9 @@ def _cmd_augment(args, spec: GameSpec, out: Path, write) -> int:
     print(f"augmentation succeeded with delta={report.delta_used:g}")
     for i, gap in enumerate(report.nash_gaps):
         print(f"  agent {i}: original-game exploitability {float(gap):.6e}")
-    print(f"wrote {out / 'policy.json'}, {out / 'trace.csv'}, {out / 'condition.json'}")
-    return 0
 
 
-def _cmd_eval(args, spec: GameSpec, out: Path, write) -> int:
+def _cmd_eval(args, spec: GameSpec, out: Path, write) -> None:
     joint = load_joint_policy(_read(out / "policy.json", "policy file"))
     cert = value_certificate(spec, joint)
     gaps = _nash_gaps(spec, joint, cert.expected_costs)
@@ -313,14 +309,6 @@ def _cmd_eval(args, spec: GameSpec, out: Path, write) -> int:
         doc["compare_distance"] = distance
         print(f"policy distance to {args.compare}: {distance:.6e}")
     write(out / "certificate.json", _dumps(doc))
-    print(f"wrote {out / 'certificate.json'}")
-    return 0
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _wants_worker(args, spec: GameSpec | None) -> bool:
@@ -330,9 +318,8 @@ def _wants_worker(args, spec: GameSpec | None) -> bool:
     ``random_game`` or ``simulate`` may end before a worker has started.
     The other commands start one after parsing the spec, so the solvers
     hide its start-up, and need a share of ``_text.MIN_SHARE`` floats of
-    one document."""
-    if _usable_cpus() < 2 or not sys.executable:
-        return False
+    one document.  Whether a worker can run here is ``_text.start``'s
+    to judge."""
     if spec is None:
         dims = (args.agents, args.horizon, args.state_dim, args.action_dim)
         values = sum(map(math.prod, _shapes(*dims).values())) if min(dims) > 0 else 0
@@ -362,7 +349,7 @@ def _write_trajectories(fh, states: np.ndarray, actions: np.ndarray) -> None:
             fh.buffer.write(piece)
 
 
-def _cmd_simulate(args, spec: GameSpec, out: Path, write) -> int:
+def _cmd_simulate(args, spec: GameSpec, out: Path, write) -> None:
     joint = load_joint_policy(_read(out / "policy.json", "policy file"))
     result = simulate(spec, joint, args.n_traj, args.seed)
     cert = value_certificate(spec, joint)
@@ -374,8 +361,6 @@ def _cmd_simulate(args, spec: GameSpec, out: Path, write) -> int:
            + "".join([f"{i},{mean!r},{se!r},{value!r}\n" for i, (mean, se, value) in rows]))
     for i, (mean, se, value) in rows:
         print(f"  agent {i}: empirical {mean:.6g} +/- {se:.3g} (certificate {value:.6g})")
-    print(f"wrote {out / 'trajectories.csv'}, {out / 'costs.csv'}")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -448,11 +433,11 @@ def main(argv=None) -> int:
         spec = load_game_spec(_read(args.spec, "spec file")) if "spec" in args else None  # randgen has none
         out = _out_dir(args.out)
         if _wants_worker(args, spec):
-            _text.start(sys.executable)
-        code = args.func(args, spec, out, files.write)
+            _text.start()
+        args.func(args, spec, out, files.write)
         files.commit()
-        _text.stop(wait=True)
-        return code
+        print("wrote " + ", ".join(str(path) for _, path in files.staged))
+        return 0
     except SolverError as exc:
         print(f"error (solver): {exc}", file=sys.stderr)
         return 3

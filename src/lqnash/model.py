@@ -313,7 +313,7 @@ def _flat_values(arr: np.ndarray) -> tuple[bool, np.ndarray]:
     formatted; each lower entry reuses the text of its mirror image.
     """
     m = arr.shape[-1] if arr.ndim >= 2 else 0
-    if m > 1 and arr.shape[-2] == m and arr.size and arr.dtype == np.float64:
+    if m > 1 and arr.shape[-2] == m and arr.size:
         bits = arr.view(np.uint64)
         if np.array_equal(bits, bits.swapaxes(-1, -2)):
             iu0, iu1 = np.triu_indices(m)
@@ -323,7 +323,7 @@ def _flat_values(arr: np.ndarray) -> tuple[bool, np.ndarray]:
 
 def _dumps(doc) -> str:
     """``json.dumps(doc, indent=2, allow_nan=False) + "\\n"`` for a document
-    whose leaves may also be float arrays.
+    whose leaves may also be float64 arrays.
 
     json lays out the document with a placeholder string per array; each
     array is then laid out by :mod:`._text` with the ``repr`` of its
@@ -351,8 +351,7 @@ def _dumps(doc) -> str:
             bad = float(arr[~finite][0])
             raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
         laid_out.append((arr.shape, level, *_flat_values(arr)))
-    # The worker reads float64 values; other arrays keep the text of their tolist().
-    text = _text.document(pieces, laid_out, split=all(arr.dtype == np.float64 for arr, _ in arrays))
+    text = _text.document(pieces, laid_out)
     return "".join([piece if isinstance(piece, str) else piece.decode() for piece in text])
 
 
@@ -444,7 +443,8 @@ def validate_game_spec(spec: GameSpec) -> GameSpec:
             if bad:
                 raise _not_psd(field, lo)
 
-    frozen = {field: _frozen(arr) for field, arr in arrays.items()}
+    # The symmetrized fields are new arrays; the others may be the caller's own.
+    frozen = {field: _frozen(arr if field in _SYMMETRIC else arr.copy()) for field, arr in arrays.items()}
     return GameSpec(num_agents=n, horizon=horizon, state_dim=m, action_dim=p, tau=tau, **frozen)
 
 

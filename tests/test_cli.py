@@ -68,7 +68,11 @@ def test_solve_exact_scalar_outputs(scalar_spec_file, tmp_path, capsys):
     assert policy["covs"][0][0][0][0] == pytest.approx(1 / 3, abs=1e-12)
     cert = json.loads((out / "certificate.json").read_text())
     assert cert["agents"][0]["P"][0][0][0] == pytest.approx(5 / 3, abs=1e-12)
-    assert "expected cost" in capsys.readouterr().out
+    stdout = capsys.readouterr().out
+    assert "expected cost" in stdout
+    # One line names the files once they are in place, in the order they were written.
+    assert stdout.endswith(f"\nwrote {out / 'policy.json'}, {out / 'certificate.json'}\n")
+    assert stdout.count("wrote") == 1
 
 
 def test_solve_po_then_compare(scalar_spec_file, tmp_path, capsys):
@@ -387,7 +391,7 @@ def workers(monkeypatch):
             started.append(self)
 
     monkeypatch.setattr(subprocess, "Popen", Recorded)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_text, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(cli, "_WORKER_MIN_VALUES", 1)
     monkeypatch.setattr(_text, "MIN_SHARE", 1)
     return started
@@ -403,7 +407,7 @@ def _simulate(traj_game, n_traj, seed=5):
 
 def _serial_bytes(traj_game, n_traj, monkeypatch, seed=5):
     with monkeypatch.context() as m:
-        m.setattr(cli, "_usable_cpus", lambda: 1)
+        m.setattr(_text, "_usable_cpus", lambda: 1)
         _simulate(traj_game, n_traj, seed)
     return (traj_game[2] / "trajectories.csv").read_bytes()
 
@@ -444,9 +448,11 @@ def _no_resource_warning():
 
 
 @pytest.mark.parametrize("n_traj", [1, 3 * _text._TRAJ_CHUNK - 1, 3 * _text._TRAJ_CHUNK, 3 * _text._TRAJ_CHUNK + 1])
-def test_split_trajectories_match_serial(traj_game, workers, monkeypatch, n_traj):
+def test_split_trajectories_match_serial(traj_game, workers, replies, monkeypatch, n_traj):
     expected = _simulate(traj_game, n_traj)
-    assert [proc.returncode for proc in workers] == [0]
+    # Killed and reaped after its one reply was read.
+    assert [proc.returncode for proc in workers] == [-signal.SIGKILL]
+    assert len(replies) == 1 and None not in replies
     split = (traj_game[2] / "trajectories.csv").read_bytes()
     assert split == expected
     assert _serial_bytes(traj_game, n_traj, monkeypatch) == expected
@@ -455,9 +461,10 @@ def test_split_trajectories_match_serial(traj_game, workers, monkeypatch, n_traj
 
 
 def test_worker_rule(traj_game, monkeypatch):
-    """simulate starts a worker only with two usable CPUs, an interpreter to
-    start and a share of ``_WORKER_MIN_VALUES`` floats, half of the file's."""
-    assert 1 <= cli._usable_cpus() <= (os.cpu_count() or 1)
+    """simulate wants a worker for a share of ``_WORKER_MIN_VALUES`` floats,
+    half of the file's; ``_text.start`` starts one only with two usable
+    CPUs and an interpreter to start."""
+    assert 1 <= _text._usable_cpus() <= (os.cpu_count() or 1)
     spec, spec_path, out = traj_game
     per = (spec.horizon + 1) * spec.state_dim + spec.horizon * spec.num_agents * spec.action_dim
     n_traj = -(-2 * cli._WORKER_MIN_VALUES // per)  # the fewest that repay a worker
@@ -466,13 +473,21 @@ def test_worker_rule(traj_game, monkeypatch):
         args = cli.build_parser().parse_args(["simulate", "--spec", str(spec_path), "--out", str(out), "--n-traj", str(n)])
         return cli._wants_worker(args, spec)
 
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     assert wants(n_traj) and not wants(n_traj - 1)
+
+    def started():
+        _text.start()
+        proc = _text._worker
+        _text.stop()
+        return proc is not None
+
+    monkeypatch.setattr(_text, "_usable_cpus", lambda: 2)
+    assert started() == (os.name == "posix")
     with monkeypatch.context() as m:
         m.setattr(sys, "executable", "")
-        assert not wants(n_traj)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
-    assert not wants(n_traj)
+        assert not started()
+    monkeypatch.setattr(_text, "_usable_cpus", lambda: 1)
+    assert not started()
 
 
 def test_small_simulate_splits_rows_or_starts_no_worker(tmp_path, monkeypatch, replies):
@@ -483,7 +498,7 @@ def test_small_simulate_splits_rows_or_starts_no_worker(tmp_path, monkeypatch, r
     spec_path, out = tmp_path / "game.json", tmp_path / "run"
     spec_path.write_text(lq.dump_game_spec(spec))
     assert run("solve-exact", "--spec", spec_path, "--out", out) == 0
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_text, "_usable_cpus", lambda: 2)
     del replies[:]
     assert run("simulate", "--spec", spec_path, "--out", out, "--n-traj", 100) == 0
     # A worker's text begins after this process's first trajectory.
@@ -506,7 +521,8 @@ def _failing_python(tmp_path):
 def test_worker_script_rejects_short_input():
     """The worker, run as the CLI runs it, exits nonzero when its input ends
     early, and replies to each job on its stdout: the text's byte length as
-    a line, then the text."""
+    a line, then the text.  At the end of its input it exits 0, as a worker
+    whose parent died does."""
     # One trajectory of T=1, m=3, width=3: six state values, then three action values.
     job = _text.job([["rows", 0, 1, 1, 3, 3, 64]], 9)
     floats = np.arange(9, dtype=np.float64).tobytes()
@@ -550,7 +566,7 @@ def test_json_outputs_match_one_cpu(traj_game, workers, replies, monkeypatch, tm
     formats part of it or this process formats all of it."""
     spec_path = traj_game[1]
     with monkeypatch.context() as m:
-        m.setattr(cli, "_usable_cpus", lambda: 1)
+        m.setattr(_text, "_usable_cpus", lambda: 1)
         serial = _json_outputs(tmp_path / "serial", spec_path)
     assert workers == [] and replies == []
     split = _json_outputs(tmp_path / "split", spec_path)
@@ -558,8 +574,9 @@ def test_json_outputs_match_one_cpu(traj_game, workers, replies, monkeypatch, tm
     assert sorted(serial) == ["aug/condition.json", "aug/policy.json", "exact/certificate.json",
                               "exact/condition.json", "exact/policy.json", "gen/spec.json",
                               "po/certificate.json", "po/policy.json"]
-    # randgen, solve-exact, solve-po, eval and augment start one each; check writes no array.
-    assert [proc.returncode for proc in workers] == [0] * 5
+    # randgen, solve-exact, solve-po, eval and augment start one each; check writes
+    # no array.  Each is killed and reaped after every reply was read.
+    assert [proc.returncode for proc in workers] == [-signal.SIGKILL] * 5
     assert len(replies) >= 6 and None not in replies
 
 
@@ -596,7 +613,8 @@ def test_every_split_point_matches_serial(monkeypatch, replies, kind, blocks):
     monkeypatch.setattr(_text, "_cut", lambda parts: laid_out.append(parts) or real_cut(parts))
     monkeypatch.setattr(_text, "_MAX_BLOCK", blocks[0])
     monkeypatch.setattr(_text, "_TRAJ_CHUNK", blocks[1])
-    _text.start(sys.executable)
+    monkeypatch.setattr(_text, "_usable_cpus", lambda: 2)
+    _text.start()
     try:
         assert text() == serial
         points = [(k, j) for k, part in enumerate(laid_out[0]) for j in range(_text._size(part)[0])]
@@ -609,8 +627,8 @@ def test_every_split_point_matches_serial(monkeypatch, replies, kind, blocks):
             assert text() == serial, point
     finally:
         proc = _text._worker
-        _text.stop(wait=True)
-    assert proc.returncode == 0
+        _text.stop()
+    assert proc.returncode == -signal.SIGKILL
     assert len(replies) == len(points) and None not in replies
 
 
@@ -677,7 +695,7 @@ def _failing_run(traj_game, tmp_path, monkeypatch, kind, failure=None):
     elif failure == "exit-3":  # the 400-stage divergence repro
         gen = tmp_path / "gen"
         with monkeypatch.context() as m:
-            m.setattr(cli, "_usable_cpus", lambda: 1)
+            m.setattr(_text, "_usable_cpus", lambda: 1)
             assert run("randgen", "--out", gen, "--agents", 3, "--horizon", 400, "--state-dim", 4,
                        "--action-dim", 2, "--seed", 3, "--scale", 1.5) == 0
         argv = ["solve-po", "--spec", gen / "spec.json", "--out", out, "--inner-iters", 50]
@@ -698,6 +716,7 @@ def test_failed_worker_or_command(traj_game, workers, replies, monkeypatch, tmp_
     code, worker_codes = _FAILURES[failure]
     argv, out = _failing_run(traj_game, tmp_path, monkeypatch, kind, failure)
     before = sorted(p.name for p in out.iterdir())
+    capsys.readouterr()  # the set-up's commands
     with _no_resource_warning(), np.errstate(over="ignore", invalid="ignore"):
         if code is None:
             with pytest.raises(KeyboardInterrupt):
@@ -707,7 +726,7 @@ def test_failed_worker_or_command(traj_game, workers, replies, monkeypatch, tmp_
     assert [proc.returncode for proc in workers] == worker_codes
     if code == 0:
         serial, serial_out = _failing_run(traj_game, tmp_path / "serial", monkeypatch, kind)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(_text, "_usable_cpus", lambda: 1)
         assert run(*serial) == 0
         names = sorted(p.name for p in serial_out.iterdir())
         _assert_nothing_left(out, workers, names)
@@ -715,8 +734,9 @@ def test_failed_worker_or_command(traj_game, workers, replies, monkeypatch, tmp_
             assert (out / name).read_bytes() == (serial_out / name).read_bytes(), name
     else:
         _assert_nothing_left(out, workers, before)
-        err = capsys.readouterr().err
-        assert code is None or ("error (io): cannot write" if code == 4 else "error (") in err
+        printed = capsys.readouterr()
+        assert code is None or ("error (io): cannot write" if code == 4 else "error (") in printed.err
+        assert "wrote" not in printed.out
     if failure in ("exits-nonzero", "killed-mid-job"):
         assert replies == [None]  # this process formats the rest
     elif failure in ("exit-2", "exit-3"):
@@ -728,8 +748,10 @@ def test_failed_worker_or_command(traj_game, workers, replies, monkeypatch, tmp_
 @pytest.mark.parametrize("existing", [True, False], ids=["replaced", "new"])
 @pytest.mark.parametrize("links", [True, False], ids=["hard-link", "copy"])
 def test_commit_restores_targets_when_a_move_fails(scalar_spec_file, tmp_path, monkeypatch, capsys, existing, links):
-    """A command whose second file cannot be moved into place leaves every
-    target as it was, and no staged or backup file."""
+    """A command whose second file cannot be moved into place, or is
+    interrupted there, leaves every target as it was, and no staged or
+    backup file, and prints no ``wrote`` line.  A failed move exits 4; an
+    interrupt propagates as it is."""
     out = tmp_path / "run"
     out.mkdir()
     if existing:
@@ -741,7 +763,7 @@ def test_commit_restores_targets_when_a_move_fails(scalar_spec_file, tmp_path, m
     def replace(src, dst):
         moves.append(dst)
         if len(moves) == 2:
-            raise OSError(errno.EIO, "Input/output error")
+            raise error
         return real_replace(src, dst)
 
     def no_link(src, dst):
@@ -750,8 +772,17 @@ def test_commit_restores_targets_when_a_move_fails(scalar_spec_file, tmp_path, m
     monkeypatch.setattr(os, "replace", replace)
     if not links:
         monkeypatch.setattr(os, "link", no_link)
+    error = OSError(errno.EIO, "Input/output error")
     assert run("solve-exact", "--spec", scalar_spec_file, "--out", out) == 4
-    assert f"error (io): cannot write {out / 'certificate.json'}: " in capsys.readouterr().err
+    printed = capsys.readouterr()
+    assert f"error (io): cannot write {out / 'certificate.json'}: " in printed.err
+    assert "wrote" not in printed.out
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    error, moves[:] = KeyboardInterrupt(), []
+    with pytest.raises(KeyboardInterrupt):
+        run("solve-exact", "--spec", scalar_spec_file, "--out", out)
+    assert "wrote" not in capsys.readouterr().out
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 

@@ -295,6 +295,22 @@ def test_joint_policy_holds_read_only_c_contiguous_copies():
     assert (joint.num_agents, joint.horizon) == (2, 3)
 
 
+def test_validation_copies_the_callers_arrays():
+    """Validation leaves the caller's arrays writable and shares no memory
+    with them, so no write to them can change a validated spec."""
+    spec = lq.random_game(2, 3, 3, 2, seed=5, scale=0.6)
+    base = {field: np.array(getattr(spec, field)) for field in model._shapes(2, 3, 3, 2)}
+    views = {field: arr[...] for field, arr in base.items()}
+    validated = lq.validate_game_spec(dataclasses.replace(spec, **views))
+    for field, source in views.items():
+        arr = getattr(validated, field)
+        assert source.flags.writeable and not arr.flags.writeable, field
+        assert not np.shares_memory(arr, base[field]), field
+        before = arr.copy()
+        base[field] += 1.0
+        npt.assert_array_equal(arr, before)
+
+
 @pytest.mark.parametrize("cov_shape", [(2, 3, 3, 3), (2, 3, 2, 3)])
 def test_mis_shaped_policy_covariances_rejected(cov_shape):
     """Covariances must be ``(N, T, p, p)`` for gains ``(N, T, p, m)``; the
