@@ -4,26 +4,26 @@ Every array of a JSON document is laid out here as ``json.dumps(indent=2)``
 lays out the nested list, and every line of ``trajectories.csv`` as
 ``csv.writer`` writes it; floats are written with ``repr``, as both do.
 
-The CLI lays out text in its own process, and on a POSIX system with two
-usable CPUs it may also start one worker interpreter per command
-(:func:`start`) that runs this module with ``python -I -S``, so without
-numpy; run as a script, ``python -I -S _text.py``, the module is a worker
-as well.  When the command ends, the CLI kills and reaps the worker
+The CLI lays out JSON documents in its own process.  The rows of
+``trajectories.csv`` take one split path, :func:`trajectories`: on a POSIX
+system with two usable CPUs the CLI may start one worker interpreter per
+command (:func:`start`) that runs this module with ``python -I -S``, so
+without numpy; run as a script, ``python -I -S _text.py``, the module is a
+worker as well.  When the command ends, the CLI kills and reaps the worker
 (:func:`stop`), whether it succeeded or not.
 
-Both file kinds take one path, :func:`document`: a document is text pieces
-between parts, JSON arrays or the rows of ``trajectories.csv``.  While the
-CLI formats the head of a large document, the worker formats its tail from
-:func:`_cut`.  Both call :func:`render`, so the bytes are the same whichever
-process formats them.  A job (:func:`job`) is a line with two sizes, the
-job's items in ``marshal`` format, and the raw float64 values the items take
-in order.  The worker reads a whole job from its stdin before it formats
-anything, so the CLI never waits on a full pipe while it formats its own
-part.  It keeps the job's text, encoded in UTF-8, until the job is done,
-then writes to its stdout the text's byte length as a line and the text.
-It exits 0 at the end of its input, as when the CLI's process dies, and
-nonzero on a short or malformed job.
-It imports only builtin and small modules, so it is ready in 10-14 ms.
+While the CLI formats the first trajectories, the worker formats the rest,
+from the trajectory :func:`_cut` picks.  Both call :func:`render`, so the
+bytes are the same whichever process formats them.  A job (:func:`job`) is
+a line with two sizes, the job's span of trajectories in ``marshal``
+format, and the raw float64 values the span takes in order.  The worker
+reads a whole job from its stdin before it formats anything, so the CLI
+never waits on a full pipe while it formats its own part.  It keeps the
+job's text, encoded in UTF-8, until the job is done, then writes to its
+stdout the text's byte length as a line and the text.  It exits 0 at the
+end of its input, as when the CLI's process dies, and nonzero on a short or
+malformed job.  It imports only builtin and small modules, so it is ready
+in 10-14 ms.
 """
 import marshal
 import operator
@@ -33,11 +33,8 @@ import sys
 # array's leading axis as fit, and a larger entry is laid out along its own
 # leading axis.  This bounds every template.
 _MAX_BLOCK = 1024
-# Floats a worker must format for a job to repay sending them, reading
-# its text back and decoding it.
-MIN_SHARE = 4096
-# The share of a document's work that this process keeps, the head; it
-# also sends the tail's floats and decodes and joins the worker's text.
+# The share of the trajectories that this process formats, the head; it
+# also sends the tail's floats and joins the worker's text.
 _HEAD_SHARE = 0.5
 
 # Templates and mirror getters kept for reuse.
@@ -98,56 +95,37 @@ def _gather(count: int, m: int):
 _template, _mirror = _kept(_group), _kept(_gather)
 
 
-def entries(shape, mirror: bool) -> int:
-    """Entries of an array that :func:`array` can lay out apart: those of
-    its leading axis, or one for a scalar or a single mirrored matrix."""
-    return 1 if not shape or mirror and len(shape) == 2 else shape[0]
+def array(shape, level: int, mirror: bool, values: list) -> str:
+    """Text of an array of ``shape`` at nesting ``level``.
 
-
-def values_per_entry(shape, mirror: bool) -> int:
-    """Floats that :func:`array` takes for each of :func:`entries`: an
-    entry's size, or with ``mirror`` the upper triangles of its matrices."""
-    size = 1
-    for d in shape:
-        size *= d
-    if mirror:
-        m = shape[-1]
-        size = size // (m * m) * (m * (m + 1) // 2)
-    n = entries(shape, mirror)
-    return size // n if n else 0
-
-
-def array(shape, level: int, mirror: bool, lo: int, hi: int, values: list) -> str:
-    """Text of entries ``lo:hi`` of an array of ``shape`` at nesting
-    ``level``: for ``lo == 0`` the opening bracket, else the separator before
-    entry ``lo``; then the entries; for the last entry the closing bracket.
-    So the texts of entries ``0:k`` and ``k:n`` join to the array's text.
-
-    ``values`` holds the entries' floats in row-major order.  With
-    ``mirror`` the array is a stack of symmetric square matrices, and
-    ``values`` holds only each matrix's upper triangle, row by row; each
-    lower entry reuses the text of its mirror image.
+    ``values`` holds the array's floats in row-major order.  With ``mirror``
+    the array is a stack of symmetric square matrices, and ``values`` holds
+    only each matrix's upper triangle, row by row; each lower entry reuses
+    the text of its mirror image.
     """
     shape = tuple(shape)
     if not shape:
         return repr(values[0])
-    if shape[0] == 0:
+    n = shape[0]
+    if n == 0:
         return "[]"
     if mirror and len(shape) == 2:  # the layout of a matrix past the bound is not kept
-        layout, gather = (_template, _mirror) if shape[0] * shape[1] <= _MAX_BLOCK else (_group, _gather)
-        return layout(shape, level, 1) % gather(1, shape[0])(list(map(repr, values)))
+        layout, gather = (_template, _mirror) if n * shape[1] <= _MAX_BLOCK else (_group, _gather)
+        return layout(shape, level, 1) % gather(1, n)(list(map(repr, values)))
     pad = "\n" + "  " * (level + 1)
-    block, size, per = shape[1:], values_per_entry(shape, False), values_per_entry(shape, mirror)
+    block, per = shape[1:], len(values) // n
+    size = 1  # an entry's floats before mirroring
+    for d in block:
+        size *= d
     if not block:
         body = ("," + pad).join(map(repr, values))
     elif size > _MAX_BLOCK:
-        body = ("," + pad).join([array(block, level + 1, mirror, 0, entries(block, mirror), values[i:i + per])
-                                 for i in range(0, (hi - lo) * per, per)])
+        body = ("," + pad).join([array(block, level + 1, mirror, values[i:i + per]) for i in range(0, n * per, per)])
     else:  # one template for as many entries as the bound allows
-        step = max(1, _MAX_BLOCK // size) if size else hi - lo
+        step = max(1, _MAX_BLOCK // size) if size else n
         parts = []
-        for a in range(0, hi - lo, step):
-            count = min(step, hi - lo - a)
+        for a in range(0, n, step):
+            count = min(step, n - a)
             template, span = _template(block, level + 1, count), values[a * per:(a + count) * per]
             if mirror:
                 m = shape[-1]
@@ -155,9 +133,7 @@ def array(shape, level: int, mirror: bool, lo: int, hi: int, values: list) -> st
             else:
                 parts.append(template % tuple(span))
         body = ("," + pad).join(parts)
-    head = "[" + pad if lo == 0 else "," + pad
-    tail = "\n" + "  " * level + "]" if hi == shape[0] else ""
-    return head + body + tail
+    return "[" + pad + body + "\n" + "  " * level + "]"
 
 
 def rows(first: int, xs: list, us: list, T: int, m: int, width: int) -> str:
@@ -182,28 +158,18 @@ def rows(first: int, xs: list, us: list, T: int, m: int, width: int) -> str:
     return "".join(parts)
 
 
-def render(items: list, take):
-    """The text of each item in turn; ``take(count)`` gives the next
-    ``count`` floats the items take, as a list.
-
-    An item is a text piece, or a list: ``["array", shape, level, mirror,
-    lo, hi]`` (see :func:`array`), or ``["rows", first, count, T, m, width,
-    chunk]``, trajectories ``first`` to ``first+count-1`` of
-    ``trajectories.csv``, whose floats come ``chunk`` trajectories at a
-    time: their states, then their actions (see :func:`rows`).
-    """
-    for item in items:
-        if isinstance(item, str):
-            yield item
-        elif item[0] == "array":
-            _, shape, level, mirror, lo, hi = item
-            yield array(shape, level, mirror, lo, hi, take((hi - lo) * values_per_entry(shape, mirror)))
-        else:
-            _, first, count, T, m, width, chunk = item
-            for lo in range(first, first + count, chunk):
-                k = min(chunk, first + count - lo)
-                xs = take(k * (T + 1) * m)
-                yield rows(lo, xs, take(k * T * width), T, m, width)
+def render(span, take):
+    """The lines of a span of trajectories, a chunk at a time.  ``span`` is
+    ``[first, count, T, m, width, chunk]``: trajectories ``first`` to
+    ``first+count-1`` of ``trajectories.csv``, whose floats come ``chunk``
+    trajectories at a time, their states, then their actions (see
+    :func:`rows`).  ``take(count)`` gives the next ``count`` floats, as a
+    list."""
+    first, count, T, m, width, chunk = span
+    for lo in range(first, first + count, chunk):
+        k = min(chunk, first + count - lo)
+        xs = take(k * (T + 1) * m)
+        yield rows(lo, xs, take(k * T * width), T, m, width)
 
 
 def _usable_cpus() -> int:
@@ -256,15 +222,15 @@ def stop() -> None:
             pass
 
 
-def job(items: list, count: int) -> bytes:
+def job(span: list, count: int) -> bytes:
     """The head of a job: a line with the byte size of the marshalled
-    ``items`` and the number of floats that follow them, then the items."""
-    head = marshal.dumps(items, 4)
+    ``span`` and the number of floats that follow it, then the span."""
+    head = marshal.dumps(span, 4)
     return b"%d %d\n" % (len(head), count) + head
 
 
-def submit(items: list, buffers: list) -> bool:
-    """Send the worker a job: ``items`` for :func:`render`, whose floats are
+def submit(span: list, buffers: list) -> bool:
+    """Send the worker a job: ``span`` for :func:`render`, whose floats are
     the float64 ``buffers`` in order.  False, with the worker stopped, if
     none runs or it cannot take the job."""
     if _worker is None:
@@ -272,7 +238,7 @@ def submit(items: list, buffers: list) -> bool:
     views = [memoryview(b).cast("B") for b in buffers]
     try:
         pipe = _worker.stdin
-        pipe.write(job(items, sum(v.nbytes for v in views) // 8))
+        pipe.write(job(span, sum(v.nbytes for v in views) // 8))
         for view in views:
             pipe.write(view)
         pipe.flush()
@@ -297,107 +263,49 @@ def reply():
     return text
 
 
-def _size(part) -> tuple:
-    """``(entries, work per entry)`` of a part of a document: the entries
-    :func:`_span` can lay out apart, and their floats.  A mirrored entry's
-    work also counts an eighth of its slots: filling a slot with a text took
-    about an eighth of the time of a ``repr``."""
-    if part[0] == "rows":
-        _, T, m, width, xs, _ = part
-        return len(xs) // ((T + 1) * m), (T + 1) * m + T * width
-    shape, _, mirror, _ = part
-    work = values_per_entry(shape, mirror)
-    if mirror:
-        work += values_per_entry(shape, False) // 8
-    return entries(shape, mirror), work
+def _span(lo: int, hi: int, T: int, m: int, width: int, xs, us):
+    """The :func:`render` span of trajectories ``lo:hi``, and their floats:
+    flat sequences, in the order the span takes them."""
+    steps = [(a, min(a + _TRAJ_CHUNK, hi)) for a in range(lo, hi, _TRAJ_CHUNK)]
+    return ([lo, hi - lo, T, m, width, _TRAJ_CHUNK],
+            [flat[a * per:b * per] for a, b in steps for flat, per in ((xs, (T + 1) * m), (us, T * width))])
 
 
-def _span(part, lo: int, hi: int):
-    """The :func:`render` item of entries ``lo:hi`` of a part, and their
-    floats: flat sequences, in the order the item takes them."""
-    if part[0] == "rows":
-        _, T, m, width, xs, us = part
-        steps = [(a, min(a + _TRAJ_CHUNK, hi)) for a in range(lo, hi, _TRAJ_CHUNK)]
-        return (["rows", lo, hi - lo, T, m, width, _TRAJ_CHUNK],
-                [flat[a * per:b * per] for a, b in steps for flat, per in ((xs, (T + 1) * m), (us, T * width))])
-    shape, level, mirror, flat = part
-    per = values_per_entry(shape, mirror)
-    return ["array", list(shape), level, mirror, lo, hi], [flat[lo * per:hi * per]]
+def _cut(count: int) -> int:
+    """The first trajectory of the worker's part: the head keeps about
+    ``_HEAD_SHARE`` of the ``count`` trajectories, and the worker at least
+    the last one."""
+    return min(count - 1, round(count * _HEAD_SHARE))
 
 
-def _items(pieces: list, parts: list, start: tuple, end: tuple):
-    """The items of the document text from ``start`` to ``end``, and their
-    floats.  A position ``(k, j)`` lies before entry ``j`` of part ``k``
-    and after ``pieces[k]``; ``(len(parts), 0)`` is the end."""
-    (k0, j0), (k1, j1) = start, end
-    items, values = [], []
-    for k in range(k0, min(k1 + 1, len(parts))):
-        if k > k0:
-            items.append(pieces[k])
-        n, _ = _size(parts[k])
-        lo, hi = j0 if k == k0 else 0, j1 if k == k1 else n
-        if hi > lo or not n:  # an empty array is "[]"
-            item, floats = _span(parts[k], lo, hi)
-            items.append(item)
-            values += floats
-    if k1 == len(parts) > k0:
-        items.append(pieces[-1])
-    return items, values
+def trajectories(T: int, m: int, width: int, xs, us):
+    """The lines of ``trajectories.csv`` after its header, piece by piece:
+    ``xs`` holds each trajectory's ``(T+1)*m`` states and ``us`` its
+    ``T*width`` actions.  Both are one-dimensional float64 arrays, such as
+    numpy's: they can be sliced, have ``tolist`` and expose their buffer.
 
-
-def _cut(parts: list):
-    """Where the worker's part of a document begins, ``(k, j)``: the entry
-    at which the head holds about ``_HEAD_SHARE`` of the work (see
-    :func:`_size`); None if the tail would hold fewer than ``MIN_SHARE``
-    floats."""
-    sizes = [_size(part) for part in parts]
-    total = sum(n * work for n, work in sizes)
-    if total * (1 - _HEAD_SHARE) < MIN_SHARE:
-        return None
-    head = total * _HEAD_SHARE
-    for k, (n, work) in enumerate(sizes):
-        if n * work > head:
-            return k, min(n - 1, round(head / work))
-        head -= n * work
-    return None
-
-
-def document(pieces: list, parts: list):
-    """The text of a document, piece by piece: ``pieces[0]``, then each part
-    followed by the next piece.  A part is a JSON array ``(shape, level,
-    mirror, flat)``, whose ``flat`` holds the floats :func:`array` takes for
-    the whole array, or ``("rows", T, m, width, xs, us)``, the lines of
-    ``trajectories.csv`` whose floats :func:`rows` takes from ``xs`` and
-    ``us``, ``_TRAJ_CHUNK`` trajectories at a time.  Float sequences are
-    one-dimensional float64 arrays, such as numpy's: they can be sliced,
-    have ``tolist`` and expose their buffer.
-
-    Pieces this process formats are ``str``.  With a worker running, the
-    worker formats the tail from :func:`_cut`, which comes as
-    one ``bytes`` piece of UTF-8 after the head; if the worker fails, this
-    process formats the tail as well.
+    Pieces this process formats are ``str``, ``_TRAJ_CHUNK`` trajectories
+    each.  With a worker running, the worker formats the trajectories from
+    :func:`_cut` on, which come as one ``bytes`` piece of UTF-8 after the
+    others; if the worker fails, this process formats them as well.
     """
-    yield pieces[0]
-    end = (len(parts), 0)
-    cut = _cut(parts) if _worker is not None else None
-    if cut is None:
-        yield from _render(*_items(pieces, parts, (0, 0), end))
-        return
-    tail_items, tail_values = _items(pieces, parts, cut, end)
-    sent = submit(tail_items, tail_values)
-    yield from _render(*_items(pieces, parts, (0, 0), cut))
-    tail = reply() if sent else None
-    if tail is None:
-        yield from _render(tail_items, tail_values)
+    count = len(xs) // ((T + 1) * m)
+    cut = count if _worker is None else _cut(count)
+    tail = _span(cut, count, T, m, width, xs, us)
+    sent = cut < count and submit(*tail)
+    yield from _render(*_span(0, cut, T, m, width, xs, us))
+    text = reply() if sent else None
+    if text is None:
+        yield from _render(*tail)
     else:
-        yield tail
+        yield text
 
 
-def _render(items: list, values: list):
-    """:func:`render` of ``items``; ``values`` holds the floats of each
-    take in turn as a sequence with ``tolist``."""
+def _render(span: list, values: list):
+    """:func:`render` of ``span``; ``values`` holds the floats of each take
+    in turn as a sequence with ``tolist``."""
     flats = iter(values)
-    return render(items, lambda count: next(flats).tolist())
+    return render(span, lambda count: next(flats).tolist())
 
 
 def _serve(src, dst) -> None:
@@ -405,7 +313,7 @@ def _serve(src, dst) -> None:
     after its byte length as a line."""
     for line in iter(src.readline, b""):
         size, count = map(int, line.split())
-        items = marshal.loads(src.read(size))
+        span = marshal.loads(src.read(size))
         data = src.read(8 * count)
         if len(data) != 8 * count:
             raise EOFError(f"expected {count} float64 values, read {len(data) // 8}")
@@ -416,7 +324,7 @@ def _serve(src, dst) -> None:
             at += count
             return floats[at - count:at].tolist()
 
-        texts = [text.encode() for text in render(items, take)]
+        texts = [text.encode() for text in render(span, take)]
         dst.write(b"%d\n" % sum(map(len, texts)))
         dst.writelines(texts)
         dst.flush()

@@ -20,27 +20,24 @@ load/validation error, 3 solver error, 4 I/O error, naming the file that
 could not be read or written.  All outputs are pure functions of the spec
 bytes, flags, and seed.
 
-Large files are formatted on two cores when at least two CPUs are usable.
-``main`` starts one worker interpreter per command (``python -I -S
-_text.py``, which imports no numpy) as soon as the dimensions show that a
-worker would format enough floats of the command's largest file: for
-``randgen`` from its arguments, for the other commands right after the spec
-is parsed, so its start-up overlaps ``random_game``, the solvers or
-``simulate``.  Every large file, a JSON document or ``trajectories.csv``,
-takes one path, ``_text.document``: it is split at an entry of one array or
-at one trajectory, and the worker formats the tail while this process
-formats the head.  Both processes lay out text through ``_text``, so the
-bytes are those of one process.  The worker reads its jobs from a pipe and
-replies on its stdout; it writes no file.  If it cannot start or fails,
-this process formats its part too.  When the command ends, however it
-ends, ``main`` kills and reaps the worker.
+JSON documents are laid out in this process.  ``trajectories.csv`` is
+formatted on two cores when at least two CPUs are usable: ``main`` starts
+one worker interpreter (``python -I -S _text.py``, which imports no numpy)
+right after the spec is parsed, so its start-up overlaps ``simulate``, if
+the dimensions show that the worker would format enough floats.  The
+rows take one path, ``_text.trajectories``: they are split at one
+trajectory, and the worker formats the tail while this process formats the
+head.  Both processes lay out text through ``_text``, so the bytes are
+those of one process.  The worker reads its job from a pipe and replies on
+its stdout; it writes no file.  If it cannot start or fails, this process
+formats its part too.  When the command ends, however it ends, ``main``
+kills and reaps the worker.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
 import errno
-import math
 import os
 import shutil
 import sys
@@ -60,7 +57,6 @@ from .evaluate import (
 from .model import (
     GameSpec,
     _dumps,
-    _shapes,
     dump_game_spec,
     dump_joint_policy,
     load_game_spec,
@@ -123,17 +119,16 @@ class _Files:
         self.staged: list[tuple[Path, Path]] = []
 
     def write(self, path: Path, content) -> None:
-        """Stage ``content`` for ``path``: text, or a function that writes into
-        the open file.  Line ends are written as given, ``\n`` on every platform."""
+        """Stage ``content`` for ``path``: text, or an iterable of pieces,
+        each text or its UTF-8 bytes.  Line ends are written as given, ``\n``
+        on every platform."""
         _check_target(path)
         staged = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         self.staged.append((staged, path))
         try:
-            with open(staged, "w", newline="") as fh:
-                if callable(content):
-                    content(fh)
-                else:
-                    fh.write(content)
+            with open(staged, "wb") as fh:
+                for piece in [content] if isinstance(content, str) else content:
+                    fh.write(piece.encode() if isinstance(piece, str) else piece)
         except OSError as exc:
             raise _IOFailure(f"cannot write {path}: {exc}") from None
 
@@ -207,18 +202,15 @@ def _condition_doc(spec: GameSpec, record: ConditionRecord) -> dict:
     }
 
 
-def _write_trace(write, path: Path, report: SolveReport) -> None:
-    """One CSV line per stage and inner iteration, a stage per write; the
-    bytes of ``csv.writer``, which writes floats with ``repr``.  Each
-    stage's modulus is formatted once."""
-
-    def stages(fh) -> None:
-        fh.write("t,l,distance,contraction_modulus\n")
-        for t, (stage_trace, modulus) in enumerate(zip(report.trace, report.contraction_moduli)):
-            tail = f",{float(modulus)!r}\n"
-            fh.write("".join([f"{t},{l},{float(dist)!r}{tail}" for l, dist in enumerate(stage_trace, start=1)]))
-
-    write(path, stages)
+def _write_trace(report: SolveReport):
+    """The text of ``trace.csv``, a stage per piece after the header: one
+    CSV line per stage and inner iteration, the bytes of ``csv.writer``,
+    which writes floats with ``repr``.  Each stage's modulus is formatted
+    once."""
+    yield "t,l,distance,contraction_modulus\n"
+    for t, (stage_trace, modulus) in enumerate(zip(report.trace, report.contraction_moduli)):
+        tail = f",{float(modulus)!r}\n"
+        yield "".join([f"{t},{l},{float(dist)!r}{tail}" for l, dist in enumerate(stage_trace, start=1)])
 
 
 def _cmd_randgen(args, _, out: Path, write) -> None:
@@ -250,7 +242,7 @@ def _cmd_solve_exact(args, spec: GameSpec, out: Path, write) -> None:
 def _cmd_solve_po(args, spec: GameSpec, out: Path, write) -> None:
     report = po_solve(spec, inner_iters=args.inner_iters, stop_tol=args.stop_tol)
     write(out / "policy.json", dump_joint_policy(report.policy))
-    _write_trace(write, out / "trace.csv", report)
+    write(out / "trace.csv", _write_trace(report))
     print("policy optimization finished")
     for t, stage_trace in enumerate(report.trace):
         last = stage_trace[-1] if stage_trace else float("nan")
@@ -286,7 +278,7 @@ def _cmd_augment(args, spec: GameSpec, out: Path, write) -> None:
         margin=args.margin,
     )
     write(out / "policy.json", dump_joint_policy(report.policy))
-    _write_trace(write, out / "trace.csv", report)
+    write(out / "trace.csv", _write_trace(report))
     doc = _condition_doc(spec, report.condition)
     doc["delta_used"] = report.delta_used
     doc["exploitability"] = report.nash_gaps
@@ -312,48 +304,32 @@ def _cmd_eval(args, spec: GameSpec, out: Path, write) -> None:
 
 
 def _wants_worker(args, spec: GameSpec | None) -> bool:
-    """Whether the command's largest output is worth a worker, judged from
-    its arguments and the spec's dimensions alone.  ``randgen`` and
-    ``simulate`` need a share of ``_WORKER_MIN_VALUES`` floats, since
-    ``random_game`` or ``simulate`` may end before a worker has started.
-    The other commands start one after parsing the spec, so the solvers
-    hide its start-up, and need a share of ``_text.MIN_SHARE`` floats of
-    one document.  Whether a worker can run here is ``_text.start``'s
-    to judge."""
-    if spec is None:
-        dims = (args.agents, args.horizon, args.state_dim, args.action_dim)
-        values = sum(map(math.prod, _shapes(*dims).values())) if min(dims) > 0 else 0
-        return values // 2 >= _WORKER_MIN_VALUES
+    """Whether the command is ``simulate`` and a worker would format a
+    share of ``_WORKER_MIN_VALUES`` floats, half of ``trajectories.csv``'s,
+    judged from its arguments and the spec's dimensions alone.  Whether a
+    worker can run here is ``_text.start``'s to judge."""
+    if args.func is not _cmd_simulate:
+        return False
     n, T, m, p = spec.num_agents, spec.horizon, spec.state_dim, spec.action_dim
-    if args.func is _cmd_simulate:  # the floats of trajectories.csv
-        return args.n_traj * ((T + 1) * m + T * n * p) // 2 >= _WORKER_MIN_VALUES
-    policy, certificate = n * T * p * (m + p), n * (T + 1) * (m * m + 1)
-    values = {_cmd_solve_exact: max(policy, certificate), _cmd_solve_po: policy,
-              _cmd_augment: policy, _cmd_eval: certificate}.get(args.func, 0)
-    return values // 2 >= _text.MIN_SHARE
+    return args.n_traj * ((T + 1) * m + T * n * p) // 2 >= _WORKER_MIN_VALUES
 
 
-def _write_trajectories(fh, states: np.ndarray, actions: np.ndarray) -> None:
-    """Write the header and one CSV line per trajectory and stage, a piece
-    of ``_text.document`` at a time: a chunk of trajectories this process
+def _write_trajectories(states: np.ndarray, actions: np.ndarray):
+    """The header, then one CSV line per trajectory and stage, a piece of
+    ``_text.trajectories`` at a time: a chunk of trajectories this process
     formats, or the worker's tail.  The bytes are the same either way."""
     _, T, n, p = actions.shape
     m = states.shape[2]
     header = ["traj_id", "t"] + [f"x{k}" for k in range(m)] + [f"u{i}_{k}" for i in range(n) for k in range(p)]
-    rows = ("rows", T, m, n * p, states.ravel(), actions.ravel())
-    for piece in _text.document([",".join(header) + "\n", ""], [rows]):
-        if isinstance(piece, str):
-            fh.write(piece)
-        else:
-            fh.flush()
-            fh.buffer.write(piece)
+    yield ",".join(header) + "\n"
+    yield from _text.trajectories(T, m, n * p, states.ravel(), actions.ravel())
 
 
 def _cmd_simulate(args, spec: GameSpec, out: Path, write) -> None:
     joint = load_joint_policy(_read(out / "policy.json", "policy file"))
     result = simulate(spec, joint, args.n_traj, args.seed)
     cert = value_certificate(spec, joint)
-    write(out / "trajectories.csv", lambda fh: _write_trajectories(fh, result.states, result.actions))
+    write(out / "trajectories.csv", _write_trajectories(result.states, result.actions))
     # The bytes of csv.writer, which writes floats with repr.
     rows = list(enumerate(zip(result.mean_costs.tolist(), result.std_errors.tolist(),
                               cert.expected_costs.tolist())))

@@ -104,7 +104,7 @@ class GameSpec:
     def with_tau(self, tau: float) -> "GameSpec":
         """Copy of this instance with a different regularization weight; only
         the weight is checked, and the (read-only) arrays are shared."""
-        return dataclasses.replace(self, tau=_checked_tau(float(tau)))
+        return dataclasses.replace(self, tau=_checked_tau(tau))
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,16 +285,12 @@ def load_game_spec(text: str) -> GameSpec:
     documents, dimension mismatches, PSD/PD violations, or nonpositive tau.
     """
     doc, (n, horizon, m, p) = _load_header(text, _TOP_KEYS)
-    tau = doc["tau"]
-    if isinstance(tau, bool) or not isinstance(tau, (int, float)):
-        raise GameSpecError("tau", "must be a real number")
-
     walk = _text_has_bool(text)
     arrays = {
         field: (_per_agent if len(shape) == 4 else _coerced)(_entry(doc, field, walk), shape, field)
         for field, shape in _shapes(n, horizon, m, p).items()
     }
-    spec = GameSpec(num_agents=n, horizon=horizon, state_dim=m, action_dim=p, tau=tau, **arrays)
+    spec = GameSpec(num_agents=n, horizon=horizon, state_dim=m, action_dim=p, tau=doc["tau"], **arrays)
     return validate_game_spec(spec)
 
 
@@ -344,15 +340,15 @@ def _dumps(doc) -> str:
 
     pieces = json.dumps(with_slots(doc, 0), indent=2, allow_nan=False).split(_ARRAY_SLOT_TEXT)
     pieces[-1] += "\n"
-    laid_out = []
-    for arr, level in arrays:
+    text = [pieces[0]]
+    for (arr, level), piece in zip(arrays, pieces[1:]):
         finite = np.isfinite(arr)
         if not finite.all():
             bad = float(arr[~finite][0])
             raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
-        laid_out.append((arr.shape, level, *_flat_values(arr)))
-    text = _text.document(pieces, laid_out)
-    return "".join([piece if isinstance(piece, str) else piece.decode() for piece in text])
+        mirror, flat = _flat_values(arr)
+        text += [_text.array(arr.shape, level, mirror, flat.tolist()), piece]
+    return "".join(text)
 
 
 def dump_game_spec(spec: GameSpec) -> str:
@@ -390,15 +386,19 @@ def _not_psd(field: str, lo) -> GameSpecError:
 
 
 def _checked_tau(tau) -> float:
+    """``tau`` as a float: a Python or numpy integer or float, finite and
+    positive.  Anything else, a boolean included, is not a real number."""
+    if isinstance(tau, bool) or not isinstance(tau, (int, float, np.integer, np.floating)):
+        raise GameSpecError("tau", "must be a real number")
     try:
-        finite = isinstance(tau, (int, float, np.floating)) and math.isfinite(tau)
+        tau = float(tau)
     except OverflowError:  # an integer past the float range
-        finite = False
-    if not finite:
+        tau = math.inf
+    if not math.isfinite(tau):
         raise GameSpecError("tau", "must be a finite real")
     if tau <= 0:
         raise GameSpecError("tau", f"must be positive, got {tau}")
-    return float(tau)
+    return tau
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

@@ -131,7 +131,7 @@ def test_trace_bytes_match_csv_writer(tmp_path):
     ]
     for report in reports:
         files = cli._Files()
-        cli._write_trace(files.write, tmp_path / "trace.csv", report)
+        files.write(tmp_path / "trace.csv", cli._write_trace(report))
         files.commit()
         assert (tmp_path / "trace.csv").read_bytes() == reference_trace(report)
 
@@ -382,7 +382,7 @@ def traj_game(tmp_path):
 @pytest.fixture
 def workers(monkeypatch):
     """Every worker process started, with two CPUs usable and any share of
-    trajectories or of a JSON document large enough to start one."""
+    trajectories large enough to start one."""
     started = []
 
     class Recorded(subprocess.Popen):
@@ -393,7 +393,6 @@ def workers(monkeypatch):
     monkeypatch.setattr(subprocess, "Popen", Recorded)
     monkeypatch.setattr(_text, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(cli, "_WORKER_MIN_VALUES", 1)
-    monkeypatch.setattr(_text, "MIN_SHARE", 1)
     return started
 
 
@@ -503,8 +502,7 @@ def test_small_simulate_splits_rows_or_starts_no_worker(tmp_path, monkeypatch, r
     assert run("simulate", "--spec", spec_path, "--out", out, "--n-traj", 100) == 0
     # A worker's text begins after this process's first trajectory.
     assert all(text is not None and not text.startswith(b"0,") for text in replies)
-    xs, us = np.zeros(100 * 67 * 4), np.zeros(100 * 66 * 2)
-    assert _text._cut([("rows", 66, 4, 2, xs, us)]) == (0, 50)  # a worker would take the second half
+    assert _text._cut(100) == 50  # a worker would take the second half
 
 
 def _failing_python(tmp_path):
@@ -524,7 +522,7 @@ def test_worker_script_rejects_short_input():
     a line, then the text.  At the end of its input it exits 0, as a worker
     whose parent died does."""
     # One trajectory of T=1, m=3, width=3: six state values, then three action values.
-    job = _text.job([["rows", 0, 1, 1, 3, 3, 64]], 9)
+    job = _text.job([0, 1, 1, 3, 3, 64], 9)
     floats = np.arange(9, dtype=np.float64).tobytes()
     argv = [sys.executable, "-I", "-S", _text.__file__]
     done = subprocess.run(argv, input=job + floats[:-8], capture_output=True, timeout=60)
@@ -562,78 +560,109 @@ def _json_outputs(tmp_path, spec_path) -> dict:
 
 
 def test_json_outputs_match_one_cpu(traj_game, workers, replies, monkeypatch, tmp_path):
-    """Every JSON file the CLI writes has the same bytes whether a worker
-    formats part of it or this process formats all of it."""
+    """Every JSON file the CLI writes has the same bytes with one or two
+    usable CPUs: this process lays it out, and no worker starts."""
     spec_path = traj_game[1]
     with monkeypatch.context() as m:
         m.setattr(_text, "_usable_cpus", lambda: 1)
         serial = _json_outputs(tmp_path / "serial", spec_path)
-    assert workers == [] and replies == []
     split = _json_outputs(tmp_path / "split", spec_path)
     assert split == serial
     assert sorted(serial) == ["aug/condition.json", "aug/policy.json", "exact/certificate.json",
                               "exact/condition.json", "exact/policy.json", "gen/spec.json",
                               "po/certificate.json", "po/policy.json"]
-    # randgen, solve-exact, solve-po, eval and augment start one each; check writes
-    # no array.  Each is killed and reaped after every reply was read.
-    assert [proc.returncode for proc in workers] == [-signal.SIGKILL] * 5
-    assert len(replies) >= 6 and None not in replies
+    assert workers == [] and replies == []
+
+
+JSON_COMMANDS = {"randgen": ["--agents", 4, "--horizon", 48, "--state-dim", 8, "--action-dim", 4, "--seed", 4],
+                 "solve-exact": [], "check": [], "solve-po": [], "augment": ["--delta-init", 0.1], "eval": []}
+
+
+@pytest.mark.parametrize("command", JSON_COMMANDS)
+def test_json_commands_start_no_worker(tmp_path, workers, replies, monkeypatch, command):
+    """With two usable CPUs and any share large enough for a worker, the
+    commands that write JSON start none and write the bytes of a run with
+    one usable CPU.  The game's spec, policy and certificate hold 9k-25k
+    floats each."""
+    spec = lq.random_game(4, 48, 8, 4, seed=4, scale=0.3).with_tau(20.0)
+    spec_path = tmp_path / "game.json"
+    spec_path.write_text(lq.dump_game_spec(spec))
+    policy = lq.dump_joint_policy(lq.exact_ne(spec).policy)
+
+    def outputs(out) -> dict:
+        out.mkdir()
+        (out / "policy.json").write_text(policy)  # eval certifies it; the solvers replace it
+        spec_args = [] if command == "randgen" else ["--spec", spec_path]
+        assert run(command, *spec_args, "--out", out, *JSON_COMMANDS[command]) == 0
+        return {path.name: path.read_bytes() for path in out.iterdir()}
+
+    split = outputs(tmp_path / "split")
+    assert workers == [] and replies == []
+    monkeypatch.setattr(_text, "_usable_cpus", lambda: 1)
+    assert split == outputs(tmp_path / "serial")
 
 
 def _trajectories_csv(spec: lq.GameSpec, n_traj: int) -> str:
     result = lq.simulate(spec, lq.exact_ne(spec).policy, n_traj, 5)
-    fh = io.TextIOWrapper(io.BytesIO(), newline="")
-    cli._write_trajectories(fh, result.states, result.actions)
-    fh.flush()
-    return fh.buffer.getvalue().decode()
+    pieces = cli._write_trajectories(result.states, result.actions)
+    return "".join([piece if isinstance(piece, str) else piece.decode() for piece in pieces])
 
 
 def _documents(spec: lq.GameSpec) -> dict:
+    """Each document's text, laid out afresh, and its expected bytes: those
+    of json.dumps(indent=2) or of a row-by-row csv.writer."""
     sol = lq.exact_ne(spec)
     cert = lq.value_certificate(spec, sol.policy)
     doc = cli._certificate_doc(spec, cert)
     doc["exploitability"] = np.array([1e-17, -0.0])
-    return {"spec": lambda: lq.dump_game_spec(spec), "policy": lambda: lq.dump_joint_policy(sol.policy),
-            "certificate": lambda: model._dumps(doc), "trajectories": lambda: _trajectories_csv(spec, 14),
-            "one-trajectory": lambda: _trajectories_csv(spec, 1)}
+    reference = _reference_certificate(spec, cert.P, cert.q)
+    reference["exploitability"] = [1e-17, -0.0]
+
+    def trajectories(n_traj):
+        expected = _reference_trajectories_csv(lq.simulate(spec, sol.policy, n_traj, 5), spec)
+        return lambda: _trajectories_csv(spec, n_traj), expected.encode()
+
+    return {"spec": (lambda: lq.dump_game_spec(spec), _reference_spec(spec)),
+            "policy": (lambda: lq.dump_joint_policy(sol.policy), _reference_policy(sol.policy)),
+            "certificate": (lambda: model._dumps(doc), _encoded(reference)),
+            "trajectories": trajectories(14), "one-trajectory": trajectories(1)}
 
 
 @pytest.mark.parametrize("kind", ["spec", "policy", "certificate", "trajectories", "one-trajectory"])
 @pytest.mark.parametrize("blocks", [(_text._MAX_BLOCK, _text._TRAJ_CHUNK), (5, 4)], ids=["blocks", "small-blocks"])
 def test_every_split_point_matches_serial(monkeypatch, replies, kind, blocks):
-    """Wherever the worker's part begins, the bytes are those of one process:
-    at every array boundary, at every entry of a mirrored stack and of the
-    certificate's agent list, at the first and the last entry, and at every
-    trajectory of trajectories.csv."""
+    """Wherever the worker's part of trajectories.csv begins, at every
+    trajectory, the bytes are those of one process.  A JSON document is laid
+    out in this process, with small templates too, as json.dumps(indent=2)
+    lays it out, and sends the running worker no job."""
     spec = lq.random_game(2, 3, 3, 2, seed=21, scale=0.3).with_tau(20.0)
-    text = _documents(spec)[kind]
-    serial = text()
-    laid_out = []
+    text, expected = _documents(spec)[kind]
+    assert text().encode() == expected
+    counts = []
     real_cut = _text._cut
-    monkeypatch.setattr(_text, "_cut", lambda parts: laid_out.append(parts) or real_cut(parts))
+    monkeypatch.setattr(_text, "_cut", lambda count: counts.append(count) or real_cut(count))
     monkeypatch.setattr(_text, "_MAX_BLOCK", blocks[0])
     monkeypatch.setattr(_text, "_TRAJ_CHUNK", blocks[1])
     monkeypatch.setattr(_text, "_usable_cpus", lambda: 2)
     _text.start()
     try:
-        assert text() == serial
-        points = [(k, j) for k, part in enumerate(laid_out[0]) for j in range(_text._size(part)[0])]
-        if "trajector" in kind:
-            assert points == [(0, j) for j in range(14 if kind == "trajectories" else 1)]
-        else:
-            assert any(laid_out[0][k][2] and j > 0 for k, j in points)  # inside a mirrored stack
+        assert text().encode() == expected
+        points = [j for count in counts for j in range(count)]
+        assert points == list(range({"trajectories": 14, "one-trajectory": 1}.get(kind, 0)))
         for point in points:
-            monkeypatch.setattr(_text, "_cut", lambda parts: point)
-            assert text() == serial, point
+            monkeypatch.setattr(_text, "_cut", lambda count: point)
+            assert text().encode() == expected, point
     finally:
         proc = _text._worker
         _text.stop()
     assert proc.returncode == -signal.SIGKILL
-    assert len(replies) == len(points) and None not in replies
+    assert len(replies) == len(counts) + len(points) and None not in replies
 
 
-# Each way a worker's job can fail: the command's exit code (None for an
-# interrupt) and the worker's return code, or none if it never started.
+# Each way a worker's job or a command can fail: the command's exit code
+# (None for an interrupt) and the worker's return code, or none if it never
+# started.  Only simulate starts a worker, so a JSON-writing command runs
+# only the failures of its own, those with a nonzero code, with no worker.
 _FAILURES = {"cannot-start": (0, []), "exits-nonzero": (0, [3]), "killed-mid-job": (0, [-signal.SIGKILL]),
              "write-oserror": (4, [-signal.SIGKILL]), "write-interrupt": (None, [-signal.SIGKILL]),
              "exit-2": (2, [-signal.SIGKILL]), "exit-3": (3, [-signal.SIGKILL]), "exit-4": (4, [-signal.SIGKILL])}
@@ -666,7 +695,7 @@ def _failing_run(traj_game, tmp_path, monkeypatch, kind, failure=None):
         monkeypatch.setattr(_text, "submit", submit_then_kill)
     elif failure in ("write-oserror", "write-interrupt"):
         # trajectories.csv fails at its second chunk of rows, before the
-        # worker's reply is read; policy.json at its one write, after it.
+        # worker's reply is read; policy.json at its one write.
         target, writes = (".trajectories.csv.", 2) if kind == "csv" else (".policy.json.", 0)
         error = OSError(errno.ENOSPC, "No space left on device") if failure == "write-oserror" else KeyboardInterrupt()
         real_open = open
@@ -705,15 +734,18 @@ def _failing_run(traj_game, tmp_path, monkeypatch, kind, failure=None):
 
 
 @pytest.mark.skipif(os.name != "posix", reason="the fake worker is a script run through its #! line")
-@pytest.mark.parametrize("kind, failure", [(kind, failure) for kind in ("csv", "json") for failure in _FAILURES
-                                           if (kind, failure) != ("csv", "exit-3")])  # simulate runs no solver
+@pytest.mark.parametrize("kind, failure", [("csv", failure) for failure in _FAILURES if failure != "exit-3"]  # no solver
+                         + [("json", failure) for failure, (code, _) in _FAILURES.items() if code != 0])
 def test_failed_worker_or_command(traj_game, workers, replies, monkeypatch, tmp_path, capsys, kind, failure):
     """A worker that cannot start or fails leaves the bytes of one process;
     a command that fails after its worker started, by an error of its own or
-    by a write of this process, kills and reaps it and writes no file.
-    Either way no worker process is left running or unreaped, and ``--out``
-    holds no temporary file."""
+    by a write of this process, kills and reaps it and writes no file.  A
+    command that writes JSON fails the same way with no worker.  Either way
+    no worker process is left running or unreaped, and ``--out`` holds no
+    temporary file."""
     code, worker_codes = _FAILURES[failure]
+    if kind == "json":
+        worker_codes = []
     argv, out = _failing_run(traj_game, tmp_path, monkeypatch, kind, failure)
     before = sorted(p.name for p in out.iterdir())
     capsys.readouterr()  # the set-up's commands
@@ -737,9 +769,11 @@ def test_failed_worker_or_command(traj_game, workers, replies, monkeypatch, tmp_
         printed = capsys.readouterr()
         assert code is None or ("error (io): cannot write" if code == 4 else "error (") in printed.err
         assert "wrote" not in printed.out
-    if failure in ("exits-nonzero", "killed-mid-job"):
+    if kind == "json":
+        assert replies == []  # no worker
+    elif failure in ("exits-nonzero", "killed-mid-job"):
         assert replies == [None]  # this process formats the rest
-    elif failure in ("exit-2", "exit-3"):
+    elif failure == "exit-2":
         assert replies == []  # the command fails before it formats a file
     else:
         assert None not in replies

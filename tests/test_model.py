@@ -547,3 +547,20 @@ def test_with_tau_checks_only_tau_and_shares_arrays():
         with pytest.raises(lq.GameSpecError) as full:
             lq.validate_game_spec(dataclasses.replace(spec, tau=float(tau)))
         assert str(full.value) == message
+
+
+@pytest.mark.parametrize("tau", [True, False, "2", b"4", None], ids=["true", "false", "str", "bytes", "none"])
+def test_tau_must_be_a_real_number(tau):
+    """with_tau and validate_game_spec reject what the loader rejects, with its message."""
+    spec = lq.random_game(1, 1, 1, 1, seed=0)
+    for checked in (spec.with_tau, lambda t: lq.validate_game_spec(dataclasses.replace(spec, tau=t))):
+        with pytest.raises(lq.GameSpecError) as err:
+            checked(tau)
+        assert str(err.value) == "tau: must be a real number"
+
+
+def test_python_and_numpy_numbers_are_taus():
+    spec = lq.random_game(1, 1, 1, 1, seed=0)
+    for tau in (3, 3.0, np.int64(3), np.int32(3), np.float64(3), np.float32(3)):
+        for checked in (spec.with_tau(tau), lq.validate_game_spec(dataclasses.replace(spec, tau=tau))):
+            assert type(checked.tau) is float and checked.tau == 3.0
