@@ -20,24 +20,30 @@ load/validation error, 3 solver error, 4 I/O error, naming the file that
 could not be read or written.  All outputs are pure functions of the spec
 bytes, flags, and seed.
 
-JSON documents are laid out in this process.  ``trajectories.csv`` is
-formatted on two cores when at least two CPUs are usable: ``main`` starts
-one worker interpreter (``python -I -S _text.py``, which imports no numpy)
-right after the spec is parsed, so its start-up overlaps ``simulate``, if
-the dimensions show that the worker would format enough floats.  The
-rows take one path, ``_text.trajectories``: they are split at one
-trajectory, and the worker formats the tail while this process formats the
-head.  Both processes lay out text through ``_text``, so the bytes are
-those of one process.  The worker reads its job from a pipe and replies on
-its stdout; it writes no file.  If it cannot start or fails, this process
-formats its part too.  When the command ends, however it ends, ``main``
-kills and reaps the worker.
+Large files are formatted on two cores when at least two CPUs are usable.
+``main`` starts one worker interpreter per command (``python -I -S
+_text.py``, which imports no numpy) when the dimensions show that the
+command's largest document, a JSON file or ``trajectories.csv``, holds at
+least ``_text._WORKER_MIN_VALUES`` floats: for ``randgen`` from its
+arguments, for the other commands right after the spec is parsed, so its
+start-up overlaps ``random_game``, the solvers or ``simulate``.  Every such
+document takes one path, ``_text.document``: it is a list of pieces, the
+worker formats them from the last one backward and this process from the
+first one forward, and the two meet where this process reaches a piece
+whose text the worker has sent.  This process never waits on the worker,
+so one that is slow, stopped or dead only leaves it more pieces to format.
+Both processes lay out text through ``_text``, so the bytes are those of
+one process.  The two processes hand over jobs and texts through two
+unnamed files that only they share, so ``--out`` never holds a worker
+file.  When the command ends, however it ends, ``main`` kills and reaps
+the worker.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
 import errno
+import math
 import os
 import shutil
 import sys
@@ -57,6 +63,7 @@ from .evaluate import (
 from .model import (
     GameSpec,
     _dumps,
+    _shapes,
     dump_game_spec,
     dump_joint_policy,
     load_game_spec,
@@ -74,14 +81,6 @@ from .solver import (
 )
 
 __all__ = ["main", "build_parser"]
-
-# Floats a worker must format before one is started.  On a 2-vCPU VM
-# (Python 3.11) a ``python -I -S`` worker took a median 13 ms to start and
-# ``repr`` about 1 us per float, so this share repays the start-up at least
-# twice.  There, with 104 floats per trajectory, the split broke even at a
-# worker share of 13k floats and saved 19 ms at 27k and 22 ms at 40k.
-_WORKER_MIN_VALUES = 30_000
-
 
 class _IOFailure(OSError):
     pass
@@ -304,20 +303,26 @@ def _cmd_eval(args, spec: GameSpec, out: Path, write) -> None:
 
 
 def _wants_worker(args, spec: GameSpec | None) -> bool:
-    """Whether the command is ``simulate`` and a worker would format a
-    share of ``_WORKER_MIN_VALUES`` floats, half of ``trajectories.csv``'s,
-    judged from its arguments and the spec's dimensions alone.  Whether a
-    worker can run here is ``_text.start``'s to judge."""
-    if args.func is not _cmd_simulate:
-        return False
-    n, T, m, p = spec.num_agents, spec.horizon, spec.state_dim, spec.action_dim
-    return args.n_traj * ((T + 1) * m + T * n * p) // 2 >= _WORKER_MIN_VALUES
+    """Whether the command's largest document holds ``_text._WORKER_MIN_VALUES``
+    floats, judged from its arguments and the spec's dimensions alone.
+    Whether a worker can run here is ``_text.start``'s to judge."""
+    if spec is None:  # randgen
+        dims = (args.agents, args.horizon, args.state_dim, args.action_dim)
+        floats = sum(map(math.prod, _shapes(*dims).values())) if min(dims) > 0 else 0
+    else:
+        n, T, m, p = spec.num_agents, spec.horizon, spec.state_dim, spec.action_dim
+        policy, certificate = n * T * p * (m + p), n * (T + 1) * (m * m + 1)
+        floats = {_cmd_solve_exact: max(policy, certificate), _cmd_solve_po: policy, _cmd_augment: policy,
+                  _cmd_eval: certificate + n}.get(args.func, 0)  # eval adds the Nash gaps
+        if args.func is _cmd_simulate:  # trajectories.csv
+            floats = args.n_traj * ((T + 1) * m + T * n * p)
+    return floats >= _text._WORKER_MIN_VALUES
 
 
 def _write_trajectories(states: np.ndarray, actions: np.ndarray):
     """The header, then one CSV line per trajectory and stage, a piece of
     ``_text.trajectories`` at a time: a chunk of trajectories this process
-    formats, or the worker's tail.  The bytes are the same either way."""
+    or the worker formats.  The bytes are the same either way."""
     _, T, n, p = actions.shape
     m = states.shape[2]
     header = ["traj_id", "t"] + [f"x{k}" for k in range(m)] + [f"u{i}_{k}" for i in range(n) for k in range(p)]

@@ -302,7 +302,7 @@ _ARRAY_SLOT_TEXT = json.dumps(_ARRAY_SLOT)
 
 def _flat_values(arr: np.ndarray) -> tuple[bool, np.ndarray]:
     """Whether ``arr`` is laid out as a mirrored stack, and the values
-    :func:`_text.array` takes for it.
+    :func:`_text.render` takes for it.
 
     A stack of square matrices that equals its transpose bit for bit (so
     ``0.0`` opposite ``-0.0`` does not count) has only its upper triangles
@@ -321,10 +321,11 @@ def _dumps(doc) -> str:
     """``json.dumps(doc, indent=2, allow_nan=False) + "\\n"`` for a document
     whose leaves may also be float64 arrays.
 
-    json lays out the document with a placeholder string per array; each
-    array is then laid out by :mod:`._text` with the ``repr`` of its
-    elements, which is what json writes for finite floats.  A non-finite
-    entry raises json's ``ValueError``.
+    json lays out the document with a placeholder string per array; the
+    arrays are then laid out by :func:`._text.document` with the ``repr``
+    of their elements, which is what json writes for finite floats, on two
+    cores while the CLI's text worker runs.  A non-finite entry raises
+    json's ``ValueError``.
     """
     arrays: list[tuple[np.ndarray, int]] = []
 
@@ -338,17 +339,20 @@ def _dumps(doc) -> str:
             return [with_slots(value, level + 1) for value in node]
         return node
 
-    pieces = json.dumps(with_slots(doc, 0), indent=2, allow_nan=False).split(_ARRAY_SLOT_TEXT)
-    pieces[-1] += "\n"
-    text = [pieces[0]]
-    for (arr, level), piece in zip(arrays, pieces[1:]):
+    texts = json.dumps(with_slots(doc, 0), indent=2, allow_nan=False).split(_ARRAY_SLOT_TEXT)
+    texts[-1] += "\n"
+    laid_out, flats = [], []
+    for arr, level in arrays:
         finite = np.isfinite(arr)
         if not finite.all():
             bad = float(arr[~finite][0])
             raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
         mirror, flat = _flat_values(arr)
-        text += [_text.array(arr.shape, level, mirror, flat.tolist()), piece]
-    return "".join(text)
+        laid_out.append((arr.shape, level, mirror))
+        flats.append(flat)
+    pieces, tail = _text.json_pieces(texts, laid_out)
+    text = _text.document(pieces, flats)
+    return "".join([piece if isinstance(piece, str) else piece.decode() for piece in text]) + tail
 
 
 def dump_game_spec(spec: GameSpec) -> str:

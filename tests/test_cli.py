@@ -4,10 +4,13 @@ import errno
 import gc
 import io
 import json
+import marshal
 import os
+import select
 import signal
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -381,8 +384,8 @@ def traj_game(tmp_path):
 
 @pytest.fixture
 def workers(monkeypatch):
-    """Every worker process started, with two CPUs usable and any share of
-    trajectories large enough to start one."""
+    """Every worker process started, with two CPUs usable and any document
+    large enough to start one."""
     started = []
 
     class Recorded(subprocess.Popen):
@@ -392,7 +395,7 @@ def workers(monkeypatch):
 
     monkeypatch.setattr(subprocess, "Popen", Recorded)
     monkeypatch.setattr(_text, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(cli, "_WORKER_MIN_VALUES", 1)
+    monkeypatch.setattr(_text, "_WORKER_MIN_VALUES", 1)
     return started
 
 
@@ -447,11 +450,10 @@ def _no_resource_warning():
 
 
 @pytest.mark.parametrize("n_traj", [1, 3 * _text._TRAJ_CHUNK - 1, 3 * _text._TRAJ_CHUNK, 3 * _text._TRAJ_CHUNK + 1])
-def test_split_trajectories_match_serial(traj_game, workers, replies, monkeypatch, n_traj):
+def test_split_trajectories_match_serial(traj_game, workers, monkeypatch, n_traj):
     expected = _simulate(traj_game, n_traj)
-    # Killed and reaped after its one reply was read.
+    # Killed and reaped.
     assert [proc.returncode for proc in workers] == [-signal.SIGKILL]
-    assert len(replies) == 1 and None not in replies
     split = (traj_game[2] / "trajectories.csv").read_bytes()
     assert split == expected
     assert _serial_bytes(traj_game, n_traj, monkeypatch) == expected
@@ -460,13 +462,13 @@ def test_split_trajectories_match_serial(traj_game, workers, replies, monkeypatc
 
 
 def test_worker_rule(traj_game, monkeypatch):
-    """simulate wants a worker for a share of ``_WORKER_MIN_VALUES`` floats,
-    half of the file's; ``_text.start`` starts one only with two usable
-    CPUs and an interpreter to start."""
+    """simulate wants a worker for a trajectories.csv of ``_WORKER_MIN_VALUES``
+    floats; ``_text.start`` starts one only with two usable CPUs and an
+    interpreter to start."""
     assert 1 <= _text._usable_cpus() <= (os.cpu_count() or 1)
     spec, spec_path, out = traj_game
     per = (spec.horizon + 1) * spec.state_dim + spec.horizon * spec.num_agents * spec.action_dim
-    n_traj = -(-2 * cli._WORKER_MIN_VALUES // per)  # the fewest that repay a worker
+    n_traj = -(-_text._WORKER_MIN_VALUES // per)  # the fewest that repay a worker
 
     def wants(n):
         args = cli.build_parser().parse_args(["simulate", "--spec", str(spec_path), "--out", str(out), "--n-traj", str(n)])
@@ -476,9 +478,9 @@ def test_worker_rule(traj_game, monkeypatch):
 
     def started():
         _text.start()
-        proc = _text._worker
+        worker = _text._worker
         _text.stop()
-        return proc is not None
+        return worker is not None
 
     monkeypatch.setattr(_text, "_usable_cpus", lambda: 2)
     assert started() == (os.name == "posix")
@@ -487,6 +489,19 @@ def test_worker_rule(traj_game, monkeypatch):
         assert not started()
     monkeypatch.setattr(_text, "_usable_cpus", lambda: 1)
     assert not started()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs Linux's /proc/self/stat and two usable CPUs")
+def test_worker_kept_off_this_process_cpu():
+    """The worker may run on every CPU this process may use but the one it
+    ran on when it started the worker."""
+    _text.start()
+    try:
+        assert len(os.sched_getaffinity(_text._worker.proc.pid)) == len(os.sched_getaffinity(0)) - 1
+        assert os.sched_getaffinity(_text._worker.proc.pid) < os.sched_getaffinity(0)
+    finally:
+        _text.stop()
 
 
 def test_small_simulate_splits_rows_or_starts_no_worker(tmp_path, monkeypatch, replies):
@@ -501,48 +516,82 @@ def test_small_simulate_splits_rows_or_starts_no_worker(tmp_path, monkeypatch, r
     del replies[:]
     assert run("simulate", "--spec", spec_path, "--out", out, "--n-traj", 100) == 0
     # A worker's text begins after this process's first trajectory.
-    assert all(text is not None and not text.startswith(b"0,") for text in replies)
-    assert _text._cut(100) == 50  # a worker would take the second half
+    assert all(not text.startswith(b"0,") for text in replies)
 
 
-def _failing_python(tmp_path):
-    """An executable that reads one job, replies with part of a text, then exits 3."""
+# Each fake worker reads one job, writes an 11-byte text to the file of
+# texts and replies for the job's last piece: naming 99 bytes of text, or 11
+# but for a job that is not the one this process works on.  Then it exits
+# 3, or waits for its input to end.
+_FAKE_REPLIES = {"short": "b'%d %d 0 99\\n' % (job, last)", "stale": "b'%d %d 0 11\\n' % (job - 1, last)"}
+
+
+def _fake_python(tmp_path, reply: str, then: str):
+    """An executable that stands in for the worker's interpreter: it reads
+    one job, writes the ``reply`` of ``_FAKE_REPLIES`` for its last piece,
+    then runs ``then``."""
     path = tmp_path / "fake-python"
-    path.write_text(f"#!{sys.executable}\nimport sys\n"
-                    "size, count = map(int, sys.stdin.buffer.readline().split())\n"
-                    "sys.stdin.buffer.read(size + 8 * count)\n"
-                    "sys.stdout.buffer.write(b'99\\n0,0,partial'); sys.stdout.flush(); sys.exit(3)\n")
+    path.write_text(f"#!{sys.executable}\nimport marshal, os, sys\n"
+                    "job, size = map(int, sys.stdin.buffer.readline().split())\n"
+                    "last = len(marshal.loads(os.pread(int(sys.argv[-2]), size, job))) - 1\n"
+                    "os.pwrite(int(sys.argv[-1]), b'0,0,partial', 0)\n"
+                    f"sys.stdout.buffer.write({_FAKE_REPLIES[reply]}); sys.stdout.flush()\n"
+                    f"{then}\n")
     path.chmod(0o755)
     return str(path)
 
 
-def test_worker_script_rejects_short_input():
-    """The worker, run as the CLI runs it, exits nonzero when its input ends
-    early, and replies to each job on its stdout: the text's byte length as
-    a line, then the text.  At the end of its input it exits 0, as a worker
-    whose parent died does."""
-    # One trajectory of T=1, m=3, width=3: six state values, then three action values.
-    job = _text.job([0, 1, 1, 3, 3, 64], 9)
-    floats = np.arange(9, dtype=np.float64).tobytes()
-    argv = [sys.executable, "-I", "-S", _text.__file__]
-    done = subprocess.run(argv, input=job + floats[:-8], capture_output=True, timeout=60)
+def test_worker_script_rejects_short_input(tmp_path):
+    """The worker, run as the CLI runs it, exits nonzero when a job's floats
+    end early in the file of jobs.  It formats a job's pieces from the last
+    one back, appends each one's text to the file of texts and replies on
+    its stdout with a line: the job, the piece's index, and the text's
+    offset and byte length.  At the end of its input it exits 0, as a
+    worker whose parent died does."""
+    # Two pieces of one trajectory each, T=1, m=3, width=3: the states of
+    # both trajectories, six values each, then the actions, three each.
+    pieces = [("rows", 0, 1, 1, 3, 3, 0, 12), ("rows", 1, 1, 1, 3, 3, 6, 15)]
+    head, job = marshal.dumps(pieces, 4), 16  # after the 16 bytes that name a job and its claim
+    control = job.to_bytes(8, "little") + bytes(8)  # this process claims no piece
+    floats = np.arange(18, dtype=np.float64).tobytes()
+    line = b"%d %d\n" % (job, len(head))
+
+    def serve(content: bytes, jobs: int):
+        (tmp_path / "jobs").write_bytes(content)
+        (tmp_path / "texts").write_bytes(b"")
+        fds = [os.open(tmp_path / "jobs", os.O_RDONLY), os.open(tmp_path / "texts", os.O_WRONLY)]
+        try:
+            return subprocess.run([sys.executable, "-I", "-S", _text.__file__, *map(str, fds)], input=line * jobs,
+                                  pass_fds=fds, capture_output=True, timeout=60)
+        finally:
+            for fd in fds:
+                os.close(fd)
+
+    done = serve(control + head + floats[:-8], 1)
     assert done.returncode != 0 and b"EOFError" in done.stderr
-    done = subprocess.run(argv, input=job + floats + job + floats, capture_output=True, timeout=60)
-    text = b"0,0,0.0,1.0,2.0,6.0,7.0,8.0\n0,1,3.0,4.0,5.0,,,\n"
-    assert done.returncode == 0 and done.stdout == (b"%d\n" % len(text) + text) * 2
+    done = serve(control + head + floats, 2)
+    first = b"1,0,6.0,7.0,8.0,15.0,16.0,17.0\n1,1,9.0,10.0,11.0,,,\n"
+    second = b"0,0,0.0,1.0,2.0,12.0,13.0,14.0\n0,1,3.0,4.0,5.0,,,\n"
+    assert done.returncode == 0
+    assert (tmp_path / "texts").read_bytes() == (first + second) * 2
+    places = [(1, 0, len(first)), (0, len(first), len(second))]
+    places += [(i, at + len(first + second), size) for i, at, size in places]
+    assert done.stdout == b"".join(b"%d %d %d %d\n" % (job, i, at, size) for i, at, size in places)
 
 
 @pytest.fixture
 def replies(monkeypatch):
-    """The worker's replies to every job sent: its text, or None if it failed."""
+    """The texts of the worker's pieces that this process took, in turn."""
     got = []
-    real = _text.reply
+    real = _text._their_text
 
-    def recorded():
-        got.append(real())
-        return got[-1]
+    def recorded(at, size):
+        text = real(at, size)
+        if text is not None:
+            got.append(text)
+        return text
 
-    monkeypatch.setattr(_text, "reply", recorded)
+    monkeypatch.setattr(_text, "_their_text", recorded)
     return got
 
 
@@ -559,31 +608,44 @@ def _json_outputs(tmp_path, spec_path) -> dict:
     return {f"{out.name}/{path.name}": path.read_bytes() for out in outs.values() for path in out.glob("*.json")}
 
 
-def test_json_outputs_match_one_cpu(traj_game, workers, replies, monkeypatch, tmp_path):
-    """Every JSON file the CLI writes has the same bytes with one or two
-    usable CPUs: this process lays it out, and no worker starts."""
+def test_json_outputs_match_one_cpu(traj_game, workers, monkeypatch, tmp_path):
+    """Every JSON file the CLI writes has the same bytes whether a worker
+    formats part of it or this process formats all of it."""
     spec_path = traj_game[1]
     with monkeypatch.context() as m:
         m.setattr(_text, "_usable_cpus", lambda: 1)
         serial = _json_outputs(tmp_path / "serial", spec_path)
+    assert workers == []
     split = _json_outputs(tmp_path / "split", spec_path)
     assert split == serial
     assert sorted(serial) == ["aug/condition.json", "aug/policy.json", "exact/certificate.json",
                               "exact/condition.json", "exact/policy.json", "gen/spec.json",
                               "po/certificate.json", "po/policy.json"]
-    assert workers == [] and replies == []
+    # randgen, solve-exact, solve-po, eval and augment start one each; check
+    # writes no array.  Each is killed and reaped.
+    assert [proc.returncode for proc in workers] == [-signal.SIGKILL] * 5
 
 
 JSON_COMMANDS = {"randgen": ["--agents", 4, "--horizon", 48, "--state-dim", 8, "--action-dim", 4, "--seed", 4],
                  "solve-exact": [], "check": [], "solve-po": [], "augment": ["--delta-init", 0.1], "eval": []}
 
 
+def _array_floats(node) -> int:
+    """The numbers held in the lists of a JSON value: its arrays' floats."""
+    if isinstance(node, dict):
+        return sum(map(_array_floats, node.values()))
+    if isinstance(node, list):
+        return sum(1 if isinstance(x, float) else _array_floats(x) for x in node)
+    return 0
+
+
 @pytest.mark.parametrize("command", JSON_COMMANDS)
-def test_json_commands_start_no_worker(tmp_path, workers, replies, monkeypatch, command):
-    """With two usable CPUs and any share large enough for a worker, the
-    commands that write JSON start none and write the bytes of a run with
-    one usable CPU.  The game's spec, policy and certificate hold 9k-25k
-    floats each."""
+def test_json_commands_start_no_worker(tmp_path, workers, monkeypatch, command):
+    """A command that writes JSON starts no worker while its largest
+    document holds fewer than ``_WORKER_MIN_VALUES`` floats.  At or over
+    the rule it starts one, writes the bytes of a run with one usable CPU,
+    and leaves the worker killed and reaped.  The game's spec, policy and
+    certificate hold 9k-25k floats each; check writes no array."""
     spec = lq.random_game(4, 48, 8, 4, seed=4, scale=0.3).with_tau(20.0)
     spec_path = tmp_path / "game.json"
     spec_path.write_text(lq.dump_game_spec(spec))
@@ -591,15 +653,25 @@ def test_json_commands_start_no_worker(tmp_path, workers, replies, monkeypatch, 
 
     def outputs(out) -> dict:
         out.mkdir()
-        (out / "policy.json").write_text(policy)  # eval certifies it; the solvers replace it
+        if command == "eval":  # it certifies the policy in --out
+            (out / "policy.json").write_text(policy)
         spec_args = [] if command == "randgen" else ["--spec", spec_path]
         assert run(command, *spec_args, "--out", out, *JSON_COMMANDS[command]) == 0
         return {path.name: path.read_bytes() for path in out.iterdir()}
 
-    split = outputs(tmp_path / "split")
-    assert workers == [] and replies == []
-    monkeypatch.setattr(_text, "_usable_cpus", lambda: 1)
-    assert split == outputs(tmp_path / "serial")
+    with monkeypatch.context() as m:
+        m.setattr(_text, "_usable_cpus", lambda: 1)
+        serial = outputs(tmp_path / "serial")
+    largest = max([_array_floats(json.loads(text)) for name, text in serial.items()
+                   if name.endswith(".json") and (command, name) != ("eval", "policy.json")])
+    assert (largest == 0) == (command == "check")
+    for rule, started in [(largest + 1, 0), (largest, 1)] if largest else [(1, 0)]:
+        monkeypatch.setattr(_text, "_WORKER_MIN_VALUES", rule)
+        out = tmp_path / f"rule-{rule}"
+        assert outputs(out) == serial
+        assert [proc.returncode for proc in workers] == [-signal.SIGKILL] * started
+        _assert_nothing_left(out, workers, sorted(serial))
+        del workers[:]
 
 
 def _trajectories_csv(spec: lq.GameSpec, n_traj: int) -> str:
@@ -631,39 +703,64 @@ def _documents(spec: lq.GameSpec) -> dict:
 @pytest.mark.parametrize("kind", ["spec", "policy", "certificate", "trajectories", "one-trajectory"])
 @pytest.mark.parametrize("blocks", [(_text._MAX_BLOCK, _text._TRAJ_CHUNK), (5, 4)], ids=["blocks", "small-blocks"])
 def test_every_split_point_matches_serial(monkeypatch, replies, kind, blocks):
-    """Wherever the worker's part of trajectories.csv begins, at every
-    trajectory, the bytes are those of one process.  A JSON document is laid
-    out in this process, with small templates too, as json.dumps(indent=2)
-    lays it out, and sends the running worker no job."""
+    """Wherever the worker and this process meet, the bytes are those of
+    json.dumps(indent=2) or of a row-by-row csv.writer.  For every piece
+    ``j``, and for ``j`` past the last one, the running worker formats
+    exactly the pieces from ``j`` to the last one before this process
+    starts, and this process formats the pieces before ``j``."""
     spec = lq.random_game(2, 3, 3, 2, seed=21, scale=0.3).with_tau(20.0)
     text, expected = _documents(spec)[kind]
-    assert text().encode() == expected
-    counts = []
-    real_cut = _text._cut
-    monkeypatch.setattr(_text, "_cut", lambda count: counts.append(count) or real_cut(count))
     monkeypatch.setattr(_text, "_MAX_BLOCK", blocks[0])
     monkeypatch.setattr(_text, "_TRAJ_CHUNK", blocks[1])
+    assert text().encode() == expected  # no worker
+    sizes, waited, meet = [], set(), 0
+    real_submit, real_claim, real_received = _text.submit, _text._claim, _text.received
+
+    def submit(pieces, flats):
+        sizes.append(len(pieces))
+        return real_submit(pieces, flats)
+
+    def claim(job, first):  # the worker stops before piece `meet`
+        real_claim(job, max(first, meet))
+
+    def received(job, index):  # the first call waits for the worker's pieces
+        places = real_received(job, index)
+        if job not in waited:
+            waited.add(job)
+            deadline = time.monotonic() + 60
+            while len(places) < index + 1 - meet and time.monotonic() < deadline:
+                time.sleep(0.001)
+                places += real_received(job, index - len(places))
+        return places
+
+    monkeypatch.setattr(_text, "submit", submit)
+    monkeypatch.setattr(_text, "_claim", claim)
+    monkeypatch.setattr(_text, "received", received)
     monkeypatch.setattr(_text, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_text, "_WORKER_MIN_VALUES", 1)
     _text.start()
     try:
         assert text().encode() == expected
-        points = [j for count in counts for j in range(count)]
-        assert points == list(range({"trajectories": 14, "one-trajectory": 1}.get(kind, 0)))
-        for point in points:
-            monkeypatch.setattr(_text, "_cut", lambda count: point)
-            assert text().encode() == expected, point
+        n = sizes[0]
+        assert len(replies) == n  # all of them
+        if kind == "spec" and blocks[0] == 5:
+            assert n > 20  # pieces within the stacks, mirrored ones included
+        for meet in range(1, n + 1):
+            del replies[:]
+            assert text().encode() == expected, meet
+            assert len(replies) == n - meet, meet
     finally:
-        proc = _text._worker
+        proc = _text._worker.proc
         _text.stop()
     assert proc.returncode == -signal.SIGKILL
-    assert len(replies) == len(counts) + len(points) and None not in replies
+    assert sizes == [n] * (n + 1)
 
 
 # Each way a worker's job or a command can fail: the command's exit code
 # (None for an interrupt) and the worker's return code, or none if it never
-# started.  Only simulate starts a worker, so a JSON-writing command runs
-# only the failures of its own, those with a nonzero code, with no worker.
+# started.
 _FAILURES = {"cannot-start": (0, []), "exits-nonzero": (0, [3]), "killed-mid-job": (0, [-signal.SIGKILL]),
+             "short-reply": (0, [-signal.SIGKILL]), "stale-job": (0, [-signal.SIGKILL]),
              "write-oserror": (4, [-signal.SIGKILL]), "write-interrupt": (None, [-signal.SIGKILL]),
              "exit-2": (2, [-signal.SIGKILL]), "exit-3": (3, [-signal.SIGKILL]), "exit-4": (4, [-signal.SIGKILL])}
 
@@ -682,20 +779,37 @@ def _failing_run(traj_game, tmp_path, monkeypatch, kind, failure=None):
         argv = ["solve-exact", "--spec", spec_path, "--out", out]
     if failure == "cannot-start":
         monkeypatch.setattr(sys, "executable", str(tmp_path / "no-such-python"))
-    elif failure == "exits-nonzero":
-        monkeypatch.setattr(sys, "executable", _failing_python(tmp_path))
+    elif failure in ("exits-nonzero", "short-reply", "stale-job"):
+        reply = "stale" if failure == "stale-job" else "short"
+        then = "sys.exit(3)" if failure == "exits-nonzero" else "sys.stdin.buffer.read()"
+        monkeypatch.setattr(sys, "executable", _fake_python(tmp_path, reply, then))
+        real_received, waited = _text.received, []
+
+        def received_once_replied(job, index):
+            # This process does not wait for a worker; the test waits for
+            # the fake's reply, or exit, before this process first reads.
+            if not waited:
+                waited.append(job)
+                if failure == "exits-nonzero":
+                    _text._worker.proc.wait(timeout=60)
+                else:
+                    select.select([_text._worker.proc.stdout], [], [], 60)
+            return real_received(job, index)
+
+        monkeypatch.setattr(_text, "received", received_once_replied)
     elif failure == "killed-mid-job":
         real_submit = _text.submit
 
-        def submit_then_kill(items, buffers):
-            sent = real_submit(items, buffers)
-            _text._worker.kill()
-            return sent
+        def submit_then_kill(pieces, flats):
+            job = real_submit(pieces, flats)
+            if _text._worker is not None:
+                _text._worker.proc.kill()
+            return job
 
         monkeypatch.setattr(_text, "submit", submit_then_kill)
     elif failure in ("write-oserror", "write-interrupt"):
-        # trajectories.csv fails at its second chunk of rows, before the
-        # worker's reply is read; policy.json at its one write.
+        # trajectories.csv fails at its second chunk of rows; policy.json at
+        # its one write.
         target, writes = (".trajectories.csv.", 2) if kind == "csv" else (".policy.json.", 0)
         error = OSError(errno.ENOSPC, "No space left on device") if failure == "write-oserror" else KeyboardInterrupt()
         real_open = open
@@ -734,18 +848,15 @@ def _failing_run(traj_game, tmp_path, monkeypatch, kind, failure=None):
 
 
 @pytest.mark.skipif(os.name != "posix", reason="the fake worker is a script run through its #! line")
-@pytest.mark.parametrize("kind, failure", [("csv", failure) for failure in _FAILURES if failure != "exit-3"]  # no solver
-                         + [("json", failure) for failure, (code, _) in _FAILURES.items() if code != 0])
+@pytest.mark.parametrize("kind, failure", [(kind, failure) for kind in ("csv", "json") for failure in _FAILURES
+                                           if (kind, failure) != ("csv", "exit-3")])  # simulate runs no solver
 def test_failed_worker_or_command(traj_game, workers, replies, monkeypatch, tmp_path, capsys, kind, failure):
-    """A worker that cannot start or fails leaves the bytes of one process;
-    a command that fails after its worker started, by an error of its own or
-    by a write of this process, kills and reaps it and writes no file.  A
-    command that writes JSON fails the same way with no worker.  Either way
-    no worker process is left running or unreaped, and ``--out`` holds no
-    temporary file."""
+    """A worker that cannot start, fails, or replies short or to another job
+    leaves the bytes of one process; a command that fails after its worker
+    started, by an error of its own or by a write of this process, kills
+    and reaps it and writes no file.  Either way no worker process is left
+    running or unreaped, and ``--out`` holds no temporary file."""
     code, worker_codes = _FAILURES[failure]
-    if kind == "json":
-        worker_codes = []
     argv, out = _failing_run(traj_game, tmp_path, monkeypatch, kind, failure)
     before = sorted(p.name for p in out.iterdir())
     capsys.readouterr()  # the set-up's commands
@@ -769,14 +880,65 @@ def test_failed_worker_or_command(traj_game, workers, replies, monkeypatch, tmp_
         printed = capsys.readouterr()
         assert code is None or ("error (io): cannot write" if code == 4 else "error (") in printed.err
         assert "wrote" not in printed.out
-    if kind == "json":
-        assert replies == []  # no worker
-    elif failure in ("exits-nonzero", "killed-mid-job"):
-        assert replies == [None]  # this process formats the rest
-    elif failure == "exit-2":
-        assert replies == []  # the command fails before it formats a file
-    else:
-        assert None not in replies
+    if failure not in ("write-oserror", "write-interrupt", "exit-4"):
+        # No worker, a worker whose text never arrives whole or for this
+        # process's job, or a command that fails before it writes a file:
+        # this process formats every piece.
+        assert replies == []
+
+
+_STALLED = """\
+import os, signal, sys
+sys.path.insert(0, {src!r})
+from lqnash import _text, cli
+start = _text.start
+
+
+def stalled():
+    start()
+    os.kill(_text._worker.proc.pid, signal.SIGSTOP)
+    stalled.proc = _text._worker.proc
+
+
+_text.start, _text._usable_cpus, _text._WORKER_MIN_VALUES = stalled, lambda: 2, 1
+code = cli.main({argv!r})
+try:
+    os.waitpid(stalled.proc.pid, os.WNOHANG)
+    reaped = False
+except ChildProcessError:
+    reaped = True
+print(code, stalled.proc.returncode, reaped)
+"""
+
+
+@pytest.mark.skipif(os.name != "posix", reason="the worker is stopped with SIGSTOP")
+@pytest.mark.parametrize("command", ["simulate", "solve-exact"])
+def test_stalled_worker_makes_no_command_wait(tmp_path, monkeypatch, command):
+    """A worker stopped right after it starts costs a command no wait: run
+    in a child interpreter, the command exits 0 well within the timeout,
+    writes the bytes of a run with one usable CPU, and leaves the worker
+    killed and reaped.  simulate's 200 trajectories hold 232k floats."""
+    spec = lq.random_game(4, 48, 8, 4, seed=4, scale=0.3).with_tau(20.0)  # the game of JSON_COMMANDS
+    spec_path = tmp_path / "game.json"
+    spec_path.write_text(lq.dump_game_spec(spec))
+    policy = lq.dump_joint_policy(lq.exact_ne(spec).policy)
+
+    def argv(out) -> list:
+        out.mkdir()
+        (out / "policy.json").write_text(policy)  # simulate samples it; solve-exact replaces it
+        extra = ["--n-traj", "200", "--seed", "3"] if command == "simulate" else []
+        return [command, "--spec", str(spec_path), "--out", str(out), *extra]
+
+    with monkeypatch.context() as m:
+        m.setattr(_text, "_usable_cpus", lambda: 1)
+        assert run(*argv(tmp_path / "serial")) == 0
+    src = os.path.dirname(os.path.dirname(lq.__file__))
+    script = _STALLED.format(src=src, argv=argv(tmp_path / "stalled"))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == f"0 {-signal.SIGKILL} True"
+    serial = {path.name: path.read_bytes() for path in (tmp_path / "serial").iterdir()}
+    assert {path.name: path.read_bytes() for path in (tmp_path / "stalled").iterdir()} == serial
 
 
 @pytest.mark.parametrize("existing", [True, False], ids=["replaced", "new"])
