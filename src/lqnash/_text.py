@@ -6,13 +6,13 @@ lays out the nested list, and every line of ``trajectories.csv`` as
 
 A document is a list of pieces (:func:`render`): a template block of an
 array's entries with the text before it (:func:`json_pieces`), or
-``_TRAJ_CHUNK`` trajectories (:func:`trajectories`).  On a POSIX system
-with two usable CPUs the CLI may start one worker interpreter per command
-(:func:`start`) that runs this module with ``python -I -S``, so without
-numpy; run as a script, ``python -I -S _text.py JOBS TEXTS`` with the
-descriptors of the two files below, the module is a worker as well.  When
-the command ends, the CLI kills and reaps the worker (:func:`stop`),
-whether it succeeded or not.
+``_TRAJ_CHUNK`` trajectories (:func:`trajectories`).  On Linux with two
+usable CPUs the CLI may start one worker interpreter per command
+(:func:`start`, with ``os.posix_spawn``) that runs this module with
+``python -I -S``, so without numpy.  Elsewhere this process formats every
+piece, and the bytes are the same.  When the command ends, the CLI kills
+and reaps the worker and closes the descriptors it shares with it
+(:func:`stop`), whether the command succeeded or not.
 
 The two processes meet in the middle of every document that holds at least
 ``_WORKER_MIN_VALUES`` floats (:func:`document`).  They share two files
@@ -44,13 +44,13 @@ import sys
 # leading axis.  This bounds every template, and each is one piece.
 _MAX_BLOCK = 1024
 # Floats a document must hold for the worker to take part in it.  On a
-# 2-vCPU VM (Python 3.11) starting the worker cost a fresh command 4-8 ms,
-# mostly to import subprocess, and the worker sent its first piece 23-26 ms
-# after the start.  A document laid out 15 ms after the start, as after the
-# solvers, took 4 ms less at 10k floats, 9 ms less at 20k, 14 ms less at
-# 30k and 21-24 ms less at 45k-60k (medians of 11 fresh runs each, at about
-# 1.1 us per float in one process).  The rule leaves a margin for a slower
-# start on a busier machine.
+# 2-vCPU VM (Python 3.11) starting the worker cost a fresh command 0.5-0.9
+# ms and it sent its first piece 10-20 ms after the start (medians 0.7 and
+# 13 ms, 20 fresh runs).  With a 4-8 ms start, a document laid out 15 ms
+# after the start, as after the solvers, took 4 ms less at 10k floats, 9 ms
+# less at 20k, 14 ms less at 30k and 21-24 ms less at 45k-60k (medians of
+# 11 fresh runs each, at about 1.1 us per float in one process).  The rule
+# leaves a margin for a slower start on a busier machine.
 _WORKER_MIN_VALUES = 30_000
 # Templates and mirror getters kept for reuse.
 _KEPT = 32
@@ -63,14 +63,14 @@ _BOOT = "import sys; sys.path.insert(0, sys.argv[1]); import _text; _text.main()
 
 
 class _Worker:
-    """A running worker: its process, the descriptors of the file of jobs
-    and of the file of texts it shares with this process, where the next
-    job goes, and the lines of its replies read but not yet taken.  The
+    """A running worker: its pid, the descriptors of the pipes to its stdin
+    and from its stdout and of the files of jobs and of texts, where the
+    next job goes, and the lines of its replies read but not yet taken.  The
     file of jobs begins with 16 bytes that name the job this process works
     on and the first of its pieces that this process has not claimed."""
 
-    def __init__(self, proc, jobs: int, texts: int):
-        self.proc, self.jobs, self.texts = proc, jobs, texts
+    def __init__(self, pid: int, stdin: int, stdout: int, jobs: int, texts: int):
+        self.pid, self.stdin, self.stdout, self.jobs, self.texts = pid, stdin, stdout, jobs, texts
         self.end, self.inbox = 16, bytearray()
 
 
@@ -236,49 +236,41 @@ def _floats(piece) -> int:
 
 
 def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _unnamed_file() -> int:
-    """A file with no name, to share with the worker: its descriptor."""
-    try:
-        return os.memfd_create("lqnash-text")
-    except (AttributeError, OSError):  # no memfd here
-        import tempfile
-
-        fd, path = tempfile.mkstemp()
-        os.unlink(path)
-        return fd
+    return len(os.sched_getaffinity(0))
 
 
 def start() -> None:
     """Start this process's worker, ``sys.executable -I -S`` running this
-    module, unless one runs or none can run here: it needs a POSIX system,
-    at least two usable CPUs and ``sys.executable``.  It stays without a
-    worker if none can start."""
+    module, unless one runs or none can run here: it needs Linux's
+    ``memfd_create`` and ``sched_getaffinity``, at least two usable CPUs
+    and ``sys.executable``.  It stays without a worker if none can start."""
     global _worker
-    import subprocess
-
-    # Tested on POSIX systems only.
-    if _worker is not None or os.name != "posix" or _usable_cpus() < 2 or not sys.executable:
+    if (_worker is not None or not hasattr(os, "memfd_create") or not hasattr(os, "sched_getaffinity")
+            or _usable_cpus() < 2 or not sys.executable):
         return
-    files = []  # of jobs and of texts
+    fds = []  # to close if the worker cannot start
     try:
+        # The pipes first: they take the lowest free descriptors, so moving
+        # them onto the worker's 0 and 1 overwrites no file it inherits.
         for _ in range(2):
-            files.append(_unnamed_file())
-        argv = [sys.executable, "-I", "-S", "-c", _BOOT, os.path.dirname(os.path.abspath(__file__)), *map(str, files)]
-        proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                                stderr=subprocess.DEVNULL, pass_fds=files)
+            fds += os.pipe()
+        for _ in range(2):
+            fds.append(os.memfd_create("lqnash-text", 0))  # not close-on-exec: the worker inherits it
+        their_stdin, stdin, stdout, their_stdout, jobs, texts = fds
+        argv = [sys.executable, "-I", "-S", "-c", _BOOT, os.path.dirname(os.path.abspath(__file__)), str(jobs), str(texts)]
+        actions = [(os.POSIX_SPAWN_DUP2, their_stdin, 0), (os.POSIX_SPAWN_DUP2, their_stdout, 1),
+                   (os.POSIX_SPAWN_OPEN, 2, os.devnull, os.O_WRONLY, 0)]
+        pid = os.posix_spawn(sys.executable, argv, os.environ, file_actions=actions)
     except OSError:
-        for fd in files:
+        for fd in fds:
             os.close(fd)
         return
-    _worker = _Worker(proc, *files)
+    os.close(their_stdin)
+    os.close(their_stdout)
+    _worker = _Worker(pid, stdin, stdout, jobs, texts)
     _keep_away()
-    os.set_blocking(proc.stdin.fileno(), False)
-    os.set_blocking(proc.stdout.fileno(), False)
+    os.set_blocking(_worker.stdin, False)
+    os.set_blocking(_worker.stdout, False)
 
 
 def _keep_away() -> None:
@@ -290,23 +282,27 @@ def _keep_away() -> None:
     try:
         with open("/proc/self/stat", "rb") as fh:
             cpu = int(fh.read().rsplit(b")", 1)[1].split()[36])
-        os.sched_setaffinity(_worker.proc.pid, os.sched_getaffinity(0) - {cpu})
-    except (AttributeError, IndexError, OSError, ValueError):
+        os.sched_setaffinity(_worker.pid, os.sched_getaffinity(0) - {cpu})
+    except (IndexError, OSError, ValueError):
         pass
 
 
 def stop() -> None:
-    """Kill this process's worker, if one runs, and reap it."""
+    """Kill this process's worker, if one runs, reap it and close its
+    descriptors."""
     global _worker
     worker, _worker = _worker, None
     if worker is None:
         return
-    worker.proc.kill()
-    worker.proc.wait()
-    worker.proc.stdin.close()
-    worker.proc.stdout.close()
-    os.close(worker.jobs)
-    os.close(worker.texts)
+    import signal
+
+    try:
+        os.kill(worker.pid, signal.SIGKILL)
+        os.waitpid(worker.pid, 0)
+    except (ProcessLookupError, ChildProcessError):  # reaped already, as where SIGCHLD is ignored
+        pass
+    for fd in (worker.stdin, worker.stdout, worker.jobs, worker.texts):
+        os.close(fd)
 
 
 def _claim(job: int, first: int) -> None:
@@ -334,7 +330,7 @@ def submit(pieces: list, flats: list):
             at += view.nbytes
         _claim(job, 0)
         _keep_away()
-        os.write(worker.proc.stdin.fileno(), b"%d %d\n" % (job, len(head)))
+        os.write(worker.stdin, b"%d %d\n" % (job, len(head)))
     except BlockingIOError:  # the worker has not read its earlier jobs
         return None
     except OSError:
@@ -353,7 +349,7 @@ def received(job: int, index: int) -> list:
         return []
     inbox = _worker.inbox
     try:
-        while data := os.read(_worker.proc.stdout.fileno(), 1 << 16):
+        while data := os.read(_worker.stdout, 1 << 16):
             inbox.extend(data)
     except BlockingIOError:
         pass
@@ -479,7 +475,3 @@ def main() -> None:
     teardown would only delay the command."""
     _serve(sys.stdin.buffer, sys.stdout.buffer, int(sys.argv[-2]), int(sys.argv[-1]))
     os._exit(0)
-
-
-if __name__ == "__main__":
-    main()

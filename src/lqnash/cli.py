@@ -20,11 +20,13 @@ load/validation error, 3 solver error, 4 I/O error, naming the file that
 could not be read or written.  All outputs are pure functions of the spec
 bytes, flags, and seed.
 
-Large files are formatted on two cores when at least two CPUs are usable.
-``main`` starts one worker interpreter per command (``python -I -S
-_text.py``, which imports no numpy) when the dimensions show that the
-command's largest document, a JSON file or ``trajectories.csv``, holds at
-least ``_text._WORKER_MIN_VALUES`` floats: for ``randgen`` from its
+On Linux, large files are formatted on two cores when at least two CPUs
+are usable; elsewhere the command formats them itself, with the same
+bytes.  ``main`` starts one worker interpreter per command (``python -I
+-S`` running ``_text``, which imports no numpy, spawned with
+``os.posix_spawn``) when the dimensions show that the command's largest
+document, a JSON file or ``trajectories.csv``, holds at least
+``_text._WORKER_MIN_VALUES`` floats: for ``randgen`` from its
 arguments, for the other commands right after the spec is parsed, so its
 start-up overlaps ``random_game``, the solvers or ``simulate``.  Every such
 document takes one path, ``_text.document``: it is a list of pieces, the
@@ -36,7 +38,7 @@ Both processes lay out text through ``_text``, so the bytes are those of
 one process.  The two processes hand over jobs and texts through two
 unnamed files that only they share, so ``--out`` never holds a worker
 file.  When the command ends, however it ends, ``main`` kills and reaps
-the worker.
+the worker and closes every descriptor it shared with it.
 """
 from __future__ import annotations
 

@@ -465,6 +465,7 @@ def random_game(
     ``A``/``B`` entries are uniform in ``[-scale, scale]``; ``Q`` and the
     covariances are Gram matrices ``G^T G`` (PSD), ``R`` is ``G^T G + I``
     (PD).  ``tau`` is initialized to 1; adjust via :meth:`GameSpec.with_tau`.
+    A ``scale`` whose draws overflow raises :class:`GameSpecError` on ``scale``.
     """
     n, T, m, p = _checked_dims((num_agents, horizon, state_dim, action_dim))
     # uniform(-scale, scale) needs the width 2*scale as a finite float
@@ -477,7 +478,10 @@ def random_game(
         arrays[field] = np.einsum("...ji,...jk->...ik", g, g) if field in _SYMMETRIC else g
     arrays["R"] = arrays["R"] + np.eye(p)
     spec = GameSpec(num_agents=n, horizon=T, state_dim=m, action_dim=p, tau=1.0, **arrays)
-    return validate_game_spec(spec)
+    try:
+        return validate_game_spec(spec)
+    except GameSpecError as exc:  # the draws are symmetric and PSD, so only their size fails
+        raise GameSpecError("scale", f"{scale!r} is too large: {exc}") from None
 
 
 def _integer(name: str, value) -> int:

@@ -384,16 +384,25 @@ def traj_game(tmp_path):
 
 @pytest.fixture
 def workers(monkeypatch):
-    """Every worker process started, with two CPUs usable and any document
-    large enough to start one."""
-    started = []
+    """Every worker process started, in turn, as its pid and the exit code
+    it was reaped with (None until then), with two CPUs usable and any
+    document large enough to start one."""
+    started = {}
+    real_spawn, real_waitpid = os.posix_spawn, os.waitpid
 
-    class Recorded(subprocess.Popen):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            started.append(self)
+    def spawn(*args, **kwargs):
+        pid = real_spawn(*args, **kwargs)
+        started[pid] = None
+        return pid
 
-    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    def waitpid(pid, options):
+        got, status = real_waitpid(pid, options)
+        if got in started:
+            started[got] = os.waitstatus_to_exitcode(status)
+        return got, status
+
+    monkeypatch.setattr(os, "posix_spawn", spawn)
+    monkeypatch.setattr(os, "waitpid", waitpid)
     monkeypatch.setattr(_text, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(_text, "_WORKER_MIN_VALUES", 1)
     return started
@@ -433,10 +442,10 @@ def test_overflowing_policy_exit_code(tmp_path, capsys, kind, command, code):
 
 def _assert_nothing_left(out, started, files=("certificate.json", "costs.csv", "policy.json", "trajectories.csv")):
     """No worker process is running or unreaped, and ``out`` holds no temporary file."""
-    for proc in started:
-        assert proc.returncode is not None
+    for pid, code in started.items():
+        assert code is not None
         with pytest.raises(ChildProcessError):
-            os.waitpid(proc.pid, os.WNOHANG)
+            os.waitpid(pid, os.WNOHANG)
     assert sorted(p.name for p in out.iterdir()) == list(files)
 
 
@@ -449,11 +458,22 @@ def _no_resource_warning():
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
+@contextlib.contextmanager
+def _no_descriptor_left():
+    """The block closes every descriptor it opens.  Raw descriptors, as of
+    the worker's pipes and shared files, escape ResourceWarning."""
+    gc.collect()
+    before = sorted(os.listdir("/proc/self/fd"))
+    yield
+    assert sorted(os.listdir("/proc/self/fd")) == before
+
+
 @pytest.mark.parametrize("n_traj", [1, 3 * _text._TRAJ_CHUNK - 1, 3 * _text._TRAJ_CHUNK, 3 * _text._TRAJ_CHUNK + 1])
 def test_split_trajectories_match_serial(traj_game, workers, monkeypatch, n_traj):
-    expected = _simulate(traj_game, n_traj)
+    with _no_descriptor_left():
+        expected = _simulate(traj_game, n_traj)
     # Killed and reaped.
-    assert [proc.returncode for proc in workers] == [-signal.SIGKILL]
+    assert list(workers.values()) == [-signal.SIGKILL]
     split = (traj_game[2] / "trajectories.csv").read_bytes()
     assert split == expected
     assert _serial_bytes(traj_game, n_traj, monkeypatch) == expected
@@ -483,7 +503,7 @@ def test_worker_rule(traj_game, monkeypatch):
         return worker is not None
 
     monkeypatch.setattr(_text, "_usable_cpus", lambda: 2)
-    assert started() == (os.name == "posix")
+    assert started() == sys.platform.startswith("linux")
     with monkeypatch.context() as m:
         m.setattr(sys, "executable", "")
         assert not started()
@@ -498,8 +518,8 @@ def test_worker_kept_off_this_process_cpu():
     ran on when it started the worker."""
     _text.start()
     try:
-        assert len(os.sched_getaffinity(_text._worker.proc.pid)) == len(os.sched_getaffinity(0)) - 1
-        assert os.sched_getaffinity(_text._worker.proc.pid) < os.sched_getaffinity(0)
+        assert len(os.sched_getaffinity(_text._worker.pid)) == len(os.sched_getaffinity(0)) - 1
+        assert os.sched_getaffinity(_text._worker.pid) < os.sched_getaffinity(0)
     finally:
         _text.stop()
 
@@ -514,7 +534,8 @@ def test_small_simulate_splits_rows_or_starts_no_worker(tmp_path, monkeypatch, r
     assert run("solve-exact", "--spec", spec_path, "--out", out) == 0
     monkeypatch.setattr(_text, "_usable_cpus", lambda: 2)
     del replies[:]
-    assert run("simulate", "--spec", spec_path, "--out", out, "--n-traj", 100) == 0
+    with _no_descriptor_left():
+        assert run("simulate", "--spec", spec_path, "--out", out, "--n-traj", 100) == 0
     # A worker's text begins after this process's first trajectory.
     assert all(not text.startswith(b"0,") for text in replies)
 
@@ -561,8 +582,8 @@ def test_worker_script_rejects_short_input(tmp_path):
         (tmp_path / "texts").write_bytes(b"")
         fds = [os.open(tmp_path / "jobs", os.O_RDONLY), os.open(tmp_path / "texts", os.O_WRONLY)]
         try:
-            return subprocess.run([sys.executable, "-I", "-S", _text.__file__, *map(str, fds)], input=line * jobs,
-                                  pass_fds=fds, capture_output=True, timeout=60)
+            argv = [sys.executable, "-I", "-S", "-c", _text._BOOT, os.path.dirname(_text.__file__), *map(str, fds)]
+            return subprocess.run(argv, input=line * jobs, pass_fds=fds, capture_output=True, timeout=60)
         finally:
             for fd in fds:
                 os.close(fd)
@@ -615,15 +636,16 @@ def test_json_outputs_match_one_cpu(traj_game, workers, monkeypatch, tmp_path):
     with monkeypatch.context() as m:
         m.setattr(_text, "_usable_cpus", lambda: 1)
         serial = _json_outputs(tmp_path / "serial", spec_path)
-    assert workers == []
-    split = _json_outputs(tmp_path / "split", spec_path)
+    assert workers == {}
+    with _no_descriptor_left():
+        split = _json_outputs(tmp_path / "split", spec_path)
     assert split == serial
     assert sorted(serial) == ["aug/condition.json", "aug/policy.json", "exact/certificate.json",
                               "exact/condition.json", "exact/policy.json", "gen/spec.json",
                               "po/certificate.json", "po/policy.json"]
     # randgen, solve-exact, solve-po, eval and augment start one each; check
     # writes no array.  Each is killed and reaped.
-    assert [proc.returncode for proc in workers] == [-signal.SIGKILL] * 5
+    assert list(workers.values()) == [-signal.SIGKILL] * 5
 
 
 JSON_COMMANDS = {"randgen": ["--agents", 4, "--horizon", 48, "--state-dim", 8, "--action-dim", 4, "--seed", 4],
@@ -668,10 +690,11 @@ def test_json_commands_start_no_worker(tmp_path, workers, monkeypatch, command):
     for rule, started in [(largest + 1, 0), (largest, 1)] if largest else [(1, 0)]:
         monkeypatch.setattr(_text, "_WORKER_MIN_VALUES", rule)
         out = tmp_path / f"rule-{rule}"
-        assert outputs(out) == serial
-        assert [proc.returncode for proc in workers] == [-signal.SIGKILL] * started
+        with _no_descriptor_left():
+            assert outputs(out) == serial
+        assert list(workers.values()) == [-signal.SIGKILL] * started
         _assert_nothing_left(out, workers, sorted(serial))
-        del workers[:]
+        workers.clear()
 
 
 def _trajectories_csv(spec: lq.GameSpec, n_traj: int) -> str:
@@ -702,7 +725,7 @@ def _documents(spec: lq.GameSpec) -> dict:
 
 @pytest.mark.parametrize("kind", ["spec", "policy", "certificate", "trajectories", "one-trajectory"])
 @pytest.mark.parametrize("blocks", [(_text._MAX_BLOCK, _text._TRAJ_CHUNK), (5, 4)], ids=["blocks", "small-blocks"])
-def test_every_split_point_matches_serial(monkeypatch, replies, kind, blocks):
+def test_every_split_point_matches_serial(monkeypatch, workers, replies, kind, blocks):
     """Wherever the worker and this process meet, the bytes are those of
     json.dumps(indent=2) or of a row-by-row csv.writer.  For every piece
     ``j``, and for ``j`` past the last one, the running worker formats
@@ -736,8 +759,6 @@ def test_every_split_point_matches_serial(monkeypatch, replies, kind, blocks):
     monkeypatch.setattr(_text, "submit", submit)
     monkeypatch.setattr(_text, "_claim", claim)
     monkeypatch.setattr(_text, "received", received)
-    monkeypatch.setattr(_text, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(_text, "_WORKER_MIN_VALUES", 1)
     _text.start()
     try:
         assert text().encode() == expected
@@ -750,9 +771,8 @@ def test_every_split_point_matches_serial(monkeypatch, replies, kind, blocks):
             assert text().encode() == expected, meet
             assert len(replies) == n - meet, meet
     finally:
-        proc = _text._worker.proc
         _text.stop()
-    assert proc.returncode == -signal.SIGKILL
+    assert list(workers.values()) == [-signal.SIGKILL]
     assert sizes == [n] * (n + 1)
 
 
@@ -790,10 +810,13 @@ def _failing_run(traj_game, tmp_path, monkeypatch, kind, failure=None):
             # the fake's reply, or exit, before this process first reads.
             if not waited:
                 waited.append(job)
-                if failure == "exits-nonzero":
-                    _text._worker.proc.wait(timeout=60)
+                if failure == "exits-nonzero":  # left for stop() to reap
+                    deadline = time.monotonic() + 60
+                    while (os.waitid(os.P_PID, _text._worker.pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None
+                           and time.monotonic() < deadline):
+                        time.sleep(0.001)
                 else:
-                    select.select([_text._worker.proc.stdout], [], [], 60)
+                    select.select([_text._worker.stdout], [], [], 60)
             return real_received(job, index)
 
         monkeypatch.setattr(_text, "received", received_once_replied)
@@ -803,7 +826,7 @@ def _failing_run(traj_game, tmp_path, monkeypatch, kind, failure=None):
         def submit_then_kill(pieces, flats):
             job = real_submit(pieces, flats)
             if _text._worker is not None:
-                _text._worker.proc.kill()
+                os.kill(_text._worker.pid, signal.SIGKILL)
             return job
 
         monkeypatch.setattr(_text, "submit", submit_then_kill)
@@ -860,13 +883,13 @@ def test_failed_worker_or_command(traj_game, workers, replies, monkeypatch, tmp_
     argv, out = _failing_run(traj_game, tmp_path, monkeypatch, kind, failure)
     before = sorted(p.name for p in out.iterdir())
     capsys.readouterr()  # the set-up's commands
-    with _no_resource_warning(), np.errstate(over="ignore", invalid="ignore"):
+    with _no_resource_warning(), _no_descriptor_left(), np.errstate(over="ignore", invalid="ignore"):
         if code is None:
             with pytest.raises(KeyboardInterrupt):
                 run(*argv)
         else:
             assert run(*argv) == code
-    assert [proc.returncode for proc in workers] == worker_codes
+    assert list(workers.values()) == worker_codes
     if code == 0:
         serial, serial_out = _failing_run(traj_game, tmp_path / "serial", monkeypatch, kind)
         monkeypatch.setattr(_text, "_usable_cpus", lambda: 1)
@@ -891,23 +914,30 @@ _STALLED = """\
 import os, signal, sys
 sys.path.insert(0, {src!r})
 from lqnash import _text, cli
-start = _text.start
+start, waitpid = _text.start, os.waitpid
 
 
 def stalled():
     start()
-    os.kill(_text._worker.proc.pid, signal.SIGSTOP)
-    stalled.proc = _text._worker.proc
+    os.kill(_text._worker.pid, signal.SIGSTOP)
+    stalled.pid, stalled.code = _text._worker.pid, None
 
 
-_text.start, _text._usable_cpus, _text._WORKER_MIN_VALUES = stalled, lambda: 2, 1
+def recorded(pid, options):
+    got, status = waitpid(pid, options)
+    if got == stalled.pid:
+        stalled.code = os.waitstatus_to_exitcode(status)
+    return got, status
+
+
+_text.start, _text._usable_cpus, _text._WORKER_MIN_VALUES, os.waitpid = stalled, lambda: 2, 1, recorded
 code = cli.main({argv!r})
 try:
-    os.waitpid(stalled.proc.pid, os.WNOHANG)
+    waitpid(stalled.pid, os.WNOHANG)
     reaped = False
 except ChildProcessError:
     reaped = True
-print(code, stalled.proc.returncode, reaped)
+print(code, stalled.code, reaped)
 """
 
 
@@ -939,6 +969,33 @@ def test_stalled_worker_makes_no_command_wait(tmp_path, monkeypatch, command):
     assert done.stdout.splitlines()[-1] == f"0 {-signal.SIGKILL} True"
     serial = {path.name: path.read_bytes() for path in (tmp_path / "serial").iterdir()}
     assert {path.name: path.read_bytes() for path in (tmp_path / "stalled").iterdir()} == serial
+
+
+@pytest.mark.parametrize("missing", ["memfd_create", "sched_getaffinity"])
+@pytest.mark.parametrize("command", ["simulate", "solve-exact"])
+def test_no_worker_without_memfd_create(tmp_path, workers, monkeypatch, missing, command):
+    """Where ``os.memfd_create`` or ``os.sched_getaffinity`` is missing, as
+    off Linux, a command starts no process, even with two usable CPUs, and
+    writes the bytes of a run with one.  simulate's 200 trajectories hold
+    232k floats."""
+    spec = lq.random_game(4, 48, 8, 4, seed=4, scale=0.3).with_tau(20.0)  # the game of JSON_COMMANDS
+    spec_path = tmp_path / "game.json"
+    spec_path.write_text(lq.dump_game_spec(spec))
+    policy = lq.dump_joint_policy(lq.exact_ne(spec).policy)
+
+    def outputs(out) -> dict:
+        out.mkdir()
+        (out / "policy.json").write_text(policy)  # simulate samples it; solve-exact replaces it
+        extra = ["--n-traj", 200, "--seed", 3] if command == "simulate" else []
+        assert run(command, "--spec", spec_path, "--out", out, *extra) == 0
+        return {path.name: path.read_bytes() for path in out.iterdir()}
+
+    with monkeypatch.context() as m:
+        m.setattr(_text, "_usable_cpus", lambda: 1)
+        serial = outputs(tmp_path / "serial")
+    monkeypatch.delattr(os, missing)
+    assert outputs(tmp_path / "without") == serial
+    assert workers == {}
 
 
 @pytest.mark.parametrize("existing", [True, False], ids=["replaced", "new"])
@@ -982,11 +1039,35 @@ def test_commit_restores_targets_when_a_move_fails(scalar_spec_file, tmp_path, m
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
-def test_import_loads_no_subprocess():
+_SPAWNED = """\
+import sys
+sys.path.insert(0, {src!r})
+import lqnash.cli
+print("subprocess" in sys.modules)
+from lqnash import _text
+start = _text.start
+
+
+def started():
+    start()
+    print(_text._worker is not None)
+
+
+_text.start, _text._usable_cpus, _text._WORKER_MIN_VALUES = started, lambda: 2, 1
+code = lqnash.cli.main({argv!r})
+print(code, "subprocess" in sys.modules)
+"""
+
+
+def test_import_loads_no_subprocess(traj_game):
+    """Neither importing the CLI nor a simulate that starts a worker, run
+    in a fresh interpreter, imports subprocess."""
+    _, spec_path, out = traj_game
     src = os.path.dirname(os.path.dirname(lq.__file__))
-    code = f"import sys; sys.path.insert(0, {src!r}); import lqnash.cli; print('subprocess' in sys.modules)"
+    code = _SPAWNED.format(src=src, argv=["simulate", "--spec", str(spec_path), "--out", str(out), "--n-traj", "50"])
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=True)
-    assert done.stdout == "False\n"
+    lines = done.stdout.splitlines()
+    assert (lines[0], lines[1], lines[-1]) == ("False", "True", "0 False")
 
 
 def test_po_divergence_exit_code(tmp_path, capsys):
@@ -1259,4 +1340,4 @@ def test_randgen_huge_scale_is_valid_or_a_validation_error(tmp_path, capsys, sca
                    "--action-dim", 1, "--seed", 0, "--scale", scale)
     assert code in (0, 2)
     if code == 2:
-        assert "error (validation):" in capsys.readouterr().err
+        assert "error (validation): scale: " in capsys.readouterr().err

@@ -225,6 +225,17 @@ def test_random_game_names_a_bad_dimension(dims, key, message):
     assert str(err.value) == f"{key}: {message}"
 
 
+@pytest.mark.parametrize("scale, reason", [(1e154, "Q: entries too large: X + X^T overflows"),
+                                           (1e200, "Q: contains non-finite entries")])
+def test_random_game_blames_a_huge_scale(scale, reason):
+    """A scale whose draws overflow is named as the fault, not the field
+    the draws overflowed in: the caller wrote no Q."""
+    with pytest.raises(lq.GameSpecError) as err:
+        lq.random_game(2, 3, 2, 1, seed=0, scale=scale)
+    assert err.value.field == "scale"
+    assert str(err.value) == f"scale: {scale!r} is too large: {reason}"
+
+
 def test_random_game_self_validates():
     spec = lq.random_game(1, 1, 1, 1, seed=0, scale=1.0)
     assert lq.dump_game_spec(spec) == lq.dump_game_spec(lq.load_game_spec(lq.dump_game_spec(spec)))
