@@ -89,8 +89,9 @@ class _IOFailure(OSError):
 
 
 def _read(path, what: str) -> str:
+    """The text of ``path``, decoded as UTF-8 whatever the locale's encoding."""
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise _IOFailure(f"cannot read {what} {path}: {exc}") from None
 

@@ -265,11 +265,25 @@ def _reject_constant(name: str):
 
 def _load_header(text: str, keys: tuple[str, ...]) -> tuple[dict, tuple[int, ...]]:
     """The JSON object of a document, finite numbers only, which must hold
-    every one of ``keys``, and its four positive dimensions ``_DIMS``."""
+    every one of ``keys``, and its four positive dimensions ``_DIMS``.
+
+    orjson parses the document, three to four times as fast as json, to
+    the same floats.  json parses it again where orjson refuses it (``NaN``, a
+    number past the float range, a lone surrogate, malformed text), where
+    it is not an object, or where a dimension comes back as a float: orjson
+    reads an integer outside [-2**63, 2**64) as one.  So json names every
+    rejected document as it always has."""
+    import orjson  # 5 ms of imports (uuid, zoneinfo) that only a document load pays
+
     try:
-        doc = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
-        raise GameSpecError("", f"malformed JSON document: {exc}") from None
+        doc = orjson.loads(text)
+    except orjson.JSONDecodeError:
+        doc = None
+    if not isinstance(doc, dict) or any(type(doc.get(key)) is float for key in _DIMS):
+        try:
+            doc = json.loads(text, parse_constant=_reject_constant)
+        except json.JSONDecodeError as exc:
+            raise GameSpecError("", f"malformed JSON document: {exc}") from None
     if not isinstance(doc, dict):
         raise GameSpecError("", "top level must be a JSON object")
     missing = [k for k in keys if k not in doc]

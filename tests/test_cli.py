@@ -184,6 +184,31 @@ def test_read_error_exit_code(scalar_spec_file, tmp_path, capsys, command, missi
     assert f"error (io): {message} {absent[missing]}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, env, key", [
+    # Any read or write that falls back on the locale's encoding is an error.
+    (["-X", "warn_default_encoding", "-W", "error::EncodingWarning"], {}, None),
+    # The locale's encoding is ASCII, and the spec holds a UTF-8 ignored key.
+    (["-X", "utf8=0"], {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"}, "commentaire é"),
+], ids=["encoding-warning", "ascii-locale"])
+def test_spec_is_read_as_utf8(scalar_spec_file, tmp_path, flags, env, key):
+    """The CLI reads a spec as UTF-8, whatever the locale, and writes what it
+    writes for the same spec without the ignored key."""
+    assert run("solve-exact", "--spec", scalar_spec_file, "--out", tmp_path / "plain") == 0
+    doc = json.loads(SCALAR_GAME_TEXT)
+    if key:
+        doc[key] = "équilibre"
+    spec = tmp_path / "utf8.json"
+    spec.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(lq.__file__))
+    done = subprocess.run(
+        [sys.executable, *flags, "-m", "lqnash.cli", "solve-exact", "--spec", str(spec), "--out", str(tmp_path / "run")],
+        env={**os.environ, **env, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    for name in ("policy.json", "certificate.json"):
+        assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
 def test_check_writes_condition(scalar_spec_file, tmp_path):
     out = tmp_path / "chk"
     assert run("check", "--spec", scalar_spec_file, "--out", out) == 0

@@ -1,4 +1,5 @@
 import dataclasses
+import time
 import tracemalloc
 import warnings
 
@@ -520,6 +521,47 @@ class TestRolloutKernel:
             npt.assert_array_equal(states, ref_states)
             npt.assert_array_equal(actions, ref_actions)
             npt.assert_allclose(costs, ref_costs, rtol=1e-12, atol=0)
+
+
+def test_monte_carlo_nash_gap_with_common_random_numbers():
+    """Each agent's Nash gap, sampled, agrees with ``exploitability``.
+
+    A trajectory's draws depend only on the seed and its index, so one seed
+    couples the joint policy's run with the run in which one agent plays
+    its exact best response: the per-trajectory cost differences estimate
+    the gap with the variance of a difference of correlated costs.  The
+    policies are exact equilibria with jittered gains and covariances, so
+    the responder's own covariance change enters the gap."""
+    start = time.perf_counter()
+    rng = np.random.default_rng(1313)
+    n_traj, within, worst_z = 4000, 0, 0.0
+    for k in range(20):
+        n = int(rng.integers(2, 4))
+        T = int(rng.integers(1, 6))
+        m = int(rng.integers(1, 4))
+        p = int(rng.integers(1, 3))
+        spec = lq.random_game(n, T, m, p, seed=4000 + k, scale=0.5)
+        equilibrium = lq.exact_ne(spec).policy
+        g = rng.normal(0.0, 1.0, equilibrium.covs.shape)
+        joint = lq.JointPolicy(equilibrium.gains + 0.05 * rng.normal(size=equilibrium.gains.shape),
+                               equilibrium.covs + 0.3 * g @ g.swapaxes(-1, -2))
+        gaps = lq.exploitability(spec, joint)
+        costs = lq.simulate(spec, joint, n_traj, seed=5000 + k).costs
+        z = np.empty(n)
+        for i in range(n):
+            response, _ = lq.best_response_full(spec, joint, i)
+            gains, covs = joint.gains.copy(), joint.covs.copy()
+            gains[i], covs[i] = response.gains, response.covs
+            deviated = lq.simulate(spec, lq.JointPolicy(gains, covs), n_traj, seed=5000 + k).costs[:, i]
+            saved = costs[:, i] - deviated
+            z[i] = abs(saved.mean() - gaps[i]) / (saved.std(ddof=1) / np.sqrt(n_traj))
+        worst_z = max(worst_z, float(z.max()))
+        within += bool((z <= 3.0).all())
+    elapsed = time.perf_counter() - start
+    assert within >= 19 and elapsed < 30.0, (
+        f"{within}/20 games with every agent's gap within 3 standard errors "
+        f"(worst z {worst_z:.2f}), {elapsed:.1f}s (<30s)"
+    )
 
 
 @pytest.mark.parametrize("kind", ["gains", "cov"])

@@ -5,7 +5,9 @@ import re
 
 import numpy as np
 import numpy.testing as npt
+import orjson
 import pytest
+from hypothesis import given, strategies as st
 
 import lqnash as lq
 from lqnash import _text, model
@@ -175,6 +177,122 @@ def test_integers_beyond_64_bits_are_numbers():
     doc["A"], doc["tau"] = [2**64], 2**70
     spec = lq.load_game_spec(json.dumps(doc))
     assert spec.A[0, 0, 0] == 2.0**64 and spec.tau == 2.0**70
+
+
+LOADERS = {"game": (lq.load_game_spec, lq.dump_game_spec), "policy": (lq.load_joint_policy, lq.dump_joint_policy)}
+
+
+def _documents(entries: list[str], dim: str = "1", tau: str = "2", extra: str = "") -> dict[str, str]:
+    """A game whose ``A`` holds one of ``entries`` per stage, and a policy
+    whose one gain row holds them, as JSON texts; ``dim`` is the number of
+    agents, ``extra`` more text at the end of each object."""
+    k, joined = len(entries), ", ".join(entries)
+    return {
+        "game": (f'{{"num_agents": {dim}, "horizon": {k}, "state_dim": 1, "action_dim": 1, "tau": {tau},'
+                 f' "A": [{joined}], "B": 1, "Q": 1, "R": 1, "noise_cov": 0, "init_mean": 1, "init_cov": 0{extra}}}'),
+        "policy": (f'{{"num_agents": {dim}, "horizon": 1, "state_dim": {k}, "action_dim": 1,'
+                   f' "gains": [[[[{joined}]]]], "covs": [[[[1]]]]{extra}}}'),
+    }
+
+
+def _refuse(text):
+    raise orjson.JSONDecodeError("refused", text, 0)
+
+
+def _load_outcome(kind: str, text: str, json_only: bool = False) -> tuple[object, int]:
+    """What loading ``text`` as a ``kind`` document gives, its dump or the
+    field and text of its ``GameSpecError``, and how many times json parsed
+    it.  ``json_only`` makes orjson refuse every document."""
+    load, dump = LOADERS[kind]
+    with pytest.MonkeyPatch.context() as m:
+        if json_only:
+            m.setattr(orjson, "loads", _refuse)
+        calls, json_loads = [], json.loads
+        m.setattr(json, "loads", lambda *args, **kwargs: calls.append(args) or json_loads(*args, **kwargs))
+        try:
+            outcome = dump(load(text))
+        except lq.GameSpecError as exc:
+            outcome = exc.field, str(exc)
+    return outcome, len(calls)
+
+
+_FLOATS = [x for x in np.random.default_rng(27).integers(0, 2**64, 300, dtype=np.uint64).view(float).tolist()
+           if math.isfinite(x)]
+_BIG = [str(2**64), str(2**64 + 2049), str(-2**63 - 1), str(2**64 - 1)]
+# Each case: its document texts by kind (a game's only where it sets tau),
+# and whether json parses them again (orjson refuses them or reads them differently).
+PARSER_CASES = {
+    "repr": (_documents([repr(x) for x in _FLOATS]), False),
+    "decimal-25": (_documents(["%.25e" % x for x in _FLOATS]), False),
+    "subnormal": (_documents(["5e-324", "4.9406564584124654e-324", "2.2250738585072009e-308", "-1e-310"]), False),
+    "signed-zero": (_documents(["0.0", "-0.0", "0", "-0", "-0e0", "0E-5"]), False),
+    "big-int-array": (_documents(_BIG), False),
+    "big-int-tau": ({"game": _documents(["1"], tau=str(2**64 + 2049))["game"]}, False),
+    "2**64-dim": (_documents(["1"], dim=str(2**64)), True),
+    "2**64+2049-dim": (_documents(["1"], dim=str(2**64 + 2049)), True),
+    "huge-int": (_documents(["1", str(10**400)]), True),
+    "huge-int-tau": ({"game": _documents(["1"], tau=str(10**400))["game"]}, True),
+    "1e400": (_documents(["1e400"]), True),
+    "1e400-tau": ({"game": _documents(["1"], tau="1e400")["game"]}, True),
+    "nan": (_documents(["NaN"]), True),
+    "nan-tau": ({"game": _documents(["1"], tau="NaN")["game"]}, True),
+    "minus-infinity": (_documents(["-Infinity"]), True),
+    "lone-surrogate": (_documents(["1"], extra=', "note": "\\ud800"'), True),
+    "duplicate-keys": (_documents(["1"], extra=', "tau": 0.5, "covs": [[[[2]]]]'), False),
+    "non-ascii-key": (_documents(["1"], extra=', "clé": "équilibre"'), False),
+    "trailing-garbage": ({kind: text + " x" for kind, text in _documents(["1"]).items()}, True),
+    "number-top-level": (dict.fromkeys(LOADERS, "5"), True),
+    "array-top-level": (dict.fromkeys(LOADERS, "[1, 2]"), True),
+    "null-top-level": (dict.fromkeys(LOADERS, "null"), True),
+}
+
+
+@pytest.mark.parametrize("kind, text, fallback", [
+    pytest.param(kind, text, fallback, id=f"{name}-{kind}")
+    for name, (texts, fallback) in PARSER_CASES.items() for kind, text in texts.items()
+])
+def test_orjson_loads_as_json_does(kind, text, fallback):
+    """A document loads to the same bytes, or fails with the same error, as
+    when json parses it alone; json parses it only where orjson refuses it,
+    the result is not an object, or a dimension comes back as a float."""
+    assert _load_outcome(kind, text) == (_load_outcome(kind, text, json_only=True)[0], int(fallback))
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8),
+       st.sampled_from(["%r", "%.25e", "%.17g", "%.3e", "integer"]))
+def test_orjson_reads_the_floats_json_reads(values, style):
+    """Any finite float written as its repr, a decimal of 25, 17 or 4
+    digits (which may round past the float range) or an integer literal
+    loads as json loads it."""
+    texts = [str(int(x)) if style == "integer" else style % x for x in values]
+    for kind, text in _documents(texts).items():
+        assert _load_outcome(kind, text)[0] == _load_outcome(kind, text, json_only=True)[0]
+
+
+@pytest.mark.parametrize("where", ["field", "ignored-key"])
+def test_nesting_past_the_recursion_limit(where):
+    """json cannot parse a document nested deeper than the interpreter's
+    recursion limit and raises ``RecursionError``.  An orjson that parses
+    it (3.8 sets no depth limit) gives what a shallow document gives: a
+    named field error, or a load that ignores the key.  One that refuses
+    it hands it to json, as any refused document."""
+    deep = "[" * 5000 + "1" + "]" * 5000
+    text = _documents([deep] if where == "field" else ["1"], extra="" if where == "field" else f', "x": {deep}')
+    for kind in LOADERS:
+        with pytest.raises(RecursionError):
+            _load_outcome(kind, text[kind], json_only=True)
+        try:
+            orjson.loads(text[kind])
+        except orjson.JSONDecodeError:
+            with pytest.raises(RecursionError):
+                _load_outcome(kind, text[kind])
+            continue
+        if where == "field":
+            field = {"game": "A", "policy": "gains"}[kind]
+            expected = field, f"{field}: not a (rectangular) numeric array"
+        else:
+            expected = _load_outcome(kind, _documents(["1"])[kind])[0]
+        assert _load_outcome(kind, text[kind]) == (expected, 0)
 
 
 def test_broadcast_shorthand():
