@@ -20,32 +20,15 @@ load/validation error, 3 solver error, 4 I/O error, naming the file that
 could not be read or written.  All outputs are pure functions of the spec
 bytes, flags, and seed.
 
-On Linux, large files are formatted on two cores when at least two CPUs
-are usable; elsewhere the command formats them itself, with the same
-bytes.  ``main`` starts one worker interpreter per command (``python -I
--S`` running ``_text``, which imports no numpy, spawned with
-``os.posix_spawn``) when the dimensions show that the command's largest
-document, a JSON file or ``trajectories.csv``, holds at least
-``_text._WORKER_MIN_VALUES`` floats: for ``randgen`` from its
-arguments, for the other commands right after the spec is parsed, so its
-start-up overlaps ``random_game``, the solvers or ``simulate``.  Every such
-document takes one path, ``_text.document``: it is a list of pieces, the
-worker formats them from the last one backward and this process from the
-first one forward, and the two meet where this process reaches a piece
-whose text the worker has sent.  This process never waits on the worker,
-so one that is slow, stopped or dead only leaves it more pieces to format.
-Both processes lay out text through ``_text``, so the bytes are those of
-one process.  The two processes hand over jobs and texts through two
-unnamed files that only they share, so ``--out`` never holds a worker
-file.  When the command ends, however it ends, ``main`` kills and reaps
-the worker and closes every descriptor it shared with it.
+Every JSON document and ``trajectories.csv`` is laid out by orjson in this
+process; ``model._repr_floats`` then writes each float as ``repr`` does,
+so the bytes are those of ``json.dumps(indent=2)`` and ``csv.writer``.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
 import errno
-import math
 import os
 import shutil
 import sys
@@ -53,7 +36,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _text
 from .evaluate import (
     ValueCertificate,
     _certificate,
@@ -65,7 +47,7 @@ from .evaluate import (
 from .model import (
     GameSpec,
     _dumps,
-    _shapes,
+    _repr_floats,
     dump_game_spec,
     dump_joint_policy,
     load_game_spec,
@@ -305,32 +287,32 @@ def _cmd_eval(args, spec: GameSpec, out: Path, write) -> None:
     write(out / "certificate.json", _dumps(doc))
 
 
-def _wants_worker(args, spec: GameSpec | None) -> bool:
-    """Whether the command's largest document holds ``_text._WORKER_MIN_VALUES``
-    floats, judged from its arguments and the spec's dimensions alone.
-    Whether a worker can run here is ``_text.start``'s to judge."""
-    if spec is None:  # randgen
-        dims = (args.agents, args.horizon, args.state_dim, args.action_dim)
-        floats = sum(map(math.prod, _shapes(*dims).values())) if min(dims) > 0 else 0
-    else:
-        n, T, m, p = spec.num_agents, spec.horizon, spec.state_dim, spec.action_dim
-        policy, certificate = n * T * p * (m + p), n * (T + 1) * (m * m + 1)
-        floats = {_cmd_solve_exact: max(policy, certificate), _cmd_solve_po: policy, _cmd_augment: policy,
-                  _cmd_eval: certificate + n}.get(args.func, 0)  # eval adds the Nash gaps
-        if args.func is _cmd_simulate:  # trajectories.csv
-            floats = args.n_traj * ((T + 1) * m + T * n * p)
-    return floats >= _text._WORKER_MIN_VALUES
+# Trajectories per piece of trajectories.csv.  Larger pieces write no
+# faster but raise peak memory with the text they hold.
+_TRAJ_CHUNK = 64
 
 
 def _write_trajectories(states: np.ndarray, actions: np.ndarray):
-    """The header, then one CSV line per trajectory and stage, a piece of
-    ``_text.trajectories`` at a time: a chunk of trajectories this process
-    or the worker formats.  The bytes are the same either way."""
+    """The header, then one CSV line per trajectory and stage, the bytes of
+    ``csv.writer``: floats as ``repr`` writes them and the terminal row's
+    missing actions as empty fields.  Each piece of ``_TRAJ_CHUNK``
+    trajectories is one float array, NaN where an action is missing, that
+    orjson lays out as rows of ``[...]``."""
+    import orjson  # as in model._load_header: the CLI's import does not pay for it
+
+    n_traj, _, m = states.shape
     _, T, n, p = actions.shape
-    m = states.shape[2]
     header = ["traj_id", "t"] + [f"x{k}" for k in range(m)] + [f"u{i}_{k}" for i in range(n) for k in range(p)]
     yield ",".join(header) + "\n"
-    yield from _text.trajectories(T, m, n * p, states.ravel(), actions.ravel())
+    width = m + n * p
+    for lo in range(0, n_traj, _TRAJ_CHUNK):
+        count = min(_TRAJ_CHUNK, n_traj - lo)
+        block = np.full((count, T + 1, width), np.nan)
+        block[:, :, :m] = states[lo:lo + count]
+        block[:, :T, m:] = actions[lo:lo + count].reshape(count, T, n * p)
+        text = _repr_floats(orjson.dumps(block.reshape(-1, width), option=orjson.OPT_SERIALIZE_NUMPY))
+        rows = text[2:-2].replace(b"null", b"").split(b"],[")
+        yield b"".join([b"%d,%d,%s\n" % (lo + k // (T + 1), k % (T + 1), row) for k, row in enumerate(rows)])
 
 
 def _cmd_simulate(args, spec: GameSpec, out: Path, write) -> None:
@@ -416,8 +398,6 @@ def main(argv=None) -> int:
     try:
         spec = load_game_spec(_read(args.spec, "spec file")) if "spec" in args else None  # randgen has none
         out = _out_dir(args.out)
-        if _wants_worker(args, spec):
-            _text.start()
         args.func(args, spec, out, files.write)
         files.commit()
         print("wrote " + ", ".join(str(path) for _, path in files.staged))
@@ -432,7 +412,6 @@ def main(argv=None) -> int:
         print(f"error (validation): {exc}", file=sys.stderr)
         return 2
     finally:
-        _text.stop()
         for staged, _ in files.staged:  # those not moved into place
             staged.unlink(missing_ok=True)
 

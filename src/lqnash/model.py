@@ -8,6 +8,9 @@ This module owns the instance container, its validation, the JSON
 file format, and a seeded random-instance generator.  One table,
 ``_shapes``, lists the seven array fields in document order with their
 shapes; loading, validation, dumping and generation all read it.
+orjson parses every document and lays out every one written, and
+``_repr_floats`` writes its floats as ``repr`` does, so the text is that
+of ``json.dumps(indent=2)``.
 """
 from __future__ import annotations
 
@@ -18,8 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import _text
 
 __all__ = [
     "GameSpecError",
@@ -272,7 +273,8 @@ def _load_header(text: str, keys: tuple[str, ...]) -> tuple[dict, tuple[int, ...
     number past the float range, a lone surrogate, malformed text), where
     it is not an object, or where a dimension comes back as a float: orjson
     reads an integer outside [-2**63, 2**64) as one.  So json names every
-    rejected document as it always has."""
+    rejected document as it always has; one nested past the interpreter's
+    recursion limit is malformed too."""
     import orjson  # 5 ms of imports (uuid, zoneinfo) that only a document load pays
 
     try:
@@ -282,7 +284,7 @@ def _load_header(text: str, keys: tuple[str, ...]) -> tuple[dict, tuple[int, ...
     if not isinstance(doc, dict) or any(type(doc.get(key)) is float for key in _DIMS):
         try:
             doc = json.loads(text, parse_constant=_reject_constant)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # nested past the recursion limit
             raise GameSpecError("", f"malformed JSON document: {exc}") from None
     if not isinstance(doc, dict):
         raise GameSpecError("", "top level must be a JSON object")
@@ -308,65 +310,79 @@ def load_game_spec(text: str) -> GameSpec:
     return validate_game_spec(spec)
 
 
-# Stands in for each array while json lays out the rest of a document.
-# json writes it as the escape "\u0000", which no key of a document contains.
-_ARRAY_SLOT = "\0"
-_ARRAY_SLOT_TEXT = json.dumps(_ARRAY_SLOT)
+# What precedes a number in orjson's text: indentation, or an opening
+# bracket or comma of compact output.
+_BEFORE_NUMBER = b" [,"
+_NUMBER_CHARS = b"0123456789.-+e"
 
 
-def _flat_values(arr: np.ndarray) -> tuple[bool, np.ndarray]:
-    """Whether ``arr`` is laid out as a mirrored stack, and the values
-    :func:`_text.render` takes for it.
+def _repr_floats(text: bytes) -> bytes:
+    """orjson's ``text`` with every float written as ``repr`` writes it, for
+    a document whose keys hold no number.
 
-    A stack of square matrices that equals its transpose bit for bit (so
-    ``0.0`` opposite ``-0.0`` does not count) has only its upper triangles
-    formatted; each lower entry reuses the text of its mirror image.
+    Within repr's plain range (0, and ``1e-4 <= |x| < 1e16``) orjson writes
+    repr's text.  Outside it only the layout differs: ``0.00009503`` for
+    ``9.503e-05``, ``1e-7`` for ``1e-07``, ``1e16`` for ``1e+16``.  So only a
+    number that holds an ``e``, or begins with ``0.0000`` after an optional
+    ``-``, is rewritten, as ``repr(float(token))``.  Both are found with
+    ``bytes.find``, at memory speed; an ``e`` of a key or of ``true`` has a
+    letter before it and is no number.
     """
-    m = arr.shape[-1] if arr.ndim >= 2 else 0
-    if m > 1 and arr.shape[-2] == m and arr.size:
-        bits = arr.view(np.uint64)
-        if np.array_equal(bits, bits.swapaxes(-1, -2)):
-            iu0, iu1 = np.triu_indices(m)
-            return True, arr[..., iu0, iu1].ravel()
-    return False, arr.ravel()
+    spans = {}
+    for probe in (b"e", b"0.0000"):
+        at = text.find(probe)
+        while at != -1:
+            start = end = at
+            while start and text[start - 1] in _NUMBER_CHARS:
+                start -= 1
+            while end < len(text) and text[end] in _NUMBER_CHARS:
+                end += 1
+            digits = text[start:at].lstrip(b"-")  # of the number, before the probe
+            if (start == 0 or text[start - 1] in _BEFORE_NUMBER) and bool(digits) == (probe == b"e"):
+                spans[start] = end
+            at = text.find(probe, end)
+    if not spans:
+        return text
+    view, parts, at = memoryview(text), [], 0
+    for start in sorted(spans):
+        parts += [view[at:start], repr(float(text[start:spans[start]])).encode()]
+        at = spans[start]
+    parts.append(view[at:])
+    return b"".join(parts)
+
+
+def _finite(node):
+    """``node`` with each 0-d array and float subclass as a float, after
+    json's check: a non-finite float leaf or array entry raises json's
+    ``ValueError``, for the first one in document order."""
+    if isinstance(node, np.ndarray):
+        finite = np.isfinite(node)
+        if not finite.all():
+            raise ValueError(f"Out of range float values are not JSON compliant: {float(node[~finite][0])!r}")
+        return float(node) if node.ndim == 0 else node
+    if isinstance(node, float):
+        if not math.isfinite(node):
+            raise ValueError(f"Out of range float values are not JSON compliant: {node!r}")
+        return float(node)
+    if isinstance(node, dict):
+        return {key: _finite(value) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_finite(value) for value in node]
+    return node
 
 
 def _dumps(doc) -> str:
     """``json.dumps(doc, indent=2, allow_nan=False) + "\\n"`` for a document
-    whose leaves may also be float64 arrays.
+    of dicts, lists, numbers, booleans and float64 arrays.
 
-    json lays out the document with a placeholder string per array; the
-    arrays are then laid out by :func:`._text.document` with the ``repr``
-    of their elements, which is what json writes for finite floats, on two
-    cores while the CLI's text worker runs.  A non-finite entry raises
-    json's ``ValueError``.
+    orjson lays it out, an array straight from its buffer, and
+    :func:`_repr_floats` writes its floats as json does.  A non-finite
+    number raises json's ``ValueError``; orjson would write ``null``.
     """
-    arrays: list[tuple[np.ndarray, int]] = []
+    import orjson  # as in _load_header: the CLI's import does not pay for it
 
-    def with_slots(node, level: int):
-        if isinstance(node, np.ndarray):
-            arrays.append((node, level))
-            return _ARRAY_SLOT
-        if isinstance(node, dict):
-            return {key: with_slots(value, level + 1) for key, value in node.items()}
-        if isinstance(node, list):
-            return [with_slots(value, level + 1) for value in node]
-        return node
-
-    texts = json.dumps(with_slots(doc, 0), indent=2, allow_nan=False).split(_ARRAY_SLOT_TEXT)
-    texts[-1] += "\n"
-    laid_out, flats = [], []
-    for arr, level in arrays:
-        finite = np.isfinite(arr)
-        if not finite.all():
-            bad = float(arr[~finite][0])
-            raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
-        mirror, flat = _flat_values(arr)
-        laid_out.append((arr.shape, level, mirror))
-        flats.append(flat)
-    pieces, tail = _text.json_pieces(texts, laid_out)
-    text = _text.document(pieces, flats)
-    return "".join([piece if isinstance(piece, str) else piece.decode() for piece in text]) + tail
+    option = orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
+    return _repr_floats(orjson.dumps(_finite(doc), option=option, default=np.ascontiguousarray)).decode()
 
 
 def dump_game_spec(spec: GameSpec) -> str:

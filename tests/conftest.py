@@ -2,7 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import lqnash as lq
 from lqnash import control
@@ -58,6 +59,18 @@ def overflowing_policies():
     covs = policy.covs.copy()
     covs[0, 0] = 1e300
     return spec, {"gains": lq.JointPolicy(policy.gains * 1e200, policy.covs), "cov": lq.JointPolicy(policy.gains, covs)}
+
+
+def finite_floats():
+    """Any finite float64, drawn by ``st.floats`` or from a raw 64-bit
+    pattern, which reaches subnormals and every exponent alike."""
+    bits = st.integers(0, 2**64 - 1).map(lambda b: float(np.array(b, dtype=np.uint64).view(np.float64)))
+    return st.floats(allow_nan=False, allow_infinity=False) | bits.filter(np.isfinite)
+
+
+def finite_float_arrays(shape=hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=4)):
+    """float64 arrays of ``shape``, 0-d and empty ones included, of any finite floats."""
+    return hnp.arrays(np.float64, shape, elements=finite_floats())
 
 
 def with_tau(spec: lq.GameSpec, tau: float) -> lq.GameSpec:

@@ -4,24 +4,21 @@ import errno
 import gc
 import io
 import json
-import marshal
 import os
-import select
-import signal
 import subprocess
 import sys
-import time
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import lqnash as lq
-from lqnash import _text, cli, model
+from lqnash import cli, model
 from lqnash.cli import main
 
-from conftest import SCALAR_GAME_TEXT, overflowing_policies, random_pd_policy
+from conftest import SCALAR_GAME_TEXT, finite_float_arrays, overflowing_policies, random_pd_policy
 
 
 @pytest.fixture
@@ -360,22 +357,22 @@ def test_byte_identical_reruns(scalar_spec_file, tmp_path):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
 
-def _reference_trajectories_csv(result, spec) -> str:
+def _reference_trajectories_csv(states, actions) -> str:
     """trajectories.csv as a row-by-row csv.writer writes it."""
-    n, T = spec.num_agents, spec.horizon
-    m, p = spec.state_dim, spec.action_dim
+    _, T, n, p = actions.shape
+    m = states.shape[2]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     header = ["traj_id", "t"] + [f"x{k}" for k in range(m)]
     for i in range(n):
         header += [f"u{i}_{k}" for k in range(p)]
     writer.writerow(header)
-    for r in range(result.states.shape[0]):
+    for r in range(states.shape[0]):
         for t in range(T + 1):
-            row: list = [r, t] + [float(v) for v in result.states[r, t]]
+            row: list = [r, t] + [float(v) for v in states[r, t]]
             if t < T:
                 for i in range(n):
-                    row += [float(v) for v in result.actions[r, t, i]]
+                    row += [float(v) for v in actions[r, t, i]]
             else:
                 row += [""] * (n * p)
             writer.writerow(row)
@@ -387,12 +384,13 @@ def test_simulate_trajectories_match_csv_writer(tmp_path):
     spec_path = tmp_path / "game.json"
     spec_path.write_text(lq.dump_game_spec(spec))
     out = tmp_path / "run"
-    n_traj = 2 * _text._TRAJ_CHUNK + 7  # several chunks, the last one partial
+    n_traj = 2 * cli._TRAJ_CHUNK + 7  # several chunks, the last one partial
     assert run("solve-exact", "--spec", spec_path, "--out", out) == 0
     assert run("simulate", "--spec", spec_path, "--out", out,
                "--n-traj", n_traj, "--seed", 2**40 + 3) == 0
     joint = lq.load_joint_policy((out / "policy.json").read_text())
-    expected = _reference_trajectories_csv(lq.simulate(spec, joint, n_traj, 2**40 + 3), spec)
+    result = lq.simulate(spec, joint, n_traj, 2**40 + 3)
+    expected = _reference_trajectories_csv(result.states, result.actions)
     assert (out / "trajectories.csv").read_bytes() == expected.encode()
 
 
@@ -405,47 +403,6 @@ def traj_game(tmp_path):
     out = tmp_path / "run"
     assert run("solve-exact", "--spec", spec_path, "--out", out) == 0
     return spec, spec_path, out
-
-
-@pytest.fixture
-def workers(monkeypatch):
-    """Every worker process started, in turn, as its pid and the exit code
-    it was reaped with (None until then), with two CPUs usable and any
-    document large enough to start one."""
-    started = {}
-    real_spawn, real_waitpid = os.posix_spawn, os.waitpid
-
-    def spawn(*args, **kwargs):
-        pid = real_spawn(*args, **kwargs)
-        started[pid] = None
-        return pid
-
-    def waitpid(pid, options):
-        got, status = real_waitpid(pid, options)
-        if got in started:
-            started[got] = os.waitstatus_to_exitcode(status)
-        return got, status
-
-    monkeypatch.setattr(os, "posix_spawn", spawn)
-    monkeypatch.setattr(os, "waitpid", waitpid)
-    monkeypatch.setattr(_text, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(_text, "_WORKER_MIN_VALUES", 1)
-    return started
-
-
-def _simulate(traj_game, n_traj, seed=5):
-    """Run simulate into the game's --out; the expected trajectories.csv bytes."""
-    spec, spec_path, out = traj_game
-    assert run("simulate", "--spec", spec_path, "--out", out, "--n-traj", n_traj, "--seed", seed) == 0
-    joint = lq.load_joint_policy((out / "policy.json").read_text())
-    return _reference_trajectories_csv(lq.simulate(spec, joint, n_traj, seed), spec).encode()
-
-
-def _serial_bytes(traj_game, n_traj, monkeypatch, seed=5):
-    with monkeypatch.context() as m:
-        m.setattr(_text, "_usable_cpus", lambda: 1)
-        _simulate(traj_game, n_traj, seed)
-    return (traj_game[2] / "trajectories.csv").read_bytes()
 
 
 @pytest.mark.parametrize("kind, command, code", [("gains", "eval", 2), ("gains", "simulate", 2),
@@ -465,261 +422,48 @@ def test_overflowing_policy_exit_code(tmp_path, capsys, kind, command, code):
         assert "error (validation): agent 0: " in capsys.readouterr().err
 
 
-def _assert_nothing_left(out, started, files=("certificate.json", "costs.csv", "policy.json", "trajectories.csv")):
-    """No worker process is running or unreaped, and ``out`` holds no temporary file."""
-    for pid, code in started.items():
-        assert code is not None
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
-    assert sorted(p.name for p in out.iterdir()) == list(files)
-
-
-@contextlib.contextmanager
-def _no_resource_warning():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", ResourceWarning)
-        yield
-        gc.collect()
-    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
-
-
-@contextlib.contextmanager
-def _no_descriptor_left():
-    """The block closes every descriptor it opens.  Raw descriptors, as of
-    the worker's pipes and shared files, escape ResourceWarning."""
-    gc.collect()
-    before = sorted(os.listdir("/proc/self/fd"))
-    yield
-    assert sorted(os.listdir("/proc/self/fd")) == before
-
-
-@pytest.mark.parametrize("n_traj", [1, 3 * _text._TRAJ_CHUNK - 1, 3 * _text._TRAJ_CHUNK, 3 * _text._TRAJ_CHUNK + 1])
-def test_split_trajectories_match_serial(traj_game, workers, monkeypatch, n_traj):
-    with _no_descriptor_left():
-        expected = _simulate(traj_game, n_traj)
-    # Killed and reaped.
-    assert list(workers.values()) == [-signal.SIGKILL]
-    split = (traj_game[2] / "trajectories.csv").read_bytes()
-    assert split == expected
-    assert _serial_bytes(traj_game, n_traj, monkeypatch) == expected
-    assert len(workers) == 1  # the serial run started none
-    _assert_nothing_left(traj_game[2], workers)
-
-
-def test_worker_rule(traj_game, monkeypatch):
-    """simulate wants a worker for a trajectories.csv of ``_WORKER_MIN_VALUES``
-    floats; ``_text.start`` starts one only with two usable CPUs and an
-    interpreter to start."""
-    assert 1 <= _text._usable_cpus() <= (os.cpu_count() or 1)
+def _simulate(traj_game, n_traj, seed=5):
+    """Run simulate into the game's --out; the expected trajectories.csv bytes."""
     spec, spec_path, out = traj_game
-    per = (spec.horizon + 1) * spec.state_dim + spec.horizon * spec.num_agents * spec.action_dim
-    n_traj = -(-_text._WORKER_MIN_VALUES // per)  # the fewest that repay a worker
-
-    def wants(n):
-        args = cli.build_parser().parse_args(["simulate", "--spec", str(spec_path), "--out", str(out), "--n-traj", str(n)])
-        return cli._wants_worker(args, spec)
-
-    assert wants(n_traj) and not wants(n_traj - 1)
-
-    def started():
-        _text.start()
-        worker = _text._worker
-        _text.stop()
-        return worker is not None
-
-    monkeypatch.setattr(_text, "_usable_cpus", lambda: 2)
-    assert started() == sys.platform.startswith("linux")
-    with monkeypatch.context() as m:
-        m.setattr(sys, "executable", "")
-        assert not started()
-    monkeypatch.setattr(_text, "_usable_cpus", lambda: 1)
-    assert not started()
+    assert run("simulate", "--spec", spec_path, "--out", out, "--n-traj", n_traj, "--seed", seed) == 0
+    joint = lq.load_joint_policy((out / "policy.json").read_text())
+    result = lq.simulate(spec, joint, n_traj, seed)
+    return _reference_trajectories_csv(result.states, result.actions).encode()
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
-                    reason="needs Linux's /proc/self/stat and two usable CPUs")
-def test_worker_kept_off_this_process_cpu():
-    """The worker may run on every CPU this process may use but the one it
-    ran on when it started the worker."""
-    _text.start()
-    try:
-        assert len(os.sched_getaffinity(_text._worker.pid)) == len(os.sched_getaffinity(0)) - 1
-        assert os.sched_getaffinity(_text._worker.pid) < os.sched_getaffinity(0)
-    finally:
-        _text.stop()
-
-
-def test_small_simulate_splits_rows_or_starts_no_worker(tmp_path, monkeypatch, replies):
-    """100 trajectories of 400 floats start no worker, or one that formats
-    part of the rows while this process formats the rest."""
-    spec = lq.random_game(2, 66, 4, 1, seed=3, scale=0.3).with_tau(20.0)
-    assert (spec.horizon + 1) * spec.state_dim + spec.horizon * spec.num_agents * spec.action_dim == 400
-    spec_path, out = tmp_path / "game.json", tmp_path / "run"
-    spec_path.write_text(lq.dump_game_spec(spec))
-    assert run("solve-exact", "--spec", spec_path, "--out", out) == 0
-    monkeypatch.setattr(_text, "_usable_cpus", lambda: 2)
-    del replies[:]
-    with _no_descriptor_left():
-        assert run("simulate", "--spec", spec_path, "--out", out, "--n-traj", 100) == 0
-    # A worker's text begins after this process's first trajectory.
-    assert all(not text.startswith(b"0,") for text in replies)
-
-
-# Each fake worker reads one job, writes an 11-byte text to the file of
-# texts and replies for the job's last piece: naming 99 bytes of text, or 11
-# but for a job that is not the one this process works on.  Then it exits
-# 3, or waits for its input to end.
-_FAKE_REPLIES = {"short": "b'%d %d 0 99\\n' % (job, last)", "stale": "b'%d %d 0 11\\n' % (job - 1, last)"}
-
-
-def _fake_python(tmp_path, reply: str, then: str):
-    """An executable that stands in for the worker's interpreter: it reads
-    one job, writes the ``reply`` of ``_FAKE_REPLIES`` for its last piece,
-    then runs ``then``."""
-    path = tmp_path / "fake-python"
-    path.write_text(f"#!{sys.executable}\nimport marshal, os, sys\n"
-                    "job, size = map(int, sys.stdin.buffer.readline().split())\n"
-                    "last = len(marshal.loads(os.pread(int(sys.argv[-2]), size, job))) - 1\n"
-                    "os.pwrite(int(sys.argv[-1]), b'0,0,partial', 0)\n"
-                    f"sys.stdout.buffer.write({_FAKE_REPLIES[reply]}); sys.stdout.flush()\n"
-                    f"{then}\n")
-    path.chmod(0o755)
-    return str(path)
-
-
-def test_worker_script_rejects_short_input(tmp_path):
-    """The worker, run as the CLI runs it, exits nonzero when a job's floats
-    end early in the file of jobs.  It formats a job's pieces from the last
-    one back, appends each one's text to the file of texts and replies on
-    its stdout with a line: the job, the piece's index, and the text's
-    offset and byte length.  At the end of its input it exits 0, as a
-    worker whose parent died does."""
-    # Two pieces of one trajectory each, T=1, m=3, width=3: the states of
-    # both trajectories, six values each, then the actions, three each.
-    pieces = [("rows", 0, 1, 1, 3, 3, 0, 12), ("rows", 1, 1, 1, 3, 3, 6, 15)]
-    head, job = marshal.dumps(pieces, 4), 16  # after the 16 bytes that name a job and its claim
-    control = job.to_bytes(8, "little") + bytes(8)  # this process claims no piece
-    floats = np.arange(18, dtype=np.float64).tobytes()
-    line = b"%d %d\n" % (job, len(head))
-
-    def serve(content: bytes, jobs: int):
-        (tmp_path / "jobs").write_bytes(content)
-        (tmp_path / "texts").write_bytes(b"")
-        fds = [os.open(tmp_path / "jobs", os.O_RDONLY), os.open(tmp_path / "texts", os.O_WRONLY)]
-        try:
-            argv = [sys.executable, "-I", "-S", "-c", _text._BOOT, os.path.dirname(_text.__file__), *map(str, fds)]
-            return subprocess.run(argv, input=line * jobs, pass_fds=fds, capture_output=True, timeout=60)
-        finally:
-            for fd in fds:
-                os.close(fd)
-
-    done = serve(control + head + floats[:-8], 1)
-    assert done.returncode != 0 and b"EOFError" in done.stderr
-    done = serve(control + head + floats, 2)
-    first = b"1,0,6.0,7.0,8.0,15.0,16.0,17.0\n1,1,9.0,10.0,11.0,,,\n"
-    second = b"0,0,0.0,1.0,2.0,12.0,13.0,14.0\n0,1,3.0,4.0,5.0,,,\n"
-    assert done.returncode == 0
-    assert (tmp_path / "texts").read_bytes() == (first + second) * 2
-    places = [(1, 0, len(first)), (0, len(first), len(second))]
-    places += [(i, at + len(first + second), size) for i, at, size in places]
-    assert done.stdout == b"".join(b"%d %d %d %d\n" % (job, i, at, size) for i, at, size in places)
-
-
-@pytest.fixture
-def replies(monkeypatch):
-    """The texts of the worker's pieces that this process took, in turn."""
-    got = []
-    real = _text._their_text
-
-    def recorded(at, size):
-        text = real(at, size)
-        if text is not None:
-            got.append(text)
-        return text
-
-    monkeypatch.setattr(_text, "_their_text", recorded)
-    return got
-
-
-def _json_outputs(tmp_path, spec_path) -> dict:
-    """Every JSON file the CLI writes, from each command run on one game."""
-    outs = {name: tmp_path / name for name in ("gen", "exact", "po", "aug")}
-    dims = ["--agents", 2, "--horizon", 3, "--state-dim", 3, "--action-dim", 2]
-    assert run("randgen", "--out", outs["gen"], *dims, "--seed", 4, "--scale", 0.3) == 0
-    assert run("solve-exact", "--spec", spec_path, "--out", outs["exact"]) == 0
-    assert run("check", "--spec", spec_path, "--out", outs["exact"]) == 0
-    assert run("solve-po", "--spec", spec_path, "--out", outs["po"]) == 0
-    assert run("eval", "--spec", spec_path, "--out", outs["po"], "--compare", outs["exact"] / "policy.json") == 0
-    assert run("augment", "--spec", spec_path, "--out", outs["aug"], "--delta-init", 0.1) == 0
-    return {f"{out.name}/{path.name}": path.read_bytes() for out in outs.values() for path in out.glob("*.json")}
-
-
-def test_json_outputs_match_one_cpu(traj_game, workers, monkeypatch, tmp_path):
-    """Every JSON file the CLI writes has the same bytes whether a worker
-    formats part of it or this process formats all of it."""
-    spec_path = traj_game[1]
-    with monkeypatch.context() as m:
-        m.setattr(_text, "_usable_cpus", lambda: 1)
-        serial = _json_outputs(tmp_path / "serial", spec_path)
-    assert workers == {}
-    with _no_descriptor_left():
-        split = _json_outputs(tmp_path / "split", spec_path)
-    assert split == serial
-    assert sorted(serial) == ["aug/condition.json", "aug/policy.json", "exact/certificate.json",
-                              "exact/condition.json", "exact/policy.json", "gen/spec.json",
-                              "po/certificate.json", "po/policy.json"]
-    # randgen, solve-exact, solve-po, eval and augment start one each; check
-    # writes no array.  Each is killed and reaped.
-    assert list(workers.values()) == [-signal.SIGKILL] * 5
+@pytest.mark.parametrize("n_traj", [1, 3 * cli._TRAJ_CHUNK - 1, 3 * cli._TRAJ_CHUNK, 3 * cli._TRAJ_CHUNK + 1])
+def test_trajectories_match_csv_writer_at_piece_ends(traj_game, n_traj):
+    """trajectories.csv, laid out ``_TRAJ_CHUNK`` trajectories at a time,
+    has the bytes of a row-by-row csv.writer where the last piece is whole,
+    one short or one long."""
+    expected = _simulate(traj_game, n_traj)
+    assert (traj_game[2] / "trajectories.csv").read_bytes() == expected
 
 
 JSON_COMMANDS = {"randgen": ["--agents", 4, "--horizon", 48, "--state-dim", 8, "--action-dim", 4, "--seed", 4],
                  "solve-exact": [], "check": [], "solve-po": [], "augment": ["--delta-init", 0.1], "eval": []}
 
 
-def _array_floats(node) -> int:
-    """The numbers held in the lists of a JSON value: its arrays' floats."""
-    if isinstance(node, dict):
-        return sum(map(_array_floats, node.values()))
-    if isinstance(node, list):
-        return sum(1 if isinstance(x, float) else _array_floats(x) for x in node)
-    return 0
-
-
 @pytest.mark.parametrize("command", JSON_COMMANDS)
-def test_json_commands_start_no_worker(tmp_path, workers, monkeypatch, command):
-    """A command that writes JSON starts no worker while its largest
-    document holds fewer than ``_WORKER_MIN_VALUES`` floats.  At or over
-    the rule it starts one, writes the bytes of a run with one usable CPU,
-    and leaves the worker killed and reaped.  The game's spec, policy and
-    certificate hold 9k-25k floats each; check writes no array."""
+def test_json_commands_write_json_bytes(tmp_path, command):
+    """Each JSON file a command writes for a game of 9k-25k floats per
+    document is what json.dumps(indent=2) writes for the values it holds."""
     spec = lq.random_game(4, 48, 8, 4, seed=4, scale=0.3).with_tau(20.0)
-    spec_path = tmp_path / "game.json"
+    spec_path, out = tmp_path / "game.json", tmp_path / "run"
     spec_path.write_text(lq.dump_game_spec(spec))
-    policy = lq.dump_joint_policy(lq.exact_ne(spec).policy)
-
-    def outputs(out) -> dict:
-        out.mkdir()
-        if command == "eval":  # it certifies the policy in --out
-            (out / "policy.json").write_text(policy)
-        spec_args = [] if command == "randgen" else ["--spec", spec_path]
-        assert run(command, *spec_args, "--out", out, *JSON_COMMANDS[command]) == 0
-        return {path.name: path.read_bytes() for path in out.iterdir()}
-
-    with monkeypatch.context() as m:
-        m.setattr(_text, "_usable_cpus", lambda: 1)
-        serial = outputs(tmp_path / "serial")
-    largest = max([_array_floats(json.loads(text)) for name, text in serial.items()
-                   if name.endswith(".json") and (command, name) != ("eval", "policy.json")])
-    assert (largest == 0) == (command == "check")
-    for rule, started in [(largest + 1, 0), (largest, 1)] if largest else [(1, 0)]:
-        monkeypatch.setattr(_text, "_WORKER_MIN_VALUES", rule)
-        out = tmp_path / f"rule-{rule}"
-        with _no_descriptor_left():
-            assert outputs(out) == serial
-        assert list(workers.values()) == [-signal.SIGKILL] * started
-        _assert_nothing_left(out, workers, sorted(serial))
-        workers.clear()
+    out.mkdir()
+    if command == "eval":  # it certifies the policy in --out
+        (out / "policy.json").write_text(lq.dump_joint_policy(lq.exact_ne(spec).policy))
+    spec_args = [] if command == "randgen" else ["--spec", spec_path]
+    assert run(command, *spec_args, "--out", out, *JSON_COMMANDS[command]) == 0
+    written = sorted(path.name for path in out.iterdir())
+    assert written == {"randgen": ["spec.json"], "check": ["condition.json"], "eval": ["certificate.json", "policy.json"],
+                       "solve-po": ["policy.json", "trace.csv"], "augment": ["condition.json", "policy.json", "trace.csv"],
+                       "solve-exact": ["certificate.json", "policy.json"]}[command]
+    for name in written:
+        if name.endswith(".json"):
+            text = (out / name).read_text()
+            assert text == json.dumps(json.loads(text), indent=2) + "\n", name
 
 
 def _trajectories_csv(spec: lq.GameSpec, n_traj: int) -> str:
@@ -739,7 +483,8 @@ def _documents(spec: lq.GameSpec) -> dict:
     reference["exploitability"] = [1e-17, -0.0]
 
     def trajectories(n_traj):
-        expected = _reference_trajectories_csv(lq.simulate(spec, sol.policy, n_traj, 5), spec)
+        result = lq.simulate(spec, sol.policy, n_traj, 5)
+        expected = _reference_trajectories_csv(result.states, result.actions)
         return lambda: _trajectories_csv(spec, n_traj), expected.encode()
 
     return {"spec": (lambda: lq.dump_game_spec(spec), _reference_spec(spec)),
@@ -749,113 +494,51 @@ def _documents(spec: lq.GameSpec) -> dict:
 
 
 @pytest.mark.parametrize("kind", ["spec", "policy", "certificate", "trajectories", "one-trajectory"])
-@pytest.mark.parametrize("blocks", [(_text._MAX_BLOCK, _text._TRAJ_CHUNK), (5, 4)], ids=["blocks", "small-blocks"])
-def test_every_split_point_matches_serial(monkeypatch, workers, replies, kind, blocks):
-    """Wherever the worker and this process meet, the bytes are those of
-    json.dumps(indent=2) or of a row-by-row csv.writer.  For every piece
-    ``j``, and for ``j`` past the last one, the running worker formats
-    exactly the pieces from ``j`` to the last one before this process
-    starts, and this process formats the pieces before ``j``."""
+def test_documents_match_json_and_csv_writer(monkeypatch, kind):
+    """Every document has the bytes of json.dumps(indent=2) or of a
+    row-by-row csv.writer, with trajectories.csv in pieces of
+    ``_TRAJ_CHUNK`` trajectories or of 4."""
     spec = lq.random_game(2, 3, 3, 2, seed=21, scale=0.3).with_tau(20.0)
     text, expected = _documents(spec)[kind]
-    monkeypatch.setattr(_text, "_MAX_BLOCK", blocks[0])
-    monkeypatch.setattr(_text, "_TRAJ_CHUNK", blocks[1])
-    assert text().encode() == expected  # no worker
-    sizes, waited, meet = [], set(), 0
-    real_submit, real_claim, real_received = _text.submit, _text._claim, _text.received
-
-    def submit(pieces, flats):
-        sizes.append(len(pieces))
-        return real_submit(pieces, flats)
-
-    def claim(job, first):  # the worker stops before piece `meet`
-        real_claim(job, max(first, meet))
-
-    def received(job, index):  # the first call waits for the worker's pieces
-        places = real_received(job, index)
-        if job not in waited:
-            waited.add(job)
-            deadline = time.monotonic() + 60
-            while len(places) < index + 1 - meet and time.monotonic() < deadline:
-                time.sleep(0.001)
-                places += real_received(job, index - len(places))
-        return places
-
-    monkeypatch.setattr(_text, "submit", submit)
-    monkeypatch.setattr(_text, "_claim", claim)
-    monkeypatch.setattr(_text, "received", received)
-    _text.start()
-    try:
-        assert text().encode() == expected
-        n = sizes[0]
-        assert len(replies) == n  # all of them
-        if kind == "spec" and blocks[0] == 5:
-            assert n > 20  # pieces within the stacks, mirrored ones included
-        for meet in range(1, n + 1):
-            del replies[:]
-            assert text().encode() == expected, meet
-            assert len(replies) == n - meet, meet
-    finally:
-        _text.stop()
-    assert list(workers.values()) == [-signal.SIGKILL]
-    assert sizes == [n] * (n + 1)
+    assert text().encode() == expected
+    monkeypatch.setattr(cli, "_TRAJ_CHUNK", 4)
+    assert text().encode() == expected
 
 
-# Each way a worker's job or a command can fail: the command's exit code
-# (None for an interrupt) and the worker's return code, or none if it never
-# started.
-_FAILURES = {"cannot-start": (0, []), "exits-nonzero": (0, [3]), "killed-mid-job": (0, [-signal.SIGKILL]),
-             "short-reply": (0, [-signal.SIGKILL]), "stale-job": (0, [-signal.SIGKILL]),
-             "write-oserror": (4, [-signal.SIGKILL]), "write-interrupt": (None, [-signal.SIGKILL]),
-             "exit-2": (2, [-signal.SIGKILL]), "exit-3": (3, [-signal.SIGKILL]), "exit-4": (4, [-signal.SIGKILL])}
+@given(st.integers(1, 70), st.integers(1, 3), st.integers(1, 3), st.integers(1, 2), st.integers(1, 2), st.data())
+def test_trajectories_match_csv_writer_for_any_float(n_traj, T, m, n, p, data):
+    """States and actions of any finite float64, drawn by ``st.floats`` or
+    from raw bit patterns, are written as a row-by-row csv.writer writes
+    them, in one piece or more."""
+    states = data.draw(finite_float_arrays((n_traj, T + 1, m)))
+    actions = data.draw(finite_float_arrays((n_traj, T, n, p)))
+    pieces = cli._write_trajectories(states, actions)
+    text = "".join([piece if isinstance(piece, str) else piece.decode() for piece in pieces])
+    assert text == _reference_trajectories_csv(states, actions)
 
 
-def _failing_run(traj_game, tmp_path, monkeypatch, kind, failure=None):
+@contextlib.contextmanager
+def _no_resource_warning():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        yield
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def _failing_run(traj_game, tmp_path, monkeypatch, kind, failure):
     """argv of a command that writes ``kind``, the CSV or JSON outputs, into
     a new --out directory, with ``failure`` set up; the directory."""
     _, spec_path, game_out = traj_game
     out = tmp_path / "out"
     out.mkdir(parents=True)
     if kind == "csv":
-        monkeypatch.setattr(_text, "_TRAJ_CHUNK", 4)
+        monkeypatch.setattr(cli, "_TRAJ_CHUNK", 4)
         argv = ["simulate", "--spec", spec_path, "--out", out, "--n-traj", 32]
         (out / "policy.json").write_bytes((game_out / "policy.json").read_bytes())
     else:
         argv = ["solve-exact", "--spec", spec_path, "--out", out]
-    if failure == "cannot-start":
-        monkeypatch.setattr(sys, "executable", str(tmp_path / "no-such-python"))
-    elif failure in ("exits-nonzero", "short-reply", "stale-job"):
-        reply = "stale" if failure == "stale-job" else "short"
-        then = "sys.exit(3)" if failure == "exits-nonzero" else "sys.stdin.buffer.read()"
-        monkeypatch.setattr(sys, "executable", _fake_python(tmp_path, reply, then))
-        real_received, waited = _text.received, []
-
-        def received_once_replied(job, index):
-            # This process does not wait for a worker; the test waits for
-            # the fake's reply, or exit, before this process first reads.
-            if not waited:
-                waited.append(job)
-                if failure == "exits-nonzero":  # left for stop() to reap
-                    deadline = time.monotonic() + 60
-                    while (os.waitid(os.P_PID, _text._worker.pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None
-                           and time.monotonic() < deadline):
-                        time.sleep(0.001)
-                else:
-                    select.select([_text._worker.stdout], [], [], 60)
-            return real_received(job, index)
-
-        monkeypatch.setattr(_text, "received", received_once_replied)
-    elif failure == "killed-mid-job":
-        real_submit = _text.submit
-
-        def submit_then_kill(pieces, flats):
-            job = real_submit(pieces, flats)
-            if _text._worker is not None:
-                os.kill(_text._worker.pid, signal.SIGKILL)
-            return job
-
-        monkeypatch.setattr(_text, "submit", submit_then_kill)
-    elif failure in ("write-oserror", "write-interrupt"):
+    if failure in ("write-oserror", "write-interrupt"):
         # trajectories.csv fails at its second chunk of rows; policy.json at
         # its one write.
         target, writes = (".trajectories.csv.", 2) if kind == "csv" else (".policy.json.", 0)
@@ -885,142 +568,38 @@ def _failing_run(traj_game, tmp_path, monkeypatch, kind, failure=None):
             argv += ["--margin", -1]
     elif failure == "exit-3":  # the 400-stage divergence repro
         gen = tmp_path / "gen"
-        with monkeypatch.context() as m:
-            m.setattr(_text, "_usable_cpus", lambda: 1)
-            assert run("randgen", "--out", gen, "--agents", 3, "--horizon", 400, "--state-dim", 4,
-                       "--action-dim", 2, "--seed", 3, "--scale", 1.5) == 0
+        assert run("randgen", "--out", gen, "--agents", 3, "--horizon", 400, "--state-dim", 4,
+                   "--action-dim", 2, "--seed", 3, "--scale", 1.5) == 0
         argv = ["solve-po", "--spec", gen / "spec.json", "--out", out, "--inner-iters", 50]
-    elif failure == "exit-4":  # written after the file the worker helps format
+    elif failure == "exit-4":  # written after the large file
         (out / ("costs.csv" if kind == "csv" else "certificate.json")).mkdir()
     return argv, out
 
 
-@pytest.mark.skipif(os.name != "posix", reason="the fake worker is a script run through its #! line")
+# Each way a command can fail, and its exit code (None for an interrupt).
+_FAILURES = {"write-oserror": 4, "write-interrupt": None, "exit-2": 2, "exit-3": 3, "exit-4": 4}
+
+
 @pytest.mark.parametrize("kind, failure", [(kind, failure) for kind in ("csv", "json") for failure in _FAILURES
                                            if (kind, failure) != ("csv", "exit-3")])  # simulate runs no solver
-def test_failed_worker_or_command(traj_game, workers, replies, monkeypatch, tmp_path, capsys, kind, failure):
-    """A worker that cannot start, fails, or replies short or to another job
-    leaves the bytes of one process; a command that fails after its worker
-    started, by an error of its own or by a write of this process, kills
-    and reaps it and writes no file.  Either way no worker process is left
-    running or unreaped, and ``--out`` holds no temporary file."""
-    code, worker_codes = _FAILURES[failure]
+def test_failed_command_writes_no_file(traj_game, monkeypatch, tmp_path, capsys, kind, failure):
+    """A command that fails, by an error of its own or by a write of a file
+    in pieces, writes no file and prints no ``wrote`` line: ``--out`` holds
+    what it held before, and no staged file.  No file is left open."""
+    code = _FAILURES[failure]
     argv, out = _failing_run(traj_game, tmp_path, monkeypatch, kind, failure)
     before = sorted(p.name for p in out.iterdir())
     capsys.readouterr()  # the set-up's commands
-    with _no_resource_warning(), _no_descriptor_left(), np.errstate(over="ignore", invalid="ignore"):
+    with _no_resource_warning(), np.errstate(over="ignore", invalid="ignore"):
         if code is None:
             with pytest.raises(KeyboardInterrupt):
                 run(*argv)
         else:
             assert run(*argv) == code
-    assert list(workers.values()) == worker_codes
-    if code == 0:
-        serial, serial_out = _failing_run(traj_game, tmp_path / "serial", monkeypatch, kind)
-        monkeypatch.setattr(_text, "_usable_cpus", lambda: 1)
-        assert run(*serial) == 0
-        names = sorted(p.name for p in serial_out.iterdir())
-        _assert_nothing_left(out, workers, names)
-        for name in names:
-            assert (out / name).read_bytes() == (serial_out / name).read_bytes(), name
-    else:
-        _assert_nothing_left(out, workers, before)
-        printed = capsys.readouterr()
-        assert code is None or ("error (io): cannot write" if code == 4 else "error (") in printed.err
-        assert "wrote" not in printed.out
-    if failure not in ("write-oserror", "write-interrupt", "exit-4"):
-        # No worker, a worker whose text never arrives whole or for this
-        # process's job, or a command that fails before it writes a file:
-        # this process formats every piece.
-        assert replies == []
-
-
-_STALLED = """\
-import os, signal, sys
-sys.path.insert(0, {src!r})
-from lqnash import _text, cli
-start, waitpid = _text.start, os.waitpid
-
-
-def stalled():
-    start()
-    os.kill(_text._worker.pid, signal.SIGSTOP)
-    stalled.pid, stalled.code = _text._worker.pid, None
-
-
-def recorded(pid, options):
-    got, status = waitpid(pid, options)
-    if got == stalled.pid:
-        stalled.code = os.waitstatus_to_exitcode(status)
-    return got, status
-
-
-_text.start, _text._usable_cpus, _text._WORKER_MIN_VALUES, os.waitpid = stalled, lambda: 2, 1, recorded
-code = cli.main({argv!r})
-try:
-    waitpid(stalled.pid, os.WNOHANG)
-    reaped = False
-except ChildProcessError:
-    reaped = True
-print(code, stalled.code, reaped)
-"""
-
-
-@pytest.mark.skipif(os.name != "posix", reason="the worker is stopped with SIGSTOP")
-@pytest.mark.parametrize("command", ["simulate", "solve-exact"])
-def test_stalled_worker_makes_no_command_wait(tmp_path, monkeypatch, command):
-    """A worker stopped right after it starts costs a command no wait: run
-    in a child interpreter, the command exits 0 well within the timeout,
-    writes the bytes of a run with one usable CPU, and leaves the worker
-    killed and reaped.  simulate's 200 trajectories hold 232k floats."""
-    spec = lq.random_game(4, 48, 8, 4, seed=4, scale=0.3).with_tau(20.0)  # the game of JSON_COMMANDS
-    spec_path = tmp_path / "game.json"
-    spec_path.write_text(lq.dump_game_spec(spec))
-    policy = lq.dump_joint_policy(lq.exact_ne(spec).policy)
-
-    def argv(out) -> list:
-        out.mkdir()
-        (out / "policy.json").write_text(policy)  # simulate samples it; solve-exact replaces it
-        extra = ["--n-traj", "200", "--seed", "3"] if command == "simulate" else []
-        return [command, "--spec", str(spec_path), "--out", str(out), *extra]
-
-    with monkeypatch.context() as m:
-        m.setattr(_text, "_usable_cpus", lambda: 1)
-        assert run(*argv(tmp_path / "serial")) == 0
-    src = os.path.dirname(os.path.dirname(lq.__file__))
-    script = _STALLED.format(src=src, argv=argv(tmp_path / "stalled"))
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == f"0 {-signal.SIGKILL} True"
-    serial = {path.name: path.read_bytes() for path in (tmp_path / "serial").iterdir()}
-    assert {path.name: path.read_bytes() for path in (tmp_path / "stalled").iterdir()} == serial
-
-
-@pytest.mark.parametrize("missing", ["memfd_create", "sched_getaffinity"])
-@pytest.mark.parametrize("command", ["simulate", "solve-exact"])
-def test_no_worker_without_memfd_create(tmp_path, workers, monkeypatch, missing, command):
-    """Where ``os.memfd_create`` or ``os.sched_getaffinity`` is missing, as
-    off Linux, a command starts no process, even with two usable CPUs, and
-    writes the bytes of a run with one.  simulate's 200 trajectories hold
-    232k floats."""
-    spec = lq.random_game(4, 48, 8, 4, seed=4, scale=0.3).with_tau(20.0)  # the game of JSON_COMMANDS
-    spec_path = tmp_path / "game.json"
-    spec_path.write_text(lq.dump_game_spec(spec))
-    policy = lq.dump_joint_policy(lq.exact_ne(spec).policy)
-
-    def outputs(out) -> dict:
-        out.mkdir()
-        (out / "policy.json").write_text(policy)  # simulate samples it; solve-exact replaces it
-        extra = ["--n-traj", 200, "--seed", 3] if command == "simulate" else []
-        assert run(command, "--spec", spec_path, "--out", out, *extra) == 0
-        return {path.name: path.read_bytes() for path in out.iterdir()}
-
-    with monkeypatch.context() as m:
-        m.setattr(_text, "_usable_cpus", lambda: 1)
-        serial = outputs(tmp_path / "serial")
-    monkeypatch.delattr(os, missing)
-    assert outputs(tmp_path / "without") == serial
-    assert workers == {}
+    assert sorted(p.name for p in out.iterdir()) == before
+    printed = capsys.readouterr()
+    assert code is None or ("error (io): cannot write" if code == 4 else "error (") in printed.err
+    assert "wrote" not in printed.out
 
 
 @pytest.mark.parametrize("existing", [True, False], ids=["replaced", "new"])
@@ -1068,31 +647,37 @@ _SPAWNED = """\
 import sys
 sys.path.insert(0, {src!r})
 import lqnash.cli
-print("subprocess" in sys.modules)
-from lqnash import _text
-start = _text.start
-
-
-def started():
-    start()
-    print(_text._worker is not None)
-
-
-_text.start, _text._usable_cpus, _text._WORKER_MIN_VALUES = started, lambda: 2, 1
+print("subprocess" in sys.modules, "orjson" in sys.modules)
 code = lqnash.cli.main({argv!r})
-print(code, "subprocess" in sys.modules)
+print(code, "subprocess" in sys.modules, "orjson" in sys.modules)
 """
 
 
 def test_import_loads_no_subprocess(traj_game):
-    """Neither importing the CLI nor a simulate that starts a worker, run
-    in a fresh interpreter, imports subprocess."""
+    """Importing the CLI in a fresh interpreter imports neither subprocess
+    nor orjson, which only a command that reads or writes a document
+    loads; a simulate loads orjson but still not subprocess."""
     _, spec_path, out = traj_game
     src = os.path.dirname(os.path.dirname(lq.__file__))
     code = _SPAWNED.format(src=src, argv=["simulate", "--spec", str(spec_path), "--out", str(out), "--n-traj", "50"])
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=True)
     lines = done.stdout.splitlines()
-    assert (lines[0], lines[1], lines[-1]) == ("False", "True", "0 False")
+    assert (lines[0], lines[-1]) == ("False False", "0 False True")
+
+
+def test_deeply_nested_spec_exit_code(tmp_path, capsys):
+    """A spec that orjson refuses and json cannot parse within the
+    recursion limit is a malformed document: exit 2, named, and no --out."""
+    spec = lq.random_game(1, 2, 2, 1, seed=3)
+    text = lq.dump_game_spec(spec)
+    deep = "[" * 3000 + "1" + "]" * 3000
+    path = tmp_path / "deep.json"
+    path.write_text(text[:text.rindex("}")] + f', "x": {deep}, "y": NaN}}\n')
+    out = tmp_path / "run"
+    assert run("solve-exact", "--spec", path, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error (validation): malformed JSON document: maximum recursion depth exceeded"), err
+    assert not out.exists()
 
 
 def test_po_divergence_exit_code(tmp_path, capsys):

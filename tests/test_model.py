@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import lqnash as lq
-from lqnash import _text, model
+from lqnash import model
 
-from conftest import SCALAR_GAME_TEXT
+from conftest import SCALAR_GAME_TEXT, finite_float_arrays
 
 
 def test_minimal_document_fields(scalar_game):
@@ -272,20 +272,20 @@ def test_orjson_reads_the_floats_json_reads(values, style):
 @pytest.mark.parametrize("where", ["field", "ignored-key"])
 def test_nesting_past_the_recursion_limit(where):
     """json cannot parse a document nested deeper than the interpreter's
-    recursion limit and raises ``RecursionError``.  An orjson that parses
-    it (3.8 sets no depth limit) gives what a shallow document gives: a
-    named field error, or a load that ignores the key.  One that refuses
-    it hands it to json, as any refused document."""
+    recursion limit, and the document is named malformed.  An orjson that
+    parses it (3.8 sets no depth limit) gives what a shallow document
+    gives: a named field error, or a load that ignores the key.  One that
+    refuses it hands it to json, as any refused document."""
     deep = "[" * 5000 + "1" + "]" * 5000
     text = _documents([deep] if where == "field" else ["1"], extra="" if where == "field" else f', "x": {deep}')
     for kind in LOADERS:
-        with pytest.raises(RecursionError):
-            _load_outcome(kind, text[kind], json_only=True)
+        (field, message), calls = _load_outcome(kind, text[kind], json_only=True)
+        assert (field, calls) == ("", 1)
+        assert message.startswith("malformed JSON document: maximum recursion depth exceeded"), message
         try:
             orjson.loads(text[kind])
         except orjson.JSONDecodeError:
-            with pytest.raises(RecursionError):
-                _load_outcome(kind, text[kind])
+            assert _load_outcome(kind, text[kind]) == ((field, message), 1)
             continue
         if where == "field":
             field = {"game": "A", "policy": "gains"}[kind]
@@ -494,6 +494,12 @@ def _json_text(doc) -> str:
 
 
 EDGE_FLOATS = [-0.0, 1e16, 1e-300, 5e-324, 0.1 + 0.2, -1.5e-7, 123456789.125]
+# Where repr's layout changes (it is plain for 0 and 1e-4 <= |x| < 1e16),
+# subnormals and the ends of the float range, with both signs.
+BOUNDARY_FLOATS = [s * x for x in [
+    0.0, 5e-324, 2.2250738585072009e-308, 1e-310, 2.2250738585072014e-308, 1.7976931348623157e308,
+    1e-4, math.nextafter(1e-4, 0), math.nextafter(1e-4, 1), 1e-5, 9.503e-05, 1e-6, 1e-7,
+    1e16, math.nextafter(1e16, 0), 1e21, 1e22] for s in (1.0, -1.0)]
 
 
 @pytest.mark.parametrize("dims", [(1, 1, 1, 1), (2, 3, 2, 4), (3, 2, 3, 1)])
@@ -530,60 +536,41 @@ def test_dumps_matches_json_encoder(dims):
         assert model._dumps(doc) == _json_text(doc)
 
 
-def _square_variants(values: np.ndarray) -> list[np.ndarray]:
-    """For a stack of square matrices with ``m > 1``: the stack made
-    symmetric bit for bit, the same with ``0.0`` opposite ``-0.0``, and the
-    same with one entry of the last block one ulp off its mirror image."""
-    m = values.shape[-1]
-    if values.ndim < 2 or values.shape[-2] != m or m < 2 or values.size == 0:
-        return []
-    sym = values.copy()
-    lower = np.tril_indices(m, -1)
-    sym[..., lower[0], lower[1]] = sym[..., lower[1], lower[0]]
-    signed = sym.copy()
-    signed[..., 0, 1], signed[..., 1, 0] = 0.0, -0.0
-    ulp = sym.copy()
-    last = ulp.reshape(-1, m, m)[-1]
-    last[1, 0] = np.nextafter(last[1, 0], np.inf)
-    return [sym, signed, ulp]
-
-
 @pytest.mark.parametrize("shape", [(7,), (7, 1), (1, 7), (1, 1, 7, 1), (0,), (2, 0),
-                                   (4, 3, 3), (2, 2), (2, 1, 4, 4), (0, 3, 3), (1, 1), (3, 1, 1)])
+                                   (4, 3, 3), (2, 2), (2, 1, 4, 4), (0, 3, 3), (1, 1), (3, 1, 1),
+                                   (3, 7, 4, 4), (2, 5, 9), (40,), (3, 30), (6, 6), ()])
 def test_dumps_edge_values_and_shapes(shape):
-    values = np.resize(np.array(EDGE_FLOATS), shape)
-    for arr in [values, *_square_variants(values)]:
-        doc = {"a": arr, "b": [{"c": arr, "d": [arr, 2.5]}], "e": np.array(-0.0)}
+    for values in (EDGE_FLOATS, BOUNDARY_FLOATS):
+        arr = np.resize(np.array(values), shape)
+        # Transposed and broadcast arrays are not C-contiguous; orjson takes a copy.
+        doc = {"a": arr, "b": [{"c": arr.T, "d": [arr, 2.5]}], "e": np.array(-0.0),
+               "f": np.broadcast_to(arr, (2, *arr.shape)), "g": values, "h": list(np.array(values))}
         assert model._dumps(doc) == _json_text(doc)
         assert model._dumps(arr) == _json_text(arr)
 
 
-@pytest.mark.parametrize("shape", [(3, 7, 4, 4), (2, 5, 9), (40,), (3, 30), (6, 6)])
-def test_templates_stay_within_a_block(monkeypatch, shape):
-    """An entry of more than ``_MAX_BLOCK`` slots is laid out along its own
-    leading axis, and one template groups only the entries that fit, so no
-    kept template holds more slots; the text is json's."""
-    monkeypatch.setattr(_text, "_MAX_BLOCK", 20)
-    requested = []
-    real = _text._template
-    monkeypatch.setattr(_text, "_template",
-                        lambda shape, level, count: requested.append(math.prod(shape) * count) or real(shape, level, count))
-    values = np.resize(np.array(EDGE_FLOATS), shape)
-    for arr in [values, *_square_variants(values)]:
-        doc = {"a": arr, "b": [{"c": arr}]}
-        assert model._dumps(doc) == _json_text(doc)
-    assert max(requested, default=0) <= 20
-    assert len(real.kept) <= _text._KEPT
+@given(finite_float_arrays(), st.floats(allow_nan=False, allow_infinity=False))
+def test_dumps_matches_json_for_any_float(arr, leaf):
+    """Arrays of any finite float64, drawn by ``st.floats`` or from raw
+    bit patterns, and float leaves are written as json writes them."""
+    doc = {"a": arr, "b": [{"c": leaf, "d": arr}, leaf, 3], "e": False}
+    assert model._dumps(doc) == _json_text(doc)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_dumps_rejects_non_finite_like_json(bad):
+    """A non-finite array entry, 0-d array or float leaf raises json's
+    error, naming the first one in document order; orjson would write
+    ``null``."""
     arr = np.array([[1.0, 2.0], [bad, 3.0]])
-    with pytest.raises(ValueError) as expected:
-        _json_text({"x": arr})
-    with pytest.raises(ValueError) as got:
-        model._dumps({"x": arr})
-    assert str(got.value) == str(expected.value)
+    docs = [{"x": arr}, {"x": np.array(bad)}, {"x": [1.0, {"y": bad}]}, bad, {"x": np.float64(bad)},
+            {"x": np.ones(2), "y": [bad], "z": np.array([-bad])}]
+    for doc in docs:
+        with pytest.raises(ValueError) as expected:
+            _json_text(doc)
+        with pytest.raises(ValueError) as got:
+            model._dumps(doc)
+        assert str(got.value) == str(expected.value)
 
 
 def test_first_definiteness_failure_named_r_before_later_agent():
