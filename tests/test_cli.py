@@ -405,6 +405,24 @@ def traj_game(tmp_path):
     return spec, spec_path, out
 
 
+def _refuse_processes(monkeypatch, tmp_path):
+    """Make any attempt to start another process fail the test, and leave
+    no interpreter to start."""
+    def refused(*args, **kwargs):
+        raise AssertionError("a process was started")
+
+    for name in ("posix_spawn", "posix_spawnp", "fork", "spawnv", "spawnve", "system"):
+        monkeypatch.setattr(os, name, refused, raising=False)
+    monkeypatch.setattr(subprocess.Popen, "__init__", refused)
+    monkeypatch.setattr(sys, "executable", str(tmp_path / "no-such-python"))
+
+
+@pytest.fixture
+def no_process(monkeypatch, tmp_path):
+    """Every output is laid out in this process: starting another fails the test."""
+    _refuse_processes(monkeypatch, tmp_path)
+
+
 @pytest.mark.parametrize("kind, command, code", [("gains", "eval", 2), ("gains", "simulate", 2),
                                                 ("cov", "eval", 0), ("cov", "simulate", 2)])
 def test_overflowing_policy_exit_code(tmp_path, capsys, kind, command, code):
@@ -432,12 +450,39 @@ def _simulate(traj_game, n_traj, seed=5):
 
 
 @pytest.mark.parametrize("n_traj", [1, 3 * cli._TRAJ_CHUNK - 1, 3 * cli._TRAJ_CHUNK, 3 * cli._TRAJ_CHUNK + 1])
-def test_trajectories_match_csv_writer_at_piece_ends(traj_game, n_traj):
-    """trajectories.csv, laid out ``_TRAJ_CHUNK`` trajectories at a time,
-    has the bytes of a row-by-row csv.writer where the last piece is whole,
-    one short or one long."""
+def test_split_trajectories_match_serial(traj_game, no_process, n_traj):
+    """trajectories.csv, split into pieces of ``_TRAJ_CHUNK`` trajectories,
+    has the bytes of a serial, row-by-row csv.writer where the last piece is
+    whole, one short or one long."""
     expected = _simulate(traj_game, n_traj)
     assert (traj_game[2] / "trajectories.csv").read_bytes() == expected
+
+
+def test_small_simulate_splits_rows_or_starts_no_worker(tmp_path, monkeypatch):
+    """100 trajectories of 400 floats start no process and are laid out in
+    two pieces of rows, of 64 and 36 trajectories, with the bytes of a
+    row-by-row csv.writer."""
+    spec = lq.random_game(2, 66, 4, 1, seed=3, scale=0.3).with_tau(20.0)
+    assert (spec.horizon + 1) * spec.state_dim + spec.horizon * spec.num_agents * spec.action_dim == 400
+    spec_path, out = tmp_path / "game.json", tmp_path / "run"
+    spec_path.write_text(lq.dump_game_spec(spec))
+    assert run("solve-exact", "--spec", spec_path, "--out", out) == 0
+    pieces, real = [], cli._write_trajectories
+
+    def recorded(states, actions):
+        for piece in real(states, actions):
+            pieces.append(piece)
+            yield piece
+
+    monkeypatch.setattr(cli, "_write_trajectories", recorded)
+    _refuse_processes(monkeypatch, tmp_path)
+    assert run("simulate", "--spec", spec_path, "--out", out, "--n-traj", 100, "--seed", 5) == 0
+    rows = spec.horizon + 1
+    assert [(piece.split(b",", 2)[:2], piece.count(b"\n")) for piece in pieces[1:]] == [
+        ([b"0", b"0"], 64 * rows), ([b"64", b"0"], 36 * rows)]
+    result = lq.simulate(spec, lq.load_joint_policy((out / "policy.json").read_text()), 100, 5)
+    expected = _reference_trajectories_csv(result.states, result.actions).encode()
+    assert (out / "trajectories.csv").read_bytes() == expected
 
 
 JSON_COMMANDS = {"randgen": ["--agents", 4, "--horizon", 48, "--state-dim", 8, "--action-dim", 4, "--seed", 4],
@@ -445,9 +490,10 @@ JSON_COMMANDS = {"randgen": ["--agents", 4, "--horizon", 48, "--state-dim", 8, "
 
 
 @pytest.mark.parametrize("command", JSON_COMMANDS)
-def test_json_commands_write_json_bytes(tmp_path, command):
-    """Each JSON file a command writes for a game of 9k-25k floats per
-    document is what json.dumps(indent=2) writes for the values it holds."""
+def test_json_commands_start_no_worker(tmp_path, no_process, command):
+    """A command that writes JSON starts no other process, and each JSON
+    file it writes for a game of 9k-25k floats per document is what
+    json.dumps(indent=2) writes for the values it holds."""
     spec = lq.random_game(4, 48, 8, 4, seed=4, scale=0.3).with_tau(20.0)
     spec_path, out = tmp_path / "game.json", tmp_path / "run"
     spec_path.write_text(lq.dump_game_spec(spec))
@@ -494,15 +540,16 @@ def _documents(spec: lq.GameSpec) -> dict:
 
 
 @pytest.mark.parametrize("kind", ["spec", "policy", "certificate", "trajectories", "one-trajectory"])
-def test_documents_match_json_and_csv_writer(monkeypatch, kind):
-    """Every document has the bytes of json.dumps(indent=2) or of a
-    row-by-row csv.writer, with trajectories.csv in pieces of
-    ``_TRAJ_CHUNK`` trajectories or of 4."""
+@pytest.mark.parametrize("blocks", [(cli._TRAJ_CHUNK,), (1, 2, 3, 4, 5)], ids=["blocks", "small-blocks"])
+def test_every_split_point_matches_serial(monkeypatch, kind, blocks):
+    """Every document has the bytes of json.dumps(indent=2) or of a serial,
+    row-by-row csv.writer, with trajectories.csv in pieces of each size in
+    ``blocks``: pieces of one trajectory split it after every trajectory."""
     spec = lq.random_game(2, 3, 3, 2, seed=21, scale=0.3).with_tau(20.0)
     text, expected = _documents(spec)[kind]
-    assert text().encode() == expected
-    monkeypatch.setattr(cli, "_TRAJ_CHUNK", 4)
-    assert text().encode() == expected
+    for size in blocks:
+        monkeypatch.setattr(cli, "_TRAJ_CHUNK", size)
+        assert text().encode() == expected, size
 
 
 @given(st.integers(1, 70), st.integers(1, 3), st.integers(1, 3), st.integers(1, 2), st.integers(1, 2), st.data())
@@ -526,7 +573,7 @@ def _no_resource_warning():
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
-def _failing_run(traj_game, tmp_path, monkeypatch, kind, failure):
+def _failing_run(traj_game, tmp_path, monkeypatch, kind, failure=None):
     """argv of a command that writes ``kind``, the CSV or JSON outputs, into
     a new --out directory, with ``failure`` set up; the directory."""
     _, spec_path, game_out = traj_game
@@ -538,7 +585,9 @@ def _failing_run(traj_game, tmp_path, monkeypatch, kind, failure):
         (out / "policy.json").write_bytes((game_out / "policy.json").read_bytes())
     else:
         argv = ["solve-exact", "--spec", spec_path, "--out", out]
-    if failure in ("write-oserror", "write-interrupt"):
+    if failure == "cannot-start":
+        _refuse_processes(monkeypatch, tmp_path)
+    elif failure in ("write-oserror", "write-interrupt"):
         # trajectories.csv fails at its second chunk of rows; policy.json at
         # its one write.
         target, writes = (".trajectories.csv.", 2) if kind == "csv" else (".policy.json.", 0)
@@ -576,17 +625,24 @@ def _failing_run(traj_game, tmp_path, monkeypatch, kind, failure):
     return argv, out
 
 
-# Each way a command can fail, and its exit code (None for an interrupt).
-_FAILURES = {"write-oserror": 4, "write-interrupt": None, "exit-2": 2, "exit-3": 3, "exit-4": 4}
+# Each way a command can fail, or find no process to start, and its exit
+# code (None for an interrupt).
+_FAILURES = {"cannot-start": 0, "write-oserror": 4, "write-interrupt": None, "exit-2": 2, "exit-3": 3, "exit-4": 4}
 
 
 @pytest.mark.parametrize("kind, failure", [(kind, failure) for kind in ("csv", "json") for failure in _FAILURES
                                            if (kind, failure) != ("csv", "exit-3")])  # simulate runs no solver
-def test_failed_command_writes_no_file(traj_game, monkeypatch, tmp_path, capsys, kind, failure):
-    """A command that fails, by an error of its own or by a write of a file
-    in pieces, writes no file and prints no ``wrote`` line: ``--out`` holds
-    what it held before, and no staged file.  No file is left open."""
+def test_failed_worker_or_command(traj_game, monkeypatch, tmp_path, capsys, kind, failure):
+    """A command that can start no other process writes the bytes of a
+    plain run.  A command that fails, by an error of its own or by a write
+    of a file in pieces, writes no file and prints no ``wrote`` line:
+    ``--out`` holds what it held before, and no staged file.  No file is
+    left open either way."""
     code = _FAILURES[failure]
+    if code == 0:
+        plain, plain_out = _failing_run(traj_game, tmp_path / "plain", monkeypatch, kind)
+        assert run(*plain) == 0
+        expected = {p.name: p.read_bytes() for p in plain_out.iterdir()}
     argv, out = _failing_run(traj_game, tmp_path, monkeypatch, kind, failure)
     before = sorted(p.name for p in out.iterdir())
     capsys.readouterr()  # the set-up's commands
@@ -596,10 +652,84 @@ def test_failed_command_writes_no_file(traj_game, monkeypatch, tmp_path, capsys,
                 run(*argv)
         else:
             assert run(*argv) == code
+    if code == 0:
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == expected
+        return
     assert sorted(p.name for p in out.iterdir()) == before
     printed = capsys.readouterr()
     assert code is None or ("error (io): cannot write" if code == 4 else "error (") in printed.err
     assert "wrote" not in printed.out
+
+
+def _json_argvs(root, spec_path) -> list:
+    """argv of each command that writes JSON, run in turn on one game, with
+    its --out directories under ``root``."""
+    gen, exact, po, aug = (root / name for name in ("gen", "exact", "po", "aug"))
+    dims = ["--agents", 2, "--horizon", 3, "--state-dim", 3, "--action-dim", 2]
+    argvs = [["randgen", "--out", gen, *dims, "--seed", 4, "--scale", 0.3],
+             ["solve-exact", "--spec", spec_path, "--out", exact],
+             ["check", "--spec", spec_path, "--out", exact],
+             ["solve-po", "--spec", spec_path, "--out", po],
+             ["eval", "--spec", spec_path, "--out", po, "--compare", exact / "policy.json"],
+             ["augment", "--spec", spec_path, "--out", aug, "--delta-init", 0.1]]
+    return [[str(a) for a in argv] for argv in argvs]
+
+
+def _json_files(root) -> dict:
+    return {f"{out.name}/{path.name}": path.read_bytes() for out in root.iterdir() for path in out.glob("*.json")}
+
+
+_ONE_CPU = """\
+import os, sys
+os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})
+sys.path.insert(0, {src!r})
+from lqnash.cli import main
+for argv in {argvs!r}:
+    assert main(argv) == 0, argv
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="pins a child interpreter to one CPU")
+def test_json_outputs_match_one_cpu(traj_game, tmp_path):
+    """Every JSON file the CLI writes has the same bytes in this process as
+    in a fresh interpreter that may use one CPU only, so that numpy's
+    threads cannot split its sums."""
+    spec_path = traj_game[1]
+    for argv in _json_argvs(tmp_path / "all", spec_path):
+        assert main(argv) == 0, argv
+    src = os.path.dirname(os.path.dirname(lq.__file__))
+    script = _ONE_CPU.format(src=src, argvs=_json_argvs(tmp_path / "one", spec_path))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    serial = _json_files(tmp_path / "one")
+    assert _json_files(tmp_path / "all") == serial
+    assert sorted(serial) == ["aug/condition.json", "aug/policy.json", "exact/certificate.json",
+                              "exact/condition.json", "exact/policy.json", "gen/spec.json",
+                              "po/certificate.json", "po/policy.json"]
+
+
+@pytest.mark.parametrize("missing", ["memfd_create", "sched_getaffinity"])
+@pytest.mark.parametrize("command", ["simulate", "solve-exact"])
+def test_no_worker_without_memfd_create(tmp_path, monkeypatch, missing, command):
+    """Where ``os.memfd_create`` or ``os.sched_getaffinity`` is missing, as
+    off Linux, a command starts no process and writes the bytes it writes
+    where both are there.  simulate's 200 trajectories hold 232k floats."""
+    spec = lq.random_game(4, 48, 8, 4, seed=4, scale=0.3).with_tau(20.0)  # the game of JSON_COMMANDS
+    spec_path = tmp_path / "game.json"
+    spec_path.write_text(lq.dump_game_spec(spec))
+    policy = lq.dump_joint_policy(lq.exact_ne(spec).policy)
+
+    def outputs(out) -> dict:
+        out.mkdir()
+        (out / "policy.json").write_text(policy)  # simulate samples it; solve-exact replaces it
+        extra = ["--n-traj", 200, "--seed", 3] if command == "simulate" else []
+        assert run(command, "--spec", spec_path, "--out", out, *extra) == 0
+        return {path.name: path.read_bytes() for path in out.iterdir()}
+
+    expected = outputs(tmp_path / "with")
+    monkeypatch.delattr(os, missing, raising=False)
+    _refuse_processes(monkeypatch, tmp_path)
+    assert outputs(tmp_path / "without") == expected
 
 
 @pytest.mark.parametrize("existing", [True, False], ids=["replaced", "new"])
