@@ -21,8 +21,9 @@ could not be read or written.  All outputs are pure functions of the spec
 bytes, flags, and seed.
 
 Every JSON document and ``trajectories.csv`` is laid out by orjson in this
-process; ``model._repr_floats`` then writes each float as ``repr`` does,
-so the bytes are those of ``json.dumps(indent=2)`` and ``csv.writer``.
+process; ``model._orjson_text`` sets in as ``repr``'s text each float that
+orjson writes otherwise, so the bytes are those of ``json.dumps(indent=2)``
+and ``csv.writer``.
 """
 from __future__ import annotations
 
@@ -47,7 +48,8 @@ from .evaluate import (
 from .model import (
     GameSpec,
     _dumps,
-    _repr_floats,
+    _exponent,
+    _orjson_text,
     dump_game_spec,
     dump_joint_policy,
     load_game_spec,
@@ -296,10 +298,8 @@ def _write_trajectories(states: np.ndarray, actions: np.ndarray):
     """The header, then one CSV line per trajectory and stage, the bytes of
     ``csv.writer``: floats as ``repr`` writes them and the terminal row's
     missing actions as empty fields.  Each piece of ``_TRAJ_CHUNK``
-    trajectories is one float array, NaN where an action is missing, that
-    orjson lays out as rows of ``[...]``."""
-    import orjson  # as in model._load_header: the CLI's import does not pay for it
-
+    trajectories is one float array that orjson lays out as rows of ``[...]``,
+    with NaN, written ``null``, for each missing action and exponent float."""
     n_traj, _, m = states.shape
     _, T, n, p = actions.shape
     header = ["traj_id", "t"] + [f"x{k}" for k in range(m)] + [f"u{i}_{k}" for i in range(n) for k in range(p)]
@@ -310,8 +310,11 @@ def _write_trajectories(states: np.ndarray, actions: np.ndarray):
         block = np.full((count, T + 1, width), np.nan)
         block[:, :, :m] = states[lo:lo + count]
         block[:, :T, m:] = actions[lo:lo + count].reshape(count, T, n * p)
-        text = _repr_floats(orjson.dumps(block.reshape(-1, width), option=orjson.OPT_SERIALIZE_NUMPY))
-        rows = text[2:-2].replace(b"null", b"").split(b"],[")
+        odd = np.isnan(block) | _exponent(block)
+        fields = [repr(x).encode() if x == x else b"" for x in block[odd].tolist()]
+        block[odd] = np.nan
+        text = _orjson_text(block.reshape(-1, width), fields, indent=False)
+        rows = text[2:-2].split(b"],[")
         yield b"".join([b"%d,%d,%s\n" % (lo + k // (T + 1), k % (T + 1), row) for k, row in enumerate(rows)])
 
 

@@ -9,8 +9,8 @@ file format, and a seeded random-instance generator.  One table,
 ``_shapes``, lists the seven array fields in document order with their
 shapes; loading, validation, dumping and generation all read it.
 orjson parses every document and lays out every one written, and
-``_repr_floats`` writes its floats as ``repr`` does, so the text is that
-of ``json.dumps(indent=2)``.
+``_orjson_text`` sets in the floats it writes otherwise than ``repr``, so
+the text is that of ``json.dumps(indent=2)``.
 """
 from __future__ import annotations
 
@@ -310,79 +310,74 @@ def load_game_spec(text: str) -> GameSpec:
     return validate_game_spec(spec)
 
 
-# What precedes a number in orjson's text: indentation, or an opening
-# bracket or comma of compact output.
-_BEFORE_NUMBER = b" [,"
-_NUMBER_CHARS = b"0123456789.-+e"
+def _exponent(x):
+    """Where the float or float array ``x`` is written with an exponent by
+    ``repr`` and otherwise by orjson: nonzero with ``|x| < 1e-4``, or
+    ``|x| >= 1e16``.  Elsewhere orjson writes repr's text."""
+    size = abs(x)
+    return (size < 1e-4) & (x != 0) | (size >= 1e16)
 
 
-def _repr_floats(text: bytes) -> bytes:
-    """orjson's ``text`` with every float written as ``repr`` writes it, for
-    a document whose keys hold no number.
-
-    Within repr's plain range (0, and ``1e-4 <= |x| < 1e16``) orjson writes
-    repr's text.  Outside it only the layout differs: ``0.00009503`` for
-    ``9.503e-05``, ``1e-7`` for ``1e-07``, ``1e16`` for ``1e+16``.  So only a
-    number that holds an ``e``, or begins with ``0.0000`` after an optional
-    ``-``, is rewritten, as ``repr(float(token))``.  Both are found with
-    ``bytes.find``, at memory speed; an ``e`` of a key or of ``true`` has a
-    letter before it and is no number.
-    """
-    spans = {}
-    for probe in (b"e", b"0.0000"):
-        at = text.find(probe)
-        while at != -1:
-            start = end = at
-            while start and text[start - 1] in _NUMBER_CHARS:
-                start -= 1
-            while end < len(text) and text[end] in _NUMBER_CHARS:
-                end += 1
-            digits = text[start:at].lstrip(b"-")  # of the number, before the probe
-            if (start == 0 or text[start - 1] in _BEFORE_NUMBER) and bool(digits) == (probe == b"e"):
-                spans[start] = end
-            at = text.find(probe, end)
-    if not spans:
-        return text
-    view, parts, at = memoryview(text), [], 0
-    for start in sorted(spans):
-        parts += [view[at:start], repr(float(text[start:spans[start]])).encode()]
-        at = spans[start]
-    parts.append(view[at:])
-    return b"".join(parts)
-
-
-def _finite(node):
+def _finite(node, floats: list[bytes]):
     """``node`` with each 0-d array and float subclass as a float, after
     json's check: a non-finite float leaf or array entry raises json's
-    ``ValueError``, for the first one in document order."""
+    ``ValueError``, for the first one in document order.  Each float that
+    :func:`_exponent` picks is appended to ``floats`` as ``repr``'s text and
+    becomes ``None``, or NaN in a copy of its array."""
     if isinstance(node, np.ndarray):
         finite = np.isfinite(node)
         if not finite.all():
             raise ValueError(f"Out of range float values are not JSON compliant: {float(node[~finite][0])!r}")
-        return float(node) if node.ndim == 0 else node
+        if node.ndim:
+            odd = _exponent(node)
+            if odd.any():
+                floats += [repr(x).encode() for x in node[odd].tolist()]
+                node = np.where(odd, np.nan, node)
+            return node
+        node = float(node)
     if isinstance(node, float):
         if not math.isfinite(node):
             raise ValueError(f"Out of range float values are not JSON compliant: {node!r}")
-        return float(node)
+        node = float(node)
+        if _exponent(node):
+            floats.append(repr(node).encode())
+            return None
+        return node
     if isinstance(node, dict):
-        return {key: _finite(value) for key, value in node.items()}
+        return {key: _finite(value, floats) for key, value in node.items()}
     if isinstance(node, list):
-        return [_finite(value) for value in node]
+        return [_finite(value, floats) for value in node]
     return node
+
+
+def _orjson_text(value, floats: list[bytes], indent: bool) -> bytes:
+    """orjson's text of ``value``, with ``indent`` that of ``json.dumps(indent=2)``
+    and a newline, with its ``null`` tokens (``None`` and NaN) replaced in
+    order by ``floats``.  It raises ``ValueError`` unless the text holds one
+    ``null`` per float, so a ``None`` or a key holding ``null`` cannot shift them."""
+    import orjson  # as in _load_header: the CLI's import does not pay for it
+
+    option = orjson.OPT_SERIALIZE_NUMPY | (orjson.OPT_INDENT_2 | orjson.OPT_APPEND_NEWLINE if indent else 0)
+    text = orjson.dumps(value, option=option, default=np.ascontiguousarray)
+    if not floats:
+        return text
+    parts = text.split(b"null")
+    del text  # so the join holds two copies of the text, not three
+    if len(parts) != len(floats) + 1:
+        raise ValueError(f"{len(parts) - 1} null tokens in the text for {len(floats)} floats")
+    return b"".join(itertools.chain.from_iterable(zip(parts, floats + [b""])))
 
 
 def _dumps(doc) -> str:
     """``json.dumps(doc, indent=2, allow_nan=False) + "\\n"`` for a document
     of dicts, lists, numbers, booleans and float64 arrays.
 
-    orjson lays it out, an array straight from its buffer, and
-    :func:`_repr_floats` writes its floats as json does.  A non-finite
-    number raises json's ``ValueError``; orjson would write ``null``.
+    orjson lays it out, an array straight from its buffer, and the floats
+    it would write otherwise than ``repr`` are set in as repr's text.  A
+    non-finite number raises json's ``ValueError``; orjson would write ``null``.
     """
-    import orjson  # as in _load_header: the CLI's import does not pay for it
-
-    option = orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
-    return _repr_floats(orjson.dumps(_finite(doc), option=option, default=np.ascontiguousarray)).decode()
+    floats = []
+    return _orjson_text(_finite(doc, floats), floats, indent=True).decode()
 
 
 def dump_game_spec(spec: GameSpec) -> str:
@@ -408,11 +403,21 @@ def _symmetrized(x: np.ndarray, field: str) -> np.ndarray:
     return sym
 
 
-def _psd_failures(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest eigenvalue of each matrix in the stack ``x``, and where it
-    falls below ``-PSD_RTOL`` times the matrix's largest entry."""
-    lo = np.linalg.eigvalsh(x)[..., 0]
-    return lo, lo < -PSD_RTOL * np.abs(x).max(axis=(-2, -1))
+def _psd_failures(x: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+    """Lowest eigenvalue of each matrix in the stack ``x`` (``None`` if all
+    pass), and where it falls below ``-PSD_RTOL`` times its largest entry.
+    One Cholesky of the stack shifted by ``PSD_RTOL/2`` times that entry
+    accepts: it proves each shifted matrix PD up to about ``m**2 eps`` times
+    it, eigvalsh is within ``m eps``, so the two agree while ``m**2 eps <
+    PSD_RTOL/2``, for ``m`` up to about 480.  Only a failure runs eigvalsh."""
+    scale = np.abs(x).max(axis=(-2, -1))
+    shift = 0.5 * PSD_RTOL * np.where(scale > 0, scale, 1.0)  # a zero matrix passes too
+    try:
+        np.linalg.cholesky(x + shift[..., None, None] * np.eye(x.shape[-1]))
+        return None, np.zeros(scale.shape, bool)
+    except np.linalg.LinAlgError:
+        lo = np.linalg.eigvalsh(x)[..., 0]
+        return lo, lo < -PSD_RTOL * scale
 
 
 def _not_psd(field: str, lo) -> GameSpecError:
@@ -457,7 +462,7 @@ def validate_game_spec(spec: GameSpec) -> GameSpec:
     with np.errstate(over="ignore"):
         for field in _SYMMETRIC:
             arrays[field] = _symmetrized(arrays[field], field)
-        # One eigvalsh per stack; the first failure is reported in the order
+        # One check per stack; the first failure is reported in the order
         # agent by agent, Q over stages, then R over stages.
         q_lo, q_bad = _psd_failures(arrays["Q"])
         r_lo = np.linalg.eigvalsh(arrays["R"])[..., 0]

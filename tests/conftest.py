@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -59,6 +60,14 @@ def overflowing_policies():
     covs = policy.covs.copy()
     covs[0, 0] = 1e300
     return spec, {"gains": lq.JointPolicy(policy.gains * 1e200, policy.covs), "cov": lq.JointPolicy(policy.gains, covs)}
+
+
+# Where repr's layout changes (it is plain for 0 and 1e-4 <= |x| < 1e16),
+# subnormals and the ends of the float range, with both signs.
+BOUNDARY_FLOATS = [s * x for x in [
+    0.0, 5e-324, 2.2250738585072009e-308, 1e-310, 2.2250738585072014e-308, 1.7976931348623157e308,
+    1e-4, math.nextafter(1e-4, 0), math.nextafter(1e-4, 1), 1e-5, 9.503e-05, 1e-6, 1e-7,
+    1e16, math.nextafter(1e16, 0), 1e21, 1e22] for s in (1.0, -1.0)]
 
 
 def finite_floats():

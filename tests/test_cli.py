@@ -18,7 +18,7 @@ import lqnash as lq
 from lqnash import cli, model
 from lqnash.cli import main
 
-from conftest import SCALAR_GAME_TEXT, finite_float_arrays, overflowing_policies, random_pd_policy
+from conftest import BOUNDARY_FLOATS, SCALAR_GAME_TEXT, finite_float_arrays, overflowing_policies, random_pd_policy
 
 
 @pytest.fixture
@@ -559,6 +559,17 @@ def test_trajectories_match_csv_writer_for_any_float(n_traj, T, m, n, p, data):
     them, in one piece or more."""
     states = data.draw(finite_float_arrays((n_traj, T + 1, m)))
     actions = data.draw(finite_float_arrays((n_traj, T, n, p)))
+    pieces = cli._write_trajectories(states, actions)
+    text = "".join([piece if isinstance(piece, str) else piece.decode() for piece in pieces])
+    assert text == _reference_trajectories_csv(states, actions)
+
+
+def test_trajectories_boundary_floats():
+    """Each boundary float, as a state and as an action, is written as a
+    row-by-row csv.writer writes it."""
+    values = np.array(BOUNDARY_FLOATS)
+    states = np.stack([values, values[::-1]], axis=1).reshape(-1, 2, 1)
+    actions = np.stack([values[::-1], values], axis=1).reshape(-1, 1, 1, 2)
     pieces = cli._write_trajectories(states, actions)
     text = "".join([piece if isinstance(piece, str) else piece.decode() for piece in pieces])
     assert text == _reference_trajectories_csv(states, actions)

@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 import lqnash as lq
 from lqnash import model
 
-from conftest import SCALAR_GAME_TEXT, finite_float_arrays
+from conftest import BOUNDARY_FLOATS, SCALAR_GAME_TEXT, finite_float_arrays
 
 
 def test_minimal_document_fields(scalar_game):
@@ -494,12 +494,6 @@ def _json_text(doc) -> str:
 
 
 EDGE_FLOATS = [-0.0, 1e16, 1e-300, 5e-324, 0.1 + 0.2, -1.5e-7, 123456789.125]
-# Where repr's layout changes (it is plain for 0 and 1e-4 <= |x| < 1e16),
-# subnormals and the ends of the float range, with both signs.
-BOUNDARY_FLOATS = [s * x for x in [
-    0.0, 5e-324, 2.2250738585072009e-308, 1e-310, 2.2250738585072014e-308, 1.7976931348623157e308,
-    1e-4, math.nextafter(1e-4, 0), math.nextafter(1e-4, 1), 1e-5, 9.503e-05, 1e-6, 1e-7,
-    1e16, math.nextafter(1e16, 0), 1e21, 1e22] for s in (1.0, -1.0)]
 
 
 @pytest.mark.parametrize("dims", [(1, 1, 1, 1), (2, 3, 2, 4), (3, 2, 3, 1)])
@@ -586,6 +580,30 @@ def test_dumps_matches_json_for_any_float(arr, leaf):
     assert model._dumps(doc) == _json_text(doc)
 
 
+def test_dumps_boundary_floats_as_0d_arrays_and_nested_leaves():
+    """Each boundary float as a 0-d array, and as a float leaf or float
+    subclass nested in lists, is written as json writes it."""
+    for x in BOUNDARY_FLOATS:
+        doc = {"a": np.array(x), "b": [[x, [np.float64(x)]], 1, {"c": [x, -0.0]}], "d": x}
+        assert model._dumps(doc) == _json_text(doc)
+        assert model._dumps([[x]]) == _json_text([[x]])
+
+
+@pytest.mark.parametrize("doc", [
+    {"a": None}, {"null": 1.0, "b": [None, 2.5]}, {"a": None, "b": np.array([1e-5, 1.0])},
+    {"null": 1e-5}, {"a": [1e20, None, 2.5e-7]}, {"nullable": np.array([3e-9, 4e17])},
+    {"a": [None, np.array(1e-300)], "b": [{"null": None}]},
+])
+def test_null_tokens_never_shift_the_floats(doc):
+    """orjson writes ``None`` and a key holding ``null`` as more ``null``
+    tokens than the floats set in: the text is json's or ``ValueError``."""
+    try:
+        text = model._dumps(doc)
+    except ValueError:
+        return
+    assert text == _json_text(doc)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_dumps_rejects_non_finite_like_json(bad):
     """A non-finite array entry, 0-d array or float leaf raises json's
@@ -636,6 +654,67 @@ def test_psd_tolerance_scales_with_norm():
         lq.validate_game_spec(dataclasses.replace(spec, Q=Q))
     with pytest.raises(lq.GameSpecError, match="init_cov: not positive semidefinite"):
         lq.validate_game_spec(dataclasses.replace(spec, init_cov=-np.eye(2)))
+
+
+def _psd_oracle(spec: lq.GameSpec) -> str | None:
+    """The error validate_game_spec raises for a one-agent game with a valid
+    ``R``, as eigvalsh of each of ``Q``, ``noise_cov`` and ``init_cov`` in
+    turn decides it, or ``None``."""
+    named = [(f"Q[0][{t}]", x) for t, x in enumerate(spec.Q[0])]
+    for field, x in named + [("noise_cov", spec.noise_cov), ("init_cov", spec.init_cov)]:
+        lo = np.linalg.eigvalsh(x)[0]
+        if lo < -model.PSD_RTOL * np.abs(x).max():
+            return f"{field}: not positive semidefinite (min eigenvalue {lo:.3e})"
+    return None
+
+
+@st.composite
+def psd_boundary_matrices(draw, m: int) -> np.ndarray:
+    """A symmetric ``m x m`` matrix: zero, singular PSD, or with its smallest
+    eigenvalue in ``[-2, 1]`` times ``PSD_RTOL`` times its largest entry,
+    scaled by a power of two."""
+    kind = draw(st.sampled_from(["boundary", "singular", "zero"]))
+    if kind == "zero":
+        return np.zeros((m, m))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = np.linalg.qr(rng.normal(size=(m, m)))[0]
+    eig = rng.uniform(0.0, 1.0, m)
+    eig[:draw(st.integers(1, m))] = 0.0  # one or more zero eigenvalues
+    x = (v * eig) @ v.T
+    if kind == "boundary":
+        x += draw(st.floats(-2.0, 1.0)) * model.PSD_RTOL * (np.abs(x).max() or 1.0) * np.eye(m)
+    return np.ldexp(0.5 * (x + x.T), draw(st.integers(-60, 60)))
+
+
+@given(st.integers(1, 64).flatmap(lambda m: st.tuples(
+    st.lists(psd_boundary_matrices(m), min_size=2, max_size=4), psd_boundary_matrices(m), psd_boundary_matrices(m))))
+def test_psd_verdict_matches_an_eigvalsh_oracle(matrices):
+    """The shifted Cholesky that accepts Q, noise_cov and init_cov, and the
+    eigvalsh pass behind it, accept and reject as eigvalsh of each matrix
+    does, with the same error text, at and around the tolerance."""
+    stack, noise_cov, init_cov = matrices
+    m = noise_cov.shape[0]
+    game = dataclasses.replace(lq.random_game(1, len(stack) - 1, m, 1, seed=0),
+                               Q=np.stack(stack)[None], noise_cov=noise_cov, init_cov=init_cov)
+    expected = _psd_oracle(game)
+    if expected is None:
+        lq.validate_game_spec(game)
+        return
+    with pytest.raises(lq.GameSpecError) as err:
+        lq.validate_game_spec(game)
+    assert str(err.value) == expected
+
+
+def test_valid_games_eigensolve_only_r(monkeypatch):
+    """A valid game's PSD fields are accepted by the shifted Cholesky
+    alone, zero covariances included: eigvalsh runs only on ``R``."""
+    calls, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda x: calls.append(np.shape(x)) or eigvalsh(x))
+    spec = lq.random_game(3, 4, 5, 2, seed=1)
+    assert calls == [spec.R.shape]
+    lq.load_game_spec(lq.dump_game_spec(spec))
+    lq.load_game_spec(SCALAR_GAME_TEXT)  # zero noise_cov and init_cov
+    assert calls == [spec.R.shape] * 2 + [(1, 1, 1, 1)]
 
 
 def _validation_variants():
