@@ -16,13 +16,16 @@ succeeds, it moves the staged files into place, and only then prints one
 fails or is interrupted restores the targets already moved, so a command
 that fails, or is interrupted, changes no file in ``--out`` and prints no
 ``wrote`` line.  ``main`` maps each error to its exit code: 0 success, 2
-load/validation error, 3 solver error, 4 I/O error, naming the file that
-could not be read or written.  All outputs are pure functions of the spec
+load/validation error (an array too large to allocate included), 3
+solver error, 4 I/O error, naming the file that could not be read or
+written.  All outputs are pure functions of the spec
 bytes, flags, and seed.
 
 Every JSON document and ``trajectories.csv`` is laid out by orjson in this
-process; ``model._orjson_text`` sets in as ``repr``'s text each float that
-orjson writes otherwise, so the bytes are those of ``json.dumps(indent=2)``
+process.  ``model._set_aside`` replaces by NaN each float that orjson
+writes otherwise than ``repr`` (and in ``trajectories.csv`` each missing
+action) and keeps its text, and ``model._orjson_text`` sets those texts
+in for orjson's ``null``, so the bytes are those of ``json.dumps(indent=2)``
 and ``csv.writer``.
 """
 from __future__ import annotations
@@ -50,6 +53,7 @@ from .model import (
     _dumps,
     _exponent,
     _orjson_text,
+    _set_aside,
     dump_game_spec,
     dump_joint_policy,
     load_game_spec,
@@ -153,13 +157,11 @@ def _backup(path: Path) -> Path | None:
     """A copy of the file at ``path`` beside it, a hard link where the file
     system has them, or None if there is no file."""
     backup = path.with_name(f".{path.name}.{os.getpid()}.bak")
+    backup.unlink(missing_ok=True)  # left by an earlier process of this pid
     try:
         os.link(path, backup)
     except FileNotFoundError:
         return None
-    except FileExistsError:  # left by an earlier process of this pid
-        backup.unlink()
-        return _backup(path)
     except OSError:  # a file system without hard links
         try:
             shutil.copyfile(path, backup)
@@ -177,14 +179,14 @@ def _certificate_doc(spec: GameSpec, cert: ValueCertificate) -> dict:
     return {"agents": agents}
 
 
-def _condition_doc(spec: GameSpec, record: ConditionRecord) -> dict:
+def _condition_doc(spec: GameSpec, condition: ConditionRecord) -> dict:
     return {
         "tau": float(spec.tau),
-        "gamma_B": record.gamma_B,
-        "gamma_P": record.gamma_P,
-        "threshold": record.threshold,
-        "margin": record.margin,
-        "satisfied": record.satisfied,
+        "gamma_B": condition.gamma_B,
+        "gamma_P": condition.gamma_P,
+        "threshold": condition.threshold,
+        "margin": condition.margin,
+        "satisfied": condition.satisfied,
     }
 
 
@@ -212,7 +214,7 @@ def _cmd_randgen(args, _, out: Path, write) -> None:
 
 def _cmd_solve_exact(args, spec: GameSpec, out: Path, write) -> None:
     sol = exact_ne(spec)
-    record = check_assumption_tau(spec, sol, args.margin)
+    condition = check_assumption_tau(spec, sol, args.margin)
     write(out / "policy.json", dump_joint_policy(sol.policy))
     cert = _certificate(spec, sol.riccati, sol.offsets)
     write(out / "certificate.json", _dumps(_certificate_doc(spec, cert)))
@@ -220,8 +222,8 @@ def _cmd_solve_exact(args, spec: GameSpec, out: Path, write) -> None:
     for i, cost in enumerate(cert.expected_costs.tolist()):
         print(f"  agent {i}: expected cost {cost:.12g}")
     print(
-        f"uniqueness condition: tau={spec.tau:g} threshold={record.threshold:.6g} "
-        f"satisfied={record.satisfied}"
+        f"uniqueness condition: tau={spec.tau:g} threshold={condition.threshold:.6g} "
+        f"satisfied={condition.satisfied}"
     )
 
 
@@ -236,20 +238,19 @@ def _cmd_solve_po(args, spec: GameSpec, out: Path, write) -> None:
             f"  stage {t}: iterations={len(stage_trace)} final_distance={last:.3e} "
             f"modulus={report.contraction_moduli[t]:.4g}"
         )
-    if report.condition is not None:
-        print(
-            f"uniqueness condition (a posteriori): threshold={report.condition.threshold:.6g} "
-            f"satisfied={report.condition.satisfied}"
-        )
+    print(
+        f"uniqueness condition (a posteriori): threshold={report.condition.threshold:.6g} "
+        f"satisfied={report.condition.satisfied}"
+    )
 
 
 def _cmd_check(args, spec: GameSpec, out: Path, write) -> None:
     sol = exact_ne(spec)
-    record = check_assumption_tau(spec, sol, args.margin)
-    write(out / "condition.json", _dumps(_condition_doc(spec, record)))
+    condition = check_assumption_tau(spec, sol, args.margin)
+    write(out / "condition.json", _dumps(_condition_doc(spec, condition)))
     print(
-        f"tau={spec.tau:g} gamma_B={record.gamma_B:.6g} gamma_P={record.gamma_P:.6g} "
-        f"threshold={record.threshold:.6g} margin={record.margin:g} satisfied={record.satisfied}"
+        f"tau={spec.tau:g} gamma_B={condition.gamma_B:.6g} gamma_P={condition.gamma_P:.6g} "
+        f"threshold={condition.threshold:.6g} margin={condition.margin:g} satisfied={condition.satisfied}"
     )
 
 
@@ -280,13 +281,13 @@ def _cmd_eval(args, spec: GameSpec, out: Path, write) -> None:
     gaps = _nash_gaps(spec, joint, cert.expected_costs)
     doc = _certificate_doc(spec, cert)
     doc["exploitability"] = gaps
+    if args.compare is not None:
+        doc["compare_distance"] = policy_distance(joint, load_joint_policy(_read(args.compare, "comparison policy")))
+    write(out / "certificate.json", _dumps(doc))
     for i, (cost, gap) in enumerate(zip(cert.expected_costs.tolist(), gaps.tolist())):
         print(f"  agent {i}: expected cost {cost:.12g} nash gap {gap:.6e}")
     if args.compare is not None:
-        distance = policy_distance(joint, load_joint_policy(_read(args.compare, "comparison policy")))
-        doc["compare_distance"] = distance
-        print(f"policy distance to {args.compare}: {distance:.6e}")
-    write(out / "certificate.json", _dumps(doc))
+        print(f"policy distance to {args.compare}: {doc['compare_distance']:.6e}")
 
 
 # Trajectories per piece of trajectories.csv.  Larger pieces write no
@@ -310,9 +311,8 @@ def _write_trajectories(states: np.ndarray, actions: np.ndarray):
         block = np.full((count, T + 1, width), np.nan)
         block[:, :, :m] = states[lo:lo + count]
         block[:, :T, m:] = actions[lo:lo + count].reshape(count, T, n * p)
-        odd = np.isnan(block) | _exponent(block)
-        fields = [repr(x).encode() if x == x else b"" for x in block[odd].tolist()]
-        block[odd] = np.nan
+        fields = []
+        block = _set_aside(block, np.isnan(block) | _exponent(block), fields)
         text = _orjson_text(block.reshape(-1, width), fields, indent=False)
         rows = text[2:-2].split(b"],[")
         yield b"".join([b"%d,%d,%s\n" % (lo + k // (T + 1), k % (T + 1), row) for k, row in enumerate(rows)])
@@ -411,7 +411,7 @@ def main(argv=None) -> int:
     except _IOFailure as exc:
         print(f"error (io): {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:  # GameSpecError included
+    except (ValueError, MemoryError) as exc:  # GameSpecError, and an array too large to allocate
         print(f"error (validation): {exc}", file=sys.stderr)
         return 2
     finally:

@@ -8,9 +8,10 @@ This module owns the instance container, its validation, the JSON
 file format, and a seeded random-instance generator.  One table,
 ``_shapes``, lists the seven array fields in document order with their
 shapes; loading, validation, dumping and generation all read it.
-orjson parses every document and lays out every one written, and
-``_orjson_text`` sets in the floats it writes otherwise than ``repr``, so
-the text is that of ``json.dumps(indent=2)``.
+orjson parses every document and lays out every one written.
+``_set_aside`` replaces by NaN the floats it writes otherwise than
+``repr`` and keeps their texts, and ``_orjson_text`` sets those texts in
+for orjson's ``null`` tokens, so the text is that of ``json.dumps(indent=2)``.
 """
 from __future__ import annotations
 
@@ -177,19 +178,16 @@ def _text_has_bool(text: str) -> bool:
 
 
 def _has_bool(node) -> bool:
-    """Whether ``node`` is, or its nested lists hold, a ``bool``.  It takes
-    one level of nesting at a time and looks at the set of its types, four
-    times as fast as a recursive walk on a large game."""
-    level = [node]
-    while level:
-        kinds = set(map(type, level))
-        if bool in kinds:
+    """Whether ``node`` is, or its nested lists hold, a ``bool``: a walk of
+    a stack, so any depth that orjson parses is safe.  Only a document whose
+    text holds ``true`` or ``false`` (see :func:`_text_has_bool`) is walked."""
+    stack = [node]
+    while stack:
+        item = stack.pop()
+        if type(item) is bool:
             return True
-        if list not in kinds:
-            return False
-        if len(kinds) > 1:  # a ragged level: numbers beside lists
-            level = [x for x in level if type(x) is list]
-        level = list(itertools.chain.from_iterable(level))
+        if type(item) is list:
+            stack += item
     return False
 
 
@@ -318,22 +316,28 @@ def _exponent(x):
     return (size < 1e-4) & (x != 0) | (size >= 1e16)
 
 
+def _set_aside(arr: np.ndarray, odd: np.ndarray, floats: list[bytes]) -> np.ndarray:
+    """``arr`` with NaN, which orjson writes ``null``, where ``odd`` is true,
+    each of those entries' texts appended to ``floats`` in order: ``repr``'s,
+    or ``b""`` for a NaN.  ``arr`` itself, uncopied, where none is odd."""
+    if not odd.any():
+        return arr
+    floats += [repr(x).encode() if x == x else b"" for x in arr[odd].tolist()]
+    return np.where(odd, np.nan, arr)
+
+
 def _finite(node, floats: list[bytes]):
     """``node`` with each 0-d array and float subclass as a float, after
     json's check: a non-finite float leaf or array entry raises json's
     ``ValueError``, for the first one in document order.  Each float that
     :func:`_exponent` picks is appended to ``floats`` as ``repr``'s text and
-    becomes ``None``, or NaN in a copy of its array."""
+    becomes ``None``, or is set aside by :func:`_set_aside` in its array."""
     if isinstance(node, np.ndarray):
         finite = np.isfinite(node)
         if not finite.all():
             raise ValueError(f"Out of range float values are not JSON compliant: {float(node[~finite][0])!r}")
         if node.ndim:
-            odd = _exponent(node)
-            if odd.any():
-                floats += [repr(x).encode() for x in node[odd].tolist()]
-                node = np.where(odd, np.nan, node)
-            return node
+            return _set_aside(node, _exponent(node), floats)
         node = float(node)
     if isinstance(node, float):
         if not math.isfinite(node):

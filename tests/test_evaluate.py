@@ -196,6 +196,11 @@ class TestSimulate:
         c = lq.simulate(scalar_game, joint, 500, seed=43)
         assert not np.array_equal(a.costs, c.costs)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_must_fit_in_64_bits(self, scalar_game, seed):
+        with pytest.raises(ValueError, match="^seed must fit in 64 bits$"):
+            lq.simulate(scalar_game, scalar_rest_policy(), 10, seed=seed)
+
     def test_trajectory_prefix_independent_of_batch_size(self, scalar_game):
         joint = scalar_rest_policy()
         small = lq.simulate(scalar_game, joint, 100, seed=7)

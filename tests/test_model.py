@@ -61,6 +61,25 @@ def test_dimension_mismatch_names_field():
     assert "B" in str(err.value)
 
 
+def test_per_agent_entry_mismatch_names_the_agent():
+    """In a game of several agents, an agent's entry of the wrong shape is
+    named with its index, not as a missing agent nesting."""
+    doc = json.loads(SCALAR_GAME_TEXT)
+    doc.update(num_agents=2, B=[[1], [[1, 2]]])
+    with pytest.raises(lq.GameSpecError) as err:
+        lq.load_game_spec(json.dumps(doc))
+    assert str(err.value) == ("B[1]: dimension mismatch: expected 1 matrices of shape (1, 1) "
+                              "or one matrix to broadcast, got data of shape (1, 2)")
+
+
+def test_unstacked_mismatch_names_both_shapes():
+    doc = json.loads(SCALAR_GAME_TEXT)
+    doc["init_mean"] = [1, 2]
+    with pytest.raises(lq.GameSpecError) as err:
+        lq.load_game_spec(json.dumps(doc))
+    assert str(err.value) == "init_mean: dimension mismatch: expected shape (1,), got (2,)"
+
+
 def test_nonpositive_tau():
     doc = json.loads(SCALAR_GAME_TEXT)
     doc["tau"] = 0
@@ -162,6 +181,17 @@ def test_booleans_found_at_every_depth_of_ragged_lists(depth):
     with pytest.raises(lq.GameSpecError) as err:
         lq.load_game_spec(json.dumps(doc))
     assert str(err.value) == "A: not a (rectangular) numeric array"
+
+
+def test_booleans_found_at_any_depth():
+    """The walk keeps a stack, not the interpreter's: nesting far past the
+    recursion limit is walked too."""
+    node = leaf = [True]
+    for _ in range(100_000):
+        node = [node]
+    assert model._has_bool(node)
+    leaf[0] = 0.5
+    assert not model._has_bool(node)
 
 
 def test_ignored_keys_holding_booleans_still_load():

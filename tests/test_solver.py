@@ -328,6 +328,19 @@ class TestDeltaAugment:
         with pytest.raises(lq.SolverError, match="round 2: .* overflows"):
             lq.delta_augment_solve(spec, delta_init=1e-300, growth=1e200, max_rounds=3)
 
+    def test_rounds_whose_passes_fail_name_the_last_failure(self):
+        spec = lq.random_game(2, 5, 3, 2, seed=7, scale=1e9)
+        # The condition number's digits come from an SVD.
+        with pytest.raises(lq.SolverError, match=r"^augmentation failed after 3 rounds \(delta=12\.8: "
+                                                 r"stage 4: coupling matrix condition \d"):
+            lq.delta_augment_solve(spec, delta_init=0.05, growth=16, max_rounds=3)
+
+    def test_overflow_before_the_first_round(self):
+        spec = lq.random_game(1, 1, 1, 1, seed=0).with_tau(1e308)
+        with pytest.raises(lq.SolverError) as err:
+            lq.delta_augment_solve(spec, delta_init=1e308)
+        assert str(err.value) == "augmentation round 0: tau + 1e+308 * 2**0 overflows (no rounds attempted)"
+
     def test_delta_keeps_its_bits_when_the_power_is_large(self):
         # 1e150**2 is near the float limit, the product is about 1.0
         spec = lq.random_game(2, 2, 2, 1, seed=11, scale=0.8)
