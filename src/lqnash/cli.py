@@ -23,10 +23,11 @@ bytes, flags, and seed.
 
 Every JSON document and ``trajectories.csv`` is laid out by orjson in this
 process.  ``model._set_aside`` replaces by NaN each float that orjson
-writes otherwise than ``repr`` (and in ``trajectories.csv`` each missing
-action) and keeps its text, and ``model._orjson_text`` sets those texts
-in for orjson's ``null``, so the bytes are those of ``json.dumps(indent=2)``
-and ``csv.writer``.
+writes otherwise than ``repr`` and keeps its text, and
+``model._orjson_text`` sets those texts in for orjson's ``null``, so the
+bytes are those of ``json.dumps(indent=2)`` and ``csv.writer``.  The
+terminal rows of ``trajectories.csv``, whose actions are missing, are laid
+out apart from the others, so no missing action is a float.
 """
 from __future__ import annotations
 
@@ -295,27 +296,41 @@ def _cmd_eval(args, spec: GameSpec, out: Path, write) -> None:
 _TRAJ_CHUNK = 64
 
 
+def _rows(block: np.ndarray) -> list[bytes]:
+    """The text of each row of the 2-d float array ``block``, its entries
+    joined by commas as ``repr`` writes them."""
+    floats = []
+    text = _orjson_text(_set_aside(block, _exponent(block), floats), floats, indent=False)
+    return text[2:-2].split(b"],[")
+
+
 def _write_trajectories(states: np.ndarray, actions: np.ndarray):
     """The header, then one CSV line per trajectory and stage, the bytes of
     ``csv.writer``: floats as ``repr`` writes them and the terminal row's
-    missing actions as empty fields.  Each piece of ``_TRAJ_CHUNK``
-    trajectories is one float array that orjson lays out as rows of ``[...]``,
-    with NaN, written ``null``, for each missing action and exponent float."""
+    missing actions as empty fields.  Per piece of ``_TRAJ_CHUNK``
+    trajectories, orjson lays out the states and actions of the stages
+    before the last as one text of rows and the terminal states as another;
+    each line is then four pieces, its trajectory id, ``,t,``, its row and
+    its end, set in place by one strided slice per stage and piece."""
     n_traj, _, m = states.shape
     _, T, n, p = actions.shape
     header = ["traj_id", "t"] + [f"x{k}" for k in range(m)] + [f"u{i}_{k}" for i in range(n) for k in range(p)]
     yield ",".join(header) + "\n"
-    width = m + n * p
+    k = T + 1
+    stages = [b",%d," % t for t in range(k)]
+    ends = [b"\n"] * T + [b"," * (n * p) + b"\n"]
     for lo in range(0, n_traj, _TRAJ_CHUNK):
         count = min(_TRAJ_CHUNK, n_traj - lo)
-        block = np.full((count, T + 1, width), np.nan)
-        block[:, :, :m] = states[lo:lo + count]
-        block[:, :T, m:] = actions[lo:lo + count].reshape(count, T, n * p)
-        fields = []
-        block = _set_aside(block, np.isnan(block) | _exponent(block), fields)
-        text = _orjson_text(block.reshape(-1, width), fields, indent=False)
-        rows = text[2:-2].split(b"],[")
-        yield b"".join([b"%d,%d,%s\n" % (lo + k // (T + 1), k % (T + 1), row) for k, row in enumerate(rows)])
+        body = np.concatenate([states[lo:lo + count, :T], actions[lo:lo + count].reshape(count, T, n * p)], axis=2)
+        rows = _rows(body.reshape(count * T, -1))
+        pieces = [b""] * (4 * k * count)
+        ids = [b"%d" % r for r in range(lo, lo + count)]
+        for t in range(k):
+            pieces[4 * t::4 * k] = ids
+            pieces[4 * t + 1::4 * k] = [stages[t]] * count
+            pieces[4 * t + 2::4 * k] = rows[t::T] if t < T else _rows(states[lo:lo + count, T])
+            pieces[4 * t + 3::4 * k] = [ends[t]] * count
+        yield b"".join(pieces)
 
 
 def _cmd_simulate(args, spec: GameSpec, out: Path, write) -> None:

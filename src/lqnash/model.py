@@ -318,11 +318,11 @@ def _exponent(x):
 
 def _set_aside(arr: np.ndarray, odd: np.ndarray, floats: list[bytes]) -> np.ndarray:
     """``arr`` with NaN, which orjson writes ``null``, where ``odd`` is true,
-    each of those entries' texts appended to ``floats`` in order: ``repr``'s,
-    or ``b""`` for a NaN.  ``arr`` itself, uncopied, where none is odd."""
+    each of those entries' ``repr`` texts appended to ``floats`` in order.
+    ``arr`` itself, uncopied, where none is odd."""
     if not odd.any():
         return arr
-    floats += [repr(x).encode() if x == x else b"" for x in arr[odd].tolist()]
+    floats += [repr(x).encode() for x in arr[odd].tolist()]
     return np.where(odd, np.nan, arr)
 
 

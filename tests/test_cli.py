@@ -496,7 +496,7 @@ def test_split_trajectories_match_serial(traj_game, no_process, n_traj):
     assert (traj_game[2] / "trajectories.csv").read_bytes() == expected
 
 
-def test_small_simulate_splits_rows_or_starts_no_worker(tmp_path, monkeypatch):
+def test_simulate_writes_pieces_of_64_trajectories(tmp_path, monkeypatch):
     """100 trajectories of 400 floats start no process and are laid out in
     two pieces of rows, of 64 and 36 trajectories, with the bytes of a
     row-by-row csv.writer."""
@@ -611,6 +611,64 @@ def test_trajectories_boundary_floats():
     pieces = cli._write_trajectories(states, actions)
     text = "".join([piece if isinstance(piece, str) else piece.decode() for piece in pieces])
     assert text == _reference_trajectories_csv(states, actions)
+
+
+def _mixed_floats(rng, shape) -> np.ndarray:
+    """Normals scaled by powers of ten from 1e-8 to 1e19, so about half are
+    written with an exponent."""
+    return rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 20, shape)
+
+
+@pytest.mark.parametrize("T, m, n, p", [(1, 3, 2, 2), (4, 3, 1, 2), (3, 1, 2, 4)], ids=["T=1", "N=1", "p>m"])
+def test_trajectories_edge_shapes(T, m, n, p):
+    """A horizon of one, where every other row is terminal, one agent, and
+    more action than state entries are each written as a row-by-row
+    csv.writer writes them, in a whole piece and a partial one."""
+    rng = np.random.default_rng(T + 10 * m + 100 * n + 1000 * p)
+    n_traj = cli._TRAJ_CHUNK + 5
+    states, actions = _mixed_floats(rng, (n_traj, T + 1, m)), _mixed_floats(rng, (n_traj, T, n, p))
+    pieces = list(cli._write_trajectories(states, actions))
+    assert len(pieces) == 3
+    assert "".join([pieces[0], *[piece.decode() for piece in pieces[1:]]]) == _reference_trajectories_csv(states, actions)
+
+
+@pytest.mark.parametrize("where", ["terminal", "body"])
+def test_trajectories_exponent_float_in_one_text(monkeypatch, where):
+    """An exponent float only in a terminal state, or only in a row before
+    it, sets ``null`` in one of the piece's two texts alone and is written
+    as repr writes it."""
+    rng = np.random.default_rng(9)
+    states, actions = rng.uniform(0.5, 2.0, (3, 3, 2)), rng.uniform(-2.0, -0.5, (3, 2, 2, 1))
+    if where == "terminal":
+        states[1, 2, 1] = 1e-07
+    else:
+        states[2, 0, 0], actions[0, 1, 1, 0] = -1e16, 9.503e-05
+    real, held = cli._orjson_text, []
+
+    def recorded(value, floats, indent):
+        held.append(len(floats))
+        return real(value, floats, indent)
+
+    monkeypatch.setattr(cli, "_orjson_text", recorded)
+    pieces = list(cli._write_trajectories(states, actions))
+    assert held == ([0, 1] if where == "terminal" else [2, 0])
+    text = pieces[0] + pieces[1].decode()
+    assert text == _reference_trajectories_csv(states, actions)
+    assert ("1e-07" in text) == (where == "terminal")
+    assert ("-1e+16" in text) == (where == "body")
+
+
+@pytest.mark.parametrize("n_traj", [1, 64, 65])
+@pytest.mark.parametrize("chunk", [1, 2, 64])
+def test_trajectories_any_piece_size(monkeypatch, chunk, n_traj):
+    """Pieces of 1, 2 or 64 trajectories, each a whole number of lines, give
+    the bytes of a row-by-row csv.writer for 1, 64 or 65 trajectories."""
+    monkeypatch.setattr(cli, "_TRAJ_CHUNK", chunk)
+    rng = np.random.default_rng(chunk * 100 + n_traj)
+    states, actions = _mixed_floats(rng, (n_traj, 3, 2)), _mixed_floats(rng, (n_traj, 2, 2, 2))
+    pieces = list(cli._write_trajectories(states, actions))
+    assert [piece.count(b"\n") for piece in pieces[1:]] == [3 * min(chunk, n_traj - lo) for lo in range(0, n_traj, chunk)]
+    assert "".join([pieces[0], *[piece.decode() for piece in pieces[1:]]]) == _reference_trajectories_csv(states, actions)
 
 
 @contextlib.contextmanager
