@@ -40,7 +40,7 @@ def _row_dots(a, b):
     return np.einsum("...rj,...rj->...r", a, b)
 
 
-def _rows(a):
+def _void_rows(a):
     """View of ``a`` with each last-axis row as one ``np.void`` item, so a
     transposing copy moves whole rows; the last axis must be contiguous."""
     return a.view(np.dtype((np.void, a.itemsize * a.shape[-1])))[..., 0]
@@ -91,6 +91,6 @@ def rollout(A, B, Q, R, K, L, logdets, tau, x0s, xis, omegas, states, actions, c
         x = xnext
     agent_costs += _row_dots(x @ Q[:, T], x)
     costs[...] = agent_costs.T
-    _rows(states)[...] = _rows(xs).T
-    _rows(actions)[...] = _rows(us).transpose(2, 0, 1)
+    _void_rows(states)[...] = _void_rows(xs).T
+    _void_rows(actions)[...] = _void_rows(us).transpose(2, 0, 1)
     return states, actions, costs

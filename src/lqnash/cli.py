@@ -22,17 +22,16 @@ written.  All outputs are pure functions of the spec
 bytes, flags, and seed.
 
 Every JSON document and ``trajectories.csv`` is laid out by orjson in this
-process.  ``model._set_aside`` replaces by NaN each float that orjson
-writes otherwise than ``repr`` and keeps its text, and
-``model._orjson_text`` sets those texts in for orjson's ``null``, so the
-bytes are those of ``json.dumps(indent=2)`` and ``csv.writer``.  The
-terminal rows of ``trajectories.csv``, whose actions are missing, are laid
-out apart from the others, so no missing action is a float.
+process, by ``model._dumps`` and ``model._rows``, with the bytes of
+``json.dumps(indent=2)`` and ``csv.writer`` (the ``model`` docstring says
+how).  The terminal rows of ``trajectories.csv``, whose actions are
+missing, are laid out apart from the others, so no missing action is a float.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import errno
 import os
 import shutil
@@ -52,9 +51,7 @@ from .evaluate import (
 from .model import (
     GameSpec,
     _dumps,
-    _exponent,
-    _orjson_text,
-    _set_aside,
+    _rows,
     dump_game_spec,
     dump_joint_policy,
     load_game_spec,
@@ -181,14 +178,7 @@ def _certificate_doc(spec: GameSpec, cert: ValueCertificate) -> dict:
 
 
 def _condition_doc(spec: GameSpec, condition: ConditionRecord) -> dict:
-    return {
-        "tau": float(spec.tau),
-        "gamma_B": condition.gamma_B,
-        "gamma_P": condition.gamma_P,
-        "threshold": condition.threshold,
-        "margin": condition.margin,
-        "satisfied": condition.satisfied,
-    }
+    return {"tau": float(spec.tau), **dataclasses.asdict(condition)}
 
 
 def _write_trace(report: SolveReport):
@@ -234,9 +224,8 @@ def _cmd_solve_po(args, spec: GameSpec, out: Path, write) -> None:
     write(out / "trace.csv", _write_trace(report))
     print("policy optimization finished")
     for t, stage_trace in enumerate(report.trace):
-        last = stage_trace[-1] if stage_trace else float("nan")
         print(
-            f"  stage {t}: iterations={len(stage_trace)} final_distance={last:.3e} "
+            f"  stage {t}: iterations={len(stage_trace)} final_distance={stage_trace[-1]:.3e} "
             f"modulus={report.contraction_moduli[t]:.4g}"
         )
     print(
@@ -294,14 +283,6 @@ def _cmd_eval(args, spec: GameSpec, out: Path, write) -> None:
 # Trajectories per piece of trajectories.csv.  Larger pieces write no
 # faster but raise peak memory with the text they hold.
 _TRAJ_CHUNK = 64
-
-
-def _rows(block: np.ndarray) -> list[bytes]:
-    """The text of each row of the 2-d float array ``block``, its entries
-    joined by commas as ``repr`` writes them."""
-    floats = []
-    text = _orjson_text(_set_aside(block, _exponent(block), floats), floats, indent=False)
-    return text[2:-2].split(b"],[")
 
 
 def _write_trajectories(states: np.ndarray, actions: np.ndarray):

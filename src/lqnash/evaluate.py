@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rollout import _rows, rollout
+from ._rollout import _void_rows, rollout
 from .control import (AgentValue, _cholesky, _frobenius, _logdets, best_responses, expected_costs, lyapunov_values,
                       own_weight, stage_noise, value_offsets)
 from .model import GameSpec, JointPolicy, _integer, check_policy_shape
@@ -233,7 +233,7 @@ def simulate(
         x0s = spec.init_mean + normals[:, :m] @ init_factor.T
         xis, omegas = xi_buf[:, :, :c], omega_buf[:, :c]
         # Each agent's p action normals move as one item, not p strided doubles.
-        _rows(xis)[...] = _rows(rest[:, :, : n * p].reshape(c, T, n, p)).transpose(1, 2, 0)
+        _void_rows(xis)[...] = _void_rows(rest[:, :, : n * p].reshape(c, T, n, p)).transpose(1, 2, 0)
         # The same per-trajectory products as a plain ``zetas @ F^T``,
         # written straight into stage-major memory: one product per stage
         # can round differently (it did at T == 1).

@@ -8,10 +8,12 @@ This module owns the instance container, its validation, the JSON
 file format, and a seeded random-instance generator.  One table,
 ``_shapes``, lists the seven array fields in document order with their
 shapes; loading, validation, dumping and generation all read it.
-orjson parses every document and lays out every one written.
-``_set_aside`` replaces by NaN the floats it writes otherwise than
-``repr`` and keeps their texts, and ``_orjson_text`` sets those texts in
-for orjson's ``null`` tokens, so the text is that of ``json.dumps(indent=2)``.
+orjson parses every document and lays out every one written (``_dumps``)
+and the rows of ``trajectories.csv`` (``_rows``).  It writes otherwise
+than ``repr`` the floats ``_exponent`` picks.  ``_set_aside`` finds them
+in an array, replaces them by NaN and keeps their texts, and
+``_orjson_text`` sets those texts in for orjson's ``null`` tokens, so the
+text is that of ``json.dumps(indent=2)`` or ``csv.writer``.
 """
 from __future__ import annotations
 
@@ -316,10 +318,11 @@ def _exponent(x):
     return (size < 1e-4) & (x != 0) | (size >= 1e16)
 
 
-def _set_aside(arr: np.ndarray, odd: np.ndarray, floats: list[bytes]) -> np.ndarray:
-    """``arr`` with NaN, which orjson writes ``null``, where ``odd`` is true,
-    each of those entries' ``repr`` texts appended to ``floats`` in order.
-    ``arr`` itself, uncopied, where none is odd."""
+def _set_aside(arr: np.ndarray, floats: list[bytes]) -> np.ndarray:
+    """``arr`` with NaN, which orjson writes ``null``, where :func:`_exponent`
+    picks an entry, each of those entries' ``repr`` texts appended to
+    ``floats`` in order.  ``arr`` itself, uncopied, where it picks none."""
+    odd = _exponent(arr)
     if not odd.any():
         return arr
     floats += [repr(x).encode() for x in arr[odd].tolist()]
@@ -337,7 +340,7 @@ def _finite(node, floats: list[bytes]):
         if not finite.all():
             raise ValueError(f"Out of range float values are not JSON compliant: {float(node[~finite][0])!r}")
         if node.ndim:
-            return _set_aside(node, _exponent(node), floats)
+            return _set_aside(node, floats)
         node = float(node)
     if isinstance(node, float):
         if not math.isfinite(node):
@@ -382,6 +385,14 @@ def _dumps(doc) -> str:
     """
     floats = []
     return _orjson_text(_finite(doc, floats), floats, indent=True).decode()
+
+
+def _rows(block: np.ndarray) -> list[bytes]:
+    """The text of each row of the 2-d float array ``block``, its entries
+    joined by commas as ``repr`` writes them."""
+    floats = []
+    text = _orjson_text(_set_aside(block, floats), floats, indent=False)
+    return text[2:-2].split(b"],[")
 
 
 def dump_game_spec(spec: GameSpec) -> str:

@@ -70,7 +70,8 @@ class ConditionRecord:
     """Outcome of the regularization-adequacy check.
 
     ``threshold = 2 * gamma_B**2 * gamma_P * (num_agents - 1)`` and the check
-    passes iff ``tau > threshold * (1 + margin)`` (strict).
+    passes iff ``tau > threshold * (1 + margin)`` (strict).  The fields, in
+    this order, follow ``tau`` as the keys of ``condition.json``.
     """
 
     gamma_B: float
@@ -320,7 +321,6 @@ def po_solve(
     n, T = spec.num_agents, spec.horizon
     m, p = spec.state_dim, spec.action_dim
     agents, diagonal, half = np.arange(n), _diagonal(n, p), 0.5 * spec.tau * np.eye(p)
-    first = np.zeros(T)  # the gain part of each stage's first inner distance
     trace_by_stage: list = [None] * T
 
     def gain_step(t, products, BPA):
@@ -335,22 +335,20 @@ def po_solve(
         for _ in range(L):
             new = c + M @ G
             diff = new - G
-            d = gain = np.add.reduce(np.sqrt(np.add.reduce((diff * diff).reshape(n, -1), axis=1)))
-            if not distances:
-                # The covariance moves only on the first iteration, which adds its
-                # norm (after the loop); it can decide the stop test only here.
-                first[t] = d
-                if stop_tol is not None and d < stop_tol:
-                    d = d + _frobenius(stage_covariance(bracket, spec.tau)).sum()
-            elif gain > first[t] and not grew:
+            d = np.add.reduce(np.sqrt(np.add.reduce((diff * diff).reshape(n, -1), axis=1)))
+            if distances and d > distances[0] and not grew:
                 # Growth diverges only if M has an eigenvalue of modulus >= 1; below
                 # that, a non-normal M can grow transiently and still converge.
                 grew = True
                 if not (np.isfinite(M).all() and np.abs(np.linalg.eigvals(M)).max() < 1.0):
-                    raise SolverError(f"inner iteration diverged, gain distance {first[t]:.3e} "
-                                      f"to {gain:.3e} in {len(distances) + 1} iterations")
+                    raise SolverError(f"inner iteration diverged, gain distance {distances[0]:.3e} "
+                                      f"to {d:.3e} in {len(distances) + 1} iterations")
             G = new
             distances.append(float(d))
+            if len(distances) == 1 and stop_tol is not None and d < stop_tol:
+                # The covariance moves only on the first iteration, which adds its
+                # norm (after the loop); it can decide the stop test only here.
+                d = d + _frobenius(stage_covariance(bracket, spec.tau)).sum()
             if stop_tol is not None and d < stop_tol or math.isnan(d):  # NaN gains stay NaN
                 break
         trace_by_stage[t] = distances
@@ -359,9 +357,9 @@ def po_solve(
     blocks = stage_blocks(spec)
     run = _backward(spec, blocks, gain_step)
     policy, covs, _ = _check_pass(spec, blocks, run)
-    # The first distances, value norms and moduli, stacked over the stages.
-    for distances, d in zip(trace_by_stage, (first + np.add.reduce(_frobenius(covs), axis=-1)).tolist()):
-        distances[0] = d
+    # Each stage's first distance adds its covariance norms; then value norms and moduli, stacked over the stages.
+    for distances, norm in zip(trace_by_stage, np.add.reduce(_frobenius(covs), axis=-1).tolist()):
+        distances[0] += norm
     norms = _frobenius(run[3]).max(axis=0)  # over the policy's value matrices
     with np.errstate(over="ignore"):
         moduli = uniqueness_threshold(spec, norms[1:])[1] / spec.tau

@@ -643,13 +643,13 @@ def test_trajectories_exponent_float_in_one_text(monkeypatch, where):
         states[1, 2, 1] = 1e-07
     else:
         states[2, 0, 0], actions[0, 1, 1, 0] = -1e16, 9.503e-05
-    real, held = cli._orjson_text, []
+    real, held = model._orjson_text, []
 
     def recorded(value, floats, indent):
         held.append(len(floats))
         return real(value, floats, indent)
 
-    monkeypatch.setattr(cli, "_orjson_text", recorded)
+    monkeypatch.setattr(model, "_orjson_text", recorded)
     pieces = list(cli._write_trajectories(states, actions))
     assert held == ([0, 1] if where == "terminal" else [2, 0])
     text = pieces[0] + pieces[1].decode()
