@@ -192,9 +192,14 @@ def _write_trace(report: SolveReport):
         yield "".join([f"{t},{l},{float(dist)!r}{tail}" for l, dist in enumerate(stage_trace, start=1)])
 
 
+def _given(args, *names: str) -> dict:
+    """The options among ``names`` given on the command line, by name."""
+    return {name: getattr(args, name) for name in names if name in args}
+
+
 def _cmd_randgen(args, _, out: Path, write) -> None:
-    spec = random_game(args.agents, args.horizon, args.state_dim, args.action_dim, args.seed, args.scale)
-    if args.tau is not None:
+    spec = random_game(args.agents, args.horizon, args.state_dim, args.action_dim, **_given(args, "seed", "scale"))
+    if "tau" in args:
         spec = spec.with_tau(args.tau)
     write(out / "spec.json", dump_game_spec(spec))
     print(
@@ -205,7 +210,7 @@ def _cmd_randgen(args, _, out: Path, write) -> None:
 
 def _cmd_solve_exact(args, spec: GameSpec, out: Path, write) -> None:
     sol = exact_ne(spec)
-    condition = check_assumption_tau(spec, sol, args.margin)
+    condition = check_assumption_tau(spec, sol, **_given(args, "margin"))
     write(out / "policy.json", dump_joint_policy(sol.policy))
     cert = _certificate(spec, sol.riccati, sol.offsets)
     write(out / "certificate.json", _dumps(_certificate_doc(spec, cert)))
@@ -219,7 +224,7 @@ def _cmd_solve_exact(args, spec: GameSpec, out: Path, write) -> None:
 
 
 def _cmd_solve_po(args, spec: GameSpec, out: Path, write) -> None:
-    report = po_solve(spec, inner_iters=args.inner_iters, stop_tol=args.stop_tol)
+    report = po_solve(spec, **_given(args, "inner_iters", "stop_tol"))
     write(out / "policy.json", dump_joint_policy(report.policy))
     write(out / "trace.csv", _write_trace(report))
     print("policy optimization finished")
@@ -236,7 +241,7 @@ def _cmd_solve_po(args, spec: GameSpec, out: Path, write) -> None:
 
 def _cmd_check(args, spec: GameSpec, out: Path, write) -> None:
     sol = exact_ne(spec)
-    condition = check_assumption_tau(spec, sol, args.margin)
+    condition = check_assumption_tau(spec, sol, **_given(args, "margin"))
     write(out / "condition.json", _dumps(_condition_doc(spec, condition)))
     print(
         f"tau={spec.tau:g} gamma_B={condition.gamma_B:.6g} gamma_P={condition.gamma_P:.6g} "
@@ -245,15 +250,8 @@ def _cmd_check(args, spec: GameSpec, out: Path, write) -> None:
 
 
 def _cmd_augment(args, spec: GameSpec, out: Path, write) -> None:
-    report = delta_augment_solve(
-        spec,
-        delta_init=args.delta_init,
-        growth=args.growth,
-        max_rounds=args.max_rounds,
-        inner_iters=args.inner_iters,
-        stop_tol=args.stop_tol,
-        margin=args.margin,
-    )
+    given = _given(args, "growth", "max_rounds", "inner_iters", "stop_tol", "margin")
+    report = delta_augment_solve(spec, args.delta_init, **given)
     write(out / "policy.json", dump_joint_policy(report.policy))
     write(out / "trace.csv", _write_trace(report))
     doc = _condition_doc(spec, report.condition)
@@ -271,12 +269,12 @@ def _cmd_eval(args, spec: GameSpec, out: Path, write) -> None:
     gaps = _nash_gaps(spec, joint, cert.expected_costs)
     doc = _certificate_doc(spec, cert)
     doc["exploitability"] = gaps
-    if args.compare is not None:
+    if "compare" in args:
         doc["compare_distance"] = policy_distance(joint, load_joint_policy(_read(args.compare, "comparison policy")))
     write(out / "certificate.json", _dumps(doc))
     for i, (cost, gap) in enumerate(zip(cert.expected_costs.tolist(), gaps.tolist())):
         print(f"  agent {i}: expected cost {cost:.12g} nash gap {gap:.6e}")
-    if args.compare is not None:
+    if "compare" in args:
         print(f"policy distance to {args.compare}: {doc['compare_distance']:.6e}")
 
 
@@ -329,64 +327,55 @@ def _cmd_simulate(args, spec: GameSpec, out: Path, write) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Every subcommand's parser.  An option left out sets no attribute, so the library
+    function it feeds applies its own default; only an option whose function has none has one."""
     parser = argparse.ArgumentParser(
         prog="lqnash",
         description="Solvers and certification for entropy-regularized LQ games.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, spec: bool = True) -> None:
+    def command(name: str, func, help: str, spec: bool = True) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
         if spec:
             p.add_argument("--spec", required=True, help="path to the game JSON document")
         p.add_argument("--out", required=True, help="output directory")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("solve-exact", help="exact equilibrium via the backward stacked solve")
-    add_common(p)
-    p.add_argument("--margin", type=float, default=0.0)
-    p.set_defaults(func=_cmd_solve_exact)
+    p = command("solve-exact", _cmd_solve_exact, "exact equilibrium via the backward stacked solve")
+    p.add_argument("--margin", type=float)
 
-    p = sub.add_parser("solve-po", help="iterative receding-horizon policy optimization")
-    add_common(p)
-    p.add_argument("--inner-iters", type=int, default=None)
-    p.add_argument("--stop-tol", type=float, default=1e-10)
-    p.set_defaults(func=_cmd_solve_po)
+    p = command("solve-po", _cmd_solve_po, "iterative receding-horizon policy optimization")
+    p.add_argument("--inner-iters", type=int)
+    p.add_argument("--stop-tol", type=float)
 
-    p = sub.add_parser("check", help="solve exactly and test the uniqueness condition")
-    add_common(p)
-    p.add_argument("--margin", type=float, default=0.0)
-    p.set_defaults(func=_cmd_check)
+    p = command("check", _cmd_check, "solve exactly and test the uniqueness condition")
+    p.add_argument("--margin", type=float)
 
-    p = sub.add_parser("augment", help="tau-augmentation fallback solve")
-    add_common(p)
+    p = command("augment", _cmd_augment, "tau-augmentation fallback solve")
     p.add_argument("--delta-init", type=float, default=1e-3)
-    p.add_argument("--growth", type=float, default=2.0)
-    p.add_argument("--max-rounds", type=int, default=20)
-    p.add_argument("--inner-iters", type=int, default=None)
-    p.add_argument("--stop-tol", type=float, default=1e-10)
-    p.add_argument("--margin", type=float, default=0.0)
-    p.set_defaults(func=_cmd_augment)
+    p.add_argument("--growth", type=float)
+    p.add_argument("--max-rounds", type=int)
+    p.add_argument("--inner-iters", type=int)
+    p.add_argument("--stop-tol", type=float)
+    p.add_argument("--margin", type=float)
 
-    p = sub.add_parser("eval", help="certify the policy.json in --out; optional comparison")
-    add_common(p)
-    p.add_argument("--compare", default=None, help="second policy file to measure distance to")
-    p.set_defaults(func=_cmd_eval)
+    p = command("eval", _cmd_eval, "certify the policy.json in --out; optional comparison")
+    p.add_argument("--compare", help="second policy file to measure distance to")
 
-    p = sub.add_parser("simulate", help="Monte Carlo rollouts of the policy.json in --out")
-    add_common(p)
+    p = command("simulate", _cmd_simulate, "Monte Carlo rollouts of the policy.json in --out")
     p.add_argument("--n-traj", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("randgen", help="generate a seeded random game document")
-    add_common(p, spec=False)
+    p = command("randgen", _cmd_randgen, "generate a seeded random game document", spec=False)
     p.add_argument("--agents", type=int, required=True)
     p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--state-dim", type=int, required=True)
     p.add_argument("--action-dim", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--tau", type=float, default=None)
-    p.set_defaults(func=_cmd_randgen)
+    p.add_argument("--scale", type=float)
+    p.add_argument("--tau", type=float)
 
     return parser
 

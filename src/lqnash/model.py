@@ -269,19 +269,20 @@ def _load_header(text: str, keys: tuple[str, ...]) -> tuple[dict, tuple[int, ...
     every one of ``keys``, and its four positive dimensions ``_DIMS``.
 
     orjson parses the document, three to four times as fast as json, to
-    the same floats.  json parses it again where orjson refuses it (``NaN``, a
-    number past the float range, a lone surrogate, malformed text), where
-    it is not an object, or where a dimension comes back as a float: orjson
+    the same floats.  json parses it again only where orjson refuses it
+    (``NaN``, a number past the float range, a lone surrogate, malformed
+    text) or where a dimension of the object comes back as a float: orjson
     reads an integer outside [-2**63, 2**64) as one.  So json names every
-    rejected document as it always has; one nested past the interpreter's
-    recursion limit is malformed too."""
+    rejected document as it always has, one nested past the interpreter's
+    recursion limit as malformed; a non-object orjson parses is named at once."""
     import orjson  # 5 ms of imports (uuid, zoneinfo) that only a document load pays
 
     try:
         doc = orjson.loads(text)
+        again = isinstance(doc, dict) and any(type(doc.get(key)) is float for key in _DIMS)
     except orjson.JSONDecodeError:
-        doc = None
-    if not isinstance(doc, dict) or any(type(doc.get(key)) is float for key in _DIMS):
+        again = True
+    if again:
         try:
             doc = json.loads(text, parse_constant=_reject_constant)
         except (json.JSONDecodeError, RecursionError) as exc:  # nested past the recursion limit
@@ -397,9 +398,7 @@ def _rows(block: np.ndarray) -> list[bytes]:
 
 def dump_game_spec(spec: GameSpec) -> str:
     """Serialize to the canonical JSON document (exact float round-trip)."""
-    doc = {field.name: getattr(spec, field.name) for field in dataclasses.fields(spec)}
-    doc["tau"] = float(spec.tau)
-    return _dumps(doc)
+    return _dumps({**{key: getattr(spec, key) for key in _TOP_KEYS}, "tau": float(spec.tau)})
 
 
 def _symmetrized(x: np.ndarray, field: str) -> np.ndarray:
@@ -554,15 +553,8 @@ def check_policy_shape(spec: GameSpec, joint: JointPolicy) -> None:
 
 def dump_joint_policy(joint: JointPolicy) -> str:
     """Serialize a joint policy to JSON (same conventions as the game file)."""
-    doc = {
-        "num_agents": joint.num_agents,
-        "horizon": joint.horizon,
-        "state_dim": joint.gains.shape[3],
-        "action_dim": joint.gains.shape[2],
-        "gains": joint.gains,
-        "covs": joint.covs,
-    }
-    return _dumps(doc)
+    n, T, p, m = joint.gains.shape
+    return _dumps({**dict(zip(_DIMS, (n, T, m, p))), "gains": joint.gains, "covs": joint.covs})
 
 
 def load_joint_policy(text: str) -> JointPolicy:

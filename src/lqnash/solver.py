@@ -18,7 +18,7 @@ fallback used when that check fails.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -81,7 +81,7 @@ class ConditionRecord:
     satisfied: bool
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SolveReport:
     """Iterative-solver output plus convergence diagnostics.
 
@@ -128,26 +128,25 @@ def _exact_backward(spec: GameSpec, cond_limit: float = COND_LIMIT, margin: floa
     """:func:`exact_ne`, or with a ``margin`` an augmentation round that
     returns ``None`` once its values rule the check out (see :func:`_backward`)."""
     blocks = stage_blocks(spec)
-    reg = blocks[3]
-    run = _backward(spec, blocks, lambda t, products, BPA: np.linalg.solve(products + reg[t], -BPA), margin)
+    run = _backward(spec, blocks, lambda t, phi, BPA: np.linalg.solve(phi + blocks[3][t], -BPA), margin, cond_limit)
     if run is None:
         return None
-    policy, _, q = _check_pass(spec, blocks, run, cond_limit)
-    return NESolution(policy=policy, riccati=run[3], offsets=q)
+    policy, _, P, q = run
+    return NESolution(policy=policy, riccati=P, offsets=q)
 
 
-def _backward(spec: GameSpec, blocks, gain_step, margin: float | None = None):
+def _backward(spec: GameSpec, blocks, gain_step, margin: float | None = None, cond_limit: float | None = None):
     """The backward stage loop of both solvers: per stage, the joint products,
     the gains ``gain_step(t, products, BPA)``, the own cost and the value step.
-    Returns the stacked products ``(T, N p, N p)``, ``B^T P A``, gains
-    ``(T, N p, m)``, values ``(N, T+1, m, m)`` and, if the loop stopped
-    early, ``(stage, LinAlgError, SolverError or None)``, else ``None``,
-    unchecked.  A gain step may raise either error to fail its stage.  Every
-    ``_CHECK_EVERY`` stages the loop stops once a value solved since the last
-    check is not finite.  With a ``margin`` it returns ``None`` as soon as
-    the values solved so far fail the adequacy check at that margin: their
-    largest norm bounds ``gamma_P`` from below, and the threshold grows with
-    ``gamma_P``, so the full pass fails it too.
+    A gain step may raise ``LinAlgError`` or :class:`SolverError` to fail its
+    stage.  Every ``_CHECK_EVERY`` stages the loop stops once a value solved
+    since the last check is not finite.  :func:`_check_pass` then raises the
+    first failure, ``cond(Phi_t)`` above a ``cond_limit`` included, or the
+    pass returns the policy, stage covariances ``(T, N, p, p)``, values
+    ``(N, T+1, m, m)`` and offsets ``(N, T+1)``.  With a ``margin`` it returns
+    ``None`` as soon as the values solved so far fail the adequacy check at
+    that margin: their largest norm bounds ``gamma_P`` from below, and the
+    threshold grows with ``gamma_P``, so the full pass fails it too.
     """
     n, T = spec.num_agents, spec.horizon
     m, p = spec.state_dim, spec.action_dim
@@ -178,20 +177,22 @@ def _backward(spec: GameSpec, blocks, gain_step, margin: float | None = None):
                 gamma_p = max(gamma_p, _max_frobenius(fresh))
                 if not _condition(spec, gamma_p, margin, gamma_b).satisfied:
                     return None
-    return phis, BPA, G, P, failure
+    policy, covs, q = _check_pass(spec, blocks, (phis, BPA, G, P), failure, cond_limit)
+    return policy, covs, P, q
 
 
-def _check_pass(spec: GameSpec, blocks, run, cond_limit: float | None = None):
-    """Check a pass ``run`` of :func:`_backward` with :func:`_stage_checks` over
-    all stages and, only if that fails or the loop stopped early, stage by
-    stage from ``T-1`` down, to raise the first failure with its stage.
-    Returns the policy, stage covariances ``(T, N, p, p)`` and offsets ``(N, T+1)``."""
-    gains, failure = run[2], run[4]
+def _check_pass(spec: GameSpec, blocks, run, failure, cond_limit: float | None):
+    """Check a pass ``run`` of :func:`_backward`, its products ``(T, N p, N p)``,
+    ``B^T P A``, gains ``(T, N p, m)`` and values, with :func:`_stage_checks`
+    over all stages and, only if that fails or the loop stopped early at
+    ``failure`` ``(stage, error or None)``, stage by stage from ``T-1`` down,
+    to raise the first failure with its stage.  Returns the policy, stage
+    covariances and offsets."""
     n, T = spec.num_agents, spec.horizon
     checked = None if failure else _stage_checks(spec, blocks, run, 0, T, cond_limit)
     if isinstance(checked, tuple):
         covs, q = checked
-        gains = gains.reshape(T, n, spec.action_dim, spec.state_dim).swapaxes(0, 1)
+        gains = run[2].reshape(T, n, spec.action_dim, spec.state_dim).swapaxes(0, 1)
         return JointPolicy(gains, covs.swapaxes(0, 1)), covs, q
     # Stage by stage, the checks do the stacked arithmetic matrix by matrix; a
     # stacked failure that no later stage reproduces is charged to stage 0.
@@ -212,7 +213,7 @@ def _stage_checks(spec: GameSpec, blocks, run, lo: int, hi: int, cond_limit=None
     Cholesky factor; finite values and offsets, ``q_next`` ``(N, 1)`` those of
     stage ``hi``.  Returns the first failure's text, else the covariances
     ``(hi-lo, N, p, p)`` and offsets ``(N, hi-lo+1)`` of the stages."""
-    phis, BPA, _, P, _ = run
+    phis, BPA, _, P = run
     n, p = spec.num_agents, spec.action_dim
     weight, reg = blocks[2:]
     A, diverged = spec.A[lo:hi], "are not finite; the backward pass diverged"
@@ -277,6 +278,11 @@ def check_assumption_tau(spec: GameSpec, sol: NESolution, margin: float = 0.0) -
     return _condition(spec, _max_frobenius(sol.riccati), margin)
 
 
+def _spectral_radius(M: np.ndarray) -> float:
+    """The largest modulus of an eigenvalue of ``M``; NaN unless ``M`` is finite."""
+    return float(np.abs(np.linalg.eigvals(M)).max()) if np.isfinite(M).all() else math.nan
+
+
 def _inner_limit(inner_iters: int | None, stop_tol: float | None) -> int:
     """The cap on :func:`po_solve`'s inner iterations; ``ValueError`` unless
     its stopping arguments are valid."""
@@ -306,15 +312,17 @@ def po_solve(
     ``inner_iters`` must be a Python or numpy integer, not ``bool``.
 
     Non-convergence is visible in the returned trace (distances failing to
-    decrease) and in the contraction moduli.  The first time a stage's gain
-    distance exceeds its first, its iteration matrix ``-D^{-1} E`` is
-    checked once: if it has spectral radius >= 1 or is not finite, the
-    stage diverged and stops at that iteration; growth under a smaller
-    radius is transient.  The stage loop and every check but the
-    condition of ``Phi_t``, which PO never solves, are
-    :func:`exact_ne`'s: :class:`SolverError` names the stage that
-    diverged, whose stage matrices, open-loop values, values or offsets
-    are not finite, or one of whose solves or factorizations is singular.
+    decrease) and in the contraction moduli.  A stage's iteration matrix
+    ``-D^{-1} E`` is checked once: the first time its gain distance exceeds
+    its first or, with ``inner_iters`` not given, at the cap if the stop test
+    is unmet and growth never checked it.  Spectral radius >= 1, or a matrix
+    not finite, raises: the stage diverges or never converges.  Growth under
+    a smaller radius is transient, and a stage capped under it is returned.
+    The stage loop and every check but the condition of ``Phi_t``, which PO
+    never solves, are :func:`exact_ne`'s: :class:`SolverError` names the
+    stage that diverged, whose stage matrices, open-loop values, values or
+    offsets are not finite, or one of whose solves or factorizations is
+    singular.
     """
     L = _inner_limit(inner_iters, stop_tol)
 
@@ -340,7 +348,7 @@ def po_solve(
                 # Growth diverges only if M has an eigenvalue of modulus >= 1; below
                 # that, a non-normal M can grow transiently and still converge.
                 grew = True
-                if not (np.isfinite(M).all() and np.abs(np.linalg.eigvals(M)).max() < 1.0):
+                if not _spectral_radius(M) < 1.0:
                     raise SolverError(f"inner iteration diverged, gain distance {distances[0]:.3e} "
                                       f"to {d:.3e} in {len(distances) + 1} iterations")
             G = new
@@ -351,16 +359,18 @@ def po_solve(
                 d = d + _frobenius(stage_covariance(bracket, spec.tau)).sum()
             if stop_tol is not None and d < stop_tol or math.isnan(d):  # NaN gains stay NaN
                 break
+        else:  # at the cap without meeting the stop test, which the default cap promises
+            if inner_iters is None and not grew and not (rho := _spectral_radius(M)) < 1.0:
+                raise SolverError(f"inner iteration did not converge, spectral radius {rho:.6g} >= 1 after {L} "
+                                  f"iterations, gain distance {distances[0]:.3e} to {distances[-1]:.3e}")
         trace_by_stage[t] = distances
         return G
 
-    blocks = stage_blocks(spec)
-    run = _backward(spec, blocks, gain_step)
-    policy, covs, _ = _check_pass(spec, blocks, run)
+    policy, covs, P, _ = _backward(spec, stage_blocks(spec), gain_step)
     # Each stage's first distance adds its covariance norms; then value norms and moduli, stacked over the stages.
     for distances, norm in zip(trace_by_stage, np.add.reduce(_frobenius(covs), axis=-1).tolist()):
         distances[0] += norm
-    norms = _frobenius(run[3]).max(axis=0)  # over the policy's value matrices
+    norms = _frobenius(P).max(axis=0)  # over the policy's value matrices
     with np.errstate(over="ignore"):
         moduli = uniqueness_threshold(spec, norms[1:])[1] / spec.tau
     return SolveReport(
@@ -429,10 +439,7 @@ def delta_augment_solve(
         raise SolverError(f"augmentation failed after {max_rounds} rounds ({_round_failure(spec, failed, margin)})")
 
     report = po_solve(augmented, inner_iters=inner_iters, stop_tol=stop_tol)  # the accepted round's game
-    report.condition = condition
-    report.delta_used = float(delta)
-    report.nash_gaps = exploitability(spec, report.policy)
-    return report
+    return replace(report, condition=condition, delta_used=float(delta), nash_gaps=exploitability(spec, report.policy))
 
 
 def _round_failure(spec: GameSpec, delta: float | None, margin: float) -> str:

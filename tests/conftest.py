@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -33,6 +34,20 @@ SCALAR_GAME_TEXT = (
     ' "A": [1], "B": [1], "Q": [1, 1], "R": [1],'
     ' "noise_cov": 0, "init_mean": 1, "init_cov": 0}'
 )
+
+
+def singular_game_text(k: float) -> str:
+    """A two-agent, one-stage game whose coupling matrix ``Phi_0`` is
+    ``[[2, k], [k, 2]]``, singular at ``k = 2``: ``B^1 = e1``, ``B^2 = e2``,
+    ``A = I``, ``R = 0.5``, tau 1, zero stage costs and terminal costs
+    ``Q^1 = v v^T``, ``v = (1, k)``, and ``Q^2 = w w^T``, ``w = (k, 1)``."""
+    eye, zero = [[1, 0], [0, 1]], [[0, 0], [0, 0]]
+    return json.dumps({
+        "num_agents": 2, "horizon": 1, "state_dim": 2, "action_dim": 1, "tau": 1,
+        "A": eye, "B": [[[1], [0]], [[0], [1]]],
+        "Q": [[zero, [[1, k], [k, k * k]]], [zero, [[k * k, k], [k, 1]]]],
+        "R": [0.5, 0.5], "noise_cov": eye, "init_mean": [0, 0], "init_cov": eye,
+    })
 
 
 @pytest.fixture

@@ -1,7 +1,9 @@
+import argparse
 import contextlib
 import csv
 import errno
 import gc
+import inspect
 import io
 import json
 import os
@@ -18,7 +20,8 @@ import lqnash as lq
 from lqnash import cli, model
 from lqnash.cli import main
 
-from conftest import BOUNDARY_FLOATS, SCALAR_GAME_TEXT, finite_float_arrays, overflowing_policies, random_pd_policy
+from conftest import (BOUNDARY_FLOATS, SCALAR_GAME_TEXT, finite_float_arrays, overflowing_policies, random_pd_policy,
+                      singular_game_text)
 
 
 @pytest.fixture
@@ -30,6 +33,30 @@ def scalar_spec_file(tmp_path):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+# The library function each command's options feed; eval's --compare feeds none.
+LIBRARY = {"randgen": lq.random_game, "solve-exact": lq.check_assumption_tau, "solve-po": lq.po_solve,
+           "check": lq.check_assumption_tau, "augment": lq.delta_augment_solve, "eval": None, "simulate": lq.simulate}
+
+
+@pytest.mark.parametrize("command", sorted(LIBRARY))
+def test_left_out_options_take_the_library_defaults(command):
+    """Parsed with only its required flags, a command sets no attribute for
+    an option whose library parameter has a default, nor for one that feeds
+    no parameter (--tau, --compare), so the library's default is in force;
+    it sets one only for a parameter without a default."""
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(commands.choices) == sorted(LIBRARY)
+    actions = commands.choices[command]._actions
+    args = parser.parse_args([command] + [s for a in actions if a.required for s in (a.option_strings[0], "1")])
+    params = inspect.signature(LIBRARY[command]).parameters if LIBRARY[command] else {}
+    options = [a.dest for a in actions if a.option_strings and not a.required and a.dest != "help"]
+    assert options
+    for dest in options:
+        no_default = dest in params and params[dest].default is inspect.Parameter.empty
+        assert (dest in args) == no_default, dest
 
 
 def test_randgen_round_trip(tmp_path):
@@ -981,6 +1008,19 @@ def test_po_divergence_exit_code_with_warnings_as_errors(tmp_path, capsys):
     assert code == 3
     assert "stage 399: inner iteration diverged" in capsys.readouterr().err
     assert not (tmp_path / "po" / "policy.json").exists()
+
+
+@pytest.mark.parametrize("command", ["solve-exact", "check", "solve-po"])
+def test_singular_stage_exit_code(tmp_path, capsys, command):
+    """The hand-built game with a singular coupling matrix is a solver error
+    (exit 3) naming stage 0 for both solvers, and no file is written."""
+    path, out = tmp_path / "singular.json", tmp_path / "out"
+    path.write_text(singular_game_text(2))
+    assert run(command, "--spec", path, "--out", out) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error (solver): stage 0: ")
+    assert "wrote" not in captured.out
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["solve-exact", "solve-po"])

@@ -271,9 +271,9 @@ PARSER_CASES = {
     "duplicate-keys": (_documents(["1"], extra=', "tau": 0.5, "covs": [[[[2]]]]'), False),
     "non-ascii-key": (_documents(["1"], extra=', "clé": "équilibre"'), False),
     "trailing-garbage": ({kind: text + " x" for kind, text in _documents(["1"]).items()}, True),
-    "number-top-level": (dict.fromkeys(LOADERS, "5"), True),
-    "array-top-level": (dict.fromkeys(LOADERS, "[1, 2]"), True),
-    "null-top-level": (dict.fromkeys(LOADERS, "null"), True),
+    "number-top-level": (dict.fromkeys(LOADERS, "5"), False),
+    "array-top-level": (dict.fromkeys(LOADERS, "[1, 2]"), False),
+    "null-top-level": (dict.fromkeys(LOADERS, "null"), False),
 }
 
 
@@ -283,8 +283,8 @@ PARSER_CASES = {
 ])
 def test_orjson_loads_as_json_does(kind, text, fallback):
     """A document loads to the same bytes, or fails with the same error, as
-    when json parses it alone; json parses it only where orjson refuses it,
-    the result is not an object, or a dimension comes back as a float."""
+    when json parses it alone; json parses it only where orjson refuses it
+    or a dimension of the object comes back as a float."""
     assert _load_outcome(kind, text) == (_load_outcome(kind, text, json_only=True)[0], int(fallback))
 
 
@@ -299,15 +299,19 @@ def test_orjson_reads_the_floats_json_reads(values, style):
         assert _load_outcome(kind, text)[0] == _load_outcome(kind, text, json_only=True)[0]
 
 
-@pytest.mark.parametrize("where", ["field", "ignored-key"])
+@pytest.mark.parametrize("where", ["field", "ignored-key", "top-level"])
 def test_nesting_past_the_recursion_limit(where):
     """json cannot parse a document nested deeper than the interpreter's
     recursion limit, and the document is named malformed.  An orjson that
     parses it (3.8 sets no depth limit) gives what a shallow document
-    gives: a named field error, or a load that ignores the key.  One that
-    refuses it hands it to json, as any refused document."""
+    gives: a named field error, a load that ignores the key, or a top level
+    that is not an object.  One that refuses it hands it to json, as any
+    refused document."""
     deep = "[" * 5000 + "1" + "]" * 5000
-    text = _documents([deep] if where == "field" else ["1"], extra="" if where == "field" else f', "x": {deep}')
+    if where == "top-level":
+        text = dict.fromkeys(LOADERS, deep)
+    else:
+        text = _documents([deep] if where == "field" else ["1"], extra="" if where == "field" else f', "x": {deep}')
     for kind in LOADERS:
         (field, message), calls = _load_outcome(kind, text[kind], json_only=True)
         assert (field, calls) == ("", 1)
@@ -320,6 +324,8 @@ def test_nesting_past_the_recursion_limit(where):
         if where == "field":
             field = {"game": "A", "policy": "gains"}[kind]
             expected = field, f"{field}: not a (rectangular) numeric array"
+        elif where == "top-level":
+            expected = _load_outcome(kind, "[1, 2]")[0]
         else:
             expected = _load_outcome(kind, _documents(["1"])[kind])[0]
         assert _load_outcome(kind, text[kind]) == (expected, 0)

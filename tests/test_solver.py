@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import lqnash as lq
 from lqnash import control, solver
 
-from conftest import stage_fixed_point_residual, with_tau
+from conftest import singular_game_text, stage_fixed_point_residual, with_tau
 
 
 def symmetric_two_agent_scalar(tau=4.0):
@@ -469,6 +469,41 @@ def test_transient_po_growth_is_not_divergence():
     assert len(stage) == 5 and stage[-1] > 2.97
     (stage,) = lq.po_solve(spec).trace
     assert stage[-1] < 0.05
+
+
+def test_default_po_names_a_capped_stage_that_never_converges():
+    """In the (2, 20, 3, 2) seed-0 game at scale 1.5 and tau 0.1, the gain
+    distance of stage 10 falls from 4.28 to 3.58 over the 500 iterations of
+    the default cap, so it never grows past its first; its iteration matrix
+    has spectral radius 1.00007, so default PO names the stage.  The capped
+    stages before it (15 and 11) have radii below 1 and are returned.
+    Under an explicit cap the run returns, as the fixed-count scheme does."""
+    spec = lq.random_game(2, 20, 3, 2, seed=0, scale=1.5).with_tau(0.1)
+    expected = r"^stage 10: inner iteration did not converge, spectral radius 1\.00007 >= 1 after 500 iterations"
+    with pytest.raises(lq.SolverError, match=expected) as info:
+        lq.po_solve(spec)
+    first, last = map(float, re.fullmatch(r".*gain distance (\S+) to (\S+)", str(info.value)).groups())
+    assert 3.5 < last < first < 4.3
+    report = lq.po_solve(spec, inner_iters=solver.MAX_INNER_ITERS)
+    assert [t for t, stage in enumerate(report.trace) if len(stage) == solver.MAX_INNER_ITERS] == [9, 10, 11, 15]
+
+
+def test_singular_stage_game():
+    """At k = 2 the coupling matrix of the hand-built game is singular:
+    exact_ne names stage 0 and its condition number, and default PO, whose
+    iteration matrix -[[0, 1], [1, 0]] keeps the gain distance constant,
+    names the stage when it reaches the cap.  At k = 1.9 both return the
+    same equilibrium."""
+    spec = lq.load_game_spec(singular_game_text(2))
+    with pytest.raises(lq.SolverError, match=r"^stage 0: coupling matrix condition 5\.962e\+16 exceeds 1\.0e\+12"):
+        lq.exact_ne(spec)
+    with pytest.raises(lq.SolverError, match=r"^stage 0: inner iteration did not converge, spectral radius 1 >= 1 "
+                                             r"after 500 iterations, gain distance 2\.236e\+00 to 2\.236e\+00$"):
+        lq.po_solve(spec)
+    spec = lq.load_game_spec(singular_game_text(1.9))
+    sol, report = lq.exact_ne(spec), lq.po_solve(spec)
+    npt.assert_allclose(report.policy.gains, sol.policy.gains, atol=1e-9)
+    npt.assert_allclose(report.policy.covs, sol.policy.covs, atol=1e-12)
 
 
 def condition_case():
