@@ -7,19 +7,20 @@ Subcommands: ``solve-exact``, ``solve-po``, ``check``, ``augment``,
 summary goes to stdout.  ``eval`` and ``simulate`` consume the
 ``policy.json`` a solver wrote into the same ``--out`` directory.
 
-Every file is read by ``_read`` and written by ``_Files.write``, which
-writes ``\n`` line ends on every platform.  A command only stages its
-files and prints its summary; ``main`` owns every other effect.  It reads
-the spec and creates ``--out`` before a command runs.  Once the command
-succeeds, it moves the staged files into place, and only then prints one
-``wrote`` line naming them in the order they were written.  A move that
-fails or is interrupted restores the targets already moved, so a command
-that fails, or is interrupted, changes no file in ``--out`` and prints no
-``wrote`` line.  ``main`` maps each error to its exit code: 0 success, 2
-load/validation error (an array too large to allocate included), 3
-solver error, 4 I/O error, naming the file that could not be read or
-written.  All outputs are pure functions of the spec
-bytes, flags, and seed.
+Every document is read and loaded by ``_load``, and every file is
+written by ``_Files.write``, which writes ``\n`` line ends on every
+platform.  A command only stages its files and prints its summary;
+``main`` owns every other effect.  It reads the spec and creates
+``--out`` before a command runs.  Once the command succeeds, it moves the
+staged files into place, and only then prints one ``wrote`` line naming
+them in the order they were written.  A move that fails or is interrupted
+restores the targets already moved, so a command that fails, or is
+interrupted, changes no file in ``--out`` and prints no ``wrote`` line.
+``main`` maps each error to its exit code: 0 success, 2 load/validation
+error (an array too large to allocate included), 3 solver error, 4 I/O
+error, naming the file that could not be read or written.  A load error
+ends by naming its document, as in ``(comparison policy other.json)``.
+All outputs are pure functions of the spec bytes, flags, and seed.
 
 Every JSON document and ``trajectories.csv`` is laid out by orjson in this
 process, by ``model._dumps`` and ``model._rows``, with the bytes of
@@ -74,12 +75,17 @@ class _IOFailure(OSError):
     pass
 
 
-def _read(path, what: str) -> str:
-    """The text of ``path``, decoded as UTF-8 whatever the locale's encoding."""
+def _load(load, path, what: str):
+    """``load`` of the text of ``path``, decoded as UTF-8 whatever the
+    locale's encoding.  A text that cannot be decoded or loaded raises
+    ``ValueError`` with the document's label and path appended, as in
+    ``gains: missing required key (comparison policy other.json)``."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return load(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise _IOFailure(f"cannot read {what} {path}: {exc}") from None
+    except ValueError as exc:  # GameSpecError and UnicodeDecodeError among them
+        raise ValueError(f"{exc} ({what} {path})") from None
 
 
 def _out_dir(path: str) -> Path:
@@ -264,13 +270,13 @@ def _cmd_augment(args, spec: GameSpec, out: Path, write) -> None:
 
 
 def _cmd_eval(args, spec: GameSpec, out: Path, write) -> None:
-    joint = load_joint_policy(_read(out / "policy.json", "policy file"))
+    joint = _load(load_joint_policy, out / "policy.json", "policy file")
     cert = value_certificate(spec, joint)
     gaps = _nash_gaps(spec, joint, cert.expected_costs)
     doc = _certificate_doc(spec, cert)
     doc["exploitability"] = gaps
     if "compare" in args:
-        doc["compare_distance"] = policy_distance(joint, load_joint_policy(_read(args.compare, "comparison policy")))
+        doc["compare_distance"] = policy_distance(joint, _load(load_joint_policy, args.compare, "comparison policy"))
     write(out / "certificate.json", _dumps(doc))
     for i, (cost, gap) in enumerate(zip(cert.expected_costs.tolist(), gaps.tolist())):
         print(f"  agent {i}: expected cost {cost:.12g} nash gap {gap:.6e}")
@@ -313,7 +319,7 @@ def _write_trajectories(states: np.ndarray, actions: np.ndarray):
 
 
 def _cmd_simulate(args, spec: GameSpec, out: Path, write) -> None:
-    joint = load_joint_policy(_read(out / "policy.json", "policy file"))
+    joint = _load(load_joint_policy, out / "policy.json", "policy file")
     result = simulate(spec, joint, args.n_traj, args.seed)
     cert = value_certificate(spec, joint)
     write(out / "trajectories.csv", _write_trajectories(result.states, result.actions))
@@ -384,7 +390,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     files = _Files()
     try:
-        spec = load_game_spec(_read(args.spec, "spec file")) if "spec" in args else None  # randgen has none
+        spec = _load(load_game_spec, args.spec, "spec file") if "spec" in args else None  # randgen has none
         out = _out_dir(args.out)
         args.func(args, spec, out, files.write)
         files.commit()

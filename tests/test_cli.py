@@ -225,6 +225,31 @@ def test_eval_prints_nothing_when_its_comparison_fails(scalar_spec_file, tmp_pat
     assert printed.err.startswith(message)
 
 
+@pytest.mark.parametrize("command, bad", [
+    ("solve-exact", "spec"), ("eval", "policy"), ("simulate", "policy"), ("eval", "compare"), ("check", "non-utf8"),
+], ids=["spec", "eval-policy", "simulate-policy", "compare", "non-utf8"])
+def test_load_error_names_its_document(scalar_spec_file, tmp_path, capsys, command, bad):
+    """A document that does not load, or is not UTF-8, is a validation error
+    whose message ends with the document's label and path."""
+    out = tmp_path / "run"
+    assert run("solve-exact", "--spec", scalar_spec_file, "--out", out) == 0
+    capsys.readouterr()
+    broken = out / "policy.json" if bad == "policy" else tmp_path / "broken.json"
+    # A policy given as the spec, the spec given as a policy, or a byte that is not UTF-8.
+    texts = {"spec": (out / "policy.json").read_bytes(), "non-utf8": b'{"A": "\xff"}'}
+    broken.write_bytes(texts.get(bad, SCALAR_GAME_TEXT.encode()))
+    spec = broken if bad in ("spec", "non-utf8") else scalar_spec_file
+    extra = ["--compare", broken] if bad == "compare" else []
+    assert run(command, "--spec", spec, "--out", out, *extra) == 2
+    message, label = {
+        "spec": ("tau: missing required key", "spec file"),
+        "policy": ("gains: missing required key", "policy file"),
+        "compare": ("gains: missing required key", "comparison policy"),
+        "non-utf8": ("'utf-8' codec can't decode byte 0xff in position 7: invalid start byte", "spec file"),
+    }[bad]
+    assert capsys.readouterr().err == f"error (validation): {message} ({label} {broken})\n"
+
+
 @pytest.mark.parametrize("command", ["simulate", "randgen"])
 def test_arrays_too_large_to_allocate_exit_code(scalar_spec_file, tmp_path, capsys, command):
     """A size whose first array takes 2**59 or 2**60 bytes, more than any

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import gc
 import json
 import math
 import re
@@ -638,6 +640,83 @@ def test_null_tokens_never_shift_the_floats(doc):
     except ValueError:
         return
     assert text == _json_text(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    {"n": 1e-5, "nul": [2.5e-7, 1.0], "nnnn": np.array([3e-9, 2.0]), "annul": {"n": 1e20, "nn": "n"}},
+    np.array([1e-5, 2e-6, 3e-7, 1.0, 4e17]),
+    1e-5, [1e-5, 1.0, 2.0, 3e-7], {"a": 1.0, "z": [1e-300]},
+], ids=["n-keys", "adjacent", "alone", "first-last", "last"])
+def test_null_scan_edge_cases(doc):
+    """``null`` tokens among keys dense with ``n``, beside each other, first,
+    last, or alone are found, and the text is json's."""
+    assert model._dumps(doc) == _json_text(doc)
+
+
+@pytest.mark.parametrize("block", [
+    [[1e-5, 2e-6, 3e-7]], [[1e-5, 1.0], [2.0, 3e-7]], [[1.0, 2e-6, 3e-7, 4.0]], [[5e-324]],
+], ids=["all", "first-last", "middle", "one"])
+def test_null_scan_compact_rows(block):
+    """Set-aside floats in orjson's compact text, as ``null,null`` and at
+    either end of a row, give each row as ``repr`` writes its entries."""
+    assert model._rows(np.array(block)) == [",".join(map(repr, row)).encode() for row in block]
+
+
+def test_null_scan_policy_of_thousands_of_exponent_entries():
+    """4800 set-aside floats, every entry of the policy, each set in its place."""
+    rng = np.random.default_rng(5)
+    joint = lq.JointPolicy(rng.normal(0.0, 1e-6, (4, 50, 2, 10)), rng.uniform(1e-9, 2e-5, (4, 50, 2, 2)))
+    doc = {"num_agents": 4, "horizon": 50, "state_dim": 10, "action_dim": 2, "gains": joint.gains, "covs": joint.covs}
+    assert lq.dump_joint_policy(joint) == _json_text(doc)
+
+
+@pytest.mark.parametrize("doc", [{"null": 1e-5}, {"nullable": np.array([3e-9, 1.0])}, {"n": [None, 1e-5]}])
+def test_null_scan_rejects_more_null_tokens_than_floats(doc):
+    """A key holding ``null``, or a ``None``, beside a set-aside float is
+    one token too many: ``ValueError``, never a shifted float."""
+    with pytest.raises(ValueError, match="2 null tokens in the text for 1 floats"):
+        model._dumps(doc)
+
+
+def test_large_spec_loads_with_no_collection():
+    """The tens of thousands of lists orjson builds for a 4.6 MB spec set
+    off no collection: the GC is paused until they are freed."""
+    text = lq.dump_game_spec(lq.random_game(20, 50, 10, 2, seed=1, scale=0.3))
+    seen = []
+
+    def hook(phase, info):
+        seen.append((phase, info["generation"]))
+
+    gc.collect()
+    gc.callbacks.append(hook)
+    try:
+        spec = lq.load_game_spec(text)
+    finally:
+        gc.callbacks.remove(hook)
+    assert seen == []
+    assert spec.num_agents == 20
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("case", ["loads", "wrong-shape", "json-fallback"])
+@pytest.mark.parametrize("kind", ["game", "policy"])
+def test_loaders_restore_the_gc_state(kind, case, enabled):
+    """A load leaves the GC as it found it, on or off, when it succeeds,
+    when an array has the wrong shape, and when json parses a ``NaN``."""
+    load, text = DOCUMENTS[kind]
+    doc = json.loads(text)
+    if case == "wrong-shape":
+        doc["B" if kind == "game" else "gains"] = [[1, 2]]
+    elif case == "json-fallback":
+        doc["tau" if kind == "game" else "covs"] = math.nan
+    before = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with contextlib.nullcontext() if case == "loads" else pytest.raises(lq.GameSpecError):
+            load(json.dumps(doc))
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if before else gc.disable)()
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
