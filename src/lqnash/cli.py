@@ -34,6 +34,7 @@ import argparse
 import contextlib
 import dataclasses
 import errno
+import functools
 import os
 import shutil
 import sys
@@ -386,8 +387,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process: building it costs about a millisecond and leaves cyclic garbage.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     files = _Files()
     try:
         spec = _load(load_game_spec, args.spec, "spec file") if "spec" in args else None  # randgen has none

@@ -10,7 +10,8 @@ entropy-regularized costs every equilibrium policy is linear Gaussian.
 They share one backward stage loop, differing only in its gain step, and
 one check function, of which only the condition of ``Phi_t`` is the exact
 pass's alone.  It runs once over all stages after the loop and, only to
-name a failure, stage by stage, in the same words for both.
+name a failure, stage by stage; a check raises where it fails, and the pass
+names the stage, in the same words for both.
 
 Also here: the regularization-adequacy check, and the tau-augmentation
 fallback used when that check fails.
@@ -119,8 +120,11 @@ def exact_ne(spec: GameSpec, cond_limit: float = COND_LIMIT) -> NESolution:
     matrices, open-loop values, values or offsets overflow or one of its
     solves or factorizations is singular, so a diverged pass never yields
     a policy; these checks are :func:`po_solve`'s too, and the error is
-    that of the first check a stage-by-stage pass fails.
+    that of the first check a stage-by-stage pass fails.  A ``cond_limit``
+    below 1, the least condition number, or NaN raises ``ValueError``.
     """
+    if not cond_limit >= 1:
+        raise ValueError(f"cond_limit must be at least 1, got {cond_limit!r}")
     return _exact_backward(spec, cond_limit)
 
 
@@ -140,10 +144,12 @@ def _backward(spec: GameSpec, blocks, gain_step, margin: float | None = None, co
     the gains ``gain_step(t, products, BPA)``, the own cost and the value step.
     A gain step may raise ``LinAlgError`` or :class:`SolverError` to fail its
     stage.  Every ``_CHECK_EVERY`` stages the loop stops once a value solved
-    since the last check is not finite.  :func:`_check_pass` then raises the
-    first failure, ``cond(Phi_t)`` above a ``cond_limit`` included, or the
-    pass returns the policy, stage covariances ``(T, N, p, p)``, values
-    ``(N, T+1, m, m)`` and offsets ``(N, T+1)``.  With a ``margin`` it returns
+    since the last check is not finite.  :func:`_stage_checks` then checks
+    all stages at once and, if one fails or the loop stopped, stage by stage
+    from ``T-1`` down, to raise the first failure, ``cond(Phi_t)`` above a
+    ``cond_limit`` included, naming its stage.  Else the pass returns the
+    policy, stage covariances ``(T, N, p, p)``, values ``(N, T+1, m, m)``
+    and offsets ``(N, T+1)``.  With a ``margin`` it returns
     ``None`` as soon as the values solved so far fail the adequacy check at
     that margin: their largest norm bounds ``gamma_P`` from below, and the
     threshold grows with ``gamma_P``, so the full pass fails it too.
@@ -171,67 +177,59 @@ def _backward(spec: GameSpec, blocks, gain_step, margin: float | None = None, co
                 continue
             fresh, unchecked = P[:, t:unchecked], t
             if not np.isfinite(fresh).all():
-                failure = (t, None)
-                break
+                break  # the checks below find the stage
             if margin is not None:
                 gamma_p = max(gamma_p, _max_frobenius(fresh))
                 if not _condition(spec, gamma_p, margin, gamma_b).satisfied:
                     return None
-    policy, covs, q = _check_pass(spec, blocks, (phis, BPA, G, P), failure, cond_limit)
-    return policy, covs, P, q
-
-
-def _check_pass(spec: GameSpec, blocks, run, failure, cond_limit: float | None):
-    """Check a pass ``run`` of :func:`_backward`, its products ``(T, N p, N p)``,
-    ``B^T P A``, gains ``(T, N p, m)`` and values, with :func:`_stage_checks`
-    over all stages and, only if that fails or the loop stopped early at
-    ``failure`` ``(stage, error or None)``, stage by stage from ``T-1`` down,
-    to raise the first failure with its stage.  Returns the policy, stage
-    covariances and offsets."""
-    n, T = spec.num_agents, spec.horizon
-    checked = None if failure else _stage_checks(spec, blocks, run, 0, T, cond_limit)
-    if isinstance(checked, tuple):
-        covs, q = checked
-        gains = run[2].reshape(T, n, spec.action_dim, spec.state_dim).swapaxes(0, 1)
-        return JointPolicy(gains, covs.swapaxes(0, 1)), covs, q
+    run = (phis, BPA, P)
+    if failure is None:
+        try:
+            covs, q = _stage_checks(spec, blocks, run, 0, T, cond_limit)
+        except SolverError as exc:
+            failure = (0, exc)
+        else:
+            gains = G.reshape(T, n, p, m).swapaxes(0, 1)
+            return JointPolicy(gains, covs.swapaxes(0, 1)), covs, P, q
     # Stage by stage, the checks do the stacked arithmetic matrix by matrix; a
     # stacked failure that no later stage reproduces is charged to stage 0.
-    first, error = failure or (0, SolverError(checked))
+    first, error = failure
     q = np.zeros((n, 1))
     for t in range(T - 1, first - 1, -1):
-        checked = _stage_checks(spec, blocks, run, t, t + 1, cond_limit, error if t == first else None, q)
-        if isinstance(checked, str):
-            raise SolverError(f"stage {t}: {checked}")
-        q = checked[1][:, :1]
+        try:
+            q = _stage_checks(spec, blocks, run, t, t + 1, cond_limit, error if t == first else None, q)[1][:, :1]
+        except SolverError as exc:
+            raise SolverError(f"stage {t}: {exc}") from None
 
 
 def _stage_checks(spec: GameSpec, blocks, run, lo: int, hi: int, cond_limit=None, error=None, q_next=0.0):
-    """The checks of stages ``lo:hi`` of a pass ``run``, in the order a stage
-    meets them: finite stage matrices and ``B^T P A``; finite open-loop values;
-    ``cond(Phi_t)`` within a ``cond_limit`` (only :func:`exact_ne` solves
-    ``Phi_t``); the loop's own ``error``; a nonsingular covariance solve and
-    Cholesky factor; finite values and offsets, ``q_next`` ``(N, 1)`` those of
-    stage ``hi``.  Returns the first failure's text, else the covariances
-    ``(hi-lo, N, p, p)`` and offsets ``(N, hi-lo+1)`` of the stages."""
-    phis, BPA, _, P = run
+    """The checks of stages ``lo:hi`` of a pass ``run`` of :func:`_backward`
+    (products, ``B^T P A``, values), in the order a stage meets them: finite
+    stage matrices and ``B^T P A``; finite open-loop values; ``cond(Phi_t)``
+    within a ``cond_limit`` (only :func:`exact_ne` solves ``Phi_t``); the
+    loop's own ``error``; a nonsingular covariance solve and Cholesky factor;
+    finite values and offsets, ``q_next`` ``(N, 1)`` those of stage ``hi``.
+    The first failure raises :class:`SolverError`; else returns the
+    covariances ``(hi-lo, N, p, p)`` and offsets ``(N, hi-lo+1)`` of the stages."""
+    phis, BPA, P = run
     n, p = spec.num_agents, spec.action_dim
     weight, reg = blocks[2:]
     A, diverged = spec.A[lo:hi], "are not finite; the backward pass diverged"
     with np.errstate(over="ignore", invalid="ignore"):
         systems = phis[lo:hi] + reg[lo:hi]
         if not (np.isfinite(systems).all() and np.isfinite(BPA[lo:hi]).all()):
-            return f"stage matrices {diverged}"
+            raise SolverError(f"stage matrices {diverged}")
         # Beyond the float range, round-off in the closed loop A + sum B K,
         # weighted by the tail values, exceeds any value the stage can certify.
         if not np.isfinite(A.swapaxes(-1, -2) @ P[:, lo + 1 : hi + 1] @ A).all():
-            return f"open-loop values {diverged}"
+            raise SolverError(f"open-loop values {diverged}")
         try:
             if cond_limit is not None:
                 cond = np.linalg.cond(systems)
                 bad = ~(np.isfinite(cond) & (cond <= cond_limit))
                 if bad.any():
-                    return (f"coupling matrix condition {cond[bad][-1]:.3e} exceeds {cond_limit:.1e}; "
-                            "non-unique or ill-conditioned equilibrium, consider tau augmentation")
+                    raise SolverError(f"coupling matrix condition {cond[bad][-1]:.3e} exceeds {cond_limit:.1e}; "
+                                      "non-unique or ill-conditioned equilibrium, consider tau augmentation")
             if error is not None:
                 raise error
             brackets = phis[lo:hi].reshape(hi - lo, -1).take(_diagonal(n, p), axis=1)  # C-ordered, stage-major
@@ -239,13 +237,11 @@ def _stage_checks(spec: GameSpec, blocks, run, lo: int, hi: int, cond_limit=None
             agent_covs = covs.swapaxes(0, 1)
             logdets = _logdets(np.linalg.cholesky(agent_covs))
         except np.linalg.LinAlgError as exc:
-            return f"singular stage matrix ({exc}); the backward pass diverged"
-        except SolverError as exc:
-            return str(exc)
+            raise SolverError(f"singular stage matrix ({exc}); the backward pass diverged") from None
         noise = stage_noise(spec, slice(lo, hi), agent_covs)
         q = value_offsets(spec.tau, weight[:, lo:hi], agent_covs, logdets, noise, P[:, lo : hi + 1]) + q_next
         if not (np.isfinite(P[:, lo:hi]).all() and np.isfinite(q).all()):
-            return f"value matrices {diverged}"
+            raise SolverError(f"value matrices {diverged}")
     return covs, q
 
 

@@ -59,6 +59,25 @@ def test_left_out_options_take_the_library_defaults(command):
         assert (dest in args) == no_default, dest
 
 
+def test_reused_parser_keeps_no_state_between_calls(scalar_spec_file, tmp_path):
+    """main parses with one parser per process.  After a call that argparse
+    rejects, having parsed --margin, a call that leaves the options out
+    writes what it writes in a fresh interpreter."""
+    assert cli._parser() is cli._parser()
+    with pytest.raises(SystemExit) as rejected:
+        run("augment", "--spec", scalar_spec_file, "--out", tmp_path / "bad", "--margin", 0.5, "--growth", "x")
+    assert rejected.value.code == 2
+    assert run("augment", "--spec", scalar_spec_file, "--out", tmp_path / "here") == 0
+    src = os.path.dirname(os.path.dirname(lq.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "lqnash.cli", "augment", "--spec", str(scalar_spec_file), "--out", str(tmp_path / "fresh")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    here, fresh = ({path.name: path.read_bytes() for path in (tmp_path / d).iterdir()} for d in ("here", "fresh"))
+    assert "condition.json" in fresh and here == fresh
+
+
 def test_randgen_round_trip(tmp_path):
     out = tmp_path / "gen"
     assert run("randgen", "--out", out, "--agents", 2, "--horizon", 3, "--state-dim", 2,

@@ -414,6 +414,24 @@ def test_non_finite_values_stop_the_pass_at_the_next_check(monkeypatch, solver):
     assert seen == list(range(39, 15, -1))
 
 
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_failure_only_the_stacked_check_finds_is_charged_to_stage_0(monkeypatch, solver):
+    """The covariance solve fails over all stages at once but at no single
+    stage, so no stage reproduces the failure and stage 0 is named."""
+    spec = lq.random_game(2, 6, 3, 2, seed=5, scale=0.5)
+    real = lq.solver.stage_covariance
+
+    def stage_covariance(bracket, tau):
+        if bracket.ndim == 4 and len(bracket) > 1:  # a stack of stages, not PO's (N, p, p) of one stage
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real(bracket, tau)
+
+    monkeypatch.setattr(lq.solver, "stage_covariance", stage_covariance)
+    with pytest.raises(lq.SolverError) as err:
+        SOLVERS[solver](spec)
+    assert str(err.value) == "stage 0: singular stage matrix (Singular matrix); the backward pass diverged"
+
+
 def test_diverged_po_pass_stops_within_a_check_interval(monkeypatch):
     """The divergence repro: the inner iteration of stage 399, the first
     stage stepped, grows from its first gain distance, so the pass stops
@@ -525,6 +543,24 @@ def test_condition_failure_names_the_largest_failing_stage():
     assert len(failing) >= 3 and failing[-1] < spec.horizon - 1
     with pytest.raises(lq.SolverError, match=f"^stage {failing[-1]}: coupling matrix condition"):
         lq.exact_ne(spec, cond_limit=limit)
+
+
+@pytest.mark.parametrize("limit", [np.nan, -1.0, 0.5])
+def test_cond_limit_that_rejects_every_stage_is_a_value_error(limit):
+    """Every condition number is at least 1, so such a limit is the caller's
+    error, raised before the pass, not a numerical failure."""
+    with pytest.raises(ValueError, match=r"^cond_limit must be at least 1, got "):
+        lq.exact_ne(lq.random_game(2, 3, 3, 2, seed=0, scale=0.5), cond_limit=limit)
+
+
+def test_cond_limit_of_one_or_inf_is_valid():
+    spec = lq.random_game(2, 3, 3, 2, seed=0, scale=0.5)
+    npt.assert_array_equal(lq.exact_ne(spec, cond_limit=np.inf).policy.gains, lq.exact_ne(spec).policy.gains)
+    with pytest.raises(lq.SolverError, match=r"^stage 2: coupling matrix condition \S+ exceeds 1\.0e\+00; "):
+        lq.exact_ne(spec, cond_limit=1.0)
+    # One agent with one action: each stage matrix is a scalar, of condition 1.
+    scalar = lq.random_game(1, 3, 2, 1, seed=0)
+    npt.assert_array_equal(lq.exact_ne(scalar, cond_limit=1.0).policy.gains, lq.exact_ne(scalar).policy.gains)
 
 
 @pytest.mark.parametrize("fault", ["singular", "non-finite"])
