@@ -11,7 +11,11 @@ loop only the work that needs the tail ``P_{t+1}``; the rest is stacked
 over all stages, and the offsets are every stage's term at once, then one
 reverse cumulative sum.  Every contraction is a stacked matrix product; a
 sum over agents is one product of blocks, such as ``[B^1 ... B^N] [K^1;
-...; K^N]`` for the closed loop.
+...; K^N]`` for the closed loop.  The value kernels (:func:`lyapunov_values`,
+:func:`value_offsets`, :func:`expected_costs`) also take complex gains, the
+values taking their dtype, so a complex step through them differentiates a
+cost exactly.  The best-response pass names the agent and stage of each
+numerical failure, as the certificate does.
 
 Public here: the Gaussian minimizer of an entropy-regularized quadratic
 stage cost with its KL and objective helpers, and :func:`best_response_full`,
@@ -175,7 +179,7 @@ def lyapunov_values(spec: GameSpec, gains: np.ndarray) -> np.ndarray:
     only ``Acl_t^T P_{t+1} Acl_t`` runs stage by stage (see :func:`value_step`)."""
     T = spec.horizon
     closed = closed_loop(spec.A, spec.B, gains)
-    P = spec.Q.copy()
+    P = spec.Q.astype(np.result_type(spec.Q, gains))
     P[:, :T] += own_cost(own_weight(spec.tau, spec.R), gains)
     for t in range(T - 1, -1, -1):
         P[:, t] = value_step(P[:, t], closed[t], P[:, t + 1])
@@ -187,7 +191,7 @@ def value_offsets(tau: float, weight, covs, logdets, noise, P) -> np.ndarray:
     ``q_T = 0``, ``W`` the noise, of the values ``P`` stacked ``(..., T+1, m, m)``:
     every stage's term at once, then a reverse cumsum."""
     terms = _trace(covs @ weight) - 0.5 * tau * (covs.shape[-1] + logdets) + _trace(noise @ P[..., 1:, :, :])
-    q = np.zeros(P.shape[:-2])
+    q = np.zeros(P.shape[:-2], dtype=P.dtype)
     q[..., :-1] = np.cumsum(terms[..., ::-1], axis=-1)[..., ::-1]
     return q
 
@@ -227,23 +231,35 @@ def entropy_quadratic_minimizer(q: StageQuadratic) -> GaussianPolicyParams:
     return GaussianPolicyParams(mean, stage_covariance(M, q.tau))
 
 
-def _is_pd(x: np.ndarray) -> bool:
+def _fails(f, *args) -> bool:
+    """Whether ``f(*args)`` raises ``LinAlgError``: a singular solve, or a factor of a matrix not PD."""
     try:
-        np.linalg.cholesky(x)
+        f(*args)
     except np.linalg.LinAlgError:
-        return False
-    return True
+        return True
+    return False
 
 
-def _cholesky(covs: np.ndarray, what: str, skip: int | None = None) -> np.ndarray:
-    """Cholesky factors of an ``(agent, stage)`` stack of covariances with
-    agent ``skip`` left out; a failure names the first matrix not PD."""
-    keep = np.arange(covs.shape[0]) != skip
+def _cholesky(covs: np.ndarray, what: str, agents: np.ndarray | None = None) -> np.ndarray:
+    """Cholesky factors of an ``(agent, stage)`` stack of covariances of the
+    ``agents`` (default ``0, 1, ...``); a failure names the first matrix not PD."""
     try:
-        return np.linalg.cholesky(covs[keep])
+        return np.linalg.cholesky(covs)
     except np.linalg.LinAlgError:
-        i, t = next((i, t) for i, t in np.ndindex(covs.shape[:2]) if keep[i] and not _is_pd(covs[i, t]))
-        raise ValueError(f"{what} covariance not positive definite (agent {i}, stage {t})") from None
+        i, t = next(k for k in np.ndindex(covs.shape[:2]) if _fails(np.linalg.cholesky, covs[k]))
+        agent = i if agents is None else agents[i]
+        raise ValueError(f"{what} covariance not positive definite (agent {agent}, stage {t})") from None
+
+
+def _not_finite(P: np.ndarray, q: np.ndarray, costs: np.ndarray) -> tuple[int, int] | None:
+    """The first agent whose values ``P``, offsets ``q`` or expected cost is
+    not finite, and its last such stage; ``None`` if all are finite."""
+    bad = ~(np.isfinite(P).all(axis=(-2, -1)) & np.isfinite(q))
+    bad[:, 0] |= ~np.isfinite(costs)
+    if not bad.any():
+        return None
+    i = int(bad.any(axis=1).argmax())
+    return i, bad.shape[1] - 1 - int(bad[i, ::-1].argmax())
 
 
 def kl_gaussian_to_standard(g: GaussianPolicyParams) -> float:
@@ -275,6 +291,13 @@ def stage_objective(q: StageQuadratic, g: GaussianPolicyParams) -> float:
     return quad + q.tau * kl_gaussian_to_standard(g)
 
 
+def _diverged(agent, t: int) -> ValueError:
+    """The error of a best response whose values at stage ``t`` cannot be certified."""
+    return ValueError(f"agent {agent}: best-response values are not finite at stage {t}; "
+                      "the best response's costs overflow")
+
+
+@np.errstate(all="ignore")  # a failure is reported below, by agent and stage
 def best_responses(spec: GameSpec, gains: np.ndarray, covs: np.ndarray, agents: np.ndarray):
     """Exact best responses of ``agents`` to the stacked joint policy
     ``(gains, covs)``, all in one backward pass.
@@ -283,7 +306,11 @@ def best_responses(spec: GameSpec, gains: np.ndarray, covs: np.ndarray, agents: 
     stage problem is the entropy-regularized quadratic minimizer, and the
     values are the certificate of the joint policy with the responder's
     stage policy replaced.  Returns the responders' gains, covariances,
-    value matrices and offsets, stacked over ``agents``."""
+    value matrices, offsets and expected costs, stacked over ``agents``.
+
+    Raises ``ValueError`` naming a responder and a stage when a solve of the
+    stage is singular, its covariance is not positive definite, or its
+    values, offsets or expected cost are not finite."""
     T = spec.horizon
     Q, B = spec.Q[agents], spec.B[agents]
     Bt, weight = B.swapaxes(-1, -2), own_weight(spec.tau, spec.R[agents])
@@ -292,13 +319,27 @@ def best_responses(spec: GameSpec, gains: np.ndarray, covs: np.ndarray, agents: 
     P, new_gains, products = Q.copy(), np.empty_like(gains[agents]), np.empty_like(covs[agents])
     for t in range(T - 1, -1, -1):
         tails = P[:, t + 1]
-        products[:, t], gain = _respond(Bt[:, t], B[:, t], weight[:, t], tails, drift[:, t])
+        stage = Bt[:, t], B[:, t], weight[:, t], tails, drift[:, t]
+        try:
+            products[:, t], gain = _respond(*stage)
+        except np.linalg.LinAlgError:  # named for the first responder whose solve is singular
+            i = next(i for i in range(len(agents)) if _fails(_respond, *(x[i] for x in stage)))
+            raise _diverged(agents[i], t) from None
         new_gains[:, t] = gain
         P[:, t] = value_step(Q[:, t] + own_cost(weight[:, t], gain), drift[:, t] + B[:, t] @ gain, tails)
-    new_covs = stage_covariance(spec.R[agents] + products, spec.tau)
+    brackets = spec.R[agents] + products
+    try:
+        new_covs = stage_covariance(brackets, spec.tau)
+    except np.linalg.LinAlgError:
+        i, t = next(k for k in np.ndindex(brackets.shape[:2]) if _fails(stage_covariance, brackets[k], spec.tau))
+        raise _diverged(agents[i], t) from None
     noise = stage_noise(spec, slice(None), covs) + B @ (new_covs - covs[agents]) @ Bt
-    logdets = _logdets(np.linalg.cholesky(new_covs))
-    return new_gains, new_covs, P, value_offsets(spec.tau, weight, new_covs, logdets, noise, P)
+    logdets = _logdets(_cholesky(new_covs, "best-response", agents))
+    q = value_offsets(spec.tau, weight, new_covs, logdets, noise, P)
+    costs = expected_costs(spec, P[:, 0], q[:, 0])
+    if (bad := _not_finite(P, q, costs)) is not None:
+        raise _diverged(agents[bad[0]], bad[1])
+    return new_gains, new_covs, P, q, costs
 
 
 def best_response_full(
@@ -307,7 +348,7 @@ def best_response_full(
     """Exactly optimal policy of one agent against frozen opponents, and its
     exact value certificate (see :func:`best_responses`)."""
     check_policy_shape(spec, joint)
-    _cholesky(joint.covs, "opponent", skip=agent)
-    new_gains, new_covs, P, q = best_responses(spec, joint.gains, joint.covs, np.array([agent]))
-    expected = float(expected_costs(spec, P[0, 0], q[0, 0]))
-    return LinearGaussianPolicy(new_gains[0], new_covs[0]), AgentValue(P=P[0], q=q[0], expected_cost=expected)
+    opponents = np.delete(np.arange(spec.num_agents), agent)
+    _cholesky(joint.covs[opponents], "opponent", opponents)
+    new_gains, new_covs, P, q, costs = best_responses(spec, joint.gains, joint.covs, np.array([agent]))
+    return LinearGaussianPolicy(new_gains[0], new_covs[0]), AgentValue(P=P[0], q=q[0], expected_cost=float(costs[0]))

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rollout import _void_rows, rollout
-from .control import (AgentValue, _cholesky, _frobenius, _logdets, best_responses, expected_costs, lyapunov_values,
-                      own_weight, stage_noise, value_offsets)
+from .control import (AgentValue, _cholesky, _frobenius, _logdets, _not_finite, best_responses, expected_costs,
+                      lyapunov_values, own_weight, stage_noise, value_offsets)
 from .model import GameSpec, JointPolicy, _integer, check_policy_shape
 
 __all__ = [
@@ -94,11 +94,8 @@ def value_certificate(spec: GameSpec, joint: JointPolicy) -> ValueCertificate:
     noise = stage_noise(spec, slice(None), joint.covs)
     q = value_offsets(spec.tau, own_weight(spec.tau, spec.R), joint.covs, logdets, noise, P)
     cert = _certificate(spec, P, q)
-    bad = ~(np.isfinite(P).all(axis=(-2, -1)) & np.isfinite(q))
-    bad[:, 0] |= ~np.isfinite(cert.expected_costs)
-    if bad.any():
-        i = int(bad.any(axis=1).argmax())
-        t = spec.horizon - int(bad[i, ::-1].argmax())
+    if (bad := _not_finite(P, q, cert.expected_costs)) is not None:
+        i, t = bad
         raise ValueError(f"agent {i}: certified values are not finite at stage {t}; the policy's costs overflow")
     return cert
 
@@ -122,8 +119,7 @@ def exploitability(spec: GameSpec, joint: JointPolicy) -> np.ndarray:
 def _nash_gaps(spec: GameSpec, joint: JointPolicy, base_costs: np.ndarray) -> np.ndarray:
     """Nash gaps of a joint policy whose certified expected costs are
     ``base_costs``: each agent's cost less that of its best response."""
-    _, _, P, q = best_responses(spec, joint.gains, joint.covs, np.arange(spec.num_agents))
-    return base_costs - expected_costs(spec, P[:, 0], q[:, 0])
+    return base_costs - best_responses(spec, joint.gains, joint.covs, np.arange(spec.num_agents))[-1]
 
 
 def policy_distance(a: JointPolicy, b: JointPolicy, t: int | None = None) -> float:

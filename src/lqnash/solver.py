@@ -7,11 +7,12 @@ that converges the last stage first and sweeps backward, applying all
 agents' best responses simultaneously within each stage.  The latter is
 block-Jacobi on the same system.  Both exploit the fact that with
 entropy-regularized costs every equilibrium policy is linear Gaussian.
-They share one backward stage loop, differing only in its gain step, and
-one check function, of which only the condition of ``Phi_t`` is the exact
-pass's alone.  It runs once over all stages after the loop and, only to
-name a failure, stage by stage; a check raises where it fails, and the pass
-names the stage, in the same words for both.
+They enter one backward stage loop the same way, differing only in its
+gain step: none is the exact stacked solve, and PO's returns its gains and
+inner distances.  One check function, of which only the condition of
+``Phi_t`` is the exact pass's alone, runs once over all stages after the
+loop and, only to name a failure, stage by stage; a check raises where it
+fails, and the pass names the stage, in the same words for both.
 
 Also here: the regularization-adequacy check, and the tau-augmentation
 fallback used when that check fails.
@@ -125,41 +126,35 @@ def exact_ne(spec: GameSpec, cond_limit: float = COND_LIMIT) -> NESolution:
     """
     if not cond_limit >= 1:
         raise ValueError(f"cond_limit must be at least 1, got {cond_limit!r}")
-    return _exact_backward(spec, cond_limit)
+    return NESolution(*_backward(spec, cond_limit=cond_limit)[:3])
 
 
-def _exact_backward(spec: GameSpec, cond_limit: float = COND_LIMIT, margin: float | None = None) -> NESolution | None:
-    """:func:`exact_ne`, or with a ``margin`` an augmentation round that
-    returns ``None`` once its values rule the check out (see :func:`_backward`)."""
-    blocks = stage_blocks(spec)
-    run = _backward(spec, blocks, lambda t, phi, BPA: np.linalg.solve(phi + blocks[3][t], -BPA), margin, cond_limit)
-    if run is None:
-        return None
-    policy, _, P, q = run
-    return NESolution(policy=policy, riccati=P, offsets=q)
-
-
-def _backward(spec: GameSpec, blocks, gain_step, margin: float | None = None, cond_limit: float | None = None):
+def _backward(spec: GameSpec, gain_step=None, margin: float | None = None, cond_limit: float = COND_LIMIT):
     """The backward stage loop of both solvers: per stage, the joint products,
-    the gains ``gain_step(t, products, BPA)``, the own cost and the value step.
-    A gain step may raise ``LinAlgError`` or :class:`SolverError` to fail its
+    the gains, the own cost and the value step.  With no ``gain_step`` the
+    gains solve ``Phi_t G = -B^T P A``, :func:`exact_ne`'s stacked solve, and
+    the checks bound ``cond(Phi_t)`` by ``cond_limit``; a caller's
+    ``gain_step(t, products, BPA)``, :func:`po_solve`'s, returns the gains
+    and the stage's inner distances, and no condition is checked.  A gain
+    step may raise ``LinAlgError`` or :class:`SolverError` to fail its
     stage.  Every ``_CHECK_EVERY`` stages the loop stops once a value solved
     since the last check is not finite.  :func:`_stage_checks` then checks
     all stages at once and, if one fails or the loop stopped, stage by stage
-    from ``T-1`` down, to raise the first failure, ``cond(Phi_t)`` above a
-    ``cond_limit`` included, naming its stage.  Else the pass returns the
-    policy, stage covariances ``(T, N, p, p)``, values ``(N, T+1, m, m)``
-    and offsets ``(N, T+1)``.  With a ``margin`` it returns
+    from ``T-1`` down, to raise the first failure, naming its stage.  Else
+    the pass returns the policy, values ``(N, T+1, m, m)``, offsets
+    ``(N, T+1)``, stage covariances ``(T, N, p, p)`` and each stage's
+    distances (``None`` without a gain step).  With a ``margin`` it returns
     ``None`` as soon as the values solved so far fail the adequacy check at
     that margin: their largest norm bounds ``gamma_P`` from below, and the
     threshold grows with ``gamma_P``, so the full pass fails it too.
     """
     n, T = spec.num_agents, spec.horizon
     m, p = spec.state_dim, spec.action_dim
-    Bt, side, weight, _ = blocks
+    Bt, side, weight, reg = stage_blocks(spec)
+    cond_limit = cond_limit if gain_step is None else None
     P = spec.Q.copy()
     phis, BPA, G = np.zeros((T, n * p, n * p)), np.zeros((T, n * p, m)), np.zeros((T, n * p, m))
-    failure = None
+    failure, traces = None, [None] * T
     gamma_b = None if margin is None else _max_frobenius(spec.B)
     gamma_p, unchecked = 0.0, T + 1  # largest norm among P[:, unchecked:]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -167,7 +162,10 @@ def _backward(spec: GameSpec, blocks, gain_step, margin: float | None = None, co
             tails = P[:, t + 1]
             phis[t], BPA[t] = joint_products(Bt[:, t], side[t], spec.A[t], tails)
             try:
-                G[t] = gain_step(t, phis[t], BPA[t])
+                if gain_step is None:
+                    G[t] = np.linalg.solve(phis[t] + reg[t], -BPA[t])
+                else:
+                    G[t], traces[t] = gain_step(t, phis[t], BPA[t])
                 Qown = spec.Q[:, t] + own_cost(weight[:, t], G[t].reshape(n, p, m))
                 P[:, t] = value_step(Qown, spec.A[t] + side[t] @ G[t], tails)
             except (np.linalg.LinAlgError, SolverError) as exc:
@@ -182,38 +180,36 @@ def _backward(spec: GameSpec, blocks, gain_step, margin: float | None = None, co
                 gamma_p = max(gamma_p, _max_frobenius(fresh))
                 if not _condition(spec, gamma_p, margin, gamma_b).satisfied:
                     return None
-    run = (phis, BPA, P)
+    run = (weight, reg, phis, BPA, P)
     if failure is None:
         try:
-            covs, q = _stage_checks(spec, blocks, run, 0, T, cond_limit)
+            covs, q = _stage_checks(spec, run, 0, T, cond_limit)
         except SolverError as exc:
             failure = (0, exc)
         else:
-            gains = G.reshape(T, n, p, m).swapaxes(0, 1)
-            return JointPolicy(gains, covs.swapaxes(0, 1)), covs, P, q
+            return JointPolicy(G.reshape(T, n, p, m).swapaxes(0, 1), covs.swapaxes(0, 1)), P, q, covs, traces
     # Stage by stage, the checks do the stacked arithmetic matrix by matrix; a
     # stacked failure that no later stage reproduces is charged to stage 0.
     first, error = failure
     q = np.zeros((n, 1))
     for t in range(T - 1, first - 1, -1):
         try:
-            q = _stage_checks(spec, blocks, run, t, t + 1, cond_limit, error if t == first else None, q)[1][:, :1]
+            q = _stage_checks(spec, run, t, t + 1, cond_limit, error if t == first else None, q)[1][:, :1]
         except SolverError as exc:
             raise SolverError(f"stage {t}: {exc}") from None
 
 
-def _stage_checks(spec: GameSpec, blocks, run, lo: int, hi: int, cond_limit=None, error=None, q_next=0.0):
-    """The checks of stages ``lo:hi`` of a pass ``run`` of :func:`_backward`
-    (products, ``B^T P A``, values), in the order a stage meets them: finite
-    stage matrices and ``B^T P A``; finite open-loop values; ``cond(Phi_t)``
-    within a ``cond_limit`` (only :func:`exact_ne` solves ``Phi_t``); the
-    loop's own ``error``; a nonsingular covariance solve and Cholesky factor;
-    finite values and offsets, ``q_next`` ``(N, 1)`` those of stage ``hi``.
+def _stage_checks(spec: GameSpec, run, lo: int, hi: int, cond_limit=None, error=None, q_next=0.0):
+    """The checks of stages ``lo:hi`` of a pass ``run`` of :func:`_backward`,
+    in the order a stage meets them: finite stage matrices and ``B^T P A``;
+    finite open-loop values; ``cond(Phi_t)`` within a ``cond_limit`` (only
+    :func:`exact_ne` solves ``Phi_t``); the loop's own ``error``; a
+    nonsingular covariance solve and Cholesky factor; finite values and
+    offsets, ``q_next`` ``(N, 1)`` those of stage ``hi``.
     The first failure raises :class:`SolverError`; else returns the
     covariances ``(hi-lo, N, p, p)`` and offsets ``(N, hi-lo+1)`` of the stages."""
-    phis, BPA, P = run
+    weight, reg, phis, BPA, P = run
     n, p = spec.num_agents, spec.action_dim
-    weight, reg = blocks[2:]
     A, diverged = spec.A[lo:hi], "are not finite; the backward pass diverged"
     with np.errstate(over="ignore", invalid="ignore"):
         systems = phis[lo:hi] + reg[lo:hi]
@@ -325,7 +321,6 @@ def po_solve(
     n, T = spec.num_agents, spec.horizon
     m, p = spec.state_dim, spec.action_dim
     agents, diagonal, half = np.arange(n), _diagonal(n, p), 0.5 * spec.tau * np.eye(p)
-    trace_by_stage: list = [None] * T
 
     def gain_step(t, products, BPA):
         bracket = spec.R[:, t] + products.reshape(-1)[diagonal]
@@ -359,19 +354,18 @@ def po_solve(
             if inner_iters is None and not grew and not (rho := _spectral_radius(M)) < 1.0:
                 raise SolverError(f"inner iteration did not converge, spectral radius {rho:.6g} >= 1 after {L} "
                                   f"iterations, gain distance {distances[0]:.3e} to {distances[-1]:.3e}")
-        trace_by_stage[t] = distances
-        return G
+        return G, distances
 
-    policy, covs, P, _ = _backward(spec, stage_blocks(spec), gain_step)
+    policy, P, _, covs, traces = _backward(spec, gain_step)
     # Each stage's first distance adds its covariance norms; then value norms and moduli, stacked over the stages.
-    for distances, norm in zip(trace_by_stage, np.add.reduce(_frobenius(covs), axis=-1).tolist()):
+    for distances, norm in zip(traces, np.add.reduce(_frobenius(covs), axis=-1).tolist()):
         distances[0] += norm
     norms = _frobenius(P).max(axis=0)  # over the policy's value matrices
     with np.errstate(over="ignore"):
         moduli = uniqueness_threshold(spec, norms[1:])[1] / spec.tau
     return SolveReport(
         policy=policy,
-        trace=tuple(map(tuple, trace_by_stage)),
+        trace=tuple(map(tuple, traces)),
         contraction_moduli=tuple(moduli.tolist()),
         condition=_condition(spec, float(norms.max()), 0.0),
     )
@@ -399,7 +393,8 @@ def delta_augment_solve(
     ``inner_iters`` and ``stop_tol`` are checked as :func:`po_solve` checks
     them, before the first round.  The returned policy is an approximate
     equilibrium of the *original* game whose per-agent exploitability
-    (reported in ``nash_gaps``) shrinks with ``delta``.
+    (reported in ``nash_gaps``) shrinks with ``delta``; a numerical failure
+    of those gaps raises :class:`SolverError` naming the agent and stage.
     """
     if not (math.isfinite(delta_init) and delta_init > 0):
         raise ValueError(f"delta_init must be finite and positive, got {delta_init!r}")
@@ -424,18 +419,22 @@ def delta_augment_solve(
             )
         augmented = spec.with_tau(spec.tau + candidate)
         try:
-            sol = _exact_backward(augmented, margin=margin)
+            run = _backward(augmented, margin=margin)
         except SolverError:
-            sol = None
-        if sol is not None:  # a margin pass returns only values that pass the check
-            delta, condition = candidate, check_assumption_tau(augmented, sol, margin)
+            run = None
+        if run is not None:  # a margin pass returns only values that pass the check
+            delta, condition = candidate, _condition(augmented, _max_frobenius(run[1]), margin)
             break
         failed = candidate
     if delta is None:
         raise SolverError(f"augmentation failed after {max_rounds} rounds ({_round_failure(spec, failed, margin)})")
 
     report = po_solve(augmented, inner_iters=inner_iters, stop_tol=stop_tol)  # the accepted round's game
-    return replace(report, condition=condition, delta_used=float(delta), nash_gaps=exploitability(spec, report.policy))
+    try:
+        gaps = exploitability(spec, report.policy)
+    except ValueError as exc:  # a numerical failure of the solver's own result
+        raise SolverError(f"Nash gaps in the original game: {exc}") from None
+    return replace(report, condition=condition, delta_used=float(delta), nash_gaps=gaps)
 
 
 def _round_failure(spec: GameSpec, delta: float | None, margin: float) -> str:
@@ -444,8 +443,8 @@ def _round_failure(spec: GameSpec, delta: float | None, margin: float) -> str:
         return "no rounds attempted"
     augmented = spec.with_tau(spec.tau + delta)
     try:
-        sol = _exact_backward(augmented)
+        P = _backward(augmented)[1]
     except SolverError as exc:
         return f"delta={delta:g}: {exc}"
-    gap = check_assumption_tau(augmented, sol, margin).threshold * (1.0 + margin) - augmented.tau
+    gap = _condition(augmented, _max_frobenius(P), margin).threshold * (1.0 + margin) - augmented.tau
     return f"delta={delta:g}: threshold gap {gap:.6g} remains"

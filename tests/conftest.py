@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -75,6 +76,40 @@ def overflowing_policies():
     covs = policy.covs.copy()
     covs[0, 0] = 1e300
     return spec, {"gains": lq.JointPolicy(policy.gains * 1e200, policy.covs), "cov": lq.JointPolicy(policy.gains, covs)}
+
+
+def scaled_drift_game(n: int, T: int, m: int, p: int, seed: int, stage: int, factor: float) -> lq.GameSpec:
+    """``random_game(n, T, m, p, seed, scale=0.5)`` with ``A`` at one stage times ``factor``."""
+    spec = lq.random_game(n, T, m, p, seed=seed, scale=0.5)
+    A = spec.A.copy()
+    A[stage] *= factor
+    return lq.validate_game_spec(dataclasses.replace(spec, A=A))
+
+
+def gap_pass_repro():
+    """A one-agent game with ``A[5]`` times 1e100, and PO's policy of it at
+    ``tau + 0.01``: the policy's certificate is finite (cost about 1.37e198),
+    but a best-response covariance of the Nash-gap pass is not PD."""
+    spec = scaled_drift_game(1, 17, 2, 2, seed=117, stage=5, factor=1e100)
+    return spec, lq.po_solve(spec.with_tau(spec.tau + 0.01)).policy
+
+
+def own_gain_derivative(spec: lq.GameSpec, joint: lq.JointPolicy, i: int, t: int, h: float = 1e-30) -> np.ndarray:
+    """``dJ_i/dK_t^i`` ``(p, m)`` by complex step, ``Im J_i(K + ihE)/h`` for
+    each entry ``E``, through the shipped ``lyapunov_values``,
+    ``value_offsets`` and ``expected_costs``.  ``J_i`` is a polynomial in the
+    gains, so the step is exact to round-off, with no cancellation."""
+    logdets = control._logdets(np.linalg.cholesky(joint.covs))
+    noise = control.stage_noise(spec, slice(None), joint.covs)
+    weight = control.own_weight(spec.tau, spec.R)
+    derivative = np.empty(joint.gains.shape[2:])
+    for entry in np.ndindex(derivative.shape):
+        gains = joint.gains.astype(complex)
+        gains[(i, t) + entry] += 1j * h
+        P = control.lyapunov_values(spec, gains)
+        q = control.value_offsets(spec.tau, weight, joint.covs, logdets, noise, P)
+        derivative[entry] = control.expected_costs(spec, P[i, 0], q[i, 0]).imag / h
+    return derivative
 
 
 # Where repr's layout changes (it is plain for 0 and 1e-4 <= |x| < 1e16),

@@ -20,8 +20,8 @@ import lqnash as lq
 from lqnash import cli, model
 from lqnash.cli import main
 
-from conftest import (BOUNDARY_FLOATS, SCALAR_GAME_TEXT, finite_float_arrays, overflowing_policies, random_pd_policy,
-                      singular_game_text)
+from conftest import (BOUNDARY_FLOATS, SCALAR_GAME_TEXT, finite_float_arrays, gap_pass_repro, overflowing_policies,
+                      random_pd_policy, singular_game_text)
 
 
 @pytest.fixture
@@ -547,6 +547,25 @@ def test_overflowing_policy_exit_code(tmp_path, capsys, kind, command, code):
     assert {p.name for p in tmp_path.iterdir()} == {"spec.json", "policy.json"} | written
     if code:
         assert "error (validation): agent 0: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code, kind", [
+    (["eval"], 2, "validation"),
+    (["augment", "--delta-init", 0.01, "--growth", 4, "--max-rounds", 6], 3, "solver"),
+])
+def test_gap_pass_failure_exit_code(tmp_path, capsys, argv, code, kind):
+    """The Nash-gap pass of a policy with a finite certificate fails: eval
+    exits 2 and augment, whose gap is of its own result, exits 3; both name
+    agent 0 and the stage, and write no file."""
+    spec, policy = gap_pass_repro()
+    (tmp_path / "spec.json").write_text(lq.dump_game_spec(spec))
+    (tmp_path / "policy.json").write_text(lq.dump_joint_policy(policy))
+    assert run(*argv, "--spec", tmp_path / "spec.json", "--out", tmp_path) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error ({kind}): ")
+    assert "best-response covariance not positive definite (agent 0, stage 2)" in captured.err
+    assert "wrote" not in captured.out
+    assert {p.name for p in tmp_path.iterdir()} == {"spec.json", "policy.json"}
 
 
 def _simulate(traj_game, n_traj, seed=5):

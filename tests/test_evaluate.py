@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import time
 import tracemalloc
 import warnings
@@ -6,12 +7,13 @@ import warnings
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, strategies as st
 
 import lqnash as lq
-from lqnash import evaluate
+from lqnash import control, evaluate
 from lqnash._rollout import rollout
 
-from conftest import overflowing_policies, random_pd_policy, with_tau
+from conftest import gap_pass_repro, overflowing_policies, random_pd_policy, scaled_drift_game, with_tau
 
 
 def scalar_rest_policy():
@@ -585,3 +587,104 @@ def test_overflowing_policy_is_a_named_error(kind):
             assert np.isfinite(lq.value_certificate(spec, policy).expected_costs).all()
         with pytest.raises(ValueError, match="^agent 0: simulated costs are not finite;"):
             lq.simulate(spec, policy, 20, 0)
+
+
+# The named errors of the Nash-gap pass: each names a responder and a stage.
+GAP_PASS_ERROR = (r"^(agent \d+: best-response values are not finite at stage \d+; the best response's costs overflow"
+                  r"|best-response covariance not positive definite \(agent \d+, stage \d+\))$")
+
+
+def test_gap_pass_failure_is_named():
+    """The repro: a policy with a finite certificate whose best response's
+    covariance is not PD at stage 2.  exploitability raises the named
+    ValueError, not numpy's bare LinAlgError; delta_augment_solve, whose
+    gap is of its own result, raises it as a SolverError."""
+    spec, policy = gap_pass_repro()
+    assert np.isfinite(lq.value_certificate(spec, policy).expected_costs).all()
+    message = r"best-response covariance not positive definite \(agent 0, stage 2\)$"
+    with pytest.raises(ValueError, match="^" + message) as err:
+        lq.exploitability(spec, policy)
+    assert not isinstance(err.value, np.linalg.LinAlgError)
+    with pytest.raises(lq.SolverError, match="^Nash gaps in the original game: " + message):
+        lq.delta_augment_solve(spec, delta_init=0.01, growth=4.0, max_rounds=6)
+
+
+def test_best_response_failure_names_the_responding_agent():
+    """best_response_full of agent 1 names agent 1, not its row 0 of the batch."""
+    spec = scaled_drift_game(2, 5, 4, 1, seed=8, stage=3, factor=1e150)
+    policy = lq.exact_ne(spec.with_tau(spec.tau + 0.01)).policy
+    assert np.isfinite(lq.best_response_full(spec, policy, 0)[1].expected_cost)
+    with pytest.raises(ValueError, match=r"^best-response covariance not positive definite \(agent 1, stage 0\)$"):
+        lq.best_response_full(spec, policy, 1)
+
+
+@given(st.integers(1, 3), st.sampled_from([5, 17]), st.integers(0, 149), st.sampled_from([1.0, 1e50, 1e100, 1e150]))
+@example(1, 17, 117, 1e100)  # a best-response covariance not PD
+@example(1, 5, 33, 1e50)  # a singular responder solve
+@example(2, 5, 8, 1e150)  # agent 1's covariance not PD
+def test_gap_pass_returns_finite_gaps_or_a_named_error(n, T, seed, factor):
+    """Over games with A at one stage scaled, and the equilibria of tau +
+    0.01 whose certificates are finite, the gaps are finite or the error
+    names a responder and a stage; no LinAlgError leaves the pass."""
+    spec = scaled_drift_game(n, T, 2 + seed % 3, 1 + seed % 2, seed, seed % T, factor)
+    try:
+        policy = lq.exact_ne(spec.with_tau(spec.tau + 0.01)).policy
+        lq.value_certificate(spec, policy)
+    except (lq.SolverError, ValueError):
+        return
+    try:
+        gaps = lq.exploitability(spec, policy)
+    except np.linalg.LinAlgError:
+        raise AssertionError("a bare LinAlgError left the gap pass") from None
+    except ValueError as exc:
+        assert re.match(GAP_PASS_ERROR, str(exc)), str(exc)
+    else:
+        assert np.isfinite(gaps).all()
+
+
+def _singular_respond(calls):
+    """``_respond`` singular for the stack of stage 2 (the second stacked call,
+    of four stages) and then for agent 1 alone, its second single call."""
+    def fault(real, Bt, *args):
+        calls.append(Bt.ndim)
+        if calls.count(3) == 2 and (Bt.ndim == 3 or calls.count(2) == 2):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real(Bt, *args)
+    return fault
+
+
+def _singular_covariance(marked):
+    """``stage_covariance`` singular for the stack, and then for the bracket
+    of agent 1 at stage 2 alone."""
+    def fault(real, bracket, tau):
+        if bracket.ndim == 4:
+            marked.append(bracket[1, 2].copy())
+        if bracket.ndim == 4 or np.array_equal(bracket, marked[0]):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real(bracket, tau)
+    return fault
+
+
+def _infinite_offsets(real, *args):
+    """The offsets of agent 1 not finite from stage 2 down."""
+    q = real(*args)
+    q[1, :3] = np.inf
+    return q
+
+
+@pytest.mark.parametrize("name", ["_respond", "stage_covariance", "value_offsets"])
+def test_each_failure_of_the_gap_pass_names_agent_and_stage(monkeypatch, name):
+    """A singular responder solve, a singular covariance solve and offsets
+    that are not finite, each injected for agent 1 at stage 2, are named
+    in one error, with no numpy warning on the way."""
+    spec = lq.random_game(2, 4, 2, 2, seed=3, scale=0.5)
+    policy = lq.exact_ne(spec).policy
+    fault = {"_respond": _singular_respond([]), "stage_covariance": _singular_covariance([]),
+             "value_offsets": _infinite_offsets}[name]
+    real = getattr(control, name)
+    monkeypatch.setattr(control, name, lambda *args: fault(real, *args))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as err:
+            lq.exploitability(spec, policy)
+    assert str(err.value) == "agent 1: best-response values are not finite at stage 2; the best response's costs overflow"

@@ -318,7 +318,7 @@ class TestDeltaAugment:
     @pytest.mark.parametrize("margin", [-1.0, float("nan")])
     def test_bad_margin_rejected_before_any_solve(self, monkeypatch, margin):
         monkeypatch.setattr(solver, "exact_ne", lambda spec: pytest.fail("solved"))
-        monkeypatch.setattr(solver, "_exact_backward", lambda *args, **kwargs: pytest.fail("solved"))
+        monkeypatch.setattr(solver, "_backward", lambda *args, **kwargs: pytest.fail("solved"))
         spec = lq.random_game(2, 2, 2, 1, seed=11, scale=0.8)
         with pytest.raises(ValueError, match="margin"):
             lq.delta_augment_solve(spec, delta_init=1e-3, margin=margin)
@@ -640,10 +640,10 @@ def test_failing_round_stops_early_and_passing_round_runs_in_full(monkeypatch):
     spec = lq.random_game(3, 400, 4, 2, seed=1234, scale=0.3)
     real, steps = lq.solver.value_step, []
     monkeypatch.setattr(lq.solver, "value_step", lambda *args: steps.append(0) or real(*args))
-    assert solver._exact_backward(spec.with_tau(1.05), margin=0.0) is None
+    assert solver._backward(spec.with_tau(1.05), margin=0.0) is None
     assert 0 < len(steps) <= 100
     passing = spec.with_tau(1.8)
-    sol, full = solver._exact_backward(passing, margin=0.0), lq.exact_ne(passing)
+    sol, full = solver.NESolution(*solver._backward(passing, margin=0.0)[:3]), lq.exact_ne(passing)
     assert lq.check_assumption_tau(passing, full).satisfied
     assert bits(sol.riccati) == bits(full.riccati) and bits(sol.offsets) == bits(full.offsets)
     assert bits(sol.policy.gains) == bits(full.policy.gains)
